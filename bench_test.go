@@ -100,7 +100,7 @@ func getInstance(b *testing.B, setup string) *benchInstance {
 	}
 	inst.db = db
 	if inst.mon != nil {
-		if err := ima.Register(db, inst.mon); err != nil {
+		if err := ima.Register(ima.Sources{DB: db, Mon: inst.mon}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -591,8 +591,7 @@ func BenchmarkScanAggParallel8_Batch(b *testing.B) { benchScanAggParallel(b, tru
 // n-way intra-query morsel parallelism: one query, n workers pulling
 // 64-page morsels from a shared dispenser. Contrast with
 // benchScanAggParallel, which measures inter-query parallelism.
-// EXPERIMENTS.md records the scaling curve; the bench trajectory file
-// (benchrunner -bench-out) tracks it across PRs.
+// EXPERIMENTS.md records the scaling curve.
 func benchScanAggMorsel(b *testing.B, workers int) {
 	if prev := runtime.GOMAXPROCS(0); prev < workers {
 		runtime.GOMAXPROCS(workers)

@@ -4,13 +4,8 @@
 // Usage:
 //
 //	benchrunner [-fig 4|5|6|7|8] [-growth] [-sensorcost] [-all]
-//	            [-bench-out path]
 //	            [-scale N] [-complex N] [-joins N] [-selects N]
 //	            [-dir path]
-//
-// -bench-out runs the engine bench trajectory (morsel scaling, point
-// selects under updates) and writes the results as JSON to the given
-// path, for machine comparison across commits; nothing else runs.
 //
 // Figure 6 (the cost diagram) is produced by the same analyzer run as
 // Figure 7 and is printed with it.
@@ -36,7 +31,6 @@ func main() {
 		joinsN     = flag.Int("joins", 5000, "statements in the 50k test")
 		selectsN   = flag.Int("selects", 50000, "statements in the 1m test")
 		dir        = flag.String("dir", "", "working directory (default: a temp dir)")
-		benchOut   = flag.String("bench-out", "", "write the bench trajectory as JSON to this path and exit")
 	)
 	flag.Parse()
 
@@ -55,19 +49,6 @@ func main() {
 		ComplexN: *complexN,
 		JoinsN:   *joinsN,
 		SelectsN: *selectsN,
-	}
-
-	if *benchOut != "" {
-		rep, err := experiments.RunBenchTrajectory(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteFile(*benchOut); err != nil {
-			fatal(err)
-		}
-		fmt.Print(rep.String())
-		fmt.Printf("(written to %s)\n", *benchOut)
-		return
 	}
 
 	runAll := *all || (*fig == 0 && !*growth && !*sensorcost)

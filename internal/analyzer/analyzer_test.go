@@ -29,7 +29,7 @@ func newFixture(t *testing.T, scale int) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ima.Register(source, mon); err != nil {
+	if err := ima.Register(ima.Sources{DB: source, Mon: mon}); err != nil {
 		t.Fatal(err)
 	}
 	if err := nref.NewGenerator(scale, 1).Load(source); err != nil {

@@ -22,7 +22,7 @@ func latencyFixture(t *testing.T) (*engine.Session, *monitor.Monitor, *daemon.Da
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ima.Register(source, mon); err != nil {
+	if err := ima.Register(ima.Sources{DB: source, Mon: mon}); err != nil {
 		t.Fatal(err)
 	}
 	wdb, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "wdb"), PoolPages: 256})

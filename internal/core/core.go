@@ -119,10 +119,6 @@ func Open(opts Options) (*System, error) {
 	if opts.DisableMonitor {
 		return sys, nil
 	}
-	if err := ima.Register(db, sys.Monitor); err != nil {
-		db.Close()
-		return nil, err
-	}
 	wdb, err := engine.Open(engine.Config{
 		Dir:       filepath.Join(opts.Dir, "workloaddb"),
 		PoolPages: 512,
@@ -141,11 +137,6 @@ func Open(opts Options) (*System, error) {
 	sys.Analyzer = an
 	ap := an.NewApplier(opts.Apply)
 	sys.Applier = ap
-	if err := ima.RegisterActions(db, ap.ActionRows); err != nil {
-		db.Close()
-		wdb.Close()
-		return nil, err
-	}
 	d, err := daemon.New(daemon.Config{
 		Source:        db,
 		Mon:           sys.Monitor,
@@ -176,16 +167,26 @@ func Open(opts Options) (*System, error) {
 	reg.Register("daemon", telemetry.DaemonSource(d))
 	reg.Register("tuning", telemetry.TuningSource(an, ap, db))
 	sys.Telemetry = reg
-	if err := ima.RegisterHealth(db, func() []ima.HealthMetric {
-		var hm []ima.HealthMetric
-		for _, s := range reg.Gather() {
-			if len(s.Labels) > 0 {
-				continue
+
+	// IMA last: its relations read every component built above.
+	err = ima.Register(ima.Sources{
+		DB:            db,
+		Mon:           sys.Monitor,
+		Actions:       ap.ActionRows,
+		ApplyFailures: an.ApplyFailures,
+		Collector:     d.Health,
+		Health: func() []ima.HealthMetric {
+			var hm []ima.HealthMetric
+			for _, s := range reg.Gather() {
+				if len(s.Labels) > 0 {
+					continue
+				}
+				hm = append(hm, ima.HealthMetric{Component: s.Component, Metric: s.Name, Value: s.Value})
 			}
-			hm = append(hm, ima.HealthMetric{Component: s.Component, Metric: s.Name, Value: s.Value})
-		}
-		return hm
-	}); err != nil {
+			return hm
+		},
+	})
+	if err != nil {
 		db.Close()
 		wdb.Close()
 		return nil, err

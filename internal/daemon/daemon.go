@@ -35,7 +35,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,8 +138,9 @@ type Config struct {
 	// CarryoverCap bounds the requeue buffer for drained workload
 	// entries whose insert failed (default DefaultCarryoverCap).
 	CarryoverCap int
-	// RefCacheCap bounds the reference dedup set; the oldest keys are
-	// evicted first (default DefaultRefCacheCap).
+	// RefCacheCap bounds the dedup memory of persist-once relations
+	// (ws_references); the oldest keys are evicted first (default
+	// DefaultRefCacheCap).
 	RefCacheCap int
 	// Actions, when set, returns the analyzer applier's audit trail;
 	// rows with Seq beyond the daemon's watermark are persisted into
@@ -198,10 +198,13 @@ type Daemon struct {
 	logf      func(format string, args ...any)
 	carryCap  int
 
+	// The copy loop's view of the registry: what the relations read
+	// from and one cursor per copied relation, in registry order.
+	src     ima.Sources
+	cursors []*ima.Cursor
+
 	mu        sync.Mutex
-	refs      refDedup // reference rows already persisted, bounded FIFO
 	lastPrune time.Time
-	prevPoll  time.Time // statements unchanged since then are skipped
 	carryover []monitor.WorkloadEntry
 
 	polls       atomic.Int64
@@ -214,7 +217,6 @@ type Daemon struct {
 	alertErrors atomic.Int64
 	carryDepth  atomic.Int64
 	carryDrops  atomic.Int64
-	actionSeq   atomic.Int64 // highest ws_actions Seq persisted
 
 	fullSignal chan struct{}
 }
@@ -258,7 +260,16 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:      cfg,
 		logf:     cfg.Logf,
 		carryCap: cfg.CarryoverCap,
-		refs:     newRefDedup(cfg.RefCacheCap),
+	}
+	d.src = ima.Sources{
+		DB: cfg.Source, Mon: cfg.Mon,
+		Actions: cfg.Actions, ApplyFailures: cfg.ApplyFailures,
+		Collector: d.Health,
+	}
+	for _, rel := range ima.Persisted() {
+		if rel.StoreName() != workloaddb.Workload { // drained by flushWorkload, not copied
+			d.cursors = append(d.cursors, rel.NewCursor(cfg.RefCacheCap))
+		}
 	}
 	d.newTarget = func() execTarget { return cfg.Target.NewSession() }
 	if cfg.FlushOnFull {
@@ -368,10 +379,21 @@ func (d *Daemon) Stats() Stats {
 	}
 }
 
+// Health samples the collector columns of the statistics relation.
+func (d *Daemon) Health() ima.CollectorHealth {
+	return ima.CollectorHealth{
+		PollErrors:     d.pollErrors.Load(),
+		Retries:        d.retries.Load(),
+		CarryoverDepth: d.carryDepth.Load(),
+		AlertErrors:    d.alertErrors.Load(),
+	}
+}
+
 // Poll performs one collection cycle: flush carried-over and freshly
-// drained workload entries, snapshot the remaining IMA tables, append
-// everything to the workload DB with the poll timestamp, prune expired
-// rows once per retention hour, then evaluate alerts.
+// drained workload entries, run the flagger and vacuum, copy every
+// other persisted relation of the ima registry into its ws_ table with
+// the poll timestamp, prune expired rows once per retention hour, then
+// evaluate alerts.
 //
 // A failing section does not abort the cycle: each append runs
 // independently, failed workload inserts are requeued on the carryover
@@ -394,56 +416,24 @@ func (d *Daemon) Poll() error {
 		errs = append(errs, err)
 	}
 
-	// 2. Snapshot-style tables via the monitor's statement-side
-	// snapshot (one consistent cut of statements, references and
-	// frequencies; the workload was already drained above) and the
-	// catalog. Statement rows are appended only when they changed since
-	// the previous poll ("the newest data").
-	snap := d.cfg.Mon.SnapshotStatementSide()
-	d.mu.Lock()
-	since := d.prevPoll
-	d.mu.Unlock()
-	if err := d.appendStatements(target, ts, snap, since); err != nil {
-		errs = append(errs, err)
-	} else {
-		// Advance the changed-since watermark only when the rows
-		// landed, so statements touched during an outage are retried.
-		d.mu.Lock()
-		if now.After(d.prevPoll) {
-			d.prevPoll = now
-		}
-		d.mu.Unlock()
-	}
-	if err := d.appendReferences(target, ts, snap); err != nil {
-		errs = append(errs, err)
-	}
-	if err := d.appendObjectTables(target, ts, snap); err != nil {
-		errs = append(errs, err)
-	}
-	if err := d.appendStatistics(target, ts); err != nil {
-		errs = append(errs, err)
-	}
-	if err := d.appendLatency(target, ts); err != nil {
-		errs = append(errs, err)
-	}
-	if err := d.appendActions(target, ts); err != nil {
-		errs = append(errs, err)
-	}
+	// One consistent cut of statements, references and frequencies for
+	// the copy below (the workload was drained first, so the statements
+	// it references are in it), taken with a single pass over the
+	// monitor's statement locks.
+	src := d.src
+	cut := d.cfg.Mon.SnapshotStatementSide()
+	src.Cut = &cut
 
-	// 2b. Adaptive monitoring: evaluate the flagging policy, then
-	// persist the phase-2 wait breakdowns of the current flag set.
+	// 2. Housekeeping that feeds the sensors read below. Adaptive
+	// monitoring: evaluate the flagging policy, so the wait breakdowns
+	// persisted are those of the current flag set. MVCC garbage
+	// collection rides the poll too — "disk accesses on the daemon's
+	// schedule" extends naturally to version reclamation.
 	if d.cfg.Flagger != nil {
 		if flagged, expired := d.cfg.Flagger.Evaluate(now); flagged > 0 || expired > 0 {
 			d.logf("daemon: flagger: %d flagged, %d expired", flagged, expired)
 		}
 	}
-	if err := d.appendWaits(target, ts); err != nil {
-		errs = append(errs, err)
-	}
-
-	// 2c. MVCC garbage collection rides the poll — "disk accesses on
-	// the daemon's schedule" extends naturally to version reclamation —
-	// then the snapshot-isolation health counters are persisted.
 	if !d.cfg.DisableVacuum {
 		if vs, err := d.cfg.Source.Vacuum(); err != nil {
 			errs = append(errs, fmt.Errorf("daemon: vacuum: %w", err))
@@ -452,11 +442,22 @@ func (d *Daemon) Poll() error {
 				vs.Reclaimed, vs.Cleared, vs.Retired)
 		}
 	}
-	if err := d.appendMvcc(target, ts); err != nil {
-		errs = append(errs, err)
+
+	// 3. Every other persisted relation, in registry order: read it,
+	// let its persist rule pick the rows, append them. Relations fail
+	// independently, and a rule's watermark or dedup memory advances
+	// only past rows that landed, so whatever a failed append left
+	// behind is picked again next poll.
+	for _, c := range d.cursors {
+		rows, ack := c.Select(c.Rel.Rows(&src), now)
+		n, err := d.insertBatch(target, c.Rel.StoreName(), ts, rows)
+		ack(n)
+		if err != nil {
+			errs = append(errs, err)
+		}
 	}
 
-	// 3. Retention pruning, at most once per hour of wall time; a
+	// 4. Retention pruning, at most once per hour of wall time; a
 	// failed prune is retried next poll (lastPrune advances on success).
 	d.mu.Lock()
 	doPrune := now.Sub(d.lastPrune) >= time.Hour || d.lastPrune.IsZero()
@@ -472,7 +473,7 @@ func (d *Daemon) Poll() error {
 		}
 	}
 
-	// 4. Alerts — isolated; failures are counted, never propagated.
+	// 5. Alerts — isolated; failures are counted, never propagated.
 	d.evaluateAlerts(now)
 
 	if len(errs) > 0 {
@@ -503,9 +504,9 @@ func (d *Daemon) flushWorkload(x execTarget, ts int64) error {
 	}
 	rows := make([]sqltypes.Row, len(pending))
 	for i, w := range pending {
-		rows[i] = tsRow(ts, ima.WorkloadRow(w))
+		rows[i] = ima.WorkloadRow(w)
 	}
-	n, err := d.insertBatch(x, workloaddb.Workload, rows)
+	n, err := d.insertBatch(x, workloaddb.Workload, ts, rows)
 	if err == nil {
 		d.mu.Lock()
 		d.carryDepth.Store(int64(len(d.carryover)))
@@ -528,10 +529,12 @@ func (d *Daemon) flushWorkload(x execTarget, ts int64) error {
 	return fmt.Errorf("daemon: workload append (%d entries requeued): %w", depth, err)
 }
 
-// insertBatch appends rows to a workload table in chunks. It returns
-// the number of rows successfully appended — on error, a strict prefix
-// of rows (the chunks whose Exec succeeded before the failure).
-func (d *Daemon) insertBatch(x execTarget, table string, rows []sqltypes.Row) (int, error) {
+// insertBatch appends rows, each stamped with ts as its leading ts_us
+// column, to a workload table in chunks. It returns the number of rows
+// successfully appended — on error, a strict prefix of rows (the
+// chunks whose Exec succeeded before the failure).
+func (d *Daemon) insertBatch(x execTarget, table string, ts int64, rows []sqltypes.Row) (int, error) {
+	stamp := "(" + sqltypes.NewInt(ts).SQLLiteral()
 	const chunk = 200
 	for start := 0; start < len(rows); start += chunk {
 		end := start + chunk
@@ -546,11 +549,9 @@ func (d *Daemon) insertBatch(x execTarget, table string, rows []sqltypes.Row) (i
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteByte('(')
-			for j, v := range row {
-				if j > 0 {
-					b.WriteByte(',')
-				}
+			b.WriteString(stamp)
+			for _, v := range row {
+				b.WriteByte(',')
 				b.WriteString(v.SQLLiteral())
 			}
 			b.WriteByte(')')
@@ -561,318 +562,6 @@ func (d *Daemon) insertBatch(x execTarget, table string, rows []sqltypes.Row) (i
 		d.appended.Add(int64(end - start))
 	}
 	return len(rows), nil
-}
-
-func tsRow(ts int64, rest sqltypes.Row) sqltypes.Row {
-	return append(sqltypes.Row{sqltypes.NewInt(ts)}, rest...)
-}
-
-func (d *Daemon) appendStatements(x execTarget, ts int64, snap monitor.Snapshot, since time.Time) error {
-	rows := make([]sqltypes.Row, 0, len(snap.Statements))
-	for _, st := range snap.Statements {
-		if !since.IsZero() && st.LastSeen.Before(since) {
-			continue
-		}
-		text := sqltypes.TruncateUTF8(st.Text, workloaddb.StatementTextMax)
-		rows = append(rows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewInt(int64(st.Hash)),
-			sqltypes.NewText(text),
-			sqltypes.NewText(st.Kind),
-			sqltypes.NewInt(st.Frequency),
-			sqltypes.NewInt(st.FirstSeen.UnixMicro()),
-			sqltypes.NewInt(st.LastSeen.UnixMicro()),
-		}))
-	}
-	_, err := d.insertBatch(x, workloaddb.Statements, rows)
-	return err
-}
-
-// appendReferences inserts reference rows not yet persisted. Keys are
-// committed to the dedup set only after their rows actually landed, so
-// an insert failure leaves them eligible for the next poll instead of
-// silently losing them forever.
-func (d *Daemon) appendReferences(x execTarget, ts int64, snap monitor.Snapshot) error {
-	var rows []sqltypes.Row
-	var keys []string
-	batch := map[string]struct{}{} // dedup within this snapshot
-	d.mu.Lock()
-	for _, r := range snap.References {
-		key := fmt.Sprintf("%d|%d|%s", r.Hash, r.Type, r.Name)
-		if d.refs.has(key) {
-			continue
-		}
-		if _, dup := batch[key]; dup {
-			continue
-		}
-		batch[key] = struct{}{}
-		keys = append(keys, key)
-		rows = append(rows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewInt(int64(r.Hash)),
-			sqltypes.NewText(r.Type.String()),
-			sqltypes.NewText(r.Name),
-			sqltypes.NewText(r.Table),
-		}))
-	}
-	d.mu.Unlock()
-	n, err := d.insertBatch(x, workloaddb.References, rows)
-	if n > 0 {
-		d.mu.Lock()
-		for _, k := range keys[:n] {
-			d.refs.add(k)
-		}
-		d.mu.Unlock()
-	}
-	return err
-}
-
-// appendObjectTables copies the per-object frequency tables.
-func (d *Daemon) appendObjectTables(x execTarget, ts int64, snap monitor.Snapshot) error {
-	cat := d.cfg.Source.Catalog()
-	var trows []sqltypes.Row
-	for _, t := range cat.Tables() {
-		tn := strings.ToLower(t.Name)
-		st := d.cfg.Source.TableState(t.Name)
-		trows = append(trows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewText(tn),
-			sqltypes.NewInt(snap.TableFreq[tn]),
-			sqltypes.NewText(string(t.Structure)),
-			sqltypes.NewInt(int64(st.Pages)),
-			sqltypes.NewInt(int64(st.OverflowPages)),
-			sqltypes.NewInt(st.Rows),
-		}))
-	}
-	if _, err := d.insertBatch(x, workloaddb.Tables, trows); err != nil {
-		return err
-	}
-
-	var arows []sqltypes.Row
-	for _, t := range cat.Tables() {
-		tn := strings.ToLower(t.Name)
-		for _, c := range t.Schema.Columns {
-			attr := tn + "." + strings.ToLower(c.Name)
-			if snap.AttrFreq[attr] == 0 {
-				continue // only attributes the workload touched
-			}
-			hasHist := int64(0)
-			if cat.Histogram(t.Name, c.Name) != nil {
-				hasHist = 1
-			}
-			arows = append(arows, tsRow(ts, sqltypes.Row{
-				sqltypes.NewText(attr),
-				sqltypes.NewText(tn),
-				sqltypes.NewInt(snap.AttrFreq[attr]),
-				sqltypes.NewInt(hasHist),
-			}))
-		}
-	}
-	if _, err := d.insertBatch(x, workloaddb.Attributes, arows); err != nil {
-		return err
-	}
-
-	var irows []sqltypes.Row
-	names := make([]string, 0, len(snap.IndexFreq))
-	for name := range snap.IndexFreq {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		tableName := ""
-		isVirtual := int64(0)
-		if ix := cat.Index(name); ix != nil {
-			tableName = strings.ToLower(ix.Table)
-			if ix.Virtual {
-				isVirtual = 1
-			}
-		} else if strings.HasSuffix(name, ".primary") {
-			tableName = strings.TrimSuffix(name, ".primary")
-		}
-		irows = append(irows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewText(name),
-			sqltypes.NewText(tableName),
-			sqltypes.NewInt(snap.IndexFreq[name]),
-			sqltypes.NewInt(isVirtual),
-		}))
-	}
-	_, err := d.insertBatch(x, workloaddb.Indexes, irows)
-	return err
-}
-
-func (d *Daemon) appendStatistics(x execTarget, ts int64) error {
-	st := d.cfg.Source.Stats()
-	row := tsRow(ts, sqltypes.Row{
-		sqltypes.NewInt(st.CurrentSessions),
-		sqltypes.NewInt(st.PeakSessions),
-		sqltypes.NewInt(st.Statements),
-		sqltypes.NewInt(st.LocksHeld),
-		sqltypes.NewInt(st.LockWaits),
-		sqltypes.NewInt(st.Deadlocks),
-		sqltypes.NewInt(st.CacheHits),
-		sqltypes.NewInt(st.CacheMisses),
-		sqltypes.NewInt(st.DiskReads),
-		sqltypes.NewInt(st.DiskWrites),
-		sqltypes.NewInt(st.DBBytes),
-		// The daemon's own health counters, so collector degradation is
-		// visible (and trendable) in the persisted series.
-		sqltypes.NewInt(d.pollErrors.Load()),
-		sqltypes.NewInt(d.retries.Load()),
-		sqltypes.NewInt(d.carryDepth.Load()),
-		sqltypes.NewInt(d.alertErrors.Load()),
-		// Buffer-manager columns, appended after the health counters to
-		// keep older workload databases positionally compatible.
-		sqltypes.NewInt(st.CacheEvictions),
-		sqltypes.NewInt(st.CacheResident),
-		sqltypes.NewInt(st.PinWaits),
-		// WAL/recovery columns, appended last for the same positional
-		// compatibility reason.
-		sqltypes.NewInt(st.WALBytes),
-		sqltypes.NewInt(st.WALFsyncs),
-		sqltypes.NewInt(st.RedoRecords),
-		sqltypes.NewInt(st.RedoNanos),
-		// Autonomous-tuning column, appended last (positional
-		// compatibility).
-		sqltypes.NewInt(d.applyFailures()),
-		// Morsel-parallelism columns, appended after for the same
-		// positional-compatibility reason.
-		sqltypes.NewInt(st.ParallelQueries),
-		sqltypes.NewInt(st.MorselsDispatched),
-		sqltypes.NewInt(st.ParallelWorkerNanos),
-	})
-	_, err := d.insertBatch(x, workloaddb.Statistics, []sqltypes.Row{row})
-	return err
-}
-
-// applyFailures reads the analyzer hook, tolerating an unwired config.
-func (d *Daemon) applyFailures() int64 {
-	if d.cfg.ApplyFailures == nil {
-		return 0
-	}
-	return d.cfg.ApplyFailures()
-}
-
-// appendActions persists new apply-state-machine audit rows (Seq beyond
-// the watermark) into ws_actions. The watermark advances only past rows
-// that actually landed, so an insert failure retries them next poll.
-func (d *Daemon) appendActions(x execTarget, ts int64) error {
-	if d.cfg.Actions == nil {
-		return nil
-	}
-	watermark := d.actionSeq.Load()
-	var rows []sqltypes.Row
-	var seqs []int64
-	for _, r := range d.cfg.Actions() {
-		if r.Seq <= watermark {
-			continue
-		}
-		seqs = append(seqs, r.Seq)
-		rows = append(rows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewInt(r.Seq),
-			sqltypes.NewInt(r.ActionID),
-			sqltypes.NewText(r.Kind),
-			sqltypes.NewText(r.Target),
-			sqltypes.NewText(sqltypes.TruncateUTF8(r.SQL, workloaddb.StatementTextMax)),
-			sqltypes.NewText(r.State),
-			sqltypes.NewInt(r.Baseline),
-			sqltypes.NewInt(r.Observed),
-			sqltypes.NewFloat(r.DeltaPct),
-			sqltypes.NewInt(r.Samples),
-			sqltypes.NewInt(r.AtUs),
-			sqltypes.NewText(sqltypes.TruncateUTF8(r.Detail, workloaddb.StatementTextMax)),
-		}))
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	n, err := d.insertBatch(x, workloaddb.Actions, rows)
-	if n > 0 {
-		d.actionSeq.Store(seqs[n-1])
-	}
-	return err
-}
-
-// appendLatency persists one snapshot of the global latency histograms
-// (wallclock and optimize time) per poll: one row per non-empty
-// bucket, with cumulative counts. The trend analyzer differences
-// successive snapshots to compute per-interval quantiles (p99 trends,
-// not just means).
-func (d *Daemon) appendLatency(x execTarget, ts int64) error {
-	wall, opt := d.cfg.Mon.SnapshotLatency()
-	var rows []sqltypes.Row
-	emit := func(scope string, c *monitor.LatencyCounts) {
-		for b, n := range c {
-			if n == 0 {
-				continue
-			}
-			lo, hi := monitor.LatencyBucketBounds(b)
-			rows = append(rows, tsRow(ts, sqltypes.Row{
-				sqltypes.NewText(scope),
-				sqltypes.NewInt(int64(b)),
-				sqltypes.NewInt(int64(lo)),
-				sqltypes.NewInt(int64(hi)),
-				sqltypes.NewInt(n),
-			}))
-		}
-	}
-	emit("wall", &wall)
-	emit("opt", &opt)
-	if len(rows) == 0 {
-		return nil
-	}
-	_, err := d.insertBatch(x, workloaddb.Latency, rows)
-	return err
-}
-
-// appendWaits persists one ws_waits row per flagged statement per
-// poll: cumulative wait-class counters (like ws_latency, counter
-// semantics — the analyzer differences successive snapshots of the
-// same hash). Statements with no committed samples yet are skipped.
-func (d *Daemon) appendWaits(x execTarget, ts int64) error {
-	flags := d.cfg.Mon.SnapshotFlags()
-	var rows []sqltypes.Row
-	for _, f := range flags {
-		if f.Samples == 0 {
-			continue
-		}
-		rows = append(rows, tsRow(ts, sqltypes.Row{
-			sqltypes.NewInt(int64(f.Hash)),
-			sqltypes.NewText(sqltypes.TruncateUTF8(f.Text, workloaddb.StatementTextMax)),
-			sqltypes.NewText(f.Reason),
-			sqltypes.NewInt(f.Samples),
-			sqltypes.NewInt(f.Waits.WallNs),
-			sqltypes.NewInt(f.Waits.ExecNs),
-			sqltypes.NewInt(f.Waits.LockNs),
-			sqltypes.NewInt(f.Waits.IONs),
-			sqltypes.NewInt(f.Waits.FsyncNs),
-			sqltypes.NewInt(f.Waits.PinWaitNs),
-		}))
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	_, err := d.insertBatch(x, workloaddb.Waits, rows)
-	return err
-}
-
-// appendMvcc persists one ws_mvcc row per poll with the source's
-// snapshot-isolation health counters (mirroring ima_mvcc).
-func (d *Daemon) appendMvcc(x execTarget, ts int64) error {
-	mv := d.cfg.Source.MvccStats()
-	row := tsRow(ts, sqltypes.Row{
-		sqltypes.NewInt(mv.TxnBegins),
-		sqltypes.NewInt(mv.TxnCommits),
-		sqltypes.NewInt(mv.TxnAborts),
-		sqltypes.NewInt(mv.WriteConflicts),
-		sqltypes.NewInt(mv.InflightTxns),
-		sqltypes.NewInt(mv.ActiveSnapshots),
-		sqltypes.NewInt(mv.AbortedIDs),
-		sqltypes.NewInt(mv.OldestSnapshotNanos),
-		sqltypes.NewInt(mv.VacuumRuns),
-		sqltypes.NewInt(mv.VacuumReclaimed),
-		sqltypes.NewInt(mv.VacuumCleared),
-		sqltypes.NewInt(mv.RetiredIDs),
-		sqltypes.NewInt(mv.ChainLenP95),
-	})
-	_, err := d.insertBatch(x, workloaddb.Mvcc, []sqltypes.Row{row})
-	return err
 }
 
 // evaluateAlerts runs every alert rule, isolating failures: a bad
@@ -924,49 +613,3 @@ func (d *Daemon) evaluateAlert(s *engine.Session, a Alert, now time.Time) error 
 	}
 	return nil
 }
-
-// refDedup is a bounded FIFO set over reference keys: it remembers the
-// most recently added cap keys and evicts the oldest beyond that.
-// Unlike the previous wholesale map reset, eviction forgets only the
-// oldest keys, so references persisted recently keep deduplicating
-// across polls.
-type refDedup struct {
-	cap   int
-	seen  map[string]struct{}
-	order []string // insertion order; entries before head are evicted
-	head  int
-}
-
-func newRefDedup(cap int) refDedup {
-	hint := cap
-	if hint > 1024 {
-		hint = 1024
-	}
-	return refDedup{cap: cap, seen: make(map[string]struct{}, hint)}
-}
-
-func (r *refDedup) has(key string) bool {
-	_, ok := r.seen[key]
-	return ok
-}
-
-func (r *refDedup) add(key string) {
-	if _, ok := r.seen[key]; ok {
-		return
-	}
-	r.seen[key] = struct{}{}
-	r.order = append(r.order, key)
-	for len(r.seen) > r.cap {
-		delete(r.seen, r.order[r.head])
-		r.order[r.head] = "" // release the string
-		r.head++
-	}
-	// Compact the evicted prefix once it dominates the slice.
-	if r.head > 1024 && r.head > len(r.order)/2 {
-		r.order = append([]string(nil), r.order[r.head:]...)
-		r.head = 0
-	}
-}
-
-// len reports the live key count (tests).
-func (r *refDedup) len() int { return len(r.seen) }

@@ -30,7 +30,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ima.Register(source, mon); err != nil {
+	if err := ima.Register(ima.Sources{DB: source, Mon: mon}); err != nil {
 		t.Fatal(err)
 	}
 	target, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "wdb"), PoolPages: 256})
@@ -264,34 +264,6 @@ func TestStatsLastPollZeroBeforeFirstPoll(t *testing.T) {
 	}
 }
 
-func TestReferenceDedupBoundedEviction(t *testing.T) {
-	// The dedup set evicts oldest-first at the cap instead of resetting
-	// wholesale, so recently persisted references stay deduplicated.
-	r := newRefDedup(4)
-	for _, k := range []string{"a", "b", "c", "d"} {
-		r.add(k)
-	}
-	if r.len() != 4 {
-		t.Fatalf("len = %d", r.len())
-	}
-	r.add("e") // evicts "a", the oldest
-	if r.len() != 4 {
-		t.Errorf("len after eviction = %d, want 4", r.len())
-	}
-	for _, k := range []string{"b", "c", "d", "e"} {
-		if !r.has(k) {
-			t.Errorf("recent key %q evicted", k)
-		}
-	}
-	if r.has("a") {
-		t.Error("oldest key survived past the cap")
-	}
-	r.add("e") // re-adding a live key must not grow or evict
-	if r.len() != 4 || !r.has("b") {
-		t.Errorf("re-add disturbed the set: len=%d has(b)=%v", r.len(), r.has("b"))
-	}
-}
-
 func TestReferencesDedupAcrossEviction(t *testing.T) {
 	// End to end: with a small cap, a reference seen on every poll is
 	// still written only once as long as it stays within the window.
@@ -321,7 +293,7 @@ func TestStatementTextTruncatedOnRuneBoundary(t *testing.T) {
 	// 2-byte rune straddling the cut point.
 	pad := strings.Repeat("é", 400) // 800 bytes of 2-byte runes
 	sql := "SELECT v FROM t WHERE v = '" + pad + "'"
-	if len(sql) <= workloaddb.StatementTextMax {
+	if len(sql) <= engine.MaxTextBytes {
 		t.Fatalf("test statement too short: %d bytes", len(sql))
 	}
 	exec(t, f.sess, sql)
@@ -336,8 +308,8 @@ func TestStatementTextTruncatedOnRuneBoundary(t *testing.T) {
 		t.Fatal("long statement not persisted")
 	}
 	text := res.Rows[0][0].S
-	if len(text) > workloaddb.StatementTextMax {
-		t.Errorf("stored text is %d bytes, max %d", len(text), workloaddb.StatementTextMax)
+	if len(text) > engine.MaxTextBytes {
+		t.Errorf("stored text is %d bytes, max %d", len(text), engine.MaxTextBytes)
 	}
 	if !utf8.ValidString(text) {
 		t.Errorf("stored text is invalid UTF-8 (rune split at the cut): %q", text[len(text)-4:])
@@ -389,7 +361,7 @@ func TestFlushOnFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ima.Register(source, mon); err != nil {
+	if err := ima.Register(ima.Sources{DB: source, Mon: mon}); err != nil {
 		t.Fatal(err)
 	}
 	target, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "wdb"), PoolPages: 256})

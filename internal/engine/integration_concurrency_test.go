@@ -32,7 +32,7 @@ func TestConcurrentSessionsIMAConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := ima.Register(db, mon); err != nil {
+	if err := ima.Register(ima.Sources{DB: db, Mon: mon}); err != nil {
 		t.Fatal(err)
 	}
 	target, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "wdb"), PoolPages: 256})

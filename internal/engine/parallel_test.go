@@ -335,6 +335,101 @@ func TestParallelPoolPressure(t *testing.T) {
 	}
 }
 
+// wideRows sizes the small-pool fixture: past two 64-page morsels, so
+// the morsel path would engage at any degree above 1.
+const wideRows = 6000
+
+// openWide opens a database with a poolPages-frame pool holding the
+// wideRows-row table wide.
+func openWide(t *testing.T, poolPages int) *DB {
+	t.Helper()
+	db, err := Open(Config{Dir: t.TempDir(), PoolPages: poolPages, Monitor: monitor.New(monitor.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE wide (id INTEGER PRIMARY KEY, pad VARCHAR(256))")
+	pad := strings.Repeat("x", 200)
+	for base := 0; base < wideRows; base += 100 {
+		var vals []string
+		for i := base; i < base+100; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, '%s')", i, pad))
+		}
+		mustExec(t, s, "INSERT INTO wide (id, pad) VALUES "+strings.Join(vals, ", "))
+	}
+	if pages := db.handle("wide").heap.Pages(); pages < 2*64 {
+		t.Fatalf("fixture heap has %d pages, want >= 128 so the morsel path would engage", pages)
+	}
+	return db
+}
+
+// TestParallelBoundedByPool is the regression test for the pool
+// exhaustion at PoolPages 16: eight workers each holding a 16-page pin
+// window cannot fit, so the engine must cap the degree by what the
+// pool can pin (here: serial) instead of timing out on pin waits.
+func TestParallelBoundedByPool(t *testing.T) {
+	db := openWide(t, 16)
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "SET PARALLEL 8")
+	if got := s.effectiveParallel(); got != 1 {
+		t.Fatalf("effectiveParallel() = %d on a 16-page pool, want 1", got)
+	}
+	res := mustExec(t, s, "SELECT COUNT(*) FROM wide")
+	if res.Rows[0][0].I != wideRows {
+		t.Fatalf("count = %v, want %d", res.Rows[0][0], wideRows)
+	}
+	if n := db.pool.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames still pinned", n)
+	}
+}
+
+// TestParallelLeavesPoolHeadroom: at PoolPages 32 the pin windows of
+// two workers would cover the whole pool and leave no frame to a
+// concurrent session, so the bound keeps one window free. Two sessions
+// scanning at SET PARALLEL 2 must both finish, repeatedly.
+func TestParallelLeavesPoolHeadroom(t *testing.T) {
+	db := openWide(t, 32)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := db.NewSession()
+			defer s.Close()
+			s.SetParallel(2)
+			if got := s.effectiveParallel(); got != 1 {
+				t.Errorf("effectiveParallel() = %d on a 32-page pool, want 1", got)
+			}
+			for round := 0; round < 5; round++ {
+				res, err := s.Exec("SELECT COUNT(*) FROM wide")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if res.Rows[0][0].I != wideRows {
+					t.Errorf("count = %v, want %d", res.Rows[0][0], wideRows)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := db.pool.PinnedFrames(); n != 0 {
+		t.Fatalf("%d frames still pinned", n)
+	}
+
+	// One more window and the second worker fits.
+	db.ResizePool(48)
+	s := db.NewSession()
+	defer s.Close()
+	s.SetParallel(8)
+	if got := s.effectiveParallel(); got != 2 {
+		t.Fatalf("effectiveParallel() = %d on a 48-page pool, want 2", got)
+	}
+}
+
 // TestSetParallelStatement covers the SQL knob end to end: SET
 // PARALLEL changes the session fan-out, out-of-range values clamp,
 // and unknown knobs error.

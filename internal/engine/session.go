@@ -115,6 +115,17 @@ func defaultParallel() int {
 	return n
 }
 
+// effectiveParallel bounds the session's degree by the buffer pool:
+// every morsel worker may hold a full batch pin window, so workers
+// whose windows cover the pool could pin every frame and starve each
+// other — and any concurrent session — until the pin-wait timeout. One
+// window stays free as headroom; a pool that cannot spare it runs the
+// scan serially.
+func (s *Session) effectiveParallel() int {
+	fit := s.db.PoolCapacity()/storage.MaxBatchPins - 1
+	return max(1, min(s.parallel, fit))
+}
+
 // Begin starts a transaction: one snapshot covers all its statements
 // and locks are held until Commit or Rollback. Nested BEGIN is an
 // error — the already-open transaction is left untouched.
@@ -254,7 +265,7 @@ func (db *DB) NewSession() *Session {
 // runPrepared executes a compiled plan in the session's execution mode
 // and returns the materialized result rows.
 func (s *Session) runPrepared(prep *executor.Prepared, ctx *executor.Ctx) ([]sqltypes.Row, error) {
-	ctx.Parallel = s.parallel
+	ctx.Parallel = s.effectiveParallel()
 	defer func() {
 		// Parallel-execution telemetry lands in the engine counters even
 		// when the statement fails after fanning out.

@@ -89,7 +89,7 @@ func newInstance(cfg Config, dir, name string, withMonitor, withDaemon bool) (*i
 	}
 	inst.db = db
 	if withMonitor {
-		if err := ima.Register(db, inst.mon); err != nil {
+		if err := ima.Register(ima.Sources{DB: db, Mon: inst.mon}); err != nil {
 			db.Close()
 			return nil, err
 		}

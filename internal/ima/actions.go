@@ -1,10 +1,5 @@
 package ima
 
-import (
-	"repro/internal/engine"
-	"repro/internal/sqltypes"
-)
-
 // ActionRow is one audit record of the autonomous tuning loop: a state
 // transition of an applied (or rolled back) tuning action. Rows are
 // append-only — every transition of an action produces a new row with
@@ -23,46 +18,4 @@ type ActionRow struct {
 	Samples  int64   // executions observed in the canary window
 	AtUs     int64   // transition timestamp, unix microseconds
 	Detail   string  // decision reason or error text
-}
-
-// RegisterActions installs the ima_actions virtual table: the audit
-// trail of the analyzer's apply state machine, queryable over plain
-// SQL like every other IMA table. gather returns the accumulated
-// transition rows (oldest first).
-func RegisterActions(db *engine.DB, gather func() []ActionRow) error {
-	schema := sqltypes.NewSchema(
-		sqltypes.Column{Name: "seq", Type: sqltypes.Int},
-		sqltypes.Column{Name: "action_id", Type: sqltypes.Int},
-		sqltypes.Column{Name: "kind", Type: sqltypes.Text},
-		sqltypes.Column{Name: "target", Type: sqltypes.Text},
-		sqltypes.Column{Name: "sql_text", Type: sqltypes.Text},
-		sqltypes.Column{Name: "state", Type: sqltypes.Text},
-		sqltypes.Column{Name: "baseline_us", Type: sqltypes.Int},
-		sqltypes.Column{Name: "observed_us", Type: sqltypes.Int},
-		sqltypes.Column{Name: "delta_pct", Type: sqltypes.Float},
-		sqltypes.Column{Name: "samples", Type: sqltypes.Int},
-		sqltypes.Column{Name: "at_us", Type: sqltypes.Int},
-		sqltypes.Column{Name: "detail", Type: sqltypes.Text},
-	)
-	return db.RegisterVirtual("ima_actions", schema, func() []sqltypes.Row {
-		ar := gather()
-		rows := make([]sqltypes.Row, 0, len(ar))
-		for _, r := range ar {
-			rows = append(rows, sqltypes.Row{
-				sqltypes.NewInt(r.Seq),
-				sqltypes.NewInt(r.ActionID),
-				sqltypes.NewText(r.Kind),
-				sqltypes.NewText(r.Target),
-				sqltypes.NewText(truncate(r.SQL, engine.MaxTextBytes)),
-				sqltypes.NewText(r.State),
-				sqltypes.NewInt(r.Baseline),
-				sqltypes.NewInt(r.Observed),
-				sqltypes.NewFloat(r.DeltaPct),
-				sqltypes.NewInt(r.Samples),
-				sqltypes.NewInt(r.AtUs),
-				sqltypes.NewText(truncate(r.Detail, engine.MaxTextBytes)),
-			})
-		}
-		return rows
-	})
 }

@@ -4,465 +4,161 @@
 // over plain SQL — no extra protocol, no disk access (the data lives
 // only in main memory until the storage daemon persists it).
 //
-// The table set mirrors the paper's Figure 3:
+// Every relation is declared once, in relations.go; the virtual tables
+// here, the ws_* workload tables, the storage daemon's copy and the
+// engine's /metrics series are all derived from that registry. The
+// table set, in registry order (the first seven mirror the paper's
+// Figure 3; * marks relations the daemon persists as ws_<name>):
 //
-//	ima_statements  — unique statements keyed by text hash
-//	ima_workload    — execution history with estimated vs. actual costs
-//	ima_references  — statement → object (table/attribute/index) usage
-//	ima_tables      — per-table frequency and physical state
-//	ima_attributes  — per-attribute frequency and histogram presence
-//	ima_indexes     — per-index frequency
-//	ima_statistics  — system-wide statistics (sessions, locks, cache)
-//
-// The telemetry plane adds three more:
-//
-//	ima_latency     — log-bucketed latency histograms (global wallclock
-//	                  and optimize-time, plus per-statement wallclock)
+//	ima_statements* — unique statements keyed by text hash
+//	ima_workload*   — execution history with estimated vs. actual costs
+//	ima_references* — statement → object (table/attribute/index) usage
+//	ima_tables*     — per-table frequency and physical state
+//	ima_attributes* — per-attribute frequency and histogram presence
+//	ima_indexes*    — per-index frequency (catalog ∪ used names, sorted)
+//	ima_statistics* — system-wide statistics (sessions, locks, cache,
+//	                  WAL, parallelism) plus collector and apply health
+//	ima_latency*    — log-bucketed latency histograms (global wallclock
+//	                  and optimize-time; per-statement wallclock live only)
 //	ima_spans       — per-operator spans of recent EXPLAIN ANALYZE
 //	                  traces, estimated vs. actual
-//	ima_health      — self-observability counters of the monitor and
-//	                  the storage daemon (see RegisterHealth)
-//
-// The adaptive two-phase layer adds two more:
-//
+//	ima_health      — self-observability counters of the monitor, the
+//	                  engine and the storage daemon (Sources.Health)
 //	ima_flags       — the phase-2 flag set: which statements are under
 //	                  deep wait attribution, why, and since when
-//	ima_waits       — per-flagged-statement wait-state breakdown
+//	ima_actions*    — audit trail of the analyzer's apply state machine
+//	ima_waits*      — per-flagged-statement wait-state breakdown
 //	                  (exec / lock / io / fsync / pinwait vs. wall)
-//
-// The MVCC layer adds one more:
-//
-//	ima_mvcc        — snapshot-isolation health: txn begin/commit/abort
+//	ima_mvcc*       — snapshot-isolation health: txn begin/commit/abort
 //	                  counters, write conflicts, oldest snapshot age,
-//	                  vacuum reclaim progress and chain-length p95
+//	                  vacuum reclaim progress and version-chain length
 package ima
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/monitor"
 	"repro/internal/sqltypes"
 )
 
-// Register installs the IMA virtual tables on db, reading from mon.
-// The statistics table also samples engine-wide counters.
-func Register(db *engine.DB, mon *monitor.Monitor) error {
-	if mon == nil {
-		return fmt.Errorf("ima: monitor is required")
+// Sources are the live objects the relations read. DB and Mon are
+// required; a nil hook leaves its columns zero (or its relation empty).
+type Sources struct {
+	DB  *engine.DB
+	Mon *monitor.Monitor
+	// Actions returns the analyzer applier's audit trail, oldest first.
+	Actions func() []ActionRow
+	// ApplyFailures counts recommendations whose execution failed.
+	ApplyFailures func() int64
+	// Collector samples the storage daemon's own health counters.
+	Collector func() CollectorHealth
+	// Health gathers ima_health; nil serves MonitorHealth(Mon).
+	Health func() []HealthMetric
+	// Cut, when set, is the statement-side state the relations read
+	// instead of locking the monitor once each: the storage daemon takes
+	// one consistent Mon.SnapshotStatementSide per poll.
+	Cut *monitor.Snapshot
+}
+
+func (s *Sources) statements() []monitor.StatementInfo {
+	if s.Cut != nil {
+		return s.Cut.Statements
 	}
-	regs := []struct {
-		name     string
-		schema   sqltypes.Schema
-		provider func() []sqltypes.Row
-	}{
-		{
-			name: "ima_statements",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "hash", Type: sqltypes.Int},
-				sqltypes.Column{Name: "query_text", Type: sqltypes.Text},
-				sqltypes.Column{Name: "kind", Type: sqltypes.Text},
-				sqltypes.Column{Name: "frequency", Type: sqltypes.Int},
-				sqltypes.Column{Name: "first_seen_us", Type: sqltypes.Int},
-				sqltypes.Column{Name: "last_seen_us", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				stmts := mon.SnapshotStatements()
-				rows := make([]sqltypes.Row, 0, len(stmts))
-				for _, s := range stmts {
-					rows = append(rows, sqltypes.Row{
-						sqltypes.NewInt(int64(s.Hash)),
-						sqltypes.NewText(truncate(s.Text, engine.MaxTextBytes)),
-						sqltypes.NewText(s.Kind),
-						sqltypes.NewInt(s.Frequency),
-						sqltypes.NewInt(s.FirstSeen.UnixMicro()),
-						sqltypes.NewInt(s.LastSeen.UnixMicro()),
-					})
-				}
-				return rows
-			},
-		},
-		{
-			name: "ima_workload",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "hash", Type: sqltypes.Int},
-				sqltypes.Column{Name: "start_us", Type: sqltypes.Int},
-				sqltypes.Column{Name: "wall_us", Type: sqltypes.Int},
-				sqltypes.Column{Name: "opt_us", Type: sqltypes.Int},
-				sqltypes.Column{Name: "exec_cpu", Type: sqltypes.Int},
-				sqltypes.Column{Name: "exec_io", Type: sqltypes.Int},
-				sqltypes.Column{Name: "est_cpu", Type: sqltypes.Float},
-				sqltypes.Column{Name: "est_io", Type: sqltypes.Float},
-				sqltypes.Column{Name: "est_rows", Type: sqltypes.Float},
-				sqltypes.Column{Name: "rows", Type: sqltypes.Int},
-				sqltypes.Column{Name: "mon_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "error", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				work := mon.SnapshotWorkload()
-				rows := make([]sqltypes.Row, 0, len(work))
-				for _, w := range work {
-					rows = append(rows, workloadRow(w))
-				}
-				return rows
-			},
-		},
-		{
-			name: "ima_references",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "hash", Type: sqltypes.Int},
-				sqltypes.Column{Name: "obj_type", Type: sqltypes.Text},
-				sqltypes.Column{Name: "obj_name", Type: sqltypes.Text},
-				sqltypes.Column{Name: "table_name", Type: sqltypes.Text},
-			),
-			provider: func() []sqltypes.Row {
-				refs := mon.SnapshotReferences()
-				rows := make([]sqltypes.Row, 0, len(refs))
-				for _, r := range refs {
-					rows = append(rows, sqltypes.Row{
-						sqltypes.NewInt(int64(r.Hash)),
-						sqltypes.NewText(r.Type.String()),
-						sqltypes.NewText(r.Name),
-						sqltypes.NewText(r.Table),
-					})
-				}
-				return rows
-			},
-		},
-		{
-			name: "ima_tables",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "table_name", Type: sqltypes.Text},
-				sqltypes.Column{Name: "frequency", Type: sqltypes.Int},
-				sqltypes.Column{Name: "structure", Type: sqltypes.Text},
-				sqltypes.Column{Name: "data_pages", Type: sqltypes.Int},
-				sqltypes.Column{Name: "overflow_pages", Type: sqltypes.Int},
-				sqltypes.Column{Name: "row_count", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				tableFreq, _, _ := mon.SnapshotFrequencies()
-				var rows []sqltypes.Row
-				for _, t := range db.Catalog().Tables() {
-					ts := db.TableState(t.Name)
-					rows = append(rows, sqltypes.Row{
-						sqltypes.NewText(strings.ToLower(t.Name)),
-						sqltypes.NewInt(tableFreq[strings.ToLower(t.Name)]),
-						sqltypes.NewText(string(t.Structure)),
-						sqltypes.NewInt(int64(ts.Pages)),
-						sqltypes.NewInt(int64(ts.OverflowPages)),
-						sqltypes.NewInt(ts.Rows),
-					})
-				}
-				return rows
-			},
-		},
-		{
-			name: "ima_attributes",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "attr_name", Type: sqltypes.Text},
-				sqltypes.Column{Name: "table_name", Type: sqltypes.Text},
-				sqltypes.Column{Name: "frequency", Type: sqltypes.Int},
-				sqltypes.Column{Name: "has_histogram", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				_, attrFreq, _ := mon.SnapshotFrequencies()
-				var rows []sqltypes.Row
-				for _, t := range db.Catalog().Tables() {
-					tn := strings.ToLower(t.Name)
-					for _, c := range t.Schema.Columns {
-						attr := tn + "." + strings.ToLower(c.Name)
-						hasHist := int64(0)
-						if db.Catalog().Histogram(t.Name, c.Name) != nil {
-							hasHist = 1
-						}
-						rows = append(rows, sqltypes.Row{
-							sqltypes.NewText(attr),
-							sqltypes.NewText(tn),
-							sqltypes.NewInt(attrFreq[attr]),
-							sqltypes.NewInt(hasHist),
-						})
-					}
-				}
-				return rows
-			},
-		},
-		{
-			name: "ima_indexes",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "index_name", Type: sqltypes.Text},
-				sqltypes.Column{Name: "table_name", Type: sqltypes.Text},
-				sqltypes.Column{Name: "frequency", Type: sqltypes.Int},
-				sqltypes.Column{Name: "is_virtual", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				_, _, indexFreq := mon.SnapshotFrequencies()
-				var rows []sqltypes.Row
-				for _, ix := range db.Catalog().Indexes() {
-					rows = append(rows, sqltypes.Row{
-						sqltypes.NewText(strings.ToLower(ix.Name)),
-						sqltypes.NewText(strings.ToLower(ix.Table)),
-						sqltypes.NewInt(indexFreq[strings.ToLower(ix.Name)]),
-						sqltypes.NewBool(ix.Virtual),
-					})
-				}
-				// Primary structures show up under "<table>.primary".
-				for name, freq := range indexFreq {
-					if strings.HasSuffix(name, ".primary") {
-						rows = append(rows, sqltypes.Row{
-							sqltypes.NewText(name),
-							sqltypes.NewText(strings.TrimSuffix(name, ".primary")),
-							sqltypes.NewInt(freq),
-							sqltypes.NewInt(0),
-						})
-					}
-				}
-				return rows
-			},
-		},
-		{
-			name: "ima_statistics",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "current_sessions", Type: sqltypes.Int},
-				sqltypes.Column{Name: "peak_sessions", Type: sqltypes.Int},
-				sqltypes.Column{Name: "statements", Type: sqltypes.Int},
-				sqltypes.Column{Name: "locks_held", Type: sqltypes.Int},
-				sqltypes.Column{Name: "lock_waits", Type: sqltypes.Int},
-				sqltypes.Column{Name: "deadlocks", Type: sqltypes.Int},
-				sqltypes.Column{Name: "cache_hits", Type: sqltypes.Int},
-				sqltypes.Column{Name: "cache_misses", Type: sqltypes.Int},
-				sqltypes.Column{Name: "disk_reads", Type: sqltypes.Int},
-				sqltypes.Column{Name: "disk_writes", Type: sqltypes.Int},
-				sqltypes.Column{Name: "db_bytes", Type: sqltypes.Int},
-				sqltypes.Column{Name: "cache_evictions", Type: sqltypes.Int},
-				sqltypes.Column{Name: "cache_resident", Type: sqltypes.Int},
-				sqltypes.Column{Name: "pin_waits", Type: sqltypes.Int},
-				sqltypes.Column{Name: "wal_bytes", Type: sqltypes.Int},
-				sqltypes.Column{Name: "wal_fsyncs", Type: sqltypes.Int},
-				sqltypes.Column{Name: "redo_records", Type: sqltypes.Int},
-				sqltypes.Column{Name: "redo_nanos", Type: sqltypes.Int},
-				sqltypes.Column{Name: "parallel_queries", Type: sqltypes.Int},
-				sqltypes.Column{Name: "morsels_dispatched", Type: sqltypes.Int},
-				sqltypes.Column{Name: "parallel_worker_nanos", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				st := db.Stats()
-				return []sqltypes.Row{{
-					sqltypes.NewInt(st.CurrentSessions),
-					sqltypes.NewInt(st.PeakSessions),
-					sqltypes.NewInt(st.Statements),
-					sqltypes.NewInt(st.LocksHeld),
-					sqltypes.NewInt(st.LockWaits),
-					sqltypes.NewInt(st.Deadlocks),
-					sqltypes.NewInt(st.CacheHits),
-					sqltypes.NewInt(st.CacheMisses),
-					sqltypes.NewInt(st.DiskReads),
-					sqltypes.NewInt(st.DiskWrites),
-					sqltypes.NewInt(st.DBBytes),
-					sqltypes.NewInt(st.CacheEvictions),
-					sqltypes.NewInt(st.CacheResident),
-					sqltypes.NewInt(st.PinWaits),
-					sqltypes.NewInt(st.WALBytes),
-					sqltypes.NewInt(st.WALFsyncs),
-					sqltypes.NewInt(st.RedoRecords),
-					sqltypes.NewInt(st.RedoNanos),
-					sqltypes.NewInt(st.ParallelQueries),
-					sqltypes.NewInt(st.MorselsDispatched),
-					sqltypes.NewInt(st.ParallelWorkerNanos),
-				}}
-			},
-		},
-		{
-			name: "ima_latency",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "scope", Type: sqltypes.Text}, // wall | opt | stmt
-				sqltypes.Column{Name: "hash", Type: sqltypes.Int},   // 0 for global scopes
-				sqltypes.Column{Name: "bucket", Type: sqltypes.Int},
-				sqltypes.Column{Name: "lo_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "hi_ns", Type: sqltypes.Int},
-				// Not "count": that collides with the COUNT() aggregate
-				// in the SQL grammar.
-				sqltypes.Column{Name: "bucket_count", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				var rows []sqltypes.Row
-				wall, opt := mon.SnapshotLatency()
-				rows = appendLatencyRows(rows, "wall", 0, &wall)
-				rows = appendLatencyRows(rows, "opt", 0, &opt)
-				for _, s := range mon.SnapshotStatements() {
-					lat := s.Lat
-					rows = appendLatencyRows(rows, "stmt", s.Hash, &lat)
-				}
-				return rows
-			},
-		},
-		{
-			name: "ima_spans",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "trace_seq", Type: sqltypes.Int},
-				sqltypes.Column{Name: "hash", Type: sqltypes.Int},
-				sqltypes.Column{Name: "start_us", Type: sqltypes.Int},
-				sqltypes.Column{Name: "wall_us", Type: sqltypes.Int},
-				sqltypes.Column{Name: "op", Type: sqltypes.Text},
-				sqltypes.Column{Name: "detail", Type: sqltypes.Text},
-				sqltypes.Column{Name: "depth", Type: sqltypes.Int},
-				sqltypes.Column{Name: "est_rows", Type: sqltypes.Float},
-				sqltypes.Column{Name: "rows", Type: sqltypes.Int},
-				sqltypes.Column{Name: "span_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "self_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "calls", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				var rows []sqltypes.Row
-				for _, t := range mon.SnapshotTraces() {
-					for _, sp := range t.Spans {
-						rows = append(rows, sqltypes.Row{
-							sqltypes.NewInt(int64(t.Seq)),
-							sqltypes.NewInt(int64(t.Hash)),
-							sqltypes.NewInt(t.Start.UnixMicro()),
-							sqltypes.NewInt(t.Wall.Microseconds()),
-							sqltypes.NewText(sp.Op),
-							sqltypes.NewText(truncate(sp.Detail, engine.MaxTextBytes)),
-							sqltypes.NewInt(int64(sp.Depth)),
-							sqltypes.NewFloat(sp.EstRows),
-							sqltypes.NewInt(sp.Rows),
-							sqltypes.NewInt(sp.Nanos),
-							sqltypes.NewInt(sp.SelfNanos),
-							sqltypes.NewInt(sp.Calls),
-						})
-					}
-				}
-				return rows
-			},
-		},
-		{
-			name: "ima_flags",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "hash", Type: sqltypes.Int},
-				sqltypes.Column{Name: "query_text", Type: sqltypes.Text},
-				sqltypes.Column{Name: "reason", Type: sqltypes.Text},
-				sqltypes.Column{Name: "manual", Type: sqltypes.Int},
-				sqltypes.Column{Name: "since_us", Type: sqltypes.Int},
-				sqltypes.Column{Name: "age_us", Type: sqltypes.Int},
-				sqltypes.Column{Name: "expires_us", Type: sqltypes.Int}, // 0 = never
-				sqltypes.Column{Name: "samples", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				now := time.Now()
-				flags := mon.SnapshotFlags()
-				rows := make([]sqltypes.Row, 0, len(flags))
-				for _, f := range flags {
-					expires := int64(0)
-					if !f.Expires.IsZero() {
-						expires = f.Expires.UnixMicro()
-					}
-					rows = append(rows, sqltypes.Row{
-						sqltypes.NewInt(int64(f.Hash)),
-						sqltypes.NewText(truncate(f.Text, engine.MaxTextBytes)),
-						sqltypes.NewText(f.Reason),
-						sqltypes.NewBool(f.Manual),
-						sqltypes.NewInt(f.Since.UnixMicro()),
-						sqltypes.NewInt(now.Sub(f.Since).Microseconds()),
-						sqltypes.NewInt(expires),
-						sqltypes.NewInt(f.Samples),
-					})
-				}
-				return rows
-			},
-		},
-		{
-			name: "ima_mvcc",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "txn_begins", Type: sqltypes.Int},
-				sqltypes.Column{Name: "txn_commits", Type: sqltypes.Int},
-				sqltypes.Column{Name: "txn_aborts", Type: sqltypes.Int},
-				sqltypes.Column{Name: "write_conflicts", Type: sqltypes.Int},
-				sqltypes.Column{Name: "inflight_txns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "active_snapshots", Type: sqltypes.Int},
-				sqltypes.Column{Name: "aborted_ids", Type: sqltypes.Int},
-				sqltypes.Column{Name: "oldest_snapshot_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "vacuum_runs", Type: sqltypes.Int},
-				sqltypes.Column{Name: "vacuum_reclaimed", Type: sqltypes.Int},
-				sqltypes.Column{Name: "vacuum_cleared", Type: sqltypes.Int},
-				sqltypes.Column{Name: "retired_ids", Type: sqltypes.Int},
-				sqltypes.Column{Name: "chain_len_p95", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				mv := db.MvccStats()
-				return []sqltypes.Row{{
-					sqltypes.NewInt(mv.TxnBegins),
-					sqltypes.NewInt(mv.TxnCommits),
-					sqltypes.NewInt(mv.TxnAborts),
-					sqltypes.NewInt(mv.WriteConflicts),
-					sqltypes.NewInt(mv.InflightTxns),
-					sqltypes.NewInt(mv.ActiveSnapshots),
-					sqltypes.NewInt(mv.AbortedIDs),
-					sqltypes.NewInt(mv.OldestSnapshotNanos),
-					sqltypes.NewInt(mv.VacuumRuns),
-					sqltypes.NewInt(mv.VacuumReclaimed),
-					sqltypes.NewInt(mv.VacuumCleared),
-					sqltypes.NewInt(mv.RetiredIDs),
-					sqltypes.NewInt(mv.ChainLenP95),
-				}}
-			},
-		},
-		{
-			name: "ima_waits",
-			schema: sqltypes.NewSchema(
-				sqltypes.Column{Name: "hash", Type: sqltypes.Int},
-				sqltypes.Column{Name: "query_text", Type: sqltypes.Text},
-				sqltypes.Column{Name: "samples", Type: sqltypes.Int},
-				sqltypes.Column{Name: "wall_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "exec_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "lock_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "io_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "fsync_ns", Type: sqltypes.Int},
-				sqltypes.Column{Name: "pinwait_ns", Type: sqltypes.Int},
-			),
-			provider: func() []sqltypes.Row {
-				flags := mon.SnapshotFlags()
-				rows := make([]sqltypes.Row, 0, len(flags))
-				for _, f := range flags {
-					rows = append(rows, sqltypes.Row{
-						sqltypes.NewInt(int64(f.Hash)),
-						sqltypes.NewText(truncate(f.Text, engine.MaxTextBytes)),
-						sqltypes.NewInt(f.Samples),
-						sqltypes.NewInt(f.Waits.WallNs),
-						sqltypes.NewInt(f.Waits.ExecNs),
-						sqltypes.NewInt(f.Waits.LockNs),
-						sqltypes.NewInt(f.Waits.IONs),
-						sqltypes.NewInt(f.Waits.FsyncNs),
-						sqltypes.NewInt(f.Waits.PinWaitNs),
-					})
-				}
-				return rows
-			},
-		},
+	return s.Mon.SnapshotStatements()
+}
+
+func (s *Sources) references() []monitor.Reference {
+	if s.Cut != nil {
+		return s.Cut.References
 	}
-	for _, r := range regs {
-		if err := db.RegisterVirtual(r.name, r.schema, r.provider); err != nil {
+	return s.Mon.SnapshotReferences()
+}
+
+func (s *Sources) frequencies() (table, attr, index map[string]int64) {
+	if s.Cut != nil {
+		return s.Cut.TableFreq, s.Cut.AttrFreq, s.Cut.IndexFreq
+	}
+	return s.Mon.SnapshotFrequencies()
+}
+
+// CollectorHealth is the storage daemon's self-observability sample
+// behind the collector columns of the statistics relation.
+type CollectorHealth struct {
+	PollErrors, Retries, CarryoverDepth, AlertErrors int64
+}
+
+// System samples the statistics relation's reading.
+func (s *Sources) System() SystemReading {
+	r := SystemReading{SystemStats: s.DB.Stats()}
+	if s.Collector != nil {
+		r.Collector = s.Collector()
+	}
+	if s.ApplyFailures != nil {
+		r.ApplyFailures = s.ApplyFailures()
+	}
+	return r
+}
+
+// Register installs every relation of the registry as the virtual
+// table ima_<name> on src.DB.
+func Register(src Sources) error {
+	if src.DB == nil || src.Mon == nil {
+		return fmt.Errorf("ima: database and monitor are required")
+	}
+	for i := range Relations {
+		rel := &Relations[i]
+		cols := make([]sqltypes.Column, len(rel.Columns))
+		for j, c := range rel.Columns {
+			cols[j] = sqltypes.Column{Name: c.Name, Type: c.Type}
+		}
+		provider := func() []sqltypes.Row {
+			rows := rel.Rows(&src)
+			if rel.LiveRows != nil {
+				rows = append(rows, rel.bound(rel.LiveRows(&src))...)
+			}
+			return rows
+		}
+		if err := src.DB.RegisterVirtual(rel.LiveName(), sqltypes.NewSchema(cols...), provider); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// appendLatencyRows emits one row per non-empty histogram bucket.
-func appendLatencyRows(rows []sqltypes.Row, scope string, hash uint64, c *monitor.LatencyCounts) []sqltypes.Row {
-	for b, n := range c {
-		if n == 0 {
+// Persisted lists the registry's relations that have a persist rule,
+// in registry order: the ws_ tables.
+func Persisted() []*Relation {
+	var out []*Relation
+	for i := range Relations {
+		if Relations[i].Persist.Rule != LiveOnly {
+			out = append(out, &Relations[i])
+		}
+	}
+	return out
+}
+
+// LiveName and StoreName are the relation's virtual-table and
+// workload-table names.
+func (r *Relation) LiveName() string  { return "ima_" + r.Name }
+func (r *Relation) StoreName() string { return "ws_" + r.Name }
+
+// Rows reads the rows the relation's persist rule chooses from (all
+// of ima_<Name> but its LiveRows).
+func (r *Relation) Rows(src *Sources) []sqltypes.Row { return r.bound(r.Provider(src)) }
+
+// bound cuts every Text value to its column width — the one place
+// monitoring text is bounded.
+func (r *Relation) bound(rows []sqltypes.Row) []sqltypes.Row {
+	for j, c := range r.Columns {
+		if c.Width == 0 {
 			continue
 		}
-		lo, hi := monitor.LatencyBucketBounds(b)
-		rows = append(rows, sqltypes.Row{
-			sqltypes.NewText(scope),
-			sqltypes.NewInt(int64(hash)),
-			sqltypes.NewInt(int64(b)),
-			sqltypes.NewInt(int64(lo)),
-			sqltypes.NewInt(int64(hi)),
-			sqltypes.NewInt(n),
-		})
+		for _, row := range rows {
+			if len(row[j].S) > c.Width {
+				row[j].S = sqltypes.TruncateUTF8(row[j].S, c.Width)
+			}
+		}
 	}
 	return rows
 }
@@ -475,9 +171,8 @@ type HealthMetric struct {
 	Value     float64
 }
 
-// MonitorHealth returns the monitor's own counters in ima_health form;
-// callers without a storage daemon can register it as the whole gather
-// function.
+// MonitorHealth returns the monitor's own counters in ima_health form:
+// the table's whole content when Sources.Health is not wired.
 func MonitorHealth(mon *monitor.Monitor) []HealthMetric {
 	return []HealthMetric{
 		{"monitor", "statements_total", float64(mon.TotalStatements())},
@@ -490,53 +185,3 @@ func MonitorHealth(mon *monitor.Monitor) []HealthMetric {
 		{"monitor", "phase2_seconds_total", mon.Phase2Overhead().Seconds()},
 	}
 }
-
-// RegisterHealth installs the ima_health virtual table. gather is
-// called per query; core wires it to the telemetry registry so SQL and
-// /metrics expose the same counters (monitor, engine and daemon).
-func RegisterHealth(db *engine.DB, gather func() []HealthMetric) error {
-	schema := sqltypes.NewSchema(
-		sqltypes.Column{Name: "component", Type: sqltypes.Text},
-		sqltypes.Column{Name: "metric", Type: sqltypes.Text},
-		sqltypes.Column{Name: "value", Type: sqltypes.Float},
-	)
-	return db.RegisterVirtual("ima_health", schema, func() []sqltypes.Row {
-		hm := gather()
-		rows := make([]sqltypes.Row, 0, len(hm))
-		for _, m := range hm {
-			rows = append(rows, sqltypes.Row{
-				sqltypes.NewText(m.Component),
-				sqltypes.NewText(m.Metric),
-				sqltypes.NewFloat(m.Value),
-			})
-		}
-		return rows
-	})
-}
-
-// workloadRow converts a workload entry to its IMA row form (shared
-// with the storage daemon).
-func workloadRow(w monitor.WorkloadEntry) sqltypes.Row {
-	return sqltypes.Row{
-		sqltypes.NewInt(int64(w.Hash)),
-		sqltypes.NewInt(w.Start.UnixMicro()),
-		sqltypes.NewInt(w.Wall.Microseconds()),
-		sqltypes.NewInt(w.OptTime.Microseconds()),
-		sqltypes.NewInt(w.ExecCPU),
-		sqltypes.NewInt(w.ExecIO),
-		sqltypes.NewFloat(w.EstCPU),
-		sqltypes.NewFloat(w.EstIO),
-		sqltypes.NewFloat(w.EstRows),
-		sqltypes.NewInt(w.Rows),
-		sqltypes.NewInt(w.MonNanos),
-		sqltypes.NewBool(w.Err),
-	}
-}
-
-// WorkloadRow is the exported form used by the storage daemon when it
-// drains the monitor directly (the in-core variant of data collection
-// the paper describes as the next step in §IV-B).
-func WorkloadRow(w monitor.WorkloadEntry) sqltypes.Row { return workloadRow(w) }
-
-// truncate bounds statement text without splitting a multi-byte rune.
-func truncate(s string, n int) string { return sqltypes.TruncateUTF8(s, n) }

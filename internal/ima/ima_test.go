@@ -2,6 +2,8 @@ package ima
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -15,7 +17,7 @@ func newMonitoredDB(t *testing.T) (*engine.DB, *monitor.Monitor, *engine.Session
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Register(db, mon); err != nil {
+	if err := Register(Sources{DB: db, Mon: mon}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { db.Close() })
@@ -59,7 +61,7 @@ func TestRegisterRequiresMonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if err := Register(db, nil); err == nil {
+	if err := Register(Sources{DB: db}); err == nil {
 		t.Fatal("Register accepted a nil monitor")
 	}
 }
@@ -162,7 +164,109 @@ func TestStatisticsTable(t *testing.T) {
 
 func TestDoubleRegisterFails(t *testing.T) {
 	db, mon, _ := newMonitoredDB(t)
-	if err := Register(db, mon); err == nil {
+	if err := Register(Sources{DB: db, Mon: mon}); err == nil {
 		t.Fatal("double Register succeeded")
+	}
+}
+
+func TestReferenceDedupBoundedEviction(t *testing.T) {
+	// The dedup set evicts oldest-first at the cap instead of resetting
+	// wholesale, so recently persisted references stay deduplicated.
+	r := newFifoSet(4)
+	has := func(k string) bool { _, ok := r.seen[k]; return ok }
+	for _, k := range []string{"a", "b", "c", "d"} {
+		r.add(k)
+	}
+	if len(r.seen) != 4 {
+		t.Fatalf("len = %d", len(r.seen))
+	}
+	r.add("e") // evicts "a", the oldest
+	if len(r.seen) != 4 {
+		t.Errorf("len after eviction = %d, want 4", len(r.seen))
+	}
+	for _, k := range []string{"b", "c", "d", "e"} {
+		if !has(k) {
+			t.Errorf("recent key %q evicted", k)
+		}
+	}
+	if has("a") {
+		t.Error("oldest key survived past the cap")
+	}
+	r.add("e") // re-adding a live key must not grow or evict
+	if len(r.seen) != 4 || !has("b") {
+		t.Errorf("re-add disturbed the set: len=%d has(b)=%v", len(r.seen), has("b"))
+	}
+}
+
+// TestIndexesDeterministicOrder: ima_indexes is name-sorted, so two
+// reads agree row for row (the primary-structure rows used to come out
+// in map-iteration order).
+func TestIndexesDeterministicOrder(t *testing.T) {
+	_, mon, s := newMonitoredDB(t)
+	seed(t, s) // pk_items, a catalog index
+	// Uses of primary structures, as the optimizer reports them.
+	var used []string
+	for i := 0; i < 6; i++ {
+		used = append(used, fmt.Sprintf("o%d.primary", i))
+	}
+	h := mon.StartStatement("SELECT 1")
+	h.Parsed("SELECT", nil)
+	h.Optimized(1, 1, 1, nil, used, 0)
+	h.Finish(1, 0, 1, nil)
+	read := func() []string {
+		var names []string
+		for _, r := range exec(t, s, "SELECT index_name FROM ima_indexes").Rows {
+			names = append(names, r[0].S)
+		}
+		return names
+	}
+	first, second := read(), read()
+	if strings.Join(first, ",") != strings.Join(second, ",") {
+		t.Errorf("two reads disagree:\n%v\n%v", first, second)
+	}
+	if !sort.StringsAreSorted(first) {
+		t.Errorf("ima_indexes not name-sorted: %v", first)
+	}
+	primaries := 0
+	for _, n := range first {
+		if strings.HasSuffix(n, ".primary") {
+			primaries++
+		}
+	}
+	if primaries != 6 {
+		t.Errorf("want several <table>.primary rows to order, got %v", first)
+	}
+}
+
+// TestRowsReadFromCut: a reader that took a statement-side cut (the
+// storage daemon, once per poll) gets statements, references and the
+// frequency-carrying relations from it — one pass over the monitor's
+// locks, one consistent state — while a reader without one sees the
+// monitor as it is now.
+func TestRowsReadFromCut(t *testing.T) {
+	db, mon, s := newMonitoredDB(t)
+	seed(t, s)
+	cut := mon.SnapshotStatementSide()
+	src := Sources{DB: db, Mon: mon, Cut: &cut}
+	read := func(src Sources) map[string]string {
+		out := map[string]string{}
+		for i := range Relations {
+			switch rel := &Relations[i]; rel.Name {
+			case "statements", "references", "tables", "attributes", "indexes":
+				out[rel.Name] = fmt.Sprint(rel.Rows(&src))
+			}
+		}
+		return out
+	}
+	atCut := read(src)
+	exec(t, s, "SELECT id, v FROM items WHERE id = 9") // a new statement, through the pk index
+	if now := read(src); fmt.Sprint(now) != fmt.Sprint(atCut) {
+		t.Errorf("rows moved under a cut:\n at cut %v\n now    %v", atCut, now)
+	}
+	live := read(Sources{DB: db, Mon: mon})
+	for name, rows := range atCut {
+		if live[name] == rows {
+			t.Errorf("%s: a reader without a cut did not see the new statement", name)
+		}
 	}
 }

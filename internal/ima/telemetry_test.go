@@ -101,10 +101,7 @@ func TestSpansTableAfterExplainAnalyze(t *testing.T) {
 }
 
 func TestHealthTable(t *testing.T) {
-	db, mon, s := newMonitoredDB(t)
-	if err := RegisterHealth(db, func() []HealthMetric { return MonitorHealth(mon) }); err != nil {
-		t.Fatal(err)
-	}
+	_, _, s := newMonitoredDB(t)
 	seed(t, s)
 	res := exec(t, s, "SELECT component, metric, value FROM ima_health WHERE component = 'monitor'")
 	vals := map[string]float64{}
@@ -127,10 +124,7 @@ func TestHealthTable(t *testing.T) {
 // Run under -race this exercises every provider against the monitor's
 // concurrent recording path.
 func TestIMATablesConcurrentWithWriter(t *testing.T) {
-	db, mon, s := newMonitoredDB(t)
-	if err := RegisterHealth(db, func() []HealthMetric { return MonitorHealth(mon) }); err != nil {
-		t.Fatal(err)
-	}
+	db, _, s := newMonitoredDB(t)
 	seed(t, s)
 
 	tables := []string{

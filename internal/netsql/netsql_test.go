@@ -19,7 +19,7 @@ func startServer(t *testing.T) (string, *engine.DB) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ima.Register(db, mon); err != nil {
+	if err := ima.Register(ima.Sources{DB: db, Mon: mon}); err != nil {
 		t.Fatal(err)
 	}
 	srv := NewServer(db)

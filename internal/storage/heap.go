@@ -472,11 +472,11 @@ func (b *RecBatch) appendRec(tid TID, rec []byte) {
 	b.Recs = append(b.Recs, rec)
 }
 
-// maxBatchPins bounds the pages one batch may keep pinned, so a batch
+// MaxBatchPins bounds the pages one batch may keep pinned, so a batch
 // over sparse pages cannot monopolize a small buffer pool. When the
 // cap is hit the batch simply comes up short of maxRows; the next call
 // continues from the following page.
-const maxBatchPins = 16
+const MaxBatchPins = 16
 
 // HeapBatchIter scans a heap page-at-a-time: each page is pinned once
 // and all its live slots are handed to the caller's RecBatch as slices
@@ -489,7 +489,7 @@ type HeapBatchIter struct {
 	h       *Heap
 	page    uint32
 	bound   uint32 // exclusive page bound for morsel scans; 0 = whole heap
-	pins    [maxBatchPins]Page // frames backing the current batch
+	pins    [MaxBatchPins]Page // frames backing the current batch
 	npins   int
 	err     error
 	latched bool      // read latch held for the life of the current batch
@@ -538,7 +538,7 @@ func (it *HeapBatchIter) Close() error {
 }
 
 // NextBatch fills b with live records, whole pages at a time, until at
-// least maxRows records are batched, maxBatchPins pages are pinned, or
+// least maxRows records are batched, MaxBatchPins pages are pinned, or
 // the heap is exhausted (the last page added may overshoot maxRows; a
 // page is never split across batches). maxRows <= 0 means one
 // non-empty page per batch. Returns false when no records remain. The
@@ -568,7 +568,7 @@ func (it *HeapBatchIter) nextBatch(b *RecBatch, maxRows int) (bool, error) {
 	if it.bound > 0 && it.bound < pages {
 		pages = it.bound
 	}
-	for it.page < pages && it.npins < maxBatchPins {
+	for it.page < pages && it.npins < MaxBatchPins {
 		p := &it.pins[it.npins]
 		if err := it.h.file.PinPageProf(it.page, p, it.prof); err != nil {
 			it.err = err

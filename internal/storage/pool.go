@@ -115,7 +115,7 @@ type poolShard struct {
 
 // Sharding parameters: enough shards that concurrent sessions rarely
 // collide, but never so many that one shard cannot absorb a batch
-// scan's maxBatchPins pinned pages with room to spare.
+// scan's MaxBatchPins pinned pages with room to spare.
 const (
 	maxPoolShards      = 16
 	minFramesPerShard  = 32

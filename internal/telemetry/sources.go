@@ -6,6 +6,7 @@ import (
 	"repro/internal/analyzer"
 	"repro/internal/daemon"
 	"repro/internal/engine"
+	"repro/internal/ima"
 	"repro/internal/monitor"
 )
 
@@ -82,56 +83,36 @@ func MonitorSource(m *monitor.Monitor) Source {
 	}
 }
 
-// EngineSource exposes the engine-wide counters that back
-// ima_statistics.
+// counterMetrics renders the exported sensors of an ima counter table
+// from one reading.
+func counterMetrics[T any](counters []ima.Counter[T], r T) []Metric {
+	out := make([]Metric, 0, len(counters))
+	for _, c := range counters {
+		if c.Metric == "" {
+			continue
+		}
+		m := Metric{Name: c.Metric, Help: c.Help, Kind: Counter, Value: float64(c.Get(&r))}
+		if c.Gauge {
+			m.Kind = Gauge
+		}
+		if c.Div != 0 {
+			m.Value /= c.Div
+		}
+		out = append(out, m)
+	}
+	return out
+}
+
+// EngineSource exposes the engine-wide sensors the ima registry
+// declares — the series behind ima_statistics and ima_mvcc — plus the
+// WAL fsync latency histogram.
 func EngineSource(db *engine.DB) Source {
 	return func() []Metric {
-		st := db.Stats()
+		ms := counterMetrics(ima.SystemCounters, ima.SystemReading{SystemStats: db.Stats()})
 		lc, fsyncSumNanos := db.WALFsyncLatency()
-		ms := []Metric{
-			{Name: "engine_sessions_current", Help: "Open sessions.", Kind: Gauge, Value: float64(st.CurrentSessions)},
-			{Name: "engine_sessions_peak", Help: "Peak concurrent sessions.", Kind: Gauge, Value: float64(st.PeakSessions)},
-			{Name: "engine_statements_total", Help: "Statements executed.", Kind: Counter, Value: float64(st.Statements)},
-			{Name: "engine_locks_held", Help: "Locks currently held.", Kind: Gauge, Value: float64(st.LocksHeld)},
-			{Name: "engine_lock_waits_total", Help: "Lock acquisitions that waited.", Kind: Counter, Value: float64(st.LockWaits)},
-			{Name: "engine_lock_wait_seconds_total", Help: "Wallclock seconds sessions spent parked on lock queues.", Kind: Counter, Value: float64(st.LockWaitNanos) / 1e9},
-			{Name: "engine_deadlocks_total", Help: "Deadlocks detected.", Kind: Counter, Value: float64(st.Deadlocks)},
-			{Name: "engine_cache_hits_total", Help: "Buffer pool hits.", Kind: Counter, Value: float64(st.CacheHits)},
-			{Name: "engine_cache_misses_total", Help: "Buffer pool misses.", Kind: Counter, Value: float64(st.CacheMisses)},
-			{Name: "engine_disk_reads_total", Help: "Pages read from disk.", Kind: Counter, Value: float64(st.DiskReads)},
-			{Name: "engine_disk_writes_total", Help: "Pages written to disk.", Kind: Counter, Value: float64(st.DiskWrites)},
-			{Name: "engine_db_bytes", Help: "Database size on disk in bytes.", Kind: Gauge, Value: float64(st.DBBytes)},
-			{Name: "engine_cache_evictions_total", Help: "Buffer pool frames evicted to make room.", Kind: Counter, Value: float64(st.CacheEvictions)},
-			{Name: "engine_cache_resident", Help: "Pages currently cached in the buffer pool.", Kind: Gauge, Value: float64(st.CacheResident)},
-			{Name: "engine_cache_pin_waits_total", Help: "Backpressure waits on a fully pinned pool shard.", Kind: Counter, Value: float64(st.PinWaits)},
-			{Name: "engine_wal_bytes_total", Help: "Bytes appended to the write-ahead log.", Kind: Counter, Value: float64(st.WALBytes)},
-			{Name: "engine_wal_fsyncs_total", Help: "WAL fsyncs issued (group commit amortizes these).", Kind: Counter, Value: float64(st.WALFsyncs)},
-			{Name: "engine_redo_records", Help: "WAL records replayed (redo + undo) by crash recovery at the last open.", Kind: Gauge, Value: float64(st.RedoRecords)},
-			{Name: "engine_redo_nanos", Help: "Wallclock nanoseconds of the last crash-recovery pass.", Kind: Gauge, Value: float64(st.RedoNanos)},
-			{Name: "engine_parallel_queries_total", Help: "Statements that ran a morsel-parallel plan subtree.", Kind: Counter, Value: float64(st.ParallelQueries)},
-			{Name: "engine_parallel_morsels_total", Help: "Heap-page morsels dispatched to parallel scan workers.", Kind: Counter, Value: float64(st.MorselsDispatched)},
-			{Name: "engine_parallel_worker_seconds_total", Help: "Summed wall time of parallel scan workers in seconds.", Kind: Counter, Value: float64(st.ParallelWorkerNanos) / 1e9},
-		}
 		ms = append(ms, HistogramMetrics("engine_wal_fsync_ns",
 			"WAL fsync latency in nanoseconds.", &lc, float64(fsyncSumNanos))...)
-		// MVCC snapshot-isolation health, mirroring ima_mvcc / ws_mvcc.
-		mv := db.MvccStats()
-		ms = append(ms,
-			Metric{Name: "engine_mvcc_txn_begins_total", Help: "MVCC transactions begun.", Kind: Counter, Value: float64(mv.TxnBegins)},
-			Metric{Name: "engine_mvcc_txn_commits_total", Help: "MVCC transactions committed.", Kind: Counter, Value: float64(mv.TxnCommits)},
-			Metric{Name: "engine_mvcc_txn_aborts_total", Help: "MVCC transactions aborted (rollbacks, errors, conflicts).", Kind: Counter, Value: float64(mv.TxnAborts)},
-			Metric{Name: "engine_mvcc_write_conflicts_total", Help: "First-updater-wins write conflicts raised.", Kind: Counter, Value: float64(mv.WriteConflicts)},
-			Metric{Name: "engine_mvcc_inflight_txns", Help: "MVCC transactions currently open.", Kind: Gauge, Value: float64(mv.InflightTxns)},
-			Metric{Name: "engine_mvcc_active_snapshots", Help: "Snapshots currently pinned by sessions.", Kind: Gauge, Value: float64(mv.ActiveSnapshots)},
-			Metric{Name: "engine_mvcc_aborted_ids", Help: "Aborted transaction ids not yet retired by vacuum.", Kind: Gauge, Value: float64(mv.AbortedIDs)},
-			Metric{Name: "engine_mvcc_oldest_snapshot_ns", Help: "Age of the oldest active snapshot in nanoseconds (vacuum horizon lag).", Kind: Gauge, Value: float64(mv.OldestSnapshotNanos)},
-			Metric{Name: "engine_mvcc_vacuum_runs_total", Help: "Vacuum passes completed.", Kind: Counter, Value: float64(mv.VacuumRuns)},
-			Metric{Name: "engine_mvcc_vacuum_reclaimed_total", Help: "Dead row versions reclaimed by vacuum.", Kind: Counter, Value: float64(mv.VacuumReclaimed)},
-			Metric{Name: "engine_mvcc_vacuum_cleared_total", Help: "Aborted xmax stamps cleared by vacuum.", Kind: Counter, Value: float64(mv.VacuumCleared)},
-			Metric{Name: "engine_mvcc_retired_ids_total", Help: "Aborted transaction ids retired after vacuum proved them unreferenced.", Kind: Counter, Value: float64(mv.RetiredIDs)},
-			Metric{Name: "engine_mvcc_chain_len_p95", Help: "p95 surviving version-chain length at the last vacuum pass.", Kind: Gauge, Value: float64(mv.ChainLenP95)},
-		)
-		return ms
+		return append(ms, counterMetrics(ima.MvccCounters, db.MvccStats())...)
 	}
 }
 

@@ -232,7 +232,7 @@ func TestMetricsAgreeWithWsStatistics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer source.Close()
-	if err := ima.Register(source, mon); err != nil {
+	if err := ima.Register(ima.Sources{DB: source, Mon: mon}); err != nil {
 		t.Fatal(err)
 	}
 	target, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "wdb"), PoolPages: 256})

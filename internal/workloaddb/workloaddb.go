@@ -8,14 +8,18 @@ package workloaddb
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/ima"
+	"repro/internal/sqltypes"
 )
 
-// Table names in the workload database. Every table carries a ts_us
-// column: the poll timestamp in unix microseconds, enabling the trend
-// analysis the paper collects data for.
+// Names of the workload tables consumers query. Each is "ws_" plus the
+// name of a persisted relation of the ima registry, which defines its
+// columns; every table leads with ts_us, the poll timestamp in unix
+// microseconds, enabling the trend analysis the paper collects data for.
 const (
 	Statements = "ws_statements"
 	Workload   = "ws_workload"
@@ -30,93 +34,44 @@ const (
 	Mvcc       = "ws_mvcc"
 )
 
-// StatementTextMax bounds persisted statement text in bytes. It
-// matches both the query_text VARCHAR(512) column below and the
-// engine's MaxTextBytes row limit; the daemon truncates statement
-// text to this many bytes on a rune boundary before appending.
-const StatementTextMax = 512
-
-// schemaDDL creates the workload tables.
-var schemaDDL = []string{
-	`CREATE TABLE IF NOT EXISTS ` + Statements + ` (
-		ts_us BIGINT, hash BIGINT, query_text VARCHAR(512), kind VARCHAR(32),
-		frequency BIGINT, first_seen_us BIGINT, last_seen_us BIGINT)`,
-	`CREATE TABLE IF NOT EXISTS ` + Workload + ` (
-		ts_us BIGINT, hash BIGINT, start_us BIGINT, wall_us BIGINT, opt_us BIGINT,
-		exec_cpu BIGINT, exec_io BIGINT, est_cpu FLOAT, est_io FLOAT, est_rows FLOAT,
-		rows BIGINT, mon_ns BIGINT, error BIGINT)`,
-	`CREATE TABLE IF NOT EXISTS ` + References + ` (
-		ts_us BIGINT, hash BIGINT, obj_type VARCHAR(16), obj_name VARCHAR(128),
-		table_name VARCHAR(64))`,
-	`CREATE TABLE IF NOT EXISTS ` + Tables + ` (
-		ts_us BIGINT, table_name VARCHAR(64), frequency BIGINT, structure VARCHAR(16),
-		data_pages BIGINT, overflow_pages BIGINT, row_count BIGINT)`,
-	`CREATE TABLE IF NOT EXISTS ` + Attributes + ` (
-		ts_us BIGINT, attr_name VARCHAR(128), table_name VARCHAR(64),
-		frequency BIGINT, has_histogram BIGINT)`,
-	`CREATE TABLE IF NOT EXISTS ` + Indexes + ` (
-		ts_us BIGINT, index_name VARCHAR(64), table_name VARCHAR(64),
-		frequency BIGINT, is_virtual BIGINT)`,
-	// After db_bytes come the storage daemon's own health counters,
-	// sampled each poll so the collector's failure history is queryable
-	// (and trendable) like any other statistic. The trailing three
-	// buffer-manager columns (evictions, resident, pin waits) are
-	// appended — never inserted mid-row — so older workload databases
-	// stay readable by position.
-	`CREATE TABLE IF NOT EXISTS ` + Statistics + ` (
-		ts_us BIGINT, current_sessions BIGINT, peak_sessions BIGINT, statements BIGINT,
-		locks_held BIGINT, lock_waits BIGINT, deadlocks BIGINT, cache_hits BIGINT,
-		cache_misses BIGINT, disk_reads BIGINT, disk_writes BIGINT, db_bytes BIGINT,
-		poll_errors BIGINT, retries BIGINT, carryover_depth BIGINT, alert_errors BIGINT,
-		cache_evictions BIGINT, cache_resident BIGINT, pin_waits BIGINT,
-		wal_bytes BIGINT, wal_fsyncs BIGINT, redo_records BIGINT, redo_nanos BIGINT,
-		apply_failures BIGINT,
-		parallel_queries BIGINT, morsels_dispatched BIGINT, parallel_worker_nanos BIGINT)`,
-	// One row per non-empty histogram bucket per poll. Counts are
-	// cumulative since monitor start (counter semantics, like
-	// Prometheus); the analyzer differences successive snapshots to get
-	// per-interval distributions and quantiles.
-	`CREATE TABLE IF NOT EXISTS ` + Latency + ` (
-		ts_us BIGINT, scope VARCHAR(8), bucket BIGINT, lo_ns BIGINT, hi_ns BIGINT,
-		bucket_count BIGINT)`,
-	// The persisted audit trail of the analyzer's apply state machine:
-	// one row per action state transition, mirroring ima_actions. seq is
-	// monotone within one applier lifetime; the daemon uses it as an
-	// append watermark.
-	`CREATE TABLE IF NOT EXISTS ` + Actions + ` (
-		ts_us BIGINT, seq BIGINT, action_id BIGINT, kind VARCHAR(32),
-		target VARCHAR(64), sql_text VARCHAR(512), state VARCHAR(16),
-		baseline_us BIGINT, observed_us BIGINT, delta_pct FLOAT,
-		samples BIGINT, at_us BIGINT, detail VARCHAR(512))`,
-	// Phase-2 wait attribution: one row per flagged statement per poll,
-	// with cumulative nanosecond counters per wait class (counter
-	// semantics, like ws_latency: the analyzer differences successive
-	// snapshots of the same hash for per-interval breakdowns).
-	`CREATE TABLE IF NOT EXISTS ` + Waits + ` (
-		ts_us BIGINT, hash BIGINT, query_text VARCHAR(512), reason VARCHAR(16),
-		samples BIGINT, wall_ns BIGINT, exec_ns BIGINT, lock_ns BIGINT,
-		io_ns BIGINT, fsync_ns BIGINT, pinwait_ns BIGINT)`,
-	// MVCC snapshot-isolation health: one row per poll, mirroring
-	// ima_mvcc. Counter columns (begins/commits/aborts/conflicts,
-	// vacuum_*) are cumulative; gauge columns (inflight, snapshots,
-	// oldest_snapshot_ns, chain_len_p95) are instantaneous.
-	`CREATE TABLE IF NOT EXISTS ` + Mvcc + ` (
-		ts_us BIGINT, txn_begins BIGINT, txn_commits BIGINT, txn_aborts BIGINT,
-		write_conflicts BIGINT, inflight_txns BIGINT, active_snapshots BIGINT,
-		aborted_ids BIGINT, oldest_snapshot_ns BIGINT, vacuum_runs BIGINT,
-		vacuum_reclaimed BIGINT, vacuum_cleared BIGINT, retired_ids BIGINT,
-		chain_len_p95 BIGINT)`,
+// AllTables lists every workload table, for pruning and reporting.
+func AllTables() []string {
+	var names []string
+	for _, r := range ima.Persisted() {
+		names = append(names, r.StoreName())
+	}
+	return names
 }
 
-// AllTables lists every workload table, for pruning and reporting.
-var AllTables = []string{Statements, Workload, References, Tables, Attributes, Indexes, Statistics, Latency, Actions, Waits, Mvcc}
+// ddl derives a workload table from its relation: ts_us followed by
+// the persisted columns. Columns are only ever appended to a relation,
+// so a workload database created by an older build stays insertable.
+func ddl(r *ima.Relation) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "CREATE TABLE IF NOT EXISTS %s (ts_us BIGINT", r.StoreName())
+	for _, c := range r.Columns {
+		if c.Live {
+			continue
+		}
+		switch c.Type {
+		case sqltypes.Text:
+			fmt.Fprintf(&b, ", %s VARCHAR(%d)", c.Name, c.Width)
+		case sqltypes.Float:
+			fmt.Fprintf(&b, ", %s FLOAT", c.Name)
+		default:
+			fmt.Fprintf(&b, ", %s BIGINT", c.Name)
+		}
+	}
+	b.WriteByte(')')
+	return b.String()
+}
 
 // EnsureSchema creates the workload tables if they do not exist.
 func EnsureSchema(db *engine.DB) error {
 	s := db.NewSession()
 	defer s.Close()
-	for _, ddl := range schemaDDL {
-		if _, err := s.Exec(ddl); err != nil {
+	for _, r := range ima.Persisted() {
+		if _, err := s.Exec(ddl(r)); err != nil {
 			return fmt.Errorf("workloaddb: %w", err)
 		}
 	}
@@ -130,7 +85,7 @@ func Prune(db *engine.DB, retention time.Duration, now time.Time) (int64, error)
 	s := db.NewSession()
 	defer s.Close()
 	var removed int64
-	for _, t := range AllTables {
+	for _, t := range AllTables() {
 		res, err := s.Exec(fmt.Sprintf("DELETE FROM %s WHERE ts_us < %d", t, cutoff))
 		if err != nil {
 			return removed, fmt.Errorf("workloaddb: prune %s: %w", t, err)

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/ima"
+	"repro/internal/sqltypes"
 )
 
 func openDB(t *testing.T) *engine.DB {
@@ -28,7 +30,7 @@ func TestEnsureSchemaIdempotent(t *testing.T) {
 	}
 	s := db.NewSession()
 	defer s.Close()
-	for _, tbl := range AllTables {
+	for _, tbl := range AllTables() {
 		if _, err := s.Exec("SELECT COUNT(*) FROM " + tbl); err != nil {
 			t.Errorf("table %s: %v", tbl, err)
 		}
@@ -78,12 +80,19 @@ func TestGrowthModelMath(t *testing.T) {
 	}
 }
 
-func TestStatementTextMaxMatchesEngine(t *testing.T) {
-	// The daemon's truncation bound, the ws_statements VARCHAR width
-	// and the engine's hard row limit must agree, or appends of
-	// near-limit statement text fail at insert time.
-	if StatementTextMax != engine.MaxTextBytes {
-		t.Errorf("StatementTextMax = %d, engine.MaxTextBytes = %d", StatementTextMax, engine.MaxTextBytes)
+func TestPersistedTextWidthsFitEngineRows(t *testing.T) {
+	// The registry's column width is the one truncation bound: every
+	// persisted text column must declare one, within the engine's hard
+	// row limit, or appends of near-limit text fail at insert time.
+	for _, r := range ima.Persisted() {
+		for _, c := range r.Columns {
+			if c.Type != sqltypes.Text || c.Live {
+				continue
+			}
+			if c.Width <= 0 || c.Width > engine.MaxTextBytes {
+				t.Errorf("%s.%s: width %d, want 1..%d", r.StoreName(), c.Name, c.Width, engine.MaxTextBytes)
+			}
+		}
 	}
 }
 
