@@ -11,8 +11,11 @@ package repro_test
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -171,6 +174,63 @@ func BenchmarkFig4_SimpleJoin_Daemon(b *testing.B)     { benchJoin(b, "daemon") 
 func BenchmarkFig4_PointSelect_Original(b *testing.B)   { benchSelect(b, "original") }
 func BenchmarkFig4_PointSelect_Monitoring(b *testing.B) { benchSelect(b, "monitoring") }
 func BenchmarkFig4_PointSelect_Daemon(b *testing.B)     { benchSelect(b, "daemon") }
+
+// BenchmarkPointSelectZipf{1,2,8} is the point-select workload as the
+// repository's benchmark (bench/, workload point_select) drives it: N
+// sessions in parallel, each drawing primary keys from a Zipf(0.99)
+// distribution spread over the key space by a seeded permutation,
+// monitor on. Fig4_PointSelect walks the keys in order on one goroutine,
+// so it never sees two sessions on one pool shard or lock-manager mutex
+// and flatters anything that touches a page twice in a row; this one
+// reports what a change to the statement path does under contention.
+func BenchmarkPointSelectZipf1(b *testing.B) { benchPointSelectZipf(b, 1) }
+func BenchmarkPointSelectZipf2(b *testing.B) { benchPointSelectZipf(b, 2) }
+func BenchmarkPointSelectZipf8(b *testing.B) { benchPointSelectZipf(b, 8) }
+
+func benchPointSelectZipf(b *testing.B, sessions int) {
+	inst := getInstance(b, "monitoring")
+	stmts := make([]string, benchScale)
+	for i := range stmts {
+		stmts[i] = nref.PointSelectStatement(i, benchScale)
+	}
+	// Zipf with exponent < 1 (math/rand's needs > 1): inverse CDF over
+	// ranks, ranks mapped to keys by a permutation.
+	cdf := make([]float64, benchScale)
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / math.Pow(float64(i+1), 0.99)
+		cdf[i] = sum
+	}
+	perm := rand.New(rand.NewSource(99)).Perm(benchScale)
+
+	prev := runtime.GOMAXPROCS(max(sessions, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for g := 0; g < sessions; g++ {
+		n := b.N / sessions
+		if g < b.N%sessions {
+			n++
+		}
+		wg.Add(1)
+		go func(g, n int) {
+			defer wg.Done()
+			s := inst.db.NewSession()
+			defer s.Close()
+			r := rand.New(rand.NewSource(int64(g) + 1))
+			for i := 0; i < n; i++ {
+				rank := sort.SearchFloat64s(cdf, r.Float64()*sum)
+				res, err := s.Exec(stmts[perm[min(rank, benchScale-1)]])
+				if err != nil || len(res.Rows) != 1 {
+					b.Errorf("point select: %d rows, %v", len(res.Rows), err)
+					return
+				}
+			}
+		}(g, n)
+	}
+	wg.Wait()
+}
 
 // --- Figure 5: share of monitoring -----------------------------------
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -46,5 +47,50 @@ func TestScanAllocsPerRow(t *testing.T) {
 		if perRow > 0.5 {
 			t.Errorf("%s: %.0f allocs for %d rows (%.2f/row), want < 0.5/row", q, allocs, rows, perRow)
 		}
+	}
+}
+
+// TestPointSelectAllocs pins the statement fast path: a point select on
+// a unique index whose shape is cached lexes once into session buffers,
+// binds its literal into the session's parameter vector, descends the
+// index once through an iterator that is its own buffer, and builds a
+// result of one short row. It stays within 25 allocations and 2.5 KB
+// per statement, monitor on (73 allocations and 10.9 KB before the fast
+// path, by BenchmarkFig4_PointSelect_Monitoring) — a parser run, a
+// second descent, a copied leaf or a 64-value arena chunk each break
+// the bound on their own.
+func TestPointSelectAllocs(t *testing.T) {
+	db := testDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	setupPeople(t, s)
+
+	stmts := make([]string, 64)
+	for i := range stmts {
+		stmts[i] = fmt.Sprintf("SELECT id, age FROM people WHERE id = %d", i*31%peopleRows)
+	}
+	if p := mustExec(t, s, stmts[0]).Plan; len(p.UsedIndexes) == 0 {
+		t.Fatalf("the point select does not use the key index:\n%s", p)
+	}
+	run := func() {
+		for _, q := range stmts {
+			res, err := s.Exec(q)
+			if err != nil || len(res.Rows) != 1 {
+				t.Fatalf("%s: %d rows, %v", q, len(res.Rows), err)
+			}
+		}
+	}
+	run() // every statement text is in the monitor's table, every page in the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, run) / float64(len(stmts))
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(21*len(stmts))
+	t.Logf("cached point select: %.1f allocs, %.0f B per statement", allocs, bytes)
+	if allocs > 25 {
+		t.Errorf("cached point select: %.1f allocs per statement, want <= 25", allocs)
+	}
+	if bytes > 2560 {
+		t.Errorf("cached point select: %.0f B per statement, want <= 2.5 KB", bytes)
 	}
 }

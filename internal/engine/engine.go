@@ -1,6 +1,6 @@
 // Package engine ties the substrates together into an embedded
 // relational DBMS: catalog, paged storage, lock manager, optimizer,
-// executor, plan cache — and the integrated monitor, whose sensors sit
+// executor, prepared-statement cache — and the integrated monitor, whose sensors sit
 // directly in the statement path exactly as the paper prescribes
 // (part of each module, not a watchdog on top).
 package engine
@@ -32,7 +32,7 @@ type Config struct {
 	// Monitor is the integrated monitor; nil runs the engine without
 	// any monitoring code active — the paper's "Original" setup.
 	Monitor *monitor.Monitor
-	// PlanCacheSize bounds the number of cached prepared plans
+	// PlanCacheSize bounds the number of cached prepared statements
 	// (default 512).
 	PlanCacheSize int
 	// GroupCommitInterval is the WAL group-commit batching window
@@ -71,7 +71,7 @@ type DB struct {
 	tables  map[string]*tableHandle
 	virtual map[string]*virtualTable
 
-	plans *planCache
+	plans *stmtCache // prepared statements by shape (prepared.go)
 
 	nextSession     atomic.Int64
 	currentSessions atomic.Int64
@@ -167,7 +167,7 @@ func Open(cfg Config) (*DB, error) {
 		redo:    redo,
 		tables:  map[string]*tableHandle{},
 		virtual: map[string]*virtualTable{},
-		plans:   newPlanCache(cfg.PlanCacheSize),
+		plans:   newStmtCache(cfg.PlanCacheSize, cfg.Monitor),
 	}
 	// A Building index entry is a crashed online build: drop it (and
 	// its file), then sweep data files the catalog no longer references
@@ -361,6 +361,9 @@ func (db *DB) RegisterVirtual(name string, schema sqltypes.Schema, provider func
 		},
 		provider: provider,
 	}
+	// A cached statement's lock list was computed when the name was no
+	// virtual table.
+	db.plans.invalidate()
 	return nil
 }
 
@@ -463,6 +466,7 @@ func (db *DB) Close() error {
 	if err := db.Checkpoint(); err != nil {
 		firstErr = err
 	}
+	db.plans.invalidate() // hands the entries' reference sets back to the monitor
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, h := range db.tables {

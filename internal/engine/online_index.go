@@ -282,7 +282,7 @@ func (db *DB) verifyUniqueLive(h *tableHandle, bt *storage.BTree, name string) e
 		}
 		return nil
 	}
-	it := bt.Seek(nil)
+	it := bt.Seek(nil, nil)
 	for it.Next() {
 		k := it.Key()
 		if len(k) < tidSuffixLen {

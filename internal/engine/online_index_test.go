@@ -52,7 +52,7 @@ func actualIndexEntries(t *testing.T, db *DB, table, index string) map[string]st
 		t.Fatalf("index %s not published on %s", index, table)
 	}
 	got := map[string]string{}
-	it := bt.Seek(nil)
+	it := bt.Seek(nil, nil)
 	for it.Next() {
 		got[string(it.Key())] = string(it.Value())
 	}

@@ -1,0 +1,331 @@
+package engine
+
+import (
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/executor"
+	"repro/internal/lock"
+	"repro/internal/monitor"
+	"repro/internal/optimizer"
+	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
+)
+
+// The statement fast path. A statement's shape — its token stream with
+// every literal masked, which the scanner produces in the one lex pass
+// a statement ever gets — keys a bounded cache of prepared statements.
+// An entry holds everything the parser, the catalog lookups before
+// execution and the optimizer derived from the first statement of the
+// shape; a later one binds its literals into the parameter vector and
+// goes straight to the lock manager and the executor. A miss runs the
+// parser over the same tokens, so the parser stays the only definition
+// of the language and of which literals are parameters.
+
+// stmtClass is how the statement path treats a statement around its
+// execution: which table-lock mode, whether it opens a WAL unit, whether
+// it commits the open transaction first.
+type stmtClass uint8
+
+const (
+	classOther     stmtClass = iota // SELECT, EXPLAIN, CREATE STATISTICS, SET
+	classDML                        // INSERT, UPDATE, DELETE
+	classDDL                        // runs alone behind the WAL's exclusive gate
+	classOnlineDDL                  // CREATE INDEX ... ONLINE: takes its own locks
+)
+
+// planEntry is the optimizer's and the executor compiler's output for
+// one SELECT shape.
+type planEntry struct {
+	plan    *optimizer.Plan
+	prep    *executor.Prepared
+	optTime time.Duration
+}
+
+// prepared is one statement made ready to execute. Cached entries are
+// immutable once published and shared by every session.
+type prepared struct {
+	stmt   sqlparser.Statement
+	kind   string
+	class  stmtClass
+	tables []string  // as written, in first-appearance order (the parser sensor's view)
+	locks  []string  // table locks to take: lower-cased, sorted, virtual tables left out
+	mode   lock.Mode // their mode
+
+	// SELECT only, filled in once the statement is planned.
+	plan    *planEntry
+	columns []string
+
+	// Cached entries only. key is the shape key; bindings say which
+	// literal of a statement of this shape feeds which parameter, and
+	// fixed holds the text of the literals the parser left in the
+	// statement (LIMIT 5 is another statement than LIMIT 6): an entry
+	// serves exactly the statements whose unbound literals equal these.
+	// refs is the monitor's counter for the objects the shape references.
+	key      string
+	bindings []sqlparser.Binding
+	fixed    []string
+	refs     *monitor.RefSet
+
+	lastUsed atomic.Int64 // coarse statement clock of the last hit
+}
+
+// maxCachedDMLLiterals keeps multi-row INSERTs out of the cache: their
+// shape varies with the row count and their AST is as large as the
+// statement, so an entry would cost more than the parse it saves.
+const maxCachedDMLLiterals = 64
+
+// serves reports whether the entry's unbound literals equal those of a
+// statement of its shape.
+func (p *prepared) serves(lits []sqlparser.Lit) bool {
+	if len(p.fixed) == 0 {
+		return true
+	}
+	j := 0
+	for i, b := range p.bindings {
+		if b.Param < 0 {
+			if lits[i].Text != p.fixed[j] {
+				return false
+			}
+			j++
+		}
+	}
+	return true
+}
+
+// observe hands the statement's kind and referenced objects to the
+// monitor handle: the registered reference set of a cached entry, else
+// the table list the parser found.
+func (p *prepared) observe(h *monitor.Handle) {
+	if p.refs != nil {
+		h.Prepared(p.kind, p.refs)
+	} else {
+		h.Parsed(p.kind, p.tables)
+	}
+}
+
+// newPrepared builds the entry of a freshly parsed statement. key is
+// the statement's shape key (nil when it has none); a cacheable
+// statement's entry carries it together with the parser's bindings.
+func (db *DB) newPrepared(parsed *sqlparser.ParseResult, key []byte, lits []sqlparser.Lit) *prepared {
+	stmt := parsed.Stmt
+	p := &prepared{stmt: stmt, kind: stmt.Kind(), tables: sqlparser.ReferencedTables(stmt), mode: lockS}
+	cacheable := false
+	switch st := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		cacheable = true
+	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
+		p.class, p.mode = classDML, lockIX
+		cacheable = len(lits) <= maxCachedDMLLiterals
+	case *sqlparser.CreateIndexStmt:
+		// CREATE INDEX ... ONLINE must not run behind the upfront
+		// exclusive gate or the table X lock — the whole point is that
+		// DML proceeds during the build. The builder takes its own
+		// locks per chunk and the gate only for the final catch-up.
+		if st.Online {
+			p.class = classOnlineDDL
+		} else {
+			p.class, p.mode = classDDL, lockX
+		}
+	case *sqlparser.CreateTableStmt, *sqlparser.DropTableStmt,
+		*sqlparser.DropIndexStmt, *sqlparser.ModifyStmt:
+		p.class, p.mode = classDDL, lockX
+	}
+	if p.class != classOnlineDDL {
+		// Sorted to reduce deadlocks. Virtual tables are lock-free
+		// snapshots.
+		for _, t := range p.tables {
+			if t = strings.ToLower(t); db.virtualTable(t) == nil {
+				p.locks = append(p.locks, t)
+			}
+		}
+		slices.Sort(p.locks)
+	}
+	if cacheable && key != nil {
+		p.key = string(key)
+		p.bindings = parsed.Bindings
+		for i, b := range p.bindings {
+			if b.Param < 0 {
+				p.fixed = append(p.fixed, strings.Clone(lits[i].Text))
+			}
+		}
+	}
+	return p
+}
+
+// publish puts a completed entry into the cache, registering its
+// reference set with the monitor first; an entry without a shape key
+// stays the executing session's own.
+func (db *DB) publish(p *prepared, attrs, indexes []string, tick int64) {
+	if p.key == "" {
+		return
+	}
+	p.refs = db.mon.NewRefSet(p.tables, attrs, indexes)
+	db.plans.put(p, tick)
+}
+
+// stmtCache is the bounded cache of prepared statements, keyed by shape
+// with one entry per distinct set of unbound literals. Hits
+// take the read side of the lock and stamp the entry with a coarse
+// statement clock; a put over capacity evicts the entry with the oldest
+// stamp. DDL and statistics changes drop everything. The warm cache is
+// what collapses per-statement cost for repeated statement shapes — the
+// effect behind the paper's Figure 5.
+type stmtCache struct {
+	mu  sync.RWMutex
+	cap int
+	n   int // entries, over all shapes
+	m   map[string][]*prepared
+	mon *monitor.Monitor // evicted entries' reference sets are retired here
+	// gen counts invalidations. A session looks its statement up before
+	// it holds the statement's table locks, so DDL on those tables may
+	// drop the cache in between; it notes gen at the lookup and checks it
+	// again under the locks (Session.Exec).
+	gen atomic.Uint64
+}
+
+func newStmtCache(capacity int, mon *monitor.Monitor) *stmtCache {
+	return &stmtCache{cap: capacity, m: map[string][]*prepared{}, mon: mon}
+}
+
+// clockShift coarsens the LRU clock: a hot entry, hit by every session,
+// is written once per 2^clockShift statements instead of on every hit.
+const clockShift = 6
+
+// get returns the entry serving a statement with this shape key and
+// literal vector, or nil.
+func (c *stmtCache) get(key []byte, lits []sqlparser.Lit, tick int64) *prepared {
+	var p *prepared
+	c.mu.RLock()
+	for _, e := range c.m[string(key)] {
+		if e.serves(lits) {
+			p = e
+			break
+		}
+	}
+	c.mu.RUnlock()
+	if p != nil {
+		if now := tick >> clockShift; p.lastUsed.Load() != now {
+			p.lastUsed.Store(now)
+		}
+	}
+	return p
+}
+
+// put publishes an entry, replacing one that serves the same statements
+// and evicting the least recently used one when the cache is full.
+func (c *stmtCache) put(p *prepared, tick int64) {
+	p.lastUsed.Store(tick >> clockShift)
+	var retired *monitor.RefSet
+	c.mu.Lock()
+	es := c.m[p.key]
+	if i := slices.IndexFunc(es, func(e *prepared) bool { return slices.Equal(e.fixed, p.fixed) }); i >= 0 {
+		retired, es[i] = es[i].refs, p
+	} else {
+		if c.n >= c.cap {
+			retired = c.evictOldestLocked()
+		}
+		c.m[p.key] = append(c.m[p.key], p)
+		c.n++
+	}
+	c.mu.Unlock()
+	c.mon.RetireRefSets([]*monitor.RefSet{retired})
+}
+
+// evictOldestLocked removes the entry with the oldest stamp and returns
+// its reference set.
+func (c *stmtCache) evictOldestLocked() *monitor.RefSet {
+	var victim *prepared
+	for _, es := range c.m {
+		for _, e := range es {
+			if victim == nil || e.lastUsed.Load() < victim.lastUsed.Load() {
+				victim = e
+			}
+		}
+	}
+	if victim == nil {
+		return nil
+	}
+	es := c.m[victim.key]
+	i := slices.Index(es, victim)
+	if es = slices.Delete(es, i, i+1); len(es) == 0 {
+		delete(c.m, victim.key)
+	} else {
+		c.m[victim.key] = es
+	}
+	c.n--
+	return victim.refs
+}
+
+// invalidate drops every entry; DDL and statistics changes call it so
+// new plans see the new physical design.
+func (c *stmtCache) invalidate() {
+	var retired []*monitor.RefSet
+	c.mu.Lock()
+	for _, es := range c.m {
+		for _, e := range es {
+			retired = append(retired, e.refs)
+		}
+	}
+	c.m = map[string][]*prepared{}
+	c.n = 0
+	c.gen.Add(1)
+	c.mu.Unlock()
+	c.mon.RetireRefSets(retired)
+}
+
+// len returns the number of cached entries.
+func (c *stmtCache) len() int {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.n
+}
+
+// InvalidatePlans clears the statement cache (exported for the
+// analyzer, which changes the physical design out-of-band).
+func (db *DB) InvalidatePlans() { db.plans.invalidate() }
+
+// prepare turns statement text into a prepared statement and its
+// parameter vector: one lex pass, then either a cache hit — the
+// literals are bound into the session's parameter buffer, which the
+// next statement reuses — or the parser.
+func (s *Session) prepare(sql string, tick int64) (*prepared, []sqltypes.Value, error) {
+	sc := &s.scan
+	if err := sc.Scan(sql); err != nil {
+		return nil, nil, err
+	}
+	key := sc.Key()
+	if key != nil {
+		s.cacheGen = s.db.plans.gen.Load()
+		if p := s.db.plans.get(key, sc.Literals(), tick); p != nil {
+			// A literal without a value (an integer out of range) falls
+			// through to the parser, which words the error.
+			if params, ok := sqlparser.Bind(s.params[:0], sc.Literals(), p.bindings); ok {
+				s.params = params
+				return p, params, nil
+			}
+		}
+	}
+	return s.parse(tick)
+}
+
+// parse is the miss road of prepare: the parser over the tokens of the
+// session's last scan. Exec also takes it for a cache hit that DDL
+// overtook on the way to the table locks.
+func (s *Session) parse(tick int64) (*prepared, []sqltypes.Value, error) {
+	sc := &s.scan
+	parsed, err := sc.Parse()
+	if err != nil {
+		return nil, nil, err
+	}
+	p := s.db.newPrepared(parsed, sc.Key(), sc.Literals())
+	if p.class == classDML {
+		// Nothing more to derive for a write: the entry is complete.
+		// (A SELECT is published once it is planned.)
+		s.db.publish(p, nil, nil, tick)
+	}
+	return p, parsed.Params, nil
+}

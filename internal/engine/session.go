@@ -1,13 +1,10 @@
 package engine
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/catalog"
@@ -63,10 +60,11 @@ type Session struct {
 	// transactions, so transaction atomicity comes from the MVCC commit
 	// record (WALTxnCommit), not from WAL scoping.
 	wtx *storage.WalTxn
-	// batchExec selects the vectorized batch pipeline for SELECTs
-	// (default). The row-at-a-time path is kept for comparison and as
-	// the reference semantics; both produce identical results, tuple
-	// counts and trace counts.
+	// batchExec selects the vectorized batch pipeline for SELECTs whose
+	// plan has a batch-native leaf (default). The row-at-a-time path is
+	// kept for comparison and as the reference semantics; both produce
+	// identical results, tuple counts and trace counts. A plan with
+	// nothing to vectorize runs row-at-a-time whatever the setting.
 	batchExec bool
 	// prof is the wait profiler of the currently executing statement,
 	// non-nil only while a phase-2 flagged statement runs (Exec sets
@@ -76,6 +74,18 @@ type Session struct {
 	// plan subtrees; defaults to min(GOMAXPROCS, 8), adjustable with
 	// SET PARALLEL n or SetParallel. 1 keeps execution serial.
 	parallel int
+
+	// Statement-path scratch, reused by every statement of the session:
+	// the scanner's token, shape-key and literal buffers, the parameter
+	// vector a cache hit binds its literals into, and the storage adapter
+	// handed to the executor. None of it outlives the statement — results
+	// copy what they keep.
+	scan   sqlparser.Scanner
+	params []sqltypes.Value
+	store  executorStorage
+	// cacheGen is the statement cache's generation at this statement's
+	// lookup (see stmtCache.gen).
+	cacheGen uint64
 }
 
 // SetBatchExec switches the session between the vectorized batch
@@ -275,14 +285,18 @@ func (s *Session) runPrepared(prep *executor.Prepared, ctx *executor.Ctx) ([]sql
 			s.db.parallelWorkerNanos.Add(ctx.WorkerNanos)
 		}
 	}()
-	if s.batchExec {
-		it, err := prep.RunBatch(executorStorage{db: s.db, prof: s.prof, snap: s.snap}, ctx)
+	s.store = executorStorage{db: s.db, prof: s.prof, snap: s.snap}
+	if s.batchExec && prep.Vectorizable() {
+		it, err := prep.RunBatch(&s.store, ctx)
 		if err != nil {
 			return nil, err
 		}
 		return executor.CollectBatches(it)
 	}
-	it, err := prep.Run(executorStorage{db: s.db, prof: s.prof, snap: s.snap}, ctx)
+	// Nothing in the plan produces batches (index probes and what sits
+	// above them): the row pipeline's rows are stable, so they go into
+	// the result as they come, with no batch to fill and copy out of.
+	it, err := prep.Run(&s.store, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -303,21 +317,26 @@ func (s *Session) Close() {
 
 // Result is the outcome of one statement.
 type Result struct {
-	Columns      []string
+	// Columns names the result columns of a SELECT; shared with the
+	// statement cache — read-only.
+	Columns []string
+	// Rows belong to the caller: nothing in them aliases session or
+	// cache memory.
 	Rows         []sqltypes.Row
 	RowsAffected int64
 	// Plan is the optimizer plan for SELECTs (nil for other
-	// statements); shared with the plan cache — read-only.
+	// statements); shared with the statement cache — read-only.
 	Plan *optimizer.Plan
 }
 
-// Exec parses, plans and executes one SQL statement. This is the
+// Exec prepares, plans and executes one SQL statement. This is the
 // monitored statement path of the paper's Figure 2: wallclock start,
 // parser sensor, optimizer sensor, execution cost sensor, wallclock
-// stop.
+// stop. A statement whose shape was seen before skips the parser and
+// the optimizer (see prepared.go).
 func (s *Session) Exec(sql string) (*Result, error) {
 	db := s.db
-	db.statements.Add(1)
+	tick := db.statements.Add(1)
 
 	h := db.mon.StartStatement(sql)
 
@@ -348,33 +367,13 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		}()
 	}
 
-	parsed, err := sqlparser.ParseNormalized(sql)
+	p, params, err := s.prepare(sql, tick)
 	if err != nil {
 		h.Finish(0, 0, 0, err)
 		return nil, err
 	}
-	stmt := parsed.Stmt
-	tables := sqlparser.ReferencedTables(stmt)
-	h.Parsed(stmt.Kind(), tables)
-
-	var isDML, isDDL, isOnlineDDL bool
-	switch st := stmt.(type) {
-	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		isDML = true
-	case *sqlparser.CreateIndexStmt:
-		// CREATE INDEX ... ONLINE must not run behind the upfront
-		// exclusive gate or the table X lock — the whole point is that
-		// DML proceeds during the build. The builder takes its own
-		// locks per chunk and the gate only for the final catch-up.
-		if st.Online {
-			isOnlineDDL = true
-		} else {
-			isDDL = true
-		}
-	case *sqlparser.CreateTableStmt, *sqlparser.DropTableStmt,
-		*sqlparser.DropIndexStmt, *sqlparser.ModifyStmt:
-		isDDL = true
-	}
+	p.observe(&h)
+	isDML, isDDL, isOnlineDDL := p.class == classDML, p.class == classDDL, p.class == classOnlineDDL
 
 	var ddlRelease func()
 	if isDDL || isOnlineDDL {
@@ -417,50 +416,37 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		s.wtx.SetProf(s.prof)
 	}
 
-	// Table-lock acquisition, in sorted order to reduce deadlocks.
-	// Readers take Shared (DDL exclusion only — they never block on or
-	// behind writers), DML takes Intent, DDL takes Exclusive. Virtual
-	// tables are lock-free snapshots. Row-level write locks are taken
-	// inside the DML executors, per matched row.
-	mode := lockS
-	if isDML {
-		mode = lockIX
-	} else if isDDL {
-		mode = lockX
-	}
-	var locked []string
-	for _, t := range tables {
-		if isOnlineDDL {
-			break // the online builder takes its own short-lived locks
-		}
-		key := strings.ToLower(t)
-		if db.virtualTable(key) != nil {
-			continue
-		}
-		locked = append(locked, key)
-	}
-	sort.Strings(locked)
-	for _, t := range locked {
+	// Table-lock acquisition, in the sorted order the prepared statement
+	// carries. Readers take Shared (DDL exclusion only — they never
+	// block on or behind writers), DML takes Intent, DDL takes
+	// Exclusive; an online index build takes none here. Row-level write
+	// locks are taken inside the DML executors, per matched row.
+	for _, t := range p.locks {
 		var lockStart time.Time
 		if s.prof != nil {
 			lockStart = time.Now()
 		}
-		err := db.locks.Acquire(s.id, t, mode)
+		err := db.locks.Acquire(s.id, t, p.mode)
 		if s.prof != nil {
 			h.AddLockWait(time.Since(lockStart))
 		}
 		if err != nil {
-			// A deadlock victim aborts its whole transaction: versions
-			// it wrote become invisible. The WAL finish lands before
-			// the lock release so no later statement can commit over a
-			// still-open one.
-			s.finishWalTxn(false)
-			s.endTxn(false)
-			s.inTxn = false
-			h.Finish(0, 0, 0, err)
-			return nil, err
+			// A deadlock victim aborts its whole transaction.
+			return nil, s.abort(&h, err)
 		}
 	}
+	if p.key != "" && s.cacheGen != db.plans.gen.Load() {
+		// DDL dropped the cache between this statement's lookup and its
+		// table locks: what the entry holds (a plan over an index or a
+		// storage structure) may be gone. Under the locks nothing can
+		// change any more, so parse and plan afresh — the same tables,
+		// hence the same locks.
+		if p, params, err = s.parse(tick); err != nil {
+			return nil, s.abort(&h, err)
+		}
+		p.observe(&h)
+	}
+	stmt := p.stmt
 	if !isDDL && !isOnlineDDL {
 		// The visibility snapshot: captured after the table locks so a
 		// schema change cannot slide under it. One snapshot per
@@ -478,9 +464,9 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	var res *Result
 	switch st := stmt.(type) {
 	case *sqlparser.SelectStmt:
-		res, err = s.execSelect(st, parsed, &h)
+		res, err = s.execSelect(st, p, params, &h, tick)
 	case *sqlparser.ExplainStmt:
-		res, err = s.execExplain(sql, st, parsed, &h)
+		res, err = s.execExplain(sql, st, params, &h)
 	case *sqlparser.CreateTableStmt:
 		res, err = db.execCreateTable(st)
 	case *sqlparser.DropTableStmt:
@@ -498,11 +484,11 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	case *sqlparser.CreateStatisticsStmt:
 		res, err = db.execCreateStatistics(st)
 	case *sqlparser.InsertStmt:
-		res, err = s.execInsert(st, parsed.Params, &h)
+		res, err = s.execInsert(st, params, &h)
 	case *sqlparser.UpdateStmt:
-		res, err = s.execUpdate(st, parsed.Params, &h)
+		res, err = s.execUpdate(st, params, &h)
 	case *sqlparser.DeleteStmt:
-		res, err = s.execDelete(st, parsed.Params, &h)
+		res, err = s.execDelete(st, params, &h)
 	case *sqlparser.SetStmt:
 		res, err = s.execSet(st)
 	default:
@@ -563,6 +549,18 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	return res, nil
 }
 
+// abort ends a statement that failed before it was dispatched, and with
+// it the whole transaction: versions it wrote become invisible. The WAL
+// finish lands before the lock release so no later statement can commit
+// over a still-open one.
+func (s *Session) abort(h *monitor.Handle, err error) error {
+	s.finishWalTxn(false)
+	s.endTxn(false)
+	s.inTxn = false
+	h.Finish(0, 0, 0, err)
+	return err
+}
+
 // execSet applies a session configuration statement (SET <name> <n>).
 func (s *Session) execSet(st *sqlparser.SetStmt) (*Result, error) {
 	switch st.Name {
@@ -579,12 +577,15 @@ func (s *Session) execSet(st *sqlparser.SetStmt) (*Result, error) {
 // Query is Exec restricted to statements returning rows.
 func (s *Session) Query(sql string) (*Result, error) { return s.Exec(sql) }
 
-func (s *Session) execSelect(st *sqlparser.SelectStmt, parsed *sqlparser.ParseResult, h *monitor.Handle) (*Result, error) {
+// execSelect runs a SELECT. A statement prepared before brings its plan
+// and compiled pipeline; the first of its shape is planned, compiled and
+// — when it has a shape key — published for the ones after it.
+func (s *Session) execSelect(st *sqlparser.SelectStmt, p *prepared, params []sqltypes.Value, h *monitor.Handle, tick int64) (*Result, error) {
 	db := s.db
-	entry, ok := db.plans.get(parsed.Normalized)
-	if !ok {
+	entry := p.plan
+	if entry == nil {
 		t0 := time.Now()
-		plan, err := optimizer.PlanSelect(st, db.catalogView(), optimizer.Options{Params: parsed.Params})
+		plan, err := optimizer.PlanSelect(st, db.catalogView(), optimizer.Options{Params: params})
 		if err != nil {
 			return nil, err
 		}
@@ -593,8 +594,14 @@ func (s *Session) execSelect(st *sqlparser.SelectStmt, parsed *sqlparser.ParseRe
 			return nil, err
 		}
 		entry = &planEntry{plan: plan, prep: prep, optTime: time.Since(t0)}
-		db.plans.put(parsed.Normalized, entry)
+		p.plan = entry // p is this session's alone until published
+		p.columns = make([]string, len(prep.Columns()))
+		for i, c := range prep.Columns() {
+			p.columns[i] = c.Name
+		}
 		h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, entry.optTime)
+		db.publish(p, plan.Attributes, plan.UsedIndexes, tick)
+		p.observe(h)
 	} else {
 		// Cache hit: the optimizer was bypassed entirely; estimates
 		// come from the cached plan.
@@ -602,35 +609,42 @@ func (s *Session) execSelect(st *sqlparser.SelectStmt, parsed *sqlparser.ParseRe
 			entry.plan.Attributes, entry.plan.UsedIndexes, 0)
 	}
 
-	ctx := executor.Ctx{Params: parsed.Params}
-	io0 := db.pool.Stats()
-	rows, err := s.runPrepared(entry.prep, &ctx)
-	io1 := db.pool.Stats()
-	ioDelta := (io1.Misses - io0.Misses) + (io1.DiskWrite - io0.DiskWrite)
+	ctx := executor.Ctx{Params: params}
+	rows, ioDelta, err := s.runCounted(entry.prep, &ctx, h)
 	h.Finish(ctx.Tuples, ioDelta, int64(len(rows)), err)
 	if err != nil {
 		return nil, err
 	}
-	cols := make([]string, len(entry.prep.Columns()))
-	for i, c := range entry.prep.Columns() {
-		cols[i] = c.Name
+	return &Result{Columns: p.columns, Rows: rows, Plan: entry.plan}, nil
+}
+
+// runCounted is runPrepared plus the execution sensor's I/O figure: the
+// buffer-pool misses and page writes during the run. The two counters
+// are read only for a live handle.
+func (s *Session) runCounted(prep *executor.Prepared, ctx *executor.Ctx, h *monitor.Handle) ([]sqltypes.Row, int64, error) {
+	if !h.Live() {
+		rows, err := s.runPrepared(prep, ctx)
+		return rows, 0, err
 	}
-	return &Result{Columns: cols, Rows: rows, Plan: entry.plan}, nil
+	m0, w0 := s.db.pool.IOCounts()
+	rows, err := s.runPrepared(prep, ctx)
+	m1, w1 := s.db.pool.IOCounts()
+	return rows, (m1 - m0) + (w1 - w0), err
 }
 
 // execExplain handles the SQL form of EXPLAIN: it plans the embedded
 // SELECT (optionally admitting virtual indexes with WHATIF) and
 // returns the rendered plan as rows. With ANALYZE it also executes the
 // statement under a per-operator trace.
-func (s *Session) execExplain(sql string, st *sqlparser.ExplainStmt, parsed *sqlparser.ParseResult, h *monitor.Handle) (*Result, error) {
+func (s *Session) execExplain(sql string, st *sqlparser.ExplainStmt, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
 	if st.Analyze {
 		if st.WhatIf {
 			return nil, fmt.Errorf("engine: EXPLAIN WHATIF ANALYZE is not supported (virtual indexes cannot be executed)")
 		}
-		return s.execExplainAnalyze(sql, st, parsed, h)
+		return s.execExplainAnalyze(sql, st, params, h)
 	}
 	plan, err := optimizer.PlanSelect(st.Select, s.db.catalogView(), optimizer.Options{
-		Params:             parsed.Params,
+		Params:             params,
 		WithVirtualIndexes: st.WhatIf,
 	})
 	if err != nil {
@@ -650,12 +664,12 @@ func (s *Session) execExplain(sql string, st *sqlparser.ExplainStmt, parsed *sql
 // span collector attached and renders the plan annotated with actual
 // rows, inclusive time and Next() calls next to the estimates. The
 // trace is also pushed into the monitor's trace ring, where ima_spans
-// exposes it over SQL. The plan cache is bypassed: the point of
+// exposes it over SQL. The statement cache is bypassed: the point of
 // ANALYZE is to observe a full plan+execute cycle.
-func (s *Session) execExplainAnalyze(sql string, st *sqlparser.ExplainStmt, parsed *sqlparser.ParseResult, h *monitor.Handle) (*Result, error) {
+func (s *Session) execExplainAnalyze(sql string, st *sqlparser.ExplainStmt, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
 	db := s.db
 	t0 := time.Now()
-	plan, err := optimizer.PlanSelect(st.Select, db.catalogView(), optimizer.Options{Params: parsed.Params})
+	plan, err := optimizer.PlanSelect(st.Select, db.catalogView(), optimizer.Options{Params: params})
 	if err != nil {
 		return nil, err
 	}
@@ -667,13 +681,13 @@ func (s *Session) execExplainAnalyze(sql string, st *sqlparser.ExplainStmt, pars
 	h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, optTime)
 
 	tr := prep.NewTrace()
-	ctx := executor.Ctx{Params: parsed.Params, Trace: tr}
-	io0 := db.pool.Stats()
+	ctx := executor.Ctx{Params: params, Trace: tr}
+	m0, w0 := db.pool.IOCounts()
 	start := time.Now()
 	rows, err := s.runPrepared(prep, &ctx)
 	wall := time.Since(start)
-	io1 := db.pool.Stats()
-	ioDelta := (io1.Misses - io0.Misses) + (io1.DiskWrite - io0.DiskWrite)
+	m1, w1 := db.pool.IOCounts()
+	ioDelta := (m1 - m0) + (w1 - w0)
 	h.Finish(ctx.Tuples, ioDelta, int64(len(rows)), err)
 	if err != nil {
 		return nil, err
@@ -738,73 +752,6 @@ func (s *Session) Explain(sql string, withVirtual bool) (*optimizer.Plan, error)
 		WithVirtualIndexes: withVirtual,
 	})
 }
-
-// planEntry is one cached prepared statement.
-type planEntry struct {
-	plan    *optimizer.Plan
-	prep    *executor.Prepared
-	optTime time.Duration
-}
-
-// planCache is a small LRU over normalized statement text. The warm
-// cache is what collapses per-statement cost for repeated statement
-// shapes — the effect behind the paper's Figure 5.
-type planCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[string]*list.Element
-	lru *list.List
-}
-
-type planCacheEntry struct {
-	key   string
-	entry *planEntry
-}
-
-func newPlanCache(capacity int) *planCache {
-	return &planCache{cap: capacity, m: map[string]*list.Element{}, lru: list.New()}
-}
-
-func (c *planCache) get(key string) (*planEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*planCacheEntry).entry, true
-}
-
-func (c *planCache) put(key string, e *planEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		el.Value.(*planCacheEntry).entry = e
-		c.lru.MoveToFront(el)
-		return
-	}
-	el := c.lru.PushFront(&planCacheEntry{key: key, entry: e})
-	c.m[key] = el
-	for len(c.m) > c.cap {
-		last := c.lru.Back()
-		c.lru.Remove(last)
-		delete(c.m, last.Value.(*planCacheEntry).key)
-	}
-}
-
-// Invalidate drops every cached plan; DDL and statistics changes call
-// it so new plans see the new physical design.
-func (c *planCache) invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m = map[string]*list.Element{}
-	c.lru = list.New()
-}
-
-// InvalidatePlans clears the plan cache (exported for the analyzer,
-// which changes the physical design out-of-band).
-func (db *DB) InvalidatePlans() { db.plans.invalidate() }
 
 // catalogView adapts the DB to the optimizer's CatalogView.
 func (db *DB) catalogView() optimizer.CatalogView { return catView{db} }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -138,12 +137,11 @@ func (db *DB) checkUnique(h *tableHandle, row sqltypes.Row, self uint64) error {
 		if err != nil {
 			return err
 		}
-		it := bt.Seek(key)
+		// Every entry of this key value is key || TID suffix, and the
+		// suffix never starts with 0xFF: [key, key||0xFF) is exactly the
+		// set of versions carrying the key.
+		it := bt.Seek(key, append(key[:len(key):len(key)], 0xFF))
 		for it.Next() {
-			k := it.Key()
-			if len(k) < len(key) || string(k[:len(key)]) != string(key) {
-				break
-			}
 			tid := tidFromBytes(it.Value())
 			rec, ok, gerr := h.heap.Get(tid)
 			if gerr != nil {
@@ -413,20 +411,27 @@ func (r *heapBatchRowIter) Close() error { return r.it.Close() }
 // version the snapshot cannot see — any such reuse happened after the
 // snapshot, so visibility filters it out.
 type btreeFetchIter struct {
-	it   *storage.Iterator
-	hi   []byte
+	it   *storage.Iterator // bounded to the range: it never yields a key past it
 	heap *storage.Heap
 	snap *snapshot
 	prof *storage.WaitProf
+	// rec is the reused record buffer (rows are decoded out of it, text
+	// included, so nothing aliases it); recArr backs it for records of
+	// ordinary size so a point fetch allocates no buffer at all.
+	rec    []byte
+	recArr [256]byte
 }
 
 func (r *btreeFetchIter) Next() (sqltypes.Row, bool, error) {
+	if r.rec == nil {
+		r.rec = r.recArr[:0]
+	}
 	for r.it.Next() {
-		if bytes.Compare(r.it.Key(), r.hi) >= 0 {
-			return nil, false, nil
-		}
 		tid := tidFromBytes(r.it.Value())
-		rec, ok, err := r.heap.GetProf(tid, r.prof)
+		rec, ok, err := r.heap.GetBuf(tid, r.rec[:0], r.prof)
+		if ok {
+			r.rec = rec
+		}
 		if err != nil {
 			return nil, false, err
 		}
@@ -521,7 +526,7 @@ func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executo
 	if bt == nil {
 		return nil, fmt.Errorf("engine: index %s has no storage", index)
 	}
-	return &btreeFetchIter{it: bt.SeekProf(lo, s.prof), hi: hi, heap: h.heap, snap: s.snapshot(), prof: s.prof}, nil
+	return &btreeFetchIter{it: bt.SeekProf(lo, hi, s.prof), heap: h.heap, snap: s.snapshot(), prof: s.prof}, nil
 }
 
 // PrimaryRange implements executor.Storage.
@@ -533,7 +538,7 @@ func (s executorStorage) PrimaryRange(table string, lo, hi []byte) (executor.Row
 	if h.primary == nil {
 		return nil, fmt.Errorf("engine: table %s has no primary B-Tree", table)
 	}
-	return &btreeFetchIter{it: h.primary.SeekProf(lo, s.prof), hi: hi, heap: h.heap, snap: s.snapshot(), prof: s.prof}, nil
+	return &btreeFetchIter{it: h.primary.SeekProf(lo, hi, s.prof), heap: h.heap, snap: s.snapshot(), prof: s.prof}, nil
 }
 
 // scanAll collects every committed-visible row of a table with its TID

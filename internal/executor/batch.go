@@ -146,9 +146,9 @@ func (a *batchToRowsIter) Close() error { return a.in.Close() }
 
 // RowArena carves stable row copies out of shared chunks, so
 // materializing rows costs one allocation per chunk instead of one per
-// row. Chunks grow geometrically from a small start (point lookups
-// materialize a handful of values; scans settle on maxArenaChunk-value
-// chunks). Carved rows are never overwritten — full-capacity slicing
+// row. The first chunk is exactly the first request (a point lookup
+// materializes one short row and pays for nothing more); chunks then
+// double, so scans settle on maxArenaChunk-value chunks. Carved rows are never overwritten — full-capacity slicing
 // keeps later appends from aliasing them — and abandoned chunks are
 // garbage-collected as soon as their carved rows are dropped, so a
 // consumer that discards rows never accumulates the whole scan.
@@ -158,10 +158,7 @@ type RowArena struct {
 	buf []sqltypes.Value
 }
 
-const (
-	minArenaChunk = 64
-	maxArenaChunk = 8192
-)
+const maxArenaChunk = 8192
 
 // grow ensures the current chunk has room for need more values,
 // starting a fresh chunk otherwise.
@@ -169,17 +166,7 @@ func (a *RowArena) grow(need int) {
 	if cap(a.buf)-len(a.buf) >= need {
 		return
 	}
-	size := 2 * cap(a.buf)
-	if size < minArenaChunk {
-		size = minArenaChunk
-	}
-	if size > maxArenaChunk {
-		size = maxArenaChunk
-	}
-	if need > size {
-		size = need
-	}
-	a.buf = make([]sqltypes.Value, 0, size)
+	a.buf = make([]sqltypes.Value, 0, max(need, min(2*cap(a.buf), maxArenaChunk)))
 }
 
 // Alloc carves an uninitialized stable row of n values the caller

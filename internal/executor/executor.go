@@ -1,7 +1,7 @@
 // Package executor compiles optimizer plans into Volcano-style
 // iterators and runs them against a Storage implementation provided by
 // the engine. Compiled plans are immutable and reusable — the engine's
-// plan cache holds them across executions, which produces the cache
+// statement cache holds them across executions, which produces the cache
 // warm-up effect of the paper's Figure 5.
 package executor
 
@@ -58,7 +58,17 @@ type Prepared struct {
 	root  compiled
 	out   []optimizer.OutCol
 	spans []SpanMeta // operator descriptions in pre-order
+	// batchLeaf: the plan has a leaf that produces batches natively (a
+	// sequential scan). Without one every operator would run
+	// row-at-a-time behind a bridge, so there is nothing to vectorize.
+	batchLeaf bool
 }
+
+// Vectorizable reports whether the plan has a batch-native leaf, i.e.
+// whether RunBatch moves anything in batches. A plan without one (index
+// probes and the operators above them) is the row pipeline either way;
+// callers run it with Run and keep the rows it yields, which are stable.
+func (p *Prepared) Vectorizable() bool { return p.batchLeaf }
 
 // Columns returns the output column descriptions.
 func (p *Prepared) Columns() []optimizer.OutCol { return p.out }
@@ -88,14 +98,15 @@ func Compile(plan *optimizer.Plan) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{root: root, out: plan.Root.Out(), spans: cp.spans}, nil
+	return &Prepared{root: root, out: plan.Root.Out(), spans: cp.spans, batchLeaf: cp.batchLeaf}, nil
 }
 
 // compiler walks the plan tree assigning pre-order span IDs; operators
 // with inputs compile their children through it so IDs stay aligned
 // with the SpanMeta slice.
 type compiler struct {
-	spans []SpanMeta
+	spans     []SpanMeta
+	batchLeaf bool // a batch-native leaf was compiled
 }
 
 func (cp *compiler) compile(n optimizer.Node, depth int) (compiled, error) {
@@ -105,6 +116,7 @@ func (cp *compiler) compile(n optimizer.Node, depth int) (compiled, error) {
 	var err error
 	switch x := n.(type) {
 	case *optimizer.SeqScan:
+		cp.batchLeaf = true
 		inner, err = compileSeqScan(x)
 	case *optimizer.IndexScan:
 		inner, err = compileIndexScan(x)

@@ -231,7 +231,8 @@ func compileIndexScan(n *optimizer.IndexScan) (compiled, error) {
 // plus optional range bounds. Returns ok=false when a probe value is
 // NULL (no row can match).
 func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loIncl, hiIncl bool) (lo, hi []byte, ok bool, err error) {
-	var prefix []byte
+	var scratch [96]byte // keeps the prefix of an ordinary key off the heap
+	prefix := scratch[:0]
 	for _, ce := range eq {
 		v, err := ce.Eval(env)
 		if err != nil {
@@ -242,40 +243,44 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 		}
 		prefix = sqltypes.EncodeKey(prefix, v)
 	}
+	if loE == nil && hiE == nil {
+		// Equality probe: both ends out of one allocation.
+		n := len(prefix)
+		out := make([]byte, 2*n+1)
+		copy(out, prefix)
+		copy(out[n:], prefix)
+		out[2*n] = 0xFF
+		return out[:n:n], out[n:], true, nil
+	}
 	lo = append([]byte(nil), prefix...)
 	hi = append([]byte(nil), prefix...)
-	switch {
-	case loE == nil && hiE == nil:
-		hi = append(hi, 0xFF)
-	default:
-		if loE != nil {
-			v, err := loE.Eval(env)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if v.IsNull() {
-				return nil, nil, false, nil
-			}
-			lo = sqltypes.EncodeKey(lo, v)
-			if !loIncl {
-				lo = append(lo, 0xFF)
-			}
+	if loE != nil {
+		v, err := loE.Eval(env)
+		if err != nil {
+			return nil, nil, false, err
 		}
-		if hiE != nil {
-			v, err := hiE.Eval(env)
-			if err != nil {
-				return nil, nil, false, err
-			}
-			if v.IsNull() {
-				return nil, nil, false, nil
-			}
-			hi = sqltypes.EncodeKey(hi, v)
-			if hiIncl {
-				hi = append(hi, 0xFF)
-			}
-		} else {
+		if v.IsNull() {
+			return nil, nil, false, nil
+		}
+		lo = sqltypes.EncodeKey(lo, v)
+		if !loIncl {
+			lo = append(lo, 0xFF)
+		}
+	}
+	if hiE != nil {
+		v, err := hiE.Eval(env)
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if v.IsNull() {
+			return nil, nil, false, nil
+		}
+		hi = sqltypes.EncodeKey(hi, v)
+		if hiIncl {
 			hi = append(hi, 0xFF)
 		}
+	} else {
+		hi = append(hi, 0xFF)
 	}
 	return lo, hi, true, nil
 }

@@ -10,7 +10,7 @@ package lock
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,9 +46,11 @@ func (m Mode) String() string {
 var ErrDeadlock = errors.New("lock: deadlock detected, request aborted")
 
 type waiter struct {
-	session int64
-	mode    Mode
-	ready   chan error
+	session  int64
+	mode     Mode
+	resource string
+	upgrade  bool // already a holder (and on its held list) at a weaker mode
+	ready    chan error
 }
 
 type lockState struct {
@@ -70,9 +72,20 @@ type Stats struct {
 // Manager is a lock manager for named resources (tables). It is safe
 // for concurrent use.
 type Manager struct {
-	mu        sync.Mutex
-	locks     map[string]*lockState
-	waitsFor  map[int64]string // session -> resource it is queued on
+	mu       sync.Mutex
+	locks    map[string]*lockState
+	waitsFor map[int64]string // session -> resource it is queued on
+	// held lists, per session, the resources it holds: ReleaseAll walks
+	// its own list, never the lock table, so the end of a statement costs
+	// what that statement locked however many row locks other sessions
+	// keep. visited counts the resources ReleaseAll has looked at.
+	held    map[int64]*[]string
+	visited int64
+	// Emptied lock states and held lists are recycled: an uncontended
+	// table lock taken and dropped by every statement allocates nothing.
+	freeStates []*lockState
+	freeHeld   []*[]string
+
 	grants    atomic.Int64
 	waits     atomic.Int64
 	waitNanos atomic.Int64 // cumulative time sessions spent parked
@@ -84,7 +97,51 @@ func NewManager() *Manager {
 	return &Manager{
 		locks:    map[string]*lockState{},
 		waitsFor: map[int64]string{},
+		held:     map[int64]*[]string{},
 	}
+}
+
+// maxFree bounds each recycling list; beyond it emptied objects go to
+// the garbage collector as before.
+const maxFree = 1024
+
+// maxFreeHeldCap keeps a bulk writer's list of row locks out of the
+// recycling list: only statement-sized lists are worth keeping.
+const maxFreeHeldCap = 64
+
+// stateLocked returns the lock state of resource, creating (or
+// recycling) one when nobody holds or waits on it.
+func (m *Manager) stateLocked(resource string) *lockState {
+	ls := m.locks[resource]
+	if ls == nil {
+		if n := len(m.freeStates); n > 0 {
+			ls, m.freeStates = m.freeStates[n-1], m.freeStates[:n-1]
+		} else {
+			ls = &lockState{holders: map[int64]Mode{}}
+		}
+		m.locks[resource] = ls
+	}
+	return ls
+}
+
+// grantLocked records session as a holder of resource. upgrade marks a
+// session that already holds it (and is already on its held list).
+func (m *Manager) grantLocked(ls *lockState, session int64, resource string, mode Mode, upgrade bool) {
+	ls.holders[session] = mode
+	m.grants.Add(1)
+	if upgrade {
+		return
+	}
+	hl := m.held[session]
+	if hl == nil {
+		if n := len(m.freeHeld); n > 0 {
+			hl, m.freeHeld = m.freeHeld[n-1], m.freeHeld[:n-1]
+		} else {
+			hl = new([]string)
+		}
+		m.held[session] = hl
+	}
+	*hl = append(*hl, resource)
 }
 
 // Acquire takes the named lock in the given mode for session, blocking
@@ -94,11 +151,7 @@ func NewManager() *Manager {
 // no-op; a sole Shared holder upgrades to Exclusive in place.
 func (m *Manager) Acquire(session int64, resource string, mode Mode) error {
 	m.mu.Lock()
-	ls := m.locks[resource]
-	if ls == nil {
-		ls = &lockState{holders: map[int64]Mode{}}
-		m.locks[resource] = ls
-	}
+	ls := m.stateLocked(resource)
 	upgrade := false
 	if held, ok := ls.holders[session]; ok {
 		if held >= mode {
@@ -113,8 +166,7 @@ func (m *Manager) Acquire(session int64, resource string, mode Mode) error {
 		upgrade = true
 	}
 	if m.grantableLocked(ls, session, mode, upgrade) {
-		ls.holders[session] = mode
-		m.grants.Add(1)
+		m.grantLocked(ls, session, resource, mode, upgrade)
 		m.mu.Unlock()
 		return nil
 	}
@@ -124,7 +176,7 @@ func (m *Manager) Acquire(session int64, resource string, mode Mode) error {
 		m.mu.Unlock()
 		return fmt.Errorf("%w (session %d on %s %s)", ErrDeadlock, session, resource, mode)
 	}
-	w := &waiter{session: session, mode: mode, ready: make(chan error, 1)}
+	w := &waiter{session: session, mode: mode, resource: resource, upgrade: upgrade, ready: make(chan error, 1)}
 	ls.queue = append(ls.queue, w)
 	m.waitsFor[session] = resource
 	m.waits.Add(1)
@@ -207,24 +259,41 @@ func (m *Manager) wouldDeadlockLocked(session int64, resource string) bool {
 func (m *Manager) Release(session int64, resource string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if hl := m.held[session]; hl != nil {
+		// Newest first: what is released one by one (a statement's write
+		// gate) was taken after the row locks the transaction keeps.
+		for i := len(*hl) - 1; i >= 0; i-- {
+			if (*hl)[i] == resource {
+				*hl = slices.Delete(*hl, i, i+1)
+				break
+			}
+		}
+	}
 	m.releaseLocked(session, resource)
 }
 
-// ReleaseAll drops every lock the session holds and removes it from
-// every wait queue (waiters are woken with ErrDeadlock-free nil only
-// when granted; cancelled waiters receive ErrReleased).
+// ReleaseAll drops every lock the session holds, in sorted resource
+// order, granting now-eligible waiters as it goes. It visits only the
+// session's own held list.
 func (m *Manager) ReleaseAll(session int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var resources []string
-	for res, ls := range m.locks {
-		if _, ok := ls.holders[session]; ok {
-			resources = append(resources, res)
-		}
+	hl := m.held[session]
+	if hl == nil {
+		return
 	}
-	sort.Strings(resources)
-	for _, res := range resources {
+	delete(m.held, session)
+	if len(*hl) > 1 {
+		slices.Sort(*hl)
+	}
+	for _, res := range *hl {
+		m.visited++
 		m.releaseLocked(session, res)
+	}
+	if len(m.freeHeld) < maxFree && cap(*hl) <= maxFreeHeldCap {
+		clear(*hl) // drop the resource strings
+		*hl = (*hl)[:0]
+		m.freeHeld = append(m.freeHeld, hl)
 	}
 }
 
@@ -250,14 +319,25 @@ func (m *Manager) releaseLocked(session int64, resource string) {
 		if !compatible {
 			break
 		}
+		ls.queue[0] = nil
 		ls.queue = ls.queue[1:]
-		ls.holders[w.session] = w.mode
 		delete(m.waitsFor, w.session)
-		m.grants.Add(1)
+		m.grantLocked(ls, w.session, w.resource, w.mode, w.upgrade)
 		w.ready <- nil
 	}
-	if len(ls.holders) == 0 && len(ls.queue) == 0 {
-		delete(m.locks, resource)
+	m.dropIfIdleLocked(ls, resource)
+}
+
+// dropIfIdleLocked removes a lock state nobody holds or waits on from
+// the table and keeps it for the next resource that needs one.
+func (m *Manager) dropIfIdleLocked(ls *lockState, resource string) {
+	if len(ls.holders) != 0 || len(ls.queue) != 0 {
+		return
+	}
+	delete(m.locks, resource)
+	if len(m.freeStates) < maxFree {
+		ls.queue = nil
+		m.freeStates = append(m.freeStates, ls)
 	}
 }
 

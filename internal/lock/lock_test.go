@@ -2,6 +2,7 @@ package lock
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,5 +224,105 @@ func TestConcurrentStress(t *testing.T) {
 	}
 	if st := m.Stats(); st.Held != 0 || st.Waiting != 0 {
 		t.Errorf("locks leaked: %+v", st)
+	}
+}
+
+// holdRowLocks makes session hold n distinct row-style resources.
+func holdRowLocks(tb testing.TB, m *Manager, session int64, n int) {
+	tb.Helper()
+	for i := 0; i < n; i++ {
+		if err := m.Acquire(session, fmt.Sprintf("r!t!%x", i), Exclusive); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// A reader's end-of-statement release must cost what the reader locked,
+// not what the lock table holds: with another session keeping 10 000 row
+// locks, ReleaseAll looks at the reader's one table lock and nothing
+// else.
+func TestReleaseAllVisitsOnlyOwnLocks(t *testing.T) {
+	m := NewManager()
+	holdRowLocks(t, m, 1, 10000)
+	if err := m.Acquire(2, "t", Shared); err != nil {
+		t.Fatal(err)
+	}
+	before := m.visited
+	m.ReleaseAll(2)
+	if got := m.visited - before; got != 1 {
+		t.Errorf("reader's ReleaseAll visited %d resources, want 1", got)
+	}
+	if m.Holding(2, "t", Shared) {
+		t.Error("reader still holds its table lock")
+	}
+	if st := m.Stats(); st.Held != 10000 {
+		t.Errorf("writer holds %d locks after the reader's release, want 10000", st.Held)
+	}
+	m.ReleaseAll(1)
+	if st := m.Stats(); st.Held != 0 || len(m.locks) != 0 || len(m.held) != 0 {
+		t.Errorf("after both releases: held=%d locks=%d sessions=%d", st.Held, len(m.locks), len(m.held))
+	}
+}
+
+// Single releases keep the held list in step, upgrades do not list a
+// resource twice, and a waiter granted by ReleaseAll gets a list of its
+// own.
+func TestHeldListTracksReleaseAndUpgrade(t *testing.T) {
+	m := NewManager()
+	for _, r := range []string{"b", "a", "w!a"} {
+		if err := m.Acquire(1, r, Shared); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Acquire(1, "a", Exclusive); err != nil { // sole holder upgrades in place
+		t.Fatal(err)
+	}
+	m.Release(1, "w!a")
+	if got := *m.held[1]; len(got) != 2 {
+		t.Fatalf("held list %v, want the two table locks", got)
+	}
+	granted := make(chan error, 1)
+	go func() { granted <- m.Acquire(2, "a", Exclusive) }()
+	for m.Stats().Waiting == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	m.ReleaseAll(1)
+	if err := <-granted; err != nil || !m.Holding(2, "a", Exclusive) {
+		t.Errorf("waiter after ReleaseAll: err=%v holding=%v", err, m.Holding(2, "a", Exclusive))
+	}
+	m.ReleaseAll(2)
+	if len(m.locks) != 0 || len(m.held) != 0 {
+		t.Errorf("leftover state: locks=%d sessions=%d", len(m.locks), len(m.held))
+	}
+}
+
+// An uncontended table lock taken and dropped per statement recycles its
+// state: steady state allocates nothing.
+func TestUncontendedAcquireReleaseAllocs(t *testing.T) {
+	m := NewManager()
+	m.Acquire(1, "protein", Shared)
+	m.ReleaseAll(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		m.Acquire(1, "protein", Shared)
+		m.ReleaseAll(1)
+	})
+	if allocs != 0 {
+		t.Errorf("acquire+release of an uncontended lock: %.0f allocs, want 0", allocs)
+	}
+}
+
+// BenchmarkReleaseAllForeignLocks is a point select's lock traffic (one
+// shared table lock, released at statement end) while another session
+// keeps 10 000 row locks.
+func BenchmarkReleaseAllForeignLocks(b *testing.B) {
+	m := NewManager()
+	holdRowLocks(b, m, 1, 10000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := m.Acquire(2, "protein", Shared); err != nil {
+			b.Fatal(err)
+		}
+		m.ReleaseAll(2)
 	}
 }

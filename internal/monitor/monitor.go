@@ -153,6 +153,13 @@ type Monitor struct {
 	// the ring wrap — this counter makes that bounded loss observable.
 	workDropped atomic.Int64
 
+	// refSets is the registry of live reference sets (refset.go): slot i
+	// of every statement shard's setCounts counts executions of
+	// refSets[i]. Guarded by refMu; slots are reused after Retire.
+	refMu     sync.Mutex
+	refSets   []*RefSet
+	freeSlots []int32
+
 	// traces is the bounded ring of per-operator statement traces
 	// (see trace.go); written only by EXPLAIN ANALYZE, never by the
 	// regular statement hot path.
@@ -256,6 +263,11 @@ type Handle struct {
 	kind  string
 	start time.Time
 
+	// Referenced objects: either a registered reference set (a cached
+	// statement shape: counted with one increment) or the loose lists the
+	// parser and optimizer sensors delivered (first execution of a shape,
+	// DDL, failed statements: counted name by name).
+	refs    *RefSet
 	tables  []string
 	attrs   []string // "table.column"
 	indexes []string
@@ -307,6 +319,11 @@ func (m *Monitor) StartStatement(text string) Handle {
 	return Handle{m: m, text: text, start: time.Now()}
 }
 
+// Live reports whether the handle still records: it came from an
+// enabled monitor and has not been finished. Callers use it to skip
+// gathering figures only Finish would read.
+func (h *Handle) Live() bool { return h != nil && h.m != nil }
+
 // Parsed is the parser sensor: statement kind and referenced tables,
 // logged "right at the source" while the parser has them in hand. The
 // slice is retained by reference and must not be mutated afterwards.
@@ -319,11 +336,25 @@ func (h *Handle) Parsed(kind string, tables []string) {
 	}
 	h.kind = kind
 	h.tables = tables
+	h.refs = nil
+}
+
+// Prepared is the parser and the object half of the optimizer sensor in
+// one store, for a statement whose shape the engine has prepared
+// before: kind and the registered reference set it cached with the
+// shape. Estimates still arrive through Optimized.
+func (h *Handle) Prepared(kind string, refs *RefSet) {
+	if h == nil {
+		return
+	}
+	h.kind = kind
+	h.refs = refs
 }
 
 // Optimized is the optimizer sensor: estimated costs, referenced
 // attributes and the indexes the plan uses. Both slices are retained
-// by reference (the engine passes the cached plan's immutable slices).
+// by reference (the engine passes the cached plan's immutable slices)
+// and ignored when Prepared supplied a reference set.
 func (h *Handle) Optimized(estCPU, estIO, estRows float64, attrs, indexes []string, optTime time.Duration) {
 	if h == nil {
 		return
@@ -365,6 +396,11 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 		EstRows: h.estRows,
 		Rows:    rows,
 		Err:     execErr != nil,
+	}
+
+	tables, attrs, indexes := h.tables, h.attrs, h.indexes
+	if h.refs != nil {
+		tables, attrs, indexes = h.refs.Tables, h.refs.Attrs, h.refs.Indexes
 	}
 
 	// Statement table, references and object frequencies: one shard,
@@ -437,15 +473,15 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 			// the statement's insertion sequence — no extra global
 			// counter on the hot path.
 			seq := si.seq << 16
-			for _, t := range h.tables {
+			for _, t := range tables {
 				sh.addRefLocked(Reference{Hash: hash, Type: ObjTable, Name: t, Table: t}, seq)
 				seq++
 			}
-			for _, a := range h.attrs {
+			for _, a := range attrs {
 				sh.addRefLocked(Reference{Hash: hash, Type: ObjAttribute, Name: a, Table: tablePart(a)}, seq)
 				seq++
 			}
-			for _, ix := range h.indexes {
+			for _, ix := range indexes {
 				sh.addRefLocked(Reference{Hash: hash, Type: ObjIndex, Name: ix}, seq)
 				seq++
 			}
@@ -461,15 +497,12 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 	si.LastSeen = h.start
 	si.Lat[wallBucket]++ // same critical section as Frequency: totals match exactly
 
-	// Object frequencies (merged by summing across shards at snapshot).
-	for _, t := range h.tables {
-		sh.tableFreq[t]++
-	}
-	for _, a := range h.attrs {
-		sh.attrFreq[a]++
-	}
-	for _, ix := range h.indexes {
-		sh.indexFreq[ix]++
+	// Object frequencies: one counter for a registered reference set,
+	// expanded to its names at snapshot time; name by name otherwise.
+	if rs := h.refs; rs != nil && rs.slot >= 0 {
+		sh.countSetLocked(rs.slot)
+	} else {
+		sh.countNamesLocked(tables, attrs, indexes, 1)
 	}
 	sh.mu.Unlock()
 

@@ -67,6 +67,12 @@ type stmtShard struct {
 	refPos  int
 	refLen  int
 
+	// Object frequencies. setCounts[i] counts this shard's executions of
+	// the registered reference set in slot i (refset.go); the per-name
+	// maps hold what was counted without a registered set plus the counts
+	// of retired sets. A snapshot expands the former into the latter's
+	// terms and sums.
+	setCounts []int64
 	tableFreq map[string]int64
 	attrFreq  map[string]int64
 	indexFreq map[string]int64

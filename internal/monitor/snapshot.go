@@ -58,12 +58,38 @@ func (m *Monitor) referencesLocked() []Reference {
 	return out
 }
 
-// frequenciesLocked sums the per-shard frequency maps. Caller holds
-// all statement shard locks.
+// frequenciesLocked sums the per-shard frequency maps and expands the
+// reference-set counters into them. Caller holds all statement shard
+// locks.
 func (m *Monitor) frequenciesLocked() (table, attr, index map[string]int64) {
 	table = map[string]int64{}
 	attr = map[string]int64{}
 	index = map[string]int64{}
+	m.refMu.Lock()
+	for slot, rs := range m.refSets {
+		if rs == nil {
+			continue
+		}
+		var n int64
+		for i := range m.shards {
+			if sc := m.shards[i].setCounts; slot < len(sc) {
+				n += sc[slot]
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		for _, t := range rs.Tables {
+			table[t] += n
+		}
+		for _, a := range rs.Attrs {
+			attr[a] += n
+		}
+		for _, ix := range rs.Indexes {
+			index[ix] += n
+		}
+	}
+	m.refMu.Unlock()
 	for i := range m.shards {
 		sh := &m.shards[i]
 		for k, v := range sh.tableFreq {

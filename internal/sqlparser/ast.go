@@ -10,7 +10,7 @@ import (
 type Statement interface {
 	stmt()
 	// Kind returns a short tag ("SELECT", "INSERT", ...) used by the
-	// monitor and the plan cache.
+	// monitor and the statement cache.
 	Kind() string
 }
 

@@ -1,7 +1,8 @@
 // Package sqlparser implements the SQL dialect of the engine: a lexer,
-// a recursive-descent parser producing an AST, and a normalizer that
-// extracts literals as parameters so that structurally identical
-// statements share a plan-cache entry.
+// a recursive-descent parser producing an AST, a normalizer that
+// extracts literals as parameters, and the one-pass scanner (scanner.go)
+// whose shape key lets structurally identical statements share a
+// prepared-statement entry.
 package sqlparser
 
 import (
@@ -62,21 +63,48 @@ var keywords = func() map[string]string {
 // maxKeywordLen bounds the upper-casing scratch buffer.
 const maxKeywordLen = 10 // "STATISTICS"
 
+// keywordLens[c-'A'] has bit n set when some keyword of length n starts
+// with letter c: most identifiers are turned away by it without being
+// upper-cased or hashed.
+var keywordLens = func() (m [26]uint16) {
+	for _, k := range keywordList {
+		m[k[0]-'A'] |= 1 << len(k)
+	}
+	return m
+}()
+
 type lexer struct {
 	src  string
 	pos  int
 	toks []token
+	// sc, when set, receives the statement's shape key and literal
+	// vector as the tokens are produced (see Scanner).
+	sc *Scanner
 }
 
-// lex tokenizes src. It returns a descriptive error with byte position
-// on bad input.
+// emit appends one token and, when a Scanner is attached, its
+// contribution to the shape key.
+func (l *lexer) emit(kind tokenKind, text string, pos int) {
+	l.toks = append(l.toks, token{kind: kind, text: text, pos: pos})
+	if l.sc != nil {
+		l.sc.add(kind, text)
+	}
+}
+
+// lex tokenizes src into a fresh token slice. It returns a descriptive
+// error with byte position on bad input.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src, toks: make([]token, 0, len(src)/4+4)}
+	l := lexer{src: src, toks: make([]token, 0, len(src)/4+4)}
+	err := l.run()
+	return l.toks, err
+}
+
+func (l *lexer) run() error {
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {
 			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-			return l.toks, nil
+			return nil
 		}
 		start := l.pos
 		c := l.src[l.pos]
@@ -88,9 +116,9 @@ func lex(src string) ([]token, error) {
 			}
 			word := l.src[start:l.pos]
 			if kw, ok := lookupKeyword(word); ok {
-				l.toks = append(l.toks, token{kind: tokKeyword, text: kw, pos: start})
+				l.emit(tokKeyword, kw, start)
 			} else {
-				l.toks = append(l.toks, token{kind: tokIdent, text: word, pos: start})
+				l.emit(tokIdent, word, start)
 			}
 		case c >= '0' && c <= '9':
 			kind := tokInt
@@ -112,20 +140,20 @@ func lex(src string) ([]token, error) {
 					l.pos++
 				}
 				if l.pos >= len(l.src) || !isDigit(l.src[l.pos]) {
-					return nil, fmt.Errorf("sql: malformed number at byte %d", start)
+					return fmt.Errorf("sql: malformed number at byte %d", start)
 				}
 				for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 					l.pos++
 				}
 			}
-			l.toks = append(l.toks, token{kind: kind, text: l.src[start:l.pos], pos: start})
+			l.emit(kind, l.src[start:l.pos], start)
 		case c == '\'':
 			l.pos++
 			bodyStart := l.pos
 			escaped := false
 			for {
 				if l.pos >= len(l.src) {
-					return nil, fmt.Errorf("sql: unterminated string starting at byte %d", start)
+					return fmt.Errorf("sql: unterminated string starting at byte %d", start)
 				}
 				if l.src[l.pos] == '\'' {
 					if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
@@ -142,35 +170,31 @@ func lex(src string) ([]token, error) {
 			if escaped {
 				text = strings.ReplaceAll(text, "''", "'")
 			}
-			l.toks = append(l.toks, token{kind: tokString, text: text, pos: start})
+			l.emit(tokString, text, start)
 		case strings.IndexByte("(),*.+-/%=;", c) >= 0:
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokSymbol, text: string(c), pos: start})
+			l.emit(tokSymbol, l.src[start:l.pos], start)
 		case c == '<':
 			l.pos++
-			sym := "<"
 			if l.pos < len(l.src) && (l.src[l.pos] == '=' || l.src[l.pos] == '>') {
-				sym += string(l.src[l.pos])
 				l.pos++
 			}
-			l.toks = append(l.toks, token{kind: tokSymbol, text: sym, pos: start})
+			l.emit(tokSymbol, l.src[start:l.pos], start)
 		case c == '>':
 			l.pos++
-			sym := ">"
 			if l.pos < len(l.src) && l.src[l.pos] == '=' {
-				sym = ">="
 				l.pos++
 			}
-			l.toks = append(l.toks, token{kind: tokSymbol, text: sym, pos: start})
+			l.emit(tokSymbol, l.src[start:l.pos], start)
 		case c == '!':
 			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
 				l.pos += 2
-				l.toks = append(l.toks, token{kind: tokSymbol, text: "<>", pos: start})
+				l.emit(tokSymbol, "<>", start)
 				break
 			}
-			return nil, fmt.Errorf("sql: unexpected '!' at byte %d", start)
+			return fmt.Errorf("sql: unexpected '!' at byte %d", start)
 		default:
-			return nil, fmt.Errorf("sql: unexpected character %q at byte %d", c, start)
+			return fmt.Errorf("sql: unexpected character %q at byte %d", c, start)
 		}
 	}
 }
@@ -205,6 +229,10 @@ func isDigit(c byte) bool     { return c >= '0' && c <= '9' }
 // the lookup never allocates.
 func lookupKeyword(word string) (string, bool) {
 	if len(word) > maxKeywordLen {
+		return "", false
+	}
+	first := word[0] &^ 0x20 // upper-cases a letter; '_' (0x5F) stays out of range
+	if first < 'A' || first > 'Z' || keywordLens[first-'A']&(1<<len(word)) == 0 {
 		return "", false
 	}
 	var buf [maxKeywordLen]byte

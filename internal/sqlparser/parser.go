@@ -10,12 +10,16 @@ import (
 
 // ParseResult carries a parsed statement together with its normalized
 // text and extracted parameters. Two statements that differ only in
-// literal values share the same Normalized text, which is the plan
-// cache key.
+// extracted literal values share the same Normalized text. It is built
+// for SELECT and EXPLAIN only — the statements for which a textual
+// identity of the plan shape has a reader — and empty otherwise.
 type ParseResult struct {
 	Stmt       Statement
 	Normalized string
 	Params     []sqltypes.Value
+	// Bindings reports, per literal token in text order, whether it was
+	// extracted as a parameter. Only Scanner.Parse fills it in.
+	Bindings []Binding
 }
 
 // Parse parses a single SQL statement with literals left inline.
@@ -38,7 +42,19 @@ func parse(sql string, extract bool) (*ParseResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return parseTokens(sql, toks, extract, false)
+}
+
+// parseTokens parses a lexed statement. bindings asks for the
+// per-literal extraction report on top of the normalized text.
+func parseTokens(sql string, toks []token, extract, bindings bool) (*ParseResult, error) {
 	p := &parser{src: sql, toks: toks, extract: extract}
+	if extract {
+		// Extracted tokens are tracked only where something reads them:
+		// the normalized text of a SELECT or EXPLAIN, or the bindings.
+		first := toks[0]
+		p.track = bindings || (first.kind == tokKeyword && (first.text == "SELECT" || first.text == "EXPLAIN"))
+	}
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -51,19 +67,53 @@ func parse(sql string, extract bool) (*ParseResult, error) {
 		return nil, p.errorf("unexpected trailing input %q", p.peek().text)
 	}
 	res := &ParseResult{Stmt: stmt, Params: p.params}
-	if extract {
-		res.Normalized = p.normalized(toks)
+	switch stmt.(type) {
+	case *SelectStmt, *ExplainStmt:
+		if extract {
+			res.Normalized = p.normalized(toks)
+		}
+	}
+	if bindings {
+		res.Bindings = p.bindings()
 	}
 	return res, nil
 }
 
 type parser struct {
-	src       string
-	toks      []token
-	pos       int
-	extract   bool
-	params    []sqltypes.Value
-	extracted map[int]bool // token indices replaced by params
+	src     string
+	toks    []token
+	pos     int
+	extract bool
+	track   bool // record which tokens were extracted
+	params  []sqltypes.Value
+	// extracted[i] marks token i as replaced by a parameter; negated[k]
+	// marks parameter k as sign-folded. Both are allocated on first use:
+	// parameters are extracted in token order, so these two are all it
+	// takes to reconstruct the normalized text and the bindings.
+	extracted []bool
+	negated   []bool
+}
+
+// isExtracted reports whether token i was replaced by a parameter.
+func (p *parser) isExtracted(i int) bool { return i < len(p.extracted) && p.extracted[i] }
+
+// bindings lists the fate of every literal token in text order.
+func (p *parser) bindings() []Binding {
+	var out []Binding
+	next := int32(0)
+	for i, t := range p.toks {
+		switch t.kind {
+		case tokInt, tokFloat, tokString:
+			b := Binding{Param: -1}
+			if p.isExtracted(i) {
+				b.Param = next
+				b.Neg = int(next) < len(p.negated) && p.negated[next]
+				next++
+			}
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -139,7 +189,7 @@ func (p *parser) normalized(toks []token) string {
 	for i, t := range toks {
 		switch {
 		case t.kind == tokEOF:
-		case p.extracted[i]:
+		case p.isExtracted(i):
 			b.WriteString("? ")
 		case t.kind == tokIdent:
 			b.WriteString(strings.ToLower(t.text))
@@ -613,6 +663,14 @@ func (p *parser) parseUnary() (Expr, error) {
 				p.params[prm.Idx] = sqltypes.NewInt(-v.I)
 			case sqltypes.Float:
 				p.params[prm.Idx] = sqltypes.NewFloat(-v.F)
+			default:
+				return prm, nil
+			}
+			if p.track {
+				if p.negated == nil {
+					p.negated = make([]bool, len(p.toks))
+				}
+				p.negated[prm.Idx] = !p.negated[prm.Idx]
 			}
 			return prm, nil
 		}
@@ -628,10 +686,12 @@ func (p *parser) literal(v sqltypes.Value, tokIdx int) Expr {
 	if !p.extract {
 		return Literal{Val: v}
 	}
-	if p.extracted == nil {
-		p.extracted = map[int]bool{}
+	if p.track {
+		if p.extracted == nil {
+			p.extracted = make([]bool, len(p.toks))
+		}
+		p.extracted[tokIdx] = true
 	}
-	p.extracted[tokIdx] = true
 	p.params = append(p.params, v)
 	return Param{Idx: len(p.params) - 1}
 }
@@ -639,26 +699,17 @@ func (p *parser) literal(v sqltypes.Value, tokIdx int) Expr {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.peek()
 	switch t.kind {
-	case tokInt:
+	case tokInt, tokFloat, tokString:
 		idx := p.pos
 		p.next()
-		i, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return nil, p.errorf("bad integer %q", t.text)
-		}
-		return p.literal(sqltypes.NewInt(i), idx), nil
-	case tokFloat:
-		idx := p.pos
-		p.next()
-		f, err := strconv.ParseFloat(t.text, 64)
-		if err != nil {
+		v, ok := litValue(LitInt+LitKind(t.kind-tokInt), t.text)
+		if !ok {
+			if t.kind == tokInt {
+				return nil, p.errorf("bad integer %q", t.text)
+			}
 			return nil, p.errorf("bad float %q", t.text)
 		}
-		return p.literal(sqltypes.NewFloat(f), idx), nil
-	case tokString:
-		idx := p.pos
-		p.next()
-		return p.literal(sqltypes.NewText(t.text), idx), nil
+		return p.literal(v, idx), nil
 	case tokSymbol:
 		if t.text == "(" {
 			p.next()

@@ -376,7 +376,7 @@ func (t *BTree) put(page uint32, key, val []byte) (splitResult, bool, error) {
 		if exact {
 			btRemoveAt(d, i)
 			if !btInsertAt(d, i, key, val) {
-				res, err := t.splitLeaf(p, page, i, key, val)
+				res, err := t.splitLeaf(&p, page, i, key, val)
 				return res, false, err
 			}
 			p.MarkDirty()
@@ -388,7 +388,7 @@ func (t *BTree) put(page uint32, key, val []byte) (splitResult, bool, error) {
 			p.Release()
 			return splitResult{}, true, nil
 		}
-		res, err := t.splitLeaf(p, page, i, key, val)
+		res, err := t.splitLeaf(&p, page, i, key, val)
 		return res, true, err
 	}
 
@@ -416,7 +416,7 @@ func (t *BTree) put(page uint32, key, val []byte) (splitResult, bool, error) {
 		p.Release()
 		return splitResult{}, inserted, nil
 	}
-	up, err := t.splitInternal(p, page, i, res.sepKey, child[:])
+	up, err := t.splitInternal(&p, page, i, res.sepKey, child[:])
 	return up, inserted, err
 }
 
@@ -585,46 +585,59 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 	}
 }
 
-// Iterator walks leaf entries in key order. It is key-stable under
-// concurrent writers: instead of remembering a (page, index) position —
-// which splits and deletions would silently shift — it buffers the
-// remainder of one leaf per refill (copied into a reused arena under
-// the tree's read latch) and re-seeks from the root for the successor
-// of the last served key when the buffer drains. Between refills it
-// holds no latch and no pins, so an iterator abandoned mid-scan cannot
-// block writers.
+// Iterator walks leaf entries in key order, from a start key up to an
+// optional exclusive upper bound. It is key-stable under concurrent
+// writers: instead of remembering a (page, index) position — which
+// splits and deletions would silently shift — it buffers the part of
+// one leaf that lies inside the range per refill (copied under the
+// tree's read latch) and re-seeks from the root for the successor of
+// the last served key when the buffer drains. Between refills it holds
+// no latch and no pins, so an iterator abandoned mid-scan cannot block
+// writers.
+//
+// The bound is what makes a point probe one descent: a refill stops
+// copying at the first key >= hi, and it latches the end of the scan
+// when it stopped there or when the separators on the descent path
+// prove that no key below hi can live to the right of this leaf. Only
+// a range that really continues on another leaf descends again.
 type Iterator struct {
 	t      *BTree
 	prof   *WaitProf // wait attribution for flagged statements; usually nil
 	err    error
 	done   bool
-	primed bool   // first refill happened; lastKey is the resume point
-	start  []byte // original seek target
-	last   []byte // last key served (resume at its successor)
+	primed bool   // first refill happened; key is the resume point
+	final  bool   // the buffered entries are the last of the range
+	lo, hi []byte // range [lo, hi); nil = open end. Retained, not copied.
 	target []byte // reused successor buffer
 	arena  []byte // backing bytes of the buffered entries
 	ents   []btEntSpan
 	pos    int
 	key    []byte
 	val    []byte
+
+	// Inline backing for the common case of a probe that buffers a
+	// handful of short entries: the iterator is then its only
+	// allocation. Larger refills grow onto the heap, sized to what the
+	// leaf holds inside the range.
+	entsBuf  [4]btEntSpan
+	arenaBuf [96]byte
 }
 
 // btEntSpan locates one buffered entry inside the iterator arena.
 type btEntSpan struct{ koff, kend, vend int }
 
-// Seek positions an iterator at the first entry with key >= start (or
-// the first entry overall if start is nil). The descent is deferred to
-// the first Next call.
-func (t *BTree) Seek(start []byte) *Iterator { return t.SeekProf(start, nil) }
+// Seek positions an iterator on the range [lo, hi): the first entry
+// with key >= lo (the first entry overall if lo is nil) up to, not
+// including, the first entry with key >= hi (the end of the tree if hi
+// is nil). Both slices are retained until the iterator is dropped and
+// must not be modified meanwhile. The descent is deferred to the first
+// Next call.
+func (t *BTree) Seek(lo, hi []byte) *Iterator { return t.SeekProf(lo, hi, nil) }
 
 // SeekProf is Seek with a wait profiler attached to every refill
 // descent of the resulting iterator.
-func (t *BTree) SeekProf(start []byte, prof *WaitProf) *Iterator {
-	it := &Iterator{t: t, prof: prof}
-	if start != nil {
-		it.start = append([]byte(nil), start...)
-	}
-	return it
+func (t *BTree) SeekProf(lo, hi []byte, prof *WaitProf) *Iterator {
+	return &Iterator{t: t, prof: prof, lo: lo, hi: hi}
 }
 
 // Next advances the iterator, reporting whether an entry is available
@@ -633,76 +646,128 @@ func (it *Iterator) Next() bool {
 	if it.done {
 		return false
 	}
-	if it.pos >= len(it.ents) && !it.refill() {
-		return false
+	if it.pos >= len(it.ents) {
+		if it.final {
+			it.done = true
+			return false
+		}
+		if !it.refill() {
+			return false
+		}
 	}
 	e := it.ents[it.pos]
 	it.pos++
 	it.key = it.arena[e.koff:e.kend]
 	it.val = it.arena[e.kend:e.vend]
-	it.last = append(it.last[:0], it.key...)
 	return true
 }
 
 // refill re-seeks from the root under the read latch and buffers the
-// rest of the leaf holding the resume key (following right siblings
-// while empty). Returns false at the end of the tree or on error.
+// entries of the leaf holding the resume key that lie below the bound
+// (following right siblings while empty). Returns false at the end of
+// the range or on error.
 func (it *Iterator) refill() bool {
-	it.arena = it.arena[:0]
-	it.ents = it.ents[:0]
-	it.pos = 0
-	target := it.start
+	target := it.lo
 	if it.primed {
-		// Successor of the last served key: last || 0x00 is the
-		// smallest byte string strictly greater than last.
-		it.target = append(it.target[:0], it.last...)
-		it.target = append(it.target, 0)
+		// Successor of the last served key (still intact in the arena):
+		// key || 0x00 is the smallest byte string strictly greater.
+		it.target = append(append(it.target[:0], it.key...), 0)
 		target = it.target
 	}
 	it.primed = true
+	if it.ents == nil {
+		it.arena, it.ents = it.arenaBuf[:0], it.entsBuf[:0]
+	}
+	it.arena, it.ents, it.pos = it.arena[:0], it.ents[:0], 0
 
 	it.t.mu.RLock()
 	defer it.t.mu.RUnlock()
+	// covered: every key below hi that is >= target lives in the leaf
+	// the descent ends on. The leaf's key space ends at the next
+	// separator of the deepest internal node that has one; with none on
+	// the path it is the rightmost leaf.
+	covered := it.hi != nil
 	page := it.t.root
+	var p Page
 	for {
-		p, err := it.t.file.GetPageProf(page, it.prof)
-		if err != nil {
-			it.err = err
-			it.done = true
-			return false
+		if err := it.t.file.PinPageProf(page, &p, it.prof); err != nil {
+			return it.fail(err)
 		}
 		d := p.Data
 		if btType(d) == btLeaf {
-			for {
-				i, _ := btSearch(d, target)
-				for n := btCount(d); i < n; i++ {
-					koff := len(it.arena)
-					it.arena = append(it.arena, btKey(d, i)...)
-					kend := len(it.arena)
-					it.arena = append(it.arena, btVal(d, i)...)
-					it.ents = append(it.ents, btEntSpan{koff, kend, len(it.arena)})
-				}
-				next := btNext(d)
-				p.Release()
-				if len(it.ents) > 0 {
-					return true
-				}
-				if next == 0 {
-					it.done = true
-					return false
-				}
-				p, err = it.t.file.GetPageProf(next, it.prof)
-				if err != nil {
-					it.err = err
-					it.done = true
-					return false
-				}
-				d = p.Data
-			}
+			break
 		}
-		page = btChild(d, target)
+		i, exact := btSearch(d, target)
+		if !exact {
+			i--
+		}
+		if it.hi != nil && i+1 < btCount(d) {
+			covered = bytes.Compare(it.hi, btKey(d, i+1)) <= 0
+		}
+		if i < 0 {
+			page = btNext(d)
+		} else {
+			page = binary.LittleEndian.Uint32(btVal(d, i))
+		}
 		p.Release()
 	}
+	for {
+		d := p.Data
+		first, _ := btSearch(d, target)
+		end, n := first, btCount(d)
+		if it.hi == nil {
+			end = n
+		} else {
+			end, _ = btSearch(d, it.hi)
+		}
+		if end < n || covered {
+			it.final = true
+		}
+		if end > first {
+			size := 0
+			for i := first; i < end; i++ {
+				_, klen, vlen := btSlot(d, i)
+				size += klen + vlen
+			}
+			// Sized to what is buffered; a scan that goes on to further
+			// leaves takes a whole leaf's worth so the buffers are
+			// allocated once, not once per slightly fuller leaf.
+			count := end - first
+			if !it.final {
+				size, count = PageSize, max(count, n)
+			}
+			if size > cap(it.arena) {
+				it.arena = make([]byte, 0, size)
+			}
+			if count > cap(it.ents) {
+				it.ents = make([]btEntSpan, 0, count)
+			}
+			for i := first; i < end; i++ {
+				off, klen, vlen := btSlot(d, i)
+				koff := len(it.arena)
+				it.arena = append(it.arena, d[off:off+klen+vlen]...)
+				it.ents = append(it.ents, btEntSpan{koff, koff + klen, koff + klen + vlen})
+			}
+		}
+		next := btNext(d)
+		p.Release()
+		if len(it.ents) > 0 {
+			return true
+		}
+		if it.final || next == 0 {
+			it.done = true
+			return false
+		}
+		if err := it.t.file.PinPageProf(next, &p, it.prof); err != nil {
+			return it.fail(err)
+		}
+	}
+}
+
+func (it *Iterator) fail(err error) bool {
+	it.err = err
+	it.done = true
+	return false
 }
 
 // Key returns the current entry's key. Valid until the next call to

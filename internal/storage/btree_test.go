@@ -104,7 +104,7 @@ func TestBTreeIteratorFullScan(t *testing.T) {
 		}
 	}
 	sort.Strings(keys)
-	it := bt.Seek(nil)
+	it := bt.Seek(nil, nil)
 	i := 0
 	for it.Next() {
 		if string(it.Key()) != keys[i] {
@@ -125,7 +125,7 @@ func TestBTreeSeekRange(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		bt.Put([]byte(fmt.Sprintf("k%03d", i*2)), []byte("v")) // even keys
 	}
-	it := bt.Seek([]byte("k101")) // between k100 and k102
+	it := bt.Seek([]byte("k101"), nil) // between k100 and k102
 	if !it.Next() {
 		t.Fatal("expected an entry")
 	}
@@ -133,7 +133,7 @@ func TestBTreeSeekRange(t *testing.T) {
 		t.Fatalf("Seek landed on %q, want k102", it.Key())
 	}
 	// Seek past the end.
-	it = bt.Seek([]byte("z"))
+	it = bt.Seek([]byte("z"), nil)
 	if it.Next() {
 		t.Fatalf("Seek(z) yielded %q", it.Key())
 	}
@@ -246,7 +246,7 @@ func TestBTreeAgainstModel(t *testing.T) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	it := bt.Seek(nil)
+	it := bt.Seek(nil, nil)
 	i := 0
 	for it.Next() {
 		if i >= len(keys) {
@@ -313,7 +313,7 @@ func TestPoolAllPinnedError(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pages = append(pages, p)
+		pages = append(pages, &p)
 	}
 	pg, _ := f.Allocate()
 	if _, err := f.GetPage(pg); err == nil {

@@ -195,32 +195,29 @@ type Page struct {
 	dirty bool
 }
 
-// GetPage pins the given page for reading or writing. Wait time is
-// attributed to the file's current profiler, if any (the DML write
-// path under the table's exclusive lock).
-func (f *File) GetPage(page uint32) (*Page, error) {
-	return f.GetPageProf(page, f.curProf.Load())
+// GetPage pins the given page for reading or writing. The handle is
+// returned by value — a page get allocates nothing; callers keep it in a
+// local and Release it. Wait time is attributed to the file's current
+// profiler, if any (the DML write path under the table's exclusive
+// lock).
+func (f *File) GetPage(page uint32) (Page, error) {
+	return f.GetPageProf(page, nil)
 }
 
 // GetPageProf is GetPage with an explicit wait profiler: read paths
 // (which run under shared locks and cannot use the per-file field)
 // thread theirs through here. A nil prof falls back to the file's
 // current profiler.
-func (f *File) GetPageProf(page uint32, prof *WaitProf) (*Page, error) {
-	if prof == nil {
-		prof = f.curProf.Load()
-	}
-	fr, err := f.pool.get(f, page, prof)
-	if err != nil {
-		return nil, err
-	}
-	return &Page{f: f, fr: fr, Data: fr.data[:]}, nil
+func (f *File) GetPageProf(page uint32, prof *WaitProf) (Page, error) {
+	var p Page
+	err := f.PinPageProf(page, &p, prof)
+	return p, err
 }
 
-// PinPage pins the given page into a caller-owned handle, avoiding the
-// per-call allocation of GetPage. p must be released (or never pinned)
-// before being reused. Batch scans pin one page per batch step through
-// a single reused handle.
+// PinPage pins the given page into a caller-owned handle that outlives
+// the call site (an iterator field). p must be released (or never
+// pinned) before being reused. Batch scans pin one page per batch step
+// through a single reused handle.
 func (f *File) PinPage(page uint32, p *Page) error {
 	return f.PinPageProf(page, p, f.curProf.Load())
 }

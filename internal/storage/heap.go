@@ -166,7 +166,7 @@ func (h *Heap) Insert(rec []byte) (TID, error) {
 			return 0, err
 		}
 		if pageFreeSpace(p.Data) >= need {
-			tid, err := insertIntoPage(p, h.lastPage, rec)
+			tid, err := insertIntoPage(&p, h.lastPage, rec)
 			p.Release()
 			return tid, err
 		}
@@ -252,6 +252,12 @@ func (h *Heap) Get(tid TID) (rec []byte, ok bool, err error) {
 // statements (index fetch paths run under shared locks, so the
 // profiler is threaded per call rather than per file).
 func (h *Heap) GetProf(tid TID, prof *WaitProf) (rec []byte, ok bool, err error) {
+	return h.GetBuf(tid, nil, prof)
+}
+
+// GetBuf is GetProf appending the record to buf (usually a reused
+// buffer cut to length zero) instead of allocating one per call.
+func (h *Heap) GetBuf(tid TID, buf []byte, prof *WaitProf) (rec []byte, ok bool, err error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if tid.Page() >= h.file.Pages() {
@@ -269,9 +275,7 @@ func (h *Heap) GetProf(tid TID, prof *WaitProf) (rec []byte, ok bool, err error)
 	if off == deadSlot {
 		return nil, false, nil
 	}
-	out := make([]byte, length)
-	copy(out, p.Data[off:off+length])
-	return out, true, nil
+	return append(buf, p.Data[off:off+length]...), true, nil
 }
 
 // Delete removes the record at tid. Space is not reclaimed until the

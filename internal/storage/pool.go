@@ -103,9 +103,7 @@ type poolShard struct {
 	hand    int      // clock hand
 
 	hits      atomic.Int64
-	misses    atomic.Int64
 	diskReads atomic.Int64
-	diskWrite atomic.Int64
 	evictions atomic.Int64
 	pinWaits  atomic.Int64
 	resident  atomic.Int64
@@ -148,7 +146,14 @@ type Pool struct {
 
 	resizeMu sync.Mutex // serializes Resize calls
 
-	fsyncs atomic.Int64 // data-file fsyncs (incremented by File.Sync)
+	// misses and diskWrite are pool-wide rather than per shard: they
+	// move only when a page is read or written, which dwarfs a shared
+	// counter, and the statement path reads exactly these two around
+	// every monitored SELECT (IOCounts) — two loads instead of a walk
+	// over every shard's counter block.
+	misses    atomic.Int64
+	diskWrite atomic.Int64
+	fsyncs    atomic.Int64 // data-file fsyncs (incremented by File.Sync)
 }
 
 // NewPool creates a buffer pool holding up to capacity pages. Capacity
@@ -288,7 +293,7 @@ func (p *Pool) resizeShard(sh *poolShard, c int) {
 			sh.clock[slot] = fr
 			sh.resident.Add(1)
 		} else {
-			sh.diskWrite.Add(1)
+			p.diskWrite.Add(1)
 			sh.evictions.Add(1)
 		}
 		wb.err = werr
@@ -308,15 +313,21 @@ func (p *Pool) Stats() PoolStats {
 	var st PoolStats
 	for _, sh := range p.shards {
 		st.Hits += sh.hits.Load()
-		st.Misses += sh.misses.Load()
 		st.DiskReads += sh.diskReads.Load()
-		st.DiskWrite += sh.diskWrite.Load()
 		st.Evictions += sh.evictions.Load()
 		st.PinWaits += sh.pinWaits.Load()
 		st.Resident += sh.resident.Load()
 	}
+	st.Misses, st.DiskWrite = p.IOCounts()
 	st.Fsyncs = p.fsyncs.Load()
 	return st
+}
+
+// IOCounts returns the two cumulative counters the monitor's execution
+// sensor differences around a statement: page requests that needed a
+// disk read, and physical page writes.
+func (p *Pool) IOCounts() (misses, diskWrites int64) {
+	return p.misses.Load(), p.diskWrite.Load()
 }
 
 // Capacity returns the current frame capacity.
@@ -476,7 +487,7 @@ func (p *Pool) get(f *File, page uint32, prof *WaitProf) (*frame, error) {
 					close(wb.done)
 					return nil, fmt.Errorf("storage: write-back of page %d of %s while evicting: %w", victim.key.page, victim.file.path, werr)
 				}
-				sh.diskWrite.Add(1)
+				p.diskWrite.Add(1)
 				sh.evictions.Add(1)
 				sh.freeSlotLocked(slot)
 				sh.mu.Unlock()
@@ -495,7 +506,7 @@ func (p *Pool) get(f *File, page uint32, prof *WaitProf) (*frame, error) {
 		// Load the page outside the lock, behind the load latch.
 		ld := &pendingLoad{ready: make(chan struct{})}
 		sh.loading[key] = ld
-		sh.misses.Add(1)
+		p.misses.Add(1)
 		sh.mu.Unlock()
 
 		fr := &frame{key: key, file: f}
@@ -700,7 +711,7 @@ func (p *Pool) flushFrame(f *File, fr *frame, buf *[PageSize]byte) error {
 			err = f.writePage(fr.key.page, buf[:])
 		}
 		if err == nil {
-			sh.diskWrite.Add(1)
+			p.diskWrite.Add(1)
 		}
 		sh.mu.Lock()
 		delete(sh.writing, fr.key)

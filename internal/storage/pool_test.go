@@ -469,7 +469,7 @@ func TestPoolPinWaitBackpressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pinned = append(pinned, p)
+		pinned = append(pinned, &p)
 	}
 	pg, _ := f.Allocate()
 	done := make(chan error, 1)
