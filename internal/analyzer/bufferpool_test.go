@@ -55,7 +55,7 @@ func insertStatSeries(t *testing.T, wdb *engine.DB, samples []statSample) {
 		// carryover_depth, alert_errors, cache_evictions, cache_resident,
 		// pin_waits, wal_bytes, wal_fsyncs, redo_records, redo_nanos.
 		if _, err := s.Exec(fmt.Sprintf(
-			"INSERT INTO %s VALUES (%d, 1, 1, %d, 0, 0, 0, %d, %d, %d, 0, 0, 0, 0, 0, 0, %d, 64, %d, 0, 0, 0, 0, 0, 0, 0, 0)",
+			"INSERT INTO %s VALUES (%d, 1, 1, %d, 0, 0, 0, %d, %d, %d, 0, 0, 0, 0, 0, 0, %d, 64, %d, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)",
 			workloaddb.Statistics, ts, int64(i)*10,
 			sm.hits, sm.misses, sm.misses, sm.evictions, sm.pinWaits)); err != nil {
 			t.Fatal(err)

@@ -68,7 +68,7 @@ func TestTrendsOverWorkloadDB(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		ts := base.Add(time.Duration(i) * 30 * time.Minute).UnixMicro()
 		if _, err := s.Exec(fmt.Sprintf(
-			"INSERT INTO %s VALUES (%d, 1, 1, %d, 0, 0, 0, 0, 0, 0, 0, %d, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)",
+			"INSERT INTO %s VALUES (%d, 1, 1, %d, 0, 0, 0, 0, 0, 0, 0, %d, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)",
 			workloaddb.Statistics, ts, 100*(i+1), 1000000*(i+1))); err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ type Options struct {
 	// paper's "Original" baseline. IMA, daemon and analyzer are then
 	// unavailable.
 	DisableMonitor bool
-	// StatementCapacity sizes the monitor's statement ring
+	// StatementCapacity sizes the monitor's statement table
 	// (default 1000, as in the prototype).
 	StatementCapacity int
 	// DaemonInterval is the storage daemon polling period

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/monitor"
+	"repro/internal/sqlparser"
 	"repro/internal/workloaddb"
 )
 
@@ -56,7 +57,7 @@ func TestAdaptiveMonitoringLoop(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("ima_flags rows = %d", len(res.Rows))
 	}
-	wantHash := int64(monitor.HashStatement(q))
+	wantHash := int64(sqlparser.DigestOf(q))
 	if res.Rows[0][0].I != wantHash || res.Rows[0][1].S != monitor.FlagReasonP95 {
 		t.Fatalf("ima_flags row = %v", res.Rows[0])
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ima"
 	"repro/internal/monitor"
+	"repro/internal/sqlparser"
 	"repro/internal/workloaddb"
 )
 
@@ -111,7 +112,7 @@ func TestDrainAvoidsDuplicateWorkload(t *testing.T) {
 	defer ws.Close()
 	res := exec(t, ws, fmt.Sprintf(
 		"SELECT COUNT(*) FROM %s WHERE hash = %d",
-		workloaddb.Workload, int64(monitor.HashStatement("SELECT v FROM t WHERE id = 1"))))
+		workloaddb.Workload, int64(sqlparser.DigestOf("SELECT v FROM t WHERE id = 1"))))
 	if res.Rows[0][0].I != 1 {
 		t.Errorf("workload entry duplicated across polls: %v", res.Rows[0][0])
 	}
@@ -127,7 +128,7 @@ func TestReferencesNotDuplicated(t *testing.T) {
 	ws := f.target.NewSession()
 	defer ws.Close()
 	// One reference row per (statement, object), not per poll.
-	hash := int64(monitor.HashStatement("SELECT v FROM t WHERE id = 1"))
+	hash := int64(sqlparser.DigestOf("SELECT v FROM t WHERE id = 1"))
 	res := exec(t, ws, fmt.Sprintf(
 		"SELECT COUNT(*) FROM %s WHERE obj_type = 'table' AND obj_name = 't' AND hash = %d",
 		workloaddb.References, hash))
@@ -277,7 +278,7 @@ func TestReferencesDedupAcrossEviction(t *testing.T) {
 	}
 	ws := f.target.NewSession()
 	defer ws.Close()
-	hash := int64(monitor.HashStatement("SELECT v FROM t WHERE id = 1"))
+	hash := int64(sqlparser.DigestOf("SELECT v FROM t WHERE id = 1"))
 	res := exec(t, ws, fmt.Sprintf(
 		"SELECT COUNT(*) FROM %s WHERE obj_type = 'table' AND obj_name = 't' AND hash = %d",
 		workloaddb.References, hash))
@@ -303,7 +304,7 @@ func TestStatementTextTruncatedOnRuneBoundary(t *testing.T) {
 	ws := f.target.NewSession()
 	defer ws.Close()
 	res := exec(t, ws, fmt.Sprintf("SELECT query_text FROM %s WHERE hash = %d",
-		workloaddb.Statements, int64(monitor.HashStatement(sql))))
+		workloaddb.Statements, int64(sqlparser.DigestOf(sql))))
 	if len(res.Rows) == 0 {
 		t.Fatal("long statement not persisted")
 	}

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/monitor"
+	"repro/internal/sqlparser"
 	"repro/internal/workloaddb"
 )
 
@@ -88,10 +88,10 @@ func TestPollRequeuesFailedWorkload(t *testing.T) {
 	}
 	flaky := inject(d, f.target)
 
-	queries := []string{
-		"SELECT v FROM t WHERE id = 1",
-		"SELECT v FROM t WHERE id = 2",
-		"SELECT v FROM t WHERE id = 3",
+	queries := []string{ // three shapes: LIMIT stays in the statement
+		"SELECT v FROM t WHERE id = 1 LIMIT 1",
+		"SELECT v FROM t WHERE id = 2 LIMIT 2",
+		"SELECT v FROM t WHERE id = 3 LIMIT 3",
 	}
 	for _, q := range queries {
 		exec(t, f.sess, q)
@@ -119,7 +119,7 @@ func TestPollRequeuesFailedWorkload(t *testing.T) {
 	}
 	for _, q := range queries {
 		n := countRows(t, f.target, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d",
-			workloaddb.Workload, int64(monitor.HashStatement(q))))
+			workloaddb.Workload, int64(sqlparser.DigestOf(q))))
 		if n != 1 {
 			t.Errorf("workload rows for %q = %d, want exactly 1", q, n)
 		}
@@ -165,7 +165,7 @@ func TestRunSurvivesTransientErrors(t *testing.T) {
 	}
 
 	flaky.forced.Store(false)
-	hash := int64(monitor.HashStatement("SELECT v FROM t WHERE id = 7"))
+	hash := int64(sqlparser.DigestOf("SELECT v FROM t WHERE id = 7"))
 	for countRows(t, f.target, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d",
 		workloaddb.Workload, hash)) != 1 {
 		select {
@@ -315,7 +315,9 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 	const n = 40
 	queries := make([]string, n)
 	for i := range queries {
-		queries[i] = fmt.Sprintf("SELECT v FROM t WHERE id = %d AND v = 'w%d'", i%10, i)
+		// One shape each (LIMIT stays in the statement), so its hash
+		// singles out the one execution.
+		queries[i] = fmt.Sprintf("SELECT v FROM t WHERE id = %d AND v = 'w%d' LIMIT %d", i%10, i, i+1)
 		exec(t, f.sess, queries[i])
 		time.Sleep(500 * time.Microsecond) // polls interleave with the load
 	}
@@ -327,7 +329,7 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 	allLanded := func() bool {
 		for _, q := range queries {
 			got := countRows(t, f.target, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d",
-				workloaddb.Workload, int64(monitor.HashStatement(q))))
+				workloaddb.Workload, int64(sqlparser.DigestOf(q))))
 			if got == 0 {
 				return false
 			}
@@ -352,7 +354,7 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 	// Exactly once: each generated statement has exactly one workload row.
 	for _, q := range queries {
 		got := countRows(t, f.target, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d",
-			workloaddb.Workload, int64(monitor.HashStatement(q))))
+			workloaddb.Workload, int64(sqlparser.DigestOf(q))))
 		if got != 1 {
 			t.Errorf("workload rows for %q = %d, want exactly 1", q, got)
 		}

@@ -80,7 +80,8 @@ func TestPointSelectAllocs(t *testing.T) {
 			}
 		}
 	}
-	run() // every statement text is in the monitor's table, every page in the pool
+	run() // the shape is published, every page in the pool
+	l0, i0, e0 := db.Monitor().TableOps()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	allocs := testing.AllocsPerRun(20, run) / float64(len(stmts))
@@ -92,5 +93,14 @@ func TestPointSelectAllocs(t *testing.T) {
 	}
 	if bytes > 2560 {
 		t.Errorf("cached point select: %.0f B per statement, want <= 2.5 KB", bytes)
+	}
+	// The sensor commit of a cached statement stays out of the monitor's
+	// statement table: 64 texts, one shape, no lookup, insert or eviction.
+	if l, i, e := db.Monitor().TableOps(); l != l0 || i != i0 || e != e0 {
+		t.Errorf("%d cached executions did %d lookups, %d inserts, %d evictions in the statement table",
+			21*len(stmts), l-l0, i-i0, e-e0)
+	}
+	if st := db.Monitor().SnapshotStatements(); st[len(st)-1].Frequency != int64(22*len(stmts)+1) {
+		t.Errorf("the point-select shape has frequency %d after %d executions", st[len(st)-1].Frequency, 22*len(stmts)+1)
 	}
 }

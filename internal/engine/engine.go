@@ -167,7 +167,7 @@ func Open(cfg Config) (*DB, error) {
 		redo:    redo,
 		tables:  map[string]*tableHandle{},
 		virtual: map[string]*virtualTable{},
-		plans:   newStmtCache(cfg.PlanCacheSize, cfg.Monitor),
+		plans:   newStmtCache(cfg.PlanCacheSize),
 	}
 	// A Building index entry is a crashed online build: drop it (and
 	// its file), then sweep data files the catalog no longer references
@@ -466,7 +466,6 @@ func (db *DB) Close() error {
 	if err := db.Checkpoint(); err != nil {
 		firstErr = err
 	}
-	db.plans.invalidate() // hands the entries' reference sets back to the monitor
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, h := range db.tables {
@@ -543,6 +542,12 @@ type SystemStats struct {
 	ParallelQueries     int64 // statements that ran a parallel subtree
 	MorselsDispatched   int64 // morsels handed to scan workers
 	ParallelWorkerNanos int64 // summed parallel-worker wall time
+	// Prepared-statement cache, cold paths only: a hit is a statement
+	// that is not a miss.
+	StmtCacheMisses        int64 // statements that ran the parser
+	StmtCacheEvictions     int64 // entries dropped for capacity
+	StmtCacheInvalidations int64 // times DDL or new statistics dropped the cache
+	StmtCacheStaleReparses int64 // hits re-parsed because DDL overtook them
 }
 
 // Stats samples the engine-wide statistics.
@@ -574,6 +579,11 @@ func (db *DB) Stats() SystemStats {
 		ParallelQueries:     db.parallelQueries.Load(),
 		MorselsDispatched:   db.morselsDispatched.Load(),
 		ParallelWorkerNanos: db.parallelWorkerNanos.Load(),
+
+		StmtCacheMisses:        db.plans.misses.Load(),
+		StmtCacheEvictions:     db.plans.evictions.Load(),
+		StmtCacheInvalidations: int64(db.plans.gen.Load()),
+		StmtCacheStaleReparses: db.plans.staleReparses.Load(),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/monitor"
+	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 )
 
@@ -419,7 +420,7 @@ func TestMonitorRecordsStatementPath(t *testing.T) {
 	snap := mon.Snapshot()
 	var found *monitor.WorkloadEntry
 	for i := range snap.Workload {
-		if snap.Workload[i].Hash == monitor.HashStatement("SELECT id FROM people WHERE id = 5") {
+		if snap.Workload[i].Hash == sqlparser.DigestOf("SELECT id FROM people WHERE id = 5") {
 			found = &snap.Workload[i]
 		}
 	}

@@ -68,16 +68,17 @@ func TestConcurrentSessionsIMAConsistency(t *testing.T) {
 	}
 	setup.Close()
 
-	// Statement pool: far fewer distinct texts than the default 1000
-	// capacity, so nothing is evicted and frequencies must be exact.
+	// Statement pool: far fewer distinct shapes (LIMIT stays in the
+	// statement, so each text is one) than the default 1000 capacity, so
+	// nothing is evicted and frequencies must be exact.
 	const pool = 64
 	texts := make([]string, pool)
 	for i := range texts {
 		if i%2 == 0 {
-			texts[i] = fmt.Sprintf("SELECT name FROM item WHERE id = %d", i)
+			texts[i] = fmt.Sprintf("SELECT name FROM item WHERE id = %d LIMIT %d", i, i+1)
 		} else {
 			texts[i] = fmt.Sprintf(
-				"SELECT i.name FROM item i JOIN part p ON i.id = p.item_ref WHERE p.id = %d", i)
+				"SELECT i.name FROM item i JOIN part p ON i.id = p.item_ref WHERE p.id = %d LIMIT %d", i, i+1)
 		}
 	}
 	issued := make([]atomic.Int64, pool)

@@ -59,16 +59,24 @@ type prepared struct {
 	plan    *planEntry
 	columns []string
 
+	// digest identifies the statement to the monitor and everything
+	// downstream of it: sqlparser.Digest of the shape key and fixed, or
+	// of the text when the statement is too long to have a key. text is
+	// the statement the entry was built from, the monitor's sample.
+	digest uint64
+	text   string
+
 	// Cached entries only. key is the shape key; bindings say which
 	// literal of a statement of this shape feeds which parameter, and
 	// fixed holds the text of the literals the parser left in the
 	// statement (LIMIT 5 is another statement than LIMIT 6): an entry
-	// serves exactly the statements whose unbound literals equal these.
-	// refs is the monitor's counter for the objects the shape references.
+	// serves exactly the statements whose unbound literals equal these —
+	// the statements sharing its digest. shape is the monitor's counter
+	// block for them, set when the entry is published.
 	key      string
 	bindings []sqlparser.Binding
 	fixed    []string
-	refs     *monitor.RefSet
+	shape    atomic.Pointer[monitor.Shape]
 
 	lastUsed atomic.Int64 // coarse statement clock of the last hit
 }
@@ -96,23 +104,24 @@ func (p *prepared) serves(lits []sqlparser.Lit) bool {
 	return true
 }
 
-// observe hands the statement's kind and referenced objects to the
-// monitor handle: the registered reference set of a cached entry, else
-// the table list the parser found.
-func (p *prepared) observe(h *monitor.Handle) {
-	if p.refs != nil {
-		h.Prepared(p.kind, p.refs)
+// observe tells the monitor handle what is executing: the published
+// Shape of a cached entry — lane is the session's stripe in it — else
+// the statement's digest and the table list the parser found.
+func (p *prepared) observe(h *monitor.Handle, lane int64) {
+	if p.shape.Load() != nil {
+		h.Cached(p.kind, &p.shape, lane)
 	} else {
 		h.Parsed(p.kind, p.tables)
+		h.Keyed(p.digest)
 	}
 }
 
-// newPrepared builds the entry of a freshly parsed statement. key is
-// the statement's shape key (nil when it has none); a cacheable
-// statement's entry carries it together with the parser's bindings.
-func (db *DB) newPrepared(parsed *sqlparser.ParseResult, key []byte, lits []sqlparser.Lit) *prepared {
-	stmt := parsed.Stmt
-	p := &prepared{stmt: stmt, kind: stmt.Kind(), tables: sqlparser.ReferencedTables(stmt), mode: lockS}
+// newPrepared builds the entry of the statement the session's scanner
+// holds, freshly parsed. A cacheable statement's entry carries the shape
+// key (when the statement has one) together with the parser's bindings.
+func (db *DB) newPrepared(sc *sqlparser.Scanner, parsed *sqlparser.ParseResult) *prepared {
+	stmt, key, lits := parsed.Stmt, sc.Key(), sc.Literals()
+	p := &prepared{stmt: stmt, kind: stmt.Kind(), tables: sqlparser.ReferencedTables(stmt), mode: lockS, text: sc.Text()}
 	cacheable := false
 	switch st := stmt.(type) {
 	case *sqlparser.SelectStmt:
@@ -130,8 +139,14 @@ func (db *DB) newPrepared(parsed *sqlparser.ParseResult, key []byte, lits []sqlp
 		} else {
 			p.class, p.mode = classDDL, lockX
 		}
-	case *sqlparser.CreateTableStmt, *sqlparser.DropTableStmt,
-		*sqlparser.DropIndexStmt, *sqlparser.ModifyStmt:
+	case *sqlparser.DropIndexStmt:
+		// The statement names only the index; the table it excludes
+		// readers and writers of is the index's.
+		p.class, p.mode = classDDL, lockX
+		if ix := db.cat.Index(st.Name); ix != nil {
+			p.locks = append(p.locks, strings.ToLower(ix.Table))
+		}
+	case *sqlparser.CreateTableStmt, *sqlparser.DropTableStmt, *sqlparser.ModifyStmt:
 		p.class, p.mode = classDDL, lockX
 	}
 	if p.class != classOnlineDDL {
@@ -144,26 +159,27 @@ func (db *DB) newPrepared(parsed *sqlparser.ParseResult, key []byte, lits []sqlp
 		}
 		slices.Sort(p.locks)
 	}
-	if cacheable && key != nil {
+	if key == nil {
+		p.digest = sqlparser.Digest(p.text, nil)
+		return p
+	}
+	p.fixed = sc.Fixed(parsed.Bindings)
+	p.digest = sqlparser.Digest(key, p.fixed)
+	if cacheable {
 		p.key = string(key)
 		p.bindings = parsed.Bindings
-		for i, b := range p.bindings {
-			if b.Param < 0 {
-				p.fixed = append(p.fixed, strings.Clone(lits[i].Text))
-			}
-		}
 	}
 	return p
 }
 
-// publish puts a completed entry into the cache, registering its
-// reference set with the monitor first; an entry without a shape key
-// stays the executing session's own.
+// publish puts a completed entry into the cache, publishing its shape
+// to the monitor first; an entry without a shape key stays the executing
+// session's own.
 func (db *DB) publish(p *prepared, attrs, indexes []string, tick int64) {
 	if p.key == "" {
 		return
 	}
-	p.refs = db.mon.NewRefSet(p.tables, attrs, indexes)
+	p.shape.Store(db.mon.Publish(p.digest, p.text, p.kind, p.tables, attrs, indexes))
 	db.plans.put(p, tick)
 }
 
@@ -179,16 +195,21 @@ type stmtCache struct {
 	cap int
 	n   int // entries, over all shapes
 	m   map[string][]*prepared
-	mon *monitor.Monitor // evicted entries' reference sets are retired here
 	// gen counts invalidations. A session looks its statement up before
 	// it holds the statement's table locks, so DDL on those tables may
 	// drop the cache in between; it notes gen at the lookup and checks it
 	// again under the locks (Session.Exec).
 	gen atomic.Uint64
+
+	// Cold-path counters behind the stmt_cache_* statistics columns.
+	// Hits are not counted: they are the statements minus the misses.
+	misses        atomic.Int64 // statements that took the parser's road
+	evictions     atomic.Int64 // entries dropped for capacity
+	staleReparses atomic.Int64 // hits DDL overtook on the way to the locks
 }
 
-func newStmtCache(capacity int, mon *monitor.Monitor) *stmtCache {
-	return &stmtCache{cap: capacity, m: map[string][]*prepared{}, mon: mon}
+func newStmtCache(capacity int) *stmtCache {
+	return &stmtCache{cap: capacity, m: map[string][]*prepared{}}
 }
 
 // clockShift coarsens the LRU clock: a hot entry, hit by every session,
@@ -219,25 +240,22 @@ func (c *stmtCache) get(key []byte, lits []sqlparser.Lit, tick int64) *prepared 
 // and evicting the least recently used one when the cache is full.
 func (c *stmtCache) put(p *prepared, tick int64) {
 	p.lastUsed.Store(tick >> clockShift)
-	var retired *monitor.RefSet
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	es := c.m[p.key]
 	if i := slices.IndexFunc(es, func(e *prepared) bool { return slices.Equal(e.fixed, p.fixed) }); i >= 0 {
-		retired, es[i] = es[i].refs, p
-	} else {
-		if c.n >= c.cap {
-			retired = c.evictOldestLocked()
-		}
-		c.m[p.key] = append(c.m[p.key], p)
-		c.n++
+		es[i] = p
+		return
 	}
-	c.mu.Unlock()
-	c.mon.RetireRefSets([]*monitor.RefSet{retired})
+	if c.n >= c.cap {
+		c.evictOldestLocked()
+	}
+	c.m[p.key] = append(c.m[p.key], p)
+	c.n++
 }
 
-// evictOldestLocked removes the entry with the oldest stamp and returns
-// its reference set.
-func (c *stmtCache) evictOldestLocked() *monitor.RefSet {
+// evictOldestLocked removes the entry with the oldest stamp.
+func (c *stmtCache) evictOldestLocked() {
 	var victim *prepared
 	for _, es := range c.m {
 		for _, e := range es {
@@ -247,7 +265,7 @@ func (c *stmtCache) evictOldestLocked() *monitor.RefSet {
 		}
 	}
 	if victim == nil {
-		return nil
+		return
 	}
 	es := c.m[victim.key]
 	i := slices.Index(es, victim)
@@ -257,24 +275,18 @@ func (c *stmtCache) evictOldestLocked() *monitor.RefSet {
 		c.m[victim.key] = es
 	}
 	c.n--
-	return victim.refs
+	c.evictions.Add(1)
 }
 
 // invalidate drops every entry; DDL and statistics changes call it so
-// new plans see the new physical design.
+// new plans see the new physical design. The monitor is not told: a
+// shape published again finds its statement entry where it left it.
 func (c *stmtCache) invalidate() {
-	var retired []*monitor.RefSet
 	c.mu.Lock()
-	for _, es := range c.m {
-		for _, e := range es {
-			retired = append(retired, e.refs)
-		}
-	}
 	c.m = map[string][]*prepared{}
 	c.n = 0
 	c.gen.Add(1)
 	c.mu.Unlock()
-	c.mon.RetireRefSets(retired)
 }
 
 // len returns the number of cached entries.
@@ -291,10 +303,13 @@ func (db *DB) InvalidatePlans() { db.plans.invalidate() }
 // prepare turns statement text into a prepared statement and its
 // parameter vector: one lex pass, then either a cache hit — the
 // literals are bound into the session's parameter buffer, which the
-// next statement reuses — or the parser.
-func (s *Session) prepare(sql string, tick int64) (*prepared, []sqltypes.Value, error) {
+// next statement reuses — or the parser. The monitor handle learns what
+// the statement is either way (observe), and under which digest to count
+// a statement that fails here.
+func (s *Session) prepare(sql string, tick int64, h *monitor.Handle) (*prepared, []sqltypes.Value, error) {
 	sc := &s.scan
 	if err := sc.Scan(sql); err != nil {
+		s.db.plans.misses.Add(1)
 		return nil, nil, err
 	}
 	key := sc.Key()
@@ -305,27 +320,33 @@ func (s *Session) prepare(sql string, tick int64) (*prepared, []sqltypes.Value, 
 			// through to the parser, which words the error.
 			if params, ok := sqlparser.Bind(s.params[:0], sc.Literals(), p.bindings); ok {
 				s.params = params
+				p.observe(h, s.id)
 				return p, params, nil
 			}
 		}
 	}
-	return s.parse(tick)
+	s.db.plans.misses.Add(1)
+	return s.parse(tick, h)
 }
 
 // parse is the miss road of prepare: the parser over the tokens of the
 // session's last scan. Exec also takes it for a cache hit that DDL
 // overtook on the way to the table locks.
-func (s *Session) parse(tick int64) (*prepared, []sqltypes.Value, error) {
+func (s *Session) parse(tick int64, h *monitor.Handle) (*prepared, []sqltypes.Value, error) {
 	sc := &s.scan
 	parsed, err := sc.Parse()
 	if err != nil {
+		if key := sc.Key(); key != nil {
+			h.Keyed(sqlparser.Digest(key, nil))
+		}
 		return nil, nil, err
 	}
-	p := s.db.newPrepared(parsed, sc.Key(), sc.Literals())
+	p := s.db.newPrepared(sc, parsed)
 	if p.class == classDML {
 		// Nothing more to derive for a write: the entry is complete.
 		// (A SELECT is published once it is planned.)
 		s.db.publish(p, nil, nil, tick)
 	}
+	p.observe(h, s.id)
 	return p, parsed.Params, nil
 }

@@ -119,7 +119,7 @@ func TestUnboundLiteralsNeverShare(t *testing.T) {
 // DDL. Every result must be the one the literals ask for — an entry
 // bound to another statement's parameters, or a plan outliving its
 // index, shows up as a wrong row — and the race detector watches the
-// entries, the eviction clock and the monitor's reference sets.
+// entries, the eviction clock and the monitor's Shapes.
 func TestStatementCacheConcurrent(t *testing.T) {
 	db, err := Open(Config{Dir: t.TempDir(), PoolPages: 256, PlanCacheSize: 4, Monitor: monitor.New(monitor.Config{})})
 	if err != nil {
@@ -135,7 +135,7 @@ func TestStatementCacheConcurrent(t *testing.T) {
 	stop := make(chan struct{})
 	ddls := int64(0) // written by the DDL goroutine, read after wg.Wait
 	wg.Add(1)
-	go func() { // DDL under the table's X lock: every statement drops the cache and retires its reference sets
+	go func() { // DDL under the table's X lock: every statement drops the cache; shapes are published again
 		defer wg.Done()
 		s := db.NewSession()
 		defer s.Close()
@@ -191,11 +191,56 @@ func TestStatementCacheConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Nothing the monitor counted got lost between reference sets and
-	// retirements: every statement of this test references people once —
+	// Nothing the monitor counted got lost between a Shape and the one
+	// published after it: every statement of this test references people once —
 	// CREATE TABLE, the set-up's INSERTs, the DDL and the SELECTs.
 	tf, _, _ := db.Monitor().SnapshotFrequencies()
 	if want := 1 + peopleRows/100 + ddls + readers*rounds*3; tf["people"] != want {
 		t.Errorf("table frequency %d, want %d (%d DDL statements)", tf["people"], want, ddls)
+	}
+}
+
+// The cache's cold-path counters: a miss is a statement that ran (or
+// tried) the parser — uncacheable statements and failures included — so
+// hits are the statements minus the misses; evictions and invalidations
+// count entries dropped for capacity and whole-cache drops.
+func TestStatementCacheCounters(t *testing.T) {
+	db, err := Open(Config{Dir: t.TempDir(), PoolPages: 256, PlanCacheSize: 2, Monitor: monitor.New(monitor.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	s := db.NewSession()
+	defer s.Close()
+	setupPeople(t, s)
+	if st := db.Stats(); st.StmtCacheMisses != st.Statements || st.StmtCacheEvictions != 0 {
+		t.Fatalf("after a set-up of DDL and bulk inserts: %+v", st)
+	}
+
+	base := db.Stats()
+	for i := 0; i < 5; i++ {
+		mustExec(t, s, fmt.Sprintf("SELECT id FROM people WHERE id = %d", i))
+	}
+	for _, bad := range []string{"SELECT 'open", "SELEC id FROM people"} {
+		if _, err := s.Exec(bad); err == nil {
+			t.Fatalf("%s succeeded", bad)
+		}
+	}
+	st := db.Stats()
+	if misses, stmts := st.StmtCacheMisses-base.StmtCacheMisses, st.Statements-base.Statements; misses != 3 || stmts-misses != 4 {
+		t.Errorf("5 executions of one shape and 2 failures: %d misses of %d statements", misses, stmts)
+	}
+	mustExec(t, s, "SELECT age FROM people WHERE id = 1")
+	mustExec(t, s, "SELECT city FROM people WHERE id = 1") // a third shape in a cache of two
+	if got := db.Stats().StmtCacheEvictions; got != 1 {
+		t.Errorf("evictions = %d, want 1", got)
+	}
+	inv := db.Stats().StmtCacheInvalidations
+	mustExec(t, s, "CREATE STATISTICS FOR people")
+	if got := db.Stats().StmtCacheInvalidations; got <= inv {
+		t.Errorf("invalidations stayed at %d over CREATE STATISTICS", got)
+	}
+	if got := db.Stats().StmtCacheStaleReparses; got != 0 {
+		t.Errorf("stale re-parses = %d in a single session", got)
 	}
 }

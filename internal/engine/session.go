@@ -339,11 +339,16 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	tick := db.statements.Add(1)
 
 	h := db.mon.StartStatement(sql)
+	p, params, err := s.prepare(sql, tick, &h)
+	if err != nil {
+		h.Finish(0, 0, 0, err)
+		return nil, err
+	}
 
 	// Phase 2: when the flagger (or a manual override) has flagged this
-	// statement, attach a wait profiler for this execution. With zero
-	// flagged statements Profiled is a single atomic load and the whole
-	// block is skipped.
+	// statement's shape, attach a wait profiler for this execution. With
+	// zero flagged statements Profiled is a single atomic load and the
+	// whole block is skipped.
 	var (
 		dispatchStart           time.Time
 		preIO, preFsync, prePin int64
@@ -366,13 +371,6 @@ func (s *Session) Exec(sql string) (*Result, error) {
 			s.prof = nil
 		}()
 	}
-
-	p, params, err := s.prepare(sql, tick)
-	if err != nil {
-		h.Finish(0, 0, 0, err)
-		return nil, err
-	}
-	p.observe(&h)
 	isDML, isDDL, isOnlineDDL := p.class == classDML, p.class == classDDL, p.class == classOnlineDDL
 
 	var ddlRelease func()
@@ -441,10 +439,10 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		// storage structure) may be gone. Under the locks nothing can
 		// change any more, so parse and plan afresh — the same tables,
 		// hence the same locks.
-		if p, params, err = s.parse(tick); err != nil {
+		db.plans.staleReparses.Add(1)
+		if p, params, err = s.parse(tick, &h); err != nil {
 			return nil, s.abort(&h, err)
 		}
-		p.observe(&h)
 	}
 	stmt := p.stmt
 	if !isDDL && !isOnlineDDL {
@@ -466,7 +464,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	case *sqlparser.SelectStmt:
 		res, err = s.execSelect(st, p, params, &h, tick)
 	case *sqlparser.ExplainStmt:
-		res, err = s.execExplain(sql, st, params, &h)
+		res, err = s.execExplain(sql, st, p.digest, params, &h)
 	case *sqlparser.CreateTableStmt:
 		res, err = db.execCreateTable(st)
 	case *sqlparser.DropTableStmt:
@@ -601,7 +599,7 @@ func (s *Session) execSelect(st *sqlparser.SelectStmt, p *prepared, params []sql
 		}
 		h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, entry.optTime)
 		db.publish(p, plan.Attributes, plan.UsedIndexes, tick)
-		p.observe(h)
+		p.observe(h, s.id)
 	} else {
 		// Cache hit: the optimizer was bypassed entirely; estimates
 		// come from the cached plan.
@@ -636,12 +634,12 @@ func (s *Session) runCounted(prep *executor.Prepared, ctx *executor.Ctx, h *moni
 // SELECT (optionally admitting virtual indexes with WHATIF) and
 // returns the rendered plan as rows. With ANALYZE it also executes the
 // statement under a per-operator trace.
-func (s *Session) execExplain(sql string, st *sqlparser.ExplainStmt, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
+func (s *Session) execExplain(sql string, st *sqlparser.ExplainStmt, digest uint64, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
 	if st.Analyze {
 		if st.WhatIf {
 			return nil, fmt.Errorf("engine: EXPLAIN WHATIF ANALYZE is not supported (virtual indexes cannot be executed)")
 		}
-		return s.execExplainAnalyze(sql, st, params, h)
+		return s.execExplainAnalyze(sql, st, digest, params, h)
 	}
 	plan, err := optimizer.PlanSelect(st.Select, s.db.catalogView(), optimizer.Options{
 		Params:             params,
@@ -666,7 +664,7 @@ func (s *Session) execExplain(sql string, st *sqlparser.ExplainStmt, params []sq
 // trace is also pushed into the monitor's trace ring, where ima_spans
 // exposes it over SQL. The statement cache is bypassed: the point of
 // ANALYZE is to observe a full plan+execute cycle.
-func (s *Session) execExplainAnalyze(sql string, st *sqlparser.ExplainStmt, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
+func (s *Session) execExplainAnalyze(sql string, st *sqlparser.ExplainStmt, digest uint64, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
 	db := s.db
 	t0 := time.Now()
 	plan, err := optimizer.PlanSelect(st.Select, db.catalogView(), optimizer.Options{Params: params})
@@ -705,7 +703,7 @@ func (s *Session) execExplainAnalyze(sql string, st *sqlparser.ExplainStmt, para
 			}
 		}
 		db.mon.RecordTrace(monitor.Trace{
-			Hash:  monitor.HashStatement(sql),
+			Hash:  digest,
 			Text:  sql,
 			Start: start,
 			Wall:  wall,

@@ -31,15 +31,17 @@ func TestFig4ShapeHolds(t *testing.T) {
 			t.Errorf("output missing %q", want)
 		}
 	}
-	// Shape: overhead on the complex test is small. That monitoring
-	// costs something measurable is asserted on the sensors' own clock
-	// (MonitorShare), not on a wall-clock ratio of two point-select
-	// runs, which is noise on a shared host.
-	if res.Relative["Monitoring"]["50"] > 1.30 {
-		t.Errorf("complex-test monitoring overhead = %.2f, want near 1.0", res.Relative["Monitoring"]["50"])
+	// Shape: monitoring is negligible on the complex test and costs
+	// something measurable on the point selects. Both are asserted on
+	// the sensors' own clock — sensor time over the wall time of the same
+	// run — not on the ratio of two separately timed runs on two
+	// instances, which is noise on a shared host.
+	if res.Shares["50"] <= 0 || res.Shares["50"] > 0.02 {
+		t.Errorf("complex test: sensors took %.3f%% of the wall time, want (0, 2%%]", res.Shares["50"]*100)
 	}
-	if res.MonitorShare <= 0 {
-		t.Errorf("monitor share not measured: %v", res.MonitorShare)
+	if res.MonitorShare <= res.Shares["50"] {
+		t.Errorf("sensor share of the point selects (%.3f%%) not above that of the complex test (%.3f%%)",
+			res.MonitorShare*100, res.Shares["50"]*100)
 	}
 }
 
@@ -60,8 +62,9 @@ func TestFig5ShareGrowsWithWarmCaches(t *testing.T) {
 			t.Errorf("complex query %d: monitor share %.1f%%, want negligible", s.Position, s.Share*100)
 		}
 	}
-	// Simple statements: the share at position 1000 must exceed the
-	// share of the first (cold) statement by a wide margin.
+	// Simple statements: the share at position 1000 (the median of a
+	// window of warm statements, sensor time over wall time statement by
+	// statement) must exceed the share of the first, cold statement.
 	first := res.Simple[0]
 	var late Fig5Sample
 	for _, s := range res.Simple {

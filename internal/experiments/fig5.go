@@ -3,14 +3,18 @@ package experiments
 import (
 	"fmt"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/nref"
 )
 
-// Fig5Sample is one probed statement: its position in the sequence,
-// total execution time and the share spent in monitoring sensors.
+// Fig5Sample is one probe: its position in the sequence, total
+// execution time and the share spent in monitoring sensors. A probe of
+// the point-select sequence past its first statements is the median —
+// by share — of fig5Window consecutive statements, so that one
+// descheduled statement does not become the figure.
 type Fig5Sample struct {
 	Position int
 	TotalUs  float64
@@ -71,25 +75,38 @@ func RunFig5(cfg Config) (*Fig5Result, error) {
 	}
 
 	// Panel 2: the point-select sequence with probes at 1, 2, 10, 100,
-	// 1000, 10000, ... up to the configured count.
+	// 1000, 10000, ... up to the configured count. The first two are
+	// single statements (there is one cold statement); the later ones
+	// are windows.
 	probes := map[int]bool{1: true, 2: true, 10: true, 100: true, 1000: true, 10000: true, 100000: true}
 	n := cfg.SelectsN
 	for i := 1; i <= n; i++ {
-		sql := nref.PointSelectStatement(i-1, cfg.Scale)
-		if probes[i] {
-			sample, err := probe(sql, i)
-			if err != nil {
+		if !probes[i] {
+			if _, err := s.Exec(nref.PointSelectStatement(i-1, cfg.Scale)); err != nil {
 				return nil, err
 			}
-			res.Simple = append(res.Simple, sample)
 			continue
 		}
-		if _, err := s.Exec(sql); err != nil {
-			return nil, err
+		width := 1
+		if i >= 10 {
+			width = min(fig5Window, n-i+1)
 		}
+		window := make([]Fig5Sample, width)
+		for w := range window {
+			if window[w], err = probe(nref.PointSelectStatement(i+w-1, cfg.Scale), i); err != nil {
+				return nil, err
+			}
+		}
+		sort.Slice(window, func(a, b int) bool { return window[a].Share < window[b].Share })
+		res.Simple = append(res.Simple, window[width/2])
+		i += width - 1
 	}
 	return res, nil
 }
+
+// fig5Window is the number of consecutive statements behind one probe
+// of the warm point-select sequence.
+const fig5Window = 9
 
 // String renders both panels.
 func (r *Fig5Result) String() string {

@@ -10,7 +10,7 @@
 // table set, in registry order (the first seven mirror the paper's
 // Figure 3; * marks relations the daemon persists as ws_<name>):
 //
-//	ima_statements* — unique statements keyed by text hash
+//	ima_statements* — statement shapes keyed by digest, one sample text each
 //	ima_workload*   — execution history with estimated vs. actual costs
 //	ima_references* — statement → object (table/attribute/index) usage
 //	ima_tables*     — per-table frequency and physical state
@@ -178,10 +178,12 @@ func MonitorHealth(mon *monitor.Monitor) []HealthMetric {
 		{"monitor", "statements_total", float64(mon.TotalStatements())},
 		{"monitor", "sensor_seconds_total", mon.TotalMonitorTime().Seconds()},
 		{"monitor", "distinct_statements", float64(mon.StatementCount())},
+		{"monitor", "evicted_statements_total", float64(mon.EvictedStatements())},
 		{"monitor", "workload_depth", float64(mon.WorkloadDepth())},
 		{"monitor", "workload_dropped_total", float64(mon.WorkloadDropped())},
 		{"monitor", "traces_buffered", float64(mon.TraceCount())},
 		{"monitor", "flagged_statements", float64(mon.FlagCount())},
 		{"monitor", "phase2_seconds_total", mon.Phase2Overhead().Seconds()},
+		{"monitor", "publish_seconds_total", mon.PublishTime().Seconds()},
 	}
 }

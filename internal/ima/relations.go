@@ -478,6 +478,11 @@ var SystemCounters = []Counter[SystemReading]{
 	{Column: "parallel_queries", Metric: "engine_parallel_queries_total", Help: "Statements that ran a morsel-parallel plan subtree.", Get: func(r *SystemReading) int64 { return r.ParallelQueries }},
 	{Column: "morsels_dispatched", Metric: "engine_parallel_morsels_total", Help: "Heap-page morsels dispatched to parallel scan workers.", Get: func(r *SystemReading) int64 { return r.MorselsDispatched }},
 	{Column: "parallel_worker_nanos", Metric: "engine_parallel_worker_seconds_total", Help: "Summed wall time of parallel scan workers in seconds.", Div: 1e9, Get: func(r *SystemReading) int64 { return r.ParallelWorkerNanos }},
+	// The prepared-statement cache; its hits are statements - misses.
+	{Column: "stmt_cache_misses", Metric: "engine_stmt_cache_misses_total", Help: "Statements that ran the parser instead of a cached prepared statement.", Get: func(r *SystemReading) int64 { return r.StmtCacheMisses }},
+	{Column: "stmt_cache_evictions", Metric: "engine_stmt_cache_evictions_total", Help: "Prepared statements dropped from the cache for capacity.", Get: func(r *SystemReading) int64 { return r.StmtCacheEvictions }},
+	{Column: "stmt_cache_invalidations", Metric: "engine_stmt_cache_invalidations_total", Help: "Times DDL or new statistics dropped the whole prepared-statement cache.", Get: func(r *SystemReading) int64 { return r.StmtCacheInvalidations }},
+	{Column: "stmt_cache_stale_reparses", Metric: "engine_stmt_cache_stale_reparses_total", Help: "Cache hits re-parsed under their table locks because DDL overtook them.", Get: func(r *SystemReading) int64 { return r.StmtCacheStaleReparses }},
 }
 
 // MvccCounters defines ima_mvcc, ws_mvcc and the engine_mvcc_* series:

@@ -1,7 +1,7 @@
 // Two-phase adaptive monitoring: phase 1 is the always-on lock-free
 // statement path (monitor.go); phase 2 is deep wait-state attribution,
-// enabled per statement by *flagging* it. The flag set is a bounded,
-// copy-on-write map keyed by statement hash: readers (the statement
+// enabled per statement shape by *flagging* it. The flag set is a bounded,
+// copy-on-write map keyed by statement digest: readers (the statement
 // hot path) load one atomic pointer and do a map lookup, writers
 // (the Flagger policy, manual overrides, TTL expiry) copy and swap
 // under a mutex. A single atomic counter — flaggedCount — gates the
@@ -20,6 +20,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/sqlparser"
 )
 
 // Flag reasons recorded in ima_flags.
@@ -113,15 +115,17 @@ func (m *Monitor) FlagCount() int64 {
 	return m.flaggedCount.Load()
 }
 
-// Flag enables phase-2 wait attribution for a statement by text. A
-// manual flag never expires and survives Flagger evaluation; a
-// non-manual flag expires ttl after the call (ttl <= 0 means it only
-// leaves by Unflag). Returns false when the bounded flag set is full.
+// Flag enables phase-2 wait attribution for the shape of the statement
+// text — every statement sharing its digest (sqlparser.DigestOf), as the
+// engine would count it. A manual flag never expires and survives
+// Flagger evaluation; a non-manual flag expires ttl after the call
+// (ttl <= 0 means it only leaves by Unflag). Returns false when the
+// bounded flag set is full.
 func (m *Monitor) Flag(text, reason string, manual bool, ttl time.Duration) bool {
 	if m == nil {
 		return false
 	}
-	return m.flagHash(HashStatement(text), text, reason, manual, ttl)
+	return m.flagHash(sqlparser.DigestOf(text), text, reason, manual, ttl)
 }
 
 func (m *Monitor) flagHash(hash uint64, text, reason string, manual bool, ttl time.Duration) bool {
@@ -158,14 +162,14 @@ func (m *Monitor) flagHash(hash uint64, text, reason string, manual bool, ttl ti
 	return true
 }
 
-// Unflag removes a statement's phase-2 flag by text (manual override
-// in the other direction). Returns whether it was flagged.
+// Unflag removes the phase-2 flag of the statement text's shape (manual
+// override in the other direction). Returns whether it was flagged.
 func (m *Monitor) Unflag(text string) bool {
 	if m == nil {
 		return false
 	}
 	return m.unflagLocked(func(cur *flagSet) []uint64 {
-		hash := HashStatement(text)
+		hash := sqlparser.DigestOf(text)
 		if _, ok := cur.m[hash]; ok {
 			return []uint64{hash}
 		}
@@ -303,16 +307,18 @@ func (m *Monitor) recordWaits(hash uint64, wallNs, execNs, lockNs, ioNs, fsyncNs
 	m.phase2Nanos.Add(int64(time.Since(t0)))
 }
 
-// Profiled reports whether this statement is phase-2 flagged, latching
-// the answer so Finish commits the breakdown. The zero-flagged fast
-// path is one atomic load; the lookup cost when flags exist is counted
-// as phase-2 overhead.
+// Profiled reports whether this statement's shape is phase-2 flagged,
+// latching the answer so Finish commits the breakdown. The engine calls
+// it once the statement is prepared, so the digest is the one its entry
+// carries (only a handle driven by hand hashes its text here). The
+// zero-flagged fast path is one atomic load; the lookup cost when flags
+// exist is counted as phase-2 overhead.
 func (h *Handle) Profiled() bool {
 	if h == nil || h.m == nil || h.m.flaggedCount.Load() == 0 {
 		return false
 	}
 	t0 := time.Now()
-	_, ok := h.m.flags.Load().m[HashStatement(h.text)]
+	_, ok := h.m.flags.Load().m[h.statementDigest()]
 	h.profiled = ok
 	if ok {
 		h.pm = h.m
@@ -351,7 +357,7 @@ func (h *Handle) FlushWaits() {
 			}
 		}
 	}
-	m.recordWaits(HashStatement(h.text), h.wallNs,
+	m.recordWaits(h.digest, h.wallNs,
 		h.execNs, h.lockNs, h.ioNs, h.fsyncNs, h.pinNs)
 }
 
@@ -398,9 +404,9 @@ type FlaggerConfig struct {
 const DefaultFlagTTL = 2 * time.Minute
 
 // Flagger is the phase-1 → phase-2 selection policy: it differences
-// per-statement latency histograms between evaluations and flags
-// statements whose interval p95 crosses an absolute threshold or
-// diverges from their own smoothed baseline. The storage daemon drives
+// per-shape latency histograms between evaluations and flags shapes
+// whose interval p95 crosses an absolute threshold or diverges from
+// their own smoothed baseline. The storage daemon drives
 // Evaluate once per poll; tests and embedders may call it directly.
 type Flagger struct {
 	m   *Monitor

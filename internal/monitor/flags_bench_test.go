@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sqlparser"
 )
 
 // Phase-1 overhead benchmarks and the zero-alloc guard behind the CI
@@ -19,6 +21,7 @@ func benchMonitorCall(b *testing.B, par int, flagged bool) {
 	const text = "SELECT a FROM t WHERE a = 1"
 	tables := []string{"t"}
 	attrs := []string{"t.a"}
+	digest := sqlparser.DigestOf(text) // as the engine's prepare hands it over
 	if flagged {
 		m.Flag(text, FlagReasonManual, true, 0)
 	}
@@ -33,6 +36,7 @@ func benchMonitorCall(b *testing.B, par int, flagged bool) {
 			for next.Add(1) <= int64(b.N) {
 				h := m.StartStatement(text)
 				h.Parsed("SELECT", tables)
+				h.Keyed(digest)
 				h.Optimized(10, 5, 100, attrs, nil, time.Microsecond)
 				if h.Profiled() {
 					h.AddLockWait(100)
@@ -59,8 +63,10 @@ func BenchmarkMonitorCallFlaggedParallel16(b *testing.B) { benchMonitorCall(b, 1
 func benchMonitorCallFraction(b *testing.B, flaggedOf16 int) {
 	m := New(Config{})
 	texts := make([]string, 16)
+	digests := make([]uint64, 16)
 	for i := range texts {
 		texts[i] = "SELECT a FROM t WHERE a = " + string(rune('a'+i))
+		digests[i] = sqlparser.DigestOf(texts[i])
 		if i < flaggedOf16 {
 			m.Flag(texts[i], FlagReasonManual, true, 0)
 		}
@@ -80,6 +86,7 @@ func benchMonitorCallFraction(b *testing.B, flaggedOf16 int) {
 				}
 				h := m.StartStatement(texts[n%16])
 				h.Parsed("SELECT", nil)
+				h.Keyed(digests[n%16])
 				if h.Profiled() {
 					h.AddLockWait(100)
 					h.AddWaits(1000, 100, 100, 0)

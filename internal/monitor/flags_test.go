@@ -2,17 +2,24 @@ package monitor
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sqlparser"
 )
 
 // profiledRecord drives one execution through the full phase-2 path the
-// engine uses: Profiled → wait accumulation → Finish → FlushWaits.
+// engine uses: prepare (which hands the handle the statement's digest,
+// the key Flag resolves a text to) → Profiled → wait accumulation →
+// Finish → FlushWaits.
 func profiledRecord(m *Monitor, text string, execNs, lockNs, ioNs, fsyncNs, pinNs int64) bool {
 	h := m.StartStatement(text)
 	h.Parsed("SELECT", nil)
+	h.Keyed(sqlparser.DigestOf(text))
 	ok := h.Profiled()
 	h.AddLockWait(time.Duration(lockNs))
 	h.AddWaits(execNs, ioNs, fsyncNs, pinNs)
@@ -148,6 +155,7 @@ func TestWaitRecordDroppedAfterUnflag(t *testing.T) {
 	m.Flag("q", FlagReasonManual, true, 0)
 	h := m.StartStatement("q")
 	h.Parsed("SELECT", nil)
+	h.Keyed(sqlparser.DigestOf("q"))
 	if !h.Profiled() {
 		t.Fatal("not profiled")
 	}
@@ -307,5 +315,55 @@ func TestFlagChurnRace(t *testing.T) {
 	wg.Wait()
 	if n, l := m.FlagCount(), len(m.SnapshotFlags()); n != int64(l) {
 		t.Fatalf("FlagCount %d != snapshot length %d", n, l)
+	}
+}
+
+// The flagger differences per-shape histograms: a shape whose interval
+// p95 grows past TrendFactor × its baseline is flagged although no
+// single text ever repeats, so no text alone would reach MinSamples.
+func TestFlaggerJudgesShapesNotTexts(t *testing.T) {
+	m := New(Config{})
+	fl := NewFlagger(m, FlaggerConfig{MinSamples: 16, TrendFactor: 3, TTL: time.Minute})
+	var cell atomic.Pointer[Shape]
+	cell.Store(m.Publish(42, "SELECT x FROM t WHERE k = 0", "SELECT", []string{"t"}, nil, nil))
+	n := 0
+	interval := func(d time.Duration) int {
+		for i := 0; i < 32; i++ {
+			n++
+			shapedRecord(m, &cell, n, d)
+		}
+		flagged, _ := fl.Evaluate(time.Now())
+		return flagged
+	}
+	if interval(60*time.Microsecond) != 0 || interval(60*time.Microsecond) != 0 {
+		t.Fatal("baseline intervals flagged")
+	}
+	if interval(180*time.Microsecond) != 1 { // p95 bucket bound 65.5µs → 262µs
+		t.Fatal("tripled p95 not flagged")
+	}
+	fs := m.SnapshotFlags()
+	if len(fs) != 1 || fs[0].Hash != 42 || fs[0].Reason != FlagReasonTrend {
+		t.Fatalf("flags = %+v", fs)
+	}
+}
+
+// A steady stream of one hot shape — point selects with log-normal
+// latencies around 6µs, 2000 per evaluation — is never flagged: a flag
+// on it would put every one of its statements on the profiled path.
+func TestSteadyHotShapeNeverFlagged(t *testing.T) {
+	m := New(Config{})
+	fl := NewFlagger(m, FlaggerConfig{})
+	var cell atomic.Pointer[Shape]
+	cell.Store(m.Publish(42, "SELECT x FROM t WHERE k = 0", "SELECT", []string{"t"}, nil, nil))
+	r := rand.New(rand.NewSource(5))
+	n := 0
+	for eval := 0; eval < 25; eval++ {
+		for i := 0; i < 2000; i++ {
+			n++
+			shapedRecord(m, &cell, n, time.Duration(6000*math.Exp(0.5*r.NormFloat64())))
+		}
+		if flagged, _ := fl.Evaluate(time.Now()); flagged != 0 || m.FlagCount() != 0 {
+			t.Fatalf("evaluation %d flagged the steady shape: %+v", eval, m.SnapshotFlags())
+		}
 	}
 }

@@ -10,19 +10,22 @@
 // monitoring in total statement time (the paper's Figure 5) can be
 // reproduced exactly.
 //
-// The hot path is sharded (see shard.go): sensor commits from
-// concurrent sessions take one shard lock each, so monitoring overhead
-// stays sensor-bound rather than contention-bound as sessions scale.
+// Statements are counted per shape (statements.go): a cached
+// statement's sensor commit increments the counters its prepared entry
+// carries and appends one row to the sharded workload ring (shard.go);
+// it neither hashes the text nor touches the statement table.
 package monitor
 
 import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/sqlparser"
 )
 
 // DefaultStatementCapacity is the number of distinct statements the
-// statement ring holds before wrapping around, as in the prototype
+// statement table holds before it evicts the oldest, as in the prototype
 // ("by default, the monitoring can capture up to 1000 different
 // statements until the buffer wraps around").
 const DefaultStatementCapacity = 1000
@@ -54,24 +57,18 @@ func (o ObjType) String() string {
 	return "?"
 }
 
-// StatementInfo is one row of the statements ring: a unique statement
-// identified by the FNV-64 hash of its text.
+// StatementInfo is one row of the statement table as a snapshot reads
+// it: a statement shape, identified by its digest (sqlparser.Digest).
 type StatementInfo struct {
 	Hash      uint64
-	Text      string
+	Text      string // one sample text of the shape
 	Kind      string // SELECT, INSERT, ...
-	Frequency int64
+	Frequency int64  // always Lat.Total(): the histogram is the counter
 	FirstSeen time.Time
 	LastSeen  time.Time
 
-	// Lat is the per-statement wallclock latency histogram. It is
-	// plain (non-atomic) counters on purpose: it is bumped in the same
-	// critical section as Frequency, so its total always equals
-	// Frequency exactly, and StatementInfo stays copyable for the
-	// snapshot path and the shard freelist.
+	// Lat is the shape's wallclock latency histogram.
 	Lat LatencyCounts
-
-	seq uint64 // global insertion order, for the cross-shard merge
 }
 
 // WorkloadEntry is one row of the workload ring: a single execution of
@@ -91,7 +88,8 @@ type WorkloadEntry struct {
 	Err      bool
 }
 
-// Reference is one row of the references ring: statement hash → object.
+// Reference is one statement → object row, derived from the statement
+// table's live entries.
 type Reference struct {
 	Hash  uint64
 	Type  ObjType
@@ -99,15 +97,14 @@ type Reference struct {
 	Table string // owning table (= Name for tables)
 }
 
-// Config sizes the monitor's ring buffers.
+// Config sizes the monitor's buffers.
 type Config struct {
 	StatementCapacity int
 	WorkloadCapacity  int
-	ReferenceCapacity int
-	// Shards is the number of ways the hot path is split (rounded up
-	// to a power of two, capped at 64). Zero derives it from
-	// GOMAXPROCS. The shard count never changes observable semantics,
-	// only contention.
+	// Shards is the number of ways the workload ring is split (rounded
+	// up to a power of two, capped at 64) and, up to 8, a Shape's
+	// counters are striped. Zero derives it from GOMAXPROCS. The shard
+	// count never changes observable semantics, only contention.
 	Shards int
 	// TraceCapacity bounds the ring of per-operator statement traces
 	// (EXPLAIN ANALYZE). Zero means DefaultTraceCapacity.
@@ -123,13 +120,9 @@ type Config struct {
 type Monitor struct {
 	enabled atomic.Bool
 
-	// Statement table, reference ring and frequency maps, sharded by
-	// statement hash.
-	shards    []stmtShard
-	shardMask uint64
-	stmtCap   int          // global distinct-statement capacity
-	liveStmts atomic.Int64 // distinct statements across shards, ≤ stmtCap
-	evict     evictFIFO    // statement insertions in global order
+	// Statement table and per-name object frequencies (statements.go).
+	stmts        stmtTable
+	publishNanos atomic.Int64 // time spent in Publish
 
 	// Workload ring, sharded round-robin by execution sequence so the
 	// union of shard rings is exactly the newest workCap entries.
@@ -152,13 +145,6 @@ type Monitor struct {
 	// carryover buffer is full it deliberately stops draining and lets
 	// the ring wrap — this counter makes that bounded loss observable.
 	workDropped atomic.Int64
-
-	// refSets is the registry of live reference sets (refset.go): slot i
-	// of every statement shard's setCounts counts executions of
-	// refSets[i]. Guarded by refMu; slots are reused after Retire.
-	refMu     sync.Mutex
-	refSets   []*RefSet
-	freeSlots []int32
 
 	// traces is the bounded ring of per-operator statement traces
 	// (see trace.go); written only by EXPLAIN ANALYZE, never by the
@@ -194,9 +180,6 @@ func New(cfg Config) *Monitor {
 	if cfg.WorkloadCapacity <= 0 {
 		cfg.WorkloadCapacity = DefaultWorkloadCapacity
 	}
-	if cfg.ReferenceCapacity <= 0 {
-		cfg.ReferenceCapacity = cfg.StatementCapacity * 8
-	}
 	nShards := cfg.Shards
 	if nShards <= 0 {
 		nShards = defaultShards()
@@ -213,27 +196,19 @@ func New(cfg Config) *Monitor {
 		nWork = nShards
 	}
 	perWork := cfg.WorkloadCapacity / nWork
-	// References round up to a whole ring per shard.
-	perRef := (cfg.ReferenceCapacity + nShards - 1) / nShards
 
 	m := &Monitor{
-		shards:     make([]stmtShard, nShards),
-		shardMask:  uint64(nShards - 1),
-		stmtCap:    cfg.StatementCapacity,
 		workShards: make([]workShard, nWork),
 		workMask:   uint64(nWork - 1),
 		workCap:    perWork * nWork,
 	}
-	m.evict.init(cfg.StatementCapacity)
+	m.stmts.init(cfg.StatementCapacity, min(nShards, maxLanes))
 	m.traces.init(cfg.TraceCapacity)
 	m.flagCap = cfg.MaxFlagged
 	if m.flagCap <= 0 {
 		m.flagCap = DefaultMaxFlagged
 	}
 	m.flags.Store(emptyFlags)
-	for i := range m.shards {
-		m.shards[i].init(perRef)
-	}
 	for i := range m.workShards {
 		m.workShards[i].ring = make([]WorkloadEntry, perWork)
 		m.workShards[i].seqs = make([]uint64, perWork)
@@ -248,10 +223,6 @@ func (m *Monitor) SetEnabled(v bool) { m.enabled.Store(v) }
 // Enabled reports whether sensors are active.
 func (m *Monitor) Enabled() bool { return m.enabled.Load() }
 
-// ShardCount reports how many ways the statement-side hot path is
-// split (the workload ring may use fewer shards; see New).
-func (m *Monitor) ShardCount() int { return len(m.shards) }
-
 // Handle accumulates sensor data for one executing statement. It is
 // returned by value so the hot path allocates nothing; the zero Handle
 // (and a nil *Handle) is inert, which is how a disabled monitor keeps
@@ -263,11 +234,14 @@ type Handle struct {
 	kind  string
 	start time.Time
 
-	// Referenced objects: either a registered reference set (a cached
-	// statement shape: counted with one increment) or the loose lists the
-	// parser and optimizer sensors delivered (first execution of a shape,
-	// DDL, failed statements: counted name by name).
-	refs    *RefSet
+	// What the statement is counted under: the Shape its prepared entry
+	// carries (cell, and the session's lane in it), or — on the slow path
+	// — a digest (the engine's, when keyed; else the hash of the text)
+	// and the object lists the parser and optimizer sensors delivered.
+	cell    *atomic.Pointer[Shape]
+	lane    uint32
+	keyed   bool
+	digest  uint64 // latched by Finish in every case, for FlushWaits
 	tables  []string
 	attrs   []string // "table.column"
 	indexes []string
@@ -292,26 +266,15 @@ type Handle struct {
 	wallNs   int64
 }
 
-// HashStatement returns the FNV-64a hash the monitor keys statements
-// by. The loop is written out (rather than using hash/fnv) so the hot
-// path pays no interface dispatch and no string→[]byte copy.
-func HashStatement(text string) uint64 {
-	const offset64 = 14695981039346656037
-	const prime64 = 1099511628211
-	h := uint64(offset64)
-	for i := 0; i < len(text); i++ {
-		h ^= uint64(text[i])
-		h *= prime64
-	}
-	return h
-}
+// HashStatement returns the digest of a statement that has no shape
+// key: the FNV-64a hash of its text. Statements driven through
+// StartStatement alone are keyed by it.
+func HashStatement(text string) uint64 { return sqlparser.Digest(text, nil) }
 
 // StartStatement begins monitoring one statement execution. It is the
 // "Wallclock Start" sensor at the query interface. The returned handle
 // is a value — callers keep it on their stack, so starting a statement
-// costs one clock read and a struct fill, with no allocation. Hashing
-// of the statement text is deferred to Finish, where it is covered by
-// the self-measurement that feeds the paper's Figure 5.
+// costs one clock read and a struct fill, with no allocation.
 func (m *Monitor) StartStatement(text string) Handle {
 	if m == nil || !m.enabled.Load() {
 		return Handle{}
@@ -327,34 +290,45 @@ func (h *Handle) Live() bool { return h != nil && h.m != nil }
 // Parsed is the parser sensor: statement kind and referenced tables,
 // logged "right at the source" while the parser has them in hand. The
 // slice is retained by reference and must not be mutated afterwards.
-// Its cost is a handful of stores; the self-measurement that feeds
-// Figure 5 happens in StartStatement and Finish, which carry the real
-// work (hashing and the ring-buffer commit).
+// It puts the statement on the slow path: Finish resolves its entry by
+// digest.
 func (h *Handle) Parsed(kind string, tables []string) {
 	if h == nil {
 		return
 	}
 	h.kind = kind
 	h.tables = tables
-	h.refs = nil
+	h.cell = nil
 }
 
-// Prepared is the parser and the object half of the optimizer sensor in
-// one store, for a statement whose shape the engine has prepared
-// before: kind and the registered reference set it cached with the
-// shape. Estimates still arrive through Optimized.
-func (h *Handle) Prepared(kind string, refs *RefSet) {
+// Keyed gives a slow-path statement the digest the engine derived from
+// its shape key; without it Finish hashes the text.
+func (h *Handle) Keyed(digest uint64) {
+	if h == nil {
+		return
+	}
+	h.digest, h.keyed = digest, true
+}
+
+// Cached is the parser and the object half of the optimizer sensor in
+// one store, for a statement served by a prepared entry: cell holds the
+// Shape published for the entry (Finish replaces it there should it be
+// retired) and lane, any number the session sticks to, picks the stripe
+// of its counters. Estimates still arrive through Optimized. The cell
+// must hold a Shape.
+func (h *Handle) Cached(kind string, cell *atomic.Pointer[Shape], lane int64) {
 	if h == nil {
 		return
 	}
 	h.kind = kind
-	h.refs = refs
+	h.cell = cell
+	h.lane = uint32(lane)
 }
 
 // Optimized is the optimizer sensor: estimated costs, referenced
 // attributes and the indexes the plan uses. Both slices are retained
 // by reference (the engine passes the cached plan's immutable slices)
-// and ignored when Prepared supplied a reference set.
+// and ignored when Cached supplied a Shape.
 func (h *Handle) Optimized(estCPU, estIO, estRows float64, attrs, indexes []string, optTime time.Duration) {
 	if h == nil {
 		return
@@ -365,12 +339,24 @@ func (h *Handle) Optimized(estCPU, estIO, estRows float64, attrs, indexes []stri
 	h.optTime = optTime
 }
 
-// Finish is the "Wallclock Stop" sensor: it commits the collected data
-// into the ring buffers under two short, sharded critical sections
-// (statement table, then workload ring). Finish is idempotent — the
-// first call commits, later calls on the same handle are no-ops — so
-// error paths that stop the wallclock early cannot double-count an
-// execution.
+// statementDigest is what the statement is, or will be, counted under.
+func (h *Handle) statementDigest() uint64 {
+	switch {
+	case h.cell != nil:
+		return h.cell.Load().entry.digest
+	case h.keyed:
+		return h.digest
+	}
+	return HashStatement(h.text)
+}
+
+// Finish is the "Wallclock Stop" sensor: it counts the execution under
+// its statement — for a cached statement one increment of the latency
+// bucket in its Shape (the bucket sum is the frequency) and a last-seen
+// stamp, otherwise a locked visit to the statement table — and commits
+// the workload-ring row. Finish is idempotent — the first call commits,
+// later calls on the same handle are no-ops — so error paths that stop
+// the wallclock early cannot double-count an execution.
 func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 	if h == nil || h.m == nil {
 		return
@@ -378,133 +364,28 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 	t0 := time.Now()
 	m := h.m
 	h.m = nil
-	hash := HashStatement(h.text)
 	// Per-statement histogram bucket, derived from the clock read the
 	// sensor already paid for. The few hundred nanoseconds of Finish
 	// itself excluded here cannot move a sample across a power-of-two
 	// bucket boundary in any regime where the histogram is meaningful.
 	wallBucket := latencyBucket(t0.Sub(h.start))
 
-	entry := WorkloadEntry{
-		Hash:    hash,
-		Start:   h.start,
-		OptTime: h.optTime,
-		ExecCPU: execCPU,
-		ExecIO:  execIO,
-		EstCPU:  h.estCPU,
-		EstIO:   h.estIO,
-		EstRows: h.estRows,
-		Rows:    rows,
-		Err:     execErr != nil,
-	}
-
-	tables, attrs, indexes := h.tables, h.attrs, h.indexes
-	if h.refs != nil {
-		tables, attrs, indexes = h.refs.Tables, h.refs.Attrs, h.refs.Indexes
-	}
-
-	// Statement table, references and object frequencies: one shard,
-	// selected by statement hash.
-	sh := &m.shards[hash&m.shardMask]
-	sh.mu.Lock()
-	si := sh.stmts[hash]
-	if si == nil {
-		// New statement: acquire one slot of the global capacity.
-		// While capacity remains, a CAS reservation succeeds without
-		// dropping the shard lock. When the table is full, the slot
-		// comes from evicting the globally oldest statement, which
-		// lives in some other shard — drop this shard's lock for the
-		// eviction (at most one shard lock is ever held), then
-		// re-check for a racing insert.
-		reserved := false
-		for {
-			n := m.liveStmts.Load()
-			if n >= int64(m.stmtCap) {
-				break
-			}
-			if m.liveStmts.CompareAndSwap(n, n+1) {
-				reserved = true
-				break
-			}
+	if cell := h.cell; cell != nil {
+		s := cell.Load()
+		h.digest = s.entry.digest
+		ln := &s.lanes[h.lane&uint32(len(s.lanes)-1)]
+		ln.lat[wallBucket].Add(1)
+		ln.lastSeen.Store(h.start.UnixNano())
+		if s.retired.Load() {
+			// Evicted from the table, or superseded, since the entry was
+			// published: hand the increment back and count in a fresh
+			// Shape from now on.
+			cell.Store(m.stmts.republish(s))
 		}
-		if !reserved {
-			// Evicting inline keeps this shard's lock held: the victim
-			// usually lives in another shard, taken with TryLock, which
-			// never blocks and therefore cannot deadlock regardless of
-			// lock order.
-			if victimHash, ok := m.evict.claimOldest(); ok {
-				victim := &m.shards[victimHash&m.shardMask]
-				if victim == sh {
-					sh.removeLocked(victimHash)
-				} else if victim.mu.TryLock() {
-					victim.removeLocked(victimHash)
-					victim.mu.Unlock()
-				} else {
-					// Victim shard busy: finish the claimed eviction
-					// the blocking way, which requires dropping this
-					// shard's lock first (at most one blocking shard
-					// lock is ever held), then re-checking for a
-					// racing insert.
-					sh.mu.Unlock()
-					victim.mu.Lock()
-					victim.removeLocked(victimHash)
-					victim.mu.Unlock()
-					sh.mu.Lock()
-					si = sh.stmts[hash]
-				}
-			} else {
-				// Table full but nothing published to evict yet: the
-				// capacity is held by in-flight inserts. Take the
-				// general retry path without this shard's lock.
-				sh.mu.Unlock()
-				m.acquireStmtSlot()
-				sh.mu.Lock()
-				si = sh.stmts[hash]
-			}
-		}
-		if si == nil {
-			si = sh.newStmtLocked()
-			*si = StatementInfo{Hash: hash, Text: h.text, Kind: h.kind, FirstSeen: h.start}
-			si.seq = m.evict.publish(hash)
-			sh.stmts[hash] = si
-
-			// References: recorded once per insertion, in the same
-			// critical section, so their merge order is derived from
-			// the statement's insertion sequence — no extra global
-			// counter on the hot path.
-			seq := si.seq << 16
-			for _, t := range tables {
-				sh.addRefLocked(Reference{Hash: hash, Type: ObjTable, Name: t, Table: t}, seq)
-				seq++
-			}
-			for _, a := range attrs {
-				sh.addRefLocked(Reference{Hash: hash, Type: ObjAttribute, Name: a, Table: tablePart(a)}, seq)
-				seq++
-			}
-			for _, ix := range indexes {
-				sh.addRefLocked(Reference{Hash: hash, Type: ObjIndex, Name: ix}, seq)
-				seq++
-			}
-		} else {
-			// Lost the insert race. The acquired slot is surplus either
-			// way: a reservation is returned, an evicted slot means the
-			// table shrank by one — the live count drops by one in both
-			// cases.
-			m.liveStmts.Add(-1)
-		}
-	}
-	si.Frequency++
-	si.LastSeen = h.start
-	si.Lat[wallBucket]++ // same critical section as Frequency: totals match exactly
-
-	// Object frequencies: one counter for a registered reference set,
-	// expanded to its names at snapshot time; name by name otherwise.
-	if rs := h.refs; rs != nil && rs.slot >= 0 {
-		sh.countSetLocked(rs.slot)
 	} else {
-		sh.countNamesLocked(tables, attrs, indexes, 1)
+		h.digest = h.statementDigest()
+		m.stmts.commit(h.digest, h, wallBucket)
 	}
-	sh.mu.Unlock()
 
 	// Workload ring: round-robin shard by execution sequence, so load
 	// spreads evenly even when every session runs the same statement.
@@ -512,8 +393,20 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 	// far plus the elapsed time in Finish. One clock read serves both
 	// durations.
 	now := time.Now()
-	entry.MonNanos = int64(now.Sub(t0))
-	entry.Wall = now.Sub(h.start)
+	entry := WorkloadEntry{
+		Hash:     h.digest,
+		Start:    h.start,
+		Wall:     now.Sub(h.start),
+		OptTime:  h.optTime,
+		ExecCPU:  execCPU,
+		ExecIO:   execIO,
+		EstCPU:   h.estCPU,
+		EstIO:    h.estIO,
+		EstRows:  h.estRows,
+		Rows:     rows,
+		MonNanos: int64(now.Sub(t0)),
+		Err:      execErr != nil,
+	}
 	wseq := m.workSeq.Add(1)
 	ws := &m.workShards[wseq&m.workMask]
 	ws.mu.Lock()
@@ -576,15 +469,6 @@ func (m *Monitor) WorkloadDepth() int64 { return m.liveWork.Load() }
 // overwritten by ring wraparound before a drain could persist them.
 func (m *Monitor) WorkloadDropped() int64 { return m.workDropped.Load() }
 
-func tablePart(attr string) string {
-	for i := 0; i < len(attr); i++ {
-		if attr[i] == '.' {
-			return attr[:i]
-		}
-	}
-	return ""
-}
-
 // TotalStatements returns the cumulative number of monitored
 // executions, unaffected by ring wraparound.
 func (m *Monitor) TotalStatements() int64 {
@@ -606,16 +490,4 @@ func (m *Monitor) TotalMonitorTime() time.Duration {
 		n += m.workShards[i].monNanosTotal
 	}
 	return time.Duration(n)
-}
-
-// StatementCount returns the number of distinct statements currently in
-// the ring.
-func (m *Monitor) StatementCount() int {
-	m.lockStmtShards()
-	defer m.unlockStmtShards()
-	n := 0
-	for i := range m.shards {
-		n += len(m.shards[i].stmts)
-	}
-	return n
 }

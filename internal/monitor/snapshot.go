@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Snapshot is a consistent copy of all ring buffers, taken by the IMA
-// layer and the storage daemon.
+// Snapshot is a copy of the statement table and the workload ring,
+// taken by the IMA layer and the storage daemon.
 type Snapshot struct {
 	Taken      time.Time
 	Statements []StatementInfo
@@ -15,94 +15,6 @@ type Snapshot struct {
 	TableFreq  map[string]int64
 	AttrFreq   map[string]int64
 	IndexFreq  map[string]int64
-}
-
-// statementsLocked copies the live statements of every shard, merged
-// in global insertion order (each statement carries its insertion
-// sequence). Caller holds all statement shard locks.
-func (m *Monitor) statementsLocked() []StatementInfo {
-	var out []StatementInfo
-	for i := range m.shards {
-		for _, si := range m.shards[i].stmts {
-			out = append(out, *si)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a].seq < out[b].seq })
-	return out
-}
-
-// referencesLocked merges the per-shard reference rings in global
-// insertion order. Caller holds all statement shard locks.
-func (m *Monitor) referencesLocked() []Reference {
-	type seqRef struct {
-		seq uint64
-		r   Reference
-	}
-	var tagged []seqRef
-	for i := range m.shards {
-		sh := &m.shards[i]
-		start := sh.refPos - sh.refLen
-		if start < 0 {
-			start += sh.refCap
-		}
-		for j := 0; j < sh.refLen; j++ {
-			p := (start + j) % sh.refCap
-			tagged = append(tagged, seqRef{seq: sh.refSeqs[p], r: sh.refs[p]})
-		}
-	}
-	sort.Slice(tagged, func(a, b int) bool { return tagged[a].seq < tagged[b].seq })
-	out := make([]Reference, len(tagged))
-	for i, t := range tagged {
-		out[i] = t.r
-	}
-	return out
-}
-
-// frequenciesLocked sums the per-shard frequency maps and expands the
-// reference-set counters into them. Caller holds all statement shard
-// locks.
-func (m *Monitor) frequenciesLocked() (table, attr, index map[string]int64) {
-	table = map[string]int64{}
-	attr = map[string]int64{}
-	index = map[string]int64{}
-	m.refMu.Lock()
-	for slot, rs := range m.refSets {
-		if rs == nil {
-			continue
-		}
-		var n int64
-		for i := range m.shards {
-			if sc := m.shards[i].setCounts; slot < len(sc) {
-				n += sc[slot]
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		for _, t := range rs.Tables {
-			table[t] += n
-		}
-		for _, a := range rs.Attrs {
-			attr[a] += n
-		}
-		for _, ix := range rs.Indexes {
-			index[ix] += n
-		}
-	}
-	m.refMu.Unlock()
-	for i := range m.shards {
-		sh := &m.shards[i]
-		for k, v := range sh.tableFreq {
-			table[k] += v
-		}
-		for k, v := range sh.attrFreq {
-			attr[k] += v
-		}
-		for k, v := range sh.indexFreq {
-			index[k] += v
-		}
-	}
-	return table, attr, index
 }
 
 // workloadLocked merges the per-shard workload rings in execution
@@ -132,61 +44,66 @@ func (m *Monitor) workloadLocked() []WorkloadEntry {
 	return out
 }
 
+// statementSideLocked fills in the statement-side fields. Caller holds
+// the statement-table mutex.
+func (m *Monitor) statementSideLocked(s *Snapshot) {
+	t := &m.stmts
+	s.Statements = t.statementsLocked()
+	s.References = t.referencesLocked()
+	s.TableFreq, s.AttrFreq, s.IndexFreq = t.frequenciesLocked()
+}
+
 // Snapshot copies the current monitor state. Workload entries are
-// returned oldest first. It holds every shard lock at once, so it sees
-// one consistent cut across all structures; the narrower Snapshot*
-// accessors are cheaper when only one table is read (the IMA
-// providers' per-table reads).
+// returned oldest first. It holds the statement table and every
+// workload shard at once, so it sees one cut across all structures;
+// the narrower Snapshot* accessors are cheaper when only one table is
+// read (the IMA providers' per-table reads).
 func (m *Monitor) Snapshot() Snapshot {
-	m.lockStmtShards()
+	m.stmts.mu.Lock()
 	m.lockWorkShards()
+	defer m.stmts.mu.Unlock()
 	defer m.unlockWorkShards()
-	defer m.unlockStmtShards()
 
 	s := Snapshot{Taken: time.Now()}
-	s.Statements = m.statementsLocked()
-	s.References = m.referencesLocked()
-	s.TableFreq, s.AttrFreq, s.IndexFreq = m.frequenciesLocked()
+	m.statementSideLocked(&s)
 	s.Workload = m.workloadLocked()
 	return s
 }
 
 // SnapshotStatementSide copies the statement-side state — statements,
-// references and object frequencies — in one consistent cut, without
-// locking the workload shards (the Workload field is left nil). The
-// storage daemon pairs it with DrainWorkload so a poll never blocks
-// concurrent workload commits while it merges the statement table.
+// references and object frequencies — in one cut, without locking the
+// workload shards (the Workload field is left nil). The storage daemon
+// pairs it with DrainWorkload so a poll never blocks concurrent
+// workload commits while it copies the statement table.
 func (m *Monitor) SnapshotStatementSide() Snapshot {
-	m.lockStmtShards()
-	defer m.unlockStmtShards()
-
+	m.stmts.mu.Lock()
+	defer m.stmts.mu.Unlock()
 	s := Snapshot{Taken: time.Now()}
-	s.Statements = m.statementsLocked()
-	s.References = m.referencesLocked()
-	s.TableFreq, s.AttrFreq, s.IndexFreq = m.frequenciesLocked()
+	m.statementSideLocked(&s)
 	return s
 }
 
 // SnapshotStatements copies the statement table in insertion order.
 func (m *Monitor) SnapshotStatements() []StatementInfo {
-	m.lockStmtShards()
-	defer m.unlockStmtShards()
-	return m.statementsLocked()
+	m.stmts.mu.Lock()
+	defer m.stmts.mu.Unlock()
+	return m.stmts.statementsLocked()
 }
 
-// SnapshotReferences copies the reference rings in insertion order.
+// SnapshotReferences derives the statement → object rows of the live
+// statements, in insertion order.
 func (m *Monitor) SnapshotReferences() []Reference {
-	m.lockStmtShards()
-	defer m.unlockStmtShards()
-	return m.referencesLocked()
+	m.stmts.mu.Lock()
+	defer m.stmts.mu.Unlock()
+	return m.stmts.referencesLocked()
 }
 
-// SnapshotFrequencies copies the per-object frequency maps (tables,
-// attributes, indexes), summed across shards.
+// SnapshotFrequencies returns the per-object frequencies (tables,
+// attributes, indexes).
 func (m *Monitor) SnapshotFrequencies() (table, attr, index map[string]int64) {
-	m.lockStmtShards()
-	defer m.unlockStmtShards()
-	return m.frequenciesLocked()
+	m.stmts.mu.Lock()
+	defer m.stmts.mu.Unlock()
+	return m.stmts.frequenciesLocked()
 }
 
 // SnapshotWorkload copies the workload ring, oldest first, without

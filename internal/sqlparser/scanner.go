@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"strconv"
+	"strings"
 
 	"repro/internal/sqltypes"
 )
@@ -105,6 +106,9 @@ func (sc *Scanner) Key() []byte {
 	return sc.key
 }
 
+// Text returns the statement text of the last Scan.
+func (sc *Scanner) Text() string { return sc.src }
+
 // Literals returns the literal vector of the last scanned statement
 // (incomplete when Key is nil).
 func (sc *Scanner) Literals() []Lit { return sc.lits }
@@ -114,6 +118,57 @@ func (sc *Scanner) Literals() []Lit { return sc.lits }
 // reports, when the statement has a shape key, one Binding per literal.
 func (sc *Scanner) Parse() (*ParseResult, error) {
 	return parseTokens(sc.src, sc.toks, true, !sc.long)
+}
+
+// Fixed returns copies of the texts of the literals bs — the bindings
+// Parse reported for the last scanned statement — left in the statement.
+func (sc *Scanner) Fixed(bs []Binding) []string {
+	var fixed []string
+	for i, b := range bs {
+		if b.Param < 0 {
+			fixed = append(fixed, strings.Clone(sc.lits[i].Text))
+		}
+	}
+	return fixed
+}
+
+// Digest is the identity of a statement for everything that counts
+// statements rather than executes them: FNV-64a over the shape key and,
+// each behind a zero byte, the texts of the literals the parser left in
+// the statement (LIMIT and OFFSET counts, positional ORDER BY references,
+// type lengths). Two statements
+// share a digest exactly when one prepared-cache entry serves both.
+// With a statement's text as key it is the plain hash of that text, the
+// identity of a statement that has no shape key.
+func Digest[K string | []byte](key K, fixed []string) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime64
+	}
+	for _, f := range fixed {
+		h *= prime64 // h ^ 0
+		for i := 0; i < len(f); i++ {
+			h = (h ^ uint64(f[i])) * prime64
+		}
+	}
+	return h
+}
+
+// DigestOf returns the digest the statement path assigns to sql: that
+// of its shape key and unextracted literals; of the shape key alone when
+// the statement does not parse; of the text when it does not lex or is
+// too long to have a key.
+func DigestOf(sql string) uint64 {
+	var sc Scanner
+	if sc.Scan(sql) != nil || sc.Key() == nil {
+		return Digest(sql, nil)
+	}
+	parsed, err := sc.Parse()
+	if err != nil {
+		return Digest(sc.Key(), nil)
+	}
+	return Digest(sc.Key(), sc.Fixed(parsed.Bindings))
 }
 
 // litValue is the value of a literal token: the one conversion the

@@ -50,7 +50,8 @@ func MonitorSource(m *monitor.Monitor) Source {
 		ms := []Metric{
 			{Name: "monitor_statements_total", Help: "Monitored statement executions.", Kind: Counter, Value: float64(m.TotalStatements())},
 			{Name: "monitor_sensor_seconds_total", Help: "Wallclock seconds spent inside monitor sensors.", Kind: Counter, Value: m.TotalMonitorTime().Seconds()},
-			{Name: "monitor_distinct_statements", Help: "Distinct statements in the statement ring.", Kind: Gauge, Value: float64(m.StatementCount())},
+			{Name: "monitor_distinct_statements", Help: "Distinct statement shapes in the statement table.", Kind: Gauge, Value: float64(m.StatementCount())},
+			{Name: "monitor_evicted_statements_total", Help: "Executions counted for shapes since evicted from the statement table (statements_total minus the live frequencies).", Kind: Counter, Value: float64(m.EvictedStatements())},
 			{Name: "monitor_workload_depth", Help: "Workload entries buffered awaiting drain.", Kind: Gauge, Value: float64(m.WorkloadDepth())},
 			{Name: "monitor_workload_dropped_total", Help: "Workload entries lost to ring wraparound.", Kind: Counter, Value: float64(m.WorkloadDropped())},
 			{Name: "monitor_traces_buffered", Help: "EXPLAIN ANALYZE traces in the trace ring.", Kind: Gauge, Value: float64(m.TraceCount())},
@@ -61,6 +62,7 @@ func MonitorSource(m *monitor.Monitor) Source {
 		wt := m.WaitTotals()
 		phase1 := m.TotalMonitorTime().Seconds()
 		phase2 := m.Phase2Overhead().Seconds()
+		publish := m.PublishTime().Seconds()
 		ms = append(ms,
 			Metric{Name: "engine_flagged_statements", Help: "Statements currently under phase-2 wait attribution.", Kind: Gauge, Value: float64(m.FlagCount())},
 			Metric{Name: "engine_wait_exec_ns_total", Help: "Executor self-time attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.ExecNs)},
@@ -69,11 +71,12 @@ func MonitorSource(m *monitor.Monitor) Source {
 			Metric{Name: "engine_wait_fsync_ns_total", Help: "WAL group-commit/fsync wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.FsyncNs)},
 			Metric{Name: "engine_wait_pinwait_ns_total", Help: "Pinned-pool backpressure wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.PinWaitNs)},
 			Metric{Name: "monitor_overhead_phase2_seconds_total", Help: "Wallclock seconds inside the phase-2 machinery (flag lookups, wait recording).", Kind: Counter, Value: phase2},
+			Metric{Name: "monitor_publish_seconds_total", Help: "Wallclock seconds spent publishing statement shapes (once per prepared statement, outside any statement's sensor time).", Kind: Counter, Value: publish},
 		)
 		if wallSum > 0 {
 			ms = append(ms, Metric{Name: "monitor_overhead_ratio",
-				Help: "Monitor self-overhead (phase 1 + phase 2) over total statement wallclock.",
-				Kind: Gauge, Value: (phase1 + phase2) / wallSum.Seconds()})
+				Help: "Monitor self-overhead (phase 1 + phase 2 + shape publishing) over total statement wallclock.",
+				Kind: Gauge, Value: (phase1 + phase2 + publish) / wallSum.Seconds()})
 		}
 		ms = append(ms, HistogramMetrics("monitor_statement_wall_ns",
 			"Statement wallclock latency in nanoseconds.", &wall, wallSum.Seconds()*1e9)...)
