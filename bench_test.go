@@ -590,14 +590,13 @@ func scanAggInstance(b *testing.B) *engine.DB {
 	return scanAggDB
 }
 
-// benchScanAgg runs a scan+filter+aggregate statement — the query
-// shape the vectorized pipeline targets — in the given execution mode.
-// EXPERIMENTS.md records the row/batch before/after numbers.
-func benchScanAgg(b *testing.B, batch bool) {
+// BenchmarkScanAgg runs a scan+filter+aggregate statement — the query
+// shape batch execution targets. EXPERIMENTS.md records the numbers the
+// row-at-a-time executor had on it.
+func BenchmarkScanAgg(b *testing.B) {
 	db := scanAggInstance(b)
 	s := db.NewSession()
 	defer s.Close()
-	s.SetBatchExec(batch)
 	const q = "SELECT grp, COUNT(*), SUM(f) FROM scanrows WHERE a < 300 GROUP BY grp"
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -612,15 +611,12 @@ func benchScanAgg(b *testing.B, batch bool) {
 	}
 }
 
-func BenchmarkScanAgg_Row(b *testing.B)   { benchScanAgg(b, false) }
-func BenchmarkScanAgg_Batch(b *testing.B) { benchScanAgg(b, true) }
-
-// benchScanAggParallel runs the same scan+filter+aggregate statement
-// from 8 concurrent sessions over a warm pool. Every batch step holds
-// up to 16 page pins, so this is the workload the sharded buffer pool
-// exists for: under the single global pool mutex all sessions
+// BenchmarkScanAggParallel8 runs the same scan+filter+aggregate
+// statement from 8 concurrent sessions over a warm pool. Every batch
+// step pins up to 16 pages, so this is the workload the sharded buffer
+// pool exists for: under the single global pool mutex all sessions
 // serialize on every pin/unpin. EXPERIMENTS.md records before/after.
-func benchScanAggParallel(b *testing.B, batch bool) {
+func BenchmarkScanAggParallel8(b *testing.B) {
 	const goroutines = 8
 	prev := runtime.GOMAXPROCS(goroutines)
 	defer runtime.GOMAXPROCS(prev)
@@ -631,7 +627,6 @@ func benchScanAggParallel(b *testing.B, batch bool) {
 	b.RunParallel(func(pb *testing.PB) {
 		s := db.NewSession()
 		defer s.Close()
-		s.SetBatchExec(batch)
 		for pb.Next() {
 			res, err := s.Exec(q)
 			if err != nil {
@@ -643,9 +638,6 @@ func benchScanAggParallel(b *testing.B, batch bool) {
 		}
 	})
 }
-
-func BenchmarkScanAggParallel8_Row(b *testing.B)   { benchScanAggParallel(b, false) }
-func BenchmarkScanAggParallel8_Batch(b *testing.B) { benchScanAggParallel(b, true) }
 
 // benchScanAggMorsel runs the same statement on a single session with
 // n-way intra-query morsel parallelism: one query, n workers pulling

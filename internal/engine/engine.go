@@ -32,9 +32,9 @@ type Config struct {
 	// Monitor is the integrated monitor; nil runs the engine without
 	// any monitoring code active — the paper's "Original" setup.
 	Monitor *monitor.Monitor
-	// PlanCacheSize bounds the number of cached prepared statements
+	// StmtCacheSize bounds the number of cached prepared statements
 	// (default 512).
-	PlanCacheSize int
+	StmtCacheSize int
 	// GroupCommitInterval is the WAL group-commit batching window
 	// (default ~1ms; negative forces synchronous per-commit fsync).
 	GroupCommitInterval time.Duration
@@ -106,8 +106,8 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.PoolPages <= 0 {
 		cfg.PoolPages = 2048
 	}
-	if cfg.PlanCacheSize <= 0 {
-		cfg.PlanCacheSize = 512
+	if cfg.StmtCacheSize <= 0 {
+		cfg.StmtCacheSize = 512
 	}
 	cat, err := catalog.Load(cfg.Dir)
 	if err != nil {
@@ -167,7 +167,7 @@ func Open(cfg Config) (*DB, error) {
 		redo:    redo,
 		tables:  map[string]*tableHandle{},
 		virtual: map[string]*virtualTable{},
-		plans:   newStmtCache(cfg.PlanCacheSize),
+		plans:   newStmtCache(cfg.StmtCacheSize),
 	}
 	// A Building index entry is a crashed online build: drop it (and
 	// its file), then sweep data files the catalog no longer references

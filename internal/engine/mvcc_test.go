@@ -9,119 +9,99 @@ import (
 	"time"
 )
 
-// Snapshot-isolation semantics suite. Every read-visibility scenario
-// runs twice — once through the Volcano row executor and once through
-// the vectorized batch executor — because visibility is enforced
-// independently in both scan paths (per-row check vs per-batch
-// selection vector).
-
-// inBothExecModes runs the scenario with the *reading* session in row
-// mode and again in batch mode.
-func inBothExecModes(t *testing.T, fn func(t *testing.T, batch bool)) {
-	t.Run("row", func(t *testing.T) { fn(t, false) })
-	t.Run("batch", func(t *testing.T) { fn(t, true) })
-}
+// Snapshot-isolation semantics suite.
 
 func TestNestedBeginErrors(t *testing.T) {
-	inBothExecModes(t, func(t *testing.T, batch bool) {
-		db := testDB(t)
-		s := db.NewSession()
-		defer s.Close()
-		s.SetBatchExec(batch)
-		mustExec(t, s, "CREATE TABLE nb (id INTEGER PRIMARY KEY, v INTEGER)")
-		mustExec(t, s, "INSERT INTO nb VALUES (1, 10)")
+	db := testDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE nb (id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, s, "INSERT INTO nb VALUES (1, 10)")
 
-		if err := s.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		mustExec(t, s, "UPDATE nb SET v = 11 WHERE id = 1")
-		if err := s.Begin(); err == nil {
-			t.Fatal("nested Begin succeeded")
-		} else if !strings.Contains(err.Error(), "BEGIN inside an open transaction") {
-			t.Fatalf("nested Begin error = %v", err)
-		}
-		// The rejected BEGIN must not have damaged the open transaction.
-		mustExec(t, s, "UPDATE nb SET v = 12 WHERE id = 1")
-		if err := s.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		res := mustExec(t, s, "SELECT v FROM nb WHERE id = 1")
-		if len(res.Rows) != 1 || res.Rows[0][0].I != 12 {
-			t.Fatalf("after commit: %v, want v=12", res.Rows)
-		}
-	})
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, "UPDATE nb SET v = 11 WHERE id = 1")
+	if err := s.Begin(); err == nil {
+		t.Fatal("nested Begin succeeded")
+	} else if !strings.Contains(err.Error(), "BEGIN inside an open transaction") {
+		t.Fatalf("nested Begin error = %v", err)
+	}
+	// The rejected BEGIN must not have damaged the open transaction.
+	mustExec(t, s, "UPDATE nb SET v = 12 WHERE id = 1")
+	if err := s.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	res := mustExec(t, s, "SELECT v FROM nb WHERE id = 1")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 12 {
+		t.Fatalf("after commit: %v, want v=12", res.Rows)
+	}
 }
 
 func TestNoDirtyReads(t *testing.T) {
-	inBothExecModes(t, func(t *testing.T, batch bool) {
-		db := testDB(t)
-		w := db.NewSession()
-		defer w.Close()
-		mustExec(t, w, "CREATE TABLE dr (id INTEGER PRIMARY KEY, v INTEGER)")
-		mustExec(t, w, "INSERT INTO dr VALUES (1, 100)")
+	db := testDB(t)
+	w := db.NewSession()
+	defer w.Close()
+	mustExec(t, w, "CREATE TABLE dr (id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, w, "INSERT INTO dr VALUES (1, 100)")
 
-		if err := w.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		mustExec(t, w, "UPDATE dr SET v = 999 WHERE id = 1")
-		mustExec(t, w, "INSERT INTO dr VALUES (2, 999)")
+	if err := w.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, w, "UPDATE dr SET v = 999 WHERE id = 1")
+	mustExec(t, w, "INSERT INTO dr VALUES (2, 999)")
 
-		r := db.NewSession()
-		defer r.Close()
-		r.SetBatchExec(batch)
-		res := mustExec(t, r, "SELECT id, v FROM dr ORDER BY id")
-		if len(res.Rows) != 1 || res.Rows[0][1].I != 100 {
-			t.Fatalf("reader saw uncommitted writes: %v", res.Rows)
-		}
-		if err := w.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		res = mustExec(t, r, "SELECT id, v FROM dr ORDER BY id")
-		if len(res.Rows) != 2 || res.Rows[0][1].I != 999 {
-			t.Fatalf("after commit reader saw %v", res.Rows)
-		}
-	})
+	r := db.NewSession()
+	defer r.Close()
+	res := mustExec(t, r, "SELECT id, v FROM dr ORDER BY id")
+	if len(res.Rows) != 1 || res.Rows[0][1].I != 100 {
+		t.Fatalf("reader saw uncommitted writes: %v", res.Rows)
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	res = mustExec(t, r, "SELECT id, v FROM dr ORDER BY id")
+	if len(res.Rows) != 2 || res.Rows[0][1].I != 999 {
+		t.Fatalf("after commit reader saw %v", res.Rows)
+	}
 }
 
 func TestRepeatableReads(t *testing.T) {
-	inBothExecModes(t, func(t *testing.T, batch bool) {
-		db := testDB(t)
-		setup := db.NewSession()
-		mustExec(t, setup, "CREATE TABLE rr (id INTEGER PRIMARY KEY, v INTEGER)")
-		mustExec(t, setup, "INSERT INTO rr VALUES (1, 1), (2, 2)")
-		setup.Close()
+	db := testDB(t)
+	setup := db.NewSession()
+	mustExec(t, setup, "CREATE TABLE rr (id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, setup, "INSERT INTO rr VALUES (1, 1), (2, 2)")
+	setup.Close()
 
-		r := db.NewSession()
-		defer r.Close()
-		r.SetBatchExec(batch)
-		if err := r.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		// First statement captures the snapshot.
-		first := mustExec(t, r, "SELECT SUM(v) FROM rr")
+	r := db.NewSession()
+	defer r.Close()
+	if err := r.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	// First statement captures the snapshot.
+	first := mustExec(t, r, "SELECT SUM(v) FROM rr")
 
-		// A concurrent transaction commits an update, a delete and an
-		// insert. None of it may leak into the open snapshot.
-		w := db.NewSession()
-		mustExec(t, w, "UPDATE rr SET v = 100 WHERE id = 1")
-		mustExec(t, w, "DELETE FROM rr WHERE id = 2")
-		mustExec(t, w, "INSERT INTO rr VALUES (3, 1000)")
-		w.Close()
+	// A concurrent transaction commits an update, a delete and an
+	// insert. None of it may leak into the open snapshot.
+	w := db.NewSession()
+	mustExec(t, w, "UPDATE rr SET v = 100 WHERE id = 1")
+	mustExec(t, w, "DELETE FROM rr WHERE id = 2")
+	mustExec(t, w, "INSERT INTO rr VALUES (3, 1000)")
+	w.Close()
 
-		again := mustExec(t, r, "SELECT SUM(v) FROM rr")
-		if first.Rows[0][0].I != 3 || again.Rows[0][0].I != 3 {
-			t.Fatalf("repeatable read violated: first=%v again=%v, want 3",
-				first.Rows[0][0], again.Rows[0][0])
-		}
-		if err := r.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		// A fresh snapshot sees the committed state: v=100 + v=1000.
-		fresh := mustExec(t, r, "SELECT SUM(v) FROM rr")
-		if fresh.Rows[0][0].I != 1100 {
-			t.Fatalf("post-commit read = %v, want 1100", fresh.Rows[0][0])
-		}
-	})
+	again := mustExec(t, r, "SELECT SUM(v) FROM rr")
+	if first.Rows[0][0].I != 3 || again.Rows[0][0].I != 3 {
+		t.Fatalf("repeatable read violated: first=%v again=%v, want 3",
+			first.Rows[0][0], again.Rows[0][0])
+	}
+	if err := r.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh snapshot sees the committed state: v=100 + v=1000.
+	fresh := mustExec(t, r, "SELECT SUM(v) FROM rr")
+	if fresh.Rows[0][0].I != 1100 {
+		t.Fatalf("post-commit read = %v, want 1100", fresh.Rows[0][0])
+	}
 }
 
 // TestFirstUpdaterWinsWithoutBlocking: a transaction whose snapshot
@@ -209,30 +189,27 @@ func TestWriteSkewAnomaly(t *testing.T) {
 }
 
 func TestRollbackLeavesNoTrace(t *testing.T) {
-	inBothExecModes(t, func(t *testing.T, batch bool) {
-		db := testDB(t)
-		s := db.NewSession()
-		defer s.Close()
-		s.SetBatchExec(batch)
-		mustExec(t, s, "CREATE TABLE rb (id INTEGER PRIMARY KEY, v INTEGER)")
-		mustExec(t, s, "INSERT INTO rb VALUES (1, 1)")
+	db := testDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE rb (id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, s, "INSERT INTO rb VALUES (1, 1)")
 
-		if err := s.Begin(); err != nil {
-			t.Fatal(err)
-		}
-		mustExec(t, s, "UPDATE rb SET v = 2 WHERE id = 1")
-		mustExec(t, s, "INSERT INTO rb VALUES (2, 2)")
-		mustExec(t, s, "DELETE FROM rb WHERE id = 1")
-		s.Rollback()
+	if err := s.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, s, "UPDATE rb SET v = 2 WHERE id = 1")
+	mustExec(t, s, "INSERT INTO rb VALUES (2, 2)")
+	mustExec(t, s, "DELETE FROM rb WHERE id = 1")
+	s.Rollback()
 
-		res := mustExec(t, s, "SELECT id, v FROM rb ORDER BY id")
-		if len(res.Rows) != 1 || res.Rows[0][0].I != 1 || res.Rows[0][1].I != 1 {
-			t.Fatalf("after rollback: %v, want the original (1,1)", res.Rows)
-		}
-		if db.MvccStats().TxnAborts == 0 {
-			t.Error("TxnAborts counter not bumped")
-		}
-	})
+	res := mustExec(t, s, "SELECT id, v FROM rb ORDER BY id")
+	if len(res.Rows) != 1 || res.Rows[0][0].I != 1 || res.Rows[0][1].I != 1 {
+		t.Fatalf("after rollback: %v, want the original (1,1)", res.Rows)
+	}
+	if db.MvccStats().TxnAborts == 0 {
+		t.Error("TxnAborts counter not bumped")
+	}
 }
 
 // TestMvccStorm is the -race stress: concurrent transfer transactions,
@@ -292,15 +269,13 @@ func TestMvccStorm(t *testing.T) {
 			}
 		}(w)
 	}
-	// Readers: every snapshot must see the conserved total, in both
-	// executor modes.
+	// Readers: every snapshot must see the conserved total.
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			s := db.NewSession()
 			defer s.Close()
-			s.SetBatchExec(r%2 == 0)
 			for {
 				select {
 				case <-stop:

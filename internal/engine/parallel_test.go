@@ -144,9 +144,9 @@ func TestParallelExplainAnalyzeActuals(t *testing.T) {
 	}
 	for _, q := range queries {
 		par, ser := runBothParallel(t, s, "EXPLAIN ANALYZE "+q)
-		parC, serC := analyzeCounts(t, par), analyzeCounts(t, ser)
+		parC, serC := fmt.Sprint(analyzeActuals(t, par)), fmt.Sprint(analyzeActuals(t, ser))
 		if parC != serC {
-			t.Errorf("%s:\nparallel actuals:\n%sserial actuals:\n%s", q, parC, serC)
+			t.Errorf("%s:\nparallel actuals: %s\nserial actuals:   %s", q, parC, serC)
 		}
 	}
 }

@@ -60,12 +60,6 @@ type Session struct {
 	// transactions, so transaction atomicity comes from the MVCC commit
 	// record (WALTxnCommit), not from WAL scoping.
 	wtx *storage.WalTxn
-	// batchExec selects the vectorized batch pipeline for SELECTs whose
-	// plan has a batch-native leaf (default). The row-at-a-time path is
-	// kept for comparison and as the reference semantics; both produce
-	// identical results, tuple counts and trace counts. A plan with
-	// nothing to vectorize runs row-at-a-time whatever the setting.
-	batchExec bool
 	// prof is the wait profiler of the currently executing statement,
 	// non-nil only while a phase-2 flagged statement runs (Exec sets
 	// and clears it; sessions execute one statement at a time).
@@ -87,10 +81,6 @@ type Session struct {
 	// lookup (see stmtCache.gen).
 	cacheGen uint64
 }
-
-// SetBatchExec switches the session between the vectorized batch
-// execution pipeline (the default) and the row-at-a-time pipeline.
-func (s *Session) SetBatchExec(on bool) { s.batchExec = on }
 
 // maxSessionParallel caps SET PARALLEL; the executor enforces the same
 // bound on its worker pool.
@@ -269,11 +259,11 @@ func (db *DB) NewSession() *Session {
 			break
 		}
 	}
-	return &Session{db: db, id: db.nextSession.Add(1), batchExec: true, parallel: defaultParallel()}
+	return &Session{db: db, id: db.nextSession.Add(1), parallel: defaultParallel()}
 }
 
-// runPrepared executes a compiled plan in the session's execution mode
-// and returns the materialized result rows.
+// runPrepared executes a compiled plan and returns the materialized
+// result rows.
 func (s *Session) runPrepared(prep *executor.Prepared, ctx *executor.Ctx) ([]sqltypes.Row, error) {
 	ctx.Parallel = s.effectiveParallel()
 	defer func() {
@@ -286,16 +276,6 @@ func (s *Session) runPrepared(prep *executor.Prepared, ctx *executor.Ctx) ([]sql
 		}
 	}()
 	s.store = executorStorage{db: s.db, prof: s.prof, snap: s.snap}
-	if s.batchExec && prep.Vectorizable() {
-		it, err := prep.RunBatch(&s.store, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return executor.CollectBatches(it)
-	}
-	// Nothing in the plan produces batches (index probes and what sits
-	// above them): the row pipeline's rows are stable, so they go into
-	// the result as they come, with no batch to fill and copy out of.
 	it, err := prep.Run(&s.store, ctx)
 	if err != nil {
 		return nil, err
@@ -564,8 +544,6 @@ func (s *Session) execSet(st *sqlparser.SetStmt) (*Result, error) {
 	switch st.Name {
 	case "parallel":
 		s.SetParallel(int(st.Value))
-	case "batch_exec":
-		s.SetBatchExec(st.Value != 0)
 	default:
 		return nil, fmt.Errorf("engine: unknown SET option %q", st.Name)
 	}
@@ -660,7 +638,7 @@ func (s *Session) execExplain(sql string, st *sqlparser.ExplainStmt, digest uint
 
 // execExplainAnalyze executes the embedded SELECT with the per-operator
 // span collector attached and renders the plan annotated with actual
-// rows, inclusive time and Next() calls next to the estimates. The
+// rows, inclusive time and calls (ima_spans.calls) next to the estimates. The
 // trace is also pushed into the monitor's trace ring, where ima_spans
 // exposes it over SQL. The statement cache is bypassed: the point of
 // ANALYZE is to observe a full plan+execute cycle.

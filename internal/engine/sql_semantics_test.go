@@ -288,3 +288,18 @@ func TestExplainStatement(t *testing.T) {
 		t.Error("EXPLAIN of non-SELECT accepted")
 	}
 }
+
+// TestSetOptions pins the session's SET surface: PARALLEL is the one
+// option. batch_exec selected between two executors until there was
+// one; it is refused like any other unknown name.
+func TestSetOptions(t *testing.T) {
+	db := testDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "SET PARALLEL 2")
+	for _, q := range []string{"SET batch_exec 0", "SET batch_exec = 1", "SET no_such_option 3"} {
+		if _, err := s.Exec(q); err == nil || !strings.Contains(err.Error(), "unknown SET option") {
+			t.Errorf("%s: err = %v, want unknown SET option", q, err)
+		}
+	}
+}

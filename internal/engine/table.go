@@ -310,48 +310,16 @@ func (db *DB) BulkInsert(table string, rows []sqltypes.Row) error {
 	return nil
 }
 
-// heapRowIter adapts a heap iterator to the executor's RowIter,
-// filtering versions through the statement's snapshot. Rows are
-// decoded into a reused scratch slice and carved as stable copies out
-// of a chunked arena: one allocation per chunk instead of one per row,
-// matching the batch path's amortization on the row path too.
-type heapRowIter struct {
-	it      *storage.HeapIter
-	snap    *snapshot
-	recBuf  []byte
-	scratch []sqltypes.Value
-	arena   executor.RowArena
-}
-
-func (r *heapRowIter) Next() (sqltypes.Row, bool, error) {
-	for {
-		_, rec, ok, err := r.it.NextBuf(r.recBuf[:0])
-		r.recBuf = rec
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		if len(rec) < storage.VersionHeaderSize {
-			return nil, false, fmt.Errorf("engine: unversioned heap record")
-		}
-		if !r.snap.visible(storage.ReadVersionHeader(rec)) {
-			continue
-		}
-		r.scratch = r.scratch[:0]
-		if r.scratch, err = sqltypes.AppendDecodedRow(r.scratch, storage.VersionPayload(rec)); err != nil {
-			return nil, false, err
-		}
-		return r.arena.Clone(sqltypes.Row(r.scratch)), true, nil
-	}
-}
-
-func (r *heapRowIter) Close() error { return nil }
-
-// heapBatchRowIter adapts the heap's page-at-a-time batch scan to the
-// executor's RowBatchIter. Each record batch is decoded into a reused
-// value arena; the arena (and the record batch under it) is recycled on
-// the next call, which is exactly the executor's batch ownership
-// contract.
-type heapBatchRowIter struct {
+// heapScanIter adapts the heap's page-at-a-time batch scan to the
+// executor's RowBatchIter, filtering versions through the statement's
+// snapshot. Each record batch is decoded into a reused value arena,
+// recycled on the next call — exactly the executor's batch ownership
+// contract. Decoding copies everything out of the page frames, so the
+// pins and the heap latch under the record batch are dropped as soon as
+// it is decoded: between calls a scan holds neither, whatever the
+// operators above it do with the rows (probe this same heap through an
+// index, stop at a LIMIT, fail).
+type heapScanIter struct {
 	it     *storage.HeapBatchIter
 	snap   *snapshot
 	rb     storage.RecBatch
@@ -360,8 +328,9 @@ type heapBatchRowIter struct {
 	bounds []int // bounds[i]..bounds[i+1] delimit row i in arena
 }
 
-func (r *heapBatchRowIter) NextBatch(b *executor.Batch) (bool, error) {
+func (r *heapScanIter) NextBatch(b *executor.Batch) (bool, error) {
 	b.Reset()
+	defer r.it.Close()
 	for {
 		ok, err := r.it.NextBatchMax(&r.rb, executor.BatchSize)
 		if err != nil || !ok {
@@ -401,8 +370,8 @@ func (r *heapBatchRowIter) NextBatch(b *executor.Batch) (bool, error) {
 	}
 }
 
-// Close releases the page pins backing the last record batch.
-func (r *heapBatchRowIter) Close() error { return r.it.Close() }
+// Close implements executor.RowBatchIter; NextBatch leaves nothing held.
+func (r *heapScanIter) Close() error { return r.it.Close() }
 
 // btreeFetchIter walks a B-Tree key range whose values are TIDs and
 // fetches the base rows from the heap, filtering versions through the
@@ -422,18 +391,22 @@ type btreeFetchIter struct {
 	recArr [256]byte
 }
 
-func (r *btreeFetchIter) Next() (sqltypes.Row, bool, error) {
+// NextBatch delivers the range's visible rows, freshly decoded: a batch
+// is as long as the range, up to BatchSize, so a point probe costs one
+// row and no scratch.
+func (r *btreeFetchIter) NextBatch(b *executor.Batch) (bool, error) {
+	b.Reset()
 	if r.rec == nil {
 		r.rec = r.recArr[:0]
 	}
-	for r.it.Next() {
+	for len(b.Rows) < executor.BatchSize && r.it.Next() {
 		tid := tidFromBytes(r.it.Value())
 		rec, ok, err := r.heap.GetBuf(tid, r.rec[:0], r.prof)
 		if ok {
 			r.rec = rec
 		}
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if !ok || len(rec) < storage.VersionHeaderSize {
 			continue // reclaimed under the scan
@@ -443,32 +416,22 @@ func (r *btreeFetchIter) Next() (sqltypes.Row, bool, error) {
 		}
 		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
-		return row, true, nil
+		b.Rows = append(b.Rows, row)
 	}
-	return nil, false, r.it.Err()
+	if err := r.it.Err(); err != nil {
+		return false, err
+	}
+	return len(b.Rows) > 0, nil
 }
 
 func (r *btreeFetchIter) Close() error { return nil }
 
-// ScanTable implements executor.Storage.
-func (s executorStorage) ScanTable(name string) (executor.RowIter, error) {
-	if vt := s.db.virtualTable(name); vt != nil {
-		return &executor.SliceRowIter{Rows: vt.provider()}, nil
-	}
-	h := s.db.handle(name)
-	if h == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", name)
-	}
-	return &heapRowIter{it: h.heap.IterProf(s.prof), snap: s.snapshot()}, nil
-}
-
-// ScanTableBatch implements executor.BatchStorage: base tables scan
+// ScanTable implements executor.Storage: base tables scan
 // page-at-a-time through the heap batch iterator; virtual table
-// snapshots are already materialized, so the slice iterator serves
-// them in both modes.
-func (s executorStorage) ScanTableBatch(name string) (executor.RowBatchIter, error) {
+// snapshots are already materialized.
+func (s executorStorage) ScanTable(name string) (executor.RowBatchIter, error) {
 	if vt := s.db.virtualTable(name); vt != nil {
 		return &executor.SliceRowIter{Rows: vt.provider()}, nil
 	}
@@ -476,13 +439,13 @@ func (s executorStorage) ScanTableBatch(name string) (executor.RowBatchIter, err
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", name)
 	}
-	return &heapBatchRowIter{it: h.heap.ScanBatchProf(s.prof), snap: s.snapshot()}, nil
+	return &heapScanIter{it: h.heap.ScanBatchProf(s.prof), snap: s.snapshot()}, nil
 }
 
 // morselSource implements executor.MorselSource over one heap table:
 // page-count enumeration plus independent page-range batch scans, all
 // filtered through the same captured statement snapshot. Each worker's
-// heapBatchRowIter holds its own pins, latch and decode arena.
+// heapScanIter has its own record batch and decode arena.
 type morselSource struct {
 	h    *tableHandle
 	snap *snapshot
@@ -492,7 +455,7 @@ type morselSource struct {
 func (m *morselSource) Pages() uint32 { return m.h.heap.Pages() }
 
 func (m *morselSource) ScanRange(lo, hi uint32) (executor.RowBatchIter, error) {
-	return &heapBatchRowIter{it: m.h.heap.ScanBatchRange(lo, hi, m.prof), snap: m.snap}, nil
+	return &heapScanIter{it: m.h.heap.ScanBatchRange(lo, hi, m.prof), snap: m.snap}, nil
 }
 
 // MorselTable implements executor.MorselStorage. Virtual tables are
@@ -510,7 +473,7 @@ func (s executorStorage) MorselTable(name string) (executor.MorselSource, bool, 
 }
 
 // IndexRange implements executor.Storage.
-func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executor.RowIter, error) {
+func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executor.RowBatchIter, error) {
 	h := s.db.handle(table)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", table)
@@ -530,7 +493,7 @@ func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executo
 }
 
 // PrimaryRange implements executor.Storage.
-func (s executorStorage) PrimaryRange(table string, lo, hi []byte) (executor.RowIter, error) {
+func (s executorStorage) PrimaryRange(table string, lo, hi []byte) (executor.RowBatchIter, error) {
 	h := s.db.handle(table)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", table)

@@ -16,8 +16,8 @@ type aggC struct {
 	having  expr.Compiled // bound against the agg output
 	outLen  int
 	// scan, when non-nil, is the leaf sequential scan directly under
-	// this aggregate of a parallel-safe subtree; openBatch may then
-	// partition it into page-range morsels (see parallel.go).
+	// this aggregate of a parallel-safe subtree; open may then partition
+	// it into page-range morsels (see parallel.go).
 	// scanSpanID is the scan's trace span, filled once at merge time.
 	scan       *seqScanC
 	scanSpanID int
@@ -194,9 +194,10 @@ func (c *aggC) finalize(st *aggState) (sqltypes.Row, error) {
 	return row, nil
 }
 
-// aggRun is the per-execution accumulation state shared by the row and
-// batch paths. The group-key buffer and group-value scratch are reused
-// across rows; group values are copied out when a new group is born.
+// aggRun is the per-execution accumulation state (one per morsel worker
+// in a parallel run). The group-key buffer and group-value scratch are
+// reused across rows; group values are copied out when a new group is
+// born.
 type aggRun struct {
 	c         *aggC
 	env       expr.Env
@@ -213,7 +214,7 @@ type aggRun struct {
 	ordCount uint64
 }
 
-func (c *aggC) newRun(rt *runtime) *aggRun {
+func (c *aggC) newRun(rt runtime) *aggRun {
 	return c.newRunParams(rt.ctx.Params)
 }
 
@@ -281,62 +282,30 @@ func (r *aggRun) rows() ([]sqltypes.Row, error) {
 	return rows, nil
 }
 
-func (c *aggC) open(rt *runtime) (RowIter, error) {
+// open drains the input into the groups (aggregation is materializing,
+// so the output is a slice iterator). A parallel-safe subtree over a
+// large enough table fans out into morsel workers first; everything
+// else takes the serial path below.
+func (c *aggC) open(rt runtime) (RowBatchIter, error) {
+	if it, handled, err := c.openParallel(rt); handled {
+		return it, err
+	}
 	in, err := c.input.open(rt)
 	if err != nil {
 		return nil, err
 	}
-	defer in.Close()
 	run := c.newRun(rt)
-	for {
-		row, ok, err := in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rt.ctx.Tuples++
-		if err := run.addRow(row); err != nil {
-			return nil, err
-		}
-	}
-	rows, err := run.rows()
-	if err != nil {
-		return nil, err
-	}
-	return &SliceRowIter{Rows: rows}, nil
-}
-
-// openBatch consumes the input batch-at-a-time (aggregation is
-// materializing, so the output is a slice iterator either way). A
-// parallel-safe subtree over a large enough table fans out into morsel
-// workers first; everything else takes the serial path below.
-func (c *aggC) openBatch(rt *runtime) (RowBatchIter, error) {
-	if it, handled, err := c.openBatchParallel(rt); handled {
-		return it, err
-	}
-	in, err := openBatchOf(c.input, rt)
-	if err != nil {
-		return nil, err
-	}
-	defer in.Close()
-	run := c.newRun(rt)
-	var b Batch
-	for {
-		ok, err := in.NextBatch(&b)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		rt.ctx.Tuples += int64(len(b.Rows))
-		for _, row := range b.Rows {
+	err = drain(in, func(rows []sqltypes.Row) error {
+		rt.ctx.Tuples += int64(len(rows))
+		for _, row := range rows {
 			if err := run.addRow(row); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	rows, err := run.rows()
 	if err != nil {
@@ -367,7 +336,7 @@ func (cp *compiler) compileProject(n *optimizer.Project, depth int) (compiled, e
 	return c, nil
 }
 
-func (c *projectC) open(rt *runtime) (RowIter, error) {
+func (c *projectC) open(rt runtime) (RowBatchIter, error) {
 	in, err := c.input.open(rt)
 	if err != nil {
 		return nil, err
@@ -375,91 +344,45 @@ func (c *projectC) open(rt *runtime) (RowIter, error) {
 	return &projectIter{in: in, exprs: c.exprs, env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx}, nil
 }
 
-// projectIter evaluates the select list row-at-a-time. Output rows are
-// carved from a chunked arena — stable forever, one allocation per
-// chunk instead of one per row, which is what keeps the
-// row-only-operator bridge (RowsToBatch over this iterator) from
-// paying a backing-slice allocation on every crossing row.
+// projectIter evaluates each output expression column-at-a-time with
+// expr.EvalBatch and scatters the column into row-major output rows,
+// which replace the input rows in the caller's batch. Output rows and
+// the column being evaluated share one reused backing slice, sized from
+// the batch that arrives. Every input row counts as a tuple.
 type projectIter struct {
-	in    RowIter
-	exprs []expr.Compiled
-	env   expr.Env
-	ctx   *Ctx
-	arena RowArena
-}
-
-func (it *projectIter) Next() (sqltypes.Row, bool, error) {
-	row, ok, err := it.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	it.ctx.Tuples++
-	it.env.Row = row
-	out := it.arena.Alloc(len(it.exprs))
-	for i, e := range it.exprs {
-		if out[i], err = e.Eval(&it.env); err != nil {
-			return nil, false, err
-		}
-	}
-	return out, true, nil
-}
-
-func (it *projectIter) Close() error { return it.in.Close() }
-
-func (c *projectC) openBatch(rt *runtime) (RowBatchIter, error) {
-	in, err := openBatchOf(c.input, rt)
-	if err != nil {
-		return nil, err
-	}
-	return &projectBatchIter{in: in, exprs: c.exprs,
-		env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx,
-		cols: make([][]sqltypes.Value, len(c.exprs))}, nil
-}
-
-// projectBatchIter evaluates each output expression column-at-a-time
-// with expr.EvalBatch, then gathers the columns into row-major output
-// rows carved from one reused backing slice. Tuple accounting matches
-// projectIter: every input row counts.
-type projectBatchIter struct {
 	in    RowBatchIter
 	exprs []expr.Compiled
 	env   expr.Env
 	ctx   *Ctx
-	raw   Batch              // input scratch
-	cols  [][]sqltypes.Value // per-expression column scratch
-	vals  []sqltypes.Value   // row-major output backing
+	vals  []sqltypes.Value // n rows of w values, then one column of n
 }
 
-func (it *projectBatchIter) NextBatch(b *Batch) (bool, error) {
-	b.Reset()
-	ok, err := it.in.NextBatch(&it.raw)
+func (it *projectIter) NextBatch(b *Batch) (bool, error) {
+	ok, err := it.in.NextBatch(b)
 	if err != nil || !ok {
 		return false, err
 	}
-	n := len(it.raw.Rows)
+	n, w := len(b.Rows), len(it.exprs)
 	it.ctx.Tuples += int64(n)
+	if cap(it.vals) < n*(w+1) {
+		it.vals = make([]sqltypes.Value, n*(w+1))
+	}
+	out, col := it.vals[:n*w], it.vals[n*w:n*w:n*(w+1)]
 	for j, e := range it.exprs {
-		it.cols[j] = it.cols[j][:0]
-		if it.cols[j], err = expr.EvalBatch(e, &it.env, it.raw.Rows, it.cols[j]); err != nil {
+		if col, err = expr.EvalBatch(e, &it.env, b.Rows, col[:0]); err != nil {
 			return false, err
 		}
-	}
-	w := len(it.exprs)
-	if cap(it.vals) < n*w {
-		it.vals = make([]sqltypes.Value, n*w)
-	}
-	it.vals = it.vals[:n*w]
-	for i := 0; i < n; i++ {
-		out := it.vals[i*w : i*w+w : i*w+w]
-		for j := 0; j < w; j++ {
-			out[j] = it.cols[j][i]
+		for i, v := range col {
+			out[i*w+j] = v
 		}
-		b.Rows = append(b.Rows, sqltypes.Row(out))
+	}
+	for i := range b.Rows {
+		b.Rows[i] = sqltypes.Row(out[i*w : i*w+w : i*w+w])
 	}
 	return true, nil
 }
 
-func (it *projectBatchIter) Close() error { return it.in.Close() }
+func (it *projectIter) Close() error { return it.in.Close() }
 
 type sortC struct {
 	input compiled
@@ -474,28 +397,14 @@ func (cp *compiler) compileSort(n *optimizer.Sort, depth int) (compiled, error) 
 	return &sortC{input: input, keys: n.Keys}, nil
 }
 
-func (c *sortC) open(rt *runtime) (RowIter, error) {
+// open materializes the input — Collect copies the rows out of the
+// transient batches — and sorts it.
+func (c *sortC) open(rt runtime) (RowBatchIter, error) {
 	in, err := c.input.open(rt)
 	if err != nil {
 		return nil, err
 	}
 	rows, err := Collect(in)
-	if err != nil {
-		return nil, err
-	}
-	rt.ctx.Tuples += int64(len(rows))
-	c.sortRows(rows)
-	return &SliceRowIter{Rows: rows}, nil
-}
-
-// openBatch consumes the input batch-at-a-time; CollectBatches copies
-// the rows out of the transient batches before sorting.
-func (c *sortC) openBatch(rt *runtime) (RowBatchIter, error) {
-	in, err := openBatchOf(c.input, rt)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := CollectBatches(in)
 	if err != nil {
 		return nil, err
 	}
@@ -530,7 +439,7 @@ func (cp *compiler) compileDistinct(n *optimizer.Distinct, depth int) (compiled,
 	return &distinctC{input: input}, nil
 }
 
-func (c *distinctC) open(rt *runtime) (RowIter, error) {
+func (c *distinctC) open(rt runtime) (RowBatchIter, error) {
 	in, err := c.input.open(rt)
 	if err != nil {
 		return nil, err
@@ -538,26 +447,34 @@ func (c *distinctC) open(rt *runtime) (RowIter, error) {
 	return &distinctIter{in: in, seen: map[string]bool{}, ctx: rt.ctx}, nil
 }
 
+// distinctIter drops the rows it has seen before, compacting each input
+// batch in place. Every input row counts as a tuple.
 type distinctIter struct {
-	in     RowIter
+	in     RowBatchIter
 	seen   map[string]bool
 	ctx    *Ctx
 	keyBuf []byte // reused; duplicate rows cost zero allocations
 }
 
-func (it *distinctIter) Next() (sqltypes.Row, bool, error) {
+func (it *distinctIter) NextBatch(b *Batch) (bool, error) {
 	for {
-		row, ok, err := it.in.Next()
+		ok, err := it.in.NextBatch(b)
 		if err != nil || !ok {
-			return nil, false, err
+			return false, err
 		}
-		it.ctx.Tuples++
-		it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], row...)
-		if it.seen[string(it.keyBuf)] {
-			continue
+		it.ctx.Tuples += int64(len(b.Rows))
+		fresh := b.Rows[:0]
+		for _, row := range b.Rows {
+			it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], row...)
+			if !it.seen[string(it.keyBuf)] {
+				it.seen[string(it.keyBuf)] = true
+				fresh = append(fresh, row)
+			}
 		}
-		it.seen[string(it.keyBuf)] = true
-		return row, true, nil
+		b.Rows = fresh
+		if len(fresh) > 0 {
+			return true, nil
+		}
 	}
 }
 
@@ -577,38 +494,50 @@ func (cp *compiler) compileLimit(n *optimizer.Limit, depth int) (compiled, error
 	return &limitC{input: input, n: n.N, offset: n.Offset}, nil
 }
 
-func (c *limitC) open(rt *runtime) (RowIter, error) {
+func (c *limitC) open(rt runtime) (RowBatchIter, error) {
 	in, err := c.input.open(rt)
 	if err != nil {
 		return nil, err
 	}
-	return &limitIter{in: in, n: c.n, skip: c.offset}, nil
+	return &limitIter{in: in, left: c.n, skip: c.offset}, nil
 }
 
+// limitIter passes through the rows after the first skip, at most left
+// of them (left < 0: no limit). It is the one operator that stops
+// before its input is exhausted: it asks for no batch beyond the one
+// that completes the limit, and what the input still holds is released
+// by Close.
 type limitIter struct {
-	in      RowIter
-	n       int64
-	skip    int64
-	yielded int64
+	in   RowBatchIter
+	left int64
+	skip int64
 }
 
-func (it *limitIter) Next() (sqltypes.Row, bool, error) {
-	for it.skip > 0 {
-		_, ok, err := it.in.Next()
+func (it *limitIter) NextBatch(b *Batch) (bool, error) {
+	for it.left != 0 {
+		ok, err := it.in.NextBatch(b)
 		if err != nil || !ok {
-			return nil, false, err
+			return false, err
 		}
-		it.skip--
+		n := int64(len(b.Rows))
+		if it.skip >= n {
+			it.skip -= n
+			continue
+		}
+		if it.skip > 0 {
+			b.Rows = b.Rows[:copy(b.Rows, b.Rows[it.skip:])]
+			it.skip = 0
+		}
+		n = int64(len(b.Rows))
+		if it.left >= 0 {
+			n = min(n, it.left)
+			it.left -= n
+		}
+		b.Rows = b.Rows[:n]
+		return true, nil
 	}
-	if it.n >= 0 && it.yielded >= it.n {
-		return nil, false, nil
-	}
-	row, ok, err := it.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	it.yielded++
-	return row, true, nil
+	b.Reset()
+	return false, nil
 }
 
 func (it *limitIter) Close() error { return it.in.Close() }
@@ -626,7 +555,7 @@ func (cp *compiler) compileStrip(n *optimizer.Strip, depth int) (compiled, error
 	return &stripC{input: input, keep: n.Keep}, nil
 }
 
-func (c *stripC) open(rt *runtime) (RowIter, error) {
+func (c *stripC) open(rt runtime) (RowBatchIter, error) {
 	in, err := c.input.open(rt)
 	if err != nil {
 		return nil, err
@@ -634,37 +563,14 @@ func (c *stripC) open(rt *runtime) (RowIter, error) {
 	return &stripIter{in: in, keep: c.keep}, nil
 }
 
-type stripIter struct {
-	in   RowIter
-	keep int
-}
-
-func (it *stripIter) Next() (sqltypes.Row, bool, error) {
-	row, ok, err := it.in.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return row[:it.keep], true, nil
-}
-
-func (it *stripIter) Close() error { return it.in.Close() }
-
-func (c *stripC) openBatch(rt *runtime) (RowBatchIter, error) {
-	in, err := openBatchOf(c.input, rt)
-	if err != nil {
-		return nil, err
-	}
-	return &stripBatchIter{in: in, keep: c.keep}, nil
-}
-
-// stripBatchIter reslices each row header in place; the rows' backing
+// stripIter reslices each row header in place; the rows' backing
 // arrays are untouched, so the producer's batch stays intact.
-type stripBatchIter struct {
+type stripIter struct {
 	in   RowBatchIter
 	keep int
 }
 
-func (it *stripBatchIter) NextBatch(b *Batch) (bool, error) {
+func (it *stripIter) NextBatch(b *Batch) (bool, error) {
 	ok, err := it.in.NextBatch(b)
 	for i, row := range b.Rows {
 		b.Rows[i] = row[:it.keep]
@@ -672,4 +578,4 @@ func (it *stripBatchIter) NextBatch(b *Batch) (bool, error) {
 	return ok, err
 }
 
-func (it *stripBatchIter) Close() error { return it.in.Close() }
+func (it *stripIter) Close() error { return it.in.Close() }

@@ -14,65 +14,6 @@ func intRows(n int) []sqltypes.Row {
 	return rows
 }
 
-// countingRowIter wraps SliceRowIter and counts Next calls after
-// exhaustion — the EOF-latch regression check for RowsToBatch.
-type countingRowIter struct {
-	SliceRowIter
-	callsAfterEOF int
-	eof           bool
-}
-
-func (it *countingRowIter) Next() (sqltypes.Row, bool, error) {
-	if it.eof {
-		it.callsAfterEOF++
-	}
-	row, ok, err := it.SliceRowIter.Next()
-	if !ok {
-		it.eof = true
-	}
-	return row, ok, err
-}
-
-func TestRowsToBatchRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, BatchSize - 1, BatchSize, BatchSize + 1, 3 * BatchSize} {
-		want := intRows(n)
-		src := &countingRowIter{SliceRowIter: SliceRowIter{Rows: want}}
-		got, err := CollectBatches(RowsToBatch(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: got %d rows", n, len(got))
-		}
-		for i := range got {
-			if got[i][0].I != want[i][0].I || got[i][1].I != want[i][1].I {
-				t.Fatalf("n=%d: row %d = %v, want %v", n, i, got[i], want[i])
-			}
-		}
-		if src.callsAfterEOF != 0 {
-			t.Errorf("n=%d: %d Next calls after EOF (adapter must latch exhaustion)", n, src.callsAfterEOF)
-		}
-	}
-}
-
-func TestBatchToRowsRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, BatchSize, 2*BatchSize + 7} {
-		want := intRows(n)
-		got, err := Collect(BatchToRows(&SliceRowIter{Rows: want}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != n {
-			t.Fatalf("n=%d: got %d rows", n, len(got))
-		}
-		for i := range got {
-			if got[i][0].I != want[i][0].I {
-				t.Fatalf("n=%d: row %d = %v, want %v", n, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestRowArenaStability verifies carved rows are never clobbered by
 // later arena appends, across chunk growth boundaries.
 func TestRowArenaStability(t *testing.T) {
@@ -104,5 +45,28 @@ func TestSliceRowIterBatches(t *testing.T) {
 	ok, _ = it.NextBatch(&b)
 	if ok || len(b.Rows) != 0 {
 		t.Fatalf("after exhaustion: ok=%v len=%d", ok, len(b.Rows))
+	}
+}
+
+// TestRowArenaReset: Reset hands the current chunk out again — a
+// producer's batch costs no allocation once the chunk fits it — and
+// leaves rows carved from earlier chunks alone.
+func TestRowArenaReset(t *testing.T) {
+	var arena RowArena
+	old := arena.Clone(sqltypes.Row{sqltypes.NewInt(7)}) // the first chunk is exactly this row
+	fill := func() {
+		arena.Reset()
+		for i := 0; i < 100; i++ {
+			arena.Combine(sqltypes.Row{sqltypes.NewInt(int64(i))}, sqltypes.Row{sqltypes.NewInt(1)})
+		}
+	}
+	for i := 0; i < 8; i++ {
+		fill() // chunks double until one holds a whole batch
+	}
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Errorf("a batch into a reset arena allocates %.0f times", allocs)
+	}
+	if old[0].I != 7 {
+		t.Errorf("row of an earlier chunk overwritten: %v", old)
 	}
 }

@@ -1,8 +1,9 @@
-// Package executor compiles optimizer plans into Volcano-style
-// iterators and runs them against a Storage implementation provided by
-// the engine. Compiled plans are immutable and reusable — the engine's
-// statement cache holds them across executions, which produces the cache
-// warm-up effect of the paper's Figure 5.
+// Package executor compiles optimizer plans into batch-at-a-time
+// iterators (one contract for every operator, see batch.go) and runs
+// them against a Storage implementation provided by the engine. Compiled
+// plans are immutable and reusable — the engine's statement cache holds
+// them across executions, which produces the cache warm-up effect of the
+// paper's Figure 5.
 package executor
 
 import (
@@ -12,25 +13,18 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// RowIter produces rows one at a time. Implementations are not safe
-// for concurrent use.
-type RowIter interface {
-	Next() (sqltypes.Row, bool, error)
-	Close() error
-}
-
 // Storage is the data-access surface the executor runs against. Key
 // ranges use the order-preserving sqltypes.EncodeKey encoding; hi is
 // exclusive.
 type Storage interface {
 	// ScanTable iterates all rows of a base or virtual table.
-	ScanTable(name string) (RowIter, error)
+	ScanTable(name string) (RowBatchIter, error)
 	// IndexRange yields base rows whose entry in the named secondary
 	// index falls in [lo, hi).
-	IndexRange(table, index string, lo, hi []byte) (RowIter, error)
+	IndexRange(table, index string, lo, hi []byte) (RowBatchIter, error)
 	// PrimaryRange yields rows of a BTREE-structured table whose
 	// primary key falls in [lo, hi).
-	PrimaryRange(table string, lo, hi []byte) (RowIter, error)
+	PrimaryRange(table string, lo, hi []byte) (RowBatchIter, error)
 }
 
 // Ctx carries per-execution state: bound parameters, the actual-CPU
@@ -58,36 +52,28 @@ type Prepared struct {
 	root  compiled
 	out   []optimizer.OutCol
 	spans []SpanMeta // operator descriptions in pre-order
-	// batchLeaf: the plan has a leaf that produces batches natively (a
-	// sequential scan). Without one every operator would run
-	// row-at-a-time behind a bridge, so there is nothing to vectorize.
-	batchLeaf bool
 }
-
-// Vectorizable reports whether the plan has a batch-native leaf, i.e.
-// whether RunBatch moves anything in batches. A plan without one (index
-// probes and the operators above them) is the row pipeline either way;
-// callers run it with Run and keep the rows it yields, which are stable.
-func (p *Prepared) Vectorizable() bool { return p.batchLeaf }
 
 // Columns returns the output column descriptions.
 func (p *Prepared) Columns() []optimizer.OutCol { return p.out }
 
 // Run opens the plan against storage. The returned iterator must be
-// closed.
-func (p *Prepared) Run(st Storage, ctx *Ctx) (RowIter, error) {
-	rt := &runtime{st: st, ctx: ctx}
-	return p.root.open(rt)
+// closed; Collect drains and closes it.
+func (p *Prepared) Run(st Storage, ctx *Ctx) (RowBatchIter, error) {
+	return p.root.open(runtime{st: st, ctx: ctx})
 }
 
+// runtime is what an open needs; it travels by value, so a statement
+// does not allocate one.
 type runtime struct {
 	st  Storage
 	ctx *Ctx
 }
 
-// compiled is a factory for one plan operator's iterator.
+// compiled is a factory for one plan operator's iterator. An open that
+// fails returns with everything it opened closed again.
 type compiled interface {
-	open(rt *runtime) (RowIter, error)
+	open(rt runtime) (RowBatchIter, error)
 }
 
 // Compile binds every expression in the plan and returns a reusable
@@ -98,15 +84,14 @@ func Compile(plan *optimizer.Plan) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{root: root, out: plan.Root.Out(), spans: cp.spans, batchLeaf: cp.batchLeaf}, nil
+	return &Prepared{root: root, out: plan.Root.Out(), spans: cp.spans}, nil
 }
 
 // compiler walks the plan tree assigning pre-order span IDs; operators
 // with inputs compile their children through it so IDs stay aligned
 // with the SpanMeta slice.
 type compiler struct {
-	spans     []SpanMeta
-	batchLeaf bool // a batch-native leaf was compiled
+	spans []SpanMeta
 }
 
 func (cp *compiler) compile(n optimizer.Node, depth int) (compiled, error) {
@@ -116,7 +101,6 @@ func (cp *compiler) compile(n optimizer.Node, depth int) (compiled, error) {
 	var err error
 	switch x := n.(type) {
 	case *optimizer.SeqScan:
-		cp.batchLeaf = true
 		inner, err = compileSeqScan(x)
 	case *optimizer.IndexScan:
 		inner, err = compileIndexScan(x)
@@ -145,54 +129,4 @@ func (cp *compiler) compile(n optimizer.Node, depth int) (compiled, error) {
 		return nil, err
 	}
 	return &tracedC{inner: inner, id: id}, nil
-}
-
-// SliceRowIter iterates a materialized row slice. The engine uses it
-// for virtual tables; materializing operators (sort, agg) use it for
-// their outputs. It serves both the row and the batch interface — the
-// rows are stable, so batches may alias them.
-type SliceRowIter struct {
-	Rows []sqltypes.Row
-	pos  int
-}
-
-// Next implements RowIter.
-func (it *SliceRowIter) Next() (sqltypes.Row, bool, error) {
-	if it.pos >= len(it.Rows) {
-		return nil, false, nil
-	}
-	r := it.Rows[it.pos]
-	it.pos++
-	return r, true, nil
-}
-
-// NextBatch implements RowBatchIter.
-func (it *SliceRowIter) NextBatch(b *Batch) (bool, error) {
-	b.Reset()
-	end := it.pos + BatchSize
-	if end > len(it.Rows) {
-		end = len(it.Rows)
-	}
-	b.Rows = append(b.Rows, it.Rows[it.pos:end]...)
-	it.pos = end
-	return len(b.Rows) > 0, nil
-}
-
-// Close implements RowIter.
-func (it *SliceRowIter) Close() error { return nil }
-
-// Collect drains an iterator into a slice and closes it.
-func Collect(it RowIter) ([]sqltypes.Row, error) {
-	defer it.Close()
-	var out []sqltypes.Row
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, row)
-	}
 }

@@ -24,7 +24,7 @@ type memIndex struct {
 	cols  []int // column offsets forming the key
 }
 
-func (m *memStorage) ScanTable(name string) (RowIter, error) {
+func (m *memStorage) ScanTable(name string) (RowBatchIter, error) {
 	rows, ok := m.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("mem: no table %q", name)
@@ -32,7 +32,7 @@ func (m *memStorage) ScanTable(name string) (RowIter, error) {
 	return &SliceRowIter{Rows: rows}, nil
 }
 
-func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte) (RowIter, error) {
+func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte) (RowBatchIter, error) {
 	var out []sqltypes.Row
 	for _, row := range m.tables[idx.table] {
 		var key []byte
@@ -46,7 +46,7 @@ func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte) (RowIter, error) {
 	return &SliceRowIter{Rows: out}, nil
 }
 
-func (m *memStorage) IndexRange(table, index string, lo, hi []byte) (RowIter, error) {
+func (m *memStorage) IndexRange(table, index string, lo, hi []byte) (RowBatchIter, error) {
 	idx, ok := m.indexes[index]
 	if !ok {
 		return nil, fmt.Errorf("mem: no index %q", index)
@@ -54,7 +54,7 @@ func (m *memStorage) IndexRange(table, index string, lo, hi []byte) (RowIter, er
 	return m.rangeOver(idx, lo, hi)
 }
 
-func (m *memStorage) PrimaryRange(table string, lo, hi []byte) (RowIter, error) {
+func (m *memStorage) PrimaryRange(table string, lo, hi []byte) (RowBatchIter, error) {
 	idx, ok := m.primary[table]
 	if !ok {
 		return nil, fmt.Errorf("mem: no primary on %q", table)
@@ -362,5 +362,143 @@ func TestStorageErrorsPropagate(t *testing.T) {
 	}
 	if _, err := prep.Run(newMemStorage(), &Ctx{}); err == nil {
 		t.Fatal("missing table did not error")
+	}
+}
+
+// trackingStorage counts the storage iterators that are open, so a test
+// can check that a statement closed every one it opened.
+type trackingStorage struct {
+	*memStorage
+	open int
+}
+
+type trackedIter struct {
+	RowBatchIter
+	st     *trackingStorage
+	closed bool
+}
+
+func (it *trackedIter) Close() error {
+	if !it.closed {
+		it.closed = true
+		it.st.open--
+	}
+	return it.RowBatchIter.Close()
+}
+
+func (s *trackingStorage) track(it RowBatchIter, err error) (RowBatchIter, error) {
+	if err != nil {
+		return nil, err
+	}
+	s.open++
+	return &trackedIter{RowBatchIter: it, st: s}, nil
+}
+
+func (s *trackingStorage) ScanTable(name string) (RowBatchIter, error) {
+	return s.track(s.memStorage.ScanTable(name))
+}
+
+func (s *trackingStorage) IndexRange(table, index string, lo, hi []byte) (RowBatchIter, error) {
+	return s.track(s.memStorage.IndexRange(table, index, lo, hi))
+}
+
+func (s *trackingStorage) PrimaryRange(table string, lo, hi []byte) (RowBatchIter, error) {
+	return s.track(s.memStorage.PrimaryRange(table, lo, hi))
+}
+
+// TestBatchBoundariesAndClose runs the operators that keep state across
+// NextBatch calls — Limit, Distinct, the join probes — over inputs and
+// outputs several batches long, and checks that every path out of a
+// statement (exhaustion, a LIMIT met mid-input, an expression error
+// mid-input, a failing open) closes every storage iterator it opened.
+func TestBatchBoundariesAndClose(t *testing.T) {
+	st := &trackingStorage{memStorage: newMemStorage()}
+	const n = 3*BatchSize + 7
+	for i := 0; i < n; i++ {
+		st.tables["big"] = append(st.tables["big"], sqltypes.Row{
+			sqltypes.NewInt(int64(i)), sqltypes.NewText("b"), sqltypes.NewInt(int64(i % 5)),
+		})
+	}
+	bigCols := []optimizer.OutCol{
+		{Table: "b", Name: "id", Type: sqltypes.Int},
+		{Table: "b", Name: "name", Type: sqltypes.Text},
+		{Table: "b", Name: "dept", Type: sqltypes.Int},
+	}
+	big := &optimizer.SeqScan{Table: "big", Alias: "b", Cols: bigCols}
+	depts := &optimizer.SeqScan{Table: "depts", Alias: "d", Cols: deptsCols()}
+	users := &optimizer.SeqScan{Table: "users", Alias: "u", Cols: usersCols()}
+	col := func(table, name string) sqlparser.Expr { return sqlparser.ColumnRef{Table: table, Name: name} }
+	// Every big row pairs with all 5 depts: 5n rows, batches cut mid-pair.
+	cross := &optimizer.LoopJoin{Left: big, Right: depts}
+	// Every big row pairs with the 20 users of its dept.
+	hash := &optimizer.HashJoin{Left: big, Right: users,
+		LeftKeys: []sqlparser.Expr{col("b", "dept")}, RightKeys: []sqlparser.Expr{col("u", "dept")}}
+	index := &optimizer.IndexJoin{Left: big, Table: "users", Alias: "u", Index: "ix_dept",
+		Cols: usersCols(), LeftKeys: []sqlparser.Expr{col("b", "dept")}}
+	divide := func(in optimizer.Node) optimizer.Node { // fails at id 2000, in the second batch
+		return &optimizer.Project{Input: in,
+			Exprs: []sqlparser.Expr{whereOf(t, "1 / (b.id - 2000) = 0")},
+			Names: []optimizer.OutCol{{Name: "q", Type: sqltypes.Int}}}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		root   optimizer.Node
+		rows   int   // -1: NextBatch must fail; -2: open must fail
+		first  int64 // id of the first row's outer side, when rows > 0
+		tuples int64 // 0: not checked
+	}{
+		{name: "cross", root: cross, rows: 5 * n, tuples: (n + 5) + n + 5*n},         // scans, outer rows, pairs
+		{name: "hash", root: hash, rows: 20 * n, tuples: (n + 100) + 100 + n + 20*n}, // scans, build, outer rows, pairs
+		{name: "index", root: index, rows: 20 * n, tuples: n + n + 20*n},
+		{name: "limit mid-batch", root: &optimizer.Limit{Input: big, N: 10, Offset: 2*BatchSize - 3}, rows: 10, first: 2*BatchSize - 3},
+		{name: "limit over cross", root: &optimizer.Limit{Input: cross, N: BatchSize + 1, Offset: 5*BatchSize + 2}, rows: BatchSize + 1, first: BatchSize},
+		{name: "limit over hash", root: &optimizer.Limit{Input: hash, N: 3, Offset: 20 * 70}, rows: 3, first: 70},
+		{name: "limit over index", root: &optimizer.Limit{Input: index, N: 3, Offset: 20*70 + 19}, rows: 3, first: 70},
+		{name: "offset past the end", root: &optimizer.Limit{Input: big, N: 5, Offset: n}, rows: 0},
+		{name: "offset only", root: &optimizer.Limit{Input: big, N: -1, Offset: n - 2}, rows: 2, first: n - 2},
+		{name: "distinct", root: &optimizer.Distinct{Input: &optimizer.Project{Input: big,
+			Exprs: []sqlparser.Expr{col("b", "dept")}, Names: []optimizer.OutCol{{Name: "dept", Type: sqltypes.Int}}}}, rows: 5},
+		{name: "error mid-scan", root: divide(big), rows: -1},
+		{name: "error above a join", root: divide(hash), rows: -1},
+		{name: "error inside agg", root: &optimizer.Agg{Input: divide(big),
+			Aggs: []optimizer.AggSpec{{Func: "COUNT", Star: true}}}, rows: -2},
+		{name: "probe side fails to open", root: &optimizer.HashJoin{
+			Left: &optimizer.SeqScan{Table: "missing", Alias: "b", Cols: bigCols}, Right: users,
+			LeftKeys: []sqlparser.Expr{col("b", "dept")}, RightKeys: []sqlparser.Expr{col("u", "dept")}}, rows: -2},
+		{name: "inner index missing", root: &optimizer.IndexJoin{Left: big, Table: "users", Alias: "u", Index: "nope",
+			Cols: usersCols(), LeftKeys: []sqlparser.Expr{col("b", "dept")}}, rows: -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if agg, ok := tc.root.(*optimizer.Agg); ok {
+				setAggOut(agg)
+			}
+			prep, err := Compile(&optimizer.Plan{Root: tc.root})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &Ctx{}
+			it, err := prep.Run(st, ctx)
+			if (err != nil) != (tc.rows == -2) {
+				t.Fatalf("open: err = %v", err)
+			}
+			if err == nil {
+				rows, err := Collect(it)
+				switch {
+				case (err != nil) != (tc.rows == -1):
+					t.Fatalf("collect: err = %v", err)
+				case err == nil && len(rows) != tc.rows:
+					t.Fatalf("%d rows, want %d", len(rows), tc.rows)
+				case len(rows) > 0 && rows[0][0].I != tc.first:
+					t.Errorf("first row %v, want outer id %d", rows[0], tc.first)
+				}
+				if tc.tuples != 0 && ctx.Tuples != tc.tuples {
+					t.Errorf("tuples = %d, want %d", ctx.Tuples, tc.tuples)
+				}
+			}
+			if st.open != 0 {
+				t.Fatalf("%d storage iterators left open", st.open)
+			}
+		})
 	}
 }

@@ -65,73 +65,41 @@ func joinKey(buf []byte, env *expr.Env, keys []expr.Compiled) ([]byte, bool, err
 	return buf, true, nil
 }
 
-// buildHashTable drains the build side into the key→rows table. In
-// batch mode build rows are copied into an arena (batch producers
-// reuse row backing); row iterators yield stable rows, stored as-is.
-func (c *hashJoinC) buildHashTable(rt *runtime, batch bool) (map[string][]sqltypes.Row, error) {
-	table := map[string][]sqltypes.Row{}
-	env := expr.Env{Params: rt.ctx.Params}
-	var keyBuf []byte
-	addRow := func(row sqltypes.Row) error {
-		env.Row = row
-		var ok bool
-		var err error
-		keyBuf, ok, err = joinKey(keyBuf, &env, c.rightKeys)
-		if err != nil {
-			return err
-		}
-		if ok {
-			table[string(keyBuf)] = append(table[string(keyBuf)], row)
-		}
-		return nil
-	}
-	if batch {
-		rit, err := openBatchOf(c.right, rt)
-		if err != nil {
-			return nil, err
-		}
-		defer rit.Close()
-		var arena RowArena
-		var b Batch
-		for {
-			ok, err := rit.NextBatch(&b)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return table, nil
-			}
-			rt.ctx.Tuples += int64(len(b.Rows))
-			for _, row := range b.Rows {
-				if err := addRow(arena.Clone(row)); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
+// buildHashTable drains the build side into the key→rows table,
+// copying each row into an arena (batch producers reuse row backing).
+func (c *hashJoinC) buildHashTable(rt runtime) (map[string][]sqltypes.Row, error) {
 	rit, err := c.right.open(rt)
 	if err != nil {
 		return nil, err
 	}
-	defer rit.Close()
-	for {
-		row, ok, err := rit.Next()
-		if err != nil {
-			return nil, err
+	table := map[string][]sqltypes.Row{}
+	env := expr.Env{Params: rt.ctx.Params}
+	var keyBuf []byte
+	var arena RowArena
+	err = drain(rit, func(rows []sqltypes.Row) error {
+		rt.ctx.Tuples += int64(len(rows))
+		for _, row := range rows {
+			env.Row = row
+			key, ok, err := joinKey(keyBuf, &env, c.rightKeys)
+			if err != nil {
+				return err
+			}
+			keyBuf = key
+			if ok {
+				table[string(keyBuf)] = append(table[string(keyBuf)], arena.Clone(row))
+			}
 		}
-		if !ok {
-			return table, nil
-		}
-		rt.ctx.Tuples++
-		if err := addRow(row); err != nil {
-			return nil, err
-		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return table, nil
 }
 
-func (c *hashJoinC) open(rt *runtime) (RowIter, error) {
+func (c *hashJoinC) open(rt runtime) (RowBatchIter, error) {
 	// Build phase on the right input.
-	table, err := c.buildHashTable(rt, false)
+	table, err := c.buildHashTable(rt)
 	if err != nil {
 		return nil, err
 	}
@@ -139,74 +107,69 @@ func (c *hashJoinC) open(rt *runtime) (RowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := RowIter(&hashProbeIter{
-		left: lit, table: table, keys: c.leftKeys,
+	out := &probeIter{
+		left: cursor{in: lit}, table: table, keys: c.leftKeys,
 		env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx,
-	})
-	return maybeFilter(out, c.residual, rt), nil
+	}
+	return maybeFilter(out, c.residual, rt.ctx), nil
 }
 
-// openBatch runs both join inputs batch-at-a-time: the build side is
-// drained directly, the probe side feeds the row-at-a-time probe loop
-// through BatchToRows (probing is inherently row-at-a-time here), and
-// the output is re-batched. All tuple counts match open exactly.
-func (c *hashJoinC) openBatch(rt *runtime) (RowBatchIter, error) {
-	table, err := c.buildHashTable(rt, true)
-	if err != nil {
-		return nil, err
-	}
-	lit, err := openBatchOf(c.left, rt)
-	if err != nil {
-		return nil, err
-	}
-	out := RowIter(&hashProbeIter{
-		left: BatchToRows(lit), table: table, keys: c.leftKeys,
-		env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx,
-	})
-	return RowsToBatch(maybeFilter(out, c.residual, rt)), nil
-}
-
-type hashProbeIter struct {
-	left    RowIter
-	table   map[string][]sqltypes.Row
+// probeIter pairs each outer row with materialized inner rows: the hash
+// bucket of its key, or — for a loop join, which has no key — all of
+// them. One tuple counts per outer row and one per pair. Output rows
+// are carved from an arena reset for every batch; an outer row's pairs
+// may straddle two batches, which the cursor's validity rule allows.
+type probeIter struct {
+	left    cursor
+	table   map[string][]sqltypes.Row // nil: loop join
+	all     []sqltypes.Row            // the inner rows of a loop join
 	keys    []expr.Compiled
 	env     expr.Env
 	ctx     *Ctx
 	current sqltypes.Row
-	matches []sqltypes.Row
-	mpos    int
+	matches []sqltypes.Row // inner rows current still has to be paired with
 	keyBuf  []byte
 	arena   RowArena
 }
 
-func (it *hashProbeIter) Next() (sqltypes.Row, bool, error) {
-	for {
-		if it.mpos < len(it.matches) {
-			r := it.matches[it.mpos]
-			it.mpos++
-			it.ctx.Tuples++
-			return it.arena.Combine(it.current, r), true, nil
-		}
-		row, ok, err := it.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		it.ctx.Tuples++
-		it.env.Row = row
-		it.keyBuf, ok, err = joinKey(it.keyBuf, &it.env, it.keys)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
+func (it *probeIter) NextBatch(b *Batch) (bool, error) {
+	b.Reset()
+	it.arena.Reset()
+	for len(b.Rows) < BatchSize {
+		if len(it.matches) > 0 {
+			n := min(len(it.matches), BatchSize-len(b.Rows))
+			for _, r := range it.matches[:n] {
+				b.Rows = append(b.Rows, it.arena.Combine(it.current, r))
+			}
+			it.matches = it.matches[n:]
+			it.ctx.Tuples += int64(n)
 			continue
 		}
+		row, ok, err := it.left.next()
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			break
+		}
+		it.ctx.Tuples++
 		it.current = row
-		it.matches = it.table[string(it.keyBuf)]
-		it.mpos = 0
+		if it.table == nil {
+			it.matches = it.all
+			continue
+		}
+		it.env.Row = row
+		if it.keyBuf, ok, err = joinKey(it.keyBuf, &it.env, it.keys); err != nil {
+			return false, err
+		}
+		if ok {
+			it.matches = it.table[string(it.keyBuf)]
+		}
 	}
+	return len(b.Rows) > 0, nil
 }
 
-func (it *hashProbeIter) Close() error { return it.left.Close() }
+func (it *probeIter) Close() error { return it.left.in.Close() }
 
 type loopJoinC struct {
 	left, right compiled
@@ -229,7 +192,7 @@ func (cp *compiler) compileLoopJoin(n *optimizer.LoopJoin, depth int) (compiled,
 	return c, nil
 }
 
-func (c *loopJoinC) open(rt *runtime) (RowIter, error) {
+func (c *loopJoinC) open(rt runtime) (RowBatchIter, error) {
 	rit, err := c.right.open(rt)
 	if err != nil {
 		return nil, err
@@ -242,38 +205,9 @@ func (c *loopJoinC) open(rt *runtime) (RowIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := RowIter(&loopJoinIter{left: lit, rights: rights, ctx: rt.ctx, rpos: len(rights)})
-	return maybeFilter(out, c.cond, rt), nil
+	out := &probeIter{left: cursor{in: lit}, all: rights, ctx: rt.ctx}
+	return maybeFilter(out, c.cond, rt.ctx), nil
 }
-
-type loopJoinIter struct {
-	left    RowIter
-	rights  []sqltypes.Row
-	ctx     *Ctx
-	current sqltypes.Row
-	rpos    int
-	arena   RowArena
-}
-
-func (it *loopJoinIter) Next() (sqltypes.Row, bool, error) {
-	for {
-		if it.rpos < len(it.rights) {
-			r := it.rights[it.rpos]
-			it.rpos++
-			it.ctx.Tuples++
-			return it.arena.Combine(it.current, r), true, nil
-		}
-		row, ok, err := it.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		it.ctx.Tuples++
-		it.current = row
-		it.rpos = 0
-	}
-}
-
-func (it *loopJoinIter) Close() error { return it.left.Close() }
 
 type indexJoinC struct {
 	left     compiled
@@ -304,69 +238,73 @@ func (cp *compiler) compileIndexJoin(n *optimizer.IndexJoin, depth int) (compile
 	return c, nil
 }
 
-func (c *indexJoinC) open(rt *runtime) (RowIter, error) {
+func (c *indexJoinC) open(rt runtime) (RowBatchIter, error) {
 	lit, err := c.left.open(rt)
 	if err != nil {
 		return nil, err
 	}
-	out := RowIter(&indexJoinIter{c: c, rt: rt, left: lit, env: expr.Env{Params: rt.ctx.Params}})
-	return maybeFilter(out, c.residual, rt), nil
+	out := &indexJoinIter{c: c, rt: rt, left: cursor{in: lit}, env: expr.Env{Params: rt.ctx.Params}}
+	return maybeFilter(out, c.residual, rt.ctx), nil
 }
 
+// indexJoinIter probes the inner table's index once per outer row and
+// pairs the row with everything the probe yields, so a batch ends with
+// the first outer row that fills it. One tuple counts per outer row and
+// one per pair.
 type indexJoinIter struct {
-	c       *indexJoinC
-	rt      *runtime
-	left    RowIter
-	env     expr.Env
-	current sqltypes.Row
-	inner   RowIter
-	arena   RowArena
+	c     *indexJoinC
+	rt    runtime
+	left  cursor
+	env   expr.Env
+	inner Batch // one probe's rows
+	arena RowArena
 }
 
-func (it *indexJoinIter) Next() (sqltypes.Row, bool, error) {
-	for {
-		if it.inner != nil {
-			r, ok, err := it.inner.Next()
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				it.rt.ctx.Tuples++
-				return it.arena.Combine(it.current, r), true, nil
-			}
-			it.inner.Close()
-			it.inner = nil
+func (it *indexJoinIter) NextBatch(b *Batch) (bool, error) {
+	b.Reset()
+	it.arena.Reset()
+	for len(b.Rows) < BatchSize {
+		row, ok, err := it.left.next()
+		if err != nil {
+			return false, err
 		}
-		row, ok, err := it.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
+		if !ok {
+			break
 		}
 		it.rt.ctx.Tuples++
-		it.current = row
 		it.env.Row = row
 		lo, hi, ok, err := buildRange(&it.env, it.c.keys, nil, nil, false, false)
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		if !ok {
 			continue // NULL probe key: no matches
 		}
-		var inner RowIter
-		if it.c.primary {
-			inner, err = it.rt.st.PrimaryRange(it.c.table, lo, hi)
-		} else {
-			inner, err = it.rt.st.IndexRange(it.c.table, it.c.index, lo, hi)
+		if err := it.pair(row, lo, hi, b); err != nil {
+			return false, err
 		}
-		if err != nil {
-			return nil, false, err
+	}
+	return len(b.Rows) > 0, nil
+}
+
+// pair appends to b the outer row combined with every inner row whose
+// key falls in [lo, hi).
+func (it *indexJoinIter) pair(outer sqltypes.Row, lo, hi []byte, b *Batch) error {
+	in, err := probe(it.rt.st, it.c.table, it.c.index, it.c.primary, lo, hi)
+	if err != nil {
+		return err
+	}
+	defer in.Close()
+	for {
+		ok, err := in.NextBatch(&it.inner)
+		if err != nil || !ok {
+			return err
 		}
-		it.inner = inner
+		it.rt.ctx.Tuples += int64(len(it.inner.Rows))
+		for _, r := range it.inner.Rows {
+			b.Rows = append(b.Rows, it.arena.Combine(outer, r))
+		}
 	}
 }
 
-func (it *indexJoinIter) Close() error {
-	if it.inner != nil {
-		it.inner.Close()
-	}
-	return it.left.Close()
-}
+func (it *indexJoinIter) Close() error { return it.left.in.Close() }

@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/expr"
 	"repro/internal/sqltypes"
 )
 
@@ -58,12 +57,12 @@ type MorselStorage interface {
 	MorselTable(name string) (MorselSource, bool, error)
 }
 
-// openBatchParallel runs the scan→filter→partial-agg pipeline across
+// openParallel runs the scan→filter→partial-agg pipeline across
 // morsel workers and merges the partial states. handled=false means
 // the plan shape, storage backend, session knob or table size keeps
 // the query on the serial path (which the caller then takes); with
 // handled=true the result or error is final.
-func (c *aggC) openBatchParallel(rt *runtime) (_ RowBatchIter, handled bool, _ error) {
+func (c *aggC) openParallel(rt runtime) (_ RowBatchIter, handled bool, _ error) {
 	if c.scan == nil || rt.ctx.Parallel <= 1 {
 		return nil, false, nil
 	}
@@ -143,13 +142,7 @@ func (c *aggC) openBatchParallel(rt *runtime) (_ RowBatchIter, handled bool, _ e
 					fail(err)
 					return
 				}
-				var in RowBatchIter
-				if c.scan.filter != nil {
-					in = &filterBatchIter{in: it, pred: c.scan.filter,
-						env: expr.Env{Params: wctx.Params}, ctx: wctx}
-				} else {
-					in = &countingBatchIter{in: it, ctx: wctx}
-				}
+				in := leaf(it, c.scan.filter, wctx)
 				run.ordBase = uint64(m) << 32
 				run.ordCount = 0
 				err = func() error {
@@ -207,8 +200,8 @@ func (c *aggC) openBatchParallel(rt *runtime) (_ RowBatchIter, handled bool, _ e
 	if tr := rt.ctx.Trace; tr != nil {
 		// The per-worker span counters aggregate into one per-operator
 		// actual for the scan: rows and calls exactly what the serial
-		// spanBatchIter would record (N rows, N+1 calls), wall clamped to
-		// the slowest worker rather than summed across workers.
+		// spanIter would record (N rows, N+1 calls), wall clamped to the
+		// slowest worker rather than summed across workers.
 		sc := &tr.Counts[c.scanSpanID]
 		sc.Rows += totalFiltered
 		sc.Calls += totalFiltered + 1

@@ -25,106 +25,76 @@ func bindOpt(e sqlparser.Expr, r expr.Resolver) (expr.Compiled, error) {
 	return expr.Bind(e, r)
 }
 
-// filterIter applies a predicate to its input.
+// filterIter applies a predicate a batch at a time: the predicate
+// column is evaluated with expr.EvalBatch and the passing rows are
+// compacted in place, so the output aliases the input batch (which is
+// safe: the output is invalidated exactly when the input refills).
+// Every input row counts as a tuple.
 type filterIter struct {
-	in   RowIter
+	in   RowBatchIter
 	pred expr.Compiled
 	env  expr.Env
 	ctx  *Ctx
+	vals []sqltypes.Value // predicate column scratch
 }
 
-func (it *filterIter) Next() (sqltypes.Row, bool, error) {
+func (it *filterIter) NextBatch(b *Batch) (bool, error) {
 	for {
-		row, ok, err := it.in.Next()
+		ok, err := it.in.NextBatch(b)
 		if err != nil || !ok {
-			return nil, false, err
+			return false, err
 		}
-		it.ctx.Tuples++
-		it.env.Row = row
-		v, err := it.pred.Eval(&it.env)
-		if err != nil {
-			return nil, false, err
+		it.ctx.Tuples += int64(len(b.Rows))
+		if it.vals, err = expr.EvalBatch(it.pred, &it.env, b.Rows, it.vals[:0]); err != nil {
+			return false, err
 		}
-		if v.Bool() {
-			return row, true, nil
+		pass := b.Rows[:0]
+		for i, row := range b.Rows {
+			if it.vals[i].Bool() {
+				pass = append(pass, row)
+			}
+		}
+		b.Rows = pass
+		if len(pass) > 0 {
+			return true, nil
 		}
 	}
 }
 
 func (it *filterIter) Close() error { return it.in.Close() }
 
-func maybeFilter(in RowIter, pred expr.Compiled, rt *runtime) RowIter {
+// maybeFilter applies an optional predicate: a join's residual, or —
+// through leaf — a scan's pushed-down filter.
+func maybeFilter(in RowBatchIter, pred expr.Compiled, ctx *Ctx) RowBatchIter {
 	if pred == nil {
 		return in
 	}
-	return &filterIter{in: in, pred: pred, env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx}
+	return &filterIter{in: in, pred: pred, env: expr.Env{Params: ctx.Params}, ctx: ctx}
 }
 
-// BatchStorage is optionally implemented by Storage backends that can
-// scan base tables a batch at a time (page-at-a-time page pinning plus
-// arena row decoding in the engine adapter). Sequential scans use it
-// when present and fall back to row-at-a-time ScanTable otherwise.
-type BatchStorage interface {
-	ScanTableBatch(name string) (RowBatchIter, error)
-}
-
-// filterBatchIter applies a predicate batch-at-a-time: the predicate
-// column is evaluated with expr.EvalBatch and passing rows are
-// compacted into the output batch (aliasing the input batch, which is
-// safe: the output is invalidated exactly when the input refills).
-// Tuple accounting matches filterIter: every input row counts.
-type filterBatchIter struct {
-	in   RowBatchIter
-	pred expr.Compiled
-	env  expr.Env
-	ctx  *Ctx
-	raw  Batch            // input scratch
-	vals []sqltypes.Value // predicate column scratch
-}
-
-func (it *filterBatchIter) NextBatch(b *Batch) (bool, error) {
-	b.Reset()
-	for {
-		ok, err := it.in.NextBatch(&it.raw)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return len(b.Rows) > 0, nil
-		}
-		it.ctx.Tuples += int64(len(it.raw.Rows))
-		it.vals = it.vals[:0]
-		it.vals, err = expr.EvalBatch(it.pred, &it.env, it.raw.Rows, it.vals)
-		if err != nil {
-			return false, err
-		}
-		for i, row := range it.raw.Rows {
-			if it.vals[i].Bool() {
-				b.Rows = append(b.Rows, row)
-			}
-		}
-		if len(b.Rows) > 0 {
-			return true, nil
-		}
-	}
-}
-
-func (it *filterBatchIter) Close() error { return it.in.Close() }
-
-// countingBatchIter counts tuples flowing through an unfiltered scan,
-// mirroring countingIter.
-type countingBatchIter struct {
+// countingIter counts the tuples an unfiltered leaf yields.
+type countingIter struct {
 	in  RowBatchIter
 	ctx *Ctx
 }
 
-func (it *countingBatchIter) NextBatch(b *Batch) (bool, error) {
+func (it *countingIter) NextBatch(b *Batch) (bool, error) {
 	ok, err := it.in.NextBatch(b)
 	it.ctx.Tuples += int64(len(b.Rows))
 	return ok, err
 }
 
-func (it *countingBatchIter) Close() error { return it.in.Close() }
+func (it *countingIter) Close() error { return it.in.Close() }
+
+// leaf puts a storage iterator under a scan operator's tuple
+// accounting: with a pushed-down filter every row read counts (and is
+// tested), without one every row yielded counts.
+func leaf(in RowBatchIter, filter expr.Compiled, ctx *Ctx) RowBatchIter {
+	if filter == nil {
+		return &countingIter{in: in, ctx: ctx}
+	}
+	return maybeFilter(in, filter, ctx)
+}
 
 type seqScanC struct {
 	table  string
@@ -139,55 +109,13 @@ func compileSeqScan(n *optimizer.SeqScan) (compiled, error) {
 	return &seqScanC{table: n.Table, filter: f}, nil
 }
 
-func (c *seqScanC) open(rt *runtime) (RowIter, error) {
+func (c *seqScanC) open(rt runtime) (RowBatchIter, error) {
 	it, err := rt.st.ScanTable(c.table)
 	if err != nil {
 		return nil, err
 	}
-	if c.filter == nil {
-		return &countingIter{in: it, ctx: rt.ctx}, nil
-	}
-	return maybeFilter(it, c.filter, rt), nil
+	return leaf(it, c.filter, rt.ctx), nil
 }
-
-// openBatch scans the table batch-at-a-time when the storage backend
-// supports it, applying the pushed-down filter vectorized. Otherwise
-// the row-at-a-time open is bridged, which keeps counts identical.
-func (c *seqScanC) openBatch(rt *runtime) (RowBatchIter, error) {
-	bs, ok := rt.st.(BatchStorage)
-	if !ok {
-		it, err := c.open(rt)
-		if err != nil {
-			return nil, err
-		}
-		return RowsToBatch(it), nil
-	}
-	bi, err := bs.ScanTableBatch(c.table)
-	if err != nil {
-		return nil, err
-	}
-	if c.filter == nil {
-		return &countingBatchIter{in: bi, ctx: rt.ctx}, nil
-	}
-	return &filterBatchIter{in: bi, pred: c.filter,
-		env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx}, nil
-}
-
-// countingIter counts tuples flowing through an unfiltered scan.
-type countingIter struct {
-	in  RowIter
-	ctx *Ctx
-}
-
-func (it *countingIter) Next() (sqltypes.Row, bool, error) {
-	row, ok, err := it.in.Next()
-	if ok {
-		it.ctx.Tuples++
-	}
-	return row, ok, err
-}
-
-func (it *countingIter) Close() error { return it.in.Close() }
 
 type indexScanC struct {
 	table   string
@@ -285,7 +213,7 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 	return lo, hi, true, nil
 }
 
-func (c *indexScanC) open(rt *runtime) (RowIter, error) {
+func (c *indexScanC) open(rt runtime) (RowBatchIter, error) {
 	env := expr.Env{Params: rt.ctx.Params}
 	lo, hi, ok, err := buildRange(&env, c.eq, c.lo, c.hi, c.loIncl, c.hiIncl)
 	if err != nil {
@@ -294,17 +222,18 @@ func (c *indexScanC) open(rt *runtime) (RowIter, error) {
 	if !ok {
 		return &SliceRowIter{}, nil
 	}
-	var it RowIter
-	if c.primary {
-		it, err = rt.st.PrimaryRange(c.table, lo, hi)
-	} else {
-		it, err = rt.st.IndexRange(c.table, c.index, lo, hi)
-	}
+	it, err := probe(rt.st, c.table, c.index, c.primary, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	if c.filter == nil {
-		return &countingIter{in: it, ctx: rt.ctx}, nil
+	return leaf(it, c.filter, rt.ctx), nil
+}
+
+// probe opens the key range [lo, hi) of a table's primary structure or
+// of one of its secondary indexes.
+func probe(st Storage, table, index string, primary bool, lo, hi []byte) (RowBatchIter, error) {
+	if primary {
+		return st.PrimaryRange(table, lo, hi)
 	}
-	return maybeFilter(it, c.filter, rt), nil
+	return st.IndexRange(table, index, lo, hi)
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/optimizer"
-	"repro/internal/sqltypes"
 )
 
 // Statement tracing: Compile assigns every plan operator a pre-order
@@ -13,9 +12,9 @@ import (
 // nil (every normal execution, including cached plans) the wrapper
 // costs one nil check per operator open and nothing per row. When a
 // trace is attached (EXPLAIN ANALYZE), each operator's iterator is
-// wrapped to count rows and Next() calls and to accumulate inclusive
-// wall time — including time spent in open(), where blocking operators
-// (hash-join build, sort, aggregate) do their real work.
+// wrapped to count rows and to accumulate inclusive wall time —
+// including time spent in open(), where blocking operators (hash-join
+// build, sort, aggregate) do their real work.
 
 // SpanMeta is the static description of one plan operator, fixed at
 // compile time. Spans are stored in pre-order: parents precede
@@ -30,8 +29,8 @@ type SpanMeta struct {
 // SpanCount is the actual execution record of one operator.
 type SpanCount struct {
 	Rows  int64 // rows the operator produced
-	Nanos int64 // inclusive wall time (open + Next), includes children
-	Calls int64 // Next() invocations
+	Nanos int64 // inclusive wall time (open + NextBatch), includes children
+	Calls int64 // defined where it is published: ima_spans in ima/relations.go
 }
 
 // ExecTrace collects per-operator actuals for a single execution; index
@@ -77,7 +76,7 @@ type tracedC struct {
 	id    int
 }
 
-func (c *tracedC) open(rt *runtime) (RowIter, error) {
+func (c *tracedC) open(rt runtime) (RowBatchIter, error) {
 	tr := rt.ctx.Trace
 	if tr == nil {
 		return c.inner.open(rt)
@@ -92,87 +91,27 @@ func (c *tracedC) open(rt *runtime) (RowIter, error) {
 	return &spanIter{in: it, sc: sc}, nil
 }
 
-// openBatch mirrors open for the batch path. Batch-native operators
-// get a spanBatchIter; row-only operators open row-at-a-time, are
-// counted by a spanIter exactly as in the row path, and are bridged
-// upward with RowsToBatch (outside the span wrapper, so the bridge is
-// never double-counted).
-func (c *tracedC) openBatch(rt *runtime) (RowBatchIter, error) {
-	tr := rt.ctx.Trace
-	bc, isBatch := c.inner.(batchCompiled)
-	if tr == nil {
-		if isBatch {
-			return bc.openBatch(rt)
-		}
-		it, err := c.inner.open(rt)
-		if err != nil {
-			return nil, err
-		}
-		return RowsToBatch(it), nil
-	}
-	sc := &tr.Counts[c.id]
-	if !isBatch {
-		t0 := time.Now()
-		it, err := c.inner.open(rt)
-		sc.Nanos += time.Since(t0).Nanoseconds()
-		if err != nil {
-			return nil, err
-		}
-		return RowsToBatch(&spanIter{in: it, sc: sc}), nil
-	}
-	t0 := time.Now()
-	bi, err := bc.openBatch(rt)
-	sc.Nanos += time.Since(t0).Nanoseconds()
-	if err != nil {
-		return nil, err
-	}
-	return &spanBatchIter{in: bi, sc: sc}, nil
-}
-
+// spanIter records one operator's actuals. An operator a Limit stops
+// early reports the rows it produced, not the rows the Limit consumed.
 type spanIter struct {
-	in RowIter
-	sc *SpanCount
-}
-
-func (it *spanIter) Next() (sqltypes.Row, bool, error) {
-	t0 := time.Now()
-	row, ok, err := it.in.Next()
-	it.sc.Nanos += time.Since(t0).Nanoseconds()
-	it.sc.Calls++
-	if ok {
-		it.sc.Rows++
-	}
-	return row, ok, err
-}
-
-func (it *spanIter) Close() error { return it.in.Close() }
-
-// spanBatchIter keeps batch-path actuals exactly equal to the row
-// path's: a delivered batch of n rows is what n row-at-a-time Next
-// calls would have been (n rows, n calls), and exhaustion is the final
-// not-ok call. Batch subtrees are always fully drained (Limit, the one
-// early-terminating operator, runs row-only), so a traced operator
-// records the same N rows and N+1 calls either way.
-type spanBatchIter struct {
 	in RowBatchIter
 	sc *SpanCount
 }
 
-func (it *spanBatchIter) NextBatch(b *Batch) (bool, error) {
+func (it *spanIter) NextBatch(b *Batch) (bool, error) {
 	t0 := time.Now()
 	ok, err := it.in.NextBatch(b)
 	it.sc.Nanos += time.Since(t0).Nanoseconds()
 	if ok {
-		n := int64(len(b.Rows))
-		it.sc.Rows += n
-		it.sc.Calls += n
+		it.sc.Rows += int64(len(b.Rows))
+		it.sc.Calls += int64(len(b.Rows))
 	} else {
 		it.sc.Calls++
 	}
 	return ok, err
 }
 
-func (it *spanBatchIter) Close() error { return it.in.Close() }
+func (it *spanIter) Close() error { return it.in.Close() }
 
 // spanMetaFor derives the static span description from a plan node,
 // matching Plan.String's vocabulary so EXPLAIN and EXPLAIN ANALYZE

@@ -231,6 +231,11 @@ var Relations = []Relation{
 		Persist: Persist{Rule: All},
 	},
 	{
+		// rows is what the operator produced: below a LIMIT that stopped it
+		// early, up to one batch more than was consumed. calls is rows plus
+		// one for the call that reported exhaustion — rows + 1 for every
+		// operator that was drained, rows for one a LIMIT stopped early —
+		// whatever the number of batches the rows travelled in.
 		Name: "spans",
 		Columns: []Column{Int("trace_seq"), Int("hash"), Int("start_us"), Int("wall_us"),
 			Text("op", 0), Text("detail", textMax), Int("depth"), Float("est_rows"), Int("rows"),

@@ -7,7 +7,7 @@ import (
 
 // The trace ring is the monitor's deep-inspection tier: where the
 // workload ring records one row per execution, a trace records one row
-// per plan operator — rows produced, Next() calls and inclusive time —
+// per plan operator — rows produced, calls and inclusive time —
 // for executions the user explicitly asked to trace (EXPLAIN ANALYZE).
 // Traces are bounded by a small ring so an unattended tracing session
 // cannot grow memory; ima_spans exposes the ring over SQL.
@@ -20,14 +20,14 @@ const DefaultTraceCapacity = 128
 // TraceSpan is the record of one plan operator within a trace, in
 // pre-order (parents before children, as Plan.String renders).
 type TraceSpan struct {
-	Op      string  // operator kind (SeqScan, HashJoin, ...)
-	Detail  string  // operator-specific detail (table, index, ...)
-	Depth   int     // depth in the plan tree; root is 0
-	EstRows float64 // optimizer cardinality estimate
-	Rows      int64 // rows the operator actually produced
-	Nanos     int64 // inclusive wall time inside the operator
-	SelfNanos int64 // Nanos minus the direct children's inclusive time
-	Calls     int64 // Next() invocations
+	Op        string  // operator kind (SeqScan, HashJoin, ...)
+	Detail    string  // operator-specific detail (table, index, ...)
+	Depth     int     // depth in the plan tree; root is 0
+	EstRows   float64 // optimizer cardinality estimate
+	Rows      int64   // rows the operator actually produced
+	Nanos     int64   // inclusive wall time inside the operator
+	SelfNanos int64   // Nanos minus the direct children's inclusive time
+	Calls     int64   // see the ima_spans entry of ima/relations.go
 }
 
 // Trace is one fully traced statement execution.

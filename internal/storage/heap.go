@@ -492,7 +492,7 @@ const MaxBatchPins = 16
 type HeapBatchIter struct {
 	h       *Heap
 	page    uint32
-	bound   uint32 // exclusive page bound for morsel scans; 0 = whole heap
+	bound   uint32             // exclusive page bound for morsel scans; 0 = whole heap
 	pins    [MaxBatchPins]Page // frames backing the current batch
 	npins   int
 	err     error
@@ -533,9 +533,12 @@ func (it *HeapBatchIter) release() {
 	}
 }
 
-// Close releases the frames pinned for the last batch. Callers that
-// abandon the iterator before exhaustion must call it; an exhausted
-// iterator holds no pins, so Close is then a no-op.
+// Close releases the frames pinned for the last batch (and the read
+// latch with them), invalidating its records. Callers that abandon the
+// iterator before exhaustion must call it; an exhausted iterator holds
+// no pins, so Close is then a no-op. The iterator stays usable: a caller
+// that has copied what it needs out of a batch may Close to stop
+// blocking writers and call NextBatch again later.
 func (it *HeapBatchIter) Close() error {
 	it.release()
 	return nil
@@ -610,43 +613,24 @@ func (it *HeapBatchIter) nextBatch(b *RecBatch, maxRows int) (bool, error) {
 	return true, nil
 }
 
-// HeapIter is a pull-style iterator over live heap records.
+// HeapIter is a pull-style iterator over live heap records, for the
+// maintenance paths (DDL rebuilds, DML target collection); statement
+// scans go through HeapBatchIter.
 type HeapIter struct {
 	h    *Heap
 	page uint32
 	slot int
 	err  error
-	prof *WaitProf // wait attribution for flagged statements; usually nil
-	pg   Page      // reused pin handle; always released before Next returns
+	pg   Page // reused pin handle; always released before Next returns
 }
 
 // Iter returns an iterator positioned before the first record.
 func (h *Heap) Iter() *HeapIter { return &HeapIter{h: h} }
 
-// IterProf is Iter with a wait profiler attached to every page get of
-// the scan.
-func (h *Heap) IterProf(prof *WaitProf) *HeapIter { return &HeapIter{h: h, prof: prof} }
-
 // Next returns the next live record (copied out of the page) or
 // ok=false at the end. The record is freshly allocated and the caller
-// may retain it; hot per-row loops use NextBuf instead.
+// may retain it.
 func (it *HeapIter) Next() (TID, []byte, bool, error) {
-	return it.next(nil)
-}
-
-// NextBuf is Next with a caller-supplied record buffer: the returned
-// record is buf with the record bytes appended, so a loop that passes
-// the same buffer sliced to [:0] each call scans without per-row
-// allocation. The returned record is only valid until the caller
-// reuses the buffer.
-func (it *HeapIter) NextBuf(buf []byte) (TID, []byte, bool, error) {
-	if buf == nil {
-		buf = []byte{}
-	}
-	return it.next(buf)
-}
-
-func (it *HeapIter) next(buf []byte) (TID, []byte, bool, error) {
 	if it.err != nil {
 		return 0, nil, false, it.err
 	}
@@ -654,7 +638,7 @@ func (it *HeapIter) next(buf []byte) (TID, []byte, bool, error) {
 	defer it.h.mu.RUnlock()
 	pages := it.h.file.Pages()
 	for it.page < pages {
-		if err := it.h.file.PinPageProf(it.page, &it.pg, it.prof); err != nil {
+		if err := it.h.file.PinPage(it.page, &it.pg); err != nil {
 			it.err = err
 			return 0, nil, false, err
 		}
@@ -666,11 +650,8 @@ func (it *HeapIter) next(buf []byte) (TID, []byte, bool, error) {
 			if off == deadSlot {
 				continue
 			}
-			rec := buf
-			if rec == nil {
-				rec = make([]byte, 0, length)
-			}
-			rec = append(rec, it.pg.Data[off:off+length]...)
+			rec := make([]byte, length)
+			copy(rec, it.pg.Data[off:off+length])
 			it.pg.Release()
 			return NewTID(it.page, uint16(s)), rec, true, nil
 		}
