@@ -290,23 +290,28 @@ func (a *Analyzer) loadStatements() ([]StmtCost, error) {
 		}
 	}
 
-	res, err = s.Exec(`SELECT hash, COUNT(*), AVG(exec_cpu), AVG(exec_io),
-		AVG(est_cpu), AVG(est_io), AVG(wall_us)
+	// ws_workload rows are sums over their executions: per-execution
+	// averages are Σ column ÷ Σ executions.
+	res, err = s.Exec(`SELECT hash, SUM(executions), SUM(exec_cpu), SUM(exec_io),
+		SUM(est_cpu), SUM(est_io), SUM(wall_us)
 		FROM ` + workloaddb.Workload + ` GROUP BY hash`)
 	if err != nil {
 		return nil, err
 	}
 	var out []StmtCost
 	for _, r := range res.Rows {
-		sc := StmtCost{
+		n := r[1].AsFloat()
+		if n == 0 {
+			continue // only the tail of an execution in flight at a drain
+		}
+		out = append(out, StmtCost{
 			Hash:       uint64(r[0].I),
 			Text:       texts[r[0].I],
-			Executions: r[1].I,
-			ActualCost: combined(r[2].AsFloat(), r[3].AsFloat()),
-			EstCost:    combined(r[4].AsFloat(), r[5].AsFloat()),
-			AvgWallUs:  r[6].AsFloat(),
-		}
-		out = append(out, sc)
+			Executions: int64(n),
+			ActualCost: combined(r[2].AsFloat()/n, r[3].AsFloat()/n),
+			EstCost:    combined(r[4].AsFloat()/n, r[5].AsFloat()/n),
+			AvgWallUs:  r[6].AsFloat() / n,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		return out[i].ActualCost*float64(out[i].Executions) >

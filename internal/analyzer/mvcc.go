@@ -109,7 +109,7 @@ func (a *Analyzer) conflictHotStatements(limit int) []conflictHot {
 	if res, err := s.Exec(`SELECT hash, error FROM ` + workloaddb.Workload); err == nil {
 		for _, r := range res.Rows {
 			if r[1].I != 0 {
-				errs[r[0].I]++
+				errs[r[0].I] += r[1].I
 			}
 		}
 	} else {

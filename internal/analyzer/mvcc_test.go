@@ -142,10 +142,12 @@ func TestMvccConflictRuleFiresAndRanksHotStatements(t *testing.T) {
 			workloaddb.Statements, ts, st.hash, st.text, st.kind, int64(st.errs), ts, ts)); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < st.errs; i++ {
+		// The error column is a count: two raw rows (one failed
+		// execution each) and one row summing the rest of 20 executions.
+		for _, row := range [][2]int{{1, 1}, {1, 1}, {st.errs - 2, 18}} {
 			if _, err := s.Exec(fmt.Sprintf(
-				"INSERT INTO %s VALUES (%d, %d, %d, 100, 10, 50, 50, 1.0, 1.0, 1.0, 0, 10, 1)",
-				workloaddb.Workload, ts, st.hash, ts)); err != nil {
+				"INSERT INTO %s VALUES (%d, %d, %d, 100, 10, 50, 50, 1.0, 1.0, 1.0, 0, 10, %d, %d)",
+				workloaddb.Workload, ts, st.hash, ts, row[0], row[1])); err != nil {
 				t.Fatal(err)
 			}
 		}

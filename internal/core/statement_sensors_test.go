@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/monitor"
 	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
 	"repro/internal/workloaddb"
 )
 
@@ -97,6 +99,50 @@ func TestEveryPersistedHashJoinsAStatement(t *testing.T) {
 	}
 	if n := stmts[int64(sqlparser.DigestOf("SELECT name FROM item WHERE id = 1"))]; n != 1 {
 		t.Errorf("the point-select shape has %d ws_statements rows after one poll", n)
+	}
+}
+
+// A flood of distinct texts the lexer rejects is a handful of statements
+// — one per lexer error kind, under the first text seen — and evicts no
+// real shape from a statement table a tenth its size.
+func TestLexErrorFloodKeepsShapes(t *testing.T) {
+	sys, err := Open(Options{Dir: t.TempDir()}) // the default table: 1000 statements
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	s := sys.Session()
+	defer s.Close()
+	loadItems(t, s, 200)
+	const shapes = 20
+	for i := 0; i < shapes; i++ {
+		mustExec(t, s, fmt.Sprintf("SELECT id FROM item WHERE grp = %d ORDER BY id LIMIT %d", i%17, i+1))
+	}
+	before := sys.Monitor.StatementCount()
+
+	garbage := []string{"SELECT 'never closed %d", "SELECT %d FROM item WHERE id = 1e+", "SELECT id FROM item WHERE id # %d"}
+	const flood = 10000
+	for i := 0; i < flood; i++ {
+		if _, err := s.Exec(fmt.Sprintf(garbage[i%len(garbage)], i)); err == nil {
+			t.Fatalf("garbage %d executed", i)
+		}
+	}
+	if _, _, evictions := sys.Monitor.TableOps(); evictions != 0 || sys.Monitor.StatementCount() != before+len(garbage) {
+		t.Errorf("%d evictions, %d statements after the flood, want 0 and %d", evictions, sys.Monitor.StatementCount(), before+len(garbage))
+	}
+	for i := 0; i < shapes; i++ {
+		q := fmt.Sprintf("SELECT frequency FROM ima_statements WHERE hash = %d",
+			int64(sqlparser.DigestOf(fmt.Sprintf("SELECT id FROM item WHERE grp = 0 ORDER BY id LIMIT %d", i+1))))
+		if res := mustExec(t, s, q); len(res.Rows) != 1 || res.Rows[0][0].I != 1 {
+			t.Errorf("shape %d after the flood: %v", i, res.Rows)
+		}
+	}
+	for i, text := range garbage {
+		q := fmt.Sprintf("SELECT query_text, frequency FROM ima_statements WHERE hash = %d", int64(sqlparser.DigestOf(fmt.Sprintf(text, i+3000))))
+		res := mustExec(t, s, q)
+		if len(res.Rows) != 1 || res.Rows[0][0].S != fmt.Sprintf(text, i) || res.Rows[0][1].I != int64((flood+len(garbage)-1-i)/len(garbage)) {
+			t.Errorf("lexer error kind %d: %v, want one statement under its first text", i, res.Rows)
+		}
 	}
 }
 
@@ -390,10 +436,14 @@ func sensorStream(t *testing.T, s *engine.Session) {
 // Keying statements by shape changes which statement an execution is
 // counted under and nothing else: for a fixed stream, ima_tables,
 // ima_attributes, ima_indexes, the deterministic columns of
-// ima_statistics, the totals of ima_latency's global scopes and
-// ima_workload minus hash and clock columns are what the text-keyed
-// monitor produced. The fingerprint was taken by running this test at
-// the last text-keyed commit (9e0009d).
+// ima_statistics and the totals of ima_latency's global scopes are what
+// the text-keyed monitor produced, and ima_workload's per-statement sums
+// (minus hash and clock columns) are what one row per execution summed
+// to. The fingerprint was taken by running this test — with COUNT(*) for
+// SUM(executions), and with db_bytes counting a heap's last page as far
+// as it is filled — at the last commit that wrote a row per execution
+// (be2cdcf); its other relations read what they read at the last
+// text-keyed commit (9e0009d).
 func TestObjectAndWorkloadRelationsUnchangedByKeying(t *testing.T) {
 	sys, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
@@ -406,24 +456,35 @@ func TestObjectAndWorkloadRelationsUnchangedByKeying(t *testing.T) {
 
 	var dump strings.Builder
 	for _, q := range []string{
-		"SELECT exec_cpu, exec_io, est_cpu, est_io, est_rows, rows, error FROM ima_workload",
+		"SELECT SUM(executions), SUM(exec_cpu), SUM(exec_io), SUM(est_cpu), SUM(est_io), SUM(est_rows), SUM(rows), SUM(error) FROM ima_workload GROUP BY hash",
 		"SELECT table_name, frequency, structure, row_count FROM ima_tables",
 		"SELECT attr_name, frequency, has_histogram FROM ima_attributes",
 		"SELECT index_name, table_name, frequency FROM ima_indexes",
 		"SELECT statements, peak_sessions, lock_waits, deadlocks, cache_misses, db_bytes FROM ima_statistics",
 		"SELECT scope, SUM(bucket_count) FROM ima_latency WHERE hash = 0 GROUP BY scope ORDER BY scope",
 	} {
-		fmt.Fprintln(&dump, q)
+		fmt.Fprintln(&dump, strings.Replace(q, "COUNT(*)", "SUM(executions)", 1))
+		var lines []string
 		for _, row := range mustExec(t, s, q).Rows {
+			var line strings.Builder
 			for _, v := range row {
-				fmt.Fprint(&dump, v.String(), "|")
+				if v.T == sqltypes.Float { // a sum's last bits depend on the order of addition
+					v = sqltypes.NewText(fmt.Sprintf("%.9g", v.F))
+				}
+				fmt.Fprint(&line, v.String(), "|")
 			}
-			fmt.Fprintln(&dump)
+			lines = append(lines, line.String())
+		}
+		if strings.Contains(q, "GROUP BY hash") { // the hash itself is left out: group order is no part of the contract
+			sort.Strings(lines)
+		}
+		for _, line := range lines {
+			fmt.Fprintln(&dump, line)
 		}
 	}
 	h := fnv.New64a()
 	h.Write([]byte(dump.String()))
-	const want = uint64(0x426f10bf20e302f6)
+	const want = uint64(0xad5435f826e44a8f)
 	if got := h.Sum64(); got != want {
 		t.Errorf("fingerprint %#x, want %#x; the relations read:\n%s", got, want, dump.String())
 	}

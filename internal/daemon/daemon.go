@@ -180,7 +180,7 @@ type Stats struct {
 	Retries        int64 // backoff-scheduled retry polls executed by Run
 	AlertErrors    int64 // alert evaluations that failed (query or operator)
 	CarryoverDepth int64 // drained workload entries awaiting re-insert
-	CarryoverDrops int64 // carryover entries dropped at the cap (oldest first)
+	CarryoverDrops int64 // executions of carryover entries dropped at the cap (oldest first)
 }
 
 // execTarget is the daemon's write surface to the workload DB. In
@@ -484,12 +484,14 @@ func (d *Daemon) Poll() error {
 }
 
 // flushWorkload persists the carryover buffer plus a fresh drain of
-// the monitor's workload ring. On failure the un-persisted suffix is
+// the monitor's workload relation: the ring's raw rows and one summed
+// entry per shape that ran. On failure the un-persisted suffix is
 // requeued (chunks that were Exec'd before the failure are not — a
 // failed Exec applies nothing, so the retry cannot duplicate rows).
-// When the carryover is already at capacity the ring is deliberately
-// not drained: entries stay in the monitor, where wraparound drops
-// oldest-first and is counted by Monitor.WorkloadDropped.
+// When the carryover is already at capacity the monitor is deliberately
+// not drained: shapes keep summing, raw entries stay in the ring, where
+// wraparound drops oldest-first and is counted, in executions, by
+// Monitor.WorkloadDropped.
 func (d *Daemon) flushWorkload(x execTarget, ts int64) error {
 	d.mu.Lock()
 	pending := d.carryover
@@ -520,7 +522,9 @@ func (d *Daemon) flushWorkload(x execTarget, ts int64) error {
 	// trim to the cap, dropping oldest first.
 	d.carryover = append(d.carryover, rest...)
 	if drop := len(d.carryover) - d.carryCap; drop > 0 {
-		d.carryDrops.Add(int64(drop))
+		for _, w := range d.carryover[:drop] {
+			d.carryDrops.Add(w.Executions)
+		}
 		d.carryover = append([]monitor.WorkloadEntry(nil), d.carryover[drop:]...)
 	}
 	depth := len(d.carryover)

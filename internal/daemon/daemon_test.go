@@ -77,9 +77,10 @@ func TestPollPersistsWorkload(t *testing.T) {
 
 	ws := f.target.NewSession()
 	defer ws.Close()
-	res := exec(t, ws, "SELECT COUNT(*) FROM "+workloaddb.Workload)
-	if res.Rows[0][0].I < 2 {
-		t.Errorf("workload rows = %v", res.Rows[0][0])
+	res := exec(t, ws, fmt.Sprintf("SELECT COUNT(*), SUM(executions) FROM %s WHERE hash = %d",
+		workloaddb.Workload, int64(sqlparser.DigestOf("SELECT v FROM t WHERE id = 1"))))
+	if res.Rows[0][0].I != 1 || res.Rows[0][1].I != 2 {
+		t.Errorf("the shape's workload rows, executions = %v, want one row of two executions", res.Rows[0])
 	}
 	res = exec(t, ws, "SELECT COUNT(*) FROM "+workloaddb.Statements)
 	if res.Rows[0][0].I == 0 {
@@ -111,10 +112,10 @@ func TestDrainAvoidsDuplicateWorkload(t *testing.T) {
 	ws := f.target.NewSession()
 	defer ws.Close()
 	res := exec(t, ws, fmt.Sprintf(
-		"SELECT COUNT(*) FROM %s WHERE hash = %d",
+		"SELECT SUM(executions) FROM %s WHERE hash = %d",
 		workloaddb.Workload, int64(sqlparser.DigestOf("SELECT v FROM t WHERE id = 1"))))
 	if res.Rows[0][0].I != 1 {
-		t.Errorf("workload entry duplicated across polls: %v", res.Rows[0][0])
+		t.Errorf("execution stored %v times across polls", res.Rows[0][0])
 	}
 }
 
@@ -387,9 +388,10 @@ func TestFlushOnFull(t *testing.T) {
 	s := source.NewSession()
 	exec(t, s, "CREATE TABLE f (id INTEGER PRIMARY KEY)")
 	// Cross 90% of the 20-entry ring: the full signal must trigger a
-	// poll long before the hourly tick.
+	// poll long before the hourly tick. Only executions no shape sums up
+	// take ring space: statements the engine does not cache.
 	for i := 0; i < 19; i++ {
-		exec(t, s, fmt.Sprintf("INSERT INTO f VALUES (%d)", i))
+		exec(t, s, "SET PARALLEL 1")
 	}
 	s.Close()
 	deadline := time.After(5 * time.Second)

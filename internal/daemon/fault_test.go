@@ -118,10 +118,10 @@ func TestPollRequeuesFailedWorkload(t *testing.T) {
 		t.Fatalf("poll after recovery: %v", err)
 	}
 	for _, q := range queries {
-		n := countRows(t, f.target, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d",
+		n := countRows(t, f.target, fmt.Sprintf("SELECT SUM(executions) FROM %s WHERE hash = %d",
 			workloaddb.Workload, int64(sqlparser.DigestOf(q))))
 		if n != 1 {
-			t.Errorf("workload rows for %q = %d, want exactly 1", q, n)
+			t.Errorf("stored executions of %q = %d, want exactly 1", q, n)
 		}
 	}
 	if depth := d.Stats().CarryoverDepth; depth != 0 {
@@ -166,7 +166,7 @@ func TestRunSurvivesTransientErrors(t *testing.T) {
 
 	flaky.forced.Store(false)
 	hash := int64(sqlparser.DigestOf("SELECT v FROM t WHERE id = 7"))
-	for countRows(t, f.target, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d",
+	for countRows(t, f.target, fmt.Sprintf("SELECT SUM(executions) FROM %s WHERE hash = %d",
 		workloaddb.Workload, hash)) != 1 {
 		select {
 		case err := <-runDone:
@@ -211,9 +211,9 @@ func TestRunStopsOnFatal(t *testing.T) {
 }
 
 // TestCarryoverBounded: when the target stays down, the carryover
-// buffer stops at its cap (dropping oldest first, counted) and the
-// daemon stops draining so the monitor ring absorbs — and counts — the
-// overflow instead of an unbounded queue.
+// buffer stops at its cap (dropping oldest first, counted in executions)
+// and the daemon stops draining so the monitor absorbs — and counts —
+// the overflow instead of an unbounded queue.
 func TestCarryoverBounded(t *testing.T) {
 	f := newFixture(t)
 	d, err := New(Config{
@@ -227,10 +227,19 @@ func TestCarryoverBounded(t *testing.T) {
 	flaky.forced.Store(true)
 
 	// Clear the fixture's setup statements so the drop accounting below
-	// covers exactly the generated load.
+	// covers exactly the generated load: 20 executions of a statement
+	// the engine does not cache, a raw entry each, and 20 shapes (LIMIT n
+	// is part of the shape) run twice, which add up in the shape's
+	// entry. The drain is the 20 raw entries, then 20 of two executions.
 	f.mon.DrainWorkload()
+	base := f.mon.TotalStatements()
 	for i := 0; i < 20; i++ {
-		exec(t, f.sess, fmt.Sprintf("SELECT v FROM t WHERE id = %d AND v = 'cap'", i))
+		exec(t, f.sess, "SET PARALLEL 1")
+	}
+	for i := 0; i < 20; i++ {
+		for range 2 {
+			exec(t, f.sess, fmt.Sprintf("SELECT v FROM t WHERE id = %d AND v = 'cap' LIMIT %d", i, i+1))
+		}
 	}
 	if err := d.Poll(); err == nil {
 		t.Fatal("poll against a dead target reported success")
@@ -239,14 +248,14 @@ func TestCarryoverBounded(t *testing.T) {
 	if st.CarryoverDepth != 8 {
 		t.Errorf("CarryoverDepth = %d, want 8 (the cap)", st.CarryoverDepth)
 	}
-	if st.CarryoverDrops != 12 {
-		t.Errorf("CarryoverDrops = %d, want 12", st.CarryoverDrops)
+	if st.CarryoverDrops != 20+12*2 {
+		t.Errorf("CarryoverDrops = %d executions, want 44 (20 raw entries and 12 of two executions)", st.CarryoverDrops)
 	}
 
 	// With the carryover saturated, further polls must not drain the
-	// ring: fresh entries wait in the monitor.
+	// monitor: fresh entries wait in the ring.
 	for i := 0; i < 5; i++ {
-		exec(t, f.sess, fmt.Sprintf("SELECT v FROM t WHERE id = %d AND v = 'ring'", i))
+		exec(t, f.sess, "SET PARALLEL 1")
 	}
 	if err := d.Poll(); err == nil {
 		t.Fatal("poll against a dead target reported success")
@@ -254,8 +263,8 @@ func TestCarryoverBounded(t *testing.T) {
 	if depth := d.Stats().CarryoverDepth; depth != 8 {
 		t.Errorf("CarryoverDepth grew past the cap: %d", depth)
 	}
-	if ringDepth := f.mon.WorkloadDepth(); ringDepth < 5 {
-		t.Errorf("monitor ring drained while carryover was full: depth %d, want >= 5", ringDepth)
+	if ringDepth := f.mon.WorkloadDepth(); ringDepth != 5 {
+		t.Errorf("monitor ring drained while carryover was full: depth %d, want 5", ringDepth)
 	}
 
 	// Heal: the capped carryover flushes first, then the ring.
@@ -271,6 +280,12 @@ func TestCarryoverBounded(t *testing.T) {
 	}
 	if got := countRows(t, f.target, "SELECT COUNT(*) FROM "+workloaddb.Workload); got != 8+5 {
 		t.Errorf("persisted workload rows = %d, want %d (cap survivors + ring)", got, 8+5)
+	}
+	// Every execution is stored or counted as dropped.
+	stored := countRows(t, f.target, "SELECT SUM(executions) FROM "+workloaddb.Workload)
+	if ran := f.mon.TotalStatements() - base; stored != 8*2+5 || stored+d.Stats().CarryoverDrops+f.mon.WorkloadDropped() != ran {
+		t.Errorf("stored %d executions (want 21) + %d carryover drops + %d ring drops != %d run",
+			stored, d.Stats().CarryoverDrops, f.mon.WorkloadDropped(), ran)
 	}
 }
 
@@ -328,7 +343,7 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 	// so each poll feeds the ring the next poll drains.)
 	allLanded := func() bool {
 		for _, q := range queries {
-			got := countRows(t, f.target, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d",
+			got := countRows(t, f.target, fmt.Sprintf("SELECT SUM(executions) FROM %s WHERE hash = %d",
 				workloaddb.Workload, int64(sqlparser.DigestOf(q))))
 			if got == 0 {
 				return false
@@ -351,12 +366,12 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 		t.Errorf("Run returned %v, want context.Canceled", err)
 	}
 
-	// Exactly once: each generated statement has exactly one workload row.
+	// Exactly once: each generated statement is stored as one execution.
 	for _, q := range queries {
-		got := countRows(t, f.target, fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d",
+		got := countRows(t, f.target, fmt.Sprintf("SELECT SUM(executions) FROM %s WHERE hash = %d",
 			workloaddb.Workload, int64(sqlparser.DigestOf(q))))
 		if got != 1 {
-			t.Errorf("workload rows for %q = %d, want exactly 1", q, got)
+			t.Errorf("stored executions of %q = %d, want exactly 1", q, got)
 		}
 	}
 

@@ -392,15 +392,17 @@ func (db *DB) ResizePool(pages int) int { return db.pool.Resize(pages) }
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.dir }
 
-// SizeBytes returns the total on-disk size of all table and index
-// files — the "size of the data files" measure of the paper's
-// Figure 7.
+// SizeBytes returns the total size of all table and index files — the
+// "size of the data files" measure of the paper's Figure 7 — counting
+// the page a heap currently appends to as far as it is filled, so that
+// growth is visible row by row (the workload DB of a run that writes a
+// few aggregated rows per poll grows by less than a page per table).
 func (db *DB) SizeBytes() int64 {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	var total int64
 	for _, h := range db.tables {
-		total += h.heap.File().SizeBytes()
+		total += h.heap.SizeBytes()
 		if h.primary != nil {
 			total += h.primary.File().SizeBytes()
 		}

@@ -456,20 +456,23 @@ func TestPlanCacheHitSkipsOptimizer(t *testing.T) {
 	defer s.Close()
 	setupPeople(t, s)
 
+	// A shape's executions add up in its sums, one entry per drain.
+	mon := db.Monitor()
+	digest := sqlparser.DigestOf("SELECT name FROM people WHERE id = 1")
+	mon.DrainWorkload()
 	mustExec(t, s, "SELECT name FROM people WHERE id = 1")
+	first := mon.DrainWorkload()
 	mustExec(t, s, "SELECT name FROM people WHERE id = 2")
-	snap := db.Monitor().Snapshot()
-	n := len(snap.Workload)
-	if n < 2 {
-		t.Fatal("missing workload entries")
+	mustExec(t, s, "SELECT name FROM people WHERE id = 4")
+	second := mon.DrainWorkload()
+	if len(first) != 1 || len(second) != 1 || first[0].Hash != digest || second[0].Hash != digest {
+		t.Fatalf("workload entries %+v then %+v, want one each under digest %x", first, second, digest)
 	}
-	first := snap.Workload[n-2]
-	second := snap.Workload[n-1]
-	if first.OptTime == 0 {
-		t.Error("first execution should include optimizer time")
+	if first[0].Executions != 1 || first[0].OptTime == 0 {
+		t.Errorf("first execution should include optimizer time: %+v", first[0])
 	}
-	if second.OptTime != 0 {
-		t.Error("second execution should hit the plan cache (OptTime 0)")
+	if second[0].Executions != 2 || second[0].OptTime != 0 {
+		t.Errorf("later executions should hit the plan cache (OptTime 0): %+v", second[0])
 	}
 	// Both return correct, different results.
 	r1 := mustExec(t, s, "SELECT name FROM people WHERE id = 3")

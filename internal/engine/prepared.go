@@ -172,14 +172,21 @@ func (db *DB) newPrepared(sc *sqlparser.Scanner, parsed *sqlparser.ParseResult) 
 	return p
 }
 
-// publish puts a completed entry into the cache, publishing its shape
-// to the monitor first; an entry without a shape key stays the executing
+// publish puts a completed entry into the cache, publishing its shape —
+// with the objects and estimates of its plan, when it has one — to the
+// monitor first; an entry without a shape key stays the executing
 // session's own.
-func (db *DB) publish(p *prepared, attrs, indexes []string, tick int64) {
+func (db *DB) publish(p *prepared, plan *optimizer.Plan, tick int64) {
 	if p.key == "" {
 		return
 	}
-	p.shape.Store(db.mon.Publish(p.digest, p.text, p.kind, p.tables, attrs, indexes))
+	var attrs, indexes []string
+	var est monitor.Estimates
+	if plan != nil {
+		attrs, indexes = plan.Attributes, plan.UsedIndexes
+		est = monitor.Estimates{CPU: plan.Est.CPU, IO: plan.Est.IO, Rows: plan.Est.Rows}
+	}
+	p.shape.Store(db.mon.Publish(p.digest, p.text, p.kind, p.tables, attrs, indexes, est))
 	db.plans.put(p, tick)
 }
 
@@ -309,6 +316,9 @@ func (db *DB) InvalidatePlans() { db.plans.invalidate() }
 func (s *Session) prepare(sql string, tick int64, h *monitor.Handle) (*prepared, []sqltypes.Value, error) {
 	sc := &s.scan
 	if err := sc.Scan(sql); err != nil {
+		// No shape to count under: all texts the lexer rejects for one
+		// reason are one statement, so garbage cannot churn the table.
+		h.Keyed(err.(*sqlparser.LexError).Digest())
 		s.db.plans.misses.Add(1)
 		return nil, nil, err
 	}
@@ -345,7 +355,7 @@ func (s *Session) parse(tick int64, h *monitor.Handle) (*prepared, []sqltypes.Va
 	if p.class == classDML {
 		// Nothing more to derive for a write: the entry is complete.
 		// (A SELECT is published once it is planned.)
-		s.db.publish(p, nil, nil, tick)
+		s.db.publish(p, nil, tick)
 	}
 	p.observe(h, s.id)
 	return p, parsed.Params, nil

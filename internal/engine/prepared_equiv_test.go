@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/nref"
+	"repro/internal/sqltypes"
 )
 
 const equivScale = 400
@@ -105,7 +106,8 @@ func imaDump(t *testing.T, s *engine.Session) []string {
 	var out []string
 	for _, q := range []string{
 		"SELECT hash, query_text, frequency FROM ima_statements",
-		"SELECT hash, exec_cpu, exec_io, est_cpu, est_io, est_rows, rows, error FROM ima_workload",
+		// Per statement, not per row: cached executions arrive summed.
+		"SELECT hash, SUM(executions), SUM(exec_cpu), SUM(exec_io), SUM(est_cpu), SUM(est_io), SUM(est_rows), SUM(rows), SUM(error) FROM ima_workload GROUP BY hash",
 		"SELECT hash, obj_type, obj_name, table_name FROM ima_references",
 		"SELECT table_name, frequency, row_count FROM ima_tables",
 		"SELECT attr_name, table_name, frequency FROM ima_attributes",
@@ -117,6 +119,13 @@ func imaDump(t *testing.T, s *engine.Session) []string {
 		}
 		var rows []string
 		for _, r := range res.Rows {
+			// Nine digits of a float: a sum of n equal estimates and n
+			// times the estimate differ in the last bit.
+			for i, v := range r {
+				if v.T == sqltypes.Float {
+					r[i] = sqltypes.NewText(fmt.Sprintf("%.9g", v.F))
+				}
+			}
 			rows = append(rows, fmt.Sprint(r))
 		}
 		sort.Strings(rows)

@@ -576,7 +576,7 @@ func (s *Session) execSelect(st *sqlparser.SelectStmt, p *prepared, params []sql
 			p.columns[i] = c.Name
 		}
 		h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, entry.optTime)
-		db.publish(p, plan.Attributes, plan.UsedIndexes, tick)
+		db.publish(p, plan, tick)
 		p.observe(h, s.id)
 	} else {
 		// Cache hit: the optimizer was bypassed entirely; estimates

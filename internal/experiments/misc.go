@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/daemon"
 	"repro/internal/engine"
+	"repro/internal/monitor"
 	"repro/internal/nref"
 	"repro/internal/workloaddb"
 )
@@ -24,7 +25,9 @@ type GrowthResult struct {
 // RunGrowth measures the storage cost per logged statement by pushing
 // a known number of workload entries through the daemon and dividing
 // the workload-DB size delta, then projects growth at the paper's
-// logging rate.
+// logging rate. The paper logs one row per execution; here that is the
+// raw tier, so the statement's shape is flagged for the run — unflagged,
+// its 2000 executions would reach the workload DB as one summed row.
 func RunGrowth(cfg Config) (*GrowthResult, error) {
 	cfg.fill()
 	cfg.Scale = 500 // tiny: only the workload DB matters here
@@ -49,6 +52,7 @@ func RunGrowth(cfg Config) (*GrowthResult, error) {
 	before := wdb.SizeBytes()
 
 	const n = 2000
+	inst.mon.Flag(nref.PointSelectStatement(0, cfg.Scale), monitor.FlagReasonManual, true, 0)
 	s := inst.db.NewSession()
 	for i := 0; i < n; i++ {
 		if _, err := s.Exec(nref.PointSelectStatement(i, cfg.Scale)); err != nil {

@@ -179,8 +179,8 @@ func MonitorHealth(mon *monitor.Monitor) []HealthMetric {
 		{"monitor", "sensor_seconds_total", mon.TotalMonitorTime().Seconds()},
 		{"monitor", "distinct_statements", float64(mon.StatementCount())},
 		{"monitor", "evicted_statements_total", float64(mon.EvictedStatements())},
-		{"monitor", "workload_depth", float64(mon.WorkloadDepth())},
-		{"monitor", "workload_dropped_total", float64(mon.WorkloadDropped())},
+		{"monitor", "workload_depth", float64(mon.WorkloadDepth())},           // ring entries awaiting a drain
+		{"monitor", "workload_dropped_total", float64(mon.WorkloadDropped())}, // executions, not entries
 		{"monitor", "traces_buffered", float64(mon.TraceCount())},
 		{"monitor", "flagged_statements", float64(mon.FlagCount())},
 		{"monitor", "phase2_seconds_total", mon.Phase2Overhead().Seconds()},

@@ -96,13 +96,18 @@ var Relations = []Relation{
 		Persist: Persist{ChangedSince, []string{"last_seen_us"}},
 	},
 	{
-		// The daemon does not copy this one from a snapshot: it drains
-		// the ring, so each execution lands exactly once (see package
-		// daemon), and builds the drained entries' rows with WorkloadRow.
+		// One row per statement and drain: every cost column is a sum
+		// over the row's executions, start_us the latest start, error
+		// the number that failed. A cached shape's executions arrive
+		// summed; an execution of the slow path or of a profiled
+		// (flagged) statement is a raw row, executions = 1. The daemon
+		// does not copy this one from a snapshot: it drains the monitor,
+		// so each execution lands exactly once (see package daemon), and
+		// builds the drained entries' rows with WorkloadRow.
 		Name: "workload",
 		Columns: []Column{Int("hash"), Int("start_us"), Int("wall_us"), Int("opt_us"),
 			Int("exec_cpu"), Int("exec_io"), Float("est_cpu"), Float("est_io"), Float("est_rows"),
-			Int("rows"), Int("mon_ns"), Int("error")},
+			Int("rows"), Int("mon_ns"), Int("error"), Int("executions")},
 		Provider: func(src *Sources) []sqltypes.Row { return each(src.Mon.SnapshotWorkload(), WorkloadRow) },
 		Persist:  Persist{Rule: All},
 	},
@@ -368,7 +373,7 @@ func each[T any](items []T, row func(T) sqltypes.Row) []sqltypes.Row {
 }
 
 // WorkloadRow converts a workload entry to its relation row; the
-// daemon builds the rows of a drained ring with it.
+// daemon builds the rows of a drain with it.
 func WorkloadRow(w monitor.WorkloadEntry) sqltypes.Row {
 	return sqltypes.Row{
 		sqltypes.NewInt(int64(w.Hash)),
@@ -382,7 +387,8 @@ func WorkloadRow(w monitor.WorkloadEntry) sqltypes.Row {
 		sqltypes.NewFloat(w.EstRows),
 		sqltypes.NewInt(w.Rows),
 		sqltypes.NewInt(w.MonNanos),
-		sqltypes.NewBool(w.Err),
+		sqltypes.NewInt(w.Errors),
+		sqltypes.NewInt(w.Executions),
 	}
 }
 

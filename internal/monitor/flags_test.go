@@ -325,7 +325,7 @@ func TestFlaggerJudgesShapesNotTexts(t *testing.T) {
 	m := New(Config{})
 	fl := NewFlagger(m, FlaggerConfig{MinSamples: 16, TrendFactor: 3, TTL: time.Minute})
 	var cell atomic.Pointer[Shape]
-	cell.Store(m.Publish(42, "SELECT x FROM t WHERE k = 0", "SELECT", []string{"t"}, nil, nil))
+	cell.Store(m.Publish(42, "SELECT x FROM t WHERE k = 0", "SELECT", []string{"t"}, nil, nil, Estimates{}))
 	n := 0
 	interval := func(d time.Duration) int {
 		for i := 0; i < 32; i++ {
@@ -354,7 +354,7 @@ func TestSteadyHotShapeNeverFlagged(t *testing.T) {
 	m := New(Config{})
 	fl := NewFlagger(m, FlaggerConfig{})
 	var cell atomic.Pointer[Shape]
-	cell.Store(m.Publish(42, "SELECT x FROM t WHERE k = 0", "SELECT", []string{"t"}, nil, nil))
+	cell.Store(m.Publish(42, "SELECT x FROM t WHERE k = 0", "SELECT", []string{"t"}, nil, nil, Estimates{}))
 	r := rand.New(rand.NewSource(5))
 	n := 0
 	for eval := 0; eval < 25; eval++ {

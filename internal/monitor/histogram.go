@@ -84,7 +84,7 @@ func (c *LatencyCounts) Quantile(q float64) time.Duration {
 }
 
 // latHist is the live, lock-free form: one atomic counter per bucket.
-// It is embedded per work shard and never copied (see workShard).
+// It is embedded per totals lane and never copied (see totalLane).
 type latHist struct {
 	buckets [NumLatencyBuckets]atomic.Int64
 }
@@ -101,13 +101,20 @@ func (h *latHist) addTo(c *LatencyCounts) {
 	}
 }
 
+// total returns the number of recorded samples.
+func (h *latHist) total() int64 {
+	var c LatencyCounts
+	h.addTo(&c)
+	return c.Total()
+}
+
 // SnapshotLatency returns the merged global wallclock and optimize-time
-// histograms. The counters are lock-free, so this takes no shard lock
-// and can run at any frequency without perturbing the hot path.
+// histograms. The counters are lock-free, so this takes no lock and can
+// run at any frequency without perturbing the hot path.
 func (m *Monitor) SnapshotLatency() (wall, opt LatencyCounts) {
-	for i := range m.workShards {
-		m.workShards[i].wallHist.addTo(&wall)
-		m.workShards[i].optHist.addTo(&opt)
+	for i := range m.totals {
+		m.totals[i].wallHist.addTo(&wall)
+		m.totals[i].optHist.addTo(&opt)
 	}
 	return wall, opt
 }
@@ -116,12 +123,10 @@ func (m *Monitor) SnapshotLatency() (wall, opt LatencyCounts) {
 // all monitored executions (the `_sum` companions of SnapshotLatency,
 // in the Prometheus sense).
 func (m *Monitor) LatencySums() (wall, opt time.Duration) {
-	m.lockWorkShards()
-	defer m.unlockWorkShards()
 	var w, o int64
-	for i := range m.workShards {
-		w += m.workShards[i].wallNanosTotal
-		o += m.workShards[i].optNanosTotal
+	for i := range m.totals {
+		w += m.totals[i].wallNanos.Load()
+		o += m.totals[i].optNanos.Load()
 	}
 	return time.Duration(w), time.Duration(o)
 }

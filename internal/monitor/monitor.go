@@ -11,12 +11,16 @@
 // reproduced exactly.
 //
 // Statements are counted per shape (statements.go): a cached
-// statement's sensor commit increments the counters its prepared entry
-// carries and appends one row to the sharded workload ring (shard.go);
-// it neither hashes the text nor touches the statement table.
+// statement's sensor commit adds to the counters its prepared entry
+// carries — frequency, latency bucket and the cost sums the daemon
+// drains as one workload row per shape — and to the lane-striped
+// totals; it neither hashes the text, nor touches the statement table,
+// nor writes the workload ring (shard.go), which holds raw rows of
+// slow-path and profiled executions only.
 package monitor
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,21 +75,25 @@ type StatementInfo struct {
 	Lat LatencyCounts
 }
 
-// WorkloadEntry is one row of the workload ring: a single execution of
-// a statement with its cost breakdown.
+// WorkloadEntry is one row of the workload relation: the cost breakdown
+// of Executions executions of one statement, every cost field a sum over
+// them. A raw row — what the slow path and a profiled execution write to
+// the ring — is the Executions = 1 case; a cached shape's executions
+// arrive summed, one entry per drain.
 type WorkloadEntry struct {
-	Hash     uint64
-	Start    time.Time
-	Wall     time.Duration // total statement wallclock
-	OptTime  time.Duration // time spent in the optimizer
-	ExecCPU  int64         // actual tuple operations
-	ExecIO   int64         // actual page I/Os (buffer pool misses + writes)
-	EstCPU   float64       // optimizer estimate, tuple operations
-	EstIO    float64       // optimizer estimate, page I/Os
-	EstRows  float64       // optimizer cardinality estimate
-	Rows     int64         // rows produced
-	MonNanos int64         // time spent inside monitor sensors
-	Err      bool
+	Hash       uint64
+	Start      time.Time     // the latest start among the executions
+	Wall       time.Duration // Σ statement wallclock
+	OptTime    time.Duration // Σ time spent in the optimizer
+	ExecCPU    int64         // Σ actual tuple operations
+	ExecIO     int64         // Σ actual page I/Os (buffer pool misses + writes)
+	EstCPU     float64       // Σ optimizer estimate, tuple operations
+	EstIO      float64       // Σ optimizer estimate, page I/Os
+	EstRows    float64       // Σ optimizer cardinality estimate
+	Rows       int64         // Σ rows produced
+	MonNanos   int64         // Σ time spent inside monitor sensors
+	Errors     int64         // executions that failed
+	Executions int64
 }
 
 // Reference is one statement → object row, derived from the statement
@@ -101,10 +109,10 @@ type Reference struct {
 type Config struct {
 	StatementCapacity int
 	WorkloadCapacity  int
-	// Shards is the number of ways the workload ring is split (rounded
-	// up to a power of two, capped at 64) and, up to 8, a Shape's
-	// counters are striped. Zero derives it from GOMAXPROCS. The shard
-	// count never changes observable semantics, only contention.
+	// Shards is the number of ways (rounded up to a power of two,
+	// capped at 8) a Shape's counters and the cumulative totals are
+	// striped. Zero derives it from GOMAXPROCS. The shard count never
+	// changes observable semantics, only contention.
 	Shards int
 	// TraceCapacity bounds the ring of per-operator statement traces
 	// (EXPLAIN ANALYZE). Zero means DefaultTraceCapacity.
@@ -124,13 +132,13 @@ type Monitor struct {
 	stmts        stmtTable
 	publishNanos atomic.Int64 // time spent in Publish
 
-	// Workload ring, sharded round-robin by execution sequence so the
-	// union of shard rings is exactly the newest workCap entries.
-	workShards []workShard
-	workMask   uint64
-	workCap    int // total capacity across shards
-	workSeq    atomic.Uint64
-	liveWork   atomic.Int64 // entries currently buffered, ≤ workCap
+	// Cumulative totals and the global latency histograms, striped like
+	// a Shape's lanes; every Finish adds to one lane and readers sum.
+	totals []totalLane
+
+	// Ring of raw workload rows (shard.go): slow-path and profiled
+	// executions, and what retired Shapes had not yet been drained of.
+	work workRing
 
 	// fullHandler, when set, is invoked (outside any monitor lock)
 	// once when the workload ring crosses ~90% of its capacity, and is
@@ -139,12 +147,6 @@ type Monitor struct {
 	// are full" instead of on a fixed schedule.
 	fullHandler atomic.Value // func()
 	fullFired   atomic.Bool
-
-	// workDropped counts workload entries lost to ring wraparound
-	// before any drain persisted them. When the storage daemon's
-	// carryover buffer is full it deliberately stops draining and lets
-	// the ring wrap — this counter makes that bounded loss observable.
-	workDropped atomic.Int64
 
 	// traces is the bounded ring of per-operator statement traces
 	// (see trace.go); written only by EXPLAIN ANALYZE, never by the
@@ -180,39 +182,21 @@ func New(cfg Config) *Monitor {
 	if cfg.WorkloadCapacity <= 0 {
 		cfg.WorkloadCapacity = DefaultWorkloadCapacity
 	}
-	nShards := cfg.Shards
-	if nShards <= 0 {
-		nShards = defaultShards()
+	lanes := cfg.Shards
+	if lanes <= 0 {
+		lanes = runtime.GOMAXPROCS(0)
 	}
-	nShards = ceilPow2(nShards)
-	if nShards > maxShards {
-		nShards = maxShards
-	}
-	// The workload shard count must divide the capacity so the union
-	// of per-shard rings holds exactly the newest WorkloadCapacity
-	// entries (odd capacities degrade to a single shard).
-	nWork := largestPow2Dividing(cfg.WorkloadCapacity)
-	if nWork > nShards {
-		nWork = nShards
-	}
-	perWork := cfg.WorkloadCapacity / nWork
+	lanes = min(ceilPow2(lanes), maxLanes)
 
-	m := &Monitor{
-		workShards: make([]workShard, nWork),
-		workMask:   uint64(nWork - 1),
-		workCap:    perWork * nWork,
-	}
-	m.stmts.init(cfg.StatementCapacity, min(nShards, maxLanes))
+	m := &Monitor{totals: make([]totalLane, lanes)}
+	m.work.ring = make([]WorkloadEntry, cfg.WorkloadCapacity)
+	m.stmts.init(cfg.StatementCapacity, lanes, &m.work)
 	m.traces.init(cfg.TraceCapacity)
 	m.flagCap = cfg.MaxFlagged
 	if m.flagCap <= 0 {
 		m.flagCap = DefaultMaxFlagged
 	}
 	m.flags.Store(emptyFlags)
-	for i := range m.workShards {
-		m.workShards[i].ring = make([]WorkloadEntry, perWork)
-		m.workShards[i].seqs = make([]uint64, perWork)
-	}
 	m.enabled.Store(true)
 	return m
 }
@@ -247,9 +231,7 @@ type Handle struct {
 	indexes []string
 
 	optTime time.Duration
-	estCPU  float64
-	estIO   float64
-	estRows float64
+	est     Estimates
 
 	// Phase-2 wait accumulation, populated by the engine only when the
 	// statement is flagged (see flags.go). Plain fields: a handle is
@@ -327,13 +309,14 @@ func (h *Handle) Cached(kind string, cell *atomic.Pointer[Shape], lane int64) {
 
 // Optimized is the optimizer sensor: estimated costs, referenced
 // attributes and the indexes the plan uses. Both slices are retained
-// by reference (the engine passes the cached plan's immutable slices)
-// and ignored when Cached supplied a Shape.
+// by reference (the engine passes the cached plan's immutable slices).
+// When Cached supplied a Shape only optTime counts: the Shape was
+// published with the plan's objects and estimates.
 func (h *Handle) Optimized(estCPU, estIO, estRows float64, attrs, indexes []string, optTime time.Duration) {
 	if h == nil {
 		return
 	}
-	h.estCPU, h.estIO, h.estRows = estCPU, estIO, estRows
+	h.est = Estimates{estCPU, estIO, estRows}
 	h.attrs = attrs
 	h.indexes = indexes
 	h.optTime = optTime
@@ -351,12 +334,17 @@ func (h *Handle) statementDigest() uint64 {
 }
 
 // Finish is the "Wallclock Stop" sensor: it counts the execution under
-// its statement — for a cached statement one increment of the latency
-// bucket in its Shape (the bucket sum is the frequency) and a last-seen
-// stamp, otherwise a locked visit to the statement table — and commits
-// the workload-ring row. Finish is idempotent — the first call commits,
-// later calls on the same handle are no-ops — so error paths that stop
-// the wallclock early cannot double-count an execution.
+// its statement and commits its costs. For a cached statement both are
+// atomic adds to the session's lane of the Shape its prepared entry
+// carries — a latency bucket (the bucket sum is the frequency), a
+// last-seen stamp and the cost sums DrainWorkload collects — and nothing
+// else: no table, no ring, no mutex. A statement without a Shape visits
+// the statement table under its lock and, like a profiled execution of a
+// cached one, writes its costs as a raw row to the workload ring. Every
+// execution adds to the cumulative totals. Finish is idempotent — the
+// first call commits, later calls on the same handle are no-ops — so
+// error paths that stop the wallclock early cannot double-count an
+// execution.
 func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 	if h == nil || h.m == nil {
 		return
@@ -370,69 +358,83 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 	// bucket boundary in any regime where the histogram is meaningful.
 	wallBucket := latencyBucket(t0.Sub(h.start))
 
-	if cell := h.cell; cell != nil {
-		s := cell.Load()
-		h.digest = s.entry.digest
+	// sums is where the costs add up: the Shape's lane, or nil for an
+	// execution that writes a raw row instead — exactly one of the two.
+	var s *Shape
+	var sums *shapeLane
+	if h.cell != nil {
+		s = h.cell.Load()
+		h.digest, h.est = s.entry.digest, s.est
 		ln := &s.lanes[h.lane&uint32(len(s.lanes)-1)]
 		ln.lat[wallBucket].Add(1)
 		ln.lastSeen.Store(h.start.UnixNano())
-		if s.retired.Load() {
-			// Evicted from the table, or superseded, since the entry was
-			// published: hand the increment back and count in a fresh
-			// Shape from now on.
-			cell.Store(m.stmts.republish(s))
+		if !h.profiled {
+			sums = ln
 		}
 	} else {
 		h.digest = h.statementDigest()
 		m.stmts.commit(h.digest, h, wallBucket)
 	}
 
-	// Workload ring: round-robin shard by execution sequence, so load
-	// spreads evenly even when every session runs the same statement.
-	// Monitor time includes this commit, estimated from the sensors so
-	// far plus the elapsed time in Finish. One clock read serves both
-	// durations.
+	// Monitor time is Finish up to here — the statement is counted — as
+	// it was when a ring row followed; the cost commit below carries the
+	// reading. One clock read serves both durations.
 	now := time.Now()
-	entry := WorkloadEntry{
-		Hash:     h.digest,
-		Start:    h.start,
-		Wall:     now.Sub(h.start),
-		OptTime:  h.optTime,
-		ExecCPU:  execCPU,
-		ExecIO:   execIO,
-		EstCPU:   h.estCPU,
-		EstIO:    h.estIO,
-		EstRows:  h.estRows,
-		Rows:     rows,
-		MonNanos: int64(now.Sub(t0)),
-		Err:      execErr != nil,
+	wall, mon := now.Sub(h.start), int64(now.Sub(t0))
+	var errs int64
+	if execErr != nil {
+		errs = 1
 	}
-	wseq := m.workSeq.Add(1)
-	ws := &m.workShards[wseq&m.workMask]
-	ws.mu.Lock()
-	var live int64
-	if ws.n < len(ws.ring) {
-		ws.n++
-		live = m.liveWork.Add(1)
+	if sums != nil {
+		// A sensor that read nothing spares its locked add.
+		sums.execs.Add(1)
+		sums.execCPU.Add(execCPU)
+		sums.rows.Add(rows)
+		sums.wallNanos.Add(int64(wall))
+		sums.monNanos.Add(mon)
+		addNonzero(&sums.execIO, execIO)
+		addNonzero(&sums.optNanos, int64(h.optTime))
+		addNonzero(&sums.errs, errs)
 	} else {
-		live = int64(m.workCap) // overwrote this shard's oldest entry
-		m.workDropped.Add(1)
+		depth := m.work.push(WorkloadEntry{
+			Hash:       h.digest,
+			Start:      h.start,
+			Wall:       wall,
+			OptTime:    h.optTime,
+			ExecCPU:    execCPU,
+			ExecIO:     execIO,
+			EstCPU:     h.est.CPU,
+			EstIO:      h.est.IO,
+			EstRows:    h.est.Rows,
+			Rows:       rows,
+			MonNanos:   mon,
+			Errors:     errs,
+			Executions: 1,
+		})
+		if depth*10 >= len(m.work.ring)*9 && !m.fullFired.Load() &&
+			m.fullFired.CompareAndSwap(false, true) {
+			if fn, ok := m.fullHandler.Load().(func()); ok && fn != nil {
+				fn()
+			}
+		}
 	}
-	ws.ring[ws.pos] = entry
-	ws.seqs[ws.pos] = wseq
-	ws.pos = (ws.pos + 1) % len(ws.ring)
-	ws.stmtTotal++
-	ws.monNanosTotal += entry.MonNanos
-	ws.wallNanosTotal += int64(entry.Wall)
-	ws.optNanosTotal += int64(entry.OptTime)
-	ws.mu.Unlock()
 
-	// Global latency histograms: lock-free atomic bumps on this
-	// shard's counters, outside the critical section. Round-robin
-	// shard selection means the counters are usually uncontended even
-	// when every session runs the same statement.
-	ws.wallHist.record(entry.Wall)
-	ws.optHist.record(entry.OptTime)
+	// Cumulative totals. The wall histogram's sum is the statement count,
+	// and bucket by bucket it is the sum of the statements' histograms.
+	tl := &m.totals[h.lane&uint32(len(m.totals)-1)]
+	tl.wallHist.buckets[wallBucket].Add(1)
+	tl.optHist.record(h.optTime)
+	tl.wallNanos.Add(int64(wall))
+	tl.monNanos.Add(mon)
+	addNonzero(&tl.optNanos, int64(h.optTime))
+
+	if s != nil && s.retired.Load() {
+		// Evicted from the table, or superseded, since the entry was
+		// published: hand back what this execution added and count in a
+		// fresh Shape from now on. The check comes after the last add to
+		// the Shape, so nothing is stranded in it.
+		h.cell.Store(m.stmts.republish(s))
+	}
 
 	// Phase 2: latch the wall time for flagged statements. The wait
 	// breakdown itself is committed by FlushWaits, which the engine
@@ -442,14 +444,13 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 	// calls when the flag set is non-empty, so the idle path skips this
 	// without even a load.
 	if h.profiled {
-		h.wallNs = int64(entry.Wall)
+		h.wallNs = int64(wall)
 	}
+}
 
-	if live*10 >= int64(m.workCap)*9 && !m.fullFired.Load() &&
-		m.fullFired.CompareAndSwap(false, true) {
-		if fn, ok := m.fullHandler.Load().(func()); ok && fn != nil {
-			fn()
-		}
+func addNonzero(c *atomic.Int64, v int64) {
+	if v != 0 {
+		c.Add(v)
 	}
 }
 
@@ -462,32 +463,33 @@ func (m *Monitor) SetFullHandler(fn func()) { m.fullHandler.Store(fn) }
 // WorkloadDepth returns the number of workload entries currently
 // buffered in the ring (one atomic load; safe on the hot path). The
 // storage daemon reads it to decide how much is pending while its own
-// carryover buffer is saturated.
-func (m *Monitor) WorkloadDepth() int64 { return m.liveWork.Load() }
+// carryover buffer is saturated. Sums pending in Shapes are not entries:
+// they take no ring space.
+func (m *Monitor) WorkloadDepth() int64 { return m.work.depth.Load() }
 
-// WorkloadDropped returns the cumulative number of workload entries
-// overwritten by ring wraparound before a drain could persist them.
-func (m *Monitor) WorkloadDropped() int64 { return m.workDropped.Load() }
+// WorkloadDropped returns the cumulative number of executions whose
+// workload entries ring wraparound overwrote before a drain could
+// persist them. When the storage daemon's carryover buffer is full it
+// deliberately stops draining and lets the ring wrap — this counter
+// makes that bounded loss observable.
+func (m *Monitor) WorkloadDropped() int64 { return m.work.dropped.Load() }
 
 // TotalStatements returns the cumulative number of monitored
-// executions, unaffected by ring wraparound.
+// executions: the total of the global wall histogram. It takes no lock.
 func (m *Monitor) TotalStatements() int64 {
-	m.lockWorkShards()
-	defer m.unlockWorkShards()
 	var n int64
-	for i := range m.workShards {
-		n += m.workShards[i].stmtTotal
+	for i := range m.totals {
+		n += m.totals[i].wallHist.total()
 	}
 	return n
 }
 
 // TotalMonitorTime returns the cumulative time spent inside sensors.
+// It takes no lock.
 func (m *Monitor) TotalMonitorTime() time.Duration {
-	m.lockWorkShards()
-	defer m.unlockWorkShards()
 	var n int64
-	for i := range m.workShards {
-		n += m.workShards[i].monNanosTotal
+	for i := range m.totals {
+		n += m.totals[i].monNanos.Load()
 	}
 	return time.Duration(n)
 }

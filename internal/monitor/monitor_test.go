@@ -158,7 +158,7 @@ func TestErrorFlag(t *testing.T) {
 	h.Parsed("SELECT", nil)
 	h.Finish(0, 0, 0, errors.New("boom"))
 	s := m.Snapshot()
-	if len(s.Workload) != 1 || !s.Workload[0].Err {
+	if len(s.Workload) != 1 || s.Workload[0].Errors != 1 {
 		t.Errorf("error flag not recorded: %+v", s.Workload)
 	}
 }

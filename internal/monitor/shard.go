@@ -1,36 +1,11 @@
 package monitor
 
 import (
-	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// The workload ring is sharded round-robin by a global execution
-// sequence. Each shard has its own mutex, so concurrent sessions only
-// contend when their commits land on the same shard. Global invariants
-// — cumulative totals, the §IV-B near-full flush trigger — are enforced
-// with atomic counters, and the per-shard state is merged (ordered by
-// sequence number) only at Snapshot/Drain time.
-
-// maxShards caps the default shard count; beyond ~64 ways the locks
-// stop being the bottleneck and the fixed per-shard memory dominates.
-const maxShards = 64
-
-// defaultShards is the next power of two ≥ GOMAXPROCS, clamped to
-// [1, maxShards].
-func defaultShards() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	p := 1
-	for p < n && p < maxShards {
-		p <<= 1
-	}
-	return p
-}
-
-// ceilPow2 rounds n up to a power of two.
+// ceilPow2 rounds n up to a power of two (1 for n < 1).
 func ceilPow2(n int) int {
 	p := 1
 	for p < n {
@@ -39,50 +14,62 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// largestPow2Dividing returns the largest power of two that divides n
-// (1 for odd n). The workload shard count must divide the configured
-// capacity so that the union of per-shard rings is exactly the newest
-// C entries, as a single ring of capacity C would keep.
-func largestPow2Dividing(n int) int {
-	return n & -n
+// totalLane is one stripe of the monitor's cumulative totals and global
+// latency histograms. A statement adds to the lane of its session (the
+// slow path to lane 0), so the hot path shares no cache line between
+// sessions on different lanes; readers sum the lanes without a lock.
+// There is no statement counter: every execution lands in exactly one
+// wall bucket.
+type totalLane struct {
+	wallHist  latHist
+	optHist   latHist
+	wallNanos atomic.Int64 // Σ statement wallclock, the histogram's _sum
+	optNanos  atomic.Int64 // Σ optimizer time
+	monNanos  atomic.Int64 // Σ time inside sensors
+	_         [40]byte     // pad to a multiple of the cache line
 }
 
-// workShard is one shard of the workload ring. Entries are appended in
-// arrival order and tagged with their global execution sequence; the
-// snapshot/drain merge sorts by sequence to reconstruct global order.
-// The cumulative totals live here too: they are updated under the same
-// lock the ring commit already takes, instead of bouncing two global
-// atomics on every statement.
-type workShard struct {
+// workRing is the bounded ring of workload entries awaiting a drain: raw
+// rows of the executions no Shape sums up — the slow path and profiled
+// executions — and the undrained sums of retired Shapes. A full ring
+// overwrites its oldest entry and counts the executions lost with it.
+type workRing struct {
 	mu   sync.Mutex
 	ring []WorkloadEntry
-	seqs []uint64
-	pos  int
-	n    int
+	pos  int // next write
+	n    int // buffered entries
 
-	// cumulative counters; survive ring wraparound and drains.
-	stmtTotal      int64
-	monNanosTotal  int64
-	wallNanosTotal int64 // Σ statement wallclock, the histogram's _sum
-	optNanosTotal  int64 // Σ optimizer time
-
-	// Global latency histograms, sharded like the ring but updated
-	// with atomic counters outside the lock (see Handle.Finish). Kept
-	// inside workShard so the padding below also separates them.
-	wallHist latHist
-	optHist  latHist
-
-	_ [64]byte // pad against false sharing
+	depth   atomic.Int64 // n, readable without the lock
+	dropped atomic.Int64 // executions overwritten before a drain
 }
 
-func (m *Monitor) lockWorkShards() {
-	for i := range m.workShards {
-		m.workShards[i].mu.Lock()
+// push appends e and returns the number of entries now buffered.
+func (r *workRing) push(e WorkloadEntry) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.n < len(r.ring) {
+		r.n++
+		r.depth.Store(int64(r.n))
+	} else {
+		r.dropped.Add(r.ring[r.pos].Executions)
 	}
+	r.ring[r.pos] = e
+	r.pos = (r.pos + 1) % len(r.ring)
+	return r.n
 }
 
-func (m *Monitor) unlockWorkShards() {
-	for i := range m.workShards {
-		m.workShards[i].mu.Unlock()
+// entries copies the buffered entries, oldest first, and clears the ring
+// when take is set.
+func (r *workRing) entries(take bool) []WorkloadEntry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]WorkloadEntry, 0, r.n)
+	for i := r.n; i > 0; i-- {
+		out = append(out, r.ring[(r.pos-i+len(r.ring))%len(r.ring)])
 	}
+	if take {
+		r.pos, r.n = 0, 0
+		r.depth.Store(0)
+	}
+	return out
 }

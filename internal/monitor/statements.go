@@ -19,13 +19,19 @@ import (
 //
 // Counts move one way: from a Shape's atomic counters into its entry
 // (when the Shape is retired) and from an entry into the evicted total
-// (when the entry is evicted), always under the table mutex and always
-// by swapping the atomic to zero, so an execution is counted exactly
-// once wherever a racing Finish lands it:
+// (when the entry is evicted); a Shape's cost sums move into a workload
+// entry (when a drain takes them) or, as one aggregated entry, into the
+// workload ring (when the Shape is retired). Always under the table
+// mutex and always by swapping the atomic to zero, so an execution is
+// counted exactly once wherever a racing Finish lands it:
 //
 //	Σ live entries' frequency + evicted = TotalStatements
 //	entry frequency = its histogram total (there is no other counter)
 //	object frequency = per-name counts + Σ live Shapes' count × their objects
+//	Σ drained Executions + WorkloadDropped + pending = TotalStatements
+//
+// A sum is exact over drains, not within one: an execution in flight
+// while a drain swaps may leave some of its columns to the next.
 
 // stmtEntry is one row of the statement table.
 type stmtEntry struct {
@@ -45,18 +51,24 @@ type stmtEntry struct {
 	shape                  *Shape // the published counter block, if any
 }
 
+// Estimates are the optimizer's cost figures for one plan: tuple
+// operations, page I/Os and result cardinality.
+type Estimates struct{ CPU, IO, Rows float64 }
+
 // Shape is the counter block of one prepared statement: the statement
-// entry it counts for and the objects its plan references. The engine
-// publishes one per prepared-cache entry and keeps it in an atomic cell
-// next to the plan; Finish replaces a retired one through that cell.
+// entry it counts for, the objects its plan references and the plan's
+// estimates. The engine publishes one per prepared-cache entry and keeps
+// it in an atomic cell next to the plan; Finish replaces a retired one
+// through that cell.
 type Shape struct {
 	entry                  *stmtEntry
-	tables, attrs, indexes []string // immutable
+	tables, attrs, indexes []string  // immutable
+	est                    Estimates // immutable
 
 	// retired is set, under the table mutex and before the counters are
 	// drained, when the entry is evicted or re-published with other
-	// objects. A Finish that finds it set after its increment drains the
-	// block again, so the increment is never stranded.
+	// objects or estimates. A Finish that finds it set after its adds
+	// drains the block again, so nothing is ever stranded.
 	retired atomic.Bool
 	lanes   []shapeLane
 }
@@ -67,7 +79,15 @@ type Shape struct {
 type shapeLane struct {
 	lastSeen atomic.Int64 // unix nanos
 	lat      [NumLatencyBuckets]atomic.Int64
-	_        [56]byte // pad to a multiple of the cache line
+
+	// Cost sums of the executions no drain has taken yet: what the
+	// workload relation reports for them, one row per drain.
+	execs, errs, rows  atomic.Int64
+	execCPU, execIO    atomic.Int64
+	wallNanos          atomic.Int64
+	optNanos, monNanos atomic.Int64
+
+	_ [56]byte // pad to a multiple of the cache line
 }
 
 // addTo adds the Shape's current counts to c and returns its latest
@@ -83,7 +103,44 @@ func (s *Shape) addTo(c *LatencyCounts) (lastSeen int64) {
 	return lastSeen
 }
 
-// maxLanes bounds a Shape's stripes (and so its size: 448 bytes each).
+// pending sums the Shape's cost accumulators into one workload entry,
+// swapping them to zero when take is set. The estimates are the plan's
+// times the executions taken. ok is false when the accumulators hold
+// nothing.
+func (s *Shape) pending(take bool) (w WorkloadEntry, ok bool) {
+	var last int64
+	get := func(c *atomic.Int64) int64 {
+		v := c.Load()
+		if v != 0 {
+			ok = true
+			if take {
+				v = c.Swap(0)
+			}
+		}
+		return v
+	}
+	for i := range s.lanes {
+		ln := &s.lanes[i]
+		last = max(last, ln.lastSeen.Load())
+		w.Executions += get(&ln.execs)
+		w.Errors += get(&ln.errs)
+		w.Rows += get(&ln.rows)
+		w.ExecCPU += get(&ln.execCPU)
+		w.ExecIO += get(&ln.execIO)
+		w.Wall += time.Duration(get(&ln.wallNanos))
+		w.OptTime += time.Duration(get(&ln.optNanos))
+		w.MonNanos += get(&ln.monNanos)
+	}
+	if !ok {
+		return w, false
+	}
+	n := float64(w.Executions)
+	w.Hash, w.Start = s.entry.digest, time.Unix(0, last)
+	w.EstCPU, w.EstIO, w.EstRows = n*s.est.CPU, n*s.est.IO, n*s.est.Rows
+	return w, true
+}
+
+// maxLanes bounds a Shape's stripes (and so its size: 512 bytes each).
 const maxLanes = 8
 
 // stmtTable is the capacity-bounded statement table plus the stores
@@ -94,6 +151,7 @@ type stmtTable struct {
 	fifo     []*stmtEntry // insertion order, a ring of the capacity
 	head, n  int
 	lanes    int
+	work     *workRing // where a retired Shape's undrained cost sums go
 
 	evicted int64 // executions of entries no longer in the table
 
@@ -109,10 +167,10 @@ type stmtTable struct {
 // at returns the i-th oldest live entry.
 func (t *stmtTable) at(i int) *stmtEntry { return t.fifo[(t.head+i)%len(t.fifo)] }
 
-func (t *stmtTable) init(capacity, lanes int) {
+func (t *stmtTable) init(capacity, lanes int, work *workRing) {
 	t.byDigest = make(map[uint64]*stmtEntry)
 	t.fifo = make([]*stmtEntry, capacity)
-	t.lanes = lanes
+	t.lanes, t.work = lanes, work
 	t.tableFreq = map[string]int64{}
 	t.attrFreq = map[string]int64{}
 	t.indexFreq = map[string]int64{}
@@ -147,7 +205,8 @@ func (t *stmtTable) resolveLocked(digest uint64, text, kind string, seen time.Ti
 
 // drainLocked retires a Shape and moves whatever its counters hold into
 // its entry — or, when that was evicted, into the evicted total — and
-// into the per-name object counts.
+// into the per-name object counts; its undrained cost sums go to the
+// workload ring as one aggregated entry.
 func (t *stmtTable) drainLocked(s *Shape) {
 	s.retired.Store(true)
 	e := s.entry
@@ -169,6 +228,26 @@ func (t *stmtTable) drainLocked(s *Shape) {
 		t.evicted += n
 	}
 	t.countLocked(s.tables, s.attrs, s.indexes, n)
+	if w, ok := s.pending(true); ok {
+		t.work.push(w)
+	}
+}
+
+// workloadLocked returns the workload relation's rows: the ring's
+// entries, oldest first, then one entry per live Shape with undrained
+// cost sums, in insertion order. take clears the ring and zeroes the
+// sums. The table mutex makes it one cut: no Shape retires into the
+// ring between the two reads.
+func (t *stmtTable) workloadLocked(take bool) []WorkloadEntry {
+	out := t.work.entries(take)
+	for i := 0; i < t.n; i++ {
+		if s := t.at(i).shape; s != nil {
+			if w, ok := s.pending(take); ok {
+				out = append(out, w)
+			}
+		}
+	}
+	return out
 }
 
 // countLocked adds n executions to every listed object's frequency.
@@ -188,37 +267,37 @@ func (t *stmtTable) countLocked(tables, attrs, indexes []string, n int64) {
 }
 
 // publishLocked returns the Shape counting executions of digest against
-// exactly these objects: the entry's current one when it has them, else
-// a new one, the previous retired.
-func (t *stmtTable) publishLocked(digest uint64, text, kind string, tables, attrs, indexes []string) *Shape {
+// exactly these objects and estimates: the entry's current one when it
+// has them, else a new one, the previous retired.
+func (t *stmtTable) publishLocked(digest uint64, text, kind string, tables, attrs, indexes []string, est Estimates) *Shape {
 	e, _ := t.resolveLocked(digest, text, kind, time.Now())
 	if s := e.shape; s != nil {
-		if !s.retired.Load() && slices.Equal(s.tables, tables) && slices.Equal(s.attrs, attrs) && slices.Equal(s.indexes, indexes) {
+		if !s.retired.Load() && s.est == est && slices.Equal(s.tables, tables) && slices.Equal(s.attrs, attrs) && slices.Equal(s.indexes, indexes) {
 			return s
 		}
 		t.drainLocked(s)
 	}
 	e.tables, e.attrs, e.indexes = tables, attrs, indexes
-	e.shape = &Shape{entry: e, tables: tables, attrs: attrs, indexes: indexes, lanes: make([]shapeLane, t.lanes)}
+	e.shape = &Shape{entry: e, tables: tables, attrs: attrs, indexes: indexes, est: est, lanes: make([]shapeLane, t.lanes)}
 	return e.shape
 }
 
 // Publish registers a statement shape — its digest, one sample text,
-// its kind and the objects its plan references — and returns the Shape
-// a prepared entry hands to Handle.Cached. Publishing a digest again
-// (after the prepared cache dropped it) returns the same Shape unless
-// the objects changed; the entry, its frequency and its histogram carry
-// over either way. Publishing happens once per prepared entry, not per
+// its kind, the objects its plan references and the plan's estimates —
+// and returns the Shape a prepared entry hands to Handle.Cached.
+// Publishing a digest again (after the prepared cache dropped it)
+// returns the same Shape unless the plan changed; the entry, its
+// frequency and its histogram carry over either way. Publishing happens once per prepared entry, not per
 // execution, so its time is no statement's mon_ns: it accumulates in
 // PublishTime. A nil monitor returns nil.
-func (m *Monitor) Publish(digest uint64, text, kind string, tables, attrs, indexes []string) *Shape {
+func (m *Monitor) Publish(digest uint64, text, kind string, tables, attrs, indexes []string, est Estimates) *Shape {
 	if m == nil {
 		return nil
 	}
 	t0 := time.Now()
 	t := &m.stmts
 	t.mu.Lock()
-	s := t.publishLocked(digest, text, kind, tables, attrs, indexes)
+	s := t.publishLocked(digest, text, kind, tables, attrs, indexes, est)
 	t.mu.Unlock()
 	m.publishNanos.Add(int64(time.Since(t0)))
 	return s
@@ -236,7 +315,7 @@ func (t *stmtTable) republish(s *Shape) *Shape {
 	defer t.mu.Unlock()
 	t.drainLocked(s)
 	e := s.entry
-	return t.publishLocked(e.digest, e.text, e.kind, s.tables, s.attrs, s.indexes)
+	return t.publishLocked(e.digest, e.text, e.kind, s.tables, s.attrs, s.indexes, s.est)
 }
 
 // commit is the slow path: one execution of a statement that brought no

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sqlparser"
 )
 
 type testShape struct {
@@ -62,7 +64,7 @@ func TestShapeCountsEqualPerNameCounts(t *testing.T) {
 	text := func(i int) string { return fmt.Sprintf("%s #%d", testShapes[i].kind, i) }
 	publish := func(i int) {
 		sh := testShapes[i]
-		cells[i].Store(byShape.Publish(uint64(100+i), text(i), sh.kind, sh.tables, sh.attrs, sh.indexes))
+		cells[i].Store(byShape.Publish(uint64(100+i), text(i), sh.kind, sh.tables, sh.attrs, sh.indexes, Estimates{}))
 	}
 	r := rand.New(rand.NewSource(17))
 	for n := 0; n < 5000; n++ {
@@ -111,11 +113,11 @@ func TestShapeCountsEqualPerNameCounts(t *testing.T) {
 func TestRepublishWithNewObjectsKeepsTheEntry(t *testing.T) {
 	m := New(Config{})
 	var old, cur atomic.Pointer[Shape]
-	old.Store(m.Publish(7, "SELECT a FROM t WHERE a = 1", "SELECT", []string{"t"}, []string{"t.a"}, nil))
+	old.Store(m.Publish(7, "SELECT a FROM t WHERE a = 1", "SELECT", []string{"t"}, []string{"t.a"}, nil, Estimates{}))
 	for i := 0; i < 5; i++ {
 		cachedRecord(m, "SELECT a FROM t WHERE a = 2", "SELECT", &old, 0)
 	}
-	cur.Store(m.Publish(7, "SELECT a FROM t WHERE a = 3", "SELECT", []string{"t"}, []string{"t.a"}, []string{"t_a"}))
+	cur.Store(m.Publish(7, "SELECT a FROM t WHERE a = 3", "SELECT", []string{"t"}, []string{"t.a"}, []string{"t_a"}, Estimates{}))
 	if cur.Load() == old.Load() {
 		t.Fatal("other objects, same Shape")
 	}
@@ -141,12 +143,16 @@ func TestRepublishWithNewObjectsKeepsTheEntry(t *testing.T) {
 	}
 }
 
-// N executions of a cached shape leave the statement table alone — no
-// lookup, no insert, no eviction — and allocate nothing.
+// N executions of a cached shape leave the statement table and the
+// workload ring alone — no lookup, no insert, no eviction, no ring entry
+// (there is no ring sequence counter any more: with no drain in between,
+// depth and drops at zero mean nothing was pushed) — and allocate
+// nothing: their costs add up in the Shape, which the drain reports as
+// one entry.
 func TestCachedFinishTouchesNoTable(t *testing.T) {
 	m := New(Config{})
 	var cell atomic.Pointer[Shape]
-	cell.Store(m.Publish(1, "SELECT a FROM t WHERE a = 1", "SELECT", []string{"t"}, []string{"t.a"}, []string{"t_a"}))
+	cell.Store(m.Publish(1, "SELECT a FROM t WHERE a = 1", "SELECT", []string{"t"}, []string{"t.a"}, []string{"t_a"}, Estimates{10, 5, 100}))
 	l0, i0, e0 := m.TableOps()
 	run := func() {
 		h := m.StartStatement("SELECT a FROM t WHERE a = 2")
@@ -158,38 +164,153 @@ func TestCachedFinishTouchesNoTable(t *testing.T) {
 		h.Finish(120, 7, 100, nil)
 		h.FlushWaits()
 	}
-	if allocs := testing.AllocsPerRun(1000, run); allocs != 0 {
+	const n = 10000
+	if allocs := testing.AllocsPerRun(n-1, run); allocs != 0 {
 		t.Errorf("cached record path allocates %.1f/op, want 0", allocs)
 	}
 	if l, i, e := m.TableOps(); l != l0 || i != i0 || e != e0 {
-		t.Errorf("table ops moved by %d lookups, %d inserts, %d evictions over 1001 cached executions", l-l0, i-i0, e-e0)
+		t.Errorf("table ops moved by %d lookups, %d inserts, %d evictions over %d cached executions", l-l0, i-i0, e-e0, n)
+	}
+	if m.WorkloadDepth() != 0 || m.WorkloadDropped() != 0 {
+		t.Errorf("ring depth %d, dropped %d after %d cached executions, want none", m.WorkloadDepth(), m.WorkloadDropped(), n)
 	}
 	st := m.SnapshotStatements()
-	if len(st) != 1 || st[0].Frequency != 1001 {
+	if len(st) != 1 || st[0].Frequency != n {
 		t.Fatalf("statements = %+v", st)
 	}
-	if tf, af, xf := m.SnapshotFrequencies(); tf["t"] != 1001 || af["t.a"] != 1001 || xf["t_a"] != 1001 {
-		t.Errorf("frequencies after 1001 executions: %v %v %v", tf, af, xf)
+	if tf, af, xf := m.SnapshotFrequencies(); tf["t"] != n || af["t.a"] != n || xf["t_a"] != n {
+		t.Errorf("frequencies after %d executions: %v %v %v", n, tf, af, xf)
+	}
+	if got := m.TotalStatements(); got != n {
+		t.Errorf("TotalStatements = %d, want %d", got, n)
+	}
+	live := m.SnapshotWorkload() // reads, does not take
+	w := m.DrainWorkload()
+	if len(w) != 1 || len(live) != 1 || live[0] != w[0] {
+		t.Fatalf("snapshot %+v, drain %+v: want the same single entry", live, w)
+	}
+	if e := w[0]; e.Hash != 1 || e.Executions != n || e.ExecCPU != 120*n || e.ExecIO != 7*n || e.Rows != 100*n ||
+		e.EstCPU != 10*n || e.EstIO != 5*n || e.EstRows != 100*n || e.Errors != 0 || e.OptTime != 0 ||
+		e.Wall <= 0 || e.MonNanos <= 0 || e.MonNanos != int64(m.TotalMonitorTime()) || e.Start.IsZero() {
+		t.Errorf("drained entry %+v (monitor time %d)", e, m.TotalMonitorTime())
+	}
+	if again := m.DrainWorkload(); len(again) != 0 {
+		t.Errorf("second drain returned %+v", again)
+	}
+}
+
+// An execution's costs are in exactly one place: a profiled (flagged)
+// execution of a cached shape and a slow-path execution write a raw row,
+// Executions = 1, and add nothing to any Shape's sums; a Shape that is
+// retired or evicted hands its undrained sums to the ring as one entry.
+func TestWorkloadTiers(t *testing.T) {
+	m := New(Config{StatementCapacity: 2})
+	const text = "SELECT a FROM t WHERE a = 1"
+	d := sqlparser.DigestOf(text)
+	var cell atomic.Pointer[Shape]
+	publish := func(est Estimates) {
+		cell.Store(m.Publish(d, text, "SELECT", []string{"t"}, nil, nil, est))
+	}
+	cached := func(cpu int64, err error) {
+		h := m.StartStatement("SELECT a FROM t WHERE a = 9")
+		h.Cached("SELECT", &cell, 0)
+		h.Profiled()
+		h.Finish(cpu, 0, 1, err)
+		h.FlushWaits()
+	}
+	publish(Estimates{CPU: 2})
+	cached(10, nil)
+	cached(10, fmt.Errorf("failed"))
+	m.Flag(text, FlagReasonManual, true, 0)
+	cached(100, nil) // profiled: a raw row
+	m.Unflag(text)
+	h := m.StartStatement("SET x") // slow path: a raw row
+	h.Parsed("SET", nil)
+	h.Finish(1000, 0, 0, nil)
+
+	type row struct{ hash, execs, cpu, errs uint64 }
+	rows := func(ws []WorkloadEntry) (out []row) {
+		for _, w := range ws {
+			out = append(out, row{w.Hash, uint64(w.Executions), uint64(w.ExecCPU), uint64(w.Errors)})
+		}
+		return out
+	}
+	set := HashStatement("SET x")
+	want := []row{{d, 1, 100, 0}, {set, 1, 1000, 0}, {d, 2, 20, 1}}
+	if got := rows(m.SnapshotWorkload()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("workload %v, want ring rows then the shape's sums %v", got, want)
+	}
+
+	// Another plan retires the Shape: its sums move to the ring, with the
+	// estimates of the plan that ran them.
+	cached(10, nil)
+	publish(Estimates{CPU: 3})
+	cached(10, nil)
+	got := m.SnapshotWorkload()
+	want = []row{{d, 1, 100, 0}, {set, 1, 1000, 0}, {d, 3, 30, 1}, {d, 1, 10, 0}}
+	if !reflect.DeepEqual(rows(got), want) || got[2].EstCPU != 3*2 || got[3].EstCPU != 3 {
+		t.Fatalf("workload after a re-plan %+v, want %v", got, want)
+	}
+	if m.WorkloadDepth() != 3 {
+		t.Errorf("ring depth %d, want 3", m.WorkloadDepth())
+	}
+
+	// Eviction from the statement table (capacity 2) does the same.
+	m.Publish(3, "third", "SELECT", nil, nil, nil, Estimates{})
+	if got := rows(m.DrainWorkload()); !reflect.DeepEqual(got, want) || m.EvictedStatements() != 5 {
+		t.Fatalf("drain after eviction %v, want %v (evicted %d)", got, want, m.EvictedStatements())
+	}
+	// The session still holding the evicted Shape finishes once more: the
+	// execution is handed back through republish and nothing is dropped.
+	cached(7, nil)
+	if got, want := rows(m.DrainWorkload()), []row{{d, 1, 7, 0}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("drain after a finish on the evicted Shape %v, want %v", got, want)
+	}
+	if m.WorkloadDropped() != 0 || m.TotalStatements() != 7 {
+		t.Errorf("dropped %d, total %d", m.WorkloadDropped(), m.TotalStatements())
+	}
+}
+
+// The ring counts what it overwrites in executions, not entries.
+func TestWorkloadDroppedCountsExecutions(t *testing.T) {
+	m := New(Config{WorkloadCapacity: 2})
+	var cell atomic.Pointer[Shape]
+	for i := 0; i < 3; i++ { // three retirements, each handing over i+2 executions
+		cell.Store(m.Publish(1, "q", "SELECT", nil, nil, nil, Estimates{Rows: float64(i)}))
+		for j := 0; j < i+2; j++ {
+			cachedRecord(m, "q", "SELECT", &cell, 0)
+		}
+	}
+	m.Publish(1, "q", "SELECT", nil, nil, nil, Estimates{Rows: 9})
+	if got := m.WorkloadDropped(); got != 2 || m.WorkloadDepth() != 2 {
+		t.Errorf("dropped %d executions at depth %d, want the oldest entry's 2 at depth 2", got, m.WorkloadDepth())
+	}
+	var stored int64
+	for _, w := range m.DrainWorkload() {
+		stored += w.Executions
+	}
+	if stored+m.WorkloadDropped() != m.TotalStatements() {
+		t.Errorf("stored %d + dropped %d != total %d", stored, m.WorkloadDropped(), m.TotalStatements())
 	}
 }
 
 // Sessions finish through shared cells while the table — smaller than
 // the shape population — evicts the entries under them, other sessions
-// publish the hot shape with alternating objects, and snapshots read
-// along: every execution is counted exactly once, in a live entry or in
-// the evicted total, and against the objects of the Shape that ran it.
-// Run with -race.
+// publish the hot shape with alternating objects, and snapshots and
+// workload drains read along: every execution is counted exactly once,
+// in a live entry or in the evicted total, against the objects of the
+// Shape that ran it, and in one drained workload entry. Run with -race.
 func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 	const shapes, sessions, perSession = 40, 6, 4000
 	m := New(Config{StatementCapacity: 16, Shards: 4})
 	cells := make([]atomic.Pointer[Shape], shapes)
 	for i := range cells {
-		cells[i].Store(m.Publish(uint64(i+1), fmt.Sprintf("stmt %d", i), "SELECT", []string{"t"}, []string{fmt.Sprintf("t.c%d", i)}, nil))
+		cells[i].Store(m.Publish(uint64(i+1), fmt.Sprintf("stmt %d", i), "SELECT", []string{"t"}, []string{fmt.Sprintf("t.c%d", i)}, nil, Estimates{}))
 	}
 	var hot [2]atomic.Pointer[Shape] // the hot shape under two plans
 	hotObjects := [2][]string{{"ix_old"}, {"ix_new"}}
 	for v := range hot {
-		hot[v].Store(m.Publish(999, "hot", "SELECT", []string{"t"}, nil, hotObjects[v]))
+		hot[v].Store(m.Publish(999, "hot", "SELECT", []string{"t"}, nil, hotObjects[v], Estimates{}))
 	}
 	var ranHot [2]atomic.Int64
 
@@ -211,6 +332,7 @@ func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 		}(g)
 	}
 	stop := make(chan struct{})
+	var drained workloadSum
 	var bg sync.WaitGroup
 	bg.Add(1)
 	go func() {
@@ -228,6 +350,7 @@ func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 				}
 			}
 			m.SnapshotStatementSide()
+			drained.add(m.DrainWorkload())
 		}
 	}()
 	wg.Wait()
@@ -235,6 +358,11 @@ func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 	bg.Wait()
 
 	const total = sessions * perSession
+	drained.add(m.DrainWorkload())
+	if drained.Executions+m.WorkloadDropped() != total || drained.ExecCPU != drained.Executions || drained.Rows != drained.Executions {
+		t.Errorf("drained %d executions (cpu %d, rows %d) + %d dropped, want %d in all, one tuple and one row each",
+			drained.Executions, drained.ExecCPU, drained.Rows, m.WorkloadDropped(), total)
+	}
 	var live int64
 	for _, si := range m.SnapshotStatements() {
 		live += si.Frequency
@@ -252,6 +380,18 @@ func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 	}
 }
 
+// workloadSum adds up drained workload entries.
+type workloadSum struct{ Executions, ExecCPU, Rows, Errors int64 }
+
+func (s *workloadSum) add(ws []WorkloadEntry) {
+	for _, w := range ws {
+		s.Executions += w.Executions
+		s.ExecCPU += w.ExecCPU
+		s.Rows += w.Rows
+		s.Errors += w.Errors
+	}
+}
+
 // BenchmarkFinishCached is the sensor commit of a cached statement with
 // every goroutine executing the same shape (run with -cpu 1,2,8: the
 // shared entry must not become the contention point);
@@ -260,7 +400,7 @@ func BenchmarkFinishCached(b *testing.B) {
 	m := New(Config{})
 	sh := testShapes[1]
 	var cell atomic.Pointer[Shape]
-	cell.Store(m.Publish(1, "q", sh.kind, sh.tables, sh.attrs, sh.indexes))
+	cell.Store(m.Publish(1, "q", sh.kind, sh.tables, sh.attrs, sh.indexes, Estimates{}))
 	var lanes atomic.Int64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {

@@ -97,13 +97,21 @@ func TestDigestProperty(t *testing.T) {
 }
 
 // What DigestOf falls back to: the key alone when the statement does
-// not parse, the text when it does not lex or is too long for a key.
+// not parse, the lexer's error kind when it does not lex, the text when
+// it is too long for a key.
 func TestDigestFallbacks(t *testing.T) {
 	if a, b := DigestOf("SELEC a FROM t WHERE a = 1"), DigestOf("SELEC a FROM t WHERE a = 2"); a != b {
 		t.Error("a statement that does not parse is not keyed by its shape")
 	}
-	if a, b := DigestOf("SELECT 'open"), DigestOf("SELECT 'open "); a == b || a != Digest("SELECT 'open", nil) {
-		t.Error("a statement that does not lex is not keyed by its text")
+	if a, b := DigestOf("SELECT 'open"), DigestOf("UPDATE t SET a = 'x"); a != b || a == Digest("SELECT 'open", nil) {
+		t.Error("a statement that does not lex is not keyed by its error kind")
+	}
+	kinds := map[uint64]bool{}
+	for _, sql := range []string{"SELECT 'open", "SELECT 1e+", "SELECT a ! b", "SELECT #"} {
+		kinds[DigestOf(sql)] = true
+	}
+	if len(kinds) != 3 { // '!' and '#' are both unexpected characters
+		t.Errorf("%d digests for three lexer error kinds", len(kinds))
 	}
 	long := "INSERT INTO t VALUES " + strings.Repeat("(1, 'x'), ", MaxShapeKey/8) + "(1, 'x')"
 	if DigestOf(long) != Digest(long, nil) || DigestOf(long) == DigestOf(strings.Replace(long, "1", "2", 1)) {
@@ -116,8 +124,16 @@ func TestDigestFallbacks(t *testing.T) {
 
 // FuzzDigest holds the digest to its definition on arbitrary text: it
 // is a function of the shape key and the unextracted literals, so it
-// survives rewriting every extracted literal, and DigestOf never
-// panics whatever it is given.
+// survives rewriting every extracted literal; a text that does not lex
+// digests equal to every other text failing with the same kind; and
+// DigestOf never panics whatever it is given.
+// lexFailures is one text per lexer error kind.
+var lexFailures = map[string]string{
+	lexMalformedNumber:    "SELECT 1e+",
+	lexUnterminatedString: "SELEC 'x",
+	lexUnexpectedChar:     "SELECT a # b",
+}
+
 func FuzzDigest(f *testing.F) {
 	for _, p := range bindCorpus {
 		f.Add(p[0])
@@ -125,14 +141,24 @@ func FuzzDigest(f *testing.F) {
 	}
 	f.Add("SELECT a FROM t ORDER BY 1 LIMIT 5 OFFSET 2")
 	f.Add("CREATE TABLE t (a VARCHAR(10), b INTEGER)")
-	f.Add("SELEC 'x")
+	for _, sql := range lexFailures {
+		f.Add(sql)
+	}
+	f.Add("x ! y")
 	f.Fuzz(func(t *testing.T, sql string) {
 		d := DigestOf(sql)
 		if d != DigestOf(sql) {
 			t.Fatal("digest is not a function of the text")
 		}
 		var sc Scanner
-		if sc.Scan(sql) != nil || sc.Key() == nil {
+		if err := sc.Scan(sql); err != nil {
+			kind := err.(*LexError).Kind
+			if d != DigestOf(lexFailures[kind]) {
+				t.Fatalf("%q fails with %q but is not keyed by it", sql, kind)
+			}
+			return
+		}
+		if sc.Key() == nil {
 			return
 		}
 		parsed, err := sc.Parse()

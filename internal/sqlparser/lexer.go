@@ -73,6 +73,31 @@ var keywordLens = func() (m [26]uint16) {
 	return m
 }()
 
+// LexError is the lexer's rejection of a statement text. Statements
+// that do not lex have no shape; they are counted per Kind, so a flood
+// of distinct garbage texts is a handful of statements, not one each.
+type LexError struct {
+	Kind string // the failure class: one of the lex* constants
+	msg  string
+}
+
+// The kinds of LexError.
+const (
+	lexMalformedNumber    = "malformed number"
+	lexUnterminatedString = "unterminated string"
+	lexUnexpectedChar     = "unexpected character"
+)
+
+func (e *LexError) Error() string { return e.msg }
+
+// Digest is the identity of every statement the lexer rejects for this
+// kind. The key starts with a zero byte, which no shape key contains.
+func (e *LexError) Digest() uint64 { return Digest("\x00lex: "+e.Kind, nil) }
+
+func lexErrorf(kind, format string, args ...any) error {
+	return &LexError{Kind: kind, msg: fmt.Sprintf(format, args...)}
+}
+
 type lexer struct {
 	src  string
 	pos  int
@@ -140,7 +165,7 @@ func (l *lexer) run() error {
 					l.pos++
 				}
 				if l.pos >= len(l.src) || !isDigit(l.src[l.pos]) {
-					return fmt.Errorf("sql: malformed number at byte %d", start)
+					return lexErrorf(lexMalformedNumber, "sql: malformed number at byte %d", start)
 				}
 				for l.pos < len(l.src) && isDigit(l.src[l.pos]) {
 					l.pos++
@@ -153,7 +178,7 @@ func (l *lexer) run() error {
 			escaped := false
 			for {
 				if l.pos >= len(l.src) {
-					return fmt.Errorf("sql: unterminated string starting at byte %d", start)
+					return lexErrorf(lexUnterminatedString, "sql: unterminated string starting at byte %d", start)
 				}
 				if l.src[l.pos] == '\'' {
 					if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
@@ -192,9 +217,9 @@ func (l *lexer) run() error {
 				l.emit(tokSymbol, "<>", start)
 				break
 			}
-			return fmt.Errorf("sql: unexpected '!' at byte %d", start)
+			return lexErrorf(lexUnexpectedChar, "sql: unexpected '!' at byte %d", start)
 		default:
-			return fmt.Errorf("sql: unexpected character %q at byte %d", c, start)
+			return lexErrorf(lexUnexpectedChar, "sql: unexpected character %q at byte %d", c, start)
 		}
 	}
 }

@@ -67,7 +67,8 @@ type Scanner struct {
 	long bool // the key outgrew MaxShapeKey and was dropped
 }
 
-// Scan lexes sql, replacing the previous statement's state.
+// Scan lexes sql, replacing the previous statement's state. Its only
+// error is a *LexError.
 func (sc *Scanner) Scan(sql string) error {
 	sc.src, sc.key, sc.lits, sc.long = sql, sc.key[:0], sc.lits[:0], false
 	l := lexer{src: sql, toks: sc.toks[:0], sc: sc}
@@ -157,11 +158,14 @@ func Digest[K string | []byte](key K, fixed []string) uint64 {
 
 // DigestOf returns the digest the statement path assigns to sql: that
 // of its shape key and unextracted literals; of the shape key alone when
-// the statement does not parse; of the text when it does not lex or is
-// too long to have a key.
+// the statement does not parse; of the lexer's error kind when it does
+// not lex; of the text when it is too long to have a key.
 func DigestOf(sql string) uint64 {
 	var sc Scanner
-	if sc.Scan(sql) != nil || sc.Key() == nil {
+	if err := sc.Scan(sql); err != nil {
+		return err.(*LexError).Digest()
+	}
+	if sc.Key() == nil {
 		return Digest(sql, nil)
 	}
 	parsed, err := sc.Parse()

@@ -85,6 +85,9 @@ type Heap struct {
 	mainPages uint32 // pages considered part of the initial extent
 	rows      atomic.Int64
 	lastPage  uint32 // insertion hint
+	// tailFree is the free space of lastPage, or -1 until SizeBytes or
+	// an insert has looked; only inserts change a page's free space.
+	tailFree  atomic.Int32
 	mu        sync.RWMutex
 	freeSlots []TID // vacuum-reclaimed slots awaiting reuse
 }
@@ -98,6 +101,7 @@ func OpenHeap(file *File, mainPages uint32, rows int64) *Heap {
 	}
 	h := &Heap{file: file, mainPages: mainPages}
 	h.rows.Store(rows)
+	h.tailFree.Store(-1)
 	if n := file.Pages(); n > 0 {
 		h.lastPage = n - 1
 	}
@@ -118,6 +122,31 @@ func (h *Heap) AdjustRows(delta int64) { h.rows.Add(delta) }
 
 // Pages returns the total number of data pages.
 func (h *Heap) Pages() uint32 { return h.file.Pages() }
+
+// SizeBytes returns the bytes the heap occupies: its pages, the one
+// inserts append to only as far as it is filled. A table that takes in
+// a few rows at a time thus grows by those rows, not by nothing until
+// a page boundary and 4 KB then. It reads no page once the tail's fill
+// is known, so sampling it does not move the pool's counters.
+func (h *Heap) SizeBytes() int64 {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	size := h.file.SizeBytes()
+	if size == 0 {
+		return 0
+	}
+	free := h.tailFree.Load()
+	if free < 0 {
+		p, err := h.file.GetPage(h.lastPage)
+		if err != nil {
+			return size
+		}
+		free = int32(pageFreeSpace(p.Data))
+		p.Release()
+		h.tailFree.Store(free)
+	}
+	return size - int64(free)
+}
 
 // MainPages returns the size of the initial extent.
 func (h *Heap) MainPages() uint32 { return h.mainPages }
@@ -167,6 +196,7 @@ func (h *Heap) Insert(rec []byte) (TID, error) {
 		}
 		if pageFreeSpace(p.Data) >= need {
 			tid, err := insertIntoPage(&p, h.lastPage, rec)
+			h.tailFree.Store(int32(pageFreeSpace(p.Data)))
 			p.Release()
 			return tid, err
 		}
@@ -217,6 +247,9 @@ func (h *Heap) insertIntoFreeSlot(rec []byte) (TID, bool, error) {
 		copy(d[newOff:], rec)
 		setSlotEntry(d, int(tid.Slot()), newOff, len(rec))
 		setFreeEnd(d, newOff)
+		if tid.Page() == h.lastPage {
+			h.tailFree.Store(int32(pageFreeSpace(d)))
+		}
 		p.MarkDirty()
 		p.Release()
 		return tid, true, nil
@@ -433,6 +466,7 @@ func (h *Heap) Truncate() error {
 	h.file = nf
 	h.rows.Store(0)
 	h.lastPage = 0
+	h.tailFree.Store(-1)
 	h.mainPages = 1
 	h.freeSlots = nil
 	return nil

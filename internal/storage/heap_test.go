@@ -142,6 +142,33 @@ func TestHeapOverflowAccounting(t *testing.T) {
 	}
 }
 
+// SizeBytes grows record by record (record plus slot entry) within a
+// page and is the page count times the page size, less the free space
+// of the page being appended to, across pages.
+func TestHeapSizeBytesCountsTheTailAsFilled(t *testing.T) {
+	h := OpenHeap(newTestFile(t, nil), 1, 0)
+	if h.SizeBytes() != 0 {
+		t.Fatalf("empty heap occupies %d bytes", h.SizeBytes())
+	}
+	rec := make([]byte, 100)
+	for i := 0; i < 100; i++ {
+		pages, before := h.Pages(), h.SizeBytes()
+		if _, err := h.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+		size := h.SizeBytes()
+		if size <= before || size > h.File().SizeBytes() {
+			t.Fatalf("insert %d: %d bytes after %d, file %d", i, size, before, h.File().SizeBytes())
+		}
+		if h.Pages() == pages && size-before != int64(len(rec)+slotSize) {
+			t.Fatalf("insert %d within a page grew the heap by %d bytes, want %d", i, size-before, len(rec)+slotSize)
+		}
+	}
+	if h.Pages() < 3 {
+		t.Fatalf("100 records of 100 bytes on %d pages", h.Pages())
+	}
+}
+
 func TestHeapRejectsHugeRecord(t *testing.T) {
 	h := OpenHeap(newTestFile(t, nil), 1, 0)
 	if _, err := h.Insert(bytes.Repeat([]byte("x"), PageSize)); err == nil {

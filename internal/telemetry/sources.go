@@ -52,8 +52,8 @@ func MonitorSource(m *monitor.Monitor) Source {
 			{Name: "monitor_sensor_seconds_total", Help: "Wallclock seconds spent inside monitor sensors.", Kind: Counter, Value: m.TotalMonitorTime().Seconds()},
 			{Name: "monitor_distinct_statements", Help: "Distinct statement shapes in the statement table.", Kind: Gauge, Value: float64(m.StatementCount())},
 			{Name: "monitor_evicted_statements_total", Help: "Executions counted for shapes since evicted from the statement table (statements_total minus the live frequencies).", Kind: Counter, Value: float64(m.EvictedStatements())},
-			{Name: "monitor_workload_depth", Help: "Workload entries buffered awaiting drain.", Kind: Gauge, Value: float64(m.WorkloadDepth())},
-			{Name: "monitor_workload_dropped_total", Help: "Workload entries lost to ring wraparound.", Kind: Counter, Value: float64(m.WorkloadDropped())},
+			{Name: "monitor_workload_depth", Help: "Workload ring entries (raw rows and retired shapes' sums) buffered awaiting drain.", Kind: Gauge, Value: float64(m.WorkloadDepth())},
+			{Name: "monitor_workload_dropped_total", Help: "Executions whose workload entries were lost to ring wraparound.", Kind: Counter, Value: float64(m.WorkloadDropped())},
 			{Name: "monitor_traces_buffered", Help: "EXPLAIN ANALYZE traces in the trace ring.", Kind: Gauge, Value: float64(m.TraceCount())},
 		}
 		// Adaptive two-phase layer: the flag set, the per-class wait
@@ -150,8 +150,8 @@ func DaemonSource(d *daemon.Daemon) Source {
 			{Name: "daemon_poll_errors_total", Help: "Polls that returned a transient error.", Kind: Counter, Value: float64(st.PollErrors)},
 			{Name: "daemon_retries_total", Help: "Backoff retry polls executed.", Kind: Counter, Value: float64(st.Retries)},
 			{Name: "daemon_alert_errors_total", Help: "Alert evaluations that failed.", Kind: Counter, Value: float64(st.AlertErrors)},
-			{Name: "daemon_carryover_depth", Help: "Drained entries awaiting re-insert.", Kind: Gauge, Value: float64(st.CarryoverDepth)},
-			{Name: "daemon_carryover_drops_total", Help: "Carryover entries dropped at the cap.", Kind: Counter, Value: float64(st.CarryoverDrops)},
+			{Name: "daemon_carryover_depth", Help: "Drained workload entries awaiting re-insert.", Kind: Gauge, Value: float64(st.CarryoverDepth)},
+			{Name: "daemon_carryover_drops_total", Help: "Executions of carryover entries dropped at the cap.", Kind: Counter, Value: float64(st.CarryoverDrops)},
 		}
 		if !st.LastPoll.IsZero() {
 			ms = append(ms, Metric{Name: "daemon_last_poll_timestamp_seconds",

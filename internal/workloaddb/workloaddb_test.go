@@ -48,7 +48,7 @@ func TestPrune(t *testing.T) {
 	fresh := now.Add(-time.Hour).UnixMicro()
 	for _, ts := range []int64{old, fresh} {
 		if _, err := s.Exec(fmt.Sprintf(
-			"INSERT INTO %s VALUES (%d, 1, 1, 1, 1, 1, 1, 1.0, 1.0, 1.0, 1, 1, 0)",
+			"INSERT INTO %s VALUES (%d, 1, 1, 1, 1, 1, 1, 1.0, 1.0, 1.0, 1, 1, 0, 1)",
 			Workload, ts)); err != nil {
 			t.Fatal(err)
 		}
