@@ -1,7 +1,8 @@
 // Alerting shows the storage daemon's active alerting: threshold rules
 // evaluated after each poll, notifying the DBA of defined database
 // events — here, session pressure and deadlocks, like the paper's
-// "reaching the maximum number of users" example.
+// "reaching the maximum number of users" example. It ends with the
+// locks diagram over the polled statistics (the paper's Fig. 8).
 //
 //	go run ./examples/alerting
 package main
@@ -115,4 +116,10 @@ func main() {
 	st := sys.Daemon.Stats()
 	fmt.Printf("daemon: %d polls, %d alerts fired, %d alert errors (broken rule isolated, polling survived)\n",
 		st.Polls, st.AlertsFired, st.AlertErrors)
+
+	diagram, err := sys.Analyzer.LocksDiagram()
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n%s", diagram)
 }

@@ -1,7 +1,8 @@
 // Autotune drives the paper's full control loop (Figure 1) on the
 // synthetic NREF database: load → run workload under monitoring →
 // persist with the storage daemon → analyze → implement → measure the
-// improvement.
+// improvement. The analyzer report it prints carries the cost diagram
+// (the paper's Fig. 6) and the recommendations behind Fig. 7.
 //
 //	go run ./examples/autotune
 package main
@@ -64,11 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nanalyzer: %d statements inspected, %d with diverging estimates\n",
-		len(rep.Statements), rep.DivergentCount)
-	for _, r := range rep.Recommendations {
-		fmt.Printf("  [%s] %s\n", r.Kind, r.SQL)
-	}
+	fmt.Printf("\n%s\n", rep)
 
 	// 4. Implementing.
 	if err := sys.Apply(rep); err != nil {

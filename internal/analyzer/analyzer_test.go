@@ -1,14 +1,17 @@
 package analyzer
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/daemon"
 	"repro/internal/engine"
 	"repro/internal/ima"
+	"repro/internal/lock"
 	"repro/internal/monitor"
 	"repro/internal/nref"
 )
@@ -193,14 +196,115 @@ func TestApplyAllImprovesWorkload(t *testing.T) {
 	}
 }
 
+// TestLocksDiagram provokes one lock wait and then one deadlock between
+// two sessions, polling before, between and after on a stepped clock,
+// and checks that the diagram marks the wait and the deadlock.
 func TestLocksDiagram(t *testing.T) {
-	f := newFixture(t, 300)
-	out, err := f.an.LocksDiagram()
+	dir := t.TempDir()
+	mon := monitor.New(monitor.Config{})
+	source, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "src"), Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Locks in use") {
-		t.Errorf("diagram:\n%s", out)
+	if err := ima.Register(ima.Sources{DB: source, Mon: mon}); err != nil {
+		t.Fatal(err)
+	}
+	wdb, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "wdb")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { source.Close(); wdb.Close() })
+	now := time.Unix(1_000_000, 0)
+	d, err := daemon.New(daemon.Config{Source: source, Mon: mon, Target: wdb,
+		Now: func() time.Time { return now }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll := func() {
+		t.Helper()
+		now = now.Add(time.Second)
+		if err := d.Poll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// blocked runs sql on s in the background and returns once the
+	// statement waits in the lock manager.
+	blocked := func(s *engine.Session, sql string) <-chan error {
+		t.Helper()
+		waiting := source.LockStats().Waiting
+		done := make(chan error, 1)
+		go func() {
+			_, err := s.Exec(sql)
+			done <- err
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for source.LockStats().Waiting == waiting {
+			if time.Now().After(deadline) {
+				t.Fatalf("%q never waited for a lock", sql)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return done
+	}
+
+	s1, s2 := source.NewSession(), source.NewSession()
+	defer s1.Close()
+	defer s2.Close()
+	mustExec(t, s1, "CREATE TABLE ta (id INTEGER PRIMARY KEY, n INTEGER)")
+	mustExec(t, s1, "CREATE TABLE tb (id INTEGER PRIMARY KEY, n INTEGER)")
+	mustExec(t, s1, "INSERT INTO ta VALUES (1, 0)")
+	mustExec(t, s1, "INSERT INTO tb VALUES (1, 0)")
+	poll()
+
+	// One lock wait: s2 queues behind s1's row lock until s1 commits, and
+	// then loses first-updater-wins.
+	s1.Begin()
+	mustExec(t, s1, "UPDATE ta SET n = n + 1 WHERE id = 1")
+	done := blocked(s2, "UPDATE ta SET n = n + 1 WHERE id = 1")
+	if err := s1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, engine.ErrWriteConflict) {
+		t.Fatalf("waiting writer: %v, want a write conflict", err)
+	}
+	poll()
+
+	// One deadlock: each session holds one row and asks for the other's;
+	// s2 closes the cycle and is the victim.
+	s1.Begin()
+	mustExec(t, s1, "UPDATE ta SET n = n + 1 WHERE id = 1")
+	s2.Begin()
+	mustExec(t, s2, "UPDATE tb SET n = n + 1 WHERE id = 1")
+	done = blocked(s1, "UPDATE tb SET n = n + 1 WHERE id = 1")
+	if _, err := s2.Exec("UPDATE ta SET n = n + 1 WHERE id = 1"); !errors.Is(err, lock.ErrDeadlock) {
+		t.Fatalf("cycle-closing update: %v, want a deadlock", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("survivor: %v", err)
+	}
+	if err := s1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	poll()
+
+	an, err := New(Config{Source: source, WorkloadDB: wdb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := an.LocksDiagram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The marker row follows the time axis.
+	lines := strings.Split(out, "\n")
+	var markers []string
+	for i, l := range lines {
+		if strings.Contains(l, "+---") && i+1 < len(lines) {
+			markers = strings.Fields(lines[i+1])
+		}
+	}
+	if strings.Join(markers, " ") != "W D" {
+		t.Errorf("markers %q, want a W then a D; diagram:\n%s", markers, out)
 	}
 }
 

@@ -51,10 +51,6 @@ type Options struct {
 	Retention time.Duration
 	// Alerts are threshold rules the daemon evaluates after each poll.
 	Alerts []daemon.Alert
-	// FlushOnFull makes the daemon's Run loop poll immediately when
-	// the monitor's workload ring nears capacity (the in-core
-	// collection trigger of §IV-B) instead of waiting for the tick.
-	FlushOnFull bool
 	// Apply tunes the canary/observe/rollback state machine behind
 	// ApplyOnline (zero values take the analyzer defaults: 5 s windows,
 	// p95, 25% regression threshold).
@@ -144,7 +140,6 @@ func Open(opts Options) (*System, error) {
 		Interval:      opts.DaemonInterval,
 		Retention:     opts.Retention,
 		Alerts:        opts.Alerts,
-		FlushOnFull:   opts.FlushOnFull,
 		Actions:       ap.ActionRows,
 		ApplyFailures: an.ApplyFailures,
 		Flagger:       sys.Flagger,

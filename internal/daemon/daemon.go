@@ -125,11 +125,6 @@ type Config struct {
 	Retention time.Duration
 	// Alerts to evaluate after each poll.
 	Alerts []Alert
-	// FlushOnFull registers the daemon with the monitor's buffer-full
-	// signal: when the workload ring nears capacity between ticks, the
-	// Run loop polls immediately instead of letting the ring wrap —
-	// the in-core collection trigger the paper sketches in §IV-B.
-	FlushOnFull bool
 	// RetryBase is the first backoff delay after a transient poll
 	// failure (default DefaultRetryBase).
 	RetryBase time.Duration
@@ -217,8 +212,6 @@ type Daemon struct {
 	alertErrors atomic.Int64
 	carryDepth  atomic.Int64
 	carryDrops  atomic.Int64
-
-	fullSignal chan struct{}
 }
 
 // New validates the config and builds a daemon.
@@ -272,29 +265,18 @@ func New(cfg Config) (*Daemon, error) {
 		}
 	}
 	d.newTarget = func() execTarget { return cfg.Target.NewSession() }
-	if cfg.FlushOnFull {
-		d.fullSignal = make(chan struct{}, 1)
-		cfg.Mon.SetFullHandler(func() {
-			select {
-			case d.fullSignal <- struct{}{}:
-			default:
-			}
-		})
-	}
 	return d, nil
 }
 
-// Run polls until the context is cancelled: on the configured interval
-// and, with FlushOnFull, whenever the monitor signals a near-full
-// workload ring. A transient poll failure does not terminate the loop;
-// it schedules a retry with capped exponential backoff (interval ticks
-// and full signals are absorbed while a retry is pending — draining
-// more entries into a failing pipeline would only grow the carryover).
+// Run polls on the configured interval until the context is cancelled.
+// A transient poll failure does not terminate the loop; it schedules a
+// retry with capped exponential backoff (interval ticks are absorbed
+// while a retry is pending — draining more entries into a failing
+// pipeline would only grow the carryover).
 // Run returns only on context cancellation or a fatal error.
 func (d *Daemon) Run(ctx context.Context) error {
 	ticker := time.NewTicker(d.cfg.Interval)
 	defer ticker.Stop()
-	full := d.fullSignal // nil (blocks forever) unless FlushOnFull
 
 	backoff := d.cfg.RetryBase
 	var retryTimer *time.Timer
@@ -340,13 +322,6 @@ func (d *Daemon) Run(ctx context.Context) error {
 		case <-ticker.C:
 			if retryC != nil {
 				continue // the pending retry drives recovery
-			}
-			if err := attempt(false); err != nil {
-				return err
-			}
-		case <-full:
-			if retryC != nil {
-				continue
 			}
 			if err := attempt(false); err != nil {
 				return err

@@ -339,106 +339,6 @@ func TestRunLoop(t *testing.T) {
 	}
 }
 
-func TestGrowthModel(t *testing.T) {
-	// The paper: 33 statements/s → ≈28 MB/h, capped ≈4.7 GB at 7 days.
-	g := workloaddb.GrowthModel{
-		StatementsPerSecond: 33,
-		BytesPerWorkloadRow: 28e6 / 3600.0 / 33, // back-solved from the paper
-		Retention:           7 * 24 * time.Hour,
-	}
-	perHour := g.BytesPerHour()
-	if perHour < 27e6 || perHour > 29e6 {
-		t.Errorf("BytesPerHour = %g, want ≈28 MB", perHour)
-	}
-	cap := g.CapBytes()
-	if cap < 4.5e9 || cap > 4.9e9 {
-		t.Errorf("CapBytes = %g, want ≈4.7 GB", cap)
-	}
-}
-
-func TestFlushOnFull(t *testing.T) {
-	dir := t.TempDir()
-	mon := monitor.New(monitor.Config{WorkloadCapacity: 20})
-	source, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "src"), PoolPages: 256, Monitor: mon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ima.Register(ima.Sources{DB: source, Mon: mon}); err != nil {
-		t.Fatal(err)
-	}
-	target, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "wdb"), PoolPages: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer source.Close()
-	defer target.Close()
-
-	d, err := New(Config{
-		Source: source, Mon: mon, Target: target,
-		Interval:    time.Hour, // the ticker never fires in this test
-		FlushOnFull: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	runDone := make(chan error, 1)
-	go func() { runDone <- d.Run(ctx) }()
-
-	s := source.NewSession()
-	exec(t, s, "CREATE TABLE f (id INTEGER PRIMARY KEY)")
-	// Cross 90% of the 20-entry ring: the full signal must trigger a
-	// poll long before the hourly tick. Only executions no shape sums up
-	// take ring space: statements the engine does not cache.
-	for i := 0; i < 19; i++ {
-		exec(t, s, "SET PARALLEL 1")
-	}
-	s.Close()
-	deadline := time.After(5 * time.Second)
-	for d.Stats().Polls == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("buffer-full signal never triggered a poll")
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	cancel()
-	<-runDone
-
-	ws := target.NewSession()
-	defer ws.Close()
-	res := exec(t, ws, "SELECT COUNT(*) FROM "+workloaddb.Workload)
-	if res.Rows[0][0].I == 0 {
-		t.Error("nothing persisted by the full-triggered poll")
-	}
-}
-
-func TestMonitorFullHandlerRearms(t *testing.T) {
-	mon := monitor.New(monitor.Config{WorkloadCapacity: 10})
-	var fires int
-	mon.SetFullHandler(func() { fires++ })
-	fill := func() {
-		for i := 0; i < 10; i++ {
-			h := mon.StartStatement(fmt.Sprintf("SELECT %d", i))
-			h.Parsed("SELECT", nil)
-			h.Finish(1, 0, 1, nil)
-		}
-	}
-	fill()
-	if fires != 1 {
-		t.Fatalf("fires = %d after first fill", fires)
-	}
-	fill() // without a drain, the handler stays disarmed
-	if fires != 1 {
-		t.Fatalf("fires = %d without drain", fires)
-	}
-	mon.DrainWorkload()
-	fill()
-	if fires != 2 {
-		t.Fatalf("fires = %d after drain+fill", fires)
-	}
-}
-
 // TestPollPersistsActions: audit rows from the Actions hook land in
 // ws_actions exactly once — the Seq watermark prevents re-inserting
 // rows already persisted, and apply_failures flows into ws_statistics.

@@ -83,11 +83,11 @@ func TestConcurrentSessionsIMAConsistency(t *testing.T) {
 	}
 	issued := make([]atomic.Int64, pool)
 
-	// Storage daemon live during the run: FlushOnFull plus a short
-	// interval, so workload drains race with the writers.
+	// Storage daemon live during the run: a short interval, so workload
+	// drains race with the writers.
 	d, err := daemon.New(daemon.Config{
 		Source: db, Mon: mon, Target: target,
-		Interval: 5 * time.Millisecond, FlushOnFull: true,
+		Interval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

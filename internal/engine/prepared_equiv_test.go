@@ -25,7 +25,8 @@ func equivStream() []string {
 		s = append(s, nref.PointSelectStatement(i*13, equivScale))
 	}
 	for i := 0; i < 20; i++ {
-		s = append(s, nref.SimpleJoinStatement(i*7, equivScale))
+		s = append(s, fmt.Sprintf("SELECT p.nref_id, o.organism_name, o.taxonomy_id FROM protein p JOIN organism o ON p.nref_id = o.nref_id WHERE p.nref_id = '%s'",
+			nref.NrefID(i*7%equivScale)))
 	}
 	s = append(s, nref.Complex50(equivScale)...)
 	s = append(s, nref.Complex50(equivScale)[:10]...) // same texts again

@@ -52,13 +52,6 @@ func (c *LatencyCounts) Total() int64 {
 	return n
 }
 
-// Merge adds o's counts into c.
-func (c *LatencyCounts) Merge(o *LatencyCounts) {
-	for i, v := range o {
-		c[i] += v
-	}
-}
-
 // Quantile returns a conservative estimate of the q-quantile
 // (0 < q ≤ 1): the upper bound of the first bucket at which the
 // cumulative count reaches q of the total. Zero samples yield 0.

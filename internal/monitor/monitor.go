@@ -140,14 +140,6 @@ type Monitor struct {
 	// executions, and what retired Shapes had not yet been drained of.
 	work workRing
 
-	// fullHandler, when set, is invoked (outside any monitor lock)
-	// once when the workload ring crosses ~90% of its capacity, and is
-	// re-armed by DrainWorkload. This is the paper's §IV-B extension:
-	// writing to the workload DB "only when the main memory buffers
-	// are full" instead of on a fixed schedule.
-	fullHandler atomic.Value // func()
-	fullFired   atomic.Bool
-
 	// traces is the bounded ring of per-operator statement traces
 	// (see trace.go); written only by EXPLAIN ANALYZE, never by the
 	// regular statement hot path.
@@ -396,7 +388,7 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 		addNonzero(&sums.optNanos, int64(h.optTime))
 		addNonzero(&sums.errs, errs)
 	} else {
-		depth := m.work.push(WorkloadEntry{
+		m.work.push(WorkloadEntry{
 			Hash:       h.digest,
 			Start:      h.start,
 			Wall:       wall,
@@ -411,12 +403,6 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 			Errors:     errs,
 			Executions: 1,
 		})
-		if depth*10 >= len(m.work.ring)*9 && !m.fullFired.Load() &&
-			m.fullFired.CompareAndSwap(false, true) {
-			if fn, ok := m.fullHandler.Load().(func()); ok && fn != nil {
-				fn()
-			}
-		}
 	}
 
 	// Cumulative totals. The wall histogram's sum is the statement count,
@@ -453,12 +439,6 @@ func addNonzero(c *atomic.Int64, v int64) {
 		c.Add(v)
 	}
 }
-
-// SetFullHandler registers fn to be called once whenever the workload
-// ring crosses ~90% of its capacity; DrainWorkload re-arms it. The
-// storage daemon uses this to flush early instead of losing entries to
-// ring wraparound under statement bursts.
-func (m *Monitor) SetFullHandler(fn func()) { m.fullHandler.Store(fn) }
 
 // WorkloadDepth returns the number of workload entries currently
 // buffered in the ring (one atomic load; safe on the hot path). The

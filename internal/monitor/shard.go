@@ -43,8 +43,8 @@ type workRing struct {
 	dropped atomic.Int64 // executions overwritten before a drain
 }
 
-// push appends e and returns the number of entries now buffered.
-func (r *workRing) push(e WorkloadEntry) int {
+// push appends e, overwriting the oldest entry when the ring is full.
+func (r *workRing) push(e WorkloadEntry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.n < len(r.ring) {
@@ -55,7 +55,6 @@ func (r *workRing) push(e WorkloadEntry) int {
 	}
 	r.ring[r.pos] = e
 	r.pos = (r.pos + 1) % len(r.ring)
-	return r.n
 }
 
 // entries copies the buffered entries, oldest first, and clears the ring

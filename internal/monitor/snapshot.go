@@ -88,6 +88,5 @@ func (m *Monitor) DrainWorkload() []WorkloadEntry {
 	m.stmts.mu.Lock()
 	out := m.stmts.workloadLocked(true)
 	m.stmts.mu.Unlock()
-	m.fullFired.Store(false)
 	return out
 }

@@ -302,7 +302,11 @@ func TestWorkloadDroppedCountsExecutions(t *testing.T) {
 // Shape that ran it, and in one drained workload entry. Run with -race.
 func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 	const shapes, sessions, perSession = 40, 6, 4000
-	m := New(Config{StatementCapacity: 16, Shards: 4})
+	// A ring that holds one entry per execution never overwrites: an
+	// overwritten entry may carry half of a torn execution (its count
+	// without its cost), which would break the per-column sums below.
+	// Drops are TestWorkloadDroppedCountsExecutions's subject.
+	m := New(Config{StatementCapacity: 16, Shards: 4, WorkloadCapacity: sessions * perSession})
 	cells := make([]atomic.Pointer[Shape], shapes)
 	for i := range cells {
 		cells[i].Store(m.Publish(uint64(i+1), fmt.Sprintf("stmt %d", i), "SELECT", []string{"t"}, []string{fmt.Sprintf("t.c%d", i)}, nil, Estimates{}))

@@ -151,48 +151,6 @@ func TestStressNoLostTotals(t *testing.T) {
 	}
 }
 
-// TestStressFlushTriggerExactlyOnce fills the workload ring past its
-// ~90% threshold from many goroutines at once and asserts the §IV-B
-// near-full handler fires exactly once per fill/drain cycle, however
-// the concurrent commits interleave.
-func TestStressFlushTriggerExactlyOnce(t *testing.T) {
-	const capacity = 256
-	cycles := stressScale(t, 50)
-	if cycles < 5 {
-		cycles = 5
-	}
-	m := monitor.New(monitor.Config{
-		StatementCapacity: 64,
-		WorkloadCapacity:  capacity,
-		Shards:            8,
-	})
-	var fired atomic.Int64
-	m.SetFullHandler(func() { fired.Add(1) })
-
-	const writers = 8
-	for cycle := 1; cycle <= cycles; cycle++ {
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// Together the writers overfill the ring (capacity+64
-				// commits), crossing the threshold exactly once.
-				for i := 0; i < (capacity+64)/writers; i++ {
-					h := m.StartStatement(fmt.Sprintf("SELECT %d FROM t", (w*31+i)%50))
-					h.Parsed("SELECT", []string{"t"})
-					h.Finish(1, 0, 1, nil)
-				}
-			}(w)
-		}
-		wg.Wait()
-		if got := fired.Load(); got != int64(cycle) {
-			t.Fatalf("cycle %d: flush trigger fired %d times, want exactly %d", cycle, got, cycle)
-		}
-		m.DrainWorkload() // re-arms the trigger
-	}
-}
-
 // TestStressSnapshotConsistencyUnderChurn verifies that snapshots taken
 // while the statement table churns are internally consistent: no
 // duplicate hashes, and never more than the capacity.

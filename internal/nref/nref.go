@@ -2,11 +2,10 @@
 // Non-Redundant Reference Protein (NREF) database the paper evaluates
 // on. The real NREF is 100 M rows / ≈6.5 GB of protein data; this
 // generator produces the same six-table schema with realistic skew at
-// a configurable scale, plus the paper's three workloads:
+// a configurable scale, plus two of the paper's workloads:
 //
 //   - Complex50: 50 multi-join analysis queries (the NREF2J/NREF3J mix)
-//   - SimpleJoinStatements: two-table point joins (the "50k" test)
-//   - PointSelectStatements: single-table point selects (the "1m" test)
+//   - PointSelectStatement: single-table point selects (the "1m" test)
 //
 // Everything is seeded, so repeated runs see identical data and
 // workloads.
@@ -248,15 +247,6 @@ func PointSelectStatement(i, scale int) string {
 	return fmt.Sprintf("SELECT p.nref_id FROM protein p WHERE p.nref_id = '%s'", NrefID(i%scale))
 }
 
-// SimpleJoinStatement is the paper's 50k-test statement for protein i:
-// a two-table join restricted to one key, cycling through ids so "the
-// monitor logs each statement as a new one".
-func SimpleJoinStatement(i, scale int) string {
-	return fmt.Sprintf(
-		"SELECT p.nref_id, o.organism_name, o.taxonomy_id FROM protein p JOIN organism o ON p.nref_id = o.nref_id WHERE p.nref_id = '%s'",
-		NrefID(i%scale))
-}
-
 // Complex50 returns the 50-query analysis mix standing in for the
 // NREF2J/NREF3J sets: multi-way joins, range predicates, aggregation
 // and sorting — "expensive joins and many full table scans".
@@ -335,49 +325,4 @@ func Complex50(scale int) []string {
 		}
 	}
 	return qs
-}
-
-// ReferenceIndexes returns the 33-index reference set standing in for
-// the manually tuned configuration of [Consens et al. 2005] that the
-// paper compares against: a broad, partly redundant set a careful DBA
-// might build without workload knowledge.
-func ReferenceIndexes() []string {
-	mk := func(name, table, cols string) string {
-		return fmt.Sprintf("CREATE INDEX %s ON %s (%s)", name, table, cols)
-	}
-	return []string{
-		mk("rx01", "protein", "name"),
-		mk("rx02", "protein", "length"),
-		mk("rx03", "protein", "taxonomy_id"),
-		mk("rx04", "protein", "source_id"),
-		mk("rx05", "protein", "mol_weight"),
-		mk("rx06", "protein", "taxonomy_id, length"),
-		mk("rx07", "protein", "source_id, length"),
-		mk("rx08", "protein", "length, mol_weight"),
-		mk("rx09", "organism", "nref_id"),
-		mk("rx10", "organism", "organism_name"),
-		mk("rx11", "organism", "taxonomy_id"),
-		mk("rx12", "organism", "nref_id, taxonomy_id"),
-		mk("rx13", "organism", "organism_name, taxonomy_id"),
-		mk("rx14", "sequence", "length"),
-		mk("rx15", "sequence", "crc"),
-		mk("rx16", "sequence", "length, crc"),
-		mk("rx17", "taxonomy", "lineage"),
-		mk("rx18", "taxonomy", "rank"),
-		mk("rx19", "taxonomy", "parent_id"),
-		mk("rx20", "taxonomy", "rank, parent_id"),
-		mk("rx21", "taxonomy", "parent_id, rank"),
-		mk("rx22", "source", "source_name"),
-		mk("rx23", "source", "db_name"),
-		mk("rx24", "source", "release_no"),
-		mk("rx25", "source", "db_name, release_no"),
-		mk("rx26", "annotation", "nref_id"),
-		mk("rx27", "annotation", "feature"),
-		mk("rx28", "annotation", "ordinal"),
-		mk("rx29", "annotation", "nref_id, ordinal"),
-		mk("rx30", "annotation", "feature, ordinal"),
-		mk("rx31", "annotation", "nref_id, feature"),
-		mk("rx32", "protein", "name, length"),
-		mk("rx33", "organism", "taxonomy_id, organism_name"),
-	}
 }

@@ -111,9 +111,6 @@ func TestWorkloadStatements(t *testing.T) {
 	if got := PointSelectStatement(503, 500); !strings.Contains(got, "NF00000003") {
 		t.Errorf("point select wraps scale: %s", got)
 	}
-	if got := SimpleJoinStatement(7, 500); !strings.Contains(got, "JOIN organism") {
-		t.Errorf("simple join: %s", got)
-	}
 
 	qs := Complex50(500)
 	if len(qs) != 50 {
@@ -147,21 +144,6 @@ func TestSimpleWorkloadsExecute(t *testing.T) {
 		if len(res.Rows) != 1 {
 			t.Errorf("point select %d returned %d rows", i, len(res.Rows))
 		}
-		if _, err := s.Exec(SimpleJoinStatement(i, 500)); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
-func TestReferenceIndexesApply(t *testing.T) {
-	_, s := loadSmall(t)
-	idx := ReferenceIndexes()
-	if len(idx) != 33 {
-		t.Fatalf("reference set has %d indexes, want 33", len(idx))
-	}
-	for _, ddl := range idx {
-		if _, err := s.Exec(ddl); err != nil {
-			t.Errorf("%s: %v", ddl, err)
-		}
-	}
-}

@@ -82,13 +82,6 @@ func (r *Registry) Register(component string, src Source) error {
 	return nil
 }
 
-// Components lists registered component names in registration order.
-func (r *Registry) Components() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return append([]string(nil), r.order...)
-}
-
 // Gather invokes every source and returns the flattened samples in
 // registration order.
 func (r *Registry) Gather() []Sample {

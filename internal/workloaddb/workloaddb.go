@@ -94,29 +94,3 @@ func Prune(db *engine.DB, retention time.Duration, now time.Time) (int64, error)
 	}
 	return removed, nil
 }
-
-// GrowthModel captures the paper's §V-A capacity computation: at a
-// given statement logging rate the workload DB grows linearly and is
-// capped by the retention window.
-//
-// The paper's workload relation is one row per execution, and so is
-// this model. Here that describes the raw tier only — statements the
-// engine does not cache and shapes flagged for profiling. A cached
-// shape's executions reach ws_workload summed, one row per shape and
-// poll, so that part of the database grows with (shapes run per poll)
-// × polls, whatever the statement rate.
-type GrowthModel struct {
-	StatementsPerSecond float64
-	BytesPerWorkloadRow float64
-	Retention           time.Duration
-}
-
-// BytesPerHour returns the modelled growth rate.
-func (g GrowthModel) BytesPerHour() float64 {
-	return g.StatementsPerSecond * g.BytesPerWorkloadRow * 3600
-}
-
-// CapBytes returns the steady-state size after retention pruning.
-func (g GrowthModel) CapBytes() float64 {
-	return g.BytesPerHour() * g.Retention.Hours()
-}

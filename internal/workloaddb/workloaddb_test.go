@@ -70,16 +70,6 @@ func TestPrune(t *testing.T) {
 	}
 }
 
-func TestGrowthModelMath(t *testing.T) {
-	g := GrowthModel{StatementsPerSecond: 10, BytesPerWorkloadRow: 100, Retention: 10 * time.Hour}
-	if got := g.BytesPerHour(); got != 10*100*3600 {
-		t.Errorf("BytesPerHour = %v", got)
-	}
-	if got := g.CapBytes(); got != 10*100*3600*10 {
-		t.Errorf("CapBytes = %v", got)
-	}
-}
-
 func TestPersistedTextWidthsFitEngineRows(t *testing.T) {
 	// The registry's column width is the one truncation bound: every
 	// persisted text column must declare one, within the engine's hard
