@@ -154,8 +154,8 @@ func (db *DB) execCreateIndex(st *sqlparser.CreateIndexStmt) (*Result, error) {
 }
 
 // buildIndexStorage creates the index file and backfills it with a
-// blocking scan of the base table (the caller holds the table's X lock
-// via the DDL path). On any error the file — and every pool frame
+// blocking scan of the base table (the caller runs alone on the drained
+// table, via the DDL path). On any error the file — and every pool frame
 // backing it — is removed before returning, so the caller only has the
 // catalog entry left to roll back.
 func (db *DB) buildIndexStorage(h *tableHandle, name string, cols []string, unique bool) (_ *storage.BTree, err error) {

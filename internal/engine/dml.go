@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/expr"
-	"repro/internal/lock"
 	"repro/internal/monitor"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
@@ -21,11 +20,12 @@ import (
 //  2. Row locks: an exclusive row lock is taken per matched version, in
 //     TID order (the heap scan already yields ascending TIDs), held
 //     until the transaction commits or aborts. Readers never take these.
-//  3. Statement write gate: one exclusive per-table gate serializes the
-//     physical write-out of concurrent statements — it is what makes
-//     version headers stable for the rechecks and keeps the per-file
-//     WAL-transaction attachment single-writer. It is released at the
-//     end of the statement, after the statement's WAL unit is finished.
+//  3. Statement write gate: the statement opens its WAL unit, then takes
+//     one exclusive per-table gate that serializes the physical
+//     write-out of concurrent statements — it is what makes version
+//     headers stable for the rechecks and keeps the per-file
+//     WAL-transaction attachment single-writer. The gate is released at
+//     the end of the statement, after the WAL unit is finished.
 //  4. Recheck: under the gate each locked version's header is reread.
 //     A committed (or in-flight) superseding writer means another
 //     transaction got there first: the statement fails with
@@ -36,8 +36,10 @@ import (
 //     until vacuum — scans filter by visibility.
 //
 // A gate holder never waits on a row lock (locks are taken before the
-// gate), so gate waits cannot extend deadlock cycles; row-row and
-// table-lock cycles are caught by the lock manager's wait-for graph.
+// gate), so gate waits cannot extend deadlock cycles; row-lock cycles
+// are caught by the lock manager's wait-for graph. Nor does a WAL unit
+// holder: the unit is opened after the row locks, so a DDL waiting for
+// the WAL's exclusive gate never waits on a transaction (admit.go).
 
 // rowLockKey names the row-level write-lock resource of (table, tid).
 // The "r!" prefix keeps it disjoint from table names.
@@ -50,12 +52,12 @@ func writeGateKey(table string) string { return "w!" + table }
 
 // acquireLock takes a lock for the session, attributing wait time to a
 // flagged statement's profiler.
-func (s *Session) acquireLock(resource string, mode lock.Mode, h *monitor.Handle) error {
+func (s *Session) acquireLock(resource string, h *monitor.Handle) error {
 	var t0 time.Time
 	if s.prof != nil {
 		t0 = time.Now()
 	}
-	err := s.db.locks.Acquire(s.id, resource, mode)
+	err := s.db.locks.Acquire(s.id, resource)
 	if s.prof != nil && h != nil {
 		h.AddLockWait(time.Since(t0))
 	}
@@ -69,21 +71,25 @@ func (db *DB) conflictErr(format string, args ...any) error {
 }
 
 // withWriteGate runs fn holding the table's statement write gate with
-// the statement's WAL transaction attached to the table's files. The
-// statement's WAL unit is finished (not yet durable — transaction
-// durability comes from the MVCC commit record) before the gate is
+// the statement's WAL unit attached to the table's files. The unit is per
+// statement even inside a transaction (transaction atomicity comes from
+// the MVCC commit record), opened before the gate — a gate holder never
+// waits for the WAL — and finished, not yet durable, before the gate is
 // released, so the next writer's attachment never overlaps this one's
 // unfinished page captures.
 func (s *Session) withWriteGate(th *tableHandle, h *monitor.Handle, fn func() error) error {
 	db := s.db
+	wtx := db.wal.Begin()
+	wtx.SetOwner(s.txnID)
+	wtx.SetProf(s.prof)
 	gate := writeGateKey(strings.ToLower(th.meta.Name))
-	if err := s.acquireLock(gate, lockX, h); err != nil {
-		return err
+	err := s.acquireLock(gate, h)
+	if err == nil {
+		detach := db.attachWalTxn(th, wtx)
+		err = fn()
+		detach()
 	}
-	detach := db.attachWalTxn(th, s.wtx)
-	err := fn()
-	detach()
-	if ferr := s.finishWalTxn(false); ferr != nil && err == nil {
+	if ferr := wtx.Commit(false); ferr != nil && err == nil {
 		err = ferr
 	}
 	db.locks.Release(s.id, gate)
@@ -233,7 +239,7 @@ func (s *Session) matchVisible(th *tableHandle, where sqlparser.Expr, params []s
 func (s *Session) lockMatched(th *tableHandle, tids []storage.TID, h *monitor.Handle) error {
 	table := strings.ToLower(th.meta.Name)
 	for _, tid := range tids {
-		if err := s.acquireLock(rowLockKey(table, tid), lockX, h); err != nil {
+		if err := s.acquireLock(rowLockKey(table, tid), h); err != nil {
 			return err
 		}
 	}

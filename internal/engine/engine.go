@@ -73,6 +73,14 @@ type DB struct {
 
 	plans *stmtCache // prepared statements by shape (prepared.go)
 
+	// Statement admission (admit.go): every session's slot, and the DDL
+	// word — the DDL under way, nil almost always — with the mutex its
+	// writers take and the count of sessions and DDL waiting on it.
+	slots      sync.Map // *slot -> nil
+	ddlMu      sync.Mutex
+	ddl        atomic.Pointer[[]*ddlEntry]
+	ddlWaiting atomic.Int64
+
 	nextSession     atomic.Int64
 	currentSessions atomic.Int64
 	peakSessions    atomic.Int64
@@ -361,7 +369,7 @@ func (db *DB) RegisterVirtual(name string, schema sqltypes.Schema, provider func
 		},
 		provider: provider,
 	}
-	// A cached statement's lock list was computed when the name was no
+	// A cached statement's scope was computed when the name was no
 	// virtual table.
 	db.plans.invalidate()
 	return nil
@@ -373,8 +381,22 @@ func (db *DB) Monitor() *monitor.Monitor { return db.mon }
 // Catalog returns the system catalog.
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
-// LockStats returns lock-manager counters (Figure 8's data source).
-func (db *DB) LockStats() lock.Stats { return db.locks.Stats() }
+// LockStats returns the lock counters (Figure 8's data source): the lock
+// manager's row locks and write gates, plus the tables of running DDL
+// among the held and the sessions and DDL waiting on a DDL among the
+// waiting.
+func (db *DB) LockStats() lock.Stats {
+	ls := db.locks.Stats()
+	if w := db.ddl.Load(); w != nil {
+		for _, e := range *w {
+			if e.state == ddlRunning {
+				ls.Held += len(e.tables)
+			}
+		}
+	}
+	ls.Waiting += int(db.ddlWaiting.Load())
+	return ls
+}
 
 // PoolStats returns buffer-pool counters.
 func (db *DB) PoolStats() storage.PoolStats { return db.pool.Stats() }
@@ -525,7 +547,7 @@ type SystemStats struct {
 	Statements      int64
 	LocksHeld       int64
 	LockWaits       int64
-	LockWaitNanos   int64 // cumulative wallclock sessions spent parked on lock queues
+	LockWaitNanos   int64 // cumulative wallclock sessions spent parked on lock queues or behind DDL
 	Deadlocks       int64
 	CacheHits       int64
 	CacheMisses     int64
@@ -554,7 +576,7 @@ type SystemStats struct {
 
 // Stats samples the engine-wide statistics.
 func (db *DB) Stats() SystemStats {
-	ls := db.locks.Stats()
+	ls := db.LockStats()
 	ps := db.pool.Stats()
 	ws := db.wal.Stats()
 	return SystemStats{
@@ -600,15 +622,6 @@ type executorStorage struct {
 	snap *snapshot
 }
 
-// snapshot returns the statement's snapshot, falling back to current
-// committed reality for internal callers that scan outside a session.
-func (s executorStorage) snapshot() *snapshot {
-	if s.snap != nil {
-		return s.snap
-	}
-	return s.db.txns.realitySnapshot()
-}
-
 var _ executor.Storage = executorStorage{}
 
 // profPool recycles wait profilers across flagged statement
@@ -636,16 +649,16 @@ type MvccStats struct {
 
 // MvccStats samples the MVCC counters.
 func (db *DB) MvccStats() MvccStats {
-	inflight, snaps, abortedIDs := db.txns.counts()
+	snaps, oldest := db.snapshotGauges(time.Now())
 	return MvccStats{
 		TxnBegins:           db.txns.begins.Load(),
 		TxnCommits:          db.txns.commits.Load(),
 		TxnAborts:           db.txns.aborts.Load(),
 		WriteConflicts:      db.txns.conflicts.Load(),
-		InflightTxns:        int64(inflight),
+		InflightTxns:        int64(len(db.txns.state.Load().inflight)),
 		ActiveSnapshots:     int64(snaps),
-		AbortedIDs:          int64(abortedIDs),
-		OldestSnapshotNanos: int64(db.txns.oldestSnapshotAge(time.Now())),
+		AbortedIDs:          int64(len(*db.txns.aborted.Load())),
+		OldestSnapshotNanos: int64(oldest),
 		VacuumRuns:          db.vacRuns.Load(),
 		VacuumReclaimed:     db.vacReclaimed.Load(),
 		VacuumCleared:       db.vacCleared.Load(),

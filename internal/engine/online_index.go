@@ -7,20 +7,21 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
+	"repro/internal/monitor"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
 
 // onlineBuildChunk is how many live rows one backfill batch visits
-// between releases of the table's S lock. Small enough that a writer
-// never waits long, large enough that lock churn stays negligible.
+// before the side-log is drained, so the final catch-up replays only the
+// tail of concurrent DML.
 const onlineBuildChunk = 512
 
 // sideLogEntry is one index mutation captured while an online build
 // scans the heap: the already tid-suffixed key and its TID payload.
-// Entries are appended under the table's X lock, so log order equals
-// DML order.
+// Entries are appended under the table's statement write gate, so log
+// order equals DML order.
 type sideLogEntry struct {
 	del bool
 	key []byte
@@ -30,7 +31,7 @@ type sideLogEntry struct {
 // indexSideLog accumulates the index maintenance an in-progress online
 // build owes for DML that ran while it scanned. insertVersion and
 // dropVersionIndexEntries append through the handle's atomic pointer; the builder drains
-// between backfill chunks and a final time under the DDL gate. If
+// between backfill chunks and a final time with the table drained. If
 // computing a key fails the error is parked for the builder — the DML
 // statement itself never fails because of a background build.
 type indexSideLog struct {
@@ -85,7 +86,7 @@ func replaySideLog(bt *storage.BTree, entries []sideLogEntry) error {
 // logToSideLog is the insertVersion/dropVersionIndexEntries hook: if
 // an online build is in progress on this table, record the index
 // mutation it cannot see. The caller holds the table's statement write
-// gate (or its X lock on DDL paths).
+// gate (or runs alone on the table, as DDL).
 func logToSideLog(h *tableHandle, del bool, tid storage.TID, row sqltypes.Row) {
 	sl := h.sideLog.Load()
 	if sl == nil {
@@ -100,25 +101,33 @@ func logToSideLog(h *tableHandle, del bool, tid storage.TID, row sqltypes.Row) {
 }
 
 // execCreateIndexOnline builds a secondary index without stalling the
-// workload: the catalog entry is registered with Building set (name
-// reserved, index invisible to the optimizer and to DML maintenance),
-// a side-log is installed under a brief X lock, the heap is backfilled
-// in chunks under a shared lock (writers run between chunks and their
-// index mutations land in the side-log), and the final catch-up +
-// publish happens under the WAL's exclusive gate. Uniqueness is
-// verified in one pass over the finished index — checking per-row
-// during the build would raise false duplicates for rows whose delete
-// is still queued in the side-log. The index file is fsynced before
-// the catalog clears Building, so a crash at any point leaves either a
-// Building entry (dropped, with its file, at the next open) or a fully
-// durable published index.
-func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, err error) {
+// workload. The build enters the DDL word for its whole duration in the
+// building state, which keeps other DDL off the table but parks no
+// statement. The catalog entry is registered with Building set (name
+// reserved, index invisible to the optimizer and to DML maintenance), a
+// side-log is installed under the table's statement write gate, the heap
+// is backfilled in chunks while writers run (their index mutations land
+// in the side-log), and the final catch-up + publish happens once the
+// table has drained, behind the WAL's exclusive gate like other DDL.
+// Uniqueness is verified in one pass over the finished index — checking
+// per-row during the build would raise false duplicates for rows whose
+// delete is still queued in the side-log. The index file is fsynced
+// before the catalog clears Building, so a crash at any point leaves
+// either a Building entry (dropped, with its file, at the next open) or
+// a fully durable published index.
+func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt, mh *monitor.Handle) (_ *Result, err error) {
+	tkey := strings.ToLower(st.Table)
+	e := db.beginDDL([]string{tkey}, ddlBuilding, mh)
+	var walRelease func()
+	defer func() {
+		if walRelease != nil {
+			walRelease()
+		}
+		db.setDDL(e, ddlDone)
+	}()
 	h := db.handle(st.Table)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", st.Table)
-	}
-	if h.sideLog.Load() != nil {
-		return nil, fmt.Errorf("engine: another online index build is running on %s", st.Table)
 	}
 	ix := &catalog.Index{
 		Name:     st.Name,
@@ -162,31 +171,26 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 		return nil, err
 	}
 
-	// Install the side-log under a brief X lock: no DML statement is
-	// mid-flight at that instant, so every mutation after this point is
-	// captured and everything before it is in the heap where the scan
-	// will find it.
-	lockID := db.nextSession.Add(1)
-	tkey := strings.ToLower(st.Table)
-	if err = db.locks.Acquire(lockID, tkey, lockX); err != nil {
+	// Install the side-log holding the table's statement write gate: every
+	// index mutation of the table happens under it (bulk loads and other
+	// DDL wait out the build), so each one is either in the heap for the
+	// scan to find or captured in the log.
+	gateID := db.nextSession.Add(1)
+	if err = db.locks.Acquire(gateID, writeGateKey(tkey)); err != nil {
 		return nil, err
 	}
 	sl := &indexSideLog{cols: st.Columns}
 	h.sideLog.Store(sl)
-	db.locks.ReleaseAll(lockID)
+	db.locks.ReleaseAll(gateID)
 
-	// Backfill in chunks under a shared lock. A (page, slot) scan
-	// position is stable across the unlock windows: deletes never
-	// compact slots and inserts only append.
+	// Backfill in chunks. A (page, slot) scan position is stable between
+	// chunks: deletes never compact slots and inserts only append.
 	var (
 		page uint32
 		slot int
 		done bool
 	)
 	for !done {
-		if err = db.locks.Acquire(lockID, tkey, lockS); err != nil {
-			return nil, err
-		}
 		page, slot, done, err = h.heap.ScanChunk(page, slot, onlineBuildChunk, func(tid storage.TID, rec []byte) error {
 			if len(rec) < storage.VersionHeaderSize {
 				return fmt.Errorf("engine: unversioned record %v in %s", tid, h.meta.Name)
@@ -201,12 +205,9 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 			}
 			return bt.Put(tidSuffix(key, tid), tidBytes(tid))
 		})
-		db.locks.ReleaseAll(lockID)
 		if err != nil {
 			return nil, err
 		}
-		// Drain between chunks so the final catch-up under the gate
-		// replays only the tail of concurrent DML.
 		entries, serr := sl.drain()
 		if serr == nil {
 			serr = replaySideLog(bt, entries)
@@ -216,11 +217,11 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 		}
 	}
 
-	// Final catch-up and publish under the DDL gate: every in-flight
-	// write transaction is waited out and no new one can start, so the
-	// drained tail is complete and the publish is atomic.
-	release := db.wal.BeginExclusive()
-	defer release()
+	// Final catch-up and publish with the table drained: no statement on
+	// it is in flight and none can start, so the drained tail is complete
+	// and the publish is atomic.
+	e = db.runDDL(e, mh)
+	walRelease = db.wal.BeginExclusive()
 	entries, serr := sl.drain()
 	if serr == nil {
 		serr = replaySideLog(bt, entries)
@@ -265,9 +266,8 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 // duplicate. A potential duplicate that hinges on a pending
 // transaction cannot be resolved without waiting for it — the build
 // fails with a retryable error instead of blocking under the DDL gate.
-// Offline builds run under the table's X lock, which excludes the IX
-// locks write transactions hold until commit, so they never see
-// pending versions.
+// Offline builds run once the table has drained — every transaction
+// that wrote it has ended — so they never see pending versions.
 func (db *DB) verifyUniqueLive(h *tableHandle, bt *storage.BTree, name string) error {
 	var (
 		prev          []byte

@@ -12,10 +12,10 @@ import (
 // index over a populated table while one writer session keeps
 // inserting, and report (a) the build's wallclock, (b) how many writes
 // completed during the build, and (c) the longest single write stall.
-// The blocking build holds the table X lock and the DDL gate for its
-// whole duration, so its max stall approaches the build time; the
-// online build bounds stalls to a backfill chunk plus the final
-// catch-up under the gate.
+// The blocking build holds its table and the WAL's exclusive gate for
+// its whole duration, so its max stall approaches the build time; the
+// online build bounds stalls to the final catch-up with the table
+// drained.
 func benchIndexBuild(b *testing.B, online bool) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

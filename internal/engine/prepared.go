@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/executor"
-	"repro/internal/lock"
 	"repro/internal/monitor"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
@@ -21,20 +20,20 @@ import (
 // An entry holds everything the parser, the catalog lookups before
 // execution and the optimizer derived from the first statement of the
 // shape; a later one binds its literals into the parameter vector and
-// goes straight to the lock manager and the executor. A miss runs the
+// goes straight to admission and the executor. A miss runs the
 // parser over the same tokens, so the parser stays the only definition
 // of the language and of which literals are parameters.
 
 // stmtClass is how the statement path treats a statement around its
-// execution: which table-lock mode, whether it opens a WAL unit, whether
-// it commits the open transaction first.
+// execution: admitted to its tables or entered into the DDL word, and
+// whether a failure aborts the open transaction.
 type stmtClass uint8
 
 const (
 	classOther     stmtClass = iota // SELECT, EXPLAIN, CREATE STATISTICS, SET
 	classDML                        // INSERT, UPDATE, DELETE
-	classDDL                        // runs alone behind the WAL's exclusive gate
-	classOnlineDDL                  // CREATE INDEX ... ONLINE: takes its own locks
+	classDDL                        // drains its table, then runs alone behind the WAL's exclusive gate
+	classOnlineDDL                  // CREATE INDEX ... ONLINE: enters the DDL word itself
 )
 
 // planEntry is the optimizer's and the executor compiler's output for
@@ -51,9 +50,10 @@ type prepared struct {
 	stmt   sqlparser.Statement
 	kind   string
 	class  stmtClass
-	tables []string  // as written, in first-appearance order (the parser sensor's view)
-	locks  []string  // table locks to take: lower-cased, sorted, virtual tables left out
-	mode   lock.Mode // their mode
+	tables []string // as written, in first-appearance order (the parser sensor's view)
+	// scope is what the statement's slot names (or, for DDL, what enters
+	// the DDL word): lower-cased, sorted, virtual tables left out.
+	scope []string
 
 	// SELECT only, filled in once the statement is planned.
 	plan    *planEntry
@@ -121,44 +121,40 @@ func (p *prepared) observe(h *monitor.Handle, lane int64) {
 // key (when the statement has one) together with the parser's bindings.
 func (db *DB) newPrepared(sc *sqlparser.Scanner, parsed *sqlparser.ParseResult) *prepared {
 	stmt, key, lits := parsed.Stmt, sc.Key(), sc.Literals()
-	p := &prepared{stmt: stmt, kind: stmt.Kind(), tables: sqlparser.ReferencedTables(stmt), mode: lockS, text: sc.Text()}
+	p := &prepared{stmt: stmt, kind: stmt.Kind(), tables: sqlparser.ReferencedTables(stmt), text: sc.Text()}
 	cacheable := false
 	switch st := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		cacheable = true
 	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		p.class, p.mode = classDML, lockIX
+		p.class = classDML
 		cacheable = len(lits) <= maxCachedDMLLiterals
 	case *sqlparser.CreateIndexStmt:
-		// CREATE INDEX ... ONLINE must not run behind the upfront
-		// exclusive gate or the table X lock — the whole point is that
-		// DML proceeds during the build. The builder takes its own
-		// locks per chunk and the gate only for the final catch-up.
+		// CREATE INDEX ... ONLINE must not drain its table upfront — the
+		// whole point is that DML proceeds during the build; the builder
+		// enters the DDL word itself and drains only for the final
+		// catch-up.
+		p.class = classDDL
 		if st.Online {
 			p.class = classOnlineDDL
-		} else {
-			p.class, p.mode = classDDL, lockX
 		}
 	case *sqlparser.DropIndexStmt:
-		// The statement names only the index; the table it excludes
-		// readers and writers of is the index's.
-		p.class, p.mode = classDDL, lockX
+		// The statement names only the index; the table it drains is the
+		// index's.
+		p.class = classDDL
 		if ix := db.cat.Index(st.Name); ix != nil {
-			p.locks = append(p.locks, strings.ToLower(ix.Table))
+			p.scope = append(p.scope, strings.ToLower(ix.Table))
 		}
 	case *sqlparser.CreateTableStmt, *sqlparser.DropTableStmt, *sqlparser.ModifyStmt:
-		p.class, p.mode = classDDL, lockX
+		p.class = classDDL
 	}
-	if p.class != classOnlineDDL {
-		// Sorted to reduce deadlocks. Virtual tables are lock-free
-		// snapshots.
-		for _, t := range p.tables {
-			if t = strings.ToLower(t); db.virtualTable(t) == nil {
-				p.locks = append(p.locks, t)
-			}
+	// Virtual tables are snapshots no DDL changes.
+	for _, t := range p.tables {
+		if t = strings.ToLower(t); db.virtualTable(t) == nil {
+			p.scope = append(p.scope, t)
 		}
-		slices.Sort(p.locks)
 	}
+	slices.Sort(p.scope)
 	if key == nil {
 		p.digest = sqlparser.Digest(p.text, nil)
 		return p
@@ -203,16 +199,16 @@ type stmtCache struct {
 	n   int // entries, over all shapes
 	m   map[string][]*prepared
 	// gen counts invalidations. A session looks its statement up before
-	// it holds the statement's table locks, so DDL on those tables may
+	// it is admitted to the statement's tables, so DDL on those tables may
 	// drop the cache in between; it notes gen at the lookup and checks it
-	// again under the locks (Session.Exec).
+	// again once admitted (Session.Exec).
 	gen atomic.Uint64
 
 	// Cold-path counters behind the stmt_cache_* statistics columns.
 	// Hits are not counted: they are the statements minus the misses.
 	misses        atomic.Int64 // statements that took the parser's road
 	evictions     atomic.Int64 // entries dropped for capacity
-	staleReparses atomic.Int64 // hits DDL overtook on the way to the locks
+	staleReparses atomic.Int64 // hits DDL overtook on the way to admission
 }
 
 func newStmtCache(capacity int) *stmtCache {
@@ -341,7 +337,7 @@ func (s *Session) prepare(sql string, tick int64, h *monitor.Handle) (*prepared,
 
 // parse is the miss road of prepare: the parser over the tokens of the
 // session's last scan. Exec also takes it for a cache hit that DDL
-// overtook on the way to the table locks.
+// overtook on the way to admission.
 func (s *Session) parse(tick int64, h *monitor.Handle) (*prepared, []sqltypes.Value, error) {
 	sc := &s.scan
 	parsed, err := sc.Parse()

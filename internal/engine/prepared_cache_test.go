@@ -135,7 +135,7 @@ func TestStatementCacheConcurrent(t *testing.T) {
 	stop := make(chan struct{})
 	ddls := int64(0) // written by the DDL goroutine, read after wg.Wait
 	wg.Add(1)
-	go func() { // DDL under the table's X lock: every statement drops the cache; shapes are published again
+	go func() { // DDL on the drained table: every statement drops the cache; shapes are published again
 		defer wg.Done()
 		s := db.NewSession()
 		defer s.Close()

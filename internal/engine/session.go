@@ -4,23 +4,17 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/executor"
-	"repro/internal/lock"
 	"repro/internal/monitor"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
-)
-
-const (
-	lockS  = lock.Shared
-	lockIX = lock.Intent
-	lockX  = lock.Exclusive
 )
 
 // ErrWriteConflict is returned (wrapped) when first-updater-wins
@@ -33,12 +27,14 @@ var ErrWriteConflict = errors.New("engine: write conflict, transaction aborted")
 //
 // Statements run under snapshot isolation: each statement (or each
 // Begin..Commit transaction) captures an MVCC snapshot and sees exactly
-// the versions committed when it was taken. Readers take only a shared
-// table lock (DDL exclusion) — never row locks — and never block on
-// writers. Writers take an intention lock on the table plus exclusive
+// the versions committed when it was taken. A statement takes no lock to
+// read: it names its tables in the session's slot, which keeps DDL off
+// them (admit.go), and never blocks on writers. Writers take exclusive
 // row locks on the versions they supersede, held until Commit or
-// Rollback; write-write conflicts abort with ErrWriteConflict
-// (first-updater-wins) and lock cycles with lock.ErrDeadlock.
+// Rollback, and a table's statement write gate while they write;
+// write-write conflicts abort with ErrWriteConflict (first-updater-wins)
+// and lock cycles with lock.ErrDeadlock. Inside Begin..Commit the slot
+// keeps naming every table the transaction touched until it ends.
 type Session struct {
 	db     *DB
 	id     int64
@@ -47,19 +43,20 @@ type Session struct {
 	// txnID is the MVCC transaction id, allocated lazily at the first
 	// write of the transaction (0 = read-only so far).
 	txnID uint64
-	// snap is the current visibility snapshot: statement-scoped in
-	// autocommit, transaction-scoped inside Begin..Commit.
-	snap *snapshot
+	// slot is the session's admission entry; held is what it names for
+	// the open transaction (nil outside one, or before its first
+	// statement).
+	slot slot
+	held *[]string
+	// snap is the current visibility snapshot, &snapBuf while one is
+	// active: statement-scoped in autocommit, transaction-scoped inside
+	// Begin..Commit. snapBuf is reused by every statement.
+	snap    *snapshot
+	snapBuf snapshot
 	// deltas accumulates the transaction's net row-count change per
 	// table; applied to the heap counters only at commit, so aborted
 	// inserts never show up in Rows().
 	deltas map[string]int64
-	// wtx is the WAL unit of the statement currently executing. It is
-	// per-statement even inside a transaction: the WAL's physical
-	// page-image undo cannot tolerate interleaved concurrent
-	// transactions, so transaction atomicity comes from the MVCC commit
-	// record (WALTxnCommit), not from WAL scoping.
-	wtx *storage.WalTxn
 	// prof is the wait profiler of the currently executing statement,
 	// non-nil only while a phase-2 flagged statement runs (Exec sets
 	// and clears it; sessions execute one statement at a time).
@@ -127,8 +124,8 @@ func (s *Session) effectiveParallel() int {
 }
 
 // Begin starts a transaction: one snapshot covers all its statements
-// and locks are held until Commit or Rollback. Nested BEGIN is an
-// error — the already-open transaction is left untouched.
+// and its row locks and tables are held until Commit or Rollback. Nested
+// BEGIN is an error — the already-open transaction is left untouched.
 func (s *Session) Begin() error {
 	if s.inTxn {
 		return fmt.Errorf("engine: BEGIN inside an open transaction")
@@ -143,10 +140,7 @@ func (s *Session) Begin() error {
 // snapshots — and its locks are released. A durability failure aborts
 // the transaction instead: its versions stay invisible.
 func (s *Session) Commit() error {
-	err := s.finishWalTxn(false)
-	if cerr := s.endTxn(err == nil); cerr != nil && err == nil {
-		err = cerr
-	}
+	err := s.endTxn(true)
 	s.inTxn = false
 	return err
 }
@@ -155,15 +149,15 @@ func (s *Session) Commit() error {
 // every version it wrote is invisible to all snapshots — no physical
 // undo happens; vacuum reclaims the versions later. Locks are released.
 func (s *Session) Rollback() {
-	s.finishWalTxn(false)
 	s.endTxn(false)
 	s.inTxn = false
 }
 
 // endTxn finishes the session's MVCC scope: commit or abort the open
 // transaction id, apply (or drop) its row-count deltas, release its
-// snapshot and all its locks. Safe to call with no transaction open —
-// it then just releases snapshot and locks (read-only statement end).
+// snapshot, its tables and its row locks. Safe to call with no
+// transaction open — it then just releases snapshot and tables
+// (read-only statement end), touching no mutex.
 func (s *Session) endTxn(commit bool) error {
 	db := s.db
 	var err error
@@ -185,25 +179,59 @@ func (s *Session) endTxn(commit bool) error {
 		} else {
 			db.txns.abort(s.txnID)
 		}
+		// Only a writer locks, and every writer has an id.
+		db.locks.ReleaseAll(s.id)
 		s.txnID = 0
 	}
 	s.deltas = nil
 	if s.snap != nil {
-		db.txns.release(s.snap)
+		s.slot.xmin.Store(0)
 		s.snap = nil
 	}
-	db.locks.ReleaseAll(s.id)
+	s.slot.tables.Store(nil)
+	s.held = nil
 	return err
+}
+
+// enter admits the statement to its tables (admit.go). Inside a
+// transaction the slot names the union of the statement's tables and the
+// ones the transaction holds, which it holds from then on.
+func (s *Session) enter(p *prepared, h *monitor.Handle) {
+	want := &p.scope
+	if s.held != nil {
+		want = s.held
+		if slices.ContainsFunc(p.scope, func(t string) bool { return !slices.Contains(*s.held, t) }) {
+			u := slices.Concat(*s.held, p.scope)
+			slices.Sort(u)
+			u = slices.Compact(u)
+			want = &u
+		}
+	}
+	s.db.admit(&s.slot, want, s.held, h)
+	if s.inTxn {
+		s.held = want
+	}
 }
 
 // ensureSnapshot captures the session's visibility snapshot if none is
 // active (first statement of a transaction, or any autocommit
-// statement). Called after the statement's table locks are granted.
-func (s *Session) ensureSnapshot() *snapshot {
-	if s.snap == nil {
-		s.snap = s.db.txns.capture(s.txnID)
+// statement), once the statement is admitted. The slot announces the
+// floor of the published state before the snapshot loads the state
+// again — ids only grow, so that floor is no higher than the snapshot's
+// (vacuumHorizon relies on the order). taken is the statement's start,
+// when the monitor read the clock.
+func (s *Session) ensureSnapshot(taken time.Time) {
+	if s.snap != nil {
+		return
 	}
-	return s.snap
+	s.slot.xmin.Store(s.db.txns.state.Load().xmin)
+	s.db.txns.capture(&s.snapBuf, s.txnID)
+	var ns int64
+	if !taken.IsZero() {
+		ns = taken.UnixNano()
+	}
+	s.slot.taken.Store(ns)
+	s.snap = &s.snapBuf
 }
 
 // ensureTxnID allocates the MVCC transaction id at the first write.
@@ -212,9 +240,6 @@ func (s *Session) ensureTxnID() uint64 {
 		s.txnID = s.db.txns.begin()
 		if s.snap != nil {
 			s.snap.setSelf(s.txnID)
-		}
-		if s.wtx != nil {
-			s.wtx.SetOwner(s.txnID)
 		}
 	}
 	return s.txnID
@@ -228,28 +253,6 @@ func (s *Session) addDelta(table string, d int64) {
 	s.deltas[strings.ToLower(table)] += d
 }
 
-// ensureWalTxn opens the statement's WAL unit if none is active.
-// Called before the statement's table locks are taken: the WAL's DDL
-// gate is ordered strictly before table locks, everywhere.
-func (s *Session) ensureWalTxn() {
-	if s.wtx == nil {
-		s.wtx = s.db.wal.Begin()
-		s.wtx.SetOwner(s.txnID)
-	}
-}
-
-// finishWalTxn closes the statement's WAL unit, logging the
-// after-images and finish record; wait additionally blocks until they
-// are durable. Must precede any lock release.
-func (s *Session) finishWalTxn(wait bool) error {
-	t := s.wtx
-	if t == nil {
-		return nil
-	}
-	s.wtx = nil
-	return t.Commit(wait)
-}
-
 // NewSession opens a session.
 func (db *DB) NewSession() *Session {
 	cur := db.currentSessions.Add(1)
@@ -259,7 +262,9 @@ func (db *DB) NewSession() *Session {
 			break
 		}
 	}
-	return &Session{db: db, id: db.nextSession.Add(1), parallel: defaultParallel()}
+	s := &Session{db: db, id: db.nextSession.Add(1), parallel: defaultParallel()}
+	db.slots.Store(&s.slot, nil)
+	return s
 }
 
 // runPrepared executes a compiled plan and returns the materialized
@@ -290,8 +295,8 @@ func (s *Session) Close() {
 		return
 	}
 	s.closed = true
-	s.finishWalTxn(false)
 	s.endTxn(false)
+	s.db.slots.Delete(&s.slot)
 	s.db.currentSessions.Add(-1)
 }
 
@@ -338,98 +343,57 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		s.prof = profPool.Get().(*storage.WaitProf)
 		s.prof.Reset()
 		defer func() {
-			// Runs after the deferred lock release and (in autocommit)
-			// the WAL durability wait: every wait source has landed and
-			// Finish has latched the wall time on all paths.
+			// Runs after the lock release and (in autocommit) the WAL
+			// durability wait: every wait source has landed and Finish
+			// has latched the wall time on all paths.
 			io, fsync, pin := s.prof.Totals()
 			h.AddWaits(execNs, io, fsync, pin)
 			h.FlushWaits()
-			if s.wtx != nil {
-				s.wtx.SetProf(nil)
-			}
 			profPool.Put(s.prof)
 			s.prof = nil
 		}()
 	}
-	isDML, isDDL, isOnlineDDL := p.class == classDML, p.class == classDDL, p.class == classOnlineDDL
+	isDML, isDDL := p.class == classDML, p.class >= classDDL
 
-	var ddlRelease func()
-	if isDDL || isOnlineDDL {
-		// DDL implicitly commits the open transaction, then (offline
-		// DDL) runs alone behind the WAL's exclusive gate: no logged
-		// statement spans a file rebuild, so recovery can never replay a
-		// stale pre-rebuild image onto the new file. The gate is
-		// acquired before any table lock, matching the global
-		// gate-before-locks order. An online build takes neither the
-		// gate nor upfront locks — the builder takes its own per chunk.
-		if err := s.finishWalTxn(false); err != nil {
-			h.Finish(0, 0, 0, err)
-			return nil, err
-		}
+	var ddl *ddlEntry
+	var walRelease func()
+	if isDDL {
+		// DDL implicitly commits the open transaction, so the session
+		// holds nothing while it waits. Offline DDL then drains its
+		// tables and runs alone behind the WAL's exclusive gate, taken
+		// only once they are drained: no logged statement spans a file
+		// rebuild, so recovery can never replay a stale pre-rebuild image
+		// onto the new file. An online build enters the DDL word itself.
 		if err := s.endTxn(true); err != nil {
 			s.inTxn = false
 			h.Finish(0, 0, 0, err)
 			return nil, err
 		}
 		s.inTxn = false
-		if isDDL {
-			ddlRelease = db.wal.BeginExclusive()
-			defer func() {
-				if ddlRelease != nil {
-					ddlRelease()
-				}
-			}()
+		if p.class == classDDL {
+			ddl = db.runDDL(db.beginDDL(p.scope, ddlPending, &h), &h)
+			walRelease = db.wal.BeginExclusive()
 		}
-	} else if isDML {
-		// The statement's WAL unit (and with it the DDL gate's read
-		// side) is opened before the first table lock — same global
-		// order. SELECTs need no WAL unit: MVCC reads never write.
-		s.ensureWalTxn()
-	}
-	if s.prof != nil && s.wtx != nil {
-		// Commit-path waits (after-image page gets, the group-commit
-		// durability wait) attribute to this statement's profiler. The
-		// deferred flush detaches it, so a transaction outliving the
-		// statement never writes into a recycled profiler.
-		s.wtx.SetProf(s.prof)
-	}
-
-	// Table-lock acquisition, in the sorted order the prepared statement
-	// carries. Readers take Shared (DDL exclusion only — they never
-	// block on or behind writers), DML takes Intent, DDL takes
-	// Exclusive; an online index build takes none here. Row-level write
-	// locks are taken inside the DML executors, per matched row.
-	for _, t := range p.locks {
-		var lockStart time.Time
-		if s.prof != nil {
-			lockStart = time.Now()
-		}
-		err := db.locks.Acquire(s.id, t, p.mode)
-		if s.prof != nil {
-			h.AddLockWait(time.Since(lockStart))
-		}
-		if err != nil {
-			// A deadlock victim aborts its whole transaction.
-			return nil, s.abort(&h, err)
-		}
+	} else {
+		s.enter(p, &h)
 	}
 	if p.key != "" && s.cacheGen != db.plans.gen.Load() {
 		// DDL dropped the cache between this statement's lookup and its
-		// table locks: what the entry holds (a plan over an index or a
-		// storage structure) may be gone. Under the locks nothing can
-		// change any more, so parse and plan afresh — the same tables,
-		// hence the same locks.
+		// admission: what the entry holds (a plan over an index or a
+		// storage structure) may be gone. Admitted, nothing can change
+		// any more, so parse and plan afresh — the same tables, hence the
+		// same admission.
 		db.plans.staleReparses.Add(1)
 		if p, params, err = s.parse(tick, &h); err != nil {
 			return nil, s.abort(&h, err)
 		}
 	}
 	stmt := p.stmt
-	if !isDDL && !isOnlineDDL {
-		// The visibility snapshot: captured after the table locks so a
-		// schema change cannot slide under it. One snapshot per
-		// statement in autocommit; per transaction inside Begin..Commit.
-		s.ensureSnapshot()
+	if !isDDL {
+		// The visibility snapshot: captured once admitted so a schema
+		// change cannot slide under it. One snapshot per statement in
+		// autocommit; per transaction inside Begin..Commit.
+		s.ensureSnapshot(h.Started())
 	}
 
 	if s.prof != nil {
@@ -451,7 +415,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		res, err = db.execDropTable(st)
 	case *sqlparser.CreateIndexStmt:
 		if st.Online {
-			res, err = db.execCreateIndexOnline(st)
+			res, err = db.execCreateIndexOnline(st, &h)
 		} else {
 			res, err = db.execCreateIndex(st)
 		}
@@ -481,38 +445,30 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		}
 	}
 	if !s.inTxn {
-		// Autocommit: close the statement's WAL unit, then commit (or
-		// abort) the statement's MVCC transaction. The commit record's
-		// durability wait covers the statement's log records; a pure
-		// read has no transaction id and just drops snapshot and locks.
-		if ferr := s.finishWalTxn(false); ferr != nil && err == nil {
-			err = ferr
-		}
+		// Autocommit: commit (or abort) the statement's MVCC transaction;
+		// the commit record's durability wait covers the statement's log
+		// records. A pure read has no transaction id and just drops its
+		// snapshot and tables.
 		if eerr := s.endTxn(err == nil); eerr != nil && err == nil {
 			err = eerr
 		}
-	} else {
-		if ferr := s.finishWalTxn(false); ferr != nil && err == nil {
-			err = ferr
-		}
-		if err != nil && isDML {
-			// A failed write statement aborts the whole transaction:
-			// with no statement-level undo, the abort is what keeps its
-			// partial effects invisible.
-			s.endTxn(false)
-			s.inTxn = false
-		}
+	} else if err != nil && isDML {
+		// A failed write statement aborts the whole transaction: with no
+		// statement-level undo, the abort is what keeps its partial
+		// effects invisible.
+		s.endTxn(false)
+		s.inTxn = false
 	}
-	if isDDL && err == nil {
-		// DDL bypasses the log (its file rebuilds are made durable
-		// wholesale): checkpoint under the exclusive gate so the new
-		// files and catalog hit disk and the redo scan start moves past
-		// every pre-DDL record.
-		err = db.Checkpoint()
-	}
-	if ddlRelease != nil {
-		ddlRelease()
-		ddlRelease = nil
+	if ddl != nil {
+		if err == nil {
+			// DDL bypasses the log (its file rebuilds are made durable
+			// wholesale): checkpoint under the exclusive gate so the new
+			// files and catalog hit disk and the redo scan start moves
+			// past every pre-DDL record.
+			err = db.Checkpoint()
+		}
+		walRelease()
+		db.setDDL(ddl, ddlDone)
 	}
 	if err != nil {
 		h.Finish(0, 0, 0, err)
@@ -528,11 +484,8 @@ func (s *Session) Exec(sql string) (*Result, error) {
 }
 
 // abort ends a statement that failed before it was dispatched, and with
-// it the whole transaction: versions it wrote become invisible. The WAL
-// finish lands before the lock release so no later statement can commit
-// over a still-open one.
+// it the whole transaction: versions it wrote become invisible.
 func (s *Session) abort(h *monitor.Handle, err error) error {
-	s.finishWalTxn(false)
 	s.endTxn(false)
 	s.inTxn = false
 	h.Finish(0, 0, 0, err)

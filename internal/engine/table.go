@@ -92,10 +92,9 @@ func storageKey(meta *catalog.Table) []string {
 // attachWalTxn points every file of the table at the WAL transaction
 // that is about to mutate it, so Page.WillModify captures before-images
 // for t. Returns the detach func; callers defer it for the statement's
-// duration. The caller holds the table's statement write gate (or a
-// table X lock), which is what guarantees a single non-nil attachment
-// at a time. A nil t attaches nothing (unlogged paths: DDL rebuilds
-// behind the exclusive gate).
+// duration. The caller holds the table's statement write gate (or runs
+// alone on the table, as DDL), which is what guarantees a single non-nil
+// attachment at a time. A nil t attaches nothing.
 func (db *DB) attachWalTxn(h *tableHandle, t *storage.WalTxn) func() {
 	if t == nil {
 		return func() {}
@@ -190,8 +189,8 @@ func (db *DB) checkUnique(h *tableHandle, row sqltypes.Row, self uint64) error {
 // the encoded row), maintaining the primary structure and all secondary
 // indexes — every heap version gets index entries; visibility filtering
 // happens at scan time and vacuum removes entries with the versions.
-// The caller holds the table's statement write gate (or a table X
-// lock).
+// The caller holds the table's statement write gate (or runs alone on
+// the table, as DDL).
 func (db *DB) insertVersion(h *tableHandle, row sqltypes.Row, vh storage.VersionHeader, self uint64) (storage.TID, error) {
 	if err := db.checkUnique(h, row, self); err != nil {
 		return 0, err
@@ -265,24 +264,18 @@ func (db *DB) dropVersionIndexEntries(h *tableHandle, tid storage.TID, row sqlty
 // BulkInsert loads rows into a table efficiently, bypassing SQL but
 // maintaining structures and uniqueness like the normal path. Rows are
 // stamped with the frozen transaction id — committed forever — so the
-// load is visible even to snapshots taken before it finished (the bulk
-// path trades that anomaly for not holding an id open; it runs under a
-// table X lock, so no concurrent writer interleaves). Used by the
-// workload generator.
+// load runs alone on its table, like DDL: it enters the DDL word and
+// waits for the table to drain, and no statement sees it half done. It is
+// logged, so it needs no exclusive WAL gate. Used by the workload
+// generator.
 func (db *DB) BulkInsert(table string, rows []sqltypes.Row) error {
+	e := db.runDDL(db.beginDDL([]string{strings.ToLower(table)}, ddlPending, nil), nil)
+	defer db.setDDL(e, ddlDone)
 	h := db.handle(table)
 	if h == nil {
 		return fmt.Errorf("engine: unknown table %q", table)
 	}
-	// The WAL transaction (gate read side) is opened before the table
-	// lock — same order as Session.Exec.
 	wtx := db.wal.Begin()
-	session := db.nextSession.Add(1)
-	if err := db.locks.Acquire(session, strings.ToLower(table), lockX); err != nil {
-		wtx.Commit(false)
-		return err
-	}
-	defer db.locks.ReleaseAll(session)
 	detach := db.attachWalTxn(h, wtx)
 	var err error
 	var inserted int64
@@ -298,7 +291,7 @@ func (db *DB) BulkInsert(table string, rows []sqltypes.Row) error {
 	}
 	detach()
 	// Finish (and on success wait out) the WAL transaction before the
-	// deferred lock release.
+	// table is let go.
 	if ferr := wtx.Commit(err == nil); ferr != nil && err == nil {
 		err = ferr
 	}
@@ -439,7 +432,7 @@ func (s executorStorage) ScanTable(name string) (executor.RowBatchIter, error) {
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", name)
 	}
-	return &heapScanIter{it: h.heap.ScanBatchProf(s.prof), snap: s.snapshot()}, nil
+	return &heapScanIter{it: h.heap.ScanBatchProf(s.prof), snap: s.snap}, nil
 }
 
 // morselSource implements executor.MorselSource over one heap table:
@@ -469,7 +462,7 @@ func (s executorStorage) MorselTable(name string) (executor.MorselSource, bool, 
 	if h == nil {
 		return nil, false, fmt.Errorf("engine: unknown table %q", name)
 	}
-	return &morselSource{h: h, snap: s.snapshot(), prof: s.prof}, true, nil
+	return &morselSource{h: h, snap: s.snap, prof: s.prof}, true, nil
 }
 
 // IndexRange implements executor.Storage.
@@ -489,7 +482,7 @@ func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executo
 	if bt == nil {
 		return nil, fmt.Errorf("engine: index %s has no storage", index)
 	}
-	return &btreeFetchIter{it: bt.SeekProf(lo, hi, s.prof), heap: h.heap, snap: s.snapshot(), prof: s.prof}, nil
+	return &btreeFetchIter{it: bt.SeekProf(lo, hi, s.prof), heap: h.heap, snap: s.snap, prof: s.prof}, nil
 }
 
 // PrimaryRange implements executor.Storage.
@@ -501,13 +494,13 @@ func (s executorStorage) PrimaryRange(table string, lo, hi []byte) (executor.Row
 	if h.primary == nil {
 		return nil, fmt.Errorf("engine: table %s has no primary B-Tree", table)
 	}
-	return &btreeFetchIter{it: h.primary.SeekProf(lo, hi, s.prof), heap: h.heap, snap: s.snapshot(), prof: s.prof}, nil
+	return &btreeFetchIter{it: h.primary.SeekProf(lo, hi, s.prof), heap: h.heap, snap: s.snap, prof: s.prof}, nil
 }
 
 // scanAll collects every committed-visible row of a table with its TID
-// (DDL rebuild helper). It reads against current reality: callers hold
-// a table X lock, so no writer is in flight on the table and reality is
-// final for it.
+// (DDL rebuild helper). It reads against current reality: callers run
+// alone on the drained table, so no writer is in flight on it and
+// reality is final for it.
 func (db *DB) scanAll(h *tableHandle) ([]storage.TID, []sqltypes.Row, error) {
 	sn := db.txns.realitySnapshot()
 	var tids []storage.TID

@@ -1,10 +1,10 @@
 package engine
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/storage"
@@ -23,18 +23,38 @@ const (
 	firstTxnID  = 2
 )
 
+// txnView is the published transaction state: what a snapshot needs to
+// tell committed from open ids. It is immutable; begin, commit and abort
+// publish a new one under txnManager.mu, and a snapshot is a load of the
+// current one.
+type txnView struct {
+	next     uint64   // ids >= next started after the state was published
+	inflight []uint64 // open transaction ids, ascending
+	xmin     uint64   // min(next, inflight): every id below it has finished
+}
+
+// open reports whether x was in flight in this state.
+func (st *txnView) open(x uint64) bool {
+	if x < st.xmin {
+		return false
+	}
+	_, ok := slices.BinarySearch(st.inflight, x)
+	return ok
+}
+
 type txnManager struct {
-	mu       sync.Mutex
-	next     uint64
-	inflight map[uint64]bool
-	// snaps tracks active snapshots (keyed by a serial) so vacuum can
-	// compute the oldest visibility horizon.
-	snaps      map[uint64]*snapshot
-	snapSerial uint64
+	mu sync.Mutex // serializes the writers of state and aborted
+	// locked counts the times mu was taken: a statement that opens no
+	// transaction must leave it unchanged.
+	locked atomic.Int64
+	state  atomic.Pointer[txnView]
 	// aborted is copy-on-write: snapshots capture the pointer at
 	// creation, making visibility checks lock-free. Ids are only added
 	// while a transaction aborts and removed only by vacuum once no
-	// on-disk record references them.
+	// on-disk record references them. An abort stores it before the
+	// state that drops the id from inflight, and readers load the state
+	// first, so an id a reader finds finished is in the set it loads next
+	// if it aborted.
 	aborted atomic.Pointer[map[uint64]bool]
 
 	begins    atomic.Int64
@@ -45,27 +65,44 @@ type txnManager struct {
 }
 
 func newTxnManager() *txnManager {
-	m := &txnManager{
-		next:     firstTxnID,
-		inflight: map[uint64]bool{},
-		snaps:    map[uint64]*snapshot{},
-	}
+	m := &txnManager{}
+	m.state.Store(&txnView{next: firstTxnID, xmin: firstTxnID})
 	empty := map[uint64]bool{}
 	m.aborted.Store(&empty)
 	return m
 }
 
+func (m *txnManager) lock() {
+	m.mu.Lock()
+	m.locked.Add(1)
+}
+
+// publishLocked stores the state with next and inflight; the caller
+// holds mu and hands over inflight.
+func (m *txnManager) publishLocked(next uint64, inflight []uint64) {
+	xmin := next
+	if len(inflight) > 0 {
+		xmin = inflight[0]
+	}
+	m.state.Store(&txnView{next: next, inflight: inflight, xmin: xmin})
+}
+
+// finishLocked publishes the state without the finished transaction id.
+func (m *txnManager) finishLocked(id uint64) {
+	st := m.state.Load()
+	inflight := st.inflight
+	if i, ok := slices.BinarySearch(inflight, id); ok {
+		inflight = slices.Concat(inflight[:i], inflight[i+1:])
+	}
+	m.publishLocked(st.next, inflight)
+}
+
 // restore seeds the manager from the persisted catalog state plus what
 // recovery derived from the WAL.
 func (m *txnManager) restore(ts catalog.TxnStatus, extraAborted map[uint64]bool, maxSeen uint64) {
-	m.mu.Lock()
+	m.lock()
 	defer m.mu.Unlock()
-	if ts.NextTxnID > m.next {
-		m.next = ts.NextTxnID
-	}
-	if maxSeen >= m.next {
-		m.next = maxSeen + 1
-	}
+	next := max(m.state.Load().next, ts.NextTxnID, maxSeen+1)
 	ab := map[uint64]bool{}
 	for _, id := range ts.Aborted {
 		ab[id] = true
@@ -76,14 +113,15 @@ func (m *txnManager) restore(ts catalog.TxnStatus, extraAborted map[uint64]bool,
 	delete(ab, 0)
 	delete(ab, frozenTxnID)
 	m.aborted.Store(&ab)
+	m.publishLocked(next, nil)
 }
 
-// begin allocates a transaction id and registers it as inflight.
+// begin allocates a transaction id and publishes it as inflight.
 func (m *txnManager) begin() uint64 {
-	m.mu.Lock()
-	id := m.next
-	m.next++
-	m.inflight[id] = true
+	m.lock()
+	st := m.state.Load()
+	id := st.next
+	m.publishLocked(id+1, append(slices.Clip(st.inflight), id))
 	m.mu.Unlock()
 	m.begins.Add(1)
 	return id
@@ -92,30 +130,26 @@ func (m *txnManager) begin() uint64 {
 // commit marks the transaction committed (simply: no longer inflight).
 // The caller has already made the WAL commit record durable.
 func (m *txnManager) commit(id uint64) {
-	m.mu.Lock()
-	delete(m.inflight, id)
+	m.lock()
+	m.finishLocked(id)
 	m.mu.Unlock()
 	m.commits.Add(1)
 }
 
-// abort marks the transaction aborted: removed from inflight and added
-// to the copy-on-write aborted set. Its versions stay on disk but no
-// snapshot — current or future — will see them. Snapshots captured
+// abort marks the transaction aborted: added to the copy-on-write
+// aborted set, then removed from inflight. Its versions stay on disk but
+// no snapshot — current or future — will see them. Snapshots captured
 // before the abort hold the id in their inflight set (or past their
 // horizon), so their older aborted-map reference stays correct.
 func (m *txnManager) abort(id uint64) {
 	if id == 0 {
 		return
 	}
-	m.mu.Lock()
-	delete(m.inflight, id)
-	old := *m.aborted.Load()
-	ab := make(map[uint64]bool, len(old)+1)
-	for k := range old {
-		ab[k] = true
-	}
+	m.lock()
+	ab := maps.Clone(*m.aborted.Load())
 	ab[id] = true
 	m.aborted.Store(&ab)
+	m.finishLocked(id)
 	m.mu.Unlock()
 	m.aborts.Add(1)
 }
@@ -125,12 +159,8 @@ func (m *txnManager) retire(ids []uint64) {
 	if len(ids) == 0 {
 		return
 	}
-	m.mu.Lock()
-	old := *m.aborted.Load()
-	ab := make(map[uint64]bool, len(old))
-	for k := range old {
-		ab[k] = true
-	}
+	m.lock()
+	ab := maps.Clone(*m.aborted.Load())
 	for _, id := range ids {
 		delete(ab, id)
 	}
@@ -139,51 +169,21 @@ func (m *txnManager) retire(ids []uint64) {
 	m.retired.Add(int64(len(ids)))
 }
 
-// snapshot is a point-in-time visibility cut: transaction ids below
-// horizon and in neither the captured inflight set nor the aborted set
-// are committed; everything else (besides self) is invisible.
+// snapshot is a point-in-time visibility cut: transaction ids below the
+// state's next and in neither its inflight set nor the aborted set are
+// committed; everything else (besides self) is invisible.
 type snapshot struct {
-	serial   uint64
-	self     uint64 // owning txn id; 0 for read-only statements
-	horizon  uint64 // ids >= horizon started after the snapshot
-	inflight map[uint64]bool
-	aborted  *map[uint64]bool
-	taken    time.Time
+	self    uint64 // owning txn id; 0 for read-only statements
+	st      *txnView
+	aborted *map[uint64]bool
 }
 
-// capture takes a snapshot for the transaction self (0 for pure
-// readers) and registers it with the manager until release.
-func (m *txnManager) capture(self uint64) *snapshot {
-	m.mu.Lock()
-	sn := &snapshot{
-		self:    self,
-		horizon: m.next,
-		aborted: m.aborted.Load(),
-		taken:   time.Now(),
-	}
-	if len(m.inflight) > 0 {
-		sn.inflight = make(map[uint64]bool, len(m.inflight))
-		for id := range m.inflight {
-			if id != self {
-				sn.inflight[id] = true
-			}
-		}
-	}
-	m.snapSerial++
-	sn.serial = m.snapSerial
-	m.snaps[sn.serial] = sn
-	m.mu.Unlock()
-	return sn
-}
-
-// release unregisters the snapshot.
-func (m *txnManager) release(sn *snapshot) {
-	if sn == nil {
-		return
-	}
-	m.mu.Lock()
-	delete(m.snaps, sn.serial)
-	m.mu.Unlock()
+// capture points sn at the current state for the transaction self (0
+// for pure readers): two atomic loads, no lock, no allocation.
+func (m *txnManager) capture(sn *snapshot, self uint64) {
+	sn.self = self
+	sn.st = m.state.Load()
+	sn.aborted = m.aborted.Load()
 }
 
 // setSelf attaches the lazily-allocated transaction id to a snapshot
@@ -197,16 +197,10 @@ func (sn *snapshot) sees(x uint64) bool {
 	if x == sn.self && x != 0 {
 		return true
 	}
-	if x >= sn.horizon {
+	if x >= sn.st.next || sn.st.open(x) {
 		return false
 	}
-	if sn.inflight[x] {
-		return false
-	}
-	if (*sn.aborted)[x] {
-		return false
-	}
-	return true
+	return !(*sn.aborted)[x]
 }
 
 // visible reports whether the record version carrying header h exists
@@ -219,90 +213,23 @@ func (sn *snapshot) visible(h storage.VersionHeader) bool {
 	return h.Xmax == 0 || !sn.sees(h.Xmax)
 }
 
-// realitySnapshot is a snapshot of current committed reality (no
-// registration, self = 0): what a brand-new transaction would see.
-// Uniqueness checks and DDL rebuilds use it.
+// realitySnapshot is a snapshot of current committed reality (self = 0,
+// held by no slot): what a brand-new transaction would see. Uniqueness
+// checks and DDL rebuilds use it.
 func (m *txnManager) realitySnapshot() *snapshot {
-	m.mu.Lock()
-	sn := &snapshot{horizon: m.next, aborted: m.aborted.Load()}
-	if len(m.inflight) > 0 {
-		sn.inflight = make(map[uint64]bool, len(m.inflight))
-		for id := range m.inflight {
-			sn.inflight[id] = true
-		}
-	}
-	m.mu.Unlock()
-	return sn
-}
-
-// vacuumHorizon returns the id floor below which a committed deleter is
-// invisible to every active and future snapshot: the minimum over the
-// next id, all inflight ids, and for each active snapshot its horizon
-// and lowest captured-inflight id.
-func (m *txnManager) vacuumHorizon() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.next
-	for id := range m.inflight {
-		if id < h {
-			h = id
-		}
-	}
-	for _, sn := range m.snaps {
-		if sn.horizon < h {
-			h = sn.horizon
-		}
-		for id := range sn.inflight {
-			if id < h {
-				h = id
-			}
-		}
-	}
-	return h
-}
-
-// oldestSnapshotAge returns the age of the oldest active snapshot, or 0
-// when none is active.
-func (m *txnManager) oldestSnapshotAge(now time.Time) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var oldest time.Time
-	for _, sn := range m.snaps {
-		if oldest.IsZero() || sn.taken.Before(oldest) {
-			oldest = sn.taken
-		}
-	}
-	if oldest.IsZero() {
-		return 0
-	}
-	return now.Sub(oldest)
+	return &snapshot{st: m.state.Load(), aborted: m.aborted.Load()}
 }
 
 // status snapshots the persistable transaction state for checkpoints.
 func (m *txnManager) status() catalog.TxnStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ts := catalog.TxnStatus{NextTxnID: m.next}
+	st := m.state.Load()
+	ts := catalog.TxnStatus{NextTxnID: st.next, Inflight: slices.Clone(st.inflight)}
 	for id := range *m.aborted.Load() {
 		ts.Aborted = append(ts.Aborted, id)
 	}
-	for id := range m.inflight {
-		ts.Inflight = append(ts.Inflight, id)
-	}
-	sort.Slice(ts.Aborted, func(i, j int) bool { return ts.Aborted[i] < ts.Aborted[j] })
-	sort.Slice(ts.Inflight, func(i, j int) bool { return ts.Inflight[i] < ts.Inflight[j] })
+	slices.Sort(ts.Aborted)
 	return ts
 }
-
-// counts returns instantaneous set sizes.
-func (m *txnManager) counts() (inflight, activeSnaps, abortedIDs int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.inflight), len(m.snaps), len(*m.aborted.Load())
-}
-
-// abortedSet returns the current aborted-id set (shared, read-only).
-func (m *txnManager) abortedSet() map[uint64]bool { return *m.aborted.Load() }
 
 // txnState is the current (not snapshot-relative) state of a
 // transaction id: write paths consult it under the table's statement
@@ -320,9 +247,7 @@ func (m *txnManager) stateOf(x uint64) txnState {
 	if x == 0 || x == frozenTxnID {
 		return txnCommitted
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.inflight[x] {
+	if m.state.Load().open(x) {
 		return txnInflight
 	}
 	if (*m.aborted.Load())[x] {

@@ -26,12 +26,13 @@ import (
 // on-disk reference to the ids that were already aborted when it
 // started, those ids are retired from the in-memory aborted set.
 //
-// Locking: per table, vacuum takes IX plus the statement write gate —
-// the same footprint as a DML statement — so it serializes with
-// writers on that table but never blocks readers and never waits on
-// row locks. Work is two-phase per table because page latches are not
-// reentrant: phase A collects candidates under a read-only scan, phase
-// B mutates under the gate within a WAL transaction.
+// Admission: per table, vacuum enters like a write statement — named in
+// its own slot (so DDL waits for it, and a pending DDL parks it: it
+// holds nothing), then a WAL unit, then the statement write gate — so it
+// serializes with writers on that table but never blocks readers and
+// never waits on row locks. Work is two-phase per table because page
+// latches are not reentrant: phase A collects candidates under a
+// read-only scan, phase B mutates under the gate within a WAL unit.
 
 // VacuumStats summarizes one vacuum pass.
 type VacuumStats struct {
@@ -59,8 +60,11 @@ func (db *DB) Vacuum() (VacuumStats, error) {
 	// table is visited. An id below the horizon that is not in the
 	// sampled aborted set is committed: in-flight ids (then or later)
 	// are never below the horizon, and the aborted set only grows.
-	horizon := db.txns.vacuumHorizon()
-	abortedAtStart := db.txns.abortedSet()
+	horizon := db.vacuumHorizon()
+	abortedAtStart := *db.txns.aborted.Load()
+	var sl slot
+	db.slots.Store(&sl, nil)
+	defer db.slots.Delete(&sl)
 
 	db.mu.Lock()
 	handles := make([]*tableHandle, 0, len(db.tables))
@@ -76,7 +80,7 @@ func (db *DB) Vacuum() (VacuumStats, error) {
 		firstErr error
 	)
 	for _, h := range handles {
-		cl, err := db.vacuumTable(h, horizon, abortedAtStart, &stats)
+		cl, err := db.vacuumTable(&sl, h, horizon, abortedAtStart, &stats)
 		if err != nil {
 			// One broken table must not stop reclaiming the others, but
 			// it does forfeit id retirement: the failed table may still
@@ -110,27 +114,25 @@ func (db *DB) Vacuum() (VacuumStats, error) {
 
 // vacuumTable runs one two-phase pass over a single table and returns
 // the surviving chain lengths it observed.
-func (db *DB) vacuumTable(h *tableHandle, horizon uint64, aborted map[uint64]bool, stats *VacuumStats) (_ []int, err error) {
-	// The WAL transaction is opened before any lock, mirroring the DML
-	// order (ensureWalTxn runs before the statement's locks), so vacuum
-	// never holds the gate while waiting for WAL admission. It must be
-	// finished even on error: phase-B page mutations are already in the
-	// pool, and the captured images must reach the log before the gate
-	// would let the next writer attach.
+func (db *DB) vacuumTable(sl *slot, h *tableHandle, horizon uint64, aborted map[uint64]bool, stats *VacuumStats) (_ []int, err error) {
+	tables := []string{strings.ToLower(h.meta.Name)}
+	db.admit(sl, &tables, nil, nil)
+	defer sl.tables.Store(nil)
+	if db.handle(tables[0]) != h {
+		return nil, nil // dropped while vacuum waited
+	}
+	// The WAL unit must be finished even on error: phase-B page mutations
+	// are already in the pool, and the captured images must reach the log
+	// before the gate lets the next writer attach.
 	wtx := db.wal.Begin()
-	sessID := db.nextSession.Add(1)
+	gateID := db.nextSession.Add(1)
 	defer func() {
 		if cerr := wtx.Commit(false); cerr != nil && err == nil {
 			err = cerr
 		}
-		db.locks.ReleaseAll(sessID)
+		db.locks.ReleaseAll(gateID)
 	}()
-
-	tkey := strings.ToLower(h.meta.Name)
-	if err := db.locks.Acquire(sessID, tkey, lockIX); err != nil {
-		return nil, err
-	}
-	if err := db.locks.Acquire(sessID, writeGateKey(tkey), lockX); err != nil {
+	if err := db.locks.Acquire(gateID, writeGateKey(tables[0])); err != nil {
 		return nil, err
 	}
 

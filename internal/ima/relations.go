@@ -461,9 +461,9 @@ var SystemCounters = []Counter[SystemReading]{
 	{Column: "current_sessions", Metric: "engine_sessions_current", Help: "Open sessions.", Gauge: true, Get: func(r *SystemReading) int64 { return r.CurrentSessions }},
 	{Column: "peak_sessions", Metric: "engine_sessions_peak", Help: "Peak concurrent sessions.", Gauge: true, Get: func(r *SystemReading) int64 { return r.PeakSessions }},
 	{Column: "statements", Metric: "engine_statements_total", Help: "Statements executed.", Get: func(r *SystemReading) int64 { return r.Statements }},
-	{Column: "locks_held", Metric: "engine_locks_held", Help: "Locks currently held.", Gauge: true, Get: func(r *SystemReading) int64 { return r.LocksHeld }},
-	{Column: "lock_waits", Metric: "engine_lock_waits_total", Help: "Lock acquisitions that waited.", Get: func(r *SystemReading) int64 { return r.LockWaits }},
-	{Column: "lock_wait_nanos", Live: true, Metric: "engine_lock_wait_seconds_total", Help: "Wallclock seconds sessions spent parked on lock queues.", Div: 1e9, Get: func(r *SystemReading) int64 { return r.LockWaitNanos }},
+	{Column: "locks_held", Metric: "engine_locks_held", Help: "Locks currently held: row locks, statement write gates and tables under DDL (readers hold none).", Gauge: true, Get: func(r *SystemReading) int64 { return r.LocksHeld }},
+	{Column: "lock_waits", Metric: "engine_lock_waits_total", Help: "Lock acquisitions that waited, waits for a DDL included.", Get: func(r *SystemReading) int64 { return r.LockWaits }},
+	{Column: "lock_wait_nanos", Live: true, Metric: "engine_lock_wait_seconds_total", Help: "Wallclock seconds sessions spent parked on lock queues or behind DDL.", Div: 1e9, Get: func(r *SystemReading) int64 { return r.LockWaitNanos }},
 	{Column: "deadlocks", Metric: "engine_deadlocks_total", Help: "Deadlocks detected.", Get: func(r *SystemReading) int64 { return r.Deadlocks }},
 	{Column: "cache_hits", Metric: "engine_cache_hits_total", Help: "Buffer pool hits.", Get: func(r *SystemReading) int64 { return r.CacheHits }},
 	{Column: "cache_misses", Metric: "engine_cache_misses_total", Help: "Buffer pool misses.", Get: func(r *SystemReading) int64 { return r.CacheMisses }},
@@ -493,7 +493,7 @@ var SystemCounters = []Counter[SystemReading]{
 	{Column: "stmt_cache_misses", Metric: "engine_stmt_cache_misses_total", Help: "Statements that ran the parser instead of a cached prepared statement.", Get: func(r *SystemReading) int64 { return r.StmtCacheMisses }},
 	{Column: "stmt_cache_evictions", Metric: "engine_stmt_cache_evictions_total", Help: "Prepared statements dropped from the cache for capacity.", Get: func(r *SystemReading) int64 { return r.StmtCacheEvictions }},
 	{Column: "stmt_cache_invalidations", Metric: "engine_stmt_cache_invalidations_total", Help: "Times DDL or new statistics dropped the whole prepared-statement cache.", Get: func(r *SystemReading) int64 { return r.StmtCacheInvalidations }},
-	{Column: "stmt_cache_stale_reparses", Metric: "engine_stmt_cache_stale_reparses_total", Help: "Cache hits re-parsed under their table locks because DDL overtook them.", Get: func(r *SystemReading) int64 { return r.StmtCacheStaleReparses }},
+	{Column: "stmt_cache_stale_reparses", Metric: "engine_stmt_cache_stale_reparses_total", Help: "Cache hits re-parsed once admitted because DDL overtook them.", Get: func(r *SystemReading) int64 { return r.StmtCacheStaleReparses }},
 }
 
 // MvccCounters defines ima_mvcc, ws_mvcc and the engine_mvcc_* series:

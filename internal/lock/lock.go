@@ -1,9 +1,9 @@
-// Package lock implements a lock manager for named resources with
-// shared, intention-exclusive and exclusive modes, FIFO wait queues and
-// wait-for-graph deadlock detection. The engine keys both table locks
-// and MVCC row locks through it (row resources embed the TID in the
-// name, so the same queues and deadlock detector serve both). Its
-// counters (locks in use, lock waits, deadlocks) feed the
+// Package lock implements an exclusive lock manager for named resources
+// with FIFO wait queues and wait-for-graph deadlock detection. The engine
+// keys MVCC row locks and the per-table statement write gates through it
+// (row resources embed the TID in the name, so the same queues and
+// deadlock detector serve both); statements are admitted to their tables
+// without it. Its counters (locks in use, lock waits, deadlocks) feed the
 // system-statistics sensor behind the paper's locks diagram (Figure 8).
 package lock
 
@@ -16,46 +16,19 @@ import (
 	"time"
 )
 
-// Mode is a lock mode.
-type Mode int
-
-// Lock modes. Only Exclusive conflicts: S-S, S-IX and IX-IX are all
-// compatible. Intent marks a table as having row-level writers so DDL
-// (which takes Exclusive) waits them out, without writers blocking
-// readers. The ordering matters: holding a stronger mode satisfies
-// requests for weaker ones, and Intent excludes everything Shared does
-// (namely Exclusive), so Intent ≥ Shared is sound.
-const (
-	Shared Mode = iota
-	Intent
-	Exclusive
-)
-
-// String returns "S", "IX" or "X".
-func (m Mode) String() string {
-	switch m {
-	case Exclusive:
-		return "X"
-	case Intent:
-		return "IX"
-	}
-	return "S"
-}
-
 // ErrDeadlock is returned to the session chosen as the deadlock victim.
 var ErrDeadlock = errors.New("lock: deadlock detected, request aborted")
 
 type waiter struct {
-	session  int64
-	mode     Mode
-	resource string
-	upgrade  bool // already a holder (and on its held list) at a weaker mode
-	ready    chan error
+	session int64
+	ready   chan error
 }
 
+// lockState is a held resource: its one holder and the requests queued
+// behind it, granted in arrival order.
 type lockState struct {
-	holders map[int64]Mode
-	queue   []*waiter
+	holder int64
+	queue  []*waiter
 }
 
 // Stats is a snapshot of lock-manager counters. Grants, Waits and
@@ -69,11 +42,11 @@ type Stats struct {
 	Deadlocks int64
 }
 
-// Manager is a lock manager for named resources (tables). It is safe
-// for concurrent use.
+// Manager is a lock manager for named resources. It is safe for
+// concurrent use.
 type Manager struct {
 	mu       sync.Mutex
-	locks    map[string]*lockState
+	locks    map[string]lockState
 	waitsFor map[int64]string // session -> resource it is queued on
 	// held lists, per session, the resources it holds: ReleaseAll walks
 	// its own list, never the lock table, so the end of a statement costs
@@ -81,10 +54,9 @@ type Manager struct {
 	// keep. visited counts the resources ReleaseAll has looked at.
 	held    map[int64]*[]string
 	visited int64
-	// Emptied lock states and held lists are recycled: an uncontended
-	// table lock taken and dropped by every statement allocates nothing.
-	freeStates []*lockState
-	freeHeld   []*[]string
+	// Emptied held lists are recycled: a write gate taken and dropped by
+	// every write statement allocates nothing.
+	freeHeld []*[]string
 
 	grants    atomic.Int64
 	waits     atomic.Int64
@@ -95,43 +67,21 @@ type Manager struct {
 // NewManager creates an empty lock manager.
 func NewManager() *Manager {
 	return &Manager{
-		locks:    map[string]*lockState{},
+		locks:    map[string]lockState{},
 		waitsFor: map[int64]string{},
 		held:     map[int64]*[]string{},
 	}
 }
 
-// maxFree bounds each recycling list; beyond it emptied objects go to
-// the garbage collector as before.
-const maxFree = 1024
+// maxFree bounds the recycling list; maxFreeHeldCap keeps a bulk
+// writer's list of row locks out of it: only statement-sized lists are
+// worth keeping.
+const maxFree, maxFreeHeldCap = 1024, 64
 
-// maxFreeHeldCap keeps a bulk writer's list of row locks out of the
-// recycling list: only statement-sized lists are worth keeping.
-const maxFreeHeldCap = 64
-
-// stateLocked returns the lock state of resource, creating (or
-// recycling) one when nobody holds or waits on it.
-func (m *Manager) stateLocked(resource string) *lockState {
-	ls := m.locks[resource]
-	if ls == nil {
-		if n := len(m.freeStates); n > 0 {
-			ls, m.freeStates = m.freeStates[n-1], m.freeStates[:n-1]
-		} else {
-			ls = &lockState{holders: map[int64]Mode{}}
-		}
-		m.locks[resource] = ls
-	}
-	return ls
-}
-
-// grantLocked records session as a holder of resource. upgrade marks a
-// session that already holds it (and is already on its held list).
-func (m *Manager) grantLocked(ls *lockState, session int64, resource string, mode Mode, upgrade bool) {
-	ls.holders[session] = mode
+// grantLocked makes session the holder of resource.
+func (m *Manager) grantLocked(session int64, resource string, queue []*waiter) {
+	m.locks[resource] = lockState{holder: session, queue: queue}
 	m.grants.Add(1)
-	if upgrade {
-		return
-	}
 	hl := m.held[session]
 	if hl == nil {
 		if n := len(m.freeHeld); n > 0 {
@@ -144,40 +94,30 @@ func (m *Manager) grantLocked(ls *lockState, session int64, resource string, mod
 	*hl = append(*hl, resource)
 }
 
-// Acquire takes the named lock in the given mode for session, blocking
-// until granted. It returns ErrDeadlock if granting would close a cycle
-// in the wait-for graph (the requester is the victim). Re-acquiring a
-// lock the session already holds at the same or stronger mode is a
-// no-op; a sole Shared holder upgrades to Exclusive in place.
-func (m *Manager) Acquire(session int64, resource string, mode Mode) error {
+// Acquire takes the named lock for session, blocking until granted. It
+// returns ErrDeadlock if waiting would close a cycle in the wait-for
+// graph (the requester is the victim). Re-acquiring a lock the session
+// holds is a no-op.
+func (m *Manager) Acquire(session int64, resource string) error {
 	m.mu.Lock()
-	ls := m.stateLocked(resource)
-	upgrade := false
-	if held, ok := ls.holders[session]; ok {
-		if held >= mode {
-			m.mu.Unlock()
-			return nil
-		}
-		// Upgrading holders skip the FIFO queue check: a holder parked
-		// behind a queued Exclusive waiter could never be granted (the
-		// waiter is blocked on the very lock the holder keeps), and the
-		// cycle runs through the queue where the DFS cannot see it.
-		// Holder-holder upgrade cycles are still caught below.
-		upgrade = true
-	}
-	if m.grantableLocked(ls, session, mode, upgrade) {
-		m.grantLocked(ls, session, resource, mode, upgrade)
+	ls, taken := m.locks[resource]
+	if !taken {
+		m.grantLocked(session, resource, nil)
 		m.mu.Unlock()
 		return nil
 	}
-	// Must wait: first check for a deadlock cycle.
-	if m.wouldDeadlockLocked(session, resource) {
+	if ls.holder == session {
+		m.mu.Unlock()
+		return nil
+	}
+	if m.wouldDeadlockLocked(session, ls.holder) {
 		m.deadlocks.Add(1)
 		m.mu.Unlock()
-		return fmt.Errorf("%w (session %d on %s %s)", ErrDeadlock, session, resource, mode)
+		return fmt.Errorf("%w (session %d on %s)", ErrDeadlock, session, resource)
 	}
-	w := &waiter{session: session, mode: mode, resource: resource, upgrade: upgrade, ready: make(chan error, 1)}
+	w := &waiter{session: session, ready: make(chan error, 1)}
 	ls.queue = append(ls.queue, w)
+	m.locks[resource] = ls
 	m.waitsFor[session] = resource
 	m.waits.Add(1)
 	m.mu.Unlock()
@@ -188,74 +128,34 @@ func (m *Manager) Acquire(session int64, resource string, mode Mode) error {
 	return err
 }
 
-// grantableLocked reports whether the request is compatible with the
-// current holders and (unless upgrading) does not jump an incompatible
-// FIFO queue.
-func (m *Manager) grantableLocked(ls *lockState, session int64, mode Mode, upgrade bool) bool {
-	for holder, held := range ls.holders {
+// wouldDeadlockLocked walks the wait-for chain from holder: every session
+// waits on at most one resource and every resource has one holder, so
+// the graph is a set of chains and session closes a cycle exactly when
+// the chain leads back to it.
+func (m *Manager) wouldDeadlockLocked(session, holder int64) bool {
+	for range len(m.waitsFor) + 1 {
 		if holder == session {
-			continue
-		}
-		if mode == Exclusive || held == Exclusive {
-			return false
-		}
-	}
-	if upgrade {
-		return true
-	}
-	// Do not starve queued writers: a new compatible request waits
-	// behind a queued exclusive one.
-	for _, w := range ls.queue {
-		if mode == Exclusive || w.mode == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
-// wouldDeadlockLocked runs a DFS over the wait-for graph assuming the
-// session starts waiting on resource.
-func (m *Manager) wouldDeadlockLocked(session int64, resource string) bool {
-	// blockers(s) = holders of the resource s waits on, minus s itself.
-	visited := map[int64]bool{}
-	var dfs func(s int64) bool
-	dfs = func(s int64) bool {
-		if s == session {
 			return true
 		}
-		if visited[s] {
-			return false
-		}
-		visited[s] = true
-		res, waiting := m.waitsFor[s]
+		res, waiting := m.waitsFor[holder]
 		if !waiting {
 			return false
 		}
-		ls := m.locks[res]
-		if ls == nil {
-			return false
-		}
-		for holder := range ls.holders {
-			if holder != s && dfs(holder) {
-				return true
-			}
-		}
-		return false
-	}
-	ls := m.locks[resource]
-	if ls == nil {
-		return false
-	}
-	for holder := range ls.holders {
-		if holder != session && dfs(holder) {
-			return true
-		}
+		holder = m.locks[res].holder
 	}
 	return false
 }
 
-// Release drops session's lock on resource and grants any now-eligible
-// waiters in FIFO order.
+// AddWait counts a wait for something the engine excludes sessions with
+// outside the manager (a table under DDL) as a lock wait.
+func (m *Manager) AddWait(d time.Duration) {
+	m.waits.Add(1)
+	m.waitNanos.Add(int64(d))
+}
+
+// Release drops session's lock on resource and grants it to the next
+// waiter in FIFO order. A session left holding nothing needs no
+// ReleaseAll.
 func (m *Manager) Release(session int64, resource string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -268,13 +168,16 @@ func (m *Manager) Release(session int64, resource string) {
 				break
 			}
 		}
+		if len(*hl) == 0 {
+			m.dropHeldLocked(session, hl)
+		}
 	}
 	m.releaseLocked(session, resource)
 }
 
 // ReleaseAll drops every lock the session holds, in sorted resource
-// order, granting now-eligible waiters as it goes. It visits only the
-// session's own held list.
+// order, granting waiters as it goes. It visits only the session's own
+// held list.
 func (m *Manager) ReleaseAll(session int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -282,7 +185,6 @@ func (m *Manager) ReleaseAll(session int64) {
 	if hl == nil {
 		return
 	}
-	delete(m.held, session)
 	if len(*hl) > 1 {
 		slices.Sort(*hl)
 	}
@@ -290,6 +192,12 @@ func (m *Manager) ReleaseAll(session int64) {
 		m.visited++
 		m.releaseLocked(session, res)
 	}
+	m.dropHeldLocked(session, hl)
+}
+
+// dropHeldLocked forgets session's held list, keeping it for reuse.
+func (m *Manager) dropHeldLocked(session int64, hl *[]string) {
+	delete(m.held, session)
 	if len(m.freeHeld) < maxFree && cap(*hl) <= maxFreeHeldCap {
 		clear(*hl) // drop the resource strings
 		*hl = (*hl)[:0]
@@ -298,57 +206,25 @@ func (m *Manager) ReleaseAll(session int64) {
 }
 
 func (m *Manager) releaseLocked(session int64, resource string) {
-	ls := m.locks[resource]
-	if ls == nil {
+	ls, taken := m.locks[resource]
+	if !taken || ls.holder != session {
 		return
 	}
-	delete(ls.holders, session)
-	// Grant from the front of the queue while compatible.
-	for len(ls.queue) > 0 {
-		w := ls.queue[0]
-		compatible := true
-		for holder, held := range ls.holders {
-			if holder == w.session {
-				continue
-			}
-			if w.mode == Exclusive || held == Exclusive {
-				compatible = false
-				break
-			}
-		}
-		if !compatible {
-			break
-		}
-		ls.queue[0] = nil
-		ls.queue = ls.queue[1:]
-		delete(m.waitsFor, w.session)
-		m.grantLocked(ls, w.session, w.resource, w.mode, w.upgrade)
-		w.ready <- nil
-	}
-	m.dropIfIdleLocked(ls, resource)
-}
-
-// dropIfIdleLocked removes a lock state nobody holds or waits on from
-// the table and keeps it for the next resource that needs one.
-func (m *Manager) dropIfIdleLocked(ls *lockState, resource string) {
-	if len(ls.holders) != 0 || len(ls.queue) != 0 {
+	if len(ls.queue) == 0 {
+		delete(m.locks, resource)
 		return
 	}
-	delete(m.locks, resource)
-	if len(m.freeStates) < maxFree {
-		ls.queue = nil
-		m.freeStates = append(m.freeStates, ls)
-	}
+	w := ls.queue[0]
+	ls.queue[0] = nil
+	delete(m.waitsFor, w.session)
+	m.grantLocked(w.session, resource, ls.queue[1:])
+	w.ready <- nil
 }
 
 // Stats returns a snapshot of the lock counters.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
-	held, waiting := 0, 0
-	for _, ls := range m.locks {
-		held += len(ls.holders)
-		waiting += len(ls.queue)
-	}
+	held, waiting := len(m.locks), len(m.waitsFor)
 	m.mu.Unlock()
 	return Stats{
 		Held:      held,
@@ -358,17 +234,4 @@ func (m *Manager) Stats() Stats {
 		WaitNanos: m.waitNanos.Load(),
 		Deadlocks: m.deadlocks.Load(),
 	}
-}
-
-// Holding reports whether the session holds the resource at mode or
-// stronger.
-func (m *Manager) Holding(session int64, resource string, mode Mode) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ls := m.locks[resource]
-	if ls == nil {
-		return false
-	}
-	held, ok := ls.holders[session]
-	return ok && held >= mode
 }

@@ -9,30 +9,9 @@ import (
 	"time"
 )
 
-func TestSharedLocksAreCompatible(t *testing.T) {
-	m := NewManager()
-	if err := m.Acquire(1, "t", Shared); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- m.Acquire(2, "t", Shared) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("second shared lock blocked")
-	}
-	st := m.Stats()
-	if st.Held != 2 || st.Waits != 0 {
-		t.Errorf("stats: %+v", st)
-	}
-}
-
 func TestExclusiveBlocksAndFIFO(t *testing.T) {
 	m := NewManager()
-	if err := m.Acquire(1, "t", Exclusive); err != nil {
+	if err := m.Acquire(1, "t"); err != nil {
 		t.Fatal(err)
 	}
 	var order []int64
@@ -43,7 +22,7 @@ func TestExclusiveBlocksAndFIFO(t *testing.T) {
 		s := s
 		go func() {
 			defer wg.Done()
-			if err := m.Acquire(s, "t", Exclusive); err != nil {
+			if err := m.Acquire(s, "t"); err != nil {
 				t.Error(err)
 				return
 			}
@@ -72,70 +51,48 @@ func TestExclusiveBlocksAndFIFO(t *testing.T) {
 	}
 }
 
-func TestWriterNotStarvedByReaders(t *testing.T) {
-	m := NewManager()
-	m.Acquire(1, "t", Shared)
-	// Writer queues behind the reader.
-	writerDone := make(chan error, 1)
-	go func() { writerDone <- m.Acquire(2, "t", Exclusive) }()
-	time.Sleep(50 * time.Millisecond)
-	// A new reader must now wait behind the queued writer.
-	readerDone := make(chan error, 1)
-	go func() { readerDone <- m.Acquire(3, "t", Shared) }()
-	time.Sleep(50 * time.Millisecond)
-	select {
-	case <-readerDone:
-		t.Fatal("reader jumped the writer queue")
-	default:
-	}
-	m.Release(1, "t")
-	if err := <-writerDone; err != nil {
-		t.Fatal(err)
-	}
-	m.Release(2, "t")
-	if err := <-readerDone; err != nil {
-		t.Fatal(err)
-	}
+// holding reports whether session holds resource.
+func holding(m *Manager, session int64, resource string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	ls, ok := m.locks[resource]
+	return ok && ls.holder == session
 }
 
-func TestReentrantAndUpgrade(t *testing.T) {
+func TestReentrantAcquire(t *testing.T) {
 	m := NewManager()
-	if err := m.Acquire(1, "t", Shared); err != nil {
-		t.Fatal(err)
+	for range 3 {
+		if err := m.Acquire(1, "t"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := m.Acquire(1, "t", Shared); err != nil {
-		t.Fatal(err)
+	if !holding(m, 1, "t") {
+		t.Error("re-acquire dropped the lock")
 	}
-	// Sole-holder upgrade succeeds immediately.
-	if err := m.Acquire(1, "t", Exclusive); err != nil {
-		t.Fatal(err)
+	// A re-acquire is one grant and one held-list entry.
+	if st := m.Stats(); st.Grants != 1 || len(*m.held[1]) != 1 {
+		t.Errorf("grants=%d held list=%v", st.Grants, *m.held[1])
 	}
-	if !m.Holding(1, "t", Exclusive) {
-		t.Error("upgrade did not stick")
-	}
-	// X then S is a no-op.
-	if err := m.Acquire(1, "t", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if !m.Holding(1, "t", Exclusive) {
-		t.Error("downgrade happened implicitly")
+	m.ReleaseAll(1)
+	if holding(m, 1, "t") {
+		t.Error("still holding after ReleaseAll")
 	}
 }
 
 func TestDeadlockDetection(t *testing.T) {
 	m := NewManager()
-	if err := m.Acquire(1, "a", Exclusive); err != nil {
+	if err := m.Acquire(1, "a"); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Acquire(2, "b", Exclusive); err != nil {
+	if err := m.Acquire(2, "b"); err != nil {
 		t.Fatal(err)
 	}
 	// Session 1 waits for b (held by 2).
 	errc := make(chan error, 1)
-	go func() { errc <- m.Acquire(1, "b", Exclusive) }()
+	go func() { errc <- m.Acquire(1, "b") }()
 	time.Sleep(50 * time.Millisecond)
 	// Session 2 requesting a would close the cycle: must abort.
-	err := m.Acquire(2, "a", Exclusive)
+	err := m.Acquire(2, "a")
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("expected ErrDeadlock, got %v", err)
 	}
@@ -151,14 +108,14 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestThreeWayDeadlock(t *testing.T) {
 	m := NewManager()
-	m.Acquire(1, "a", Exclusive)
-	m.Acquire(2, "b", Exclusive)
-	m.Acquire(3, "c", Exclusive)
-	go m.Acquire(1, "b", Exclusive) // 1 -> 2
+	m.Acquire(1, "a")
+	m.Acquire(2, "b")
+	m.Acquire(3, "c")
+	go m.Acquire(1, "b") // 1 -> 2
 	time.Sleep(30 * time.Millisecond)
-	go m.Acquire(2, "c", Exclusive) // 2 -> 3
+	go m.Acquire(2, "c") // 2 -> 3
 	time.Sleep(30 * time.Millisecond)
-	err := m.Acquire(3, "a", Exclusive) // 3 -> 1: cycle
+	err := m.Acquire(3, "a") // 3 -> 1: cycle
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("expected ErrDeadlock, got %v", err)
 	}
@@ -169,9 +126,9 @@ func TestThreeWayDeadlock(t *testing.T) {
 
 func TestReleaseAll(t *testing.T) {
 	m := NewManager()
-	m.Acquire(7, "a", Shared)
-	m.Acquire(7, "b", Exclusive)
-	m.Acquire(7, "c", Shared)
+	m.Acquire(7, "a")
+	m.Acquire(7, "b")
+	m.Acquire(7, "c")
 	if m.Stats().Held != 3 {
 		t.Fatalf("Held = %d", m.Stats().Held)
 	}
@@ -179,7 +136,7 @@ func TestReleaseAll(t *testing.T) {
 	if st := m.Stats(); st.Held != 0 {
 		t.Errorf("after ReleaseAll: %+v", st)
 	}
-	if m.Holding(7, "a", Shared) {
+	if holding(m, 7, "a") {
 		t.Error("still holding after ReleaseAll")
 	}
 }
@@ -198,11 +155,7 @@ func TestConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				res := resources[(int(s)+i)%len(resources)]
-				mode := Shared
-				if i%5 == 0 {
-					mode = Exclusive
-				}
-				if err := m.Acquire(s, res, mode); err != nil {
+				if err := m.Acquire(s, res); err != nil {
 					if errors.Is(err, ErrDeadlock) {
 						deadlocks.Add(1)
 						m.ReleaseAll(s)
@@ -231,29 +184,29 @@ func TestConcurrentStress(t *testing.T) {
 func holdRowLocks(tb testing.TB, m *Manager, session int64, n int) {
 	tb.Helper()
 	for i := 0; i < n; i++ {
-		if err := m.Acquire(session, fmt.Sprintf("r!t!%x", i), Exclusive); err != nil {
+		if err := m.Acquire(session, fmt.Sprintf("r!t!%x", i)); err != nil {
 			tb.Fatal(err)
 		}
 	}
 }
 
-// A reader's end-of-statement release must cost what the reader locked,
-// not what the lock table holds: with another session keeping 10 000 row
-// locks, ReleaseAll looks at the reader's one table lock and nothing
-// else.
+// A writer's end-of-statement release must cost what the statement
+// locked, not what the lock table holds: with another session keeping
+// 10 000 row locks, ReleaseAll looks at the statement's one write gate and
+// nothing else.
 func TestReleaseAllVisitsOnlyOwnLocks(t *testing.T) {
 	m := NewManager()
 	holdRowLocks(t, m, 1, 10000)
-	if err := m.Acquire(2, "t", Shared); err != nil {
+	if err := m.Acquire(2, "w!t"); err != nil {
 		t.Fatal(err)
 	}
 	before := m.visited
 	m.ReleaseAll(2)
 	if got := m.visited - before; got != 1 {
-		t.Errorf("reader's ReleaseAll visited %d resources, want 1", got)
+		t.Errorf("the statement's ReleaseAll visited %d resources, want 1", got)
 	}
-	if m.Holding(2, "t", Shared) {
-		t.Error("reader still holds its table lock")
+	if holding(m, 2, "w!t") {
+		t.Error("the statement still holds its write gate")
 	}
 	if st := m.Stats(); st.Held != 10000 {
 		t.Errorf("writer holds %d locks after the reader's release, want 10000", st.Held)
@@ -264,31 +217,31 @@ func TestReleaseAllVisitsOnlyOwnLocks(t *testing.T) {
 	}
 }
 
-// Single releases keep the held list in step, upgrades do not list a
-// resource twice, and a waiter granted by ReleaseAll gets a list of its
+// Single releases keep the held list in step, a re-acquire does not list
+// a resource twice, and a waiter granted by ReleaseAll gets a list of its
 // own.
-func TestHeldListTracksReleaseAndUpgrade(t *testing.T) {
+func TestHeldListTracksRelease(t *testing.T) {
 	m := NewManager()
 	for _, r := range []string{"b", "a", "w!a"} {
-		if err := m.Acquire(1, r, Shared); err != nil {
+		if err := m.Acquire(1, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.Acquire(1, "a", Exclusive); err != nil { // sole holder upgrades in place
+	if err := m.Acquire(1, "a"); err != nil { // a re-acquire lists nothing new
 		t.Fatal(err)
 	}
 	m.Release(1, "w!a")
 	if got := *m.held[1]; len(got) != 2 {
-		t.Fatalf("held list %v, want the two table locks", got)
+		t.Fatalf("held list %v, want the two row locks", got)
 	}
 	granted := make(chan error, 1)
-	go func() { granted <- m.Acquire(2, "a", Exclusive) }()
+	go func() { granted <- m.Acquire(2, "a") }()
 	for m.Stats().Waiting == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	m.ReleaseAll(1)
-	if err := <-granted; err != nil || !m.Holding(2, "a", Exclusive) {
-		t.Errorf("waiter after ReleaseAll: err=%v holding=%v", err, m.Holding(2, "a", Exclusive))
+	if err := <-granted; err != nil || !holding(m, 2, "a") {
+		t.Errorf("waiter after ReleaseAll: err=%v holding=%v", err, holding(m, 2, "a"))
 	}
 	m.ReleaseAll(2)
 	if len(m.locks) != 0 || len(m.held) != 0 {
@@ -296,14 +249,15 @@ func TestHeldListTracksReleaseAndUpgrade(t *testing.T) {
 	}
 }
 
-// An uncontended table lock taken and dropped per statement recycles its
-// state: steady state allocates nothing.
+// An uncontended write gate taken and dropped per statement recycles its
+// held list and keeps its state in the table: steady state allocates
+// nothing.
 func TestUncontendedAcquireReleaseAllocs(t *testing.T) {
 	m := NewManager()
-	m.Acquire(1, "protein", Shared)
+	m.Acquire(1, "w!protein")
 	m.ReleaseAll(1)
 	allocs := testing.AllocsPerRun(100, func() {
-		m.Acquire(1, "protein", Shared)
+		m.Acquire(1, "w!protein")
 		m.ReleaseAll(1)
 	})
 	if allocs != 0 {
@@ -311,16 +265,16 @@ func TestUncontendedAcquireReleaseAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkReleaseAllForeignLocks is a point select's lock traffic (one
-// shared table lock, released at statement end) while another session
-// keeps 10 000 row locks.
+// BenchmarkReleaseAllForeignLocks is an INSERT's lock traffic (one write
+// gate, released at statement end) while another session keeps 10 000
+// row locks.
 func BenchmarkReleaseAllForeignLocks(b *testing.B) {
 	m := NewManager()
 	holdRowLocks(b, m, 1, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Acquire(2, "protein", Shared); err != nil {
+		if err := m.Acquire(2, "w!protein"); err != nil {
 			b.Fatal(err)
 		}
 		m.ReleaseAll(2)

@@ -256,6 +256,11 @@ func (m *Monitor) StartStatement(text string) Handle {
 	return Handle{m: m, text: text, start: time.Now()}
 }
 
+// Started returns the statement's wallclock start (zero when the handle
+// does not record), so the engine can stamp the statement's snapshot
+// without reading the clock again.
+func (h *Handle) Started() time.Time { return h.start }
+
 // Live reports whether the handle still records: it came from an
 // enabled monitor and has not been finished. Callers use it to skip
 // gathering figures only Finish would read.

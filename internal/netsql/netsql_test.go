@@ -121,13 +121,18 @@ func TestRemoteTransactions(t *testing.T) {
 	addr, db := startServer(t)
 	c1, _ := Dial(addr)
 	defer c1.Close()
-	if _, err := c1.Exec("CREATE TABLE tx (id INTEGER PRIMARY KEY)"); err != nil {
+	if _, err := c1.Exec("CREATE TABLE tx (id INTEGER PRIMARY KEY, n INTEGER)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c1.Exec("INSERT INTO tx VALUES (1, 0)"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c1.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.Exec("INSERT INTO tx VALUES (1)"); err != nil {
+	// Readers and inserts take no lock; an update holds its row lock
+	// until COMMIT.
+	if _, err := c1.Exec("UPDATE tx SET n = 1 WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
 	if db.LockStats().Held == 0 {

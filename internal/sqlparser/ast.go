@@ -166,7 +166,7 @@ type CreateIndexStmt struct {
 	Virtual bool
 	// Online requests a concurrent build: the heap is backfilled in
 	// batches while DML proceeds, with a side-log replayed before the
-	// final catch-up under the DDL gate.
+	// final catch-up once the table has drained.
 	Online bool
 }
 
@@ -263,7 +263,7 @@ func (*ExplainStmt) Kind() string          { return "EXPLAIN" }
 func (*SetStmt) Kind() string              { return "SET" }
 
 // ReferencedTables lists every table named in the statement, in
-// first-appearance order. Used by the lock manager and the monitor.
+// first-appearance order. Used by statement admission and the monitor.
 func ReferencedTables(s Statement) []string {
 	var out []string
 	seen := map[string]bool{}

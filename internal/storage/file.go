@@ -205,7 +205,7 @@ func (f *File) GetPage(page uint32) (Page, error) {
 }
 
 // GetPageProf is GetPage with an explicit wait profiler: read paths
-// (which run under shared locks and cannot use the per-file field)
+// (which run concurrently and cannot use the per-file field)
 // thread theirs through here. A nil prof falls back to the file's
 // current profiler.
 func (f *File) GetPageProf(page uint32, prof *WaitProf) (Page, error) {

@@ -282,8 +282,8 @@ func (h *Heap) Get(tid TID) (rec []byte, ok bool, err error) {
 }
 
 // GetProf is Get with an explicit wait profiler for phase-2 flagged
-// statements (index fetch paths run under shared locks, so the
-// profiler is threaded per call rather than per file).
+// statements (index fetch paths run concurrently with other readers, so
+// the profiler is threaded per call rather than per file).
 func (h *Heap) GetProf(tid TID, prof *WaitProf) (rec []byte, ok bool, err error) {
 	return h.GetBuf(tid, nil, prof)
 }
@@ -409,8 +409,8 @@ func (h *Heap) Scan(fn func(tid TID, rec []byte) (bool, error)) error {
 // last page that existed when this chunk ran. A (page, slot) position
 // is stable across interleaved DML: deletes mark slots dead but never
 // compact them, and inserts only land at or past the current last
-// page — so an online index build can release the table lock between
-// chunks without missing or double-visiting a record that existed at
+// page — so an online index build can let writers in between chunks
+// without missing or double-visiting a record that existed at
 // build start.
 func (h *Heap) ScanChunk(page uint32, slot int, maxRows int, fn func(tid TID, rec []byte) error) (nextPage uint32, nextSlot int, done bool, err error) {
 	h.mu.RLock()

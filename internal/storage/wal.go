@@ -163,7 +163,8 @@ type WAL struct {
 	// ddlGate serializes DDL (writer) against transactions (readers):
 	// every WalTxn holds the read side for its lifetime, so DDL sees a
 	// quiesced log and can rebuild files without redo ever replaying a
-	// stale pre-rebuild record onto them.
+	// stale pre-rebuild record onto them. A WalTxn is opened only after
+	// every lock its owner may wait for, so the writer waits on no cycle.
 	ddlGate sync.RWMutex
 
 	kick    chan struct{}
@@ -591,7 +592,7 @@ func (t *WalTxn) captureBefore(p *Page) error {
 // then (if wait) blocks until the finish record is durable. Rollback
 // paths call this too with wait=false: the engine keeps a finished
 // transaction's effects in place either way, so recovery must as well.
-// Must be called before the session releases its table locks, so that
+// Must be called before the statement releases its write gate, so that
 // a later transaction's images can never be durable while this one
 // still looks in-flight.
 func (t *WalTxn) Commit(wait bool) error {
