@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,8 @@ import (
 
 // cost is what one statement's executions add up to, as the session
 // that ran them sees it: the four columns of ws_workload a caller can
-// check without reading the sensors.
+// check without reading the sensors. A write's rows are the rows it
+// changed.
 type cost struct{ executions, rows, cpu, errors int64 }
 
 // TestWorkloadConservation (run with -race; it lives here, not beside
@@ -32,7 +34,8 @@ type cost struct{ executions, rows, cpu, errors int64 }
 // is in ws_workload exactly once:
 //
 //	per digest, SUM(executions), SUM(rows), SUM(error) = the sessions' own count
-//	per write digest, SUM(exec_cpu) = the rows the sessions saw affected
+//	per DDL digest, SUM(exec_cpu) = the rows the sessions saw affected
+//	for the UPDATE, SUM(exec_cpu) — the versions examined — >= SUM(rows)
 //	SUM(executions) = TotalStatements; nothing dropped by ring or carryover
 //	the flagged shape's rows are raw: executions = 1 each
 func TestWorkloadConservation(t *testing.T) {
@@ -94,6 +97,8 @@ func TestWorkloadConservation(t *testing.T) {
 			t.Errorf("%s succeeded", sql)
 		case err != nil:
 			c.errors++
+		case strings.HasPrefix(sql, "UPDATE") || strings.HasPrefix(sql, "INSERT"):
+			c.rows += res.RowsAffected // a write's exec_cpu counts the versions it examined
 		default:
 			c.rows += int64(len(res.Rows))
 			c.cpu += res.RowsAffected
@@ -217,13 +222,23 @@ func TestWorkloadConservation(t *testing.T) {
 	if len(got) != len(want) {
 		t.Errorf("ws_workload has %d statements, the sessions ran %d", len(got), len(want))
 	}
+	update := sqlparser.DigestOf("UPDATE item SET name = 'n0' WHERE id >= 0 AND id < 1")
+	if want[update] == nil {
+		t.Error("the schedule ran no UPDATE")
+	}
 	for digest, w := range want {
 		g := got[digest]
 		if g == nil {
 			t.Errorf("digest %x: no ws_workload row, want %+v", digest, *w)
 			continue
 		}
-		if w.cpu == 0 { // a read's exec_cpu is the executor's count; the session cannot see it
+		// exec_cpu is the executor's count of what a read or write
+		// examined: the session cannot see it, but the write examined at
+		// least the rows it changed.
+		if digest == update && g.cpu < w.rows {
+			t.Errorf("the UPDATE's exec_cpu %d is less than the %d rows it changed", g.cpu, w.rows)
+		}
+		if w.cpu == 0 {
 			g.cpu = 0
 		}
 		if *g != *w {

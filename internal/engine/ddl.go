@@ -177,29 +177,22 @@ func (db *DB) buildIndexStorage(h *tableHandle, name string, cols []string, uniq
 	// Every heap version gets an entry — scans filter by visibility and
 	// vacuum removes entries with the versions, exactly as on the DML
 	// path. Uniqueness is verified afterwards over live versions only.
-	it := h.heap.Iter()
-	for {
-		tid, rec, ok, nerr := it.Next()
-		if nerr != nil {
-			return nil, nerr
-		}
-		if !ok {
-			break
-		}
+	err = h.heap.Scan(func(tid storage.TID, rec []byte) (bool, error) {
 		if len(rec) < storage.VersionHeaderSize {
-			return nil, fmt.Errorf("engine: unversioned record %v in %s", tid, h.meta.Name)
+			return false, fmt.Errorf("engine: unversioned record %v in %s", tid, h.meta.Name)
 		}
-		row, derr := sqltypes.DecodeRow(storage.VersionPayload(rec))
-		if derr != nil {
-			return nil, derr
+		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
+		if err != nil {
+			return false, err
 		}
-		key, kerr := keyFor(h.meta.Schema, row, cols)
-		if kerr != nil {
-			return nil, kerr
+		key, err := keyFor(h.meta.Schema, row, cols)
+		if err != nil {
+			return false, err
 		}
-		if perr := bt.Put(tidSuffix(key, tid), tidBytes(tid)); perr != nil {
-			return nil, perr
-		}
+		return true, bt.Put(tidSuffix(key, tid), tidBytes(tid))
+	})
+	if err != nil {
+		return nil, err
 	}
 	if unique {
 		if err := db.verifyUniqueLive(h, bt, name); err != nil {
@@ -283,31 +276,16 @@ func (db *DB) execCreateStatistics(st *sqlparser.CreateStatisticsStmt) (*Result,
 		}
 	}
 	samples := make([][]sqltypes.Value, len(cols))
-	sn := db.txns.realitySnapshot()
-	it := h.heap.Iter()
 	n := 0
-	for n < statisticsSampleCap {
-		_, rec, ok, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		if len(rec) < storage.VersionHeaderSize {
-			return nil, fmt.Errorf("engine: unversioned record in %s", st.Table)
-		}
-		if !sn.visible(storage.ReadVersionHeader(rec)) {
-			continue
-		}
-		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
-		if err != nil {
-			return nil, err
-		}
+	_, err := scanVisible(h, db.txns.realitySnapshot(), nil, func(_ storage.TID, row sqltypes.Row) (bool, error) {
 		for i, ci := range idxs {
 			samples[i] = append(samples[i], row[ci])
 		}
 		n++
+		return n < statisticsSampleCap, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i, c := range cols {
 		hgram := catalog.BuildHistogram(h.meta.Name, h.meta.Schema.Columns[idxs[i]].Name, samples[i], catalog.DefaultBuckets)

@@ -29,8 +29,8 @@ func stormAllowed(err error) bool {
 }
 
 // TestDDLStatementStorm races every kind of DDL against cached point and
-// range readers, autocommit writers and multi-statement transactions
-// across two tables: on s an index is dropped and rebuilt (plainly and
+// range readers, autocommit writers (one of them updating through the
+// index s_a) and multi-statement transactions across two tables: on s an index is dropped and rebuilt (plainly and
 // ONLINE), the table is rebuilt by MODIFY and its statistics refreshed;
 // x is dropped and recreated. Every error must be one stormAllowed
 // admits, every row a reader gets must match its predicate, every
@@ -177,6 +177,13 @@ func TestDDLStatementStorm(t *testing.T) {
 			return err
 		})
 	}
+	worker("index writer", 35, func(s *Session, rng *rand.Rand, i int) error {
+		// Finds its rows through s_a while the index is dropped and
+		// rebuilt, and through the primary B-Tree or the heap as MODIFY
+		// changes the structure under the cached statement.
+		_, err := exec(s, fmt.Sprintf("UPDATE s SET b = b + 1 WHERE a = %d", rng.Intn(37)))
+		return err
+	})
 	for w := 0; w < 2; w++ {
 		worker("transaction", 40+w, func(s *Session, rng *rand.Rand, i int) error {
 			if err := s.Begin(); err != nil {

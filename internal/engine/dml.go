@@ -1,25 +1,36 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/executor"
 	"repro/internal/expr"
 	"repro/internal/monitor"
+	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
 
-// MVCC write protocol. Every DML statement runs in five phases:
+// MVCC write protocol. Every UPDATE and DELETE runs in five phases (an
+// INSERT, which supersedes nothing, only in phases 3 and 5):
 //
-//  1. Snapshot scan: matching (tid, row) pairs are collected against
-//     the statement's snapshot, without any row lock.
+//  1. Match through the access path: the WHERE is planned once per
+//     statement shape, as the SELECT with that WHERE on the one table
+//     would be (dmlPlanOf). An index probe walks its key range and
+//     fetches each entry's version; a heap scan reads every version.
+//     Either way only versions visible to the statement's snapshot that
+//     satisfy the full WHERE match — an index range only nominates
+//     candidates — and the (tid, row) pairs are collected without any
+//     row lock, sorted by TID and deduplicated.
 //  2. Row locks: an exclusive row lock is taken per matched version, in
-//     TID order (the heap scan already yields ascending TIDs), held
-//     until the transaction commits or aborts. Readers never take these.
+//     ascending TID order, held until the transaction commits or
+//     aborts. Readers never take these.
 //  3. Statement write gate: the statement opens its WAL unit, then takes
 //     one exclusive per-table gate that serializes the physical
 //     write-out of concurrent statements — it is what makes version
@@ -112,11 +123,15 @@ func (noColumns) Resolve(table, column string) (int, sqltypes.Type, error) {
 	return 0, 0, fmt.Errorf("engine: column references are not allowed here")
 }
 
-func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
+// execCost is what a write's execution sensor reports: versions
+// examined (INSERT: rows written) and buffer-pool I/O.
+type execCost struct{ cpu, io int64 }
+
+func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value, h *monitor.Handle) (*Result, execCost, error) {
 	db := s.db
 	th := db.handle(st.Table)
 	if th == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", st.Table)
+		return nil, execCost{}, fmt.Errorf("engine: unknown table %q", st.Table)
 	}
 	schema := th.meta.Schema
 	self := s.ensureTxnID()
@@ -131,7 +146,7 @@ func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value, 
 		for _, c := range st.Columns {
 			idx := schema.ColIndex(c)
 			if idx < 0 {
-				return nil, fmt.Errorf("engine: unknown column %s.%s", st.Table, c)
+				return nil, execCost{}, fmt.Errorf("engine: unknown column %s.%s", st.Table, c)
 			}
 			colMap = append(colMap, idx)
 		}
@@ -142,7 +157,7 @@ func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value, 
 	rows := make([]sqltypes.Row, 0, len(st.Rows))
 	for _, valueRow := range st.Rows {
 		if len(valueRow) != len(colMap) {
-			return nil, fmt.Errorf("engine: INSERT row has %d values, expected %d", len(valueRow), len(colMap))
+			return nil, execCost{}, fmt.Errorf("engine: INSERT row has %d values, expected %d", len(valueRow), len(colMap))
 		}
 		row := make(sqltypes.Row, schema.Len())
 		for i := range row {
@@ -151,13 +166,13 @@ func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value, 
 		for i, e := range valueRow {
 			v, err := evalConst(e, params)
 			if err != nil {
-				return nil, err
+				return nil, execCost{}, err
 			}
 			row[colMap[i]] = v
 		}
 		coerced, err := coerceRow(schema, row)
 		if err != nil {
-			return nil, err
+			return nil, execCost{}, err
 		}
 		rows = append(rows, coerced)
 	}
@@ -173,73 +188,165 @@ func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value, 
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, execCost{}, err
 	}
 	s.addDelta(th.meta.Name, inserted)
-	return &Result{RowsAffected: inserted}, nil
+	return &Result{RowsAffected: inserted}, execCost{cpu: inserted}, nil
 }
 
-// matchVisible scans a table and returns the TIDs and decoded rows of
-// the versions visible to the session's snapshot that match the
-// predicate (nil matches everything). TIDs come back in ascending
-// (physical) order — the row-lock acquisition order.
-func (s *Session) matchVisible(th *tableHandle, where sqlparser.Expr, params []sqltypes.Value) ([]storage.TID, []sqltypes.Row, error) {
-	var pred expr.Compiled
-	if where != nil {
-		res := &expr.SimpleResolver{}
-		alias := strings.ToLower(th.meta.Name)
-		for _, c := range th.meta.Schema.Columns {
-			res.Cols = append(res.Cols, expr.ResolvedCol{Table: alias, Name: c.Name, Type: c.Type})
+// dmlPlan is what an UPDATE or DELETE shape derives once: its WHERE
+// planned by the optimizer as the single-table SELECT with that WHERE
+// would be, the leaf's key range when the plan probes an index, and the
+// full WHERE and (UPDATE) the SET expressions bound against the table
+// row. Immutable once its entry is published.
+type dmlPlan struct {
+	plan  *optimizer.Plan
+	leaf  *optimizer.IndexScan // nil: the plan scans the heap
+	keys  *executor.KeyRange
+	where expr.Compiled // nil matches every row
+	sets  []setExpr
+}
+
+// setExpr is one bound SET assignment: column offset and value.
+type setExpr struct {
+	idx int
+	c   expr.Compiled
+}
+
+// dmlPlanOf returns the entry's plan, planning and publishing the entry
+// on its first execution exactly as execSelect does for a SELECT: after
+// admission, so the catalog the plan reads cannot change under the
+// statement. A cache hit only reports the cached estimates.
+func (s *Session) dmlPlanOf(p *prepared, th *tableHandle, where sqlparser.Expr, set []sqlparser.SetClause, params []sqltypes.Value, h *monitor.Handle, tick int64) (*dmlPlan, error) {
+	if dp := p.dml; dp != nil {
+		h.Optimized(dp.plan.Est.CPU, dp.plan.Est.IO, dp.plan.Est.Rows, dp.plan.Attributes, dp.plan.UsedIndexes, 0)
+		return dp, nil
+	}
+	t0 := time.Now()
+	schema := th.meta.Schema
+	res := &expr.SimpleResolver{}
+	alias := strings.ToLower(th.meta.Name)
+	for _, c := range schema.Columns {
+		res.Cols = append(res.Cols, expr.ResolvedCol{Table: alias, Name: c.Name, Type: c.Type})
+	}
+	dp := &dmlPlan{}
+	for _, sc := range set {
+		idx := schema.ColIndex(sc.Column)
+		if idx < 0 {
+			return nil, fmt.Errorf("engine: unknown column %s.%s", th.meta.Name, sc.Column)
 		}
+		ce, err := expr.Bind(sc.Expr, res)
+		if err != nil {
+			return nil, err
+		}
+		dp.sets = append(dp.sets, setExpr{idx: idx, c: ce})
+	}
+	if where != nil {
 		var err error
-		if pred, err = expr.Bind(where, res); err != nil {
-			return nil, nil, err
+		if dp.where, err = expr.Bind(where, res); err != nil {
+			return nil, err
 		}
 	}
-	sn := s.snap
+	sel := &sqlparser.SelectStmt{Items: []sqlparser.SelectItem{{Star: true}},
+		From: []sqlparser.TableRef{{Name: th.meta.Name}}, Where: where, Limit: -1}
+	plan, err := optimizer.PlanSelect(sel, s.db.catalogView(), optimizer.Options{Params: params})
+	if err != nil {
+		return nil, err
+	}
+	dp.plan = plan
+	leaf := plan.Root
+	if pr, ok := leaf.(*optimizer.Project); ok {
+		leaf = pr.Input
+	}
+	switch x := leaf.(type) {
+	case *optimizer.IndexScan:
+		dp.leaf = x
+		if dp.keys, err = executor.CompileKeyRange(x); err != nil {
+			return nil, err
+		}
+	case *optimizer.SeqScan:
+	default:
+		return nil, fmt.Errorf("engine: unexpected access path %T for a write", leaf)
+	}
+	p.dml = dp // p is this session's alone until published
+	h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, time.Since(t0))
+	s.db.publish(p, plan, tick)
+	p.observe(h, s.id)
+	return dp, nil
+}
+
+// match is one target version of a write: its TID and decoded row.
+type match struct {
+	tid storage.TID
+	row sqltypes.Row
+}
+
+// matchRows is phase 1 of the write protocol: the versions visible to
+// the session's snapshot that satisfy the WHERE, found through the
+// plan's access path, in ascending TID order — the row-lock acquisition
+// order. An index range only nominates candidates: each is fetched,
+// filtered by visibility and tested against the full WHERE, and a TID
+// two entries point at counts once. examined is how many versions the
+// statement read.
+func (s *Session) matchRows(th *tableHandle, dp *dmlPlan, params []sqltypes.Value) (ms []match, examined int64, err error) {
 	env := expr.Env{Params: params}
-	var tids []storage.TID
-	var rows []sqltypes.Row
-	it := th.heap.Iter()
+	test := func(row sqltypes.Row) (bool, error) {
+		if dp.where == nil {
+			return true, nil
+		}
+		env.Row = row
+		v, err := dp.where.Eval(&env)
+		return v.Bool(), err
+	}
+	if dp.leaf == nil {
+		examined, err = scanVisible(th, s.snap, s.prof, func(tid storage.TID, row sqltypes.Row) (bool, error) {
+			ok, err := test(row)
+			if ok && err == nil {
+				ms = append(ms, match{tid, row.Clone()})
+			}
+			return err == nil, err
+		})
+		return ms, examined, err
+	}
+	lo, hi, ok, err := dp.keys.Bounds(&env)
+	if err != nil || !ok {
+		return nil, 0, err
+	}
+	bt := th.primary
+	if !dp.leaf.Primary {
+		bt = th.indexes[strings.ToLower(dp.leaf.Index)]
+	}
+	if bt == nil {
+		return nil, 0, fmt.Errorf("engine: access path of %s has no storage", th.meta.Name)
+	}
+	f := versionFetcher{heap: th.heap, snap: s.snap, prof: s.prof}
+	it := bt.SeekProf(lo, hi, s.prof)
 	for {
-		tid, rec, ok, err := it.Next()
+		tid, row, ok, err := f.next(it)
 		if err != nil {
-			return nil, nil, err
+			return nil, f.fetched, err
 		}
 		if !ok {
-			return tids, rows, nil
+			break
 		}
-		if len(rec) < storage.VersionHeaderSize {
-			return nil, nil, fmt.Errorf("engine: unversioned record %v in %s", tid, th.meta.Name)
+		if ok, err = test(row); err != nil {
+			return nil, f.fetched, err
 		}
-		if !sn.visible(storage.ReadVersionHeader(rec)) {
-			continue
+		if ok {
+			ms = append(ms, match{tid, row})
 		}
-		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
-		if err != nil {
-			return nil, nil, err
-		}
-		if pred != nil {
-			env.Row = row
-			v, err := pred.Eval(&env)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !v.Bool() {
-				continue
-			}
-		}
-		tids = append(tids, tid)
-		rows = append(rows, row)
 	}
+	slices.SortFunc(ms, func(a, b match) int { return cmp.Compare(a.tid, b.tid) })
+	ms = slices.CompactFunc(ms, func(a, b match) bool { return a.tid == b.tid })
+	return ms, f.fetched, nil
 }
 
-// lockMatched acquires the exclusive row locks for the matched TIDs (in
-// the ascending order matchVisible returned them).
-func (s *Session) lockMatched(th *tableHandle, tids []storage.TID, h *monitor.Handle) error {
+// lockMatched acquires the exclusive row locks for the matched
+// versions, in the ascending TID order matchRows returned them.
+func (s *Session) lockMatched(th *tableHandle, ms []match, h *monitor.Handle) error {
 	table := strings.ToLower(th.meta.Name)
-	for _, tid := range tids {
-		if err := s.acquireLock(rowLockKey(table, tid), h); err != nil {
+	for _, m := range ms {
+		if err := s.acquireLock(rowLockKey(table, m.tid), h); err != nil {
 			return err
 		}
 	}
@@ -274,123 +381,83 @@ func (db *DB) recheckWritable(th *tableHandle, tid storage.TID, self uint64) (bo
 	}
 }
 
-func (s *Session) execUpdate(st *sqlparser.UpdateStmt, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
+// poolIO is the execution sensor's I/O figure so far: buffer-pool
+// misses plus page writes, read only for a handle that records.
+func (s *Session) poolIO(h *monitor.Handle) int64 {
+	if !h.Live() {
+		return 0
+	}
+	m, w := s.db.pool.IOCounts()
+	return m + w
+}
+
+// execWrite runs an UPDATE (set non-empty) or a DELETE on table through
+// the five phases of the write protocol.
+func (s *Session) execWrite(table string, where sqlparser.Expr, set []sqlparser.SetClause, p *prepared, params []sqltypes.Value, h *monitor.Handle, tick int64) (*Result, execCost, error) {
 	db := s.db
-	th := db.handle(st.Table)
+	th := db.handle(table)
 	if th == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", st.Table)
+		return nil, execCost{}, fmt.Errorf("engine: unknown table %q", table)
 	}
-	schema := th.meta.Schema
-	self := s.ensureTxnID()
-
-	// Bind SET expressions against the table row.
-	res := &expr.SimpleResolver{}
-	alias := strings.ToLower(th.meta.Name)
-	for _, c := range schema.Columns {
-		res.Cols = append(res.Cols, expr.ResolvedCol{Table: alias, Name: c.Name, Type: c.Type})
-	}
-	type setC struct {
-		idx int
-		c   expr.Compiled
-	}
-	var sets []setC
-	for _, sc := range st.Set {
-		idx := schema.ColIndex(sc.Column)
-		if idx < 0 {
-			return nil, fmt.Errorf("engine: unknown column %s.%s", st.Table, sc.Column)
-		}
-		ce, err := expr.Bind(sc.Expr, res)
-		if err != nil {
-			return nil, err
-		}
-		sets = append(sets, setC{idx: idx, c: ce})
-	}
-
-	tids, rows, err := s.matchVisible(th, st.Where, params)
+	dp, err := s.dmlPlanOf(p, th, where, set, params, h, tick)
 	if err != nil {
-		return nil, err
+		return nil, execCost{}, err
 	}
-	if err := s.lockMatched(th, tids, h); err != nil {
-		return nil, err
+	self := s.ensureTxnID()
+	io0 := s.poolIO(h)
+	ms, examined, err := s.matchRows(th, dp, params)
+	if err == nil {
+		err = s.lockMatched(th, ms, h)
+	}
+	if err != nil {
+		return nil, execCost{}, err
 	}
 	var affected int64
 	env := expr.Env{Params: params}
 	err = s.withWriteGate(th, h, func() error {
-		for i, tid := range tids {
-			writable, err := db.recheckWritable(th, tid, self)
+		for _, m := range ms {
+			writable, err := db.recheckWritable(th, m.tid, self)
 			if err != nil {
 				return err
 			}
 			if !writable {
 				continue
 			}
-			old := rows[i]
-			updated := old.Clone()
-			env.Row = old
-			for _, sc := range sets {
-				v, err := sc.c.Eval(&env)
-				if err != nil {
+			var next sqltypes.Row
+			if len(set) > 0 {
+				next = m.row.Clone()
+				env.Row = m.row
+				for _, sc := range dp.sets {
+					if next[sc.idx], err = sc.c.Eval(&env); err != nil {
+						return err
+					}
+				}
+				if next, err = coerceRow(th.meta.Schema, next); err != nil {
 					return err
 				}
-				updated[sc.idx] = v
 			}
-			coerced, err := coerceRow(schema, updated)
-			if err != nil {
+			// The superseded version only gets its deleter stamped: it
+			// (and its index entries) stays for older snapshots until
+			// vacuum. An update chains its new version to it.
+			if err := th.heap.SetXmax(m.tid, self); err != nil {
 				return err
 			}
-			if err := th.heap.SetXmax(tid, self); err != nil {
-				return err
-			}
-			if _, err := db.insertVersion(th, coerced, storage.VersionHeader{Xmin: self, Prev: tid}, self); err != nil {
-				return err
+			if next != nil {
+				if _, err := db.insertVersion(th, next, storage.VersionHeader{Xmin: self, Prev: m.tid}, self); err != nil {
+					return err
+				}
 			}
 			affected++
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, execCost{}, err
 	}
-	s.addDelta(th.meta.Name, 0) // net row count unchanged; keep the table in the delta map
-	return &Result{RowsAffected: affected}, nil
-}
-
-func (s *Session) execDelete(st *sqlparser.DeleteStmt, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
-	db := s.db
-	th := db.handle(st.Table)
-	if th == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", st.Table)
+	if len(set) > 0 {
+		s.addDelta(table, 0) // net row count unchanged; keep the table in the delta map
+	} else {
+		s.addDelta(table, -affected)
 	}
-	self := s.ensureTxnID()
-	tids, _, err := s.matchVisible(th, st.Where, params)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.lockMatched(th, tids, h); err != nil {
-		return nil, err
-	}
-	var affected int64
-	err = s.withWriteGate(th, h, func() error {
-		for _, tid := range tids {
-			writable, err := db.recheckWritable(th, tid, self)
-			if err != nil {
-				return err
-			}
-			if !writable {
-				continue
-			}
-			// Deletes only stamp the deleter: the version (and its index
-			// entries) stays for older snapshots until vacuum.
-			if err := th.heap.SetXmax(tid, self); err != nil {
-				return err
-			}
-			affected++
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.addDelta(th.meta.Name, -affected)
-	return &Result{RowsAffected: affected}, nil
+	return &Result{RowsAffected: affected}, execCost{examined, s.poolIO(h) - io0}, nil
 }

@@ -55,9 +55,11 @@ type prepared struct {
 	// the DDL word): lower-cased, sorted, virtual tables left out.
 	scope []string
 
-	// SELECT only, filled in once the statement is planned.
+	// Filled in once the statement is planned: a SELECT's plan and
+	// result columns, an UPDATE's or DELETE's access path.
 	plan    *planEntry
 	columns []string
+	dml     *dmlPlan
 
 	// digest identifies the statement to the monitor and everything
 	// downstream of it: sqlparser.Digest of the shape key and fixed, or
@@ -348,9 +350,9 @@ func (s *Session) parse(tick int64, h *monitor.Handle) (*prepared, []sqltypes.Va
 		return nil, nil, err
 	}
 	p := s.db.newPrepared(sc, parsed)
-	if p.class == classDML {
-		// Nothing more to derive for a write: the entry is complete.
-		// (A SELECT is published once it is planned.)
+	if _, ok := p.stmt.(*sqlparser.InsertStmt); ok {
+		// Nothing more to derive for an INSERT: the entry is complete.
+		// (A SELECT, UPDATE or DELETE is published once it is planned.)
 		s.db.publish(p, nil, tick)
 	}
 	p.observe(h, s.id)

@@ -404,6 +404,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		dispatchStart = time.Now()
 	}
 	var res *Result
+	var cost execCost
 	switch st := stmt.(type) {
 	case *sqlparser.SelectStmt:
 		res, err = s.execSelect(st, p, params, &h, tick)
@@ -426,11 +427,11 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	case *sqlparser.CreateStatisticsStmt:
 		res, err = db.execCreateStatistics(st)
 	case *sqlparser.InsertStmt:
-		res, err = s.execInsert(st, params, &h)
+		res, cost, err = s.execInsert(st, params, &h)
 	case *sqlparser.UpdateStmt:
-		res, err = s.execUpdate(st, params, &h)
+		res, cost, err = s.execWrite(st.Table, st.Where, st.Set, p, params, &h, tick)
 	case *sqlparser.DeleteStmt:
-		res, err = s.execDelete(st, params, &h)
+		res, cost, err = s.execWrite(st.Table, st.Where, nil, p, params, &h, tick)
 	case *sqlparser.SetStmt:
 		res, err = s.execSet(st)
 	default:
@@ -474,10 +475,13 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		h.Finish(0, 0, 0, err)
 		return nil, err
 	}
-	if _, isSel := stmt.(*sqlparser.SelectStmt); !isSel {
-		// DDL/DML sensors: execCreate*/execInsert record their own
-		// costs through the handle when meaningful; here we only stop
-		// the wallclock for statements that did not.
+	if isDML {
+		// A write's sensors, stopped after its commit: the versions it
+		// examined, its pool I/O and the rows it changed.
+		h.Finish(cost.cpu, cost.io, res.RowsAffected, nil)
+	} else if _, isSel := stmt.(*sqlparser.SelectStmt); !isSel {
+		// execSelect finishes its own handle; DDL, SET and EXPLAIN only
+		// stop the wallclock here.
 		h.Finish(res.RowsAffected, 0, int64(len(res.Rows)), nil)
 	}
 	return res, nil
@@ -551,14 +555,9 @@ func (s *Session) execSelect(st *sqlparser.SelectStmt, p *prepared, params []sql
 // buffer-pool misses and page writes during the run. The two counters
 // are read only for a live handle.
 func (s *Session) runCounted(prep *executor.Prepared, ctx *executor.Ctx, h *monitor.Handle) ([]sqltypes.Row, int64, error) {
-	if !h.Live() {
-		rows, err := s.runPrepared(prep, ctx)
-		return rows, 0, err
-	}
-	m0, w0 := s.db.pool.IOCounts()
+	io0 := s.poolIO(h)
 	rows, err := s.runPrepared(prep, ctx)
-	m1, w1 := s.db.pool.IOCounts()
-	return rows, (m1 - m0) + (w1 - w0), err
+	return rows, s.poolIO(h) - io0, err
 }
 
 // execExplain handles the SQL form of EXPLAIN: it plans the embedded

@@ -366,17 +366,18 @@ func (r *heapScanIter) NextBatch(b *executor.Batch) (bool, error) {
 // Close implements executor.RowBatchIter; NextBatch leaves nothing held.
 func (r *heapScanIter) Close() error { return r.it.Close() }
 
-// btreeFetchIter walks a B-Tree key range whose values are TIDs and
-// fetches the base rows from the heap, filtering versions through the
-// statement's snapshot. A dangling entry (vacuum reclaimed the version
-// under a buffered iterator) is skipped, as is a reused slot holding a
-// version the snapshot cannot see — any such reuse happened after the
-// snapshot, so visibility filters it out.
-type btreeFetchIter struct {
-	it   *storage.Iterator // bounded to the range: it never yields a key past it
-	heap *storage.Heap
-	snap *snapshot
-	prof *storage.WaitProf
+// versionFetcher follows the entries of a B-Tree key range whose values
+// are TIDs to the versions they point at, keeping those visible to the
+// snapshot. A dangling entry (vacuum reclaimed the version under a
+// buffered iterator) is skipped, as is a reused slot holding a version
+// the snapshot cannot see — any such reuse happened after the snapshot,
+// so visibility filters it out. Index reads (btreeFetchIter) and the
+// target search of UPDATE and DELETE (matchRows) both fetch through it.
+type versionFetcher struct {
+	heap    *storage.Heap
+	snap    *snapshot
+	prof    *storage.WaitProf
+	fetched int64 // entries followed
 	// rec is the reused record buffer (rows are decoded out of it, text
 	// included, so nothing aliases it); recArr backs it for records of
 	// ordinary size so a point fetch allocates no buffer at all.
@@ -384,37 +385,57 @@ type btreeFetchIter struct {
 	recArr [256]byte
 }
 
+// next returns the TID and the freshly decoded row of the range's next
+// visible version, or ok=false once the range is exhausted.
+func (f *versionFetcher) next(it *storage.Iterator) (storage.TID, sqltypes.Row, bool, error) {
+	if f.rec == nil {
+		f.rec = f.recArr[:0]
+	}
+	for it.Next() {
+		tid := tidFromBytes(it.Value())
+		f.fetched++
+		rec, ok, err := f.heap.GetBuf(tid, f.rec[:0], f.prof)
+		if ok {
+			f.rec = rec
+		}
+		if err != nil {
+			return 0, nil, false, err
+		}
+		if !ok || len(rec) < storage.VersionHeaderSize {
+			continue // reclaimed under the scan
+		}
+		if !f.snap.visible(storage.ReadVersionHeader(rec)) {
+			continue
+		}
+		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
+		if err != nil {
+			return 0, nil, false, err
+		}
+		return tid, row, true, nil
+	}
+	return 0, nil, false, it.Err()
+}
+
+// btreeFetchIter delivers the visible rows of a B-Tree key range.
+type btreeFetchIter struct {
+	it *storage.Iterator // bounded to the range: it never yields a key past it
+	f  versionFetcher
+}
+
 // NextBatch delivers the range's visible rows, freshly decoded: a batch
 // is as long as the range, up to BatchSize, so a point probe costs one
 // row and no scratch.
 func (r *btreeFetchIter) NextBatch(b *executor.Batch) (bool, error) {
 	b.Reset()
-	if r.rec == nil {
-		r.rec = r.recArr[:0]
-	}
-	for len(b.Rows) < executor.BatchSize && r.it.Next() {
-		tid := tidFromBytes(r.it.Value())
-		rec, ok, err := r.heap.GetBuf(tid, r.rec[:0], r.prof)
-		if ok {
-			r.rec = rec
-		}
+	for len(b.Rows) < executor.BatchSize {
+		_, row, ok, err := r.f.next(r.it)
 		if err != nil {
 			return false, err
 		}
-		if !ok || len(rec) < storage.VersionHeaderSize {
-			continue // reclaimed under the scan
-		}
-		if !r.snap.visible(storage.ReadVersionHeader(rec)) {
-			continue
-		}
-		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
-		if err != nil {
-			return false, err
+		if !ok {
+			break
 		}
 		b.Rows = append(b.Rows, row)
-	}
-	if err := r.it.Err(); err != nil {
-		return false, err
 	}
 	return len(b.Rows) > 0, nil
 }
@@ -482,7 +503,7 @@ func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executo
 	if bt == nil {
 		return nil, fmt.Errorf("engine: index %s has no storage", index)
 	}
-	return &btreeFetchIter{it: bt.SeekProf(lo, hi, s.prof), heap: h.heap, snap: s.snap, prof: s.prof}, nil
+	return &btreeFetchIter{it: bt.SeekProf(lo, hi, s.prof), f: versionFetcher{heap: h.heap, snap: s.snap, prof: s.prof}}, nil
 }
 
 // PrimaryRange implements executor.Storage.
@@ -494,46 +515,56 @@ func (s executorStorage) PrimaryRange(table string, lo, hi []byte) (executor.Row
 	if h.primary == nil {
 		return nil, fmt.Errorf("engine: table %s has no primary B-Tree", table)
 	}
-	return &btreeFetchIter{it: h.primary.SeekProf(lo, hi, s.prof), heap: h.heap, snap: s.snap, prof: s.prof}, nil
+	return &btreeFetchIter{it: h.primary.SeekProf(lo, hi, s.prof), f: versionFetcher{heap: h.heap, snap: s.snap, prof: s.prof}}, nil
 }
 
-// scanAll collects every committed-visible row of a table with its TID
-// (DDL rebuild helper). It reads against current reality: callers run
-// alone on the drained table, so no writer is in flight on it and
-// reality is final for it.
-func (db *DB) scanAll(h *tableHandle) ([]storage.TID, []sqltypes.Row, error) {
-	sn := db.txns.realitySnapshot()
-	var tids []storage.TID
-	var rows []sqltypes.Row
-	it := h.heap.Iter()
+// scanVisible calls fn with the TID and decoded row of every version of
+// the table visible to sn, in ascending TID order, and returns how many
+// versions it read; fn returning false ends the scan. The row is valid
+// only during the call: a caller that keeps it clones it. fn runs under
+// the heap's read latch and must not write the heap.
+func scanVisible(h *tableHandle, sn *snapshot, prof *storage.WaitProf, fn func(storage.TID, sqltypes.Row) (bool, error)) (int64, error) {
+	it := h.heap.ScanBatchProf(prof)
+	defer it.Close()
+	var (
+		rb   storage.RecBatch
+		row  []sqltypes.Value
+		read int64
+	)
 	for {
-		tid, rec, ok, err := it.Next()
-		if err != nil {
-			return nil, nil, err
+		ok, err := it.NextBatchMax(&rb, executor.BatchSize)
+		if err != nil || !ok {
+			return read, err
 		}
-		if !ok {
-			return tids, rows, nil
+		for i, rec := range rb.Recs {
+			read++
+			if len(rec) < storage.VersionHeaderSize {
+				return read, fmt.Errorf("engine: unversioned record %v in %s", rb.TIDs[i], h.meta.Name)
+			}
+			if !sn.visible(storage.ReadVersionHeader(rec)) {
+				continue
+			}
+			if row, err = sqltypes.AppendDecodedRow(row[:0], storage.VersionPayload(rec)); err != nil {
+				return read, err
+			}
+			if more, err := fn(rb.TIDs[i], row); err != nil || !more {
+				return read, err
+			}
 		}
-		if len(rec) < storage.VersionHeaderSize {
-			return nil, nil, fmt.Errorf("engine: unversioned record %v in %s", tid, h.meta.Name)
-		}
-		if !sn.visible(storage.ReadVersionHeader(rec)) {
-			continue
-		}
-		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
-		if err != nil {
-			return nil, nil, err
-		}
-		tids = append(tids, tid)
-		rows = append(rows, row)
 	}
 }
 
 // rebuildTable rewrites the heap compactly (ordered by key for BTREE)
 // and rebuilds the primary structure and every secondary index. Used
-// by MODIFY.
+// by MODIFY. It reads the rows against current reality: the caller runs
+// alone on the drained table, so no writer is in flight on it and
+// reality is final for it.
 func (db *DB) rebuildTable(h *tableHandle, structure catalog.Structure, keyCols []string) error {
-	_, rows, err := db.scanAll(h)
+	var rows []sqltypes.Row
+	_, err := scanVisible(h, db.txns.realitySnapshot(), nil, func(_ storage.TID, row sqltypes.Row) (bool, error) {
+		rows = append(rows, row.Clone())
+		return true, nil
+	})
 	if err != nil {
 		return err
 	}

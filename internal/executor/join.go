@@ -214,8 +214,8 @@ type indexJoinC struct {
 	table    string
 	index    string
 	primary  bool
-	keys     []expr.Compiled // bound against left output
-	residual expr.Compiled   // bound against combined output
+	keys     KeyRange      // equality prefix bound against left output
+	residual expr.Compiled // bound against combined output
 }
 
 func (cp *compiler) compileIndexJoin(n *optimizer.IndexJoin, depth int) (compiled, error) {
@@ -230,7 +230,7 @@ func (cp *compiler) compileIndexJoin(n *optimizer.IndexJoin, depth int) (compile
 		if err != nil {
 			return nil, err
 		}
-		c.keys = append(c.keys, ce)
+		c.keys.eq = append(c.keys.eq, ce)
 	}
 	if c.residual, err = bindOpt(n.Residual, resolverFor(n.Out())); err != nil {
 		return nil, err
@@ -273,7 +273,7 @@ func (it *indexJoinIter) NextBatch(b *Batch) (bool, error) {
 		}
 		it.rt.ctx.Tuples++
 		it.env.Row = row
-		lo, hi, ok, err := buildRange(&it.env, it.c.keys, nil, nil, false, false)
+		lo, hi, ok, err := it.c.keys.Bounds(&it.env)
 		if err != nil {
 			return false, err
 		}

@@ -121,47 +121,63 @@ type indexScanC struct {
 	table   string
 	index   string
 	primary bool
-	eq      []expr.Compiled
-	lo, hi  expr.Compiled
-	loIncl  bool
-	hiIncl  bool
+	keys    *KeyRange
 	filter  expr.Compiled
 }
 
-func compileIndexScan(n *optimizer.IndexScan) (compiled, error) {
-	res := resolverFor(n.Cols)
-	c := &indexScanC{table: n.Table, index: n.Index, primary: n.Primary,
-		loIncl: n.LoIncl, hiIncl: n.HiIncl}
+// KeyRange is an index probe's key expressions bound once — an
+// equality prefix plus an optional range on the next key column — and
+// turned into a key range per execution. Immutable, so a cached plan
+// shares it across sessions.
+type KeyRange struct {
+	eq             []expr.Compiled
+	lo, hi         expr.Compiled
+	loIncl, hiIncl bool
+}
+
+// CompileKeyRange binds an IndexScan's key expressions. The engine's
+// UPDATE and DELETE find their target rows through it.
+func CompileKeyRange(n *optimizer.IndexScan) (*KeyRange, error) {
 	// Key expressions are constant (literals/params): bind with an
 	// empty row resolver.
 	konst := &expr.SimpleResolver{}
+	k := &KeyRange{loIncl: n.LoIncl, hiIncl: n.HiIncl}
 	for _, e := range n.Eq {
 		ce, err := expr.Bind(e, konst)
 		if err != nil {
 			return nil, err
 		}
-		c.eq = append(c.eq, ce)
+		k.eq = append(k.eq, ce)
 	}
 	var err error
-	if c.lo, err = bindOpt(n.Lo, konst); err != nil {
+	if k.lo, err = bindOpt(n.Lo, konst); err != nil {
 		return nil, err
 	}
-	if c.hi, err = bindOpt(n.Hi, konst); err != nil {
+	if k.hi, err = bindOpt(n.Hi, konst); err != nil {
 		return nil, err
 	}
-	if c.filter, err = bindOpt(n.Filter, res); err != nil {
+	return k, nil
+}
+
+func compileIndexScan(n *optimizer.IndexScan) (compiled, error) {
+	keys, err := CompileKeyRange(n)
+	if err != nil {
+		return nil, err
+	}
+	c := &indexScanC{table: n.Table, index: n.Index, primary: n.Primary, keys: keys}
+	if c.filter, err = bindOpt(n.Filter, resolverFor(n.Cols)); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// buildRange computes the [lo, hi) key range for an equality prefix
-// plus optional range bounds. Returns ok=false when a probe value is
-// NULL (no row can match).
-func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loIncl, hiIncl bool) (lo, hi []byte, ok bool, err error) {
+// Bounds computes the [lo, hi) key range under env: the parameter
+// vector, and for an index join the outer row. Returns ok=false when a
+// probe value is NULL (no row can match).
+func (k *KeyRange) Bounds(env *expr.Env) (lo, hi []byte, ok bool, err error) {
 	var scratch [96]byte // keeps the prefix of an ordinary key off the heap
 	prefix := scratch[:0]
-	for _, ce := range eq {
+	for _, ce := range k.eq {
 		v, err := ce.Eval(env)
 		if err != nil {
 			return nil, nil, false, err
@@ -171,7 +187,7 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 		}
 		prefix = sqltypes.EncodeKey(prefix, v)
 	}
-	if loE == nil && hiE == nil {
+	if k.lo == nil && k.hi == nil {
 		// Equality probe: both ends out of one allocation.
 		n := len(prefix)
 		out := make([]byte, 2*n+1)
@@ -182,8 +198,8 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 	}
 	lo = append([]byte(nil), prefix...)
 	hi = append([]byte(nil), prefix...)
-	if loE != nil {
-		v, err := loE.Eval(env)
+	if k.lo != nil {
+		v, err := k.lo.Eval(env)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -191,12 +207,12 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 			return nil, nil, false, nil
 		}
 		lo = sqltypes.EncodeKey(lo, v)
-		if !loIncl {
+		if !k.loIncl {
 			lo = append(lo, 0xFF)
 		}
 	}
-	if hiE != nil {
-		v, err := hiE.Eval(env)
+	if k.hi != nil {
+		v, err := k.hi.Eval(env)
 		if err != nil {
 			return nil, nil, false, err
 		}
@@ -204,7 +220,7 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 			return nil, nil, false, nil
 		}
 		hi = sqltypes.EncodeKey(hi, v)
-		if hiIncl {
+		if k.hiIncl {
 			hi = append(hi, 0xFF)
 		}
 	} else {
@@ -215,7 +231,7 @@ func buildRange(env *expr.Env, eq []expr.Compiled, loE, hiE expr.Compiled, loInc
 
 func (c *indexScanC) open(rt runtime) (RowBatchIter, error) {
 	env := expr.Env{Params: rt.ctx.Params}
-	lo, hi, ok, err := buildRange(&env, c.eq, c.lo, c.hi, c.loIncl, c.hiIncl)
+	lo, hi, ok, err := c.keys.Bounds(&env)
 	if err != nil {
 		return nil, err
 	}

@@ -337,44 +337,6 @@ func (h *Heap) Delete(tid TID) error {
 	return nil
 }
 
-// Update replaces the record at tid. If the new record fits in place it
-// is updated there and the same TID is returned; otherwise the old slot
-// is killed and the record reinserted, returning its new TID.
-func (h *Heap) Update(tid TID, rec []byte) (TID, error) {
-	h.mu.Lock()
-	p, err := h.file.GetPage(tid.Page())
-	if err != nil {
-		h.mu.Unlock()
-		return 0, err
-	}
-	off, length := slotEntry(p.Data, int(tid.Slot()))
-	if off != deadSlot && len(rec) <= length {
-		if err := p.WillModify(); err != nil {
-			p.Release()
-			h.mu.Unlock()
-			return 0, err
-		}
-		copy(p.Data[off:off+len(rec)], rec)
-		setSlotEntry(p.Data, int(tid.Slot()), off, len(rec))
-		p.MarkDirty()
-		p.Release()
-		h.mu.Unlock()
-		return tid, nil
-	}
-	if off != deadSlot {
-		if err := p.WillModify(); err != nil {
-			p.Release()
-			h.mu.Unlock()
-			return 0, err
-		}
-		setSlotEntry(p.Data, int(tid.Slot()), deadSlot, length)
-		p.MarkDirty()
-	}
-	p.Release()
-	h.mu.Unlock()
-	return h.Insert(rec)
-}
-
 // Scan calls fn for every live record in physical order. Returning
 // false from fn stops the scan early.
 func (h *Heap) Scan(fn func(tid TID, rec []byte) (bool, error)) error {
@@ -479,7 +441,7 @@ func (h *Heap) ResetRows(n int64) { h.rows.Store(n) }
 
 // RecBatch is a reusable batch of raw heap records. Recs slices alias
 // the page frames the filling iterator keeps pinned for the life of
-// the batch (zero-copy): they are valid only until the next NextBatch
+// the batch (zero-copy): they are valid only until the next NextBatchMax
 // or Close call on the iterator that filled them. Callers that retain
 // a record beyond that must copy it.
 type RecBatch struct {
@@ -488,14 +450,11 @@ type RecBatch struct {
 	// Sel is the batch's visibility selection vector: when non-nil,
 	// only the record indexes it lists are visible to the filling
 	// statement's snapshot and the rest must be skipped. The engine
-	// fills it after each NextBatch without copying any record, so the
-	// batch path stays zero-copy under MVCC. nil means every record is
-	// selected.
+	// fills it after each NextBatchMax without copying any record, so
+	// the batch path stays zero-copy under MVCC. nil means every record
+	// is selected.
 	Sel []int
 }
-
-// Len returns the number of records in the batch.
-func (b *RecBatch) Len() int { return len(b.Recs) }
 
 // reset clears the batch for refilling, keeping all capacity.
 func (b *RecBatch) reset() {
@@ -518,11 +477,10 @@ const MaxBatchPins = 16
 
 // HeapBatchIter scans a heap page-at-a-time: each page is pinned once
 // and all its live slots are handed to the caller's RecBatch as slices
-// aliasing the pinned frame — no per-record copy or allocation, unlike
-// HeapIter.Next which does one GetPage call and one record allocation
-// per row. The pins are held until the next NextBatch or Close call,
-// which is what keeps the aliased records valid for the life of the
-// batch. Not safe for concurrent use.
+// aliasing the pinned frame — no per-record copy or allocation. The
+// pins are held until the next NextBatchMax or Close call, which is
+// what keeps the aliased records valid for the life of the batch. Not
+// safe for concurrent use.
 type HeapBatchIter struct {
 	h       *Heap
 	page    uint32
@@ -534,11 +492,8 @@ type HeapBatchIter struct {
 	prof    *WaitProf // wait attribution for flagged statements; usually nil
 }
 
-// ScanBatch returns a batch iterator positioned before the first page.
-func (h *Heap) ScanBatch() *HeapBatchIter { return &HeapBatchIter{h: h} }
-
-// ScanBatchProf is ScanBatch with a wait profiler attached to every
-// page pin of the scan.
+// ScanBatchProf returns a batch iterator positioned before the first
+// page, attributing the scan's page pins to prof (nil: none).
 func (h *Heap) ScanBatchProf(prof *WaitProf) *HeapBatchIter {
 	return &HeapBatchIter{h: h, prof: prof}
 }
@@ -572,35 +527,23 @@ func (it *HeapBatchIter) release() {
 // iterator before exhaustion must call it; an exhausted iterator holds
 // no pins, so Close is then a no-op. The iterator stays usable: a caller
 // that has copied what it needs out of a batch may Close to stop
-// blocking writers and call NextBatch again later.
+// blocking writers and call NextBatchMax again later.
 func (it *HeapBatchIter) Close() error {
 	it.release()
 	return nil
 }
 
-// NextBatch fills b with live records, whole pages at a time, until at
-// least maxRows records are batched, MaxBatchPins pages are pinned, or
-// the heap is exhausted (the last page added may overshoot maxRows; a
-// page is never split across batches). maxRows <= 0 means one
+// NextBatchMax fills b with live records, whole pages at a time, until
+// at least maxRows records are batched, MaxBatchPins pages are pinned,
+// or the heap is exhausted (the last page added may overshoot maxRows;
+// a page is never split across batches). maxRows <= 0 means one
 // non-empty page per batch. Returns false when no records remain. The
 // records in b alias pages the iterator keeps pinned and are
-// invalidated by the next NextBatch or Close call on it.
-func (it *HeapBatchIter) NextBatch(b *RecBatch) (bool, error) {
-	if it.err != nil {
-		return false, it.err
-	}
-	return it.nextBatch(b, 0)
-}
-
-// NextBatchMax is NextBatch with an explicit row target.
+// invalidated by the next NextBatchMax or Close call on it.
 func (it *HeapBatchIter) NextBatchMax(b *RecBatch, maxRows int) (bool, error) {
 	if it.err != nil {
 		return false, it.err
 	}
-	return it.nextBatch(b, maxRows)
-}
-
-func (it *HeapBatchIter) nextBatch(b *RecBatch, maxRows int) (bool, error) {
 	it.release() // invalidates the previous batch's records
 	b.reset()
 	it.h.mu.RLock()
@@ -645,53 +588,4 @@ func (it *HeapBatchIter) nextBatch(b *RecBatch, maxRows int) (bool, error) {
 		return false, nil
 	}
 	return true, nil
-}
-
-// HeapIter is a pull-style iterator over live heap records, for the
-// maintenance paths (DDL rebuilds, DML target collection); statement
-// scans go through HeapBatchIter.
-type HeapIter struct {
-	h    *Heap
-	page uint32
-	slot int
-	err  error
-	pg   Page // reused pin handle; always released before Next returns
-}
-
-// Iter returns an iterator positioned before the first record.
-func (h *Heap) Iter() *HeapIter { return &HeapIter{h: h} }
-
-// Next returns the next live record (copied out of the page) or
-// ok=false at the end. The record is freshly allocated and the caller
-// may retain it.
-func (it *HeapIter) Next() (TID, []byte, bool, error) {
-	if it.err != nil {
-		return 0, nil, false, it.err
-	}
-	it.h.mu.RLock()
-	defer it.h.mu.RUnlock()
-	pages := it.h.file.Pages()
-	for it.page < pages {
-		if err := it.h.file.PinPage(it.page, &it.pg); err != nil {
-			it.err = err
-			return 0, nil, false, err
-		}
-		n := pageSlotCount(it.pg.Data)
-		for it.slot < n {
-			s := it.slot
-			it.slot++
-			off, length := slotEntry(it.pg.Data, s)
-			if off == deadSlot {
-				continue
-			}
-			rec := make([]byte, length)
-			copy(rec, it.pg.Data[off:off+length])
-			it.pg.Release()
-			return NewTID(it.page, uint16(s)), rec, true, nil
-		}
-		it.pg.Release()
-		it.page++
-		it.slot = 0
-	}
-	return 0, nil, false, nil
 }

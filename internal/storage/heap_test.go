@@ -71,7 +71,7 @@ func TestHeapInsertGetScan(t *testing.T) {
 	}
 }
 
-func TestHeapDeleteAndUpdate(t *testing.T) {
+func TestHeapDelete(t *testing.T) {
 	h := OpenHeap(newTestFile(t, nil), 1, 0)
 	t1, _ := h.Insert([]byte("alpha"))
 	t2, _ := h.Insert([]byte("beta"))
@@ -93,32 +93,8 @@ func TestHeapDeleteAndUpdate(t *testing.T) {
 	if h.Rows() != 1 {
 		t.Errorf("double delete changed row count: %d", h.Rows())
 	}
-
-	// In-place update (same size).
-	nt, err := h.Update(t2, []byte("BETA"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nt != t2 {
-		t.Errorf("same-size update moved the record: %v -> %v", t2, nt)
-	}
-	rec, ok, _ := h.Get(nt)
-	if !ok || string(rec) != "BETA" {
-		t.Errorf("update lost data: %q ok=%v", rec, ok)
-	}
-
-	// Growing update must relocate.
-	big := bytes.Repeat([]byte("z"), 300)
-	nt2, err := h.Update(nt, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, ok, _ = h.Get(nt2)
-	if !ok || !bytes.Equal(rec, big) {
-		t.Error("growing update lost data")
-	}
-	if h.Rows() != 1 {
-		t.Errorf("Rows = %d after update", h.Rows())
+	if rec, ok, _ := h.Get(t2); !ok || string(rec) != "beta" {
+		t.Errorf("the other record: %q ok=%v", rec, ok)
 	}
 }
 
@@ -268,9 +244,14 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 				delete(model, tid)
 				live = append(live[:i], live[i+1:]...)
 			} else {
+				// A new version: the old slot dies, the record lands
+				// wherever it fits (possibly the freed slot).
+				if err := h.Delete(tid); err != nil {
+					t.Fatal(err)
+				}
 				rec := make([]byte, 1+r.Intn(300))
 				r.Read(rec)
-				nt, err := h.Update(tid, rec)
+				nt, err := h.Insert(rec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -327,7 +308,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 	}
 
 	for _, maxRows := range []int{0, 1, 64, 100000} {
-		it := h.ScanBatch()
+		it := h.ScanBatchProf(nil)
 		var b RecBatch
 		var gotTIDs []TID
 		var gotRecs [][]byte
@@ -341,7 +322,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 				break
 			}
 			batches++
-			if b.Len() == 0 {
+			if len(b.Recs) == 0 {
 				t.Fatal("ok batch with zero records")
 			}
 			for i := range b.Recs {
@@ -366,7 +347,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 func TestScanBatchEmptyHeap(t *testing.T) {
 	h := OpenHeap(newTestFile(t, nil), 1, 0)
 	var b RecBatch
-	if ok, err := h.ScanBatch().NextBatch(&b); err != nil || ok {
+	if ok, err := h.ScanBatchProf(nil).NextBatchMax(&b, 0); err != nil || ok {
 		t.Fatalf("empty heap: ok=%v err=%v", ok, err)
 	}
 }
@@ -386,7 +367,7 @@ func TestScanBatchAllocs(t *testing.T) {
 	}
 	var b RecBatch
 	scan := func() {
-		it := h.ScanBatch()
+		it := h.ScanBatchProf(nil)
 		for {
 			ok, err := it.NextBatchMax(&b, 1024)
 			if err != nil {

@@ -394,12 +394,19 @@ func (w *WAL) flushNow(minLSN uint64) error {
 		w.mu.Unlock()
 	}
 	w.mu.Lock()
-	if w.spare == nil && buf != nil {
+	if w.spare == nil && buf != nil && cap(buf) <= walRetainedBuf {
 		w.spare = buf[:0]
 	}
 	w.mu.Unlock()
 	return nil
 }
+
+// walRetainedBuf caps the staging buffer a flush keeps for reuse. Group
+// commits stage a few pages each and recycle their buffer forever; a
+// larger one — a bulk load's, a vacuum pass's, an index build's unit —
+// is left to the collector instead of pinning its high-water size for
+// the life of the process.
+const walRetainedBuf = 256 << 10
 
 // syncTo makes everything up to lsn durable. The buffer pool calls this
 // as its WAL-before-data barrier ahead of every page write-back.
