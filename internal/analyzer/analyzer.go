@@ -43,12 +43,10 @@ const (
 	// (engine.ResizePool); plain Apply still skips it because there is
 	// no SQL statement to run.
 	KindBufferPool Kind = "enlarge-buffer-pool"
-	// KindLockWait and KindGroupCommit come from the wait-state rule
-	// over the phase-2 attribution data (ws_waits). Both are advisory:
-	// shortening transactions and retuning the group-commit window are
-	// application/configuration changes, not DDL.
-	KindLockWait    Kind = "reduce-lock-waits"
-	KindGroupCommit Kind = "tune-group-commit"
+	// KindLockWait comes from the wait-state rule over the phase-2
+	// attribution data (ws_waits). It is advisory: shortening
+	// transactions is an application change, not DDL.
+	KindLockWait Kind = "reduce-lock-waits"
 	// KindMvccSnapshot and KindMvccConflict come from the MVCC health
 	// rule over ws_mvcc. Both are advisory: closing long transactions
 	// and de-contending hot rows are application changes.

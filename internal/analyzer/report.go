@@ -18,14 +18,13 @@ func (r *Report) String() string {
 	if len(r.Recommendations) == 0 {
 		b.WriteString("\nno recommendations — the physical design fits the observed workload\n")
 	} else {
-		order := []Kind{KindModify, KindIndex, KindStatistics, KindBufferPool, KindLockWait, KindGroupCommit, KindMvccSnapshot, KindMvccConflict}
+		order := []Kind{KindModify, KindIndex, KindStatistics, KindBufferPool, KindLockWait, KindMvccSnapshot, KindMvccConflict}
 		titles := map[Kind]string{
 			KindModify:       "storage structure changes",
 			KindIndex:        "secondary indexes",
 			KindStatistics:   "statistics collection",
 			KindBufferPool:   "configuration changes (manual)",
 			KindLockWait:     "lock-contention advisories (wait-state analysis)",
-			KindGroupCommit:  "group-commit advisories (wait-state analysis)",
 			KindMvccSnapshot: "snapshot-age advisories (MVCC health)",
 			KindMvccConflict: "write-conflict advisories (MVCC health)",
 		}

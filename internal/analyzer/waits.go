@@ -25,7 +25,6 @@ type waitDelta struct {
 	exec    int64
 	lock    int64
 	io      int64
-	fsync   int64
 	pin     int64
 }
 
@@ -36,9 +35,11 @@ type waitDelta struct {
 //     narrow its lock footprint with an index;
 //   - I/O-dominant (page loads + pin waits) → a buffer-pool enlargement,
 //     reusing KindBufferPool so ApplyOnline can live-resize under the
-//     usual canary;
-//   - fsync-dominant → advisory to widen the WAL group-commit window
-//     (storage.WALOptions.GroupCommitInterval / SetGroupCommitInterval).
+//     usual canary.
+//
+// An fsync-dominant statement gets no recommendation: a commit already
+// shares its fsync with every committer queued behind it on the log,
+// and there is no batching window left to widen.
 //
 // Statements below MinWaitSamples differenced executions are skipped as
 // noise. A missing ws_waits table (workload DBs collected before the
@@ -51,8 +52,8 @@ func (a *Analyzer) ruleWaitStates(rep *Report) error {
 	}
 
 	var (
-		ioWait, ioWall, fsyncWait, fsyncWall int64
-		ioStmts, fsyncStmts                  int
+		ioWait, ioWall int64
+		ioStmts        int
 	)
 	for _, d := range deltas {
 		if d.samples < a.cfg.MinWaitSamples || d.wall <= 0 {
@@ -61,7 +62,6 @@ func (a *Analyzer) ruleWaitStates(rep *Report) error {
 		wall := float64(d.wall)
 		lockFrac := float64(d.lock) / wall
 		ioFrac := float64(d.io+d.pin) / wall
-		fsyncFrac := float64(d.fsync) / wall
 
 		if lockFrac >= a.cfg.WaitDominance {
 			tbl := ""
@@ -82,16 +82,11 @@ func (a *Analyzer) ruleWaitStates(rep *Report) error {
 			ioWait += d.io + d.pin
 			ioWall += d.wall
 		}
-		if fsyncFrac >= a.cfg.WaitDominance {
-			fsyncStmts++
-			fsyncWait += d.fsync
-			fsyncWall += d.wall
-		}
 	}
 
-	// The I/O and fsync classes aggregate across statements: they point
-	// at shared resources (the pool, the log), so one recommendation
-	// covers every statement stalling on them.
+	// The I/O class aggregates across statements: it points at a shared
+	// resource (the pool), so one recommendation covers every statement
+	// stalling on it.
 	if ioStmts > 0 && !hasKind(rep, KindBufferPool) {
 		rep.Recommendations = append(rep.Recommendations, Recommendation{
 			Kind: KindBufferPool,
@@ -99,15 +94,6 @@ func (a *Analyzer) ruleWaitStates(rep *Report) error {
 			Reason: fmt.Sprintf("%d flagged statement(s) spent %.0f%% of their wall-clock waiting on page loads or pinned-pool backpressure",
 				ioStmts, float64(ioWait)/float64(ioWall)*100),
 			Score: float64(ioWait),
-		})
-	}
-	if fsyncStmts > 0 {
-		rep.Recommendations = append(rep.Recommendations, Recommendation{
-			Kind: KindGroupCommit,
-			SQL:  "-- widen the WAL group-commit window (storage.WALOptions.GroupCommitInterval)",
-			Reason: fmt.Sprintf("%d flagged statement(s) spent %.0f%% of their wall-clock in commit fsync waits; a wider batching window amortizes them across more transactions",
-				fsyncStmts, float64(fsyncWait)/float64(fsyncWall)*100),
-			Score: float64(fsyncWait),
 		})
 	}
 	return nil
@@ -132,7 +118,7 @@ func (a *Analyzer) loadWaitDeltas() ([]waitDelta, error) {
 	s := a.cfg.WorkloadDB.NewSession()
 	defer s.Close()
 	res, err := s.Exec(`SELECT ts_us, hash, query_text, samples, wall_ns,
-		exec_ns, lock_ns, io_ns, fsync_ns, pinwait_ns
+		exec_ns, lock_ns, io_ns, pinwait_ns
 		FROM ` + workloaddb.Waits + ` ORDER BY ts_us`)
 	if err != nil {
 		return nil, err
@@ -143,7 +129,7 @@ func (a *Analyzer) loadWaitDeltas() ([]waitDelta, error) {
 	for _, r := range res.Rows {
 		d := waitDelta{
 			hash: r[1].I, text: r[2].S, samples: r[3].I, wall: r[4].I,
-			exec: r[5].I, lock: r[6].I, io: r[7].I, fsync: r[8].I, pin: r[9].I,
+			exec: r[5].I, lock: r[6].I, io: r[7].I, pin: r[8].I,
 		}
 		if _, ok := first[d.hash]; !ok {
 			first[d.hash] = d
@@ -161,7 +147,6 @@ func (a *Analyzer) loadWaitDeltas() ([]waitDelta, error) {
 			d.exec = l.exec - f.exec
 			d.lock = l.lock - f.lock
 			d.io = l.io - f.io
-			d.fsync = l.fsync - f.fsync
 			d.pin = l.pin - f.pin
 		}
 		out = append(out, d)

@@ -48,9 +48,10 @@ func recsOf(rep *Report, k Kind) []Recommendation {
 
 // TestWaitRuleClassification seeds two ws_waits snapshots per statement
 // and checks each dominant wait class routes to its rule: lock → the
-// per-statement contention advisory, I/O → buffer pool, fsync → group
-// commit. The first snapshot is a decoy with a different mix, proving
-// the rule differences snapshots instead of reading cumulative values.
+// per-statement contention advisory, I/O → buffer pool, fsync → nothing
+// (commits already share fsyncs; there is no window to tune). The first
+// snapshot is a decoy with a different mix, proving the rule
+// differences snapshots instead of reading cumulative values.
 func TestWaitRuleClassification(t *testing.T) {
 	an, wdb := newStatsOnlyFixture(t)
 	const ms = int64(time.Millisecond)
@@ -81,8 +82,8 @@ func TestWaitRuleClassification(t *testing.T) {
 	if pools := recsOf(rep, KindBufferPool); len(pools) != 1 {
 		t.Fatalf("buffer-pool recs = %+v", rep.Recommendations)
 	}
-	if gcs := recsOf(rep, KindGroupCommit); len(gcs) != 1 {
-		t.Fatalf("group-commit recs = %+v", rep.Recommendations)
+	if n := len(rep.Recommendations); n != 2 {
+		t.Fatalf("fsync-dominant statement got a recommendation: %+v", rep.Recommendations)
 	}
 }
 

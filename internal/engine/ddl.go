@@ -210,23 +210,27 @@ func (db *DB) execDropIndex(st *sqlparser.DropIndexStmt) (*Result, error) {
 		}
 		return nil, fmt.Errorf("engine: index %s does not exist", st.Name)
 	}
-	if !ix.Virtual {
-		h := db.handle(ix.Table)
-		if h != nil {
-			if bt := h.indexes[strings.ToLower(st.Name)]; bt != nil {
-				if err := bt.File().Remove(); err != nil {
-					return nil, err
-				}
-				db.mu.Lock()
-				delete(h.indexes, strings.ToLower(st.Name))
-				db.mu.Unlock()
-			}
-		}
-	}
+	// The catalog forgets the index before its file goes, as DROP TABLE
+	// does: a crash in between leaves an orphan file, which Open sweeps,
+	// never a catalog entry whose file recovery would have to rebuild
+	// from the page images left in the log.
 	if err := db.cat.DropIndex(st.Name); err != nil {
 		return nil, err
 	}
 	db.plans.invalidate()
+	if !ix.Virtual {
+		h := db.handle(ix.Table)
+		if h != nil {
+			if bt := h.indexes[strings.ToLower(st.Name)]; bt != nil {
+				db.mu.Lock()
+				delete(h.indexes, strings.ToLower(st.Name))
+				db.mu.Unlock()
+				if err := bt.File().Remove(); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
 	return &Result{}, nil
 }
 

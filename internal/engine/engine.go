@@ -35,9 +35,6 @@ type Config struct {
 	// StmtCacheSize bounds the number of cached prepared statements
 	// (default 512).
 	StmtCacheSize int
-	// GroupCommitInterval is the WAL group-commit batching window
-	// (default ~1ms; negative forces synchronous per-commit fsync).
-	GroupCommitInterval time.Duration
 	// WALOpen substitutes the WAL file implementation — the walfault
 	// crash-simulation seam. nil uses the real file.
 	WALOpen func(string) (storage.WALFile, error)
@@ -158,8 +155,7 @@ func Open(cfg Config) (*DB, error) {
 		}
 	}
 	wal, err := storage.OpenWAL(filepath.Join(cfg.Dir, storage.WALFileName), storage.WALOptions{
-		GroupCommitInterval: cfg.GroupCommitInterval,
-		OpenFile:            cfg.WALOpen,
+		OpenFile: cfg.WALOpen,
 	})
 	if err != nil {
 		return nil, err
@@ -516,14 +512,6 @@ func (db *DB) Close() error {
 
 // WAL returns the write-ahead log (nil only before Open finished).
 func (db *DB) WAL() *storage.WAL { return db.wal }
-
-// SetGroupCommitInterval retunes the WAL group-commit window at
-// runtime; <= 0 switches to synchronous per-commit fsync.
-func (db *DB) SetGroupCommitInterval(d time.Duration) {
-	if db.wal != nil {
-		db.wal.SetGroupCommitInterval(d)
-	}
-}
 
 // WALFsyncLatency returns the WAL fsync latency histogram in the
 // monitor's bucket scheme, plus the cumulative nanosecond sum, ready

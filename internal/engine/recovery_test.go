@@ -18,10 +18,11 @@ import (
 
 // Crash-recovery suite. A "crash" is simulated by copying the database
 // directory while the engine is still open: committed WAL records are
-// durable (Commit waits on the group-commit flusher), but dirty pool
-// pages may or may not have reached the data files — exactly the state
-// a kill -9 leaves behind. The copy is then reopened and recovery is
-// checked against what was acked.
+// durable (a commit flushes the log itself, or finds that a committer
+// ahead of it already did), but dirty pool pages may or may not have
+// reached the data files — exactly the state a kill -9 leaves behind.
+// Records staged without a wait may be in the copy or not. The copy is
+// then reopened and recovery is checked against what was acked.
 
 // copyDir copies every regular file of src into dst (flat layout: the
 // database directory has no subdirectories).

@@ -135,9 +135,9 @@ func (s *Session) Begin() error {
 }
 
 // Commit ends the transaction: the MVCC commit record is appended and
-// made durable (parking on the group-commit flusher), the transaction
-// leaves the in-flight set — making its versions visible to new
-// snapshots — and its locks are released. A durability failure aborts
+// made durable (flushing the log, or riding the flush of a committer
+// ahead of it), the transaction leaves the in-flight set — making its
+// versions visible to new snapshots — and its locks are released. A durability failure aborts
 // the transaction instead: its versions stay invisible.
 func (s *Session) Commit() error {
 	err := s.endTxn(true)

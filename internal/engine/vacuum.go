@@ -94,6 +94,17 @@ func (db *DB) Vacuum() (VacuumStats, error) {
 		chains = append(chains, cl...)
 		stats.Tables++
 	}
+	// A pass that changed pages makes its WAL units durable itself, so
+	// the next foreground commit does not pay to write and fsync them
+	// and they do not sit in the staging buffer until it comes.
+	if stats.Reclaimed+stats.Cleared > 0 {
+		if err := db.wal.Sync(); err != nil {
+			clean = false
+			if firstErr == nil {
+				firstErr = err
+			}
+		}
+	}
 
 	if clean && len(abortedAtStart) > 0 {
 		ids := make([]uint64, 0, len(abortedAtStart))

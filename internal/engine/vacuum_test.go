@@ -20,6 +20,7 @@ func TestVacuumReclaimsSupersededVersions(t *testing.T) {
 		mustExec(t, s, fmt.Sprintf("UPDATE v SET n = %d WHERE id = 1", i))
 	}
 
+	w0 := db.WAL().Stats()
 	st, err := db.Vacuum()
 	if err != nil {
 		t.Fatal(err)
@@ -28,6 +29,10 @@ func TestVacuumReclaimsSupersededVersions(t *testing.T) {
 	// has a committed deleter below the horizon: all reclaimable.
 	if st.Reclaimed < updates {
 		t.Fatalf("Reclaimed = %d, want >= %d superseded versions", st.Reclaimed, updates)
+	}
+	// The pass leaves nothing staged for the next committer to flush.
+	if w1 := db.WAL().Stats(); w1.DurableLSN-w0.DurableLSN != uint64(w1.Appends-w0.Appends) {
+		t.Errorf("vacuum appended %d WAL records but made %d durable", w1.Appends-w0.Appends, w1.DurableLSN-w0.DurableLSN)
 	}
 	res := mustExec(t, s, "SELECT n FROM v WHERE id = 1")
 	if len(res.Rows) != 1 || res.Rows[0][0].I != updates {

@@ -17,7 +17,7 @@ import (
 //	[8:10)  uint16 free-space end (entry bytes grow down from PageSize)
 //	[10:..) slot directory: per entry uint16 offset, uint16 klen, uint16 vlen
 //
-// Page 0 is the meta page: magic, root page number and entry count.
+// Page 0 is the meta page: magic and root page number.
 const (
 	btLeaf     = 1
 	btInternal = 2
@@ -168,10 +168,9 @@ func btCompact(d []byte) {
 // with its statement write gate, so the latch's job is to keep reader
 // page accesses race-free against the one active writer.
 type BTree struct {
-	file  *File
-	mu    sync.RWMutex
-	root  uint32
-	count int64
+	file *File
+	mu   sync.RWMutex
+	root uint32
 }
 
 // CreateBTree initializes a new B+Tree in an empty file.
@@ -216,9 +215,8 @@ func OpenBTree(file *File) (*BTree, error) {
 		return nil, fmt.Errorf("storage: %s is not a B-Tree file", file.Path())
 	}
 	return &BTree{
-		file:  file,
-		root:  binary.LittleEndian.Uint32(p.Data[4:8]),
-		count: int64(binary.LittleEndian.Uint64(p.Data[8:16])),
+		file: file,
+		root: binary.LittleEndian.Uint32(p.Data[4:8]),
 	}, nil
 }
 
@@ -233,7 +231,6 @@ func (t *BTree) writeMeta() error {
 	}
 	binary.LittleEndian.PutUint32(p.Data[0:4], btMagic)
 	binary.LittleEndian.PutUint32(p.Data[4:8], t.root)
-	binary.LittleEndian.PutUint64(p.Data[8:16], uint64(t.count))
 	p.MarkDirty()
 	p.Release()
 	return nil
@@ -241,13 +238,6 @@ func (t *BTree) writeMeta() error {
 
 // File returns the underlying page file.
 func (t *BTree) File() *File { return t.file }
-
-// Count returns the number of entries.
-func (t *BTree) Count() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.count
-}
 
 // Height returns the tree height (1 = root is a leaf).
 func (t *BTree) Height() (int, error) {
@@ -323,85 +313,78 @@ func (t *BTree) Put(key, val []byte) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	res, inserted, err := t.put(t.root, key, val)
+	res, err := t.put(t.root, key, val)
+	if err != nil || !res.split {
+		return err
+	}
+	// Grow a new root.
+	newRoot, err := t.file.Allocate()
 	if err != nil {
 		return err
 	}
-	if res.split {
-		// Grow a new root.
-		newRoot, err := t.file.Allocate()
-		if err != nil {
-			return err
-		}
-		p, err := t.file.GetPage(newRoot)
-		if err != nil {
-			return err
-		}
-		if err := p.WillModify(); err != nil {
-			p.Release()
-			return err
-		}
-		d := p.Data
-		for i := range d[:PageDataSize] {
-			d[i] = 0 // the LSN trailer survives the rebuild
-		}
-		btSetType(d, btInternal)
-		btSetFreeEnd(d, PageDataSize)
-		btSetNext(d, t.root)
-		var child [4]byte
-		binary.LittleEndian.PutUint32(child[:], res.newPage)
-		btInsertAt(d, 0, res.sepKey, child[:])
-		p.MarkDirty()
+	p, err := t.file.GetPage(newRoot)
+	if err != nil {
+		return err
+	}
+	if err := p.WillModify(); err != nil {
 		p.Release()
-		t.root = newRoot
+		return err
 	}
-	if inserted {
-		t.count++
+	d := p.Data
+	for i := range d[:PageDataSize] {
+		d[i] = 0 // the LSN trailer survives the rebuild
 	}
+	btSetType(d, btInternal)
+	btSetFreeEnd(d, PageDataSize)
+	btSetNext(d, t.root)
+	var child [4]byte
+	binary.LittleEndian.PutUint32(child[:], res.newPage)
+	btInsertAt(d, 0, res.sepKey, child[:])
+	p.MarkDirty()
+	p.Release()
+	t.root = newRoot
 	return t.writeMeta()
 }
 
-func (t *BTree) put(page uint32, key, val []byte) (splitResult, bool, error) {
+func (t *BTree) put(page uint32, key, val []byte) (splitResult, error) {
 	p, err := t.file.GetPage(page)
 	if err != nil {
-		return splitResult{}, false, err
+		return splitResult{}, err
 	}
 	d := p.Data
 	if btType(d) == btLeaf {
 		i, exact := btSearch(d, key)
 		if err := p.WillModify(); err != nil {
 			p.Release()
-			return splitResult{}, false, err
+			return splitResult{}, err
 		}
 		if exact {
 			btRemoveAt(d, i)
 			if !btInsertAt(d, i, key, val) {
-				res, err := t.splitLeaf(&p, page, i, key, val)
-				return res, false, err
+				return t.splitLeaf(&p, page, i, key, val)
 			}
 			p.MarkDirty()
 			p.Release()
-			return splitResult{}, false, nil
+			return splitResult{}, nil
 		}
 		if btInsertAt(d, i, key, val) {
 			p.MarkDirty()
 			p.Release()
-			return splitResult{}, true, nil
+			return splitResult{}, nil
 		}
-		res, err := t.splitLeaf(&p, page, i, key, val)
-		return res, true, err
+		return t.splitLeaf(&p, page, i, key, val)
 	}
 
 	childPage := btChild(d, key)
 	p.Release()
-	res, inserted, err := t.put(childPage, key, val)
+	res, err := t.put(childPage, key, val)
 	if err != nil || !res.split {
-		return splitResult{}, inserted, err
+		return splitResult{}, err
 	}
 	// Insert the new separator into this internal node.
 	p, err = t.file.GetPage(page)
 	if err != nil {
-		return splitResult{}, inserted, err
+		return splitResult{}, err
 	}
 	d = p.Data
 	i, _ := btSearch(d, res.sepKey)
@@ -409,15 +392,15 @@ func (t *BTree) put(page uint32, key, val []byte) (splitResult, bool, error) {
 	binary.LittleEndian.PutUint32(child[:], res.newPage)
 	if err := p.WillModify(); err != nil {
 		p.Release()
-		return splitResult{}, inserted, err
+		return splitResult{}, err
 	}
 	if btInsertAt(d, i, res.sepKey, child[:]) {
 		p.MarkDirty()
 		p.Release()
-		return splitResult{}, inserted, nil
+		return splitResult{}, nil
 	}
 	up, err := t.splitInternal(&p, page, i, res.sepKey, child[:])
-	return up, inserted, err
+	return up, err
 }
 
 // splitLeaf splits the full leaf p, inserting (key, val) at logical
@@ -577,8 +560,7 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 			btRemoveAt(d, i)
 			p.MarkDirty()
 			p.Release()
-			t.count--
-			return true, t.writeMeta()
+			return true, nil
 		}
 		page = btChild(d, key)
 		p.Release()

@@ -20,6 +20,20 @@ func newTestBTree(t *testing.T, poolPages int) *BTree {
 	return bt
 }
 
+// entries counts the tree's entries with a full scan.
+func entries(t *testing.T, bt *BTree) int {
+	t.Helper()
+	n := 0
+	it := bt.Seek(nil, nil)
+	for it.Next() {
+		n++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
 func TestBTreePutGet(t *testing.T) {
 	bt := newTestBTree(t, 64)
 	for i := 0; i < 1000; i++ {
@@ -29,8 +43,8 @@ func TestBTreePutGet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bt.Count() != 1000 {
-		t.Fatalf("Count = %d", bt.Count())
+	if n := entries(t, bt); n != 1000 {
+		t.Fatalf("entries = %d", n)
 	}
 	for i := 0; i < 1000; i++ {
 		k := []byte(fmt.Sprintf("key-%05d", i))
@@ -62,8 +76,8 @@ func TestBTreeOverwrite(t *testing.T) {
 	if err := bt.Put([]byte("k"), []byte("v2-longer")); err != nil {
 		t.Fatal(err)
 	}
-	if bt.Count() != 1 {
-		t.Errorf("overwrite changed count: %d", bt.Count())
+	if n := entries(t, bt); n != 1 {
+		t.Errorf("overwrite changed the entry count: %d", n)
 	}
 	v, ok, _ := bt.Get([]byte("k"))
 	if !ok || string(v) != "v2-longer" {
@@ -83,8 +97,8 @@ func TestBTreeDelete(t *testing.T) {
 	if _, ok, _ := bt.Get([]byte("k100")); ok {
 		t.Error("deleted key still found")
 	}
-	if bt.Count() != 199 {
-		t.Errorf("Count = %d", bt.Count())
+	if n := entries(t, bt); n != 199 {
+		t.Errorf("entries = %d", n)
 	}
 	found, err = bt.Delete([]byte("missing"))
 	if err != nil || found {
@@ -166,8 +180,8 @@ func TestBTreePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bt2.Count() != 2000 {
-		t.Fatalf("Count after reopen = %d", bt2.Count())
+	if n := entries(t, bt2); n != 2000 {
+		t.Fatalf("entries after reopen = %d", n)
 	}
 	for _, i := range []int{0, 1, 999, 1999} {
 		v, ok, err := bt2.Get([]byte(fmt.Sprintf("key-%06d", i)))
@@ -237,8 +251,8 @@ func TestBTreeAgainstModel(t *testing.T) {
 			}
 		}
 	}
-	if int(bt.Count()) != len(model) {
-		t.Fatalf("count drift: tree=%d model=%d", bt.Count(), len(model))
+	if n := entries(t, bt); n != len(model) {
+		t.Fatalf("count drift: tree=%d model=%d", n, len(model))
 	}
 	// Full ordered scan must match the sorted model exactly.
 	keys := make([]string, 0, len(model))

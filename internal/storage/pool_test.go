@@ -189,6 +189,10 @@ func TestPoolMixedStress(t *testing.T) {
 // TestPoolFlushDuringConcurrentScan flushes a file repeatedly while
 // readers scan all of its pages and a writer keeps re-dirtying them.
 // Afterwards the on-disk image must match the deterministic pattern.
+// Page contents are latched the way the heap and B-Tree latch theirs:
+// readers hold the read side while they look at a pinned page, the
+// writer the write side while it changes one. The pool itself takes no
+// latch, so the flushes race only against pins.
 func TestPoolFlushDuringConcurrentScan(t *testing.T) {
 	const pages = 64
 	pool := NewPool(32) // half the working set: scans force eviction
@@ -204,6 +208,7 @@ func TestPoolFlushDuringConcurrentScan(t *testing.T) {
 		fillPage(t, f, pg, pageTag(pg, 0))
 	}
 
+	var latch sync.RWMutex
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
@@ -217,17 +222,20 @@ func TestPoolFlushDuringConcurrentScan(t *testing.T) {
 				default:
 				}
 				for pg := uint32(0); pg < pages; pg++ {
+					latch.RLock()
 					p, err := f.GetPage(pg)
 					if err != nil {
+						latch.RUnlock()
 						t.Errorf("scan get %d: %v", pg, err)
 						return
 					}
-					if tag := pageTag(pg, 0); p.Data[0] != tag {
-						t.Errorf("scan page %d corrupt: %#x want %#x", pg, p.Data[0], tag)
-						p.Release()
+					got := p.Data[0]
+					p.Release()
+					latch.RUnlock()
+					if tag := pageTag(pg, 0); got != tag {
+						t.Errorf("scan page %d corrupt: %#x want %#x", pg, got, tag)
 						return
 					}
-					p.Release()
 				}
 			}
 		}()
@@ -243,8 +251,10 @@ func TestPoolFlushDuringConcurrentScan(t *testing.T) {
 			default:
 			}
 			pg := uint32(r.Intn(pages))
+			latch.Lock()
 			p, err := f.GetPage(pg)
 			if err != nil {
+				latch.Unlock()
 				t.Errorf("writer get %d: %v", pg, err)
 				return
 			}
@@ -254,6 +264,7 @@ func TestPoolFlushDuringConcurrentScan(t *testing.T) {
 			}
 			p.MarkDirty()
 			p.Release()
+			latch.Unlock()
 		}
 	}()
 

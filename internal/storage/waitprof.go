@@ -9,9 +9,8 @@ import (
 // by cause. The engine attaches a profiler only to statements the
 // monitor has phase-2 flagged, so the unprofiled path pays nothing but
 // nil checks. Counters are atomics: a statement's page gets all run on
-// its session goroutine, but the profiler also rides WAL transactions
-// whose group-commit waits resolve against a background flusher, and
-// atomics keep every accumulation unordered-safe for the few wait
+// its session goroutine, but the profiler also rides WAL transactions,
+// and atomics keep every accumulation unordered-safe for the few wait
 // events (microseconds and up) being measured.
 type WaitProf struct {
 	ioNs    atomic.Int64 // page loads, write-backs, load/write latch waits

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/bits"
@@ -21,11 +22,16 @@ import (
 // whole WAL-before-data invariant in one sentence.
 //
 // Group commit: appenders stage encoded records in an in-memory buffer
-// under w.mu and park on their commit LSN; a single flusher goroutine
-// writes and fsyncs the batch, amortizing one fsync across every
-// committer that arrived during the flush window. A lone committer is
-// flushed immediately — the batching delay only kicks in when there is
-// a sibling to share the fsync with.
+// under w.mu. A committer that must wait for its record flushes the log
+// itself: the first to take ioMu writes and fsyncs everything staged so
+// far, and the committers queued behind it on ioMu find their LSN
+// already durable and return without I/O. The queue is the batch, so
+// there is no flusher goroutine, no window and no knob: a lone
+// committer pays exactly one fsync, and concurrent ones share each
+// fsync with everyone who staged while the previous one ran. A unit
+// finished without waiting is only staged; it becomes durable with the
+// next waiter, the buffer pool's WAL barrier, a checkpoint or Close —
+// or at once, if the staging buffer has grown past walRetainedBuf.
 
 // Page trailer: the last PageTrailerSize bytes of every page hold the
 // LSN of the WAL record that last touched it. Page-structure code must
@@ -67,13 +73,12 @@ const (
 	walFrameSize  = 8
 	walBodyFixed  = 17
 	walMaxBody    = walBodyFixed + 2 + 255 + 4 + 8 + PageSize // image record upper bound
-	walCompactMin = 1 << 20 // compact the log at checkpoint once it exceeds this
+	walCompactMin = 1 << 20                                   // compact the log at checkpoint once it exceeds this
 )
 
 // WALFile is the seam between the WAL and the OS file. Production code
 // uses *os.File opened O_APPEND; the walfault package substitutes a
-// truncating/torn-writing wrapper to simulate crashes at chosen byte
-// offsets.
+// wrapper whose fsync can be made to fail.
 type WALFile interface {
 	Write(p []byte) (int, error)
 	Sync() error
@@ -124,11 +129,6 @@ type WALStats struct {
 
 // WALOptions tunes OpenWAL.
 type WALOptions struct {
-	// GroupCommitInterval is the batching window: when more than one
-	// committer is waiting, the flusher sleeps this long before the
-	// write+fsync so siblings can pile on. <= 0 means synchronous
-	// commit (every committer fsyncs on its own). Default 1ms.
-	GroupCommitInterval time.Duration
 	// OpenFile substitutes the log file implementation (test seam).
 	OpenFile func(string) (WALFile, error)
 }
@@ -138,27 +138,25 @@ type WAL struct {
 	path     string
 	openFile func(string) (WALFile, error)
 
-	// mu guards the append state and is the condition lock for
-	// durability waiters. Lock order: ioMu before mu, never inverted.
+	// mu guards the append state. Lock order: ioMu before mu, never
+	// inverted.
 	mu      sync.Mutex
-	cond    *sync.Cond
 	buf     []byte
 	spare   []byte
-	bufEnd  uint64            // LSN of the last staged record
+	bufEnd  uint64 // LSN of the last staged record
 	nextLSN uint64
 	nextTxn uint64
 	active  map[uint64]uint64 // txn id -> first LSN (for fuzzy checkpoint scan start)
 	err     error
 	closed  bool
 
-	// ioMu serializes file writes, fsyncs and log compaction.
+	// ioMu serializes file writes, fsyncs and log compaction; its
+	// queue of committers is what batches them. f is nil once closed.
 	ioMu      sync.Mutex
 	f         WALFile
 	fileBytes int64
 
-	durable  atomic.Uint64
-	interval atomic.Int64 // group-commit window in ns; <= 0 is synchronous
-	waiters  atomic.Int64
+	durable atomic.Uint64
 
 	// ddlGate serializes DDL (writer) against transactions (readers):
 	// every WalTxn holds the read side for its lifetime, so DDL sees a
@@ -167,10 +165,6 @@ type WAL struct {
 	// every lock its owner may wait for, so the writer waits on no cycle.
 	ddlGate sync.RWMutex
 
-	kick    chan struct{}
-	done    chan struct{}
-	stopped chan struct{}
-
 	bytes      atomic.Int64
 	fsyncs     atomic.Int64
 	appends    atomic.Int64
@@ -178,18 +172,13 @@ type WAL struct {
 	fsyncHist  [WALLatencyBuckets]atomic.Int64
 }
 
-// OpenWAL opens (creating if needed) the log at path and starts the
-// group-commit flusher. Any torn tail beyond the last valid record is
-// truncated away — recovery has already run by the time the engine
-// calls this.
+// OpenWAL opens (creating if needed) the log at path. Any torn tail
+// beyond the last valid record is truncated away — recovery has already
+// run by the time the engine calls this.
 func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 	open := opts.OpenFile
 	if open == nil {
 		open = defaultWALOpen
-	}
-	iv := opts.GroupCommitInterval
-	if iv == 0 {
-		iv = time.Millisecond
 	}
 	recs, base, validLen, err := ReadWALRecords(path)
 	if err != nil {
@@ -222,27 +211,17 @@ func OpenWAL(path string, opts WALOptions) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{
-		path:     path,
-		openFile: open,
-		nextLSN:  next,
-		active:   make(map[uint64]uint64),
-		f:        f,
+		path:      path,
+		openFile:  open,
+		nextLSN:   next,
+		active:    make(map[uint64]uint64),
+		f:         f,
 		fileBytes: validLen,
-		kick:     make(chan struct{}, 1),
-		done:     make(chan struct{}),
-		stopped:  make(chan struct{}),
 	}
-	w.cond = sync.NewCond(&w.mu)
 	w.bufEnd = next - 1
 	w.durable.Store(next - 1)
-	w.interval.Store(int64(iv))
-	go w.flusher()
 	return w, nil
 }
-
-// SetGroupCommitInterval changes the batching window at runtime.
-// <= 0 switches to synchronous per-commit fsync.
-func (w *WAL) SetGroupCommitInterval(d time.Duration) { w.interval.Store(int64(d)) }
 
 // DurableLSN returns the highest LSN known to be fsynced.
 func (w *WAL) DurableLSN() uint64 { return w.durable.Load() }
@@ -278,9 +257,12 @@ func (w *WAL) fail(err error) {
 	if w.err == nil {
 		w.err = err
 	}
-	w.cond.Broadcast()
 	w.mu.Unlock()
 }
+
+// errWALClosed is returned by appends and durability waits on a closed
+// log.
+var errWALClosed = errors.New("storage: wal closed")
 
 // Err returns the sticky log failure, if any. A failed log refuses all
 // further appends: better to stop acking commits than to ack ones that
@@ -292,13 +274,6 @@ func (w *WAL) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
-}
-
-func (w *WAL) kickFlusher() {
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
 }
 
 // appendLocked encodes a record into the staging buffer. Caller holds
@@ -344,15 +319,25 @@ func (w *WAL) appendLocked(lsn, txn uint64, typ byte, file string, page uint32, 
 	w.appends.Add(1)
 }
 
-// flushNow writes the staged buffer and fsyncs if anything new needs
-// durability. minLSN > 0 lets callers skip the work when their record
-// is already durable.
+// flushNow makes everything staged durable, unless minLSN > 0 already
+// is. It is the whole of group commit: the caller at the head of ioMu's
+// queue writes and fsyncs every record staged so far, and the callers
+// queued behind it find their LSN durable here and return without I/O.
 func (w *WAL) flushNow(minLSN uint64) error {
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
 	if minLSN > 0 && w.durable.Load() >= minLSN {
 		return nil
 	}
+	if w.f == nil {
+		return errWALClosed
+	}
+	return w.flushLocked()
+}
+
+// flushLocked writes the staged buffer and fsyncs if anything new needs
+// durability. Caller holds ioMu and the file is open.
+func (w *WAL) flushLocked() error {
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
@@ -388,10 +373,7 @@ func (w *WAL) flushNow(minLSN uint64) error {
 		w.fsyncs.Add(1)
 		w.fsyncNanos.Add(d.Nanoseconds())
 		w.fsyncHist[walLatencyBucket(d)].Add(1)
-		w.mu.Lock()
 		w.durable.Store(target)
-		w.cond.Broadcast()
-		w.mu.Unlock()
 	}
 	w.mu.Lock()
 	if w.spare == nil && buf != nil && cap(buf) <= walRetainedBuf {
@@ -405,7 +387,8 @@ func (w *WAL) flushNow(minLSN uint64) error {
 // commits stage a few pages each and recycle their buffer forever; a
 // larger one — a bulk load's, a vacuum pass's, an index build's unit —
 // is left to the collector instead of pinning its high-water size for
-// the life of the process.
+// the life of the process. It also bounds what a unit finished without
+// a wait may leave staged.
 const walRetainedBuf = 256 << 10
 
 // syncTo makes everything up to lsn durable. The buffer pool calls this
@@ -425,69 +408,36 @@ func (w *WAL) Sync() error {
 	return w.flushNow(0)
 }
 
-// WaitDurable blocks until lsn is durable, parking on the group-commit
-// flusher. In synchronous mode it performs the flush itself.
+// WaitDurable blocks until lsn is durable, flushing the log itself
+// unless a committer ahead of it on ioMu already did.
 func (w *WAL) WaitDurable(lsn uint64) error {
 	if w == nil || lsn == 0 || w.durable.Load() >= lsn {
 		return nil
 	}
-	if w.interval.Load() <= 0 {
-		return w.flushNow(lsn)
-	}
-	w.waiters.Add(1)
-	defer w.waiters.Add(-1)
-	w.kickFlusher()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.durable.Load() < lsn && w.err == nil && !w.closed {
-		w.cond.Wait()
-	}
-	if w.err != nil {
-		return w.err
-	}
-	if w.durable.Load() < lsn {
-		return fmt.Errorf("storage: wal closed before lsn %d became durable", lsn)
-	}
-	return nil
+	return w.flushNow(lsn)
 }
 
-// flusher is the single goroutine that turns parked committers into
-// one fsync per batch. The batching sleep only happens when more than
-// one committer is waiting — a lone committer pays no added latency.
-func (w *WAL) flusher() {
-	defer close(w.stopped)
-	for {
-		select {
-		case <-w.done:
-			w.flushNow(0)
-			return
-		case <-w.kick:
-		}
-		if iv := time.Duration(w.interval.Load()); iv > 0 && w.waiters.Load() > 1 {
-			time.Sleep(iv)
-		}
-		w.flushNow(0)
-	}
-}
-
-// Close flushes the log and stops the flusher.
+// Close refuses further appends, makes everything staged durable and
+// closes the file. A later WaitDurable for a record that did not make
+// it returns errWALClosed without touching the file.
 func (w *WAL) Close() error {
 	if w == nil {
 		return nil
 	}
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	w.cond.Broadcast()
-	w.mu.Unlock()
-	close(w.done)
-	<-w.stopped
 	w.ioMu.Lock()
 	defer w.ioMu.Unlock()
-	return w.f.Close()
+	if w.f == nil {
+		return nil
+	}
+	w.mu.Lock()
+	w.closed = true
+	w.mu.Unlock()
+	err := w.flushLocked()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	w.f = nil
+	return err
 }
 
 // BeginExclusive blocks until every open transaction finishes and
@@ -578,7 +528,7 @@ func (t *WalTxn) captureBefore(p *Page) error {
 	}
 	if w.closed {
 		w.mu.Unlock()
-		return fmt.Errorf("storage: wal closed")
+		return errWALClosed
 	}
 	lsn := w.nextLSN
 	w.nextLSN++
@@ -596,9 +546,14 @@ func (t *WalTxn) captureBefore(p *Page) error {
 }
 
 // Commit logs after-images for every touched page plus a finish record,
-// then (if wait) blocks until the finish record is durable. Rollback
-// paths call this too with wait=false: the engine keeps a finished
-// transaction's effects in place either way, so recovery must as well.
+// then (if wait) blocks until the finish record is durable. With
+// wait=false the records are only staged and ride the next flush —
+// unless the staging buffer has grown past walRetainedBuf (a bulk
+// load's or a vacuum pass's unit), in which case the unit flushes it
+// at once, so records nobody waits for never pin more than that.
+// Rollback paths call this too with wait=false: the engine keeps a
+// finished transaction's effects in place either way, so recovery must
+// as well.
 // Must be called before the statement releases its write gate, so that
 // a later transaction's images can never be durable while this one
 // still looks in-flight.
@@ -638,6 +593,7 @@ func (t *WalTxn) Commit(wait bool) error {
 	w.appendLocked(clsn, t.id, WALCommit, "", 0, 0, nil, t.owner)
 	delete(w.active, t.id)
 	err := w.err
+	wait = wait || len(w.buf) > walRetainedBuf
 	w.mu.Unlock()
 	if firstErr == nil {
 		firstErr = err
@@ -654,14 +610,14 @@ func (t *WalTxn) Commit(wait bool) error {
 		}
 		return w.WaitDurable(clsn)
 	}
-	w.kickFlusher()
 	return nil
 }
 
 // CommitTxn logs the MVCC commit record for owner and, if wait, blocks
-// until it is durable. This is the commit point of a multi-statement
-// transaction: recovery treats an owner with no durable WALTxnCommit as
-// aborted, so its versions stay invisible after a crash.
+// until it is durable; otherwise the record is only staged. This is the
+// commit point of a multi-statement transaction: recovery treats an
+// owner with no durable WALTxnCommit as aborted, so its versions stay
+// invisible after a crash.
 func (w *WAL) CommitTxn(owner uint64, wait bool) error {
 	if w == nil {
 		return nil
@@ -674,7 +630,7 @@ func (w *WAL) CommitTxn(owner uint64, wait bool) error {
 	}
 	if w.closed {
 		w.mu.Unlock()
-		return fmt.Errorf("storage: wal closed")
+		return errWALClosed
 	}
 	lsn := w.nextLSN
 	w.nextLSN++
@@ -683,7 +639,6 @@ func (w *WAL) CommitTxn(owner uint64, wait bool) error {
 	if wait {
 		return w.WaitDurable(lsn)
 	}
-	w.kickFlusher()
 	return nil
 }
 

@@ -68,7 +68,7 @@ func MonitorSource(m *monitor.Monitor) Source {
 			Metric{Name: "engine_wait_exec_ns_total", Help: "Executor self-time attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.ExecNs)},
 			Metric{Name: "engine_wait_lock_ns_total", Help: "Lock acquisition wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.LockNs)},
 			Metric{Name: "engine_wait_io_ns_total", Help: "Buffer-pool page I/O wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.IONs)},
-			Metric{Name: "engine_wait_fsync_ns_total", Help: "WAL group-commit/fsync wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.FsyncNs)},
+			Metric{Name: "engine_wait_fsync_ns_total", Help: "WAL durability (commit fsync) wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.FsyncNs)},
 			Metric{Name: "engine_wait_pinwait_ns_total", Help: "Pinned-pool backpressure wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.PinWaitNs)},
 			Metric{Name: "monitor_overhead_phase2_seconds_total", Help: "Wallclock seconds inside the phase-2 machinery (flag lookups, wait recording).", Kind: Counter, Value: phase2},
 			Metric{Name: "monitor_publish_seconds_total", Help: "Wallclock seconds spent publishing statement shapes (once per prepared statement, outside any statement's sensor time).", Kind: Counter, Value: publish},
