@@ -51,8 +51,9 @@ func main() {
 		Retention:      *retention,
 		Alerts:         alerts,
 		// Transient poll failures and broken alert rules are logged and
-		// survived, not fatal: the daemon retries with backoff and
-		// requeues drained entries until the workload DB recovers.
+		// survived, not fatal: the daemon retries with backoff, and the
+		// workload sums that did not land wait in the monitor until the
+		// workload DB recovers.
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
@@ -82,8 +83,10 @@ func main() {
 	st := sys.Daemon.Stats()
 	fmt.Printf("monitord: %d polls (%d errors, %d retries), %d rows appended, %d pruned, %d alerts (%d alert errors)\n",
 		st.Polls, st.PollErrors, st.Retries, st.RowsAppended, st.RowsPruned, st.AlertsFired, st.AlertErrors)
-	if st.CarryoverDepth > 0 || st.CarryoverDrops > 0 {
-		fmt.Printf("monitord: %d drained entries still unflushed, %d dropped at the carryover cap\n",
-			st.CarryoverDepth, st.CarryoverDrops)
+	if st.CarryoverDepth > 0 {
+		fmt.Printf("monitord: %d workload rows did not land in the last poll\n", st.CarryoverDepth)
+	}
+	if n := sys.Monitor.WorkloadDropped(); n > 0 {
+		fmt.Printf("monitord: the workload sums of %d executions were dropped\n", n)
 	}
 }

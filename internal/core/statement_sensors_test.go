@@ -189,14 +189,14 @@ func TestOneDigestAcrossRelations(t *testing.T) {
 	}{
 		{s, "SELECT frequency FROM ima_statements WHERE hash = %d", n},
 		{s, "SELECT COUNT(*) FROM ima_statements WHERE hash = %d", 1},
-		{s, "SELECT COUNT(*) FROM ima_workload WHERE hash = %d", n},
+		{s, "SELECT SUM(executions) FROM ima_workload WHERE hash = %d", n},
 		{s, "SELECT COUNT(*) FROM ima_references WHERE hash = %d AND obj_type = 'table'", 1},
 		{s, "SELECT SUM(bucket_count) FROM ima_latency WHERE scope = 'stmt' AND hash = %d", n},
 		{s, "SELECT COUNT(*) FROM ima_flags WHERE hash = %d", 1},
 		{s, "SELECT samples FROM ima_waits WHERE hash = %d", n},
 		{s, "SELECT COUNT(*) FROM ima_waits", 1},
 		{ws, "SELECT frequency FROM ws_statements WHERE hash = %d", n},
-		{ws, "SELECT COUNT(*) FROM ws_workload WHERE hash = %d", n},
+		{ws, "SELECT SUM(executions) FROM ws_workload WHERE hash = %d", n},
 		{ws, "SELECT COUNT(*) FROM ws_references WHERE hash = %d AND obj_type = 'table'", 1},
 		{ws, "SELECT samples FROM ws_waits WHERE hash = %d", n},
 	} {

@@ -19,13 +19,12 @@
 //     errors wrapped with Fatal (or context cancellation) terminate
 //     Run. Transient poll failures are retried with capped exponential
 //     backoff instead of killing the loop.
-//   - Workload entries drained from the monitor are never discarded on
-//     an insert failure: the un-persisted suffix is requeued on a
-//     bounded in-memory carryover buffer and flushed first on the next
-//     attempt, so each drained execution lands exactly once. When the
-//     carryover is full the daemon stops draining and lets the monitor
-//     ring wrap (bounded, counted loss) instead of growing an
-//     unbounded queue.
+//   - Workload sums leave the monitor only by landing: each poll reads
+//     them in its cut, and the cursor subtracts the rows whose insert
+//     succeeded. A failed insert leaves the rest in their statement
+//     entries for the next poll, so each execution lands exactly once
+//     and the daemon holds no queue of its own. While the target stays
+//     down, the monitor bounds what waits (see Monitor.WorkloadDropped).
 //   - Alert evaluation is isolated: one bad alert query or operator is
 //     logged and counted (AlertErrors) without aborting the poll or
 //     starving the remaining alerts.
@@ -62,9 +61,6 @@ const (
 	DefaultRetryBase = 250 * time.Millisecond
 	// DefaultRetryMax caps the exponential backoff.
 	DefaultRetryMax = 30 * time.Second
-	// DefaultCarryoverCap bounds the in-memory requeue buffer for
-	// drained-but-unpersisted workload entries.
-	DefaultCarryoverCap = 65536
 	// DefaultRefCacheCap bounds the reference dedup set.
 	DefaultRefCacheCap = 100000
 )
@@ -114,8 +110,8 @@ type Event struct {
 type Config struct {
 	// Source is the monitored database (must have IMA registered).
 	Source *engine.DB
-	// Mon is the source's monitor; the daemon drains its workload ring
-	// directly — the in-core collection variant of §IV-B.
+	// Mon is the source's monitor; the daemon reads one snapshot of it
+	// per poll directly — the in-core collection variant of §IV-B.
 	Mon *monitor.Monitor
 	// Target is the workload database.
 	Target *engine.DB
@@ -130,9 +126,6 @@ type Config struct {
 	RetryBase time.Duration
 	// RetryMax caps the backoff (default DefaultRetryMax).
 	RetryMax time.Duration
-	// CarryoverCap bounds the requeue buffer for drained workload
-	// entries whose insert failed (default DefaultCarryoverCap).
-	CarryoverCap int
 	// RefCacheCap bounds the dedup memory of persist-once relations
 	// (ws_references); the oldest keys are evicted first (default
 	// DefaultRefCacheCap).
@@ -174,8 +167,8 @@ type Stats struct {
 	PollErrors     int64 // polls that returned a (transient) error
 	Retries        int64 // backoff-scheduled retry polls executed by Run
 	AlertErrors    int64 // alert evaluations that failed (query or operator)
-	CarryoverDepth int64 // drained workload entries awaiting re-insert
-	CarryoverDrops int64 // executions of carryover entries dropped at the cap (oldest first)
+	CarryoverDepth int64 // workload rows the last poll selected but did not land
+	CarryoverDrops int64 // always 0: the daemon keeps nothing it could drop
 }
 
 // execTarget is the daemon's write surface to the workload DB. In
@@ -191,16 +184,16 @@ type Daemon struct {
 	cfg       Config
 	newTarget func() execTarget
 	logf      func(format string, args ...any)
-	carryCap  int
 
 	// The copy loop's view of the registry: what the relations read
-	// from and one cursor per copied relation, in registry order.
+	// from and one cursor per persisted relation, in registry order.
 	src     ima.Sources
 	cursors []*ima.Cursor
 
+	// mu is held while a poll collects: two polls would select the same
+	// rows before either acknowledged them, and persist them twice.
 	mu        sync.Mutex
 	lastPrune time.Time
-	carryover []monitor.WorkloadEntry
 
 	polls       atomic.Int64
 	appended    atomic.Int64
@@ -211,7 +204,6 @@ type Daemon struct {
 	retries     atomic.Int64
 	alertErrors atomic.Int64
 	carryDepth  atomic.Int64
-	carryDrops  atomic.Int64
 }
 
 // New validates the config and builds a daemon.
@@ -234,9 +226,6 @@ func New(cfg Config) (*Daemon, error) {
 			cfg.RetryMax = cfg.RetryBase
 		}
 	}
-	if cfg.CarryoverCap <= 0 {
-		cfg.CarryoverCap = DefaultCarryoverCap
-	}
 	if cfg.RefCacheCap <= 0 {
 		cfg.RefCacheCap = DefaultRefCacheCap
 	}
@@ -249,20 +238,14 @@ func New(cfg Config) (*Daemon, error) {
 	if err := workloaddb.EnsureSchema(cfg.Target); err != nil {
 		return nil, err
 	}
-	d := &Daemon{
-		cfg:      cfg,
-		logf:     cfg.Logf,
-		carryCap: cfg.CarryoverCap,
-	}
+	d := &Daemon{cfg: cfg, logf: cfg.Logf}
 	d.src = ima.Sources{
 		DB: cfg.Source, Mon: cfg.Mon,
 		Actions: cfg.Actions, ApplyFailures: cfg.ApplyFailures,
 		Collector: d.Health,
 	}
 	for _, rel := range ima.Persisted() {
-		if rel.StoreName() != workloaddb.Workload { // drained by flushWorkload, not copied
-			d.cursors = append(d.cursors, rel.NewCursor(cfg.RefCacheCap))
-		}
+		d.cursors = append(d.cursors, rel.NewCursor(cfg.RefCacheCap))
 	}
 	d.newTarget = func() execTarget { return cfg.Target.NewSession() }
 	return d, nil
@@ -271,8 +254,8 @@ func New(cfg Config) (*Daemon, error) {
 // Run polls on the configured interval until the context is cancelled.
 // A transient poll failure does not terminate the loop; it schedules a
 // retry with capped exponential backoff (interval ticks are absorbed
-// while a retry is pending — draining more entries into a failing
-// pipeline would only grow the carryover).
+// while a retry is pending — polling a failing target more often would
+// only add load to it).
 // Run returns only on context cancellation or a fatal error.
 func (d *Daemon) Run(ctx context.Context) error {
 	ticker := time.NewTicker(d.cfg.Interval)
@@ -350,7 +333,6 @@ func (d *Daemon) Stats() Stats {
 		Retries:        d.retries.Load(),
 		AlertErrors:    d.alertErrors.Load(),
 		CarryoverDepth: d.carryDepth.Load(),
-		CarryoverDrops: d.carryDrops.Load(),
 	}
 }
 
@@ -364,17 +346,33 @@ func (d *Daemon) Health() ima.CollectorHealth {
 	}
 }
 
-// Poll performs one collection cycle: flush carried-over and freshly
-// drained workload entries, run the flagger and vacuum, copy every
-// other persisted relation of the ima registry into its ws_ table with
-// the poll timestamp, prune expired rows once per retention hour, then
-// evaluate alerts.
+// Poll performs one collection cycle: take one cut of the monitor, run
+// the flagger and vacuum, copy every persisted relation of the ima
+// registry into its ws_ table with the poll timestamp, prune expired
+// rows once per retention hour, then evaluate alerts. The collection
+// runs one poll at a time; the alerts, whose actions are the caller's
+// code, run after it.
 //
 // A failing section does not abort the cycle: each append runs
-// independently, failed workload inserts are requeued on the carryover
-// buffer, and the errors are joined into the return value for Run to
-// back off on. Alert evaluation never contributes an error.
+// independently, rows that did not land are selected again next poll,
+// and the errors are joined into the return value for Run to back off
+// on. Alert evaluation never contributes an error.
 func (d *Daemon) Poll() error {
+	now, errs := d.collect()
+	// Alerts — isolated; failures are counted, never propagated.
+	d.evaluateAlerts(now)
+	if len(errs) > 0 {
+		d.pollErrors.Add(1)
+		return errors.Join(errs...)
+	}
+	return nil
+}
+
+// collect is Poll up to the alerts, under the daemon's mutex; it
+// returns the poll's time and errors.
+func (d *Daemon) collect() (time.Time, []error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	now := d.cfg.Now()
 	ts := now.UnixMicro()
 	d.polls.Add(1)
@@ -385,18 +383,11 @@ func (d *Daemon) Poll() error {
 
 	var errs []error
 
-	// 1. Workload entries: carryover from failed polls first, then the
-	// fresh drain — each drained execution lands exactly once.
-	if err := d.flushWorkload(target, ts); err != nil {
-		errs = append(errs, err)
-	}
-
-	// One consistent cut of statements, references and frequencies for
-	// the copy below (the workload was drained first, so the statements
-	// it references are in it), taken with a single pass over the
-	// monitor's statement locks.
+	// 1. One consistent cut of statements, references, frequencies and
+	// the workload sums for the copy below, taken with a single pass
+	// over the monitor's statement lock.
 	src := d.src
-	cut := d.cfg.Mon.SnapshotStatementSide()
+	cut := d.cfg.Mon.Snapshot()
 	src.Cut = &cut
 
 	// 2. Housekeeping that feeds the sensors read below. Adaptive
@@ -418,94 +409,36 @@ func (d *Daemon) Poll() error {
 		}
 	}
 
-	// 3. Every other persisted relation, in registry order: read it,
-	// let its persist rule pick the rows, append them. Relations fail
-	// independently, and a rule's watermark or dedup memory advances
-	// only past rows that landed, so whatever a failed append left
-	// behind is picked again next poll.
+	// 3. Every persisted relation, in registry order: read it, let its
+	// persist rule pick the rows, append them. Relations fail
+	// independently, and a rule's watermark, dedup memory or pending
+	// sums advance only past rows that landed, so whatever a failed
+	// append left behind is picked again next poll.
+	var unlanded int64
 	for _, c := range d.cursors {
-		rows, ack := c.Select(c.Rel.Rows(&src), now)
+		rows, ack := c.Select(&src, now)
 		n, err := d.insertBatch(target, c.Rel.StoreName(), ts, rows)
 		ack(n)
 		if err != nil {
 			errs = append(errs, err)
 		}
+		if c.Rel.Landed != nil {
+			unlanded += int64(len(rows) - n)
+		}
 	}
+	d.carryDepth.Store(unlanded)
 
 	// 4. Retention pruning, at most once per hour of wall time; a
 	// failed prune is retried next poll (lastPrune advances on success).
-	d.mu.Lock()
-	doPrune := now.Sub(d.lastPrune) >= time.Hour || d.lastPrune.IsZero()
-	d.mu.Unlock()
-	if doPrune {
+	if now.Sub(d.lastPrune) >= time.Hour || d.lastPrune.IsZero() {
 		if n, err := workloaddb.Prune(d.cfg.Target, d.cfg.Retention, now); err != nil {
 			errs = append(errs, err)
 		} else {
 			d.pruned.Add(n)
-			d.mu.Lock()
 			d.lastPrune = now
-			d.mu.Unlock()
 		}
 	}
-
-	// 5. Alerts — isolated; failures are counted, never propagated.
-	d.evaluateAlerts(now)
-
-	if len(errs) > 0 {
-		d.pollErrors.Add(1)
-		return errors.Join(errs...)
-	}
-	return nil
-}
-
-// flushWorkload persists the carryover buffer plus a fresh drain of
-// the monitor's workload relation: the ring's raw rows and one summed
-// entry per shape that ran. On failure the un-persisted suffix is
-// requeued (chunks that were Exec'd before the failure are not — a
-// failed Exec applies nothing, so the retry cannot duplicate rows).
-// When the carryover is already at capacity the monitor is deliberately
-// not drained: shapes keep summing, raw entries stay in the ring, where
-// wraparound drops oldest-first and is counted, in executions, by
-// Monitor.WorkloadDropped.
-func (d *Daemon) flushWorkload(x execTarget, ts int64) error {
-	d.mu.Lock()
-	pending := d.carryover
-	d.carryover = nil
-	d.mu.Unlock()
-
-	if len(pending) < d.carryCap {
-		pending = append(pending, d.cfg.Mon.DrainWorkload()...)
-	}
-	if len(pending) == 0 {
-		return nil
-	}
-	rows := make([]sqltypes.Row, len(pending))
-	for i, w := range pending {
-		rows[i] = ima.WorkloadRow(w)
-	}
-	n, err := d.insertBatch(x, workloaddb.Workload, ts, rows)
-	if err == nil {
-		d.mu.Lock()
-		d.carryDepth.Store(int64(len(d.carryover)))
-		d.mu.Unlock()
-		return nil
-	}
-
-	rest := pending[n:]
-	d.mu.Lock()
-	// A concurrent Poll may have requeued in the meantime; append and
-	// trim to the cap, dropping oldest first.
-	d.carryover = append(d.carryover, rest...)
-	if drop := len(d.carryover) - d.carryCap; drop > 0 {
-		for _, w := range d.carryover[:drop] {
-			d.carryDrops.Add(w.Executions)
-		}
-		d.carryover = append([]monitor.WorkloadEntry(nil), d.carryover[drop:]...)
-	}
-	depth := len(d.carryover)
-	d.carryDepth.Store(int64(depth))
-	d.mu.Unlock()
-	return fmt.Errorf("daemon: workload append (%d entries requeued): %w", depth, err)
+	return now, errs
 }
 
 // insertBatch appends rows, each stamped with ts as its leading ts_us

@@ -23,10 +23,14 @@ type fixture struct {
 	sess   *engine.Session
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t *testing.T) *fixture { t.Helper(); return newFixtureCap(t, 0) }
+
+// newFixtureCap is newFixture with a statement table of capacity
+// entries (0: the default).
+func newFixtureCap(t *testing.T, capacity int) *fixture {
 	t.Helper()
 	dir := t.TempDir()
-	mon := monitor.New(monitor.Config{})
+	mon := monitor.New(monitor.Config{StatementCapacity: capacity})
 	source, err := engine.Open(engine.Config{Dir: filepath.Join(dir, "src"), PoolPages: 256, Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +51,10 @@ func newFixture(t *testing.T) *fixture {
 	}
 	return &fixture{source: source, target: target, mon: mon, sess: s}
 }
+
+// landAll lands every workload sum the monitor holds, as a poll whose
+// append succeeds does, so what runs next is all a test counts.
+func landAll(mon *monitor.Monitor) { mon.Landed(mon.SnapshotWorkload()) }
 
 func exec(t *testing.T, s *engine.Session, sql string) *engine.Result {
 	t.Helper()

@@ -2,13 +2,15 @@ package daemon
 
 // Fault-injection suite: a fault-injecting wrapper substitutes for the
 // daemon's target session through the execTarget seam, proving that
-// the collection pipeline survives storage errors, loses no drained
-// data, and degrades gracefully when the target stays down.
+// the collection pipeline survives storage errors, persists every
+// execution once, and degrades gracefully when the target stays down.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -25,7 +27,7 @@ var errInjected = errors.New("injected storage fault")
 // fatally.
 type flakyDB struct {
 	db     *engine.DB
-	every  int64       // >0: fail every nth Exec
+	every  int64 // >0: fail every nth Exec
 	calls  atomic.Int64
 	forced atomic.Bool // fail every Exec while set
 	fatal  atomic.Bool // fail with a FatalError while set
@@ -42,8 +44,8 @@ type flakySession struct {
 }
 
 // Exec fails before touching the real session, so a failed call
-// applies nothing — the fail-stop behavior the carryover's
-// exactly-once guarantee is stated under.
+// applies nothing — the fail-stop behavior the daemon's exactly-once
+// guarantee is stated under.
 func (fs *flakySession) Exec(sql string) (*engine.Result, error) {
 	if fs.f.fatal.Load() {
 		fs.f.failed.Add(1)
@@ -77,9 +79,10 @@ func countRows(t *testing.T, db *engine.DB, query string) int64 {
 }
 
 // TestPollRequeuesFailedWorkload is the regression test for the data
-// loss at the old daemon.go appendWorkload call: entries drained from
-// the monitor were dropped forever when the insert failed. They must
-// land on the next successful poll instead, exactly once.
+// loss at the old daemon.go appendWorkload call: entries taken from the
+// monitor were dropped forever when the insert failed. A failed insert
+// leaves the sums in the monitor, counted as rows the poll did not land,
+// and the next successful poll lands them, exactly once.
 func TestPollRequeuesFailedWorkload(t *testing.T) {
 	f := newFixture(t)
 	d, err := New(Config{Source: f.source, Mon: f.mon, Target: f.target})
@@ -106,7 +109,7 @@ func TestPollRequeuesFailedWorkload(t *testing.T) {
 		t.Errorf("PollErrors = %d, want 1", st.PollErrors)
 	}
 	if st.CarryoverDepth < int64(len(queries)) {
-		t.Errorf("CarryoverDepth = %d, want >= %d (drained entries requeued)",
+		t.Errorf("CarryoverDepth = %d, want >= %d (workload rows not landed)",
 			st.CarryoverDepth, len(queries))
 	}
 	if n := countRows(t, f.target, "SELECT COUNT(*) FROM "+workloaddb.Workload); n != 0 {
@@ -210,90 +213,160 @@ func TestRunStopsOnFatal(t *testing.T) {
 	}
 }
 
-// TestCarryoverBounded: when the target stays down, the carryover
-// buffer stops at its cap (dropping oldest first, counted in executions)
-// and the daemon stops draining so the monitor absorbs — and counts —
-// the overflow instead of an unbounded queue.
-func TestCarryoverBounded(t *testing.T) {
-	f := newFixture(t)
-	d, err := New(Config{
-		Source: f.source, Mon: f.mon, Target: f.target,
-		CarryoverCap: 8,
-	})
+// TestEvictedSumsBounded: while the target stays down, the sums wait
+// in their statement entries. Evicted entries that hold sums wait too,
+// up to the table's capacity; past it the oldest are dropped and counted
+// in executions. Once the target heals, every execution is stored or
+// counted as dropped, and the daemon itself dropped nothing.
+func TestEvictedSumsBounded(t *testing.T) {
+	const capacity = 8
+	f := newFixtureCap(t, capacity)
+	d, err := New(Config{Source: f.source, Mon: f.mon, Target: f.target})
 	if err != nil {
 		t.Fatal(err)
 	}
 	flaky := inject(d, f.target)
 	flaky.forced.Store(true)
-
-	// Clear the fixture's setup statements so the drop accounting below
-	// covers exactly the generated load: 20 executions of a statement
-	// the engine does not cache, a raw entry each, and 20 shapes (LIMIT n
-	// is part of the shape) run twice, which add up in the shape's
-	// entry. The drain is the 20 raw entries, then 20 of two executions.
-	f.mon.DrainWorkload()
+	landAll(f.mon)
 	base := f.mon.TotalStatements()
-	for i := 0; i < 20; i++ {
-		exec(t, f.sess, "SET PARALLEL 1")
-	}
-	for i := 0; i < 20; i++ {
-		for range 2 {
-			exec(t, f.sess, fmt.Sprintf("SELECT v FROM t WHERE id = %d AND v = 'cap' LIMIT %d", i, i+1))
+
+	// Shape i (LIMIT n is part of the shape) runs twice. Shapes past the
+	// table's capacity evict the oldest ones, sums and all.
+	shapes := func(from, to int) {
+		for i := from; i < to; i++ {
+			for range 2 {
+				exec(t, f.sess, fmt.Sprintf("SELECT v FROM t WHERE id = %d AND v = 'cap' LIMIT %d", i%10, i+1))
+			}
 		}
 	}
+	shapes(0, 2*capacity) // fills the table, then the evicted FIFO
 	if err := d.Poll(); err == nil {
 		t.Fatal("poll against a dead target reported success")
 	}
-	st := d.Stats()
-	if st.CarryoverDepth != 8 {
-		t.Errorf("CarryoverDepth = %d, want 8 (the cap)", st.CarryoverDepth)
+	if depth, dropped := f.mon.WorkloadDepth(), f.mon.WorkloadDropped(); depth != capacity || dropped != 0 {
+		t.Errorf("evicted entries waiting %d, dropped %d, want %d and 0", depth, dropped, capacity)
 	}
-	if st.CarryoverDrops != 20+12*2 {
-		t.Errorf("CarryoverDrops = %d executions, want 44 (20 raw entries and 12 of two executions)", st.CarryoverDrops)
+	if got := d.Stats().CarryoverDepth; got != 2*capacity {
+		t.Errorf("CarryoverDepth = %d, want %d rows selected and not landed", got, 2*capacity)
 	}
-
-	// With the carryover saturated, further polls must not drain the
-	// monitor: fresh entries wait in the ring.
-	for i := 0; i < 5; i++ {
-		exec(t, f.sess, "SET PARALLEL 1")
-	}
+	const overflow = 6
+	shapes(2*capacity, 2*capacity+overflow) // pushes the oldest waiting entries out
 	if err := d.Poll(); err == nil {
 		t.Fatal("poll against a dead target reported success")
 	}
-	if depth := d.Stats().CarryoverDepth; depth != 8 {
-		t.Errorf("CarryoverDepth grew past the cap: %d", depth)
-	}
-	if ringDepth := f.mon.WorkloadDepth(); ringDepth != 5 {
-		t.Errorf("monitor ring drained while carryover was full: depth %d, want 5", ringDepth)
+	if depth, dropped := f.mon.WorkloadDepth(), f.mon.WorkloadDropped(); depth != capacity || dropped != 2*overflow {
+		t.Errorf("evicted entries waiting %d, dropped %d executions, want %d and %d", depth, dropped, capacity, 2*overflow)
 	}
 
-	// Heal: the capped carryover flushes first, then the ring.
 	flaky.forced.Store(false)
 	if err := d.Poll(); err != nil {
 		t.Fatalf("poll after recovery: %v", err)
 	}
-	if err := d.Poll(); err != nil {
-		t.Fatalf("second poll after recovery: %v", err)
+	st := d.Stats()
+	if st.CarryoverDepth != 0 || st.CarryoverDrops != 0 || f.mon.WorkloadDepth() != 0 {
+		t.Errorf("after recovery: %d rows not landed, %d daemon drops, %d entries waiting", st.CarryoverDepth, st.CarryoverDrops, f.mon.WorkloadDepth())
 	}
-	if depth := d.Stats().CarryoverDepth; depth != 0 {
-		t.Errorf("CarryoverDepth after recovery = %d", depth)
-	}
-	if got := countRows(t, f.target, "SELECT COUNT(*) FROM "+workloaddb.Workload); got != 8+5 {
-		t.Errorf("persisted workload rows = %d, want %d (cap survivors + ring)", got, 8+5)
-	}
-	// Every execution is stored or counted as dropped.
 	stored := countRows(t, f.target, "SELECT SUM(executions) FROM "+workloaddb.Workload)
-	if ran := f.mon.TotalStatements() - base; stored != 8*2+5 || stored+d.Stats().CarryoverDrops+f.mon.WorkloadDropped() != ran {
-		t.Errorf("stored %d executions (want 21) + %d carryover drops + %d ring drops != %d run",
-			stored, d.Stats().CarryoverDrops, f.mon.WorkloadDropped(), ran)
+	if ran := f.mon.TotalStatements() - base; stored != 2*(2*capacity) || stored+f.mon.WorkloadDropped() != ran {
+		t.Errorf("stored %d executions (want %d) + %d dropped != %d run", stored, 2*(2*capacity), f.mon.WorkloadDropped(), ran)
+	}
+}
+
+// gatedDB holds the first poll inside its append to table until a
+// second poll reaches the same append, or until it has had the time to.
+type gatedDB struct {
+	db      *engine.DB
+	table   string
+	first   atomic.Bool
+	held    chan struct{} // closed when the first poll waits
+	second  sync.Once     // closes reached
+	reached chan struct{} // closed when another poll appends to table
+	release chan struct{}
+}
+
+type gatedSession struct {
+	g *gatedDB
+	s *engine.Session
+}
+
+func (gs *gatedSession) Exec(sql string) (*engine.Result, error) {
+	if g := gs.g; strings.HasPrefix(sql, "INSERT INTO "+g.table+" ") {
+		if g.first.CompareAndSwap(false, true) {
+			close(g.held)
+			<-g.release
+		} else {
+			g.second.Do(func() { close(g.reached) })
+		}
+	}
+	return gs.s.Exec(sql)
+}
+
+func (gs *gatedSession) Close() { gs.s.Close() }
+
+// TestConcurrentPollsPersistOnce: Poll is public and may run beside Run.
+// Two polls that overlap must not both persist what each selected before
+// the other acknowledged it: no reference key and no execution is stored
+// twice, whichever append the first poll is held in.
+func TestConcurrentPollsPersistOnce(t *testing.T) {
+	for _, table := range []string{workloaddb.Workload, workloaddb.References} {
+		t.Run(table, func(t *testing.T) {
+			f := newFixture(t)
+			d, err := New(Config{Source: f.source, Mon: f.mon, Target: f.target, DisableVacuum: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries := []string{"SELECT v FROM t WHERE id = 1 LIMIT 1", "SELECT id FROM t WHERE v = 'x2' LIMIT 2"}
+			for _, q := range queries {
+				exec(t, f.sess, q)
+			}
+			g := &gatedDB{db: f.target, table: table,
+				held: make(chan struct{}), reached: make(chan struct{}), release: make(chan struct{})}
+			d.newTarget = func() execTarget { return &gatedSession{g: g, s: g.db.NewSession()} }
+
+			errs := make(chan error, 2)
+			go func() { errs <- d.Poll() }()
+			<-g.held
+			go func() { errs <- d.Poll() }()
+			select {
+			case <-g.reached:
+			case <-time.After(200 * time.Millisecond): // the second poll waits its turn
+			}
+			close(g.release)
+			for range 2 {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			for _, q := range queries {
+				if n := countRows(t, f.target, fmt.Sprintf("SELECT SUM(executions) FROM %s WHERE hash = %d",
+					workloaddb.Workload, int64(sqlparser.DigestOf(q)))); n != 1 {
+					t.Errorf("%q stored as %d executions, want 1", q, n)
+				}
+			}
+			ws := f.target.NewSession()
+			defer ws.Close()
+			keys := map[string]int{}
+			for _, r := range exec(t, ws, "SELECT hash, obj_type, obj_name FROM "+workloaddb.References).Rows {
+				keys[r.String()]++
+			}
+			for k, n := range keys {
+				if n != 1 {
+					t.Errorf("reference %s stored %d times", k, n)
+				}
+			}
+			if len(keys) == 0 {
+				t.Error("no reference stored")
+			}
+		})
 	}
 }
 
 // TestFaultInjectionExactlyOnce is the acceptance scenario: with every
 // nth target Exec failing, a daemon run over a generated workload
-// persists every drained workload entry exactly once, Run never exits
-// before context cancellation, and alert errors are counted without
-// stopping the polling loop.
+// persists every execution exactly once, Run never exits before
+// context cancellation, and alert errors are counted without stopping
+// the polling loop.
 func TestFaultInjectionExactlyOnce(t *testing.T) {
 	f := newFixture(t)
 	var healthyFired atomic.Int64
@@ -316,7 +389,7 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 	}
 	flaky := inject(d, f.target)
 	// Every 9th Exec against the target fails. A busy poll issues up to
-	// eight consecutive Execs (workload, statements, references, three
+	// eight consecutive Execs (statements, workload, references, three
 	// object tables, statistics, latency — minus the tables with nothing
 	// new), so the failure position drifts across polls: some polls fail,
 	// some succeed. (With every ≤ 3 no poll could ever fully succeed.)
@@ -337,10 +410,10 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 		time.Sleep(500 * time.Microsecond) // polls interleave with the load
 	}
 
-	// Wait until every generated entry has been persisted and nothing
-	// is left in flight in the carryover. (The monitor ring never goes
-	// idle here: the alert queries themselves are monitored executions,
-	// so each poll feeds the ring the next poll drains.)
+	// Wait until every generated execution has been persisted and the
+	// last poll landed every workload row it selected. (The monitor never
+	// goes idle here: the alert queries themselves are monitored
+	// executions, so each poll leaves sums the next poll persists.)
 	allLanded := func() bool {
 		for _, q := range queries {
 			got := countRows(t, f.target, fmt.Sprintf("SELECT SUM(executions) FROM %s WHERE hash = %d",
@@ -357,7 +430,7 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 		case err := <-runDone:
 			t.Fatalf("Run exited before cancellation: %v (stats %+v)", err, d.Stats())
 		case <-deadline:
-			t.Fatalf("pipeline never drained: stats %+v, ring %d", d.Stats(), f.mon.WorkloadDepth())
+			t.Fatalf("pipeline never drained: stats %+v, evicted entries waiting %d", d.Stats(), f.mon.WorkloadDepth())
 		case <-time.After(5 * time.Millisecond):
 		}
 	}
@@ -389,7 +462,7 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 		t.Error("healthy alert starved by the broken one")
 	}
 	if st.CarryoverDrops != 0 {
-		t.Errorf("CarryoverDrops = %d, want 0 (cap never reached in this scenario)", st.CarryoverDrops)
+		t.Errorf("CarryoverDrops = %d, want 0 (the daemon keeps nothing to drop)", st.CarryoverDrops)
 	}
 
 	// The daemon's health counters made it into the persisted series.

@@ -58,11 +58,11 @@ func TestPersistedParity(t *testing.T) {
 	h.Finish(1, 0, 1, nil)
 
 	// What a consumer that has persisted nothing yet must pick, read
-	// before the poll (which drains the workload ring).
+	// before the poll (which lands the workload sums).
 	now := time.Now()
 	want := map[string][]string{}
 	for _, rel := range ima.Persisted() {
-		rows, _ := rel.NewCursor(DefaultRefCacheCap).Select(rel.Rows(&d.src), now)
+		rows, _ := rel.NewCursor(DefaultRefCacheCap).Select(&d.src, now)
 		want[rel.Name] = rowStrings(rows)
 	}
 	if err := d.Poll(); err != nil {

@@ -456,15 +456,21 @@ func TestPlanCacheHitSkipsOptimizer(t *testing.T) {
 	defer s.Close()
 	setupPeople(t, s)
 
-	// A shape's executions add up in its sums, one entry per drain.
+	// A shape's executions add up in its sums, one row per read until
+	// the rows land.
 	mon := db.Monitor()
 	digest := sqlparser.DigestOf("SELECT name FROM people WHERE id = 1")
-	mon.DrainWorkload()
+	drain := func() []monitor.WorkloadEntry {
+		w := mon.SnapshotWorkload()
+		mon.Landed(w)
+		return w
+	}
+	drain()
 	mustExec(t, s, "SELECT name FROM people WHERE id = 1")
-	first := mon.DrainWorkload()
+	first := drain()
 	mustExec(t, s, "SELECT name FROM people WHERE id = 2")
 	mustExec(t, s, "SELECT name FROM people WHERE id = 4")
-	second := mon.DrainWorkload()
+	second := drain()
 	if len(first) != 1 || len(second) != 1 || first[0].Hash != digest || second[0].Hash != digest {
 		t.Fatalf("workload entries %+v then %+v, want one each under digest %x", first, second, digest)
 	}

@@ -55,9 +55,9 @@ type Sources struct {
 	Collector func() CollectorHealth
 	// Health gathers ima_health; nil serves MonitorHealth(Mon).
 	Health func() []HealthMetric
-	// Cut, when set, is the statement-side state the relations read
-	// instead of locking the monitor once each: the storage daemon takes
-	// one consistent Mon.SnapshotStatementSide per poll.
+	// Cut, when set, is the monitor state the relations read instead of
+	// locking the monitor once each: the storage daemon takes one
+	// consistent Mon.Snapshot per poll, and persists from it.
 	Cut *monitor.Snapshot
 }
 
@@ -66,6 +66,13 @@ func (s *Sources) statements() []monitor.StatementInfo {
 		return s.Cut.Statements
 	}
 	return s.Mon.SnapshotStatements()
+}
+
+func (s *Sources) workload() []monitor.WorkloadEntry {
+	if s.Cut != nil {
+		return s.Cut.Workload
+	}
+	return s.Mon.SnapshotWorkload()
 }
 
 func (s *Sources) references() []monitor.Reference {
@@ -179,7 +186,7 @@ func MonitorHealth(mon *monitor.Monitor) []HealthMetric {
 		{"monitor", "sensor_seconds_total", mon.TotalMonitorTime().Seconds()},
 		{"monitor", "distinct_statements", float64(mon.StatementCount())},
 		{"monitor", "evicted_statements_total", float64(mon.EvictedStatements())},
-		{"monitor", "workload_depth", float64(mon.WorkloadDepth())},           // ring entries awaiting a drain
+		{"monitor", "workload_depth", float64(mon.WorkloadDepth())},           // evicted entries still holding sums
 		{"monitor", "workload_dropped_total", float64(mon.WorkloadDropped())}, // executions, not entries
 		{"monitor", "traces_buffered", float64(mon.TraceCount())},
 		{"monitor", "flagged_statements", float64(mon.FlagCount())},

@@ -238,21 +238,21 @@ func TestIndexesDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestRowsReadFromCut: a reader that took a statement-side cut (the
-// storage daemon, once per poll) gets statements, references and the
+// TestRowsReadFromCut: a reader that took a cut (the storage daemon,
+// once per poll) gets statements, workload, references and the
 // frequency-carrying relations from it — one pass over the monitor's
 // locks, one consistent state — while a reader without one sees the
 // monitor as it is now.
 func TestRowsReadFromCut(t *testing.T) {
 	db, mon, s := newMonitoredDB(t)
 	seed(t, s)
-	cut := mon.SnapshotStatementSide()
+	cut := mon.Snapshot()
 	src := Sources{DB: db, Mon: mon, Cut: &cut}
 	read := func(src Sources) map[string]string {
 		out := map[string]string{}
 		for i := range Relations {
 			switch rel := &Relations[i]; rel.Name {
-			case "statements", "references", "tables", "attributes", "indexes":
+			case "statements", "workload", "references", "tables", "attributes", "indexes":
 				out[rel.Name] = fmt.Sprint(rel.Rows(&src))
 			}
 		}

@@ -48,12 +48,14 @@ func (r *Relation) NewCursor(memory int) *Cursor {
 	return c
 }
 
-// Select applies the persist rule to rows — the relation as read at
-// now — and returns the selected rows masked to the persisted columns,
-// in order. The caller appends them and reports through ack how many
-// (a prefix) landed; only then does the rule's state advance, so rows
-// that failed to land are selected again next time.
-func (c *Cursor) Select(rows []sqltypes.Row, now time.Time) (out []sqltypes.Row, ack func(landed int)) {
+// Select reads the relation from src at now, applies the persist rule
+// and returns the selected rows masked to the persisted columns, in
+// order. The caller appends them and reports through ack how many (a
+// prefix) landed; only then does the rule's state advance, and the
+// relation's Landed hook run, so rows that failed to land are selected
+// again next time.
+func (c *Cursor) Select(src *Sources, now time.Time) (out []sqltypes.Row, ack func(landed int)) {
+	rows := c.Rel.Rows(src)
 	rule := c.Rel.Persist.Rule
 	var seqs []int64                // After: sequence value per selected row
 	var keys []string               // Once: key per selected row
@@ -117,6 +119,9 @@ func (c *Cursor) Select(rows []sqltypes.Row, now time.Time) (out []sqltypes.Row,
 			for _, k := range keys[:landed] {
 				c.seen.add(k)
 			}
+		}
+		if c.Rel.Landed != nil {
+			c.Rel.Landed(src, landed)
 		}
 	}
 }

@@ -51,6 +51,11 @@ type Relation struct {
 	// analogue of a Live column; the persist rule never sees them.
 	LiveRows func(*Sources) []sqltypes.Row
 	Persist  Persist
+	// Landed, when set, learns that the first n rows Provider served
+	// from src.Cut landed in ws_<Name>: a relation of pending sums
+	// subtracts them at the source, so they land once and what failed to
+	// land is read again next poll.
+	Landed func(src *Sources, n int)
 }
 
 // Rule is the vocabulary of persist rules: which of a relation's
@@ -96,20 +101,18 @@ var Relations = []Relation{
 		Persist: Persist{ChangedSince, []string{"last_seen_us"}},
 	},
 	{
-		// One row per statement and drain: every cost column is a sum
-		// over the row's executions, start_us the latest start, error
-		// the number that failed. A cached shape's executions arrive
-		// summed; an execution of the slow path or of a profiled
-		// (flagged) statement is a raw row, executions = 1. The daemon
-		// does not copy this one from a snapshot: it drains the monitor,
-		// so each execution lands exactly once (see package daemon), and
-		// builds the drained entries' rows with WorkloadRow.
+		// One row per statement and poll: the executions no landed row
+		// has carried yet, every cost column a sum over them, start_us
+		// the latest start, error the number that failed. Every row is
+		// persisted, and landing subtracts it in the monitor, so each
+		// execution lands exactly once.
 		Name: "workload",
 		Columns: []Column{Int("hash"), Int("start_us"), Int("wall_us"), Int("opt_us"),
 			Int("exec_cpu"), Int("exec_io"), Float("est_cpu"), Float("est_io"), Float("est_rows"),
 			Int("rows"), Int("mon_ns"), Int("error"), Int("executions")},
-		Provider: func(src *Sources) []sqltypes.Row { return each(src.Mon.SnapshotWorkload(), WorkloadRow) },
+		Provider: func(src *Sources) []sqltypes.Row { return each(src.workload(), workloadRow) },
 		Persist:  Persist{Rule: All},
+		Landed:   func(src *Sources, n int) { src.Mon.Landed(src.Cut.Workload[:n]) },
 	},
 	{
 		Name:    "references",
@@ -372,9 +375,8 @@ func each[T any](items []T, row func(T) sqltypes.Row) []sqltypes.Row {
 	return rows
 }
 
-// WorkloadRow converts a workload entry to its relation row; the
-// daemon builds the rows of a drain with it.
-func WorkloadRow(w monitor.WorkloadEntry) sqltypes.Row {
+// workloadRow converts a workload entry to its relation row.
+func workloadRow(w monitor.WorkloadEntry) sqltypes.Row {
 	return sqltypes.Row{
 		sqltypes.NewInt(int64(w.Hash)),
 		sqltypes.NewInt(w.Start.UnixMicro()),

@@ -62,7 +62,7 @@ func TestLatencyCountsQuantile(t *testing.T) {
 // statement's histogram total equals its frequency exactly (they are
 // updated in the same critical section).
 func TestFinishPopulatesHistograms(t *testing.T) {
-	m := New(Config{StatementCapacity: 100, WorkloadCapacity: 64})
+	m := New(Config{StatementCapacity: 100})
 	const perStmt = 7
 	stmts := []string{"SELECT 1", "SELECT 2", "SELECT 3"}
 	for _, text := range stmts {
@@ -99,7 +99,7 @@ func TestFinishPopulatesHistograms(t *testing.T) {
 // and checks the merged totals; run under -race it also proves the
 // lock-free counters are sound.
 func TestHistogramsConcurrent(t *testing.T) {
-	m := New(Config{StatementCapacity: 64, WorkloadCapacity: 256})
+	m := New(Config{StatementCapacity: 64})
 	const goroutines = 8
 	const perG = 500
 	var wg sync.WaitGroup

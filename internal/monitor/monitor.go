@@ -12,11 +12,11 @@
 //
 // Statements are counted per shape (statements.go): a cached
 // statement's sensor commit adds to the counters its prepared entry
-// carries — frequency, latency bucket and the cost sums the daemon
-// drains as one workload row per shape — and to the lane-striped
-// totals; it neither hashes the text, nor touches the statement table,
-// nor writes the workload ring (shard.go), which holds raw rows of
-// slow-path and profiled executions only.
+// carries — frequency, latency bucket and cost sums — and to the
+// lane-striped totals (shard.go); it neither hashes the text nor touches
+// the statement table. Every execution's costs wait in its statement
+// entry until the daemon persists them, one workload row per shape and
+// poll.
 package monitor
 
 import (
@@ -33,10 +33,6 @@ import (
 // ("by default, the monitoring can capture up to 1000 different
 // statements until the buffer wraps around").
 const DefaultStatementCapacity = 1000
-
-// DefaultWorkloadCapacity is the number of workload (execution) entries
-// kept in memory between daemon polls.
-const DefaultWorkloadCapacity = 4096
 
 // ObjType classifies a referenced database object.
 type ObjType uint8
@@ -76,10 +72,8 @@ type StatementInfo struct {
 }
 
 // WorkloadEntry is one row of the workload relation: the cost breakdown
-// of Executions executions of one statement, every cost field a sum over
-// them. A raw row — what the slow path and a profiled execution write to
-// the ring — is the Executions = 1 case; a cached shape's executions
-// arrive summed, one entry per drain.
+// of Executions executions of one statement shape that no landed row has
+// carried yet, every cost field a sum over them.
 type WorkloadEntry struct {
 	Hash       uint64
 	Start      time.Time     // the latest start among the executions
@@ -94,6 +88,30 @@ type WorkloadEntry struct {
 	MonNanos   int64         // Σ time spent inside monitor sensors
 	Errors     int64         // executions that failed
 	Executions int64
+
+	entry *stmtEntry // where the sums wait: what Landed subtracts from
+}
+
+// add adds o's sums to w's, or subtracts them when sign is -1.
+func (w *WorkloadEntry) add(o *WorkloadEntry, sign int64) {
+	f := float64(sign)
+	w.Wall += time.Duration(sign) * o.Wall
+	w.OptTime += time.Duration(sign) * o.OptTime
+	w.ExecCPU += sign * o.ExecCPU
+	w.ExecIO += sign * o.ExecIO
+	w.EstCPU += f * o.EstCPU
+	w.EstIO += f * o.EstIO
+	w.EstRows += f * o.EstRows
+	w.Rows += sign * o.Rows
+	w.MonNanos += sign * o.MonNanos
+	w.Errors += sign * o.Errors
+	w.Executions += sign * o.Executions
+}
+
+// holds reports whether any counted sum is nonzero. The estimates do
+// not count: they only ride along with executions.
+func (w *WorkloadEntry) holds() bool {
+	return w.Executions|w.Errors|w.Rows|w.ExecCPU|w.ExecIO|w.MonNanos|int64(w.Wall|w.OptTime) != 0
 }
 
 // Reference is one statement → object row, derived from the statement
@@ -107,8 +125,9 @@ type Reference struct {
 
 // Config sizes the monitor's buffers.
 type Config struct {
+	// StatementCapacity bounds the statement table, and the evicted
+	// entries still holding sums. Zero means DefaultStatementCapacity.
 	StatementCapacity int
-	WorkloadCapacity  int
 	// Shards is the number of ways (rounded up to a power of two,
 	// capped at 8) a Shape's counters and the cumulative totals are
 	// striped. Zero derives it from GOMAXPROCS. The shard count never
@@ -135,10 +154,6 @@ type Monitor struct {
 	// Cumulative totals and the global latency histograms, striped like
 	// a Shape's lanes; every Finish adds to one lane and readers sum.
 	totals []totalLane
-
-	// Ring of raw workload rows (shard.go): slow-path and profiled
-	// executions, and what retired Shapes had not yet been drained of.
-	work workRing
 
 	// traces is the bounded ring of per-operator statement traces
 	// (see trace.go); written only by EXPLAIN ANALYZE, never by the
@@ -171,9 +186,6 @@ func New(cfg Config) *Monitor {
 	if cfg.StatementCapacity <= 0 {
 		cfg.StatementCapacity = DefaultStatementCapacity
 	}
-	if cfg.WorkloadCapacity <= 0 {
-		cfg.WorkloadCapacity = DefaultWorkloadCapacity
-	}
 	lanes := cfg.Shards
 	if lanes <= 0 {
 		lanes = runtime.GOMAXPROCS(0)
@@ -181,8 +193,7 @@ func New(cfg Config) *Monitor {
 	lanes = min(ceilPow2(lanes), maxLanes)
 
 	m := &Monitor{totals: make([]totalLane, lanes)}
-	m.work.ring = make([]WorkloadEntry, cfg.WorkloadCapacity)
-	m.stmts.init(cfg.StatementCapacity, lanes, &m.work)
+	m.stmts.init(cfg.StatementCapacity, lanes)
 	m.traces.init(cfg.TraceCapacity)
 	m.flagCap = cfg.MaxFlagged
 	if m.flagCap <= 0 {
@@ -331,15 +342,14 @@ func (h *Handle) statementDigest() uint64 {
 }
 
 // Finish is the "Wallclock Stop" sensor: it counts the execution under
-// its statement and commits its costs. For a cached statement both are
-// atomic adds to the session's lane of the Shape its prepared entry
-// carries — a latency bucket (the bucket sum is the frequency), a
-// last-seen stamp and the cost sums DrainWorkload collects — and nothing
-// else: no table, no ring, no mutex. A statement without a Shape visits
-// the statement table under its lock and, like a profiled execution of a
-// cached one, writes its costs as a raw row to the workload ring. Every
-// execution adds to the cumulative totals. Finish is idempotent — the
-// first call commits, later calls on the same handle are no-ops — so
+// its statement and adds its costs to the statement's sums. For a cached
+// statement, flagged or not, both are atomic adds to the session's lane
+// of the Shape its prepared entry carries — a latency bucket (the bucket
+// sum is the frequency), a last-seen stamp and the cost sums — and
+// nothing else: no table, no mutex. A statement without a Shape visits
+// the statement table under its lock and adds to its entry's sum block.
+// Every execution adds to the cumulative totals. Finish is idempotent —
+// the first call commits, later calls on the same handle are no-ops — so
 // error paths that stop the wallclock early cannot double-count an
 // execution.
 func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
@@ -354,61 +364,40 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 	// itself excluded here cannot move a sample across a power-of-two
 	// bucket boundary in any regime where the histogram is meaningful.
 	wallBucket := latencyBucket(t0.Sub(h.start))
-
-	// sums is where the costs add up: the Shape's lane, or nil for an
-	// execution that writes a raw row instead — exactly one of the two.
-	var s *Shape
-	var sums *shapeLane
-	if h.cell != nil {
-		s = h.cell.Load()
-		h.digest, h.est = s.entry.digest, s.est
-		ln := &s.lanes[h.lane&uint32(len(s.lanes)-1)]
-		ln.lat[wallBucket].Add(1)
-		ln.lastSeen.Store(h.start.UnixNano())
-		if !h.profiled {
-			sums = ln
-		}
-	} else {
-		h.digest = h.statementDigest()
-		m.stmts.commit(h.digest, h, wallBucket)
-	}
-
-	// Monitor time is Finish up to here — the statement is counted — as
-	// it was when a ring row followed; the cost commit below carries the
-	// reading. One clock read serves both durations.
-	now := time.Now()
-	wall, mon := now.Sub(h.start), int64(now.Sub(t0))
 	var errs int64
 	if execErr != nil {
 		errs = 1
 	}
-	if sums != nil {
+
+	// Monitor time is Finish up to the count; one clock read there
+	// serves both durations, and the cost adds after it carry them.
+	var s *Shape
+	var now time.Time
+	if h.cell != nil {
+		s = h.cell.Load()
+		h.digest = s.entry.digest
+		ln := &s.lanes[h.lane&uint32(len(s.lanes)-1)]
+		ln.lat[wallBucket].Add(1)
+		ln.lastSeen.Store(h.start.UnixNano())
+		now = time.Now()
+		ln.execs.Add(1)
+		ln.execCPU.Add(execCPU)
+		ln.rows.Add(rows)
+		ln.wallNanos.Add(int64(now.Sub(h.start)))
+		ln.monNanos.Add(int64(now.Sub(t0)))
 		// A sensor that read nothing spares its locked add.
-		sums.execs.Add(1)
-		sums.execCPU.Add(execCPU)
-		sums.rows.Add(rows)
-		sums.wallNanos.Add(int64(wall))
-		sums.monNanos.Add(mon)
-		addNonzero(&sums.execIO, execIO)
-		addNonzero(&sums.optNanos, int64(h.optTime))
-		addNonzero(&sums.errs, errs)
+		addNonzero(&ln.execIO, execIO)
+		addNonzero(&ln.optNanos, int64(h.optTime))
+		addNonzero(&ln.errs, errs)
 	} else {
-		m.work.push(WorkloadEntry{
-			Hash:       h.digest,
-			Start:      h.start,
-			Wall:       wall,
-			OptTime:    h.optTime,
-			ExecCPU:    execCPU,
-			ExecIO:     execIO,
-			EstCPU:     h.est.CPU,
-			EstIO:      h.est.IO,
-			EstRows:    h.est.Rows,
-			Rows:       rows,
-			MonNanos:   mon,
-			Errors:     errs,
-			Executions: 1,
+		h.digest = h.statementDigest()
+		now = m.stmts.commit(h, wallBucket, t0, WorkloadEntry{
+			OptTime: h.optTime, ExecCPU: execCPU, ExecIO: execIO,
+			EstCPU: h.est.CPU, EstIO: h.est.IO, EstRows: h.est.Rows,
+			Rows: rows, Errors: errs, Executions: 1,
 		})
 	}
+	wall, mon := now.Sub(h.start), int64(now.Sub(t0))
 
 	// Cumulative totals. The wall histogram's sum is the statement count,
 	// and bucket by bucket it is the sum of the statements' histograms.
@@ -445,19 +434,24 @@ func addNonzero(c *atomic.Int64, v int64) {
 	}
 }
 
-// WorkloadDepth returns the number of workload entries currently
-// buffered in the ring (one atomic load; safe on the hot path). The
-// storage daemon reads it to decide how much is pending while its own
-// carryover buffer is saturated. Sums pending in Shapes are not entries:
-// they take no ring space.
-func (m *Monitor) WorkloadDepth() int64 { return m.work.depth.Load() }
+// WorkloadDepth returns the number of evicted statement entries whose
+// sums wait for a landed row: at most StatementCapacity.
+func (m *Monitor) WorkloadDepth() int64 {
+	t := &m.stmts
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return int64(len(t.gone))
+}
 
-// WorkloadDropped returns the cumulative number of executions whose
-// workload entries ring wraparound overwrote before a drain could
-// persist them. When the storage daemon's carryover buffer is full it
-// deliberately stops draining and lets the ring wrap — this counter
-// makes that bounded loss observable.
-func (m *Monitor) WorkloadDropped() int64 { return m.work.dropped.Load() }
+// WorkloadDropped returns the executions whose costs were lost because
+// their evicted entry was pushed out of the full FIFO of evicted entries
+// before a row carried them — only while the daemon cannot persist.
+func (m *Monitor) WorkloadDropped() int64 {
+	t := &m.stmts
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.lost.Executions
+}
 
 // TotalStatements returns the cumulative number of monitored
 // executions: the total of the global wall histogram. It takes no lock.

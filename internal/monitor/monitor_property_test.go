@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -11,14 +12,14 @@ import (
 // of random capacities and checks the structural invariants: the
 // statement ring never exceeds its capacity, survivors are the most
 // recent distinct statements, frequencies sum to the number of
-// executions of surviving statements, and the workload ring holds
-// min(total, capacity) entries.
+// executions of surviving statements, and the workload relation has a
+// row for at most every live and every parked evicted entry, whose
+// executions, with the dropped ones, are every execution.
 func TestRingInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		stmtCap := 2 + r.Intn(30)
-		workCap := 2 + r.Intn(50)
-		m := New(Config{StatementCapacity: stmtCap, WorkloadCapacity: workCap})
+		m := New(Config{StatementCapacity: stmtCap})
 		total := 1 + r.Intn(300)
 		distinctPool := 1 + r.Intn(60)
 
@@ -43,7 +44,14 @@ func TestRingInvariants(t *testing.T) {
 		if len(snap.Statements) > stmtCap {
 			return false
 		}
-		if len(snap.Workload) != min(total, workCap) {
+		if len(snap.Workload) > 2*stmtCap {
+			return false
+		}
+		var execs int64
+		for _, w := range snap.Workload {
+			execs += w.Executions
+		}
+		if execs+m.WorkloadDropped() != int64(total) {
 			return false
 		}
 		if m.TotalStatements() != int64(total) {
@@ -129,53 +137,61 @@ func TestQuickEvictionMatchesSingleRingModel(t *testing.T) {
 	}
 }
 
-// TestQuickWorkloadDrainRoundTrip checks, for random capacities (odd
-// and even), shard counts and random interleavings of commits and
-// drains, that the sequence-ordered merge of the per-shard workload
-// rings round-trips against a single-ring model: each drain returns
-// exactly the newest min(outstanding, capacity) entries, oldest first,
-// and clears them.
+// TestQuickWorkloadDrainRoundTrip checks, for random shard counts and
+// random interleavings of commits and polls that land a random prefix of
+// what they read, that the workload relation round-trips against a
+// per-statement model: each read returns one row per statement with
+// unlanded executions, in insertion order, carrying exactly their sums,
+// and landing takes exactly the landed rows.
 func TestQuickWorkloadDrainRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		workCap := 1 + r.Intn(40)
-		shards := 1 << r.Intn(4)
-		m := New(Config{StatementCapacity: 16, WorkloadCapacity: workCap, Shards: shards})
+		m := New(Config{StatementCapacity: 16, Shards: 1 << r.Intn(4)})
 
-		var model []int64 // Rows values of buffered entries, oldest first
+		type sum struct{ execs, rows int64 }
+		model := map[uint64]sum{} // unlanded sums per digest
+		var order []uint64        // digests in insertion order
+		poll := func() bool {
+			got := m.SnapshotWorkload()
+			i := 0
+			for _, d := range order {
+				if want, ok := model[d]; ok {
+					if i == len(got) || got[i].Hash != d || got[i].Executions != want.execs || got[i].Rows != want.rows {
+						return false
+					}
+					i++
+				}
+			}
+			if i != len(got) {
+				return false
+			}
+			landed := got[:r.Intn(len(got)+1)]
+			m.Landed(landed)
+			for _, w := range landed {
+				delete(model, w.Hash)
+			}
+			return true
+		}
 		ops := 1 + r.Intn(500)
 		for op := 0; op < ops; op++ {
 			if r.Intn(10) == 0 {
-				got := m.DrainWorkload()
-				if len(got) != len(model) {
+				if !poll() {
 					return false
 				}
-				for i, e := range got {
-					if e.Rows != model[i] {
-						return false
-					}
-				}
-				model = model[:0]
 				continue
 			}
-			h := m.StartStatement(fmt.Sprintf("SELECT %d", op%8))
+			text := fmt.Sprintf("SELECT %d", op%8)
+			h := m.StartStatement(text)
 			h.Parsed("SELECT", []string{"t"})
 			h.Finish(1, 0, int64(op), nil) // Rows carries the op index
-			model = append(model, int64(op))
-			if len(model) > workCap {
-				model = model[len(model)-workCap:]
+			d := HashStatement(text)
+			if !slices.Contains(order, d) {
+				order = append(order, d)
 			}
+			w := model[d]
+			model[d] = sum{w.execs + 1, w.rows + int64(op)}
 		}
-		got := m.DrainWorkload()
-		if len(got) != len(model) {
-			return false
-		}
-		for i, e := range got {
-			if e.Rows != model[i] {
-				return false
-			}
-		}
-		return true
+		return poll()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -186,7 +202,7 @@ func TestQuickWorkloadDrainRoundTrip(t *testing.T) {
 // and checks each snapshot is internally consistent (run with -race to
 // catch synchronization bugs).
 func TestSnapshotIsConsistentUnderLoad(t *testing.T) {
-	m := New(Config{StatementCapacity: 20, WorkloadCapacity: 50})
+	m := New(Config{StatementCapacity: 20})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -198,7 +214,7 @@ func TestSnapshotIsConsistentUnderLoad(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		snap := m.Snapshot()
-		if len(snap.Statements) > 20 || len(snap.Workload) > 50 {
+		if len(snap.Statements) > 20 || len(snap.Workload) > 2*20 {
 			t.Fatalf("snapshot exceeds capacities: %d stmts, %d workload",
 				len(snap.Statements), len(snap.Workload))
 		}

@@ -37,11 +37,11 @@ func TestBasicRecording(t *testing.T) {
 	if freq1 != 2 {
 		t.Errorf("frequency = %d", freq1)
 	}
-	if len(s.Workload) != 3 {
-		t.Errorf("workload entries = %d", len(s.Workload))
+	if len(s.Workload) != 2 {
+		t.Fatalf("workload rows = %d, want one per statement", len(s.Workload))
 	}
-	w := s.Workload[0]
-	if w.ExecCPU != 120 || w.ExecIO != 7 || w.EstCPU != 10 || w.EstIO != 5 || w.Rows != 100 {
+	w := s.Workload[1]
+	if w.Executions != 1 || w.ExecCPU != 120 || w.ExecIO != 7 || w.EstCPU != 10 || w.EstIO != 5 || w.Rows != 100 {
 		t.Errorf("workload entry: %+v", w)
 	}
 	if w.Wall <= 0 || w.MonNanos <= 0 {
@@ -103,32 +103,48 @@ func TestStatementRingEviction(t *testing.T) {
 	}
 }
 
-func TestWorkloadRingWraps(t *testing.T) {
-	m := New(Config{WorkloadCapacity: 8})
+// drain reads the workload relation and lands all of it, as a poll
+// whose append succeeds does.
+func drain(m *Monitor) []WorkloadEntry {
+	w := m.SnapshotWorkload()
+	m.Landed(w)
+	return w
+}
+
+// Slow-path executions of one statement add up in its entry: one row,
+// however many ran, with the estimates summed too.
+func TestWorkloadOneRowPerShape(t *testing.T) {
+	m := New(Config{})
 	for i := 0; i < 20; i++ {
 		record(m, "SELECT 1 FROM t", []string{"t"})
 	}
 	s := m.Snapshot()
-	if len(s.Workload) != 8 {
-		t.Fatalf("workload = %d, want 8", len(s.Workload))
+	if len(s.Workload) != 1 {
+		t.Fatalf("workload = %d rows, want 1", len(s.Workload))
+	}
+	if w := s.Workload[0]; w.Executions != 20 || w.ExecCPU != 20*120 || w.ExecIO != 20*7 || w.Rows != 20*100 ||
+		w.EstCPU != 20*10 || w.EstIO != 20*5 || w.EstRows != 20*100 || w.OptTime != 20*time.Microsecond ||
+		w.Wall <= 0 || w.MonNanos <= 0 || w.Start.IsZero() {
+		t.Errorf("row %+v", w)
 	}
 }
 
 func TestDrainWorkload(t *testing.T) {
-	m := New(Config{WorkloadCapacity: 100})
+	m := New(Config{})
 	for i := 0; i < 5; i++ {
 		record(m, "SELECT 1 FROM t", []string{"t"})
 	}
-	got := m.DrainWorkload()
-	if len(got) != 5 {
-		t.Fatalf("drained %d", len(got))
+	record(m, "SELECT 2 FROM t", []string{"t"})
+	got := drain(m)
+	if len(got) != 2 || got[0].Executions != 5 || got[1].Executions != 1 {
+		t.Fatalf("drained %+v", got)
 	}
-	if len(m.DrainWorkload()) != 0 {
+	if len(drain(m)) != 0 {
 		t.Error("second drain returned data")
 	}
 	record(m, "SELECT 1 FROM t", []string{"t"})
-	if len(m.DrainWorkload()) != 1 {
-		t.Error("drain after refill broken")
+	if got := drain(m); len(got) != 1 || got[0].Executions != 1 {
+		t.Errorf("drain after refill %+v", got)
 	}
 }
 
@@ -173,7 +189,7 @@ func TestHashStability(t *testing.T) {
 }
 
 func TestConcurrentRecording(t *testing.T) {
-	m := New(Config{StatementCapacity: 50, WorkloadCapacity: 1000})
+	m := New(Config{StatementCapacity: 50})
 	var wg sync.WaitGroup
 	const goroutines = 8
 	const perG = 200
@@ -219,30 +235,36 @@ func TestMonitorOverheadIsMicrosecondScale(t *testing.T) {
 	}
 }
 
+// Depth counts evicted entries still holding sums, at most the table's
+// capacity; drops count the executions of the ones pushed out.
 func TestWorkloadDepthAndDropped(t *testing.T) {
-	m := New(Config{WorkloadCapacity: 10, Shards: 2})
+	m := New(Config{StatementCapacity: 4, Shards: 2})
 	if m.WorkloadDepth() != 0 || m.WorkloadDropped() != 0 {
 		t.Fatalf("fresh monitor: depth=%d dropped=%d", m.WorkloadDepth(), m.WorkloadDropped())
 	}
-	for i := 0; i < 15; i++ {
-		record(m, "SELECT 1 FROM t", []string{"t"})
+	// Statement i runs i+1 times; 10 statements through a table of 4
+	// evict 6 entries with sums, 4 of which fit the FIFO.
+	for i := 0; i < 10; i++ {
+		for j := 0; j <= i; j++ {
+			record(m, fmt.Sprintf("SELECT %d FROM t", i), []string{"t"})
+		}
 	}
-	if got := m.WorkloadDepth(); got != 10 {
-		t.Errorf("WorkloadDepth = %d, want 10 (ring capacity)", got)
+	if got := m.WorkloadDepth(); got != 4 {
+		t.Errorf("WorkloadDepth = %d, want 4 (the capacity)", got)
 	}
-	// 15 commits into a 10-entry ring: 5 entries were overwritten
-	// before any drain could persist them.
-	if got := m.WorkloadDropped(); got != 5 {
-		t.Errorf("WorkloadDropped = %d, want 5", got)
+	// The first two evicted, statements 0 and 1, were pushed out.
+	if got := m.WorkloadDropped(); got != 1+2 {
+		t.Errorf("WorkloadDropped = %d, want 3 executions", got)
 	}
-	if n := len(m.DrainWorkload()); n != 10 {
-		t.Fatalf("drained %d, want 10", n)
+	var stored int64
+	for _, w := range drain(m) {
+		stored += w.Executions
 	}
-	if got := m.WorkloadDepth(); got != 0 {
-		t.Errorf("WorkloadDepth after drain = %d", got)
+	if got := m.WorkloadDepth(); got != 0 || stored+m.WorkloadDropped() != m.TotalStatements() {
+		t.Errorf("after drain: depth %d, stored %d + dropped %d != total %d", got, stored, m.WorkloadDropped(), m.TotalStatements())
 	}
 	// The dropped counter is cumulative, not reset by draining.
-	if got := m.WorkloadDropped(); got != 5 {
-		t.Errorf("WorkloadDropped after drain = %d, want 5", got)
+	if got := m.WorkloadDropped(); got != 3 {
+		t.Errorf("WorkloadDropped after drain = %d, want 3", got)
 	}
 }

@@ -19,19 +19,22 @@ import (
 //
 // Counts move one way: from a Shape's atomic counters into its entry
 // (when the Shape is retired) and from an entry into the evicted total
-// (when the entry is evicted); a Shape's cost sums move into a workload
-// entry (when a drain takes them) or, as one aggregated entry, into the
-// workload ring (when the Shape is retired). Always under the table
-// mutex and always by swapping the atomic to zero, so an execution is
-// counted exactly once wherever a racing Finish lands it:
+// (when the entry is evicted). Costs wait in the entry until a persisted
+// workload row carries them: in its sum block (the slow path's, and what
+// a Shape hands over) and in its Shape's lanes. A landed row is
+// subtracted from its entry (Landed); an evicted entry that still holds
+// sums waits in the gone FIFO, at most StatementCapacity of them, and
+// one pushed out of it counts its executions as WorkloadDropped. Moves
+// happen under the table mutex, by swapping atomics to zero, so an
+// execution is counted exactly once wherever a racing Finish lands it:
 //
 //	Σ live entries' frequency + evicted = TotalStatements
 //	entry frequency = its histogram total (there is no other counter)
 //	object frequency = per-name counts + Σ live Shapes' count × their objects
-//	Σ drained Executions + WorkloadDropped + pending = TotalStatements
+//	Σ landed Executions + WorkloadDropped + pending = TotalStatements
 //
-// A sum is exact over drains, not within one: an execution in flight
-// while a drain swaps may leave some of its columns to the next.
+// A sum is exact over polls, not within one: an execution in flight
+// while a row is read may leave some of its columns to the next.
 
 // stmtEntry is one row of the statement table.
 type stmtEntry struct {
@@ -49,6 +52,13 @@ type stmtEntry struct {
 	live                   bool  // still in the table
 	tables, attrs, indexes []string
 	shape                  *Shape // the published counter block, if any
+
+	// work is the entry's sum block: costs no landed row has carried
+	// yet, besides those still in its Shape's lanes (Hash, Start and
+	// entry unused). An evicted entry that holds sums is waiting in the
+	// gone FIFO; one pushed out of it is dropped, for good.
+	work             WorkloadEntry
+	waiting, dropped bool
 }
 
 // Estimates are the optimizer's cost figures for one plan: tuple
@@ -80,8 +90,8 @@ type shapeLane struct {
 	lastSeen atomic.Int64 // unix nanos
 	lat      [NumLatencyBuckets]atomic.Int64
 
-	// Cost sums of the executions no drain has taken yet: what the
-	// workload relation reports for them, one row per drain.
+	// Cost sums of the executions not yet folded into the entry's sum
+	// block, which a workload row reports together with it.
 	execs, errs, rows  atomic.Int64
 	execCPU, execIO    atomic.Int64
 	wallNanos          atomic.Int64
@@ -103,26 +113,22 @@ func (s *Shape) addTo(c *LatencyCounts) (lastSeen int64) {
 	return lastSeen
 }
 
-// pending sums the Shape's cost accumulators into one workload entry,
-// swapping them to zero when take is set. The estimates are the plan's
-// times the executions taken. ok is false when the accumulators hold
-// nothing.
-func (s *Shape) pending(take bool) (w WorkloadEntry, ok bool) {
-	var last int64
+// sums adds the Shape's cost accumulators to w, swapping them to zero
+// when take is set, and returns the latest last-seen stamp of its lanes.
+// The estimates are the plan's times the executions added.
+func (s *Shape) sums(w *WorkloadEntry, take bool) (lastSeen int64) {
 	get := func(c *atomic.Int64) int64 {
 		v := c.Load()
-		if v != 0 {
-			ok = true
-			if take {
-				v = c.Swap(0)
-			}
+		if v != 0 && take {
+			v = c.Swap(0)
 		}
 		return v
 	}
+	var n int64
 	for i := range s.lanes {
 		ln := &s.lanes[i]
-		last = max(last, ln.lastSeen.Load())
-		w.Executions += get(&ln.execs)
+		lastSeen = max(lastSeen, ln.lastSeen.Load())
+		n += get(&ln.execs)
 		w.Errors += get(&ln.errs)
 		w.Rows += get(&ln.rows)
 		w.ExecCPU += get(&ln.execCPU)
@@ -131,13 +137,12 @@ func (s *Shape) pending(take bool) (w WorkloadEntry, ok bool) {
 		w.OptTime += time.Duration(get(&ln.optNanos))
 		w.MonNanos += get(&ln.monNanos)
 	}
-	if !ok {
-		return w, false
-	}
-	n := float64(w.Executions)
-	w.Hash, w.Start = s.entry.digest, time.Unix(0, last)
-	w.EstCPU, w.EstIO, w.EstRows = n*s.est.CPU, n*s.est.IO, n*s.est.Rows
-	return w, true
+	w.Executions += n
+	f := float64(n)
+	w.EstCPU += f * s.est.CPU
+	w.EstIO += f * s.est.IO
+	w.EstRows += f * s.est.Rows
+	return lastSeen
 }
 
 // maxLanes bounds a Shape's stripes (and so its size: 512 bytes each).
@@ -147,13 +152,18 @@ const maxLanes = 8
 // evicted and retired counts drain into. All fields are guarded by mu.
 type stmtTable struct {
 	mu       sync.Mutex
-	byDigest map[uint64]*stmtEntry
-	fifo     []*stmtEntry // insertion order, a ring of the capacity
+	byDigest map[uint64]*stmtEntry // live and gone entries
+	fifo     []*stmtEntry          // insertion order, a ring of the capacity
 	head, n  int
 	lanes    int
-	work     *workRing // where a retired Shape's undrained cost sums go
 
 	evicted int64 // executions of entries no longer in the table
+
+	// gone holds the evicted entries that still hold sums, oldest first,
+	// at most as many as the table; byDigest keeps finding them. lost
+	// sums what those pushed out held when no row had carried it.
+	gone []*stmtEntry
+	lost WorkloadEntry
 
 	// Per-name object counts: what the slow path counted plus the counts
 	// of retired Shapes.
@@ -167,21 +177,33 @@ type stmtTable struct {
 // at returns the i-th oldest live entry.
 func (t *stmtTable) at(i int) *stmtEntry { return t.fifo[(t.head+i)%len(t.fifo)] }
 
-func (t *stmtTable) init(capacity, lanes int, work *workRing) {
+func (t *stmtTable) init(capacity, lanes int) {
 	t.byDigest = make(map[uint64]*stmtEntry)
 	t.fifo = make([]*stmtEntry, capacity)
-	t.lanes, t.work = lanes, work
+	t.lanes = lanes
 	t.tableFreq = map[string]int64{}
 	t.attrFreq = map[string]int64{}
 	t.indexFreq = map[string]int64{}
 }
 
 // resolveLocked returns the live entry of digest, inserting one — and
-// evicting the oldest when the table is full — if there is none.
+// evicting the oldest when the table is full — if there is none. A
+// digest whose evicted entry still waits with sums gets that entry back,
+// sums and all, so a digest has one row.
 func (t *stmtTable) resolveLocked(digest uint64, text, kind string, seen time.Time) (e *stmtEntry, inserted bool) {
 	t.lookups++
-	if e := t.byDigest[digest]; e != nil {
+	e = t.byDigest[digest]
+	if e != nil && e.live {
 		return e, false
+	}
+	if e != nil {
+		// Off the FIFO before the eviction below can push it out.
+		t.gone = slices.DeleteFunc(t.gone, func(g *stmtEntry) bool { return g == e })
+		e.waiting = false
+		e.text, e.kind, e.firstSeen = text, kind, seen
+		e.lat = LatencyCounts{} // went to the evicted total
+	} else {
+		e = &stmtEntry{digest: digest, text: text, kind: kind, firstSeen: seen}
 	}
 	if t.n == len(t.fifo) {
 		old := t.at(0)
@@ -194,8 +216,9 @@ func (t *stmtTable) resolveLocked(digest uint64, text, kind string, seen time.Ti
 		old.live = false
 		t.evicted += old.lat.Total()
 		t.evictions++
+		t.parkLocked(old)
 	}
-	e = &stmtEntry{digest: digest, text: text, kind: kind, firstSeen: seen, live: true}
+	e.live = true
 	t.fifo[(t.head+t.n)%len(t.fifo)] = e
 	t.n++
 	t.byDigest[digest] = e
@@ -205,8 +228,8 @@ func (t *stmtTable) resolveLocked(digest uint64, text, kind string, seen time.Ti
 
 // drainLocked retires a Shape and moves whatever its counters hold into
 // its entry — or, when that was evicted, into the evicted total — and
-// into the per-name object counts; its undrained cost sums go to the
-// workload ring as one aggregated entry.
+// into the per-name object counts; its cost sums fold into the entry's
+// sum block.
 func (t *stmtTable) drainLocked(s *Shape) {
 	s.retired.Store(true)
 	e := s.entry
@@ -222,32 +245,111 @@ func (t *stmtTable) drainLocked(s *Shape) {
 			}
 		}
 	}
+	t.countLocked(s.tables, s.attrs, s.indexes, n)
+	s.sums(&e.work, true)
 	if !e.live {
 		// The entry's total went to evicted when it left the table; what
 		// arrives after that follows it.
 		t.evicted += n
-	}
-	t.countLocked(s.tables, s.attrs, s.indexes, n)
-	if w, ok := s.pending(true); ok {
-		t.work.push(w)
+		t.parkLocked(e)
 	}
 }
 
-// workloadLocked returns the workload relation's rows: the ring's
-// entries, oldest first, then one entry per live Shape with undrained
-// cost sums, in insertion order. take clears the ring and zeroes the
-// sums. The table mutex makes it one cut: no Shape retires into the
-// ring between the two reads.
-func (t *stmtTable) workloadLocked(take bool) []WorkloadEntry {
-	out := t.work.entries(take)
-	for i := 0; i < t.n; i++ {
-		if s := t.at(i).shape; s != nil {
-			if w, ok := s.pending(take); ok {
-				out = append(out, w)
-			}
+// parkLocked keeps the sums of an entry out of the table until a landed
+// row takes them: in the entry of its digest, when the digest has one
+// again, else in the entry itself on the gone FIFO. A full FIFO pushes
+// out its oldest entry and counts what it held as lost, as it does what
+// reaches a pushed-out entry later.
+func (t *stmtTable) parkLocked(e *stmtEntry) {
+	switch to := t.byDigest[e.digest]; {
+	case e.dropped:
+		t.dropLocked(e)
+	case e.waiting || !e.work.holds():
+	case to != nil:
+		to.work.add(&e.work, 1)
+		to.lastSeen = max(to.lastSeen, e.lastSeen)
+		e.work = WorkloadEntry{}
+	default:
+		if len(t.gone) == len(t.fifo) {
+			old := t.gone[0]
+			t.gone = append(t.gone[:0], t.gone[1:]...)
+			delete(t.byDigest, old.digest)
+			old.waiting, old.dropped = false, true
+			t.dropLocked(old)
+		}
+		e.waiting = true
+		t.gone = append(t.gone, e)
+		t.byDigest[e.digest] = e
+	}
+}
+
+func (t *stmtTable) dropLocked(e *stmtEntry) {
+	t.lost.add(&e.work, 1)
+	e.work = WorkloadEntry{}
+}
+
+// pending returns the entry's unpersisted sums as one workload row: its
+// sum block plus what its Shape's lanes hold. ok is false when there is
+// none. Caller holds the table mutex.
+func (e *stmtEntry) pending() (w WorkloadEntry, ok bool) {
+	w, last := e.work, e.lastSeen
+	if e.shape != nil {
+		last = max(last, e.shape.sums(&w, false))
+	}
+	w.Hash, w.Start, w.entry = e.digest, time.Unix(0, last), e
+	return w, w.holds()
+}
+
+// workloadLocked returns the workload relation's rows: one per entry
+// with unpersisted sums, the evicted ones oldest first, then the live
+// ones in insertion order.
+func (t *stmtTable) workloadLocked() []WorkloadEntry {
+	var out []WorkloadEntry
+	add := func(e *stmtEntry) {
+		if w, ok := e.pending(); ok {
+			out = append(out, w)
 		}
 	}
+	for _, e := range t.gone {
+		add(e)
+	}
+	for i := 0; i < t.n; i++ {
+		add(t.at(i))
+	}
 	return out
+}
+
+// Landed subtracts workload rows that were persisted from the entries
+// they were read from, so the entries keep exactly what no row carried.
+// The rows come from one read (Snapshot or SnapshotWorkload) and land
+// once: the storage daemon's cursor passes the prefix of its cut that
+// its append landed. Evicted entries left with nothing leave the FIFO.
+func (m *Monitor) Landed(ws []WorkloadEntry) {
+	t := &m.stmts
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for i := range ws {
+		w := &ws[i]
+		e := w.entry
+		if e.dropped {
+			// Counted lost when the FIFO pushed its entry out, yet it landed.
+			t.lost.add(w, -1)
+			continue
+		}
+		if e.shape != nil {
+			// The row read the lanes; take them, so the block covers it.
+			e.shape.sums(&e.work, true)
+		}
+		e.work.add(w, -1)
+	}
+	t.gone = slices.DeleteFunc(t.gone, func(e *stmtEntry) bool {
+		if e.work.holds() {
+			return false
+		}
+		e.waiting = false
+		delete(t.byDigest, e.digest)
+		return true
+	})
 }
 
 // countLocked adds n executions to every listed object's frequency.
@@ -319,17 +421,24 @@ func (t *stmtTable) republish(s *Shape) *Shape {
 }
 
 // commit is the slow path: one execution of a statement that brought no
-// Shape, resolved by digest and counted name by name.
-func (t *stmtTable) commit(digest uint64, h *Handle, bucket int) {
+// Shape, resolved by digest, counted name by name and added, costs and
+// estimates, to the entry's sum block. The sensor's time ends once the
+// execution is counted: commit reads the clock there, fills in w's wall
+// and monitor time from t0, and returns the reading.
+func (t *stmtTable) commit(h *Handle, bucket int, t0 time.Time, w WorkloadEntry) time.Time {
 	t.mu.Lock()
-	e, inserted := t.resolveLocked(digest, h.text, h.kind, h.start)
+	defer t.mu.Unlock()
+	e, inserted := t.resolveLocked(h.digest, h.text, h.kind, h.start)
 	if inserted {
 		e.tables, e.attrs, e.indexes = h.tables, h.attrs, h.indexes
 	}
 	e.lat[bucket]++
 	e.lastSeen = max(e.lastSeen, h.start.UnixNano())
 	t.countLocked(h.tables, h.attrs, h.indexes, 1)
-	t.mu.Unlock()
+	now := time.Now()
+	w.Wall, w.MonNanos = now.Sub(h.start), int64(now.Sub(t0))
+	e.work.add(&w, 1)
+	return now
 }
 
 // TableOps returns how often the statement table was searched, grew and

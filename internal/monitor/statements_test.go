@@ -143,12 +143,10 @@ func TestRepublishWithNewObjectsKeepsTheEntry(t *testing.T) {
 	}
 }
 
-// N executions of a cached shape leave the statement table and the
-// workload ring alone — no lookup, no insert, no eviction, no ring entry
-// (there is no ring sequence counter any more: with no drain in between,
-// depth and drops at zero mean nothing was pushed) — and allocate
-// nothing: their costs add up in the Shape, which the drain reports as
-// one entry.
+// N executions of a cached shape leave the statement table alone — no
+// lookup, no insert, no eviction, nothing parked or dropped — and
+// allocate nothing: their costs add up in the Shape, which the workload
+// relation reports as one row.
 func TestCachedFinishTouchesNoTable(t *testing.T) {
 	m := New(Config{})
 	var cell atomic.Pointer[Shape]
@@ -172,7 +170,7 @@ func TestCachedFinishTouchesNoTable(t *testing.T) {
 		t.Errorf("table ops moved by %d lookups, %d inserts, %d evictions over %d cached executions", l-l0, i-i0, e-e0, n)
 	}
 	if m.WorkloadDepth() != 0 || m.WorkloadDropped() != 0 {
-		t.Errorf("ring depth %d, dropped %d after %d cached executions, want none", m.WorkloadDepth(), m.WorkloadDropped(), n)
+		t.Errorf("depth %d, dropped %d after %d cached executions, want none", m.WorkloadDepth(), m.WorkloadDropped(), n)
 	}
 	st := m.SnapshotStatements()
 	if len(st) != 1 || st[0].Frequency != n {
@@ -185,7 +183,7 @@ func TestCachedFinishTouchesNoTable(t *testing.T) {
 		t.Errorf("TotalStatements = %d, want %d", got, n)
 	}
 	live := m.SnapshotWorkload() // reads, does not take
-	w := m.DrainWorkload()
+	w := drain(m)
 	if len(w) != 1 || len(live) != 1 || live[0] != w[0] {
 		t.Fatalf("snapshot %+v, drain %+v: want the same single entry", live, w)
 	}
@@ -194,15 +192,16 @@ func TestCachedFinishTouchesNoTable(t *testing.T) {
 		e.Wall <= 0 || e.MonNanos <= 0 || e.MonNanos != int64(m.TotalMonitorTime()) || e.Start.IsZero() {
 		t.Errorf("drained entry %+v (monitor time %d)", e, m.TotalMonitorTime())
 	}
-	if again := m.DrainWorkload(); len(again) != 0 {
+	if again := drain(m); len(again) != 0 {
 		t.Errorf("second drain returned %+v", again)
 	}
 }
 
-// An execution's costs are in exactly one place: a profiled (flagged)
-// execution of a cached shape and a slow-path execution write a raw row,
-// Executions = 1, and add nothing to any Shape's sums; a Shape that is
-// retired or evicted hands its undrained sums to the ring as one entry.
+// Every execution's costs wait in its statement entry, one row per
+// entry: a cached execution, flagged or not, adds into its Shape, a
+// slow-path one into its entry's sum block, and a Shape that is retired
+// or evicted folds into its entry. An evicted entry's row waits, ahead of
+// the live ones, until a landed row empties it.
 func TestWorkloadTiers(t *testing.T) {
 	m := New(Config{StatementCapacity: 2})
 	const text = "SELECT a FROM t WHERE a = 1"
@@ -222,10 +221,11 @@ func TestWorkloadTiers(t *testing.T) {
 	cached(10, nil)
 	cached(10, fmt.Errorf("failed"))
 	m.Flag(text, FlagReasonManual, true, 0)
-	cached(100, nil) // profiled: a raw row
+	cached(100, nil) // flagged: into the Shape all the same
 	m.Unflag(text)
-	h := m.StartStatement("SET x") // slow path: a raw row
+	h := m.StartStatement("SET x") // slow path: into its entry
 	h.Parsed("SET", nil)
+	h.Optimized(4, 0, 0, nil, nil, 0)
 	h.Finish(1000, 0, 0, nil)
 
 	type row struct{ hash, execs, cpu, errs uint64 }
@@ -236,61 +236,81 @@ func TestWorkloadTiers(t *testing.T) {
 		return out
 	}
 	set := HashStatement("SET x")
-	want := []row{{d, 1, 100, 0}, {set, 1, 1000, 0}, {d, 2, 20, 1}}
-	if got := rows(m.SnapshotWorkload()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("workload %v, want ring rows then the shape's sums %v", got, want)
+	got := m.SnapshotWorkload()
+	want := []row{{d, 3, 120, 1}, {set, 1, 1000, 0}}
+	if !reflect.DeepEqual(rows(got), want) || got[0].EstCPU != 3*2 || got[1].EstCPU != 4 {
+		t.Fatalf("workload %+v, want one row per entry %v", got, want)
 	}
 
-	// Another plan retires the Shape: its sums move to the ring, with the
-	// estimates of the plan that ran them.
+	// Another plan retires the Shape: its sums fold into the entry, with
+	// the estimates of the plan that ran them, and the row stays one.
 	cached(10, nil)
 	publish(Estimates{CPU: 3})
 	cached(10, nil)
-	got := m.SnapshotWorkload()
-	want = []row{{d, 1, 100, 0}, {set, 1, 1000, 0}, {d, 3, 30, 1}, {d, 1, 10, 0}}
-	if !reflect.DeepEqual(rows(got), want) || got[2].EstCPU != 3*2 || got[3].EstCPU != 3 {
+	got = m.SnapshotWorkload()
+	want = []row{{d, 5, 140, 1}, {set, 1, 1000, 0}}
+	if !reflect.DeepEqual(rows(got), want) || got[0].EstCPU != 4*2+3 {
 		t.Fatalf("workload after a re-plan %+v, want %v", got, want)
 	}
-	if m.WorkloadDepth() != 3 {
-		t.Errorf("ring depth %d, want 3", m.WorkloadDepth())
+
+	// A landed row is subtracted; what arrived since stays.
+	m.Landed(got[:1])
+	cached(10, nil)
+	if got := rows(m.SnapshotWorkload()); !reflect.DeepEqual(got, []row{{d, 1, 10, 0}, {set, 1, 1000, 0}}) {
+		t.Fatalf("workload after landing the first row %v", got)
 	}
 
-	// Eviction from the statement table (capacity 2) does the same.
+	// Eviction from the statement table (capacity 2) parks the entry,
+	// whose row comes first until it lands.
 	m.Publish(3, "third", "SELECT", nil, nil, nil, Estimates{})
-	if got := rows(m.DrainWorkload()); !reflect.DeepEqual(got, want) || m.EvictedStatements() != 5 {
-		t.Fatalf("drain after eviction %v, want %v (evicted %d)", got, want, m.EvictedStatements())
+	if m.WorkloadDepth() != 1 || m.EvictedStatements() != 6 {
+		t.Errorf("depth %d, evicted %d after the eviction, want 1 and 6", m.WorkloadDepth(), m.EvictedStatements())
+	}
+	want = []row{{d, 1, 10, 0}, {set, 1, 1000, 0}}
+	if got := rows(drain(m)); !reflect.DeepEqual(got, want) || m.WorkloadDepth() != 0 {
+		t.Fatalf("drain after eviction %v, want %v (depth %d)", got, want, m.WorkloadDepth())
 	}
 	// The session still holding the evicted Shape finishes once more: the
 	// execution is handed back through republish and nothing is dropped.
 	cached(7, nil)
-	if got, want := rows(m.DrainWorkload()), []row{{d, 1, 7, 0}}; !reflect.DeepEqual(got, want) {
+	if got, want := rows(drain(m)), []row{{d, 1, 7, 0}}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("drain after a finish on the evicted Shape %v, want %v", got, want)
 	}
-	if m.WorkloadDropped() != 0 || m.TotalStatements() != 7 {
+	if m.WorkloadDropped() != 0 || m.TotalStatements() != 8 {
 		t.Errorf("dropped %d, total %d", m.WorkloadDropped(), m.TotalStatements())
 	}
 }
 
-// The ring counts what it overwrites in executions, not entries.
+// The FIFO of evicted entries counts what it pushes out in executions,
+// and takes back what a row read before the push lands after it.
 func TestWorkloadDroppedCountsExecutions(t *testing.T) {
-	m := New(Config{WorkloadCapacity: 2})
+	m := New(Config{StatementCapacity: 1})
 	var cell atomic.Pointer[Shape]
-	for i := 0; i < 3; i++ { // three retirements, each handing over i+2 executions
-		cell.Store(m.Publish(1, "q", "SELECT", nil, nil, nil, Estimates{Rows: float64(i)}))
-		for j := 0; j < i+2; j++ {
+	run := func(digest uint64, n int) { // publish digest (evicting the entry before it) and run it n times
+		cell.Store(m.Publish(digest, fmt.Sprint("q", digest), "SELECT", nil, nil, nil, Estimates{}))
+		for j := 0; j < n; j++ {
 			cachedRecord(m, "q", "SELECT", &cell, 0)
 		}
 	}
-	m.Publish(1, "q", "SELECT", nil, nil, nil, Estimates{Rows: 9})
-	if got := m.WorkloadDropped(); got != 2 || m.WorkloadDepth() != 2 {
-		t.Errorf("dropped %d executions at depth %d, want the oldest entry's 2 at depth 2", got, m.WorkloadDepth())
+	run(1, 2)
+	run(2, 3) // entry 1 parked
+	read := m.SnapshotWorkload()
+	run(3, 4) // entry 2 parked, entry 1 and its 2 executions pushed out
+	if got := m.WorkloadDropped(); got != 2 || m.WorkloadDepth() != 1 {
+		t.Errorf("dropped %d executions at depth %d, want entry 1's 2 at depth 1", got, m.WorkloadDepth())
 	}
-	var stored int64
-	for _, w := range m.DrainWorkload() {
+	m.Landed(read) // both rows land after all
+	if got := m.WorkloadDropped(); got != 0 || m.WorkloadDepth() != 0 {
+		t.Errorf("after landing a row read before its drop: dropped %d, depth %d, want 0 and 0", got, m.WorkloadDepth())
+	}
+	run(4, 1) // entry 3 parked
+	run(5, 0) // entry 4 parked, entry 3 and its 4 executions pushed out
+	stored := int64(2 + 3)
+	for _, w := range drain(m) {
 		stored += w.Executions
 	}
-	if stored+m.WorkloadDropped() != m.TotalStatements() {
-		t.Errorf("stored %d + dropped %d != total %d", stored, m.WorkloadDropped(), m.TotalStatements())
+	if m.WorkloadDropped() != 4 || stored+m.WorkloadDropped() != m.TotalStatements() {
+		t.Errorf("stored %d + dropped %d != total %d (want 4 dropped)", stored, m.WorkloadDropped(), m.TotalStatements())
 	}
 }
 
@@ -299,14 +319,12 @@ func TestWorkloadDroppedCountsExecutions(t *testing.T) {
 // publish the hot shape with alternating objects, and snapshots and
 // workload drains read along: every execution is counted exactly once,
 // in a live entry or in the evicted total, against the objects of the
-// Shape that ran it, and in one drained workload entry. Run with -race.
+// Shape that ran it, and its costs, column by column, in one landed
+// workload row or in the sums of evicted entries pushed out of the FIFO
+// (the churn evicts faster than the reader lands). Run with -race.
 func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 	const shapes, sessions, perSession = 40, 6, 4000
-	// A ring that holds one entry per execution never overwrites: an
-	// overwritten entry may carry half of a torn execution (its count
-	// without its cost), which would break the per-column sums below.
-	// Drops are TestWorkloadDroppedCountsExecutions's subject.
-	m := New(Config{StatementCapacity: 16, Shards: 4, WorkloadCapacity: sessions * perSession})
+	m := New(Config{StatementCapacity: 16, Shards: 4})
 	cells := make([]atomic.Pointer[Shape], shapes)
 	for i := range cells {
 		cells[i].Store(m.Publish(uint64(i+1), fmt.Sprintf("stmt %d", i), "SELECT", []string{"t"}, []string{fmt.Sprintf("t.c%d", i)}, nil, Estimates{}))
@@ -353,8 +371,9 @@ func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 					return
 				}
 			}
-			m.SnapshotStatementSide()
-			drained.add(m.DrainWorkload())
+			s := m.Snapshot()
+			drained.add(s.Workload)
+			m.Landed(s.Workload)
 		}
 	}()
 	wg.Wait()
@@ -362,9 +381,11 @@ func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 	bg.Wait()
 
 	const total = sessions * perSession
-	drained.add(m.DrainWorkload())
-	if drained.Executions+m.WorkloadDropped() != total || drained.ExecCPU != drained.Executions || drained.Rows != drained.Executions {
-		t.Errorf("drained %d executions (cpu %d, rows %d) + %d dropped, want %d in all, one tuple and one row each",
+	drained.add(drain(m))
+	lost := m.stmts.lost
+	drained.add([]WorkloadEntry{lost})
+	if drained.Executions != total || drained.ExecCPU != total || drained.Rows != total || lost.Executions != m.WorkloadDropped() {
+		t.Errorf("drained %d executions (cpu %d, rows %d) with the %d dropped, want %d in all, one tuple and one row each",
 			drained.Executions, drained.ExecCPU, drained.Rows, m.WorkloadDropped(), total)
 	}
 	var live int64

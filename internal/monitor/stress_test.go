@@ -1,10 +1,10 @@
 package monitor_test
 
 // Concurrency stress suite for the sharded monitor hot path: writers
-// hammer the statement/workload rings while readers loop Snapshot and
-// DrainWorkload, and every global invariant the sharding must preserve
-// is asserted — the capacity bound, lossless cumulative totals, and
-// the exactly-once §IV-B flush trigger. Run with -race.
+// hammer the statement table while readers loop Snapshot and read and
+// land the workload relation, and every global invariant the sharding
+// must preserve is asserted — the capacity bound, lossless cumulative
+// totals, and exactly-once workload sums. Run with -race.
 
 import (
 	"fmt"
@@ -92,13 +92,18 @@ func TestStressNoLostTotals(t *testing.T) {
 	const writers = 8
 	perWriter := stressScale(t, 5000)
 	total := writers * perWriter
-	// Capacity ≥ total outstanding writes between drains is not needed
-	// for the cumulative counters, but it is for exactly-once drained
-	// entries — so make the ring big enough to never wrap.
-	m := monitor.New(monitor.Config{
-		StatementCapacity: 128,
-		WorkloadCapacity:  total,
-	})
+	// A table that holds every statement evicts nothing, so no sums can
+	// be dropped and every execution must land exactly once.
+	m := monitor.New(monitor.Config{StatementCapacity: 128})
+	drain := func() int64 {
+		var n int64
+		ws := m.SnapshotWorkload()
+		for _, w := range ws {
+			n += w.Executions
+		}
+		m.Landed(ws)
+		return n
+	}
 
 	var drained atomic.Int64
 	var wg, readerWG sync.WaitGroup
@@ -112,7 +117,7 @@ func TestStressNoLostTotals(t *testing.T) {
 				return
 			default:
 			}
-			drained.Add(int64(len(m.DrainWorkload())))
+			drained.Add(drain())
 		}
 	}()
 
@@ -130,10 +135,10 @@ func TestStressNoLostTotals(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readerWG.Wait()
-	drained.Add(int64(len(m.DrainWorkload())))
+	drained.Add(drain())
 
 	if got := drained.Load(); got != int64(total) {
-		t.Fatalf("drained %d workload entries across polls, want exactly %d", got, total)
+		t.Fatalf("landed %d executions across polls, want exactly %d", got, total)
 	}
 	if got := m.TotalStatements(); got != int64(total) {
 		t.Fatalf("TotalStatements = %d, want %d (cumulative totals must survive drains)", got, total)

@@ -6,8 +6,8 @@ import (
 )
 
 // The trace ring is the monitor's deep-inspection tier: where the
-// workload ring records one row per execution, a trace records one row
-// per plan operator — rows produced, calls and inclusive time —
+// workload relation sums a statement's executions, a trace records one
+// row per plan operator — rows produced, calls and inclusive time —
 // for executions the user explicitly asked to trace (EXPLAIN ANALYZE).
 // Traces are bounded by a small ring so an unattended tracing session
 // cannot grow memory; ima_spans exposes the ring over SQL.

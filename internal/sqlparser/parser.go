@@ -8,15 +8,12 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// ParseResult carries a parsed statement together with its normalized
-// text and extracted parameters. Two statements that differ only in
-// extracted literal values share the same Normalized text. It is built
-// for SELECT and EXPLAIN only — the statements for which a textual
-// identity of the plan shape has a reader — and empty otherwise.
+// ParseResult carries a parsed statement together with its extracted
+// parameters. Two statements that differ only in extracted literal
+// values parse to the same Stmt.
 type ParseResult struct {
-	Stmt       Statement
-	Normalized string
-	Params     []sqltypes.Value
+	Stmt   Statement
+	Params []sqltypes.Value
 	// Bindings reports, per literal token in text order, whether it was
 	// extracted as a parameter. Only Scanner.Parse fills it in.
 	Bindings []Binding
@@ -46,15 +43,9 @@ func parse(sql string, extract bool) (*ParseResult, error) {
 }
 
 // parseTokens parses a lexed statement. bindings asks for the
-// per-literal extraction report on top of the normalized text.
+// per-literal extraction report.
 func parseTokens(sql string, toks []token, extract, bindings bool) (*ParseResult, error) {
-	p := &parser{src: sql, toks: toks, extract: extract}
-	if extract {
-		// Extracted tokens are tracked only where something reads them:
-		// the normalized text of a SELECT or EXPLAIN, or the bindings.
-		first := toks[0]
-		p.track = bindings || (first.kind == tokKeyword && (first.text == "SELECT" || first.text == "EXPLAIN"))
-	}
+	p := &parser{src: sql, toks: toks, extract: extract, track: bindings}
 	stmt, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -67,12 +58,6 @@ func parseTokens(sql string, toks []token, extract, bindings bool) (*ParseResult
 		return nil, p.errorf("unexpected trailing input %q", p.peek().text)
 	}
 	res := &ParseResult{Stmt: stmt, Params: p.params}
-	switch stmt.(type) {
-	case *SelectStmt, *ExplainStmt:
-		if extract {
-			res.Normalized = p.normalized(toks)
-		}
-	}
 	if bindings {
 		res.Bindings = p.bindings()
 	}
@@ -84,12 +69,12 @@ type parser struct {
 	toks    []token
 	pos     int
 	extract bool
-	track   bool // record which tokens were extracted
+	track   bool // record which tokens were extracted, for the bindings
 	params  []sqltypes.Value
 	// extracted[i] marks token i as replaced by a parameter; negated[k]
 	// marks parameter k as sign-folded. Both are allocated on first use:
 	// parameters are extracted in token order, so these two are all it
-	// takes to reconstruct the normalized text and the bindings.
+	// takes to report the bindings.
 	extracted []bool
 	negated   []bool
 }
@@ -178,32 +163,6 @@ func (p *parser) identLike() (string, error) {
 		return strings.ToLower(t.text), nil
 	}
 	return "", p.errorf("expected identifier, found %q", t.text)
-}
-
-// normalized reconstructs the statement text, replacing exactly the
-// literals that were extracted as parameters with '?'. Plan-shaping
-// constants (LIMIT/OFFSET, ORDER BY positions, type lengths) were not
-// extracted and stay inline.
-func (p *parser) normalized(toks []token) string {
-	var b strings.Builder
-	for i, t := range toks {
-		switch {
-		case t.kind == tokEOF:
-		case p.isExtracted(i):
-			b.WriteString("? ")
-		case t.kind == tokIdent:
-			b.WriteString(strings.ToLower(t.text))
-			b.WriteByte(' ')
-		case t.kind == tokString:
-			b.WriteByte('\'')
-			b.WriteString(t.text)
-			b.WriteString("' ")
-		default:
-			b.WriteString(t.text)
-			b.WriteByte(' ')
-		}
-	}
-	return strings.TrimSpace(b.String())
 }
 
 func (p *parser) parseStatement() (Statement, error) {
@@ -681,7 +640,7 @@ func (p *parser) parseUnary() (Expr, error) {
 
 // literal wraps a constant, extracting it as a parameter when the
 // parser runs in normalizing mode. tokIdx is the index of the literal
-// token, recorded so the normalizer replaces exactly this token.
+// token, recorded so the bindings report exactly this token.
 func (p *parser) literal(v sqltypes.Value, tokIdx int) Expr {
 	if !p.extract {
 		return Literal{Val: v}

@@ -76,8 +76,7 @@ func TestBindMatchesParser(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(first.Stmt, want.Stmt) || first.Normalized != want.Normalized ||
-			!reflect.DeepEqual(first.Params, want.Params) {
+		if !reflect.DeepEqual(first.Stmt, want.Stmt) || !reflect.DeepEqual(first.Params, want.Params) {
 			t.Errorf("%s: Scanner.Parse differs from ParseNormalized", pair[0])
 		}
 		if len(first.Bindings) != len(sc.Literals()) {
@@ -104,14 +103,20 @@ func TestBindMatchesParser(t *testing.T) {
 				t.Errorf("%s: param %d bound as %#v, parser extracted %#v", pair[1], i, bound[i], second.Params[i])
 			}
 		}
-		// What the bindings leave in the text is what the normalized text
-		// keeps inline.
-		if second.Normalized != "" {
-			for i, b := range first.Bindings {
-				if b.Param < 0 && !strings.Contains(second.Normalized, " "+sc.Literals()[i].Text) {
-					t.Errorf("%s: literal %q is unbound but not in %q", pair[1], sc.Literals()[i].Text, second.Normalized)
+		// What the bindings leave unbound is what the parser keeps inline:
+		// the bound literals are the extracted parameters, in order, and
+		// the unbound ones are the rest of the statement's literals.
+		next := int32(0)
+		for i, b := range first.Bindings {
+			if b.Param >= 0 {
+				if b.Param != next {
+					t.Errorf("%s: literal %q bound to param %d, want %d", pair[1], sc.Literals()[i].Text, b.Param, next)
 				}
+				next++
 			}
+		}
+		if fixed := sc.Fixed(first.Bindings); int(next) != len(second.Params) || len(fixed)+len(second.Params) != len(sc.Literals()) {
+			t.Errorf("%s: %d bound and %d unbound literals, the parser extracted %d of %d", pair[1], next, len(fixed), len(second.Params), len(sc.Literals()))
 		}
 	}
 }
@@ -157,8 +162,8 @@ func TestLongStatementsHaveNoShapeKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Params) != 4000 || res.Bindings != nil || res.Normalized != "" {
-		t.Errorf("long INSERT: %d params, %d bindings, normalized %d bytes", len(res.Params), len(res.Bindings), len(res.Normalized))
+	if len(res.Params) != 4000 || res.Bindings != nil {
+		t.Errorf("long INSERT: %d params, %d bindings", len(res.Params), len(res.Bindings))
 	}
 	// The scanner recovers for the next statement.
 	if shapeKey(t, &sc, "SELECT 1") == "" {

@@ -311,7 +311,7 @@ func TestPoolStatsAndEviction(t *testing.T) {
 
 func TestPoolAllPinnedError(t *testing.T) {
 	pool := NewPool(8)
-	pool.SetPinWaitBudget(10 * time.Millisecond)
+	pool.pinWaitMax = 10 * time.Millisecond
 	f, err := OpenFile(filepath.Join(t.TempDir(), "p.dat"), pool)
 	if err != nil {
 		t.Fatal(err)

@@ -302,11 +302,6 @@ func (p *Pool) resizeShard(sh *poolShard, c int) {
 	sh.mu.Unlock()
 }
 
-// SetPinWaitBudget bounds how long get waits for a pinned-full shard
-// to free a frame before failing (tests shrink it; zero disables
-// waiting entirely, restoring the old fail-fast behaviour).
-func (p *Pool) SetPinWaitBudget(max time.Duration) { p.pinWaitMax = max }
-
 // Stats returns a snapshot of the pool counters, summed over shards
 // without taking any shard lock.
 func (p *Pool) Stats() PoolStats {
