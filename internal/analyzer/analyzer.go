@@ -43,8 +43,8 @@ const (
 	// (engine.ResizePool); plain Apply still skips it because there is
 	// no SQL statement to run.
 	KindBufferPool Kind = "enlarge-buffer-pool"
-	// KindLockWait comes from the wait-state rule over the phase-2
-	// attribution data (ws_waits). It is advisory: shortening
+	// KindLockWait comes from the wait-state rule over the stage sums
+	// of sampled executions (ws_stages). It is advisory: shortening
 	// transactions is an application change, not DDL.
 	KindLockWait Kind = "reduce-lock-waits"
 	// KindMvccSnapshot and KindMvccConflict come from the MVCC health
@@ -120,13 +120,13 @@ type Config struct {
 	// before its hit ratio is judged (default 100; quieter intervals are
 	// noise).
 	MinCacheRequests int64
-	// WaitDominance is the fraction of a flagged statement's wall-clock
-	// a single wait class must account for before the wait-state rule
-	// fires on it (default 0.4).
+	// WaitDominance is the fraction of a statement's sampled
+	// executions' wall-clock a single wait class must account for before
+	// the wait-state rule fires on it (default 0.4).
 	WaitDominance float64
-	// MinWaitSamples is the minimum differenced execution count a
-	// flagged statement needs in ws_waits before its breakdown is
-	// judged (default 8).
+	// MinWaitSamples is the minimum differenced count of sampled
+	// executions a statement needs in ws_stages before its stage sums
+	// are judged (default 8).
 	MinWaitSamples int64
 	// MaxSnapshotAge triggers the MVCC long-snapshot advisory when the
 	// latest poll's oldest active snapshot is older than this (default

@@ -7,48 +7,49 @@ import (
 	"repro/internal/workloaddb"
 )
 
-// Wait-state analysis: the rules over the phase-2 attribution data in
-// ws_waits. Where the cost-based rules ask "is this statement more
-// expensive than the optimizer thought?", these ask "where does the
-// wall-clock of a flagged statement actually go?" and route the answer
-// to the subsystem that can absorb it — the tuning direction the
-// integrated monitor's wait breakdown exists to enable.
+// Wait-state analysis: the rules over the stage sums of sampled
+// executions in ws_stages. Where the cost-based rules ask "is this
+// statement more expensive than the optimizer thought?", these ask
+// "where does the wall-clock of a statement actually go?" and route the
+// answer to the subsystem that can absorb it.
 
-// waitDelta is one statement's per-interval wait breakdown, obtained by
-// differencing the earliest and latest ws_waits snapshots of its hash
+// waitDelta is one statement's per-interval wait time, obtained by
+// differencing the earliest and latest ws_stages rows of its hash
 // (counter semantics, like ws_latency).
 type waitDelta struct {
 	hash    int64
-	text    string
 	samples int64
 	wall    int64
-	exec    int64
-	lock    int64
-	io      int64
-	pin     int64
+	lock    int64 // lockwait + admit
+	io      int64 // load + pinwait
 }
 
-// ruleWaitStates classifies each flagged statement's differenced wait
-// breakdown and recommends by dominant wait class:
+// ruleWaitStates classifies each statement's differenced stage sums and
+// recommends by dominant wait class:
 //
-//   - lock-dominant → per-statement advisory: shorten the transaction or
-//     narrow its lock footprint with an index;
+//   - lock-dominant (row locks, write gates and admission) → per-statement
+//     advisory: shorten the transaction or narrow its lock footprint with
+//     an index;
 //   - I/O-dominant (page loads + pin waits) → a buffer-pool enlargement,
 //     reusing KindBufferPool so ApplyOnline can live-resize under the
 //     usual canary.
 //
-// An fsync-dominant statement gets no recommendation: a commit already
+// A durable-dominant statement gets no recommendation: a commit already
 // shares its fsync with every committer queued behind it on the log,
 // and there is no batching window left to widen.
 //
-// Statements below MinWaitSamples differenced executions are skipped as
-// noise. A missing ws_waits table (workload DBs collected before the
-// two-phase monitor existed) skips the rule rather than failing the
-// analysis.
+// Statements below MinWaitSamples differenced sampled executions are
+// skipped as noise. A missing ws_stages table (workload DBs collected
+// before stage attribution existed) skips the rule rather than failing
+// the analysis.
 func (a *Analyzer) ruleWaitStates(rep *Report) error {
 	deltas, err := a.loadWaitDeltas()
 	if err != nil || len(deltas) == 0 {
 		return nil
+	}
+	texts := map[int64]string{}
+	for _, st := range rep.Statements {
+		texts[int64(st.Hash)] = st.Text
 	}
 
 	var (
@@ -61,25 +62,25 @@ func (a *Analyzer) ruleWaitStates(rep *Report) error {
 		}
 		wall := float64(d.wall)
 		lockFrac := float64(d.lock) / wall
-		ioFrac := float64(d.io+d.pin) / wall
+		ioFrac := float64(d.io) / wall
 
 		if lockFrac >= a.cfg.WaitDominance {
-			tbl := ""
-			if ts := a.tablesOf(d.text); len(ts) > 0 {
+			text, tbl := texts[d.hash], ""
+			if ts := a.tablesOf(text); len(ts) > 0 {
 				tbl = ts[0]
 			}
 			rep.Recommendations = append(rep.Recommendations, Recommendation{
 				Kind:  KindLockWait,
 				Table: tbl,
 				SQL:   fmt.Sprintf("-- lock-bound statement %d: shorten its transaction or add an index to narrow its lock footprint", d.hash),
-				Reason: fmt.Sprintf("%.0f%% of its wall-clock over %d execution(s) was spent parked on lock queues: %.40q",
-					lockFrac*100, d.samples, oneLine(d.text)),
+				Reason: fmt.Sprintf("%.0f%% of its wall-clock over %d sampled execution(s) was spent waiting for locks or admission: %.40q",
+					lockFrac*100, d.samples, oneLine(text)),
 				Score: float64(d.lock),
 			})
 		}
 		if ioFrac >= a.cfg.WaitDominance {
 			ioStmts++
-			ioWait += d.io + d.pin
+			ioWait += d.io
 			ioWall += d.wall
 		}
 	}
@@ -91,7 +92,7 @@ func (a *Analyzer) ruleWaitStates(rep *Report) error {
 		rep.Recommendations = append(rep.Recommendations, Recommendation{
 			Kind: KindBufferPool,
 			SQL:  "-- enlarge the buffer pool (live: Applier resizes; offline: engine.Config.PoolPages)",
-			Reason: fmt.Sprintf("%d flagged statement(s) spent %.0f%% of their wall-clock waiting on page loads or pinned-pool backpressure",
+			Reason: fmt.Sprintf("%d statement(s) spent %.0f%% of their sampled wall-clock loading pages or waiting on pinned-pool backpressure",
 				ioStmts, float64(ioWait)/float64(ioWall)*100),
 			Score: float64(ioWait),
 		})
@@ -111,15 +112,14 @@ func hasKind(rep *Report, k Kind) bool {
 	return false
 }
 
-// loadWaitDeltas differences each hash's earliest and latest ws_waits
-// snapshots. A hash seen in a single poll keeps its cumulative values —
-// for a freshly flagged statement that IS the interval since flagging.
+// loadWaitDeltas differences each hash's earliest and latest ws_stages
+// rows. A hash persisted by a single poll keeps its cumulative values,
+// as does one whose sums restarted (its entry was evicted) in between.
 func (a *Analyzer) loadWaitDeltas() ([]waitDelta, error) {
 	s := a.cfg.WorkloadDB.NewSession()
 	defer s.Close()
-	res, err := s.Exec(`SELECT ts_us, hash, query_text, samples, wall_ns,
-		exec_ns, lock_ns, io_ns, pinwait_ns
-		FROM ` + workloaddb.Waits + ` ORDER BY ts_us`)
+	res, err := s.Exec(`SELECT ts_us, hash, samples, wall_ns, lockwait_ns + admit_ns, load_ns + pinwait_ns
+		FROM ` + workloaddb.Stages + ` ORDER BY ts_us`)
 	if err != nil {
 		return nil, err
 	}
@@ -127,10 +127,7 @@ func (a *Analyzer) loadWaitDeltas() ([]waitDelta, error) {
 	last := map[int64]waitDelta{}
 	var order []int64
 	for _, r := range res.Rows {
-		d := waitDelta{
-			hash: r[1].I, text: r[2].S, samples: r[3].I, wall: r[4].I,
-			exec: r[5].I, lock: r[6].I, io: r[7].I, pin: r[8].I,
-		}
+		d := waitDelta{hash: r[1].I, samples: r[2].I, wall: r[3].I, lock: r[4].I, io: r[5].I}
 		if _, ok := first[d.hash]; !ok {
 			first[d.hash] = d
 			order = append(order, d.hash)
@@ -141,13 +138,11 @@ func (a *Analyzer) loadWaitDeltas() ([]waitDelta, error) {
 	for _, h := range order {
 		f, l := first[h], last[h]
 		d := l
-		if f.samples < l.samples { // ≥2 snapshots: difference them
+		if f.samples < l.samples { // ≥2 rows: difference them
 			d.samples = l.samples - f.samples
 			d.wall = l.wall - f.wall
-			d.exec = l.exec - f.exec
 			d.lock = l.lock - f.lock
 			d.io = l.io - f.io
-			d.pin = l.pin - f.pin
 		}
 		out = append(out, d)
 	}

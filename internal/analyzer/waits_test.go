@@ -6,11 +6,13 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/stage"
 	"repro/internal/workloaddb"
 )
 
-// waitSample is one synthetic ws_waits poll row: cumulative counters
-// for one statement hash.
+// waitSample is one synthetic ws_stages poll row: cumulative stage
+// sums for one statement hash. exec, lock, io, fsync and pin seed the
+// exec, lockwait, load, durable and pinwait columns.
 type waitSample struct {
 	hash                             int64
 	text                             string
@@ -18,22 +20,35 @@ type waitSample struct {
 	wall, exec, lock, io, fsync, pin int64
 }
 
-func insertWaitSeries(t *testing.T, wdb *engine.DB, polls [][]waitSample) {
+// insertWaitSeries seeds ws_stages with one row per sample and poll, and
+// returns the report whose statements name the samples' texts, as
+// Analyze builds it before the rule runs.
+func insertWaitSeries(t *testing.T, wdb *engine.DB, polls [][]waitSample) *Report {
 	t.Helper()
 	s := wdb.NewSession()
 	defer s.Close()
 	base := time.Now()
+	rep := &Report{}
+	texts := map[int64]bool{}
 	for i, rows := range polls {
 		ts := base.Add(time.Duration(i) * time.Minute).UnixMicro()
 		for _, w := range rows {
-			if _, err := s.Exec(fmt.Sprintf(
-				"INSERT INTO %s VALUES (%d, %d, '%s', 'manual', %d, %d, %d, %d, %d, %d, %d)",
-				workloaddb.Waits, ts, w.hash, w.text, w.samples,
-				w.wall, w.exec, w.lock, w.io, w.fsync, w.pin)); err != nil {
+			var ns [stage.N]int64
+			ns[stage.Exec], ns[stage.LockWait], ns[stage.Load], ns[stage.Durable], ns[stage.PinWait] = w.exec, w.lock, w.io, w.fsync, w.pin
+			vals := fmt.Sprintf("%d, %d, %d, %d, %d", ts, ts, w.hash, w.samples, w.wall)
+			for _, v := range ns {
+				vals += fmt.Sprintf(", %d", v)
+			}
+			if _, err := s.Exec(fmt.Sprintf("INSERT INTO %s VALUES (%s)", workloaddb.Stages, vals)); err != nil {
 				t.Fatal(err)
+			}
+			if !texts[w.hash] {
+				texts[w.hash] = true
+				rep.Statements = append(rep.Statements, StmtCost{Hash: uint64(w.hash), Text: w.text})
 			}
 		}
 	}
+	return rep
 }
 
 func recsOf(rep *Report, k Kind) []Recommendation {
@@ -46,16 +61,16 @@ func recsOf(rep *Report, k Kind) []Recommendation {
 	return out
 }
 
-// TestWaitRuleClassification seeds two ws_waits snapshots per statement
+// TestWaitRuleClassification seeds two ws_stages rows per statement
 // and checks each dominant wait class routes to its rule: lock → the
-// per-statement contention advisory, I/O → buffer pool, fsync → nothing
+// per-statement contention advisory, I/O → buffer pool, durable → nothing
 // (commits already share fsyncs; there is no window to tune). The first
 // snapshot is a decoy with a different mix, proving the rule
 // differences snapshots instead of reading cumulative values.
 func TestWaitRuleClassification(t *testing.T) {
 	an, wdb := newStatsOnlyFixture(t)
 	const ms = int64(time.Millisecond)
-	insertWaitSeries(t, wdb, [][]waitSample{
+	rep := insertWaitSeries(t, wdb, [][]waitSample{
 		{ // poll 1: small cumulative baselines
 			{hash: 1, text: "UPDATE hot SET v = 1", samples: 5, wall: 10 * ms, exec: 9 * ms, lock: 1 * ms},
 			{hash: 2, text: "SELECT * FROM big", samples: 5, wall: 10 * ms, exec: 9 * ms, io: 1 * ms},
@@ -67,7 +82,6 @@ func TestWaitRuleClassification(t *testing.T) {
 			{hash: 3, text: "INSERT INTO log VALUES (1)", samples: 105, wall: 110 * ms, exec: 29 * ms, fsync: 81 * ms},
 		},
 	})
-	rep := &Report{}
 	if err := an.ruleWaitStates(rep); err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +102,12 @@ func TestWaitRuleClassification(t *testing.T) {
 }
 
 // TestWaitRuleThresholds: statements below MinWaitSamples or below the
-// dominance fraction stay unflagged, and an exec-dominant statement
+// dominance fraction get no recommendation, and an exec-dominant statement
 // (the monitor says "it is just expensive") produces no advisory.
 func TestWaitRuleThresholds(t *testing.T) {
 	an, wdb := newStatsOnlyFixture(t)
 	const ms = int64(time.Millisecond)
-	insertWaitSeries(t, wdb, [][]waitSample{
+	rep := insertWaitSeries(t, wdb, [][]waitSample{
 		{
 			// Lock-dominated but only 3 samples: noise.
 			{hash: 1, text: "q1", samples: 3, wall: 10 * ms, lock: 9 * ms},
@@ -103,7 +117,6 @@ func TestWaitRuleThresholds(t *testing.T) {
 			{hash: 3, text: "q3", samples: 100, wall: 100 * ms, exec: 30 * ms, lock: 25 * ms, io: 25 * ms, fsync: 20 * ms},
 		},
 	})
-	rep := &Report{}
 	if err := an.ruleWaitStates(rep); err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +131,10 @@ func TestWaitRuleThresholds(t *testing.T) {
 func TestWaitRuleRespectsExistingPoolRec(t *testing.T) {
 	an, wdb := newStatsOnlyFixture(t)
 	const ms = int64(time.Millisecond)
-	insertWaitSeries(t, wdb, [][]waitSample{
+	rep := insertWaitSeries(t, wdb, [][]waitSample{
 		{{hash: 2, text: "SELECT * FROM big", samples: 100, wall: 100 * ms, exec: 20 * ms, io: 80 * ms}},
 	})
-	rep := &Report{Recommendations: []Recommendation{
-		{Kind: KindBufferPool, Reason: "hit ratio"},
-	}}
+	rep.Recommendations = []Recommendation{{Kind: KindBufferPool, Reason: "hit ratio"}}
 	if err := an.ruleWaitStates(rep); err != nil {
 		t.Fatal(err)
 	}

@@ -55,13 +55,6 @@ type Options struct {
 	// ApplyOnline (zero values take the analyzer defaults: 5 s windows,
 	// p95, 25% regression threshold).
 	Apply analyzer.ApplyConfig
-	// Flagger tunes the adaptive two-phase monitoring policy the daemon
-	// evaluates each poll (zero values take the monitor defaults:
-	// trend-only flagging at 3× baseline p95, 2-minute TTL).
-	Flagger monitor.FlaggerConfig
-	// MaxFlagged bounds how many statements can be under phase-2 wait
-	// attribution at once (default 16).
-	MaxFlagged int
 	// Logf receives daemon diagnostics: transient poll failures, retry
 	// scheduling, alert errors. nil discards them.
 	Logf func(format string, args ...any)
@@ -83,11 +76,6 @@ type System struct {
 	// same samples back the ima_health virtual table. Nil when
 	// monitoring is disabled.
 	Telemetry *telemetry.Registry
-	// Flagger is the adaptive two-phase selection policy; the daemon
-	// evaluates it each poll, and callers may drive it directly (tests,
-	// embedders without a running daemon). Nil when monitoring is
-	// disabled.
-	Flagger *monitor.Flagger
 }
 
 // Open builds the system in opts.Dir.
@@ -97,11 +85,7 @@ func Open(opts Options) (*System, error) {
 	}
 	sys := &System{}
 	if !opts.DisableMonitor {
-		sys.Monitor = monitor.New(monitor.Config{
-			StatementCapacity: opts.StatementCapacity,
-			MaxFlagged:        opts.MaxFlagged,
-		})
-		sys.Flagger = monitor.NewFlagger(sys.Monitor, opts.Flagger)
+		sys.Monitor = monitor.New(monitor.Config{StatementCapacity: opts.StatementCapacity})
 	}
 	db, err := engine.Open(engine.Config{
 		Dir:       filepath.Join(opts.Dir, "db"),
@@ -142,7 +126,6 @@ func Open(opts Options) (*System, error) {
 		Alerts:        opts.Alerts,
 		Actions:       ap.ActionRows,
 		ApplyFailures: an.ApplyFailures,
-		Flagger:       sys.Flagger,
 		Logf:          opts.Logf,
 	})
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/monitor"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/workloaddb"
@@ -148,9 +147,10 @@ func TestLexErrorFloodKeepsShapes(t *testing.T) {
 
 // One key runs through every relation: whatever literals a statement of
 // a shape carries, its hash in ima_statements, ima_workload,
-// ima_references, ima_latency, ima_flags, ima_waits, ima_spans and their
-// ws_ copies is the shape's digest, the shape has one statements row,
-// and the phase-2 waits of all its texts land in one ima_waits row.
+// ima_references, ima_latency, ima_stages, ima_spans and their ws_
+// copies is the shape's digest, the shape has one statements row, and
+// the stage samples of all its texts land in one ima_stages row, which
+// joins the shape's ws_statements row once persisted.
 func TestOneDigestAcrossRelations(t *testing.T) {
 	sys, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
@@ -166,11 +166,11 @@ func TestOneDigestAcrossRelations(t *testing.T) {
 		return fmt.Sprintf("SELECT name FROM item WHERE grp = %d AND id < %d ORDER BY id LIMIT 3", i%17, 100+i)
 	}
 	want := int64(sqlparser.DigestOf(text(0)))
-	if !sys.Monitor.Flag(text(n+1), monitor.FlagReasonManual, true, 0) { // a text never executed: its shape is flagged
-		t.Fatal("Flag refused")
-	}
 	for i := 0; i < n; i++ {
-		mustExec(t, s, text(i))
+		// A session samples its first statement: every text is sampled.
+		fresh := sys.Session()
+		mustExec(t, fresh, text(i))
+		fresh.Close()
 	}
 	explain := "EXPLAIN ANALYZE " + text(0)
 	mustExec(t, s, explain)
@@ -192,13 +192,13 @@ func TestOneDigestAcrossRelations(t *testing.T) {
 		{s, "SELECT SUM(executions) FROM ima_workload WHERE hash = %d", n},
 		{s, "SELECT COUNT(*) FROM ima_references WHERE hash = %d AND obj_type = 'table'", 1},
 		{s, "SELECT SUM(bucket_count) FROM ima_latency WHERE scope = 'stmt' AND hash = %d", n},
-		{s, "SELECT COUNT(*) FROM ima_flags WHERE hash = %d", 1},
-		{s, "SELECT samples FROM ima_waits WHERE hash = %d", n},
-		{s, "SELECT COUNT(*) FROM ima_waits", 1},
+		{s, "SELECT samples FROM ima_stages WHERE hash = %d", n},
+		{s, "SELECT COUNT(*) FROM ima_stages WHERE hash = %d", 1},
 		{ws, "SELECT frequency FROM ws_statements WHERE hash = %d", n},
 		{ws, "SELECT SUM(executions) FROM ws_workload WHERE hash = %d", n},
 		{ws, "SELECT COUNT(*) FROM ws_references WHERE hash = %d AND obj_type = 'table'", 1},
-		{ws, "SELECT samples FROM ws_waits WHERE hash = %d", n},
+		{ws, "SELECT samples FROM ws_stages WHERE hash = %d", n},
+		{ws, "SELECT COUNT(*) FROM ws_stages, ws_statements WHERE ws_stages.hash = ws_statements.hash AND ws_stages.hash = %d", 1},
 	} {
 		if c.sess == ws && !polled { // the live relations are read; now the persisted ones
 			polled = true

@@ -28,7 +28,7 @@ type cost struct{ executions, rows, cpu, errors int64 }
 // this package's exec seam): eight sessions run a seeded schedule of
 // cached shapes — a hundred of them through a statement table of 64, so
 // Shapes are evicted with sums pending — uncached statements, failing
-// statements and one manually flagged shape, while DDL keeps dropping
+// statements and one shape sampled by stage on every execution, while DDL keeps dropping
 // the prepared cache (re-publishing every shape) and the daemon polls
 // against a target that fails every 7th Exec. Afterwards every execution
 // is in ws_workload exactly once:
@@ -37,7 +37,9 @@ type cost struct{ executions, rows, cpu, errors int64 }
 //	per DDL digest, SUM(exec_cpu) = the rows the sessions saw affected
 //	for the UPDATE, SUM(exec_cpu) — the versions examined — >= SUM(rows)
 //	SUM(executions) = TotalStatements; nothing dropped, nothing left waiting
-//	the flagged shape adds up like any other: one row per poll at most
+//	the sampled shape adds up like any other: one row per poll at most;
+//	its ws_stages rows count no more samples than it ran, their stages
+//	sum to their wall, and every ws_stages hash joins a ws_statements row
 func TestWorkloadConservation(t *testing.T) {
 	dir := t.TempDir()
 	mon := monitor.New(monitor.Config{StatementCapacity: 64})
@@ -71,10 +73,9 @@ func TestWorkloadConservation(t *testing.T) {
 	landAll(mon) // the schedule below is all that is counted
 	base := mon.TotalStatements()
 
-	const flagged = "SELECT name FROM item WHERE grp = 1 AND id < 50"
-	if !mon.Flag(flagged, monitor.FlagReasonManual, true, 0) {
-		t.Fatal("Flag refused")
-	}
+	// A session samples its first statement: run on a fresh session
+	// each time, this shape is attributed by stage on every execution.
+	const sampled = "SELECT name FROM item WHERE grp = 1 AND id < 50"
 
 	perSession := 600
 	if testing.Short() {
@@ -135,7 +136,9 @@ func TestWorkloadConservation(t *testing.T) {
 				case k < 19:
 					run(s, tallies[g], "EXPLAIN SELECT name FROM item WHERE grp = 3", false)
 				default:
-					run(s, tallies[g], flagged, false)
+					fresh := source.NewSession()
+					run(fresh, tallies[g], sampled, false)
+					fresh.Close()
 				}
 			}
 		}(g)
@@ -243,8 +246,29 @@ func TestWorkloadConservation(t *testing.T) {
 			t.Errorf("digest %x: ws_workload sums %+v, the sessions saw %+v", digest, *g, *w)
 		}
 	}
-	rows := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d", workloaddb.Workload, int64(sqlparser.DigestOf(flagged)))
-	if n, polls := countRows(t, target, rows), d.Stats().Polls; n > polls || n >= want[sqlparser.DigestOf(flagged)].executions {
-		t.Errorf("the flagged shape has %d rows for %d executions over %d polls, want its executions summed", n, want[sqlparser.DigestOf(flagged)].executions, polls)
+	sd := sqlparser.DigestOf(sampled)
+	rows := fmt.Sprintf("SELECT COUNT(*) FROM %s WHERE hash = %d", workloaddb.Workload, int64(sd))
+	if n, polls := countRows(t, target, rows), d.Stats().Polls; n > polls || n >= want[sd].executions {
+		t.Errorf("the sampled shape has %d rows for %d executions over %d polls, want its executions summed", n, want[sd].executions, polls)
+	}
+	// The shape's entry is evicted and re-created along the way, and
+	// stage sums leave with an entry, so a row may count fewer samples
+	// than the shape ran, never more.
+	if n := countRows(t, target, fmt.Sprintf("SELECT MAX(samples) FROM %s WHERE hash = %d", workloaddb.Stages, int64(sd))); n < 1 || n > want[sd].executions {
+		t.Errorf("the sampled shape's ws_stages rows count up to %d samples for %d executions", n, want[sd].executions)
+	}
+	stmts := map[int64]bool{}
+	for _, r := range exec(t, ws, "SELECT hash FROM "+workloaddb.Statements).Rows {
+		stmts[r[0].I] = true
+	}
+	for _, r := range exec(t, ws, "SELECT * FROM "+workloaddb.Stages).Rows {
+		hash, wall := r[2].I, r[4].I // after ts_us, last_sample_us
+		var sum int64
+		for _, v := range r[5:] {
+			sum += v.I
+		}
+		if sum != wall || !stmts[hash] {
+			t.Errorf("ws_stages row of %d: stages sum to %d, wall_ns %d, joins ws_statements: %v", hash, sum, wall, stmts[hash])
+		}
 	}
 }

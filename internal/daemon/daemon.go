@@ -138,11 +138,6 @@ type Config struct {
 	// ws_statistics (the analyzer's count of recommendations whose
 	// execution failed).
 	ApplyFailures func() int64
-	// Flagger, when set, runs one adaptive-monitoring evaluation per
-	// poll: statements whose interval tail latency misbehaves are
-	// flagged into phase-2 wait attribution, and stale flags expire.
-	// The resulting breakdowns are persisted into ws_waits.
-	Flagger *monitor.Flagger
 	// DisableVacuum turns off the MVCC garbage-collection pass that
 	// otherwise rides every poll (one engine.Vacuum over the source).
 	DisableVacuum bool
@@ -347,7 +342,7 @@ func (d *Daemon) Health() ima.CollectorHealth {
 }
 
 // Poll performs one collection cycle: take one cut of the monitor, run
-// the flagger and vacuum, copy every persisted relation of the ima
+// vacuum, copy every persisted relation of the ima
 // registry into its ws_ table with the poll timestamp, prune expired
 // rows once per retention hour, then evaluate alerts. The collection
 // runs one poll at a time; the alerts, whose actions are the caller's
@@ -390,16 +385,9 @@ func (d *Daemon) collect() (time.Time, []error) {
 	cut := d.cfg.Mon.Snapshot()
 	src.Cut = &cut
 
-	// 2. Housekeeping that feeds the sensors read below. Adaptive
-	// monitoring: evaluate the flagging policy, so the wait breakdowns
-	// persisted are those of the current flag set. MVCC garbage
-	// collection rides the poll too — "disk accesses on the daemon's
+	// 2. Housekeeping that feeds the sensors read below: MVCC garbage
+	// collection rides the poll — "disk accesses on the daemon's
 	// schedule" extends naturally to version reclamation.
-	if d.cfg.Flagger != nil {
-		if flagged, expired := d.cfg.Flagger.Evaluate(now); flagged > 0 || expired > 0 {
-			d.logf("daemon: flagger: %d flagged, %d expired", flagged, expired)
-		}
-	}
 	if !d.cfg.DisableVacuum {
 		if vs, err := d.cfg.Source.Vacuum(); err != nil {
 			errs = append(errs, fmt.Errorf("daemon: vacuum: %w", err))

@@ -388,12 +388,13 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	flaky := inject(d, f.target)
-	// Every 9th Exec against the target fails. A busy poll issues up to
-	// eight consecutive Execs (statements, workload, references, three
-	// object tables, statistics, latency — minus the tables with nothing
-	// new), so the failure position drifts across polls: some polls fail,
-	// some succeed. (With every ≤ 3 no poll could ever fully succeed.)
-	flaky.every = 9
+	// Every 10th Exec against the target fails. A busy poll issues up to
+	// nine consecutive Execs (statements, workload, references, three
+	// object tables, statistics, latency, stages — the alert sessions'
+	// first statements are sampled — minus the tables with nothing new),
+	// so the failure position drifts across polls: some polls fail, some
+	// succeed. (With every ≤ 3 no poll could ever fully succeed.)
+	flaky.every = 10
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

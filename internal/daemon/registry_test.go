@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/ima"
-	"repro/internal/monitor"
 	"repro/internal/sqltypes"
 	"repro/internal/workloaddb"
 )
@@ -44,10 +43,10 @@ func TestPersistedParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Something for every rule: repeated and over-long statements, an
-	// index used and one unused, a flagged statement with samples.
+	// index used and one unused, and stage samples (a session samples
+	// its first statement).
 	exec(t, f.sess, "CREATE INDEX ix_v ON t (v)")
 	const q = "SELECT v FROM t WHERE id = 3"
-	f.mon.Flag(q, monitor.FlagReasonManual, true, 0)
 	for i := 0; i < 3; i++ {
 		exec(t, f.sess, q)
 	}

@@ -4,8 +4,6 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/monitor"
 )
 
 // Statement admission. A statement may touch only tables no DDL is
@@ -71,7 +69,7 @@ type ddlEntry struct {
 // transaction, the transaction's (held, which want contains) — in sl and
 // returns once no DDL excludes the owner from them. Time spent parked is
 // a lock wait.
-func (db *DB) admit(sl *slot, want, held *[]string, h *monitor.Handle) {
+func (db *DB) admit(sl *slot, want, held *[]string) {
 	for {
 		sl.tables.Store(want)
 		w := db.ddl.Load()
@@ -83,7 +81,7 @@ func (db *DB) admit(sl *slot, want, held *[]string, h *monitor.Handle) {
 			return
 		}
 		sl.tables.Store(held)
-		db.park(e.changed, h)
+		db.park(e.changed)
 	}
 }
 
@@ -110,23 +108,21 @@ func excluding(w []*ddlEntry, want []string, held *[]string) *ddlEntry {
 }
 
 // park waits for ch to close, counting the wait as a lock wait.
-func (db *DB) park(ch <-chan struct{}, h *monitor.Handle) {
+func (db *DB) park(ch <-chan struct{}) {
 	db.ddlWaiting.Add(1)
 	t0 := time.Now()
 	<-ch
-	db.waited(t0, h)
+	db.waited(t0)
 }
 
-func (db *DB) waited(t0 time.Time, h *monitor.Handle) {
-	d := time.Since(t0)
+func (db *DB) waited(t0 time.Time) {
 	db.ddlWaiting.Add(-1)
-	db.locks.AddWait(d)
-	h.AddLockWait(d)
+	db.locks.AddWait(time.Since(t0))
 }
 
 // beginDDL enters a DDL on tables into the word in state st, after any
 // DDL already there on one of them has left.
-func (db *DB) beginDDL(tables []string, st ddlState, h *monitor.Handle) *ddlEntry {
+func (db *DB) beginDDL(tables []string, st ddlState) *ddlEntry {
 	e := &ddlEntry{tables: tables, state: st, changed: make(chan struct{})}
 	for {
 		db.ddlMu.Lock()
@@ -144,7 +140,7 @@ func (db *DB) beginDDL(tables []string, st ddlState, h *monitor.Handle) *ddlEntr
 			return e
 		}
 		db.ddlMu.Unlock()
-		db.park(cur[i].changed, h)
+		db.park(cur[i].changed)
 	}
 }
 
@@ -175,7 +171,7 @@ func (db *DB) setDDL(e *ddlEntry, st ddlState) *ddlEntry {
 // then on every session that asks for them parks. The running state is
 // published before the slots are read again, so a session that slipped
 // in between is seen, and the DDL goes back to waiting.
-func (db *DB) runDDL(e *ddlEntry, h *monitor.Handle) *ddlEntry {
+func (db *DB) runDDL(e *ddlEntry) *ddlEntry {
 	if e.state != ddlPending {
 		e = db.setDDL(e, ddlPending)
 	}
@@ -194,7 +190,7 @@ func (db *DB) runDDL(e *ddlEntry, h *monitor.Handle) *ddlEntry {
 		time.Sleep(pause)
 	}
 	if !t0.IsZero() {
-		db.waited(t0, h)
+		db.waited(t0)
 	}
 	return e
 }

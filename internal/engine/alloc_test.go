@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/stage"
 )
 
 // TestScanAllocsPerRow pins the row-path allocation fix: projection
@@ -89,7 +91,20 @@ func TestCachedSelectAdmitsWithoutLocks(t *testing.T) {
 // path; 17 and 1.7 KB measured) — a parser run, a second descent, a
 // copied leaf, a snapshot object or a 64-value arena chunk each break the
 // bound on their own.
-func TestPointSelectAllocs(t *testing.T) {
+func TestPointSelectAllocs(t *testing.T) { checkPointSelectAllocs(t) }
+
+// TestSampledPointSelectAllocs: attributing a cached point select by
+// stage — every one of them sampled here — allocates nothing more.
+func TestSampledPointSelectAllocs(t *testing.T) {
+	samplePeriod = 1
+	defer func() { samplePeriod = stagePeriod }()
+	db := checkPointSelectAllocs(t)
+	if st := db.Monitor().StageTotals(); st.Samples < 22*64 || st.Ns[stage.Result] == 0 {
+		t.Errorf("%d statements sampled, result copy %d ns", st.Samples, st.Ns[stage.Result])
+	}
+}
+
+func checkPointSelectAllocs(t *testing.T) *DB {
 	db := testDB(t)
 	s := db.NewSession()
 	defer s.Close()
@@ -133,4 +148,5 @@ func TestPointSelectAllocs(t *testing.T) {
 	if st := db.Monitor().SnapshotStatements(); st[len(st)-1].Frequency != int64(22*len(stmts)+1) {
 		t.Errorf("the point-select shape has frequency %d after %d executions", st[len(st)-1].Frequency, 22*len(stmts)+1)
 	}
+	return db
 }

@@ -14,6 +14,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
+	"repro/internal/stage"
 	"repro/internal/storage"
 )
 
@@ -61,17 +62,11 @@ func rowLockKey(table string, tid storage.TID) string {
 // writeGateKey names the per-table statement write gate.
 func writeGateKey(table string) string { return "w!" + table }
 
-// acquireLock takes a lock for the session, attributing wait time to a
-// flagged statement's profiler.
-func (s *Session) acquireLock(resource string, h *monitor.Handle) error {
-	var t0 time.Time
-	if s.prof != nil {
-		t0 = time.Now()
-	}
+// acquireLock takes a lock for the session, charged to LockWait.
+func (s *Session) acquireLock(resource string) error {
+	from := s.clk.Switch(stage.LockWait)
 	err := s.db.locks.Acquire(s.id, resource)
-	if s.prof != nil && h != nil {
-		h.AddLockWait(time.Since(t0))
-	}
+	s.clk.Switch(from)
 	return err
 }
 
@@ -87,22 +82,26 @@ func (db *DB) conflictErr(format string, args ...any) error {
 // the MVCC commit record), opened before the gate — a gate holder never
 // waits for the WAL — and finished, not yet durable, before the gate is
 // released, so the next writer's attachment never overlaps this one's
-// unfinished page captures.
-func (s *Session) withWriteGate(th *tableHandle, h *monitor.Handle, fn func() error) error {
+// unfinished page captures. Opening and finishing the unit are charged
+// to WAL; fn charges its own stages.
+func (s *Session) withWriteGate(th *tableHandle, fn func() error) error {
 	db := s.db
+	from := s.clk.Switch(stage.WAL)
 	wtx := db.wal.Begin()
 	wtx.SetOwner(s.txnID)
-	wtx.SetProf(s.prof)
+	s.clk.Switch(from)
 	gate := writeGateKey(strings.ToLower(th.meta.Name))
-	err := s.acquireLock(gate, h)
+	err := s.acquireLock(gate)
 	if err == nil {
 		detach := db.attachWalTxn(th, wtx)
 		err = fn()
 		detach()
 	}
+	s.clk.Switch(stage.WAL)
 	if ferr := wtx.Commit(false); ferr != nil && err == nil {
 		err = ferr
 	}
+	s.clk.Switch(from)
 	db.locks.Release(s.id, gate)
 	return err
 }
@@ -127,7 +126,7 @@ func (noColumns) Resolve(table, column string) (int, sqltypes.Type, error) {
 // examined (INSERT: rows written) and buffer-pool I/O.
 type execCost struct{ cpu, io int64 }
 
-func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value, h *monitor.Handle) (*Result, execCost, error) {
+func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value) (*Result, execCost, error) {
 	db := s.db
 	th := db.handle(st.Table)
 	if th == nil {
@@ -178,9 +177,9 @@ func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value, 
 	}
 
 	var inserted int64
-	err := s.withWriteGate(th, h, func() error {
+	err := s.withWriteGate(th, func() error {
 		for _, row := range rows {
-			if _, err := db.insertVersion(th, row, storage.VersionHeader{Xmin: self}, self); err != nil {
+			if _, err := db.insertVersion(th, row, storage.VersionHeader{Xmin: self}, self, s.clk); err != nil {
 				return err
 			}
 			inserted++
@@ -222,6 +221,7 @@ func (s *Session) dmlPlanOf(p *prepared, th *tableHandle, where sqlparser.Expr, 
 		h.Optimized(dp.plan.Est.CPU, dp.plan.Est.IO, dp.plan.Est.Rows, dp.plan.Attributes, dp.plan.UsedIndexes, 0)
 		return dp, nil
 	}
+	defer s.clk.Switch(s.clk.Switch(stage.Plan))
 	t0 := time.Now()
 	schema := th.meta.Schema
 	res := &expr.SimpleResolver{}
@@ -299,7 +299,7 @@ func (s *Session) matchRows(th *tableHandle, dp *dmlPlan, params []sqltypes.Valu
 		return v.Bool(), err
 	}
 	if dp.leaf == nil {
-		examined, err = scanVisible(th, s.snap, s.prof, func(tid storage.TID, row sqltypes.Row) (bool, error) {
+		examined, err = scanVisible(th, s.snap, s.clk, func(tid storage.TID, row sqltypes.Row) (bool, error) {
 			ok, err := test(row)
 			if ok && err == nil {
 				ms = append(ms, match{tid, row.Clone()})
@@ -319,8 +319,9 @@ func (s *Session) matchRows(th *tableHandle, dp *dmlPlan, params []sqltypes.Valu
 	if bt == nil {
 		return nil, 0, fmt.Errorf("engine: access path of %s has no storage", th.meta.Name)
 	}
-	f := versionFetcher{heap: th.heap, snap: s.snap, prof: s.prof}
-	it := bt.SeekProf(lo, hi, s.prof)
+	f := versionFetcher{heap: th.heap, snap: s.snap, clk: s.clk}
+	it := bt.SeekClock(lo, hi, s.clk)
+	defer s.clk.Switch(s.clk.Switch(stage.BTree))
 	for {
 		tid, row, ok, err := f.next(it)
 		if err != nil {
@@ -343,10 +344,10 @@ func (s *Session) matchRows(th *tableHandle, dp *dmlPlan, params []sqltypes.Valu
 
 // lockMatched acquires the exclusive row locks for the matched
 // versions, in the ascending TID order matchRows returned them.
-func (s *Session) lockMatched(th *tableHandle, ms []match, h *monitor.Handle) error {
+func (s *Session) lockMatched(th *tableHandle, ms []match) error {
 	table := strings.ToLower(th.meta.Name)
 	for _, m := range ms {
-		if err := s.acquireLock(rowLockKey(table, m.tid), h); err != nil {
+		if err := s.acquireLock(rowLockKey(table, m.tid)); err != nil {
 			return err
 		}
 	}
@@ -407,14 +408,15 @@ func (s *Session) execWrite(table string, where sqlparser.Expr, set []sqlparser.
 	io0 := s.poolIO(h)
 	ms, examined, err := s.matchRows(th, dp, params)
 	if err == nil {
-		err = s.lockMatched(th, ms, h)
+		err = s.lockMatched(th, ms)
 	}
 	if err != nil {
 		return nil, execCost{}, err
 	}
 	var affected int64
 	env := expr.Env{Params: params}
-	err = s.withWriteGate(th, h, func() error {
+	err = s.withWriteGate(th, func() error {
+		s.clk.Switch(stage.Heap) // version rechecks, new rows and xmax stamps
 		for _, m := range ms {
 			writable, err := db.recheckWritable(th, m.tid, self)
 			if err != nil {
@@ -443,7 +445,7 @@ func (s *Session) execWrite(table string, where sqlparser.Expr, set []sqlparser.
 				return err
 			}
 			if next != nil {
-				if _, err := db.insertVersion(th, next, storage.VersionHeader{Xmin: self, Prev: m.tid}, self); err != nil {
+				if _, err := db.insertVersion(th, next, storage.VersionHeader{Xmin: self, Prev: m.tid}, self, s.clk); err != nil {
 					return err
 				}
 			}

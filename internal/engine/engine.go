@@ -19,6 +19,7 @@ import (
 	"repro/internal/lock"
 	"repro/internal/monitor"
 	"repro/internal/sqltypes"
+	"repro/internal/stage"
 	"repro/internal/storage"
 )
 
@@ -600,22 +601,16 @@ func (db *DB) Stats() SystemStats {
 }
 
 // executorStorage adapts the DB to the executor's Storage interface.
-// prof, set only for phase-2 flagged statements, threads wait
-// attribution into the iterators the read paths hand out. snap is the
-// executing statement's visibility snapshot; every row and batch
-// iterator filters through it.
+// clk, a sampled statement's stage clock, rides into the iterators the
+// read paths hand out. snap is the executing statement's visibility
+// snapshot; every row and batch iterator filters through it.
 type executorStorage struct {
 	db   *DB
-	prof *storage.WaitProf
+	clk  *stage.Clock
 	snap *snapshot
 }
 
 var _ executor.Storage = executorStorage{}
-
-// profPool recycles wait profilers across flagged statement
-// executions, keeping the phase-2 path allocation-free at steady
-// state.
-var profPool = sync.Pool{New: func() any { return new(storage.WaitProf) }}
 
 // MvccStats is the engine's MVCC and vacuum statistics sample, exported
 // through ima_mvcc, ws_mvcc and the engine_mvcc_* metrics.

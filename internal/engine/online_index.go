@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
-	"repro/internal/monitor"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
@@ -115,9 +114,9 @@ func logToSideLog(h *tableHandle, del bool, tid storage.TID, row sqltypes.Row) {
 // before the catalog clears Building, so a crash at any point leaves
 // either a Building entry (dropped, with its file, at the next open) or
 // a fully durable published index.
-func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt, mh *monitor.Handle) (_ *Result, err error) {
+func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, err error) {
 	tkey := strings.ToLower(st.Table)
-	e := db.beginDDL([]string{tkey}, ddlBuilding, mh)
+	e := db.beginDDL([]string{tkey}, ddlBuilding)
 	var walRelease func()
 	defer func() {
 		if walRelease != nil {
@@ -220,7 +219,7 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt, mh *monitor.H
 	// Final catch-up and publish with the table drained: no statement on
 	// it is in flight and none can start, so the drained tail is complete
 	// and the publish is atomic.
-	e = db.runDDL(e, mh)
+	e = db.runDDL(e)
 	walRelease = db.wal.BeginExclusive()
 	entries, serr := sl.drain()
 	if serr == nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
+	"repro/internal/stage"
 )
 
 // The statement fast path. A statement's shape — its token stream with
@@ -326,11 +327,13 @@ func (s *Session) prepare(sql string, tick int64, h *monitor.Handle) (*prepared,
 		if p := s.db.plans.get(key, sc.Literals(), tick); p != nil {
 			// A literal without a value (an integer out of range) falls
 			// through to the parser, which words the error.
+			s.clk.Switch(stage.Bind)
 			if params, ok := sqlparser.Bind(s.params[:0], sc.Literals(), p.bindings); ok {
 				s.params = params
 				p.observe(h, s.id)
 				return p, params, nil
 			}
+			s.clk.Switch(stage.Parse)
 		}
 	}
 	s.db.plans.misses.Add(1)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
+	"repro/internal/stage"
 	"repro/internal/storage"
 )
 
@@ -57,10 +58,13 @@ type Session struct {
 	// table; applied to the heap counters only at commit, so aborted
 	// inserts never show up in Rows().
 	deltas map[string]int64
-	// prof is the wait profiler of the currently executing statement,
-	// non-nil only while a phase-2 flagged statement runs (Exec sets
-	// and clears it; sessions execute one statement at a time).
-	prof *storage.WaitProf
+	// clk is the stage clock of the executing statement when the session
+	// samples it (clkBuf), else nil. The session samples its first
+	// monitored statement and every samplePeriod-th after it; sampleN
+	// counts down to the next.
+	clk     *stage.Clock
+	clkBuf  stage.Clock
+	sampleN uint32
 	// parallel is the maximum intra-query worker count for morsel-driven
 	// plan subtrees; defaults to min(GOMAXPROCS, 8), adjustable with
 	// SET PARALLEL n or SetParallel. 1 keeps execution serial.
@@ -74,10 +78,19 @@ type Session struct {
 	scan   sqlparser.Scanner
 	params []sqltypes.Value
 	store  executorStorage
+	result resultIter // a sampled statement's result copy
 	// cacheGen is the statement cache's generation at this statement's
 	// lookup (see stmtCache.gen).
 	cacheGen uint64
 }
+
+// stagePeriod is the sampling period of stage attribution. A session
+// samples its first statement so that short sessions are seen too.
+const stagePeriod = 64
+
+// samplePeriod is stagePeriod; tests set it to 1 to sample every
+// statement.
+var samplePeriod uint32 = stagePeriod
 
 // maxSessionParallel caps SET PARALLEL; the executor enforces the same
 // bound on its worker pool.
@@ -196,7 +209,7 @@ func (s *Session) endTxn(commit bool) error {
 // enter admits the statement to its tables (admit.go). Inside a
 // transaction the slot names the union of the statement's tables and the
 // ones the transaction holds, which it holds from then on.
-func (s *Session) enter(p *prepared, h *monitor.Handle) {
+func (s *Session) enter(p *prepared) {
 	want := &p.scope
 	if s.held != nil {
 		want = s.held
@@ -207,7 +220,7 @@ func (s *Session) enter(p *prepared, h *monitor.Handle) {
 			want = &u
 		}
 	}
-	s.db.admit(&s.slot, want, s.held, h)
+	s.db.admit(&s.slot, want, s.held)
 	if s.inTxn {
 		s.held = want
 	}
@@ -280,12 +293,38 @@ func (s *Session) runPrepared(prep *executor.Prepared, ctx *executor.Ctx) ([]sql
 			s.db.parallelWorkerNanos.Add(ctx.WorkerNanos)
 		}
 	}()
-	s.store = executorStorage{db: s.db, prof: s.prof, snap: s.snap}
+	s.store = executorStorage{db: s.db, clk: s.clk, snap: s.snap}
 	it, err := prep.Run(&s.store, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return executor.Collect(it)
+	if s.clk == nil {
+		return executor.Collect(it)
+	}
+	// Collect copies each batch out between two NextBatch calls.
+	s.result = resultIter{it: it, clk: s.clk}
+	rows, err := executor.Collect(&s.result)
+	s.result = resultIter{} // the pipeline is the statement's alone
+	return rows, err
+}
+
+// resultIter charges the pipeline's batches to stage.Exec and the time
+// between them, when Collect copies the rows out, to stage.Result.
+type resultIter struct {
+	it  executor.RowBatchIter
+	clk *stage.Clock
+}
+
+func (r *resultIter) NextBatch(b *executor.Batch) (bool, error) {
+	r.clk.Switch(stage.Exec)
+	ok, err := r.it.NextBatch(b)
+	r.clk.Switch(stage.Result)
+	return ok, err
+}
+
+func (r *resultIter) Close() error {
+	r.clk.Switch(stage.Exec)
+	return r.it.Close()
 }
 
 // Close releases the session. An open transaction is aborted, as with
@@ -324,37 +363,22 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	tick := db.statements.Add(1)
 
 	h := db.mon.StartStatement(sql)
+	s.clk = nil
+	if h.Live() {
+		if s.sampleN == 0 {
+			s.sampleN = samplePeriod
+			s.clk = h.Sample(&s.clkBuf)
+		}
+		s.sampleN--
+	}
 	p, params, err := s.prepare(sql, tick, &h)
 	if err != nil {
 		h.Finish(0, 0, 0, err)
 		return nil, err
 	}
-
-	// Phase 2: when the flagger (or a manual override) has flagged this
-	// statement's shape, attach a wait profiler for this execution. With
-	// zero flagged statements Profiled is a single atomic load and the
-	// whole block is skipped.
-	var (
-		dispatchStart           time.Time
-		preIO, preFsync, prePin int64
-		execNs                  int64
-	)
-	if h.Profiled() {
-		s.prof = profPool.Get().(*storage.WaitProf)
-		s.prof.Reset()
-		defer func() {
-			// Runs after the lock release and (in autocommit) the WAL
-			// durability wait: every wait source has landed and Finish
-			// has latched the wall time on all paths.
-			io, fsync, pin := s.prof.Totals()
-			h.AddWaits(execNs, io, fsync, pin)
-			h.FlushWaits()
-			profPool.Put(s.prof)
-			s.prof = nil
-		}()
-	}
 	isDML, isDDL := p.class == classDML, p.class >= classDDL
 
+	s.clk.Switch(stage.Admit)
 	var ddl *ddlEntry
 	var walRelease func()
 	if isDDL {
@@ -371,11 +395,11 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		}
 		s.inTxn = false
 		if p.class == classDDL {
-			ddl = db.runDDL(db.beginDDL(p.scope, ddlPending, &h), &h)
+			ddl = db.runDDL(db.beginDDL(p.scope, ddlPending))
 			walRelease = db.wal.BeginExclusive()
 		}
 	} else {
-		s.enter(p, &h)
+		s.enter(p)
 	}
 	if p.key != "" && s.cacheGen != db.plans.gen.Load() {
 		// DDL dropped the cache between this statement's lookup and its
@@ -384,6 +408,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		// any more, so parse and plan afresh — the same tables, hence the
 		// same admission.
 		db.plans.staleReparses.Add(1)
+		s.clk.Switch(stage.Parse)
 		if p, params, err = s.parse(tick, &h); err != nil {
 			return nil, s.abort(&h, err)
 		}
@@ -393,16 +418,11 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		// The visibility snapshot: captured once admitted so a schema
 		// change cannot slide under it. One snapshot per statement in
 		// autocommit; per transaction inside Begin..Commit.
+		s.clk.Switch(stage.Snapshot)
 		s.ensureSnapshot(h.Started())
 	}
 
-	if s.prof != nil {
-		// The dispatch window: executor self-time is its wall minus the
-		// waits the profiler attributes inside it. Commit-path waits
-		// accrue after the window closes and stay pure wait time.
-		preIO, preFsync, prePin = s.prof.Totals()
-		dispatchStart = time.Now()
-	}
+	s.clk.Switch(stage.Exec)
 	var res *Result
 	var cost execCost
 	switch st := stmt.(type) {
@@ -416,7 +436,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		res, err = db.execDropTable(st)
 	case *sqlparser.CreateIndexStmt:
 		if st.Online {
-			res, err = db.execCreateIndexOnline(st, &h)
+			res, err = db.execCreateIndexOnline(st)
 		} else {
 			res, err = db.execCreateIndex(st)
 		}
@@ -427,7 +447,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	case *sqlparser.CreateStatisticsStmt:
 		res, err = db.execCreateStatistics(st)
 	case *sqlparser.InsertStmt:
-		res, cost, err = s.execInsert(st, params, &h)
+		res, cost, err = s.execInsert(st, params)
 	case *sqlparser.UpdateStmt:
 		res, cost, err = s.execWrite(st.Table, st.Where, st.Set, p, params, &h, tick)
 	case *sqlparser.DeleteStmt:
@@ -437,14 +457,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	default:
 		err = fmt.Errorf("engine: unsupported statement %T", stmt)
 	}
-	if s.prof != nil {
-		dwall := int64(time.Since(dispatchStart))
-		io1, fs1, pin1 := s.prof.Totals()
-		execNs = dwall - ((io1 - preIO) + (fs1 - preFsync) + (pin1 - prePin))
-		if execNs < 0 {
-			execNs = 0
-		}
-	}
+	s.clk.Switch(stage.Durable)
 	if !s.inTxn {
 		// Autocommit: commit (or abort) the statement's MVCC transaction;
 		// the commit record's durability wait covers the statement's log
@@ -517,6 +530,7 @@ func (s *Session) execSelect(st *sqlparser.SelectStmt, p *prepared, params []sql
 	db := s.db
 	entry := p.plan
 	if entry == nil {
+		from := s.clk.Switch(stage.Plan)
 		t0 := time.Now()
 		plan, err := optimizer.PlanSelect(st, db.catalogView(), optimizer.Options{Params: params})
 		if err != nil {
@@ -535,6 +549,7 @@ func (s *Session) execSelect(st *sqlparser.SelectStmt, p *prepared, params []sql
 		h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, entry.optTime)
 		db.publish(p, plan, tick)
 		p.observe(h, s.id)
+		s.clk.Switch(from)
 	} else {
 		// Cache hit: the optimizer was bypassed entirely; estimates
 		// come from the cached plan.

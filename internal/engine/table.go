@@ -10,6 +10,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/executor"
 	"repro/internal/sqltypes"
+	"repro/internal/stage"
 	"repro/internal/storage"
 )
 
@@ -109,12 +110,10 @@ func (db *DB) attachWalTxn(h *tableHandle, t *storage.WalTxn) func() {
 	}
 	for _, f := range files {
 		f.SetWALTxn(t)
-		f.SetProf(t.Prof())
 	}
 	return func() {
 		for _, f := range files {
 			f.SetWALTxn(nil)
-			f.SetProf(nil)
 		}
 	}
 }
@@ -190,11 +189,15 @@ func (db *DB) checkUnique(h *tableHandle, row sqltypes.Row, self uint64) error {
 // indexes — every heap version gets index entries; visibility filtering
 // happens at scan time and vacuum removes entries with the versions.
 // The caller holds the table's statement write gate (or runs alone on
-// the table, as DDL).
-func (db *DB) insertVersion(h *tableHandle, row sqltypes.Row, vh storage.VersionHeader, self uint64) (storage.TID, error) {
+// the table, as DDL). clk, a sampled statement's, is charged BTree for
+// the index work and Heap for the rest.
+func (db *DB) insertVersion(h *tableHandle, row sqltypes.Row, vh storage.VersionHeader, self uint64, clk *stage.Clock) (storage.TID, error) {
+	from := clk.Switch(stage.BTree)
+	defer clk.Switch(from)
 	if err := db.checkUnique(h, row, self); err != nil {
 		return 0, err
 	}
+	clk.Switch(stage.Heap)
 	var pkey []byte
 	if h.primary != nil {
 		var err error
@@ -210,6 +213,7 @@ func (db *DB) insertVersion(h *tableHandle, row sqltypes.Row, vh storage.Version
 	if err != nil {
 		return 0, err
 	}
+	clk.Switch(stage.BTree)
 	if h.primary != nil {
 		if err := h.primary.Put(tidSuffix(pkey, tid), tidBytes(tid)); err != nil {
 			return 0, err
@@ -269,7 +273,7 @@ func (db *DB) dropVersionIndexEntries(h *tableHandle, tid storage.TID, row sqlty
 // logged, so it needs no exclusive WAL gate. Used by the workload
 // generator.
 func (db *DB) BulkInsert(table string, rows []sqltypes.Row) error {
-	e := db.runDDL(db.beginDDL([]string{strings.ToLower(table)}, ddlPending, nil), nil)
+	e := db.runDDL(db.beginDDL([]string{strings.ToLower(table)}, ddlPending))
 	defer db.setDDL(e, ddlDone)
 	h := db.handle(table)
 	if h == nil {
@@ -284,7 +288,7 @@ func (db *DB) BulkInsert(table string, rows []sqltypes.Row) error {
 		if coerced, err = coerceRow(h.meta.Schema, row); err != nil {
 			break
 		}
-		if _, err = db.insertVersion(h, coerced, storage.VersionHeader{Xmin: frozenTxnID}, frozenTxnID); err != nil {
+		if _, err = db.insertVersion(h, coerced, storage.VersionHeader{Xmin: frozenTxnID}, frozenTxnID, nil); err != nil {
 			break
 		}
 		inserted++
@@ -315,6 +319,7 @@ func (db *DB) BulkInsert(table string, rows []sqltypes.Row) error {
 type heapScanIter struct {
 	it     *storage.HeapBatchIter
 	snap   *snapshot
+	clk    *stage.Clock // charged Heap for the scan; nil unless sampled
 	rb     storage.RecBatch
 	sel    []int // reused visibility selection backing array
 	arena  []sqltypes.Value
@@ -323,6 +328,7 @@ type heapScanIter struct {
 
 func (r *heapScanIter) NextBatch(b *executor.Batch) (bool, error) {
 	b.Reset()
+	defer r.clk.Switch(r.clk.Switch(stage.Heap))
 	defer r.it.Close()
 	for {
 		ok, err := r.it.NextBatchMax(&r.rb, executor.BatchSize)
@@ -376,8 +382,8 @@ func (r *heapScanIter) Close() error { return r.it.Close() }
 type versionFetcher struct {
 	heap    *storage.Heap
 	snap    *snapshot
-	prof    *storage.WaitProf
-	fetched int64 // entries followed
+	clk     *stage.Clock // charged BTree for the entries, Heap for the versions
+	fetched int64        // entries followed
 	// rec is the reused record buffer (rows are decoded out of it, text
 	// included, so nothing aliases it); recArr backs it for records of
 	// ordinary size so a point fetch allocates no buffer at all.
@@ -386,15 +392,17 @@ type versionFetcher struct {
 }
 
 // next returns the TID and the freshly decoded row of the range's next
-// visible version, or ok=false once the range is exhausted.
+// visible version, or ok=false once the range is exhausted. It leaves
+// the clock in BTree or Heap; callers switch back once per batch.
 func (f *versionFetcher) next(it *storage.Iterator) (storage.TID, sqltypes.Row, bool, error) {
 	if f.rec == nil {
 		f.rec = f.recArr[:0]
 	}
-	for it.Next() {
+	for f.clk.Switch(stage.BTree); it.Next(); f.clk.Switch(stage.BTree) {
+		f.clk.Switch(stage.Heap)
 		tid := tidFromBytes(it.Value())
 		f.fetched++
-		rec, ok, err := f.heap.GetBuf(tid, f.rec[:0], f.prof)
+		rec, ok, err := f.heap.GetBuf(tid, f.rec[:0], f.clk)
 		if ok {
 			f.rec = rec
 		}
@@ -427,6 +435,7 @@ type btreeFetchIter struct {
 // row and no scratch.
 func (r *btreeFetchIter) NextBatch(b *executor.Batch) (bool, error) {
 	b.Reset()
+	defer r.f.clk.Switch(r.f.clk.Switch(stage.BTree))
 	for len(b.Rows) < executor.BatchSize {
 		_, row, ok, err := r.f.next(r.it)
 		if err != nil {
@@ -453,23 +462,23 @@ func (s executorStorage) ScanTable(name string) (executor.RowBatchIter, error) {
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", name)
 	}
-	return &heapScanIter{it: h.heap.ScanBatchProf(s.prof), snap: s.snap}, nil
+	return &heapScanIter{it: h.heap.ScanBatch(s.clk), snap: s.snap, clk: s.clk}, nil
 }
 
 // morselSource implements executor.MorselSource over one heap table:
 // page-count enumeration plus independent page-range batch scans, all
 // filtered through the same captured statement snapshot. Each worker's
-// heapScanIter has its own record batch and decode arena.
+// heapScanIter has its own record batch and decode arena, and no stage
+// clock: the workers' time is the coordinator's Exec.
 type morselSource struct {
 	h    *tableHandle
 	snap *snapshot
-	prof *storage.WaitProf // all-atomic, safe to share across workers
 }
 
 func (m *morselSource) Pages() uint32 { return m.h.heap.Pages() }
 
 func (m *morselSource) ScanRange(lo, hi uint32) (executor.RowBatchIter, error) {
-	return &heapScanIter{it: m.h.heap.ScanBatchRange(lo, hi, m.prof), snap: m.snap}, nil
+	return &heapScanIter{it: m.h.heap.ScanBatchRange(lo, hi), snap: m.snap}, nil
 }
 
 // MorselTable implements executor.MorselStorage. Virtual tables are
@@ -483,7 +492,7 @@ func (s executorStorage) MorselTable(name string) (executor.MorselSource, bool, 
 	if h == nil {
 		return nil, false, fmt.Errorf("engine: unknown table %q", name)
 	}
-	return &morselSource{h: h, snap: s.snap, prof: s.prof}, true, nil
+	return &morselSource{h: h, snap: s.snap}, true, nil
 }
 
 // IndexRange implements executor.Storage.
@@ -503,7 +512,7 @@ func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executo
 	if bt == nil {
 		return nil, fmt.Errorf("engine: index %s has no storage", index)
 	}
-	return &btreeFetchIter{it: bt.SeekProf(lo, hi, s.prof), f: versionFetcher{heap: h.heap, snap: s.snap, prof: s.prof}}, nil
+	return &btreeFetchIter{it: bt.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, clk: s.clk}}, nil
 }
 
 // PrimaryRange implements executor.Storage.
@@ -515,16 +524,18 @@ func (s executorStorage) PrimaryRange(table string, lo, hi []byte) (executor.Row
 	if h.primary == nil {
 		return nil, fmt.Errorf("engine: table %s has no primary B-Tree", table)
 	}
-	return &btreeFetchIter{it: h.primary.SeekProf(lo, hi, s.prof), f: versionFetcher{heap: h.heap, snap: s.snap, prof: s.prof}}, nil
+	return &btreeFetchIter{it: h.primary.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, clk: s.clk}}, nil
 }
 
 // scanVisible calls fn with the TID and decoded row of every version of
 // the table visible to sn, in ascending TID order, and returns how many
 // versions it read; fn returning false ends the scan. The row is valid
 // only during the call: a caller that keeps it clones it. fn runs under
-// the heap's read latch and must not write the heap.
-func scanVisible(h *tableHandle, sn *snapshot, prof *storage.WaitProf, fn func(storage.TID, sqltypes.Row) (bool, error)) (int64, error) {
-	it := h.heap.ScanBatchProf(prof)
+// the heap's read latch and must not write the heap. The scan, fn
+// included, is charged to clk's Heap.
+func scanVisible(h *tableHandle, sn *snapshot, clk *stage.Clock, fn func(storage.TID, sqltypes.Row) (bool, error)) (int64, error) {
+	defer clk.Switch(clk.Switch(stage.Heap))
+	it := h.heap.ScanBatch(clk)
 	defer it.Close()
 	var (
 		rb   storage.RecBatch
@@ -628,7 +639,7 @@ func (db *DB) rebuildTable(h *tableHandle, structure catalog.Structure, keyCols 
 	// versions, so their history is irrelevant and the compacted heap
 	// starts with clean single-version chains.
 	for _, row := range rows {
-		if _, err := db.insertVersion(h, row, storage.VersionHeader{Xmin: frozenTxnID}, frozenTxnID); err != nil {
+		if _, err := db.insertVersion(h, row, storage.VersionHeader{Xmin: frozenTxnID}, frozenTxnID, nil); err != nil {
 			return err
 		}
 	}

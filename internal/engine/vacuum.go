@@ -127,7 +127,7 @@ func (db *DB) Vacuum() (VacuumStats, error) {
 // the surviving chain lengths it observed.
 func (db *DB) vacuumTable(sl *slot, h *tableHandle, horizon uint64, aborted map[uint64]bool, stats *VacuumStats) (_ []int, err error) {
 	tables := []string{strings.ToLower(h.meta.Name)}
-	db.admit(sl, &tables, nil, nil)
+	db.admit(sl, &tables, nil)
 	defer sl.tables.Store(nil)
 	if db.handle(tables[0]) != h {
 		return nil, nil // dropped while vacuum waited

@@ -24,11 +24,9 @@
 //	                  traces, estimated vs. actual
 //	ima_health      — self-observability counters of the monitor, the
 //	                  engine and the storage daemon (Sources.Health)
-//	ima_flags       — the phase-2 flag set: which statements are under
-//	                  deep wait attribution, why, and since when
 //	ima_actions*    — audit trail of the analyzer's apply state machine
-//	ima_waits*      — per-flagged-statement wait-state breakdown
-//	                  (exec / lock / io / fsync / pinwait vs. wall)
+//	ima_stages*     — per-statement stage sums of the sampled executions
+//	                  (parse … result; they sum to the wall time)
 //	ima_mvcc*       — snapshot-isolation health: txn begin/commit/abort
 //	                  counters, write conflicts, oldest snapshot age,
 //	                  vacuum reclaim progress and version-chain length
@@ -36,6 +34,7 @@ package ima
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/monitor"
@@ -73,6 +72,34 @@ func (s *Sources) workload() []monitor.WorkloadEntry {
 		return s.Cut.Workload
 	}
 	return s.Mon.SnapshotWorkload()
+}
+
+// stageRowEvery is how often at most a shape's stage sums land in
+// ws_stages: the storage daemon's default poll interval, so a daemon
+// polling that often persists every sampled shape each poll and a faster
+// one no more rows. The sums are counters, so a row skipped is carried by
+// the next.
+const stageRowEvery = 30 * time.Second
+
+// stages returns the stage rows due for persistence — sampled since
+// their row last landed, which is at least stageRowEvery ago — or, when
+// due is false, the others.
+func (s *Sources) stages(due bool) []monitor.StageSums {
+	var rows []monitor.StageSums
+	now := time.Now()
+	if s.Cut != nil {
+		rows, now = s.Cut.Stages, s.Cut.Taken
+	} else {
+		rows = s.Mon.SnapshotStages()
+	}
+	var out []monitor.StageSums
+	for _, r := range rows {
+		isDue := r.LastSampleUs > r.LandedUs && now.UnixMicro()-r.LandedUs >= stageRowEvery.Microseconds()
+		if isDue == due {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 func (s *Sources) references() []monitor.Reference {
@@ -189,8 +216,6 @@ func MonitorHealth(mon *monitor.Monitor) []HealthMetric {
 		{"monitor", "workload_depth", float64(mon.WorkloadDepth())},           // evicted entries still holding sums
 		{"monitor", "workload_dropped_total", float64(mon.WorkloadDropped())}, // executions, not entries
 		{"monitor", "traces_buffered", float64(mon.TraceCount())},
-		{"monitor", "flagged_statements", float64(mon.FlagCount())},
-		{"monitor", "phase2_seconds_total", mon.Phase2Overhead().Seconds()},
 		{"monitor", "publish_seconds_total", mon.PublishTime().Seconds()},
 	}
 }

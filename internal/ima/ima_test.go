@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/monitor"
+	"repro/internal/stage"
 )
 
 func newMonitoredDB(t *testing.T) (*engine.DB, *monitor.Monitor, *engine.Session) {
@@ -268,5 +269,52 @@ func TestRowsReadFromCut(t *testing.T) {
 		if live[name] == rows {
 			t.Errorf("%s: a reader without a cut did not see the new statement", name)
 		}
+	}
+}
+
+// TestStageRowsLandAtMostOncePerInterval: a shape's stage row is due for
+// persistence when it was sampled since its row last landed, and at most
+// once per stageRowEvery; until then ima_stages serves it live only.
+func TestStageRowsLandAtMostOncePerInterval(t *testing.T) {
+	mon := monitor.New(monitor.Config{})
+	var clk stage.Clock
+	sample := func() {
+		h := mon.StartStatement("SELECT 1")
+		h.Sample(&clk)
+		h.Parsed("SELECT", nil)
+		h.Finish(0, 0, 1, nil)
+	}
+	var stages *Relation
+	for i := range Relations {
+		if Relations[i].Name == "stages" {
+			stages = &Relations[i]
+		}
+	}
+	due := func(cut monitor.Snapshot) (persisted, live int) {
+		src := Sources{Mon: mon, Cut: &cut}
+		return len(stages.Provider(&src)), len(stages.LiveRows(&src))
+	}
+
+	sample()
+	cut := mon.Snapshot()
+	if p, l := due(cut); p != 1 || l != 0 {
+		t.Fatalf("first sample: %d rows due, %d live only; want 1 and 0", p, l)
+	}
+	stages.Landed(&Sources{Mon: mon, Cut: &cut}, 1)
+
+	sample()
+	next := mon.Snapshot()
+	if p, l := due(next); p != 0 || l != 1 {
+		t.Errorf("sampled again at once: %d rows due, %d live only; want 0 and 1", p, l)
+	}
+	next.Taken = cut.Taken.Add(stageRowEvery)
+	if p, l := due(next); p != 1 || l != 0 {
+		t.Errorf("sampled again, an interval later: %d rows due, %d live only; want 1 and 0", p, l)
+	}
+	stages.Landed(&Sources{Mon: mon, Cut: &next}, 1)
+	later := mon.Snapshot()
+	later.Taken = next.Taken.Add(2 * stageRowEvery)
+	if p, l := due(later); p != 0 || l != 1 {
+		t.Errorf("not sampled since it landed: %d rows due, %d live only; want 0 and 1", p, l)
 	}
 }

@@ -10,12 +10,12 @@ package ima
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/monitor"
 	"repro/internal/sqltypes"
+	"repro/internal/stage"
 )
 
 // Column is one typed column of a monitoring relation.
@@ -285,30 +285,6 @@ var Relations = []Relation{
 		},
 	},
 	{
-		Name: "flags",
-		Columns: []Column{Int("hash"), Text("query_text", textMax), Text("reason", 0), Int("manual"),
-			Int("since_us"), Int("age_us"), Int("expires_us"), Int("samples")},
-		Provider: func(src *Sources) []sqltypes.Row {
-			now := time.Now()
-			return each(src.Mon.SnapshotFlags(), func(f monitor.FlaggedStatement) sqltypes.Row {
-				expires := int64(0) // never
-				if !f.Expires.IsZero() {
-					expires = f.Expires.UnixMicro()
-				}
-				return sqltypes.Row{
-					sqltypes.NewInt(int64(f.Hash)),
-					sqltypes.NewText(f.Text),
-					sqltypes.NewText(f.Reason),
-					sqltypes.NewBool(f.Manual),
-					sqltypes.NewInt(f.Since.UnixMicro()),
-					sqltypes.NewInt(now.Sub(f.Since).Microseconds()),
-					sqltypes.NewInt(expires),
-					sqltypes.NewInt(f.Samples),
-				}
-			})
-		},
-	},
-	{
 		// The audit trail of the apply state machine: one row per action
 		// state transition, seq monotone within one applier lifetime.
 		Name: "actions",
@@ -339,29 +315,19 @@ var Relations = []Relation{
 		Persist: Persist{After, []string{"seq"}},
 	},
 	{
-		// Phase-2 wait attribution: one row per flagged statement with
-		// cumulative nanoseconds per wait class (counter semantics, like
-		// latency). Statements without committed samples are not persisted.
-		Name: "waits",
-		Columns: []Column{Int("hash"), Text("query_text", textMax), Text("reason", 16), Int("samples"),
-			Int("wall_ns"), Int("exec_ns"), Int("lock_ns"), Int("io_ns"), Int("fsync_ns"), Int("pinwait_ns")},
-		Provider: func(src *Sources) []sqltypes.Row {
-			return each(src.Mon.SnapshotFlags(), func(f monitor.FlaggedStatement) sqltypes.Row {
-				return sqltypes.Row{
-					sqltypes.NewInt(int64(f.Hash)),
-					sqltypes.NewText(f.Text),
-					sqltypes.NewText(f.Reason),
-					sqltypes.NewInt(f.Samples),
-					sqltypes.NewInt(f.Waits.WallNs),
-					sqltypes.NewInt(f.Waits.ExecNs),
-					sqltypes.NewInt(f.Waits.LockNs),
-					sqltypes.NewInt(f.Waits.IONs),
-					sqltypes.NewInt(f.Waits.FsyncNs),
-					sqltypes.NewInt(f.Waits.PinWaitNs),
-				}
-			})
-		},
-		Persist: Persist{Nonzero, []string{"samples"}},
+		// Where the sampled executions of each statement shape spent
+		// their wallclock, one column per stage (package stage): sums
+		// since the monitor started (counter semantics, like latency).
+		// The stages of every execution sum to its wall, so the stage
+		// columns of a row sum to wall_ns. A poll persists the shapes
+		// sampled since their row last landed, at most once per
+		// stageRowEvery; the others are live only.
+		Name:     "stages",
+		Columns:  append([]Column{Int("last_sample_us"), Int("hash"), Int("samples"), Int("wall_ns")}, stageColumns()...),
+		Provider: func(src *Sources) []sqltypes.Row { return each(src.stages(true), stageRow) },
+		LiveRows: func(src *Sources) []sqltypes.Row { return each(src.stages(false), stageRow) },
+		Persist:  Persist{Rule: All},
+		Landed:   func(src *Sources, n int) { src.Mon.StagesLanded(src.stages(true)[:n], src.Cut.Taken) },
 	},
 	scalar("mvcc", MvccCounters, func(src *Sources) engine.MvccStats { return src.DB.MvccStats() }),
 }
@@ -392,6 +358,26 @@ func workloadRow(w monitor.WorkloadEntry) sqltypes.Row {
 		sqltypes.NewInt(w.Errors),
 		sqltypes.NewInt(w.Executions),
 	}
+}
+
+// stageColumns are the <stage>_ns columns, in stage order.
+func stageColumns() []Column {
+	cols := make([]Column, stage.N)
+	for i := range cols {
+		cols[i] = Int(stage.Stage(i).String() + "_ns")
+	}
+	return cols
+}
+
+// stageRow converts a statement's stage sums to its relation row.
+func stageRow(st monitor.StageSums) sqltypes.Row {
+	row := make(sqltypes.Row, 0, 4+stage.N)
+	row = append(row, sqltypes.NewInt(st.LastSampleUs), sqltypes.NewInt(int64(st.Hash)),
+		sqltypes.NewInt(st.Samples), sqltypes.NewInt(st.WallNs))
+	for _, ns := range st.Ns {
+		row = append(row, sqltypes.NewInt(ns))
+	}
+	return row
 }
 
 // latencyRows emits one row per non-empty histogram bucket.

@@ -21,11 +21,11 @@ package monitor
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/sqlparser"
+	"repro/internal/stage"
 )
 
 // DefaultStatementCapacity is the number of distinct statements the
@@ -136,9 +136,6 @@ type Config struct {
 	// TraceCapacity bounds the ring of per-operator statement traces
 	// (EXPLAIN ANALYZE). Zero means DefaultTraceCapacity.
 	TraceCapacity int
-	// MaxFlagged bounds the phase-2 flag set (flags.go). Zero means
-	// DefaultMaxFlagged.
-	MaxFlagged int
 }
 
 // Monitor is the in-core monitoring component. A disabled monitor adds
@@ -160,24 +157,9 @@ type Monitor struct {
 	// regular statement hot path.
 	traces traceRing
 
-	// Two-phase adaptive monitoring (flags.go). flaggedCount gates the
-	// hot path: while it is zero, StartStatement/Finish stay on the
-	// phase-1-only path at the cost of a single extra atomic load.
-	flaggedCount atomic.Int64
-	flags        atomic.Pointer[flagSet]
-	flagMu       sync.Mutex // serializes copy-on-write flag set swaps
-	flagCap      int
-
-	// Monitor-global cumulative wait counters (phase 2), mirrored by
-	// the per-statement breakdowns in the flag entries.
-	waitExec  atomic.Int64
-	waitLock  atomic.Int64
-	waitIO    atomic.Int64
-	waitFsync atomic.Int64
-	waitPin   atomic.Int64
-	// phase2Nanos is the self-measured cost of the phase-2 machinery
-	// (flag lookups + wait recording); phase 1 is monNanosTotal.
-	phase2Nanos atomic.Int64
+	// stages sums the stage vectors of every sampled execution; each
+	// statement entry holds its own share (stages.go).
+	stages stageSums
 }
 
 // New creates an enabled monitor with the given configuration. Zero
@@ -195,11 +177,6 @@ func New(cfg Config) *Monitor {
 	m := &Monitor{totals: make([]totalLane, lanes)}
 	m.stmts.init(cfg.StatementCapacity, lanes)
 	m.traces.init(cfg.TraceCapacity)
-	m.flagCap = cfg.MaxFlagged
-	if m.flagCap <= 0 {
-		m.flagCap = DefaultMaxFlagged
-	}
-	m.flags.Store(emptyFlags)
 	m.enabled.Store(true)
 	return m
 }
@@ -228,7 +205,7 @@ type Handle struct {
 	cell    *atomic.Pointer[Shape]
 	lane    uint32
 	keyed   bool
-	digest  uint64 // latched by Finish in every case, for FlushWaits
+	digest  uint64
 	tables  []string
 	attrs   []string // "table.column"
 	indexes []string
@@ -236,19 +213,8 @@ type Handle struct {
 	optTime time.Duration
 	est     Estimates
 
-	// Phase-2 wait accumulation, populated by the engine only when the
-	// statement is flagged (see flags.go). Plain fields: a handle is
-	// owned by one session goroutine. wallNs is latched by Finish so
-	// FlushWaits — which the engine calls after the commit-path waits
-	// have landed — can report the breakdown against the full wall time.
-	profiled bool
-	pm       *Monitor // latched by Profiled; survives Finish's h.m reset
-	execNs   int64
-	lockNs   int64
-	ioNs     int64
-	fsyncNs  int64
-	pinNs    int64
-	wallNs   int64
+	// clk, set by Sample, attributes this execution by stage.
+	clk *stage.Clock
 }
 
 // HashStatement returns the digest of a statement that has no shape
@@ -330,20 +296,24 @@ func (h *Handle) Optimized(estCPU, estIO, estRows float64, attrs, indexes []stri
 	h.optTime = optTime
 }
 
-// statementDigest is what the statement is, or will be, counted under.
-func (h *Handle) statementDigest() uint64 {
-	switch {
-	case h.cell != nil:
-		return h.cell.Load().entry.digest
-	case h.keyed:
-		return h.digest
+// Sample has this execution attributed by stage: c starts at the
+// statement's start, charging stage.Parse, and the caller switches it
+// along the statement's path. Finish charges its own time to
+// stage.Sensor, stops c at the wallclock stop and adds its vector to the
+// statement's and the monitor's stage sums. Sample returns c, or nil
+// when the handle does not record.
+func (h *Handle) Sample(c *stage.Clock) *stage.Clock {
+	if !h.Live() {
+		return nil
 	}
-	return HashStatement(h.text)
+	c.Start(h.start)
+	h.clk = c
+	return c
 }
 
 // Finish is the "Wallclock Stop" sensor: it counts the execution under
 // its statement and adds its costs to the statement's sums. For a cached
-// statement, flagged or not, both are atomic adds to the session's lane
+// statement both are atomic adds to the session's lane
 // of the Shape its prepared entry carries — a latency bucket (the bucket
 // sum is the frequency), a last-seen stamp and the cost sums — and
 // nothing else: no table, no mutex. A statement without a Shape visits
@@ -372,10 +342,11 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 	// Monitor time is Finish up to the count; one clock read there
 	// serves both durations, and the cost adds after it carry them.
 	var s *Shape
+	var e *stmtEntry
 	var now time.Time
 	if h.cell != nil {
 		s = h.cell.Load()
-		h.digest = s.entry.digest
+		e = s.entry
 		ln := &s.lanes[h.lane&uint32(len(s.lanes)-1)]
 		ln.lat[wallBucket].Add(1)
 		ln.lastSeen.Store(h.start.UnixNano())
@@ -390,8 +361,10 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 		addNonzero(&ln.optNanos, int64(h.optTime))
 		addNonzero(&ln.errs, errs)
 	} else {
-		h.digest = h.statementDigest()
-		now = m.stmts.commit(h, wallBucket, t0, WorkloadEntry{
+		if !h.keyed {
+			h.digest = HashStatement(h.text)
+		}
+		now, e = m.stmts.commit(h, wallBucket, t0, WorkloadEntry{
 			OptTime: h.optTime, ExecCPU: execCPU, ExecIO: execIO,
 			EstCPU: h.est.CPU, EstIO: h.est.IO, EstRows: h.est.Rows,
 			Rows: rows, Errors: errs, Executions: 1,
@@ -416,15 +389,14 @@ func (h *Handle) Finish(execCPU, execIO, rows int64, execErr error) {
 		h.cell.Store(m.stmts.republish(s))
 	}
 
-	// Phase 2: latch the wall time for flagged statements. The wait
-	// breakdown itself is committed by FlushWaits, which the engine
-	// calls once every wait source (including the autocommit durability
-	// wait, which runs after some Finish call sites) has accumulated.
-	// h.profiled is only ever set through Profiled(), which the engine
-	// calls when the flag set is non-empty, so the idle path skips this
-	// without even a load.
-	if h.profiled {
-		h.wallNs = int64(wall)
+	if c := h.clk; c != nil {
+		// A sampled execution: Finish is its sensor stage, and its clock
+		// stops where the wallclock does, so its stages sum to wall.
+		h.clk = nil
+		c.SwitchAt(t0, stage.Sensor)
+		c.SwitchAt(now, stage.Sensor)
+		e.stages.add(c, wall, now)
+		m.stages.add(c, wall, now)
 	}
 }
 

@@ -8,6 +8,7 @@ type Snapshot struct {
 	Taken      time.Time
 	Statements []StatementInfo
 	Workload   []WorkloadEntry
+	Stages     []StageSums
 	References []Reference
 	TableFreq  map[string]int64
 	AttrFreq   map[string]int64
@@ -15,10 +16,10 @@ type Snapshot struct {
 }
 
 // Snapshot copies the current monitor state in one cut across the
-// statement table and every entry's pending cost sums (evicted entries
-// first, then the live ones); the narrower Snapshot* accessors are
-// cheaper when only one table is read (the IMA providers' per-table
-// reads). The storage daemon persists from one Snapshot per poll and
+// statement table, every entry's pending cost sums (evicted entries
+// first, then the live ones) and the live entries' stage sums; the
+// narrower Snapshot* accessors are cheaper when only one table is read
+// (the IMA providers' per-table reads). The storage daemon persists from one Snapshot per poll and
 // hands the workload rows that landed to Landed.
 func (m *Monitor) Snapshot() Snapshot {
 	t := &m.stmts
@@ -27,6 +28,7 @@ func (m *Monitor) Snapshot() Snapshot {
 	s := Snapshot{Taken: time.Now(), Statements: t.statementsLocked(), References: t.referencesLocked()}
 	s.TableFreq, s.AttrFreq, s.IndexFreq = t.frequenciesLocked()
 	s.Workload = t.workloadLocked()
+	s.Stages = t.stagesLocked()
 	return s
 }
 

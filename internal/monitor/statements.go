@@ -59,6 +59,10 @@ type stmtEntry struct {
 	// gone FIFO; one pushed out of it is dropped, for good.
 	work             WorkloadEntry
 	waiting, dropped bool
+
+	// stages sums the stage vectors of the entry's sampled executions
+	// (counter semantics: never subtracted).
+	stages stageSums
 }
 
 // Estimates are the optimizer's cost figures for one plan: tuple
@@ -424,8 +428,8 @@ func (t *stmtTable) republish(s *Shape) *Shape {
 // Shape, resolved by digest, counted name by name and added, costs and
 // estimates, to the entry's sum block. The sensor's time ends once the
 // execution is counted: commit reads the clock there, fills in w's wall
-// and monitor time from t0, and returns the reading.
-func (t *stmtTable) commit(h *Handle, bucket int, t0 time.Time, w WorkloadEntry) time.Time {
+// and monitor time from t0, and returns the reading and the entry.
+func (t *stmtTable) commit(h *Handle, bucket int, t0 time.Time, w WorkloadEntry) (time.Time, *stmtEntry) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	e, inserted := t.resolveLocked(h.digest, h.text, h.kind, h.start)
@@ -438,7 +442,7 @@ func (t *stmtTable) commit(h *Handle, bucket int, t0 time.Time, w WorkloadEntry)
 	now := time.Now()
 	w.Wall, w.MonNanos = now.Sub(h.start), int64(now.Sub(t0))
 	e.work.add(&w, 1)
-	return now
+	return now, e
 }
 
 // TableOps returns how often the statement table was searched, grew and

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/sqlparser"
+	"repro/internal/stage"
 )
 
 type testShape struct {
@@ -143,24 +144,26 @@ func TestRepublishWithNewObjectsKeepsTheEntry(t *testing.T) {
 	}
 }
 
-// N executions of a cached shape leave the statement table alone — no
-// lookup, no insert, no eviction, nothing parked or dropped — and
-// allocate nothing: their costs add up in the Shape, which the workload
-// relation reports as one row.
+// N executions of a cached shape, every other one sampled by stage,
+// leave the statement table alone — no lookup, no insert, no eviction,
+// nothing parked or dropped — and allocate nothing: their costs add up
+// in the Shape, which the workload relation reports as one row, and the
+// samples' stages in its entry.
 func TestCachedFinishTouchesNoTable(t *testing.T) {
 	m := New(Config{})
 	var cell atomic.Pointer[Shape]
 	cell.Store(m.Publish(1, "SELECT a FROM t WHERE a = 1", "SELECT", []string{"t"}, []string{"t.a"}, []string{"t_a"}, Estimates{10, 5, 100}))
 	l0, i0, e0 := m.TableOps()
+	var clk stage.Clock
+	var runs int
 	run := func() {
 		h := m.StartStatement("SELECT a FROM t WHERE a = 2")
+		if runs++; runs%2 == 0 {
+			h.Sample(&clk).Switch(stage.Exec)
+		}
 		h.Cached("SELECT", &cell, 3)
 		h.Optimized(10, 5, 100, nil, nil, 0)
-		if h.Profiled() {
-			t.Fatal("profiled with an empty flag set")
-		}
 		h.Finish(120, 7, 100, nil)
-		h.FlushWaits()
 	}
 	const n = 10000
 	if allocs := testing.AllocsPerRun(n-1, run); allocs != 0 {
@@ -195,10 +198,14 @@ func TestCachedFinishTouchesNoTable(t *testing.T) {
 	if again := drain(m); len(again) != 0 {
 		t.Errorf("second drain returned %+v", again)
 	}
+	sr, tot := m.SnapshotStages(), m.StageTotals()
+	if len(sr) != 1 || sr[0].Hash != 1 || sr[0].Samples != n/2 || sr[0].Samples != tot.Samples || sr[0].WallNs != tot.WallNs || sr[0].Ns != tot.Ns {
+		t.Errorf("stage rows %+v, totals %+v: want one row of %d samples", sr, tot, n/2)
+	}
 }
 
 // Every execution's costs wait in its statement entry, one row per
-// entry: a cached execution, flagged or not, adds into its Shape, a
+// entry: a cached execution, sampled or not, adds into its Shape, a
 // slow-path one into its entry's sum block, and a Shape that is retired
 // or evicted folds into its entry. An evicted entry's row waits, ahead of
 // the live ones, until a landed row empties it.
@@ -213,16 +220,16 @@ func TestWorkloadTiers(t *testing.T) {
 	cached := func(cpu int64, err error) {
 		h := m.StartStatement("SELECT a FROM t WHERE a = 9")
 		h.Cached("SELECT", &cell, 0)
-		h.Profiled()
+		if cpu == 100 {
+			var clk stage.Clock
+			h.Sample(&clk) // sampled: into the Shape all the same
+		}
 		h.Finish(cpu, 0, 1, err)
-		h.FlushWaits()
 	}
 	publish(Estimates{CPU: 2})
 	cached(10, nil)
 	cached(10, fmt.Errorf("failed"))
-	m.Flag(text, FlagReasonManual, true, 0)
-	cached(100, nil) // flagged: into the Shape all the same
-	m.Unflag(text)
+	cached(100, nil)
 	h := m.StartStatement("SET x") // slow path: into its entry
 	h.Parsed("SET", nil)
 	h.Optimized(4, 0, 0, nil, nil, 0)

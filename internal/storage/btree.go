@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"repro/internal/stage"
 )
 
 // B+Tree node page layout:
@@ -584,7 +586,7 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 // a range that really continues on another leaf descends again.
 type Iterator struct {
 	t      *BTree
-	prof   *WaitProf // wait attribution for flagged statements; usually nil
+	clk    *stage.Clock // charged for the refills' page pins; nil unless sampled
 	err    error
 	done   bool
 	primed bool   // first refill happened; key is the resume point
@@ -614,12 +616,11 @@ type btEntSpan struct{ koff, kend, vend int }
 // is nil). Both slices are retained until the iterator is dropped and
 // must not be modified meanwhile. The descent is deferred to the first
 // Next call.
-func (t *BTree) Seek(lo, hi []byte) *Iterator { return t.SeekProf(lo, hi, nil) }
+func (t *BTree) Seek(lo, hi []byte) *Iterator { return t.SeekClock(lo, hi, nil) }
 
-// SeekProf is Seek with a wait profiler attached to every refill
-// descent of the resulting iterator.
-func (t *BTree) SeekProf(lo, hi []byte, prof *WaitProf) *Iterator {
-	return &Iterator{t: t, prof: prof, lo: lo, hi: hi}
+// SeekClock is Seek charging every refill descent's page pins to clk.
+func (t *BTree) SeekClock(lo, hi []byte, clk *stage.Clock) *Iterator {
+	return &Iterator{t: t, clk: clk, lo: lo, hi: hi}
 }
 
 // Next advances the iterator, reporting whether an entry is available
@@ -672,7 +673,7 @@ func (it *Iterator) refill() bool {
 	page := it.t.root
 	var p Page
 	for {
-		if err := it.t.file.PinPageProf(page, &p, it.prof); err != nil {
+		if err := it.t.file.PinPageClock(page, &p, it.clk); err != nil {
 			return it.fail(err)
 		}
 		d := p.Data
@@ -740,7 +741,7 @@ func (it *Iterator) refill() bool {
 			it.done = true
 			return false
 		}
-		if err := it.t.file.PinPageProf(next, &p, it.prof); err != nil {
+		if err := it.t.file.PinPageClock(next, &p, it.clk); err != nil {
 			return it.fail(err)
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/stage"
 )
 
 var nextFileID atomic.Uint32
@@ -27,9 +29,8 @@ type File struct {
 	// table's statement write gate) receives before-image capture calls
 	// from Page.WillModify. Atomic because MVCC readers run GetPage
 	// concurrently with the writer installing/clearing these.
-	wal     *WAL
-	curTxn  atomic.Pointer[WalTxn]
-	curProf atomic.Pointer[WaitProf]
+	wal    *WAL
+	curTxn atomic.Pointer[WalTxn]
 
 	mu    sync.Mutex
 	f     *os.File
@@ -72,11 +73,6 @@ func (f *File) AttachWAL(w *WAL) { f.wal = w }
 // at most one non-nil value is installed at a time; the atomic only
 // protects concurrent readers.
 func (f *File) SetWALTxn(t *WalTxn) { f.curTxn.Store(t) }
-
-// SetProf attaches a wait profiler to every page get on this file, for
-// the DML write path of a phase-2 flagged statement. Same safety
-// argument as SetWALTxn.
-func (f *File) SetProf(prof *WaitProf) { f.curProf.Store(prof) }
 
 // walBarrier enforces WAL-before-data: the page image about to be
 // written carries its last LSN in the trailer, and the log must be
@@ -197,20 +193,10 @@ type Page struct {
 
 // GetPage pins the given page for reading or writing. The handle is
 // returned by value — a page get allocates nothing; callers keep it in a
-// local and Release it. Wait time is attributed to the file's current
-// profiler, if any (the DML write path under the table's exclusive
-// lock).
+// local and Release it.
 func (f *File) GetPage(page uint32) (Page, error) {
-	return f.GetPageProf(page, nil)
-}
-
-// GetPageProf is GetPage with an explicit wait profiler: read paths
-// (which run concurrently and cannot use the per-file field)
-// thread theirs through here. A nil prof falls back to the file's
-// current profiler.
-func (f *File) GetPageProf(page uint32, prof *WaitProf) (Page, error) {
 	var p Page
-	err := f.PinPageProf(page, &p, prof)
+	err := f.PinPageClock(page, &p, nil)
 	return p, err
 }
 
@@ -218,17 +204,15 @@ func (f *File) GetPageProf(page uint32, prof *WaitProf) (Page, error) {
 // the call site (an iterator field). p must be released (or never
 // pinned) before being reused. Batch scans pin one page per batch step
 // through a single reused handle.
-func (f *File) PinPage(page uint32, p *Page) error {
-	return f.PinPageProf(page, p, f.curProf.Load())
-}
+func (f *File) PinPage(page uint32, p *Page) error { return f.PinPageClock(page, p, nil) }
 
-// PinPageProf is PinPage with an explicit wait profiler (see
-// GetPageProf).
-func (f *File) PinPageProf(page uint32, p *Page, prof *WaitProf) error {
-	if prof == nil {
-		prof = f.curProf.Load()
-	}
-	fr, err := f.pool.get(f, page, prof)
+// PinPageClock is PinPage charging the get to clk's pool stages: a
+// sampled statement's read paths pass their session's clock, every
+// other caller nil.
+func (f *File) PinPageClock(page uint32, p *Page, clk *stage.Clock) error {
+	from := clk.Switch(stage.Pool)
+	fr, err := f.pool.get(f, page, clk)
+	clk.Switch(from)
 	if err != nil {
 		return err
 	}

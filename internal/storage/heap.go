@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/stage"
 )
 
 // TID identifies a record: page number in the high 32 bits, slot in the
@@ -278,26 +280,20 @@ func insertIntoPage(p *Page, pageNo uint32, rec []byte) (TID, error) {
 
 // Get returns the record stored at tid, or ok=false if it was deleted.
 func (h *Heap) Get(tid TID) (rec []byte, ok bool, err error) {
-	return h.GetProf(tid, nil)
+	return h.GetBuf(tid, nil, nil)
 }
 
-// GetProf is Get with an explicit wait profiler for phase-2 flagged
-// statements (index fetch paths run concurrently with other readers, so
-// the profiler is threaded per call rather than per file).
-func (h *Heap) GetProf(tid TID, prof *WaitProf) (rec []byte, ok bool, err error) {
-	return h.GetBuf(tid, nil, prof)
-}
-
-// GetBuf is GetProf appending the record to buf (usually a reused
-// buffer cut to length zero) instead of allocating one per call.
-func (h *Heap) GetBuf(tid TID, buf []byte, prof *WaitProf) (rec []byte, ok bool, err error) {
+// GetBuf is Get appending the record to buf (usually a reused buffer
+// cut to length zero) instead of allocating one per call, with its page
+// get charged to clk (nil: a statement that is not sampled).
+func (h *Heap) GetBuf(tid TID, buf []byte, clk *stage.Clock) (rec []byte, ok bool, err error) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	if tid.Page() >= h.file.Pages() {
 		return nil, false, fmt.Errorf("storage: TID %s past end of heap", tid)
 	}
-	p, err := h.file.GetPageProf(tid.Page(), prof)
-	if err != nil {
+	var p Page
+	if err := h.file.PinPageClock(tid.Page(), &p, clk); err != nil {
 		return nil, false, err
 	}
 	defer p.Release()
@@ -488,14 +484,14 @@ type HeapBatchIter struct {
 	pins    [MaxBatchPins]Page // frames backing the current batch
 	npins   int
 	err     error
-	latched bool      // read latch held for the life of the current batch
-	prof    *WaitProf // wait attribution for flagged statements; usually nil
+	latched bool         // read latch held for the life of the current batch
+	clk     *stage.Clock // charged for the page pins; nil unless sampled
 }
 
-// ScanBatchProf returns a batch iterator positioned before the first
-// page, attributing the scan's page pins to prof (nil: none).
-func (h *Heap) ScanBatchProf(prof *WaitProf) *HeapBatchIter {
-	return &HeapBatchIter{h: h, prof: prof}
+// ScanBatch returns a batch iterator positioned before the first page,
+// charging the scan's page pins to clk (nil: none).
+func (h *Heap) ScanBatch(clk *stage.Clock) *HeapBatchIter {
+	return &HeapBatchIter{h: h, clk: clk}
 }
 
 // ScanBatchRange returns a batch iterator over the page range [lo, hi)
@@ -504,8 +500,8 @@ func (h *Heap) ScanBatchProf(prof *WaitProf) *HeapBatchIter {
 // own worker goroutine) never share mutable state; they contend only on
 // the heap's read latch, which admits any number of readers. Pages past
 // the heap's current end are simply absent, so a stale hi is safe.
-func (h *Heap) ScanBatchRange(lo, hi uint32, prof *WaitProf) *HeapBatchIter {
-	return &HeapBatchIter{h: h, page: lo, bound: hi, prof: prof}
+func (h *Heap) ScanBatchRange(lo, hi uint32) *HeapBatchIter {
+	return &HeapBatchIter{h: h, page: lo, bound: hi}
 }
 
 // release unpins every frame backing the current batch and drops the
@@ -554,7 +550,7 @@ func (it *HeapBatchIter) NextBatchMax(b *RecBatch, maxRows int) (bool, error) {
 	}
 	for it.page < pages && it.npins < MaxBatchPins {
 		p := &it.pins[it.npins]
-		if err := it.h.file.PinPageProf(it.page, p, it.prof); err != nil {
+		if err := it.h.file.PinPageClock(it.page, p, it.clk); err != nil {
 			it.err = err
 			it.release()
 			return false, err

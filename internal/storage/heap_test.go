@@ -308,7 +308,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 	}
 
 	for _, maxRows := range []int{0, 1, 64, 100000} {
-		it := h.ScanBatchProf(nil)
+		it := h.ScanBatch(nil)
 		var b RecBatch
 		var gotTIDs []TID
 		var gotRecs [][]byte
@@ -347,7 +347,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 func TestScanBatchEmptyHeap(t *testing.T) {
 	h := OpenHeap(newTestFile(t, nil), 1, 0)
 	var b RecBatch
-	if ok, err := h.ScanBatchProf(nil).NextBatchMax(&b, 0); err != nil || ok {
+	if ok, err := h.ScanBatch(nil).NextBatchMax(&b, 0); err != nil || ok {
 		t.Fatalf("empty heap: ok=%v err=%v", ok, err)
 	}
 }
@@ -367,7 +367,7 @@ func TestScanBatchAllocs(t *testing.T) {
 	}
 	var b RecBatch
 	scan := func() {
-		it := h.ScanBatchProf(nil)
+		it := h.ScanBatch(nil)
 		for {
 			ok, err := it.NextBatchMax(&b, 1024)
 			if err != nil {

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/stage"
 )
 
 // PageSize is the size of every on-disk page in bytes.
@@ -366,11 +368,11 @@ func (p *Pool) PinnedFrames() int {
 // read completed: concurrent getters of a cold page block on the load
 // latch and observe the read error if the read failed.
 //
-// prof, when non-nil, receives the time this call spent waiting —
-// page reads, load/write latch waits and victim write-backs as I/O,
-// victim WAL barriers as fsync, pinned-full backpressure as pin wait.
-// The nil case (every unprofiled statement) adds no clock reads.
-func (p *Pool) get(f *File, page uint32, prof *WaitProf) (*frame, error) {
+// clk, charging Pool when get is called, is switched to Load for page
+// reads, load/write latch waits and victim write-backs, to Durable for
+// victim WAL barriers and to PinWait for pinned-full backpressure. It is
+// nil for every statement that is not sampled.
+func (p *Pool) get(f *File, page uint32, clk *stage.Clock) (*frame, error) {
 	key := pageKey{file: f.id, page: page}
 	sh := p.shards[key.hash()&p.shardMask]
 	var waited time.Duration
@@ -385,13 +387,9 @@ func (p *Pool) get(f *File, page uint32, prof *WaitProf) (*frame, error) {
 		}
 		if ld, ok := sh.loading[key]; ok {
 			sh.mu.Unlock()
-			if prof != nil {
-				t0 := time.Now()
-				<-ld.ready
-				prof.AddIO(time.Since(t0))
-			} else {
-				<-ld.ready
-			}
+			clk.Switch(stage.Load)
+			<-ld.ready
+			clk.Switch(stage.Pool)
 			if ld.err != nil {
 				return nil, ld.err
 			}
@@ -405,13 +403,9 @@ func (p *Pool) get(f *File, page uint32, prof *WaitProf) (*frame, error) {
 			// the writer re-published the frame (still dirty) and the
 			// retry hits it in memory.
 			sh.mu.Unlock()
-			if prof != nil {
-				t0 := time.Now()
-				<-wb.done
-				prof.AddIO(time.Since(t0))
-			} else {
-				<-wb.done
-			}
+			clk.Switch(stage.Load)
+			<-wb.done
+			clk.Switch(stage.Pool)
 			continue
 		}
 
@@ -429,11 +423,10 @@ func (p *Pool) get(f *File, page uint32, prof *WaitProf) (*frame, error) {
 				if waited >= p.pinWaitMax {
 					return nil, fmt.Errorf("storage: buffer pool exhausted (%d pages, all pinned; waited %v)", p.Capacity(), waited)
 				}
+				clk.Switch(stage.PinWait)
 				time.Sleep(p.pinWaitStep)
+				clk.Switch(stage.Pool)
 				waited += p.pinWaitStep
-				if prof != nil {
-					prof.AddPinWait(p.pinWaitStep)
-				}
 				continue
 			}
 			sh.evictFrameLocked(victim, vslot)
@@ -448,22 +441,13 @@ func (p *Pool) get(f *File, page uint32, prof *WaitProf) (*frame, error) {
 				sh.mu.Unlock()
 				// WAL-before-data: the victim's image must not reach disk
 				// before the log records that produced it are durable.
-				var werr error
-				if prof != nil {
-					t0 := time.Now()
-					werr = victim.file.walBarrier(victim.data[:])
-					t1 := time.Now()
-					prof.AddFsync(t1.Sub(t0))
-					if werr == nil {
-						werr = victim.file.writePage(victim.key.page, victim.data[:])
-						prof.AddIO(time.Since(t1))
-					}
-				} else {
-					werr = victim.file.walBarrier(victim.data[:])
-					if werr == nil {
-						werr = victim.file.writePage(victim.key.page, victim.data[:])
-					}
+				clk.Switch(stage.Durable)
+				werr := victim.file.walBarrier(victim.data[:])
+				clk.Switch(stage.Load)
+				if werr == nil {
+					werr = victim.file.writePage(victim.key.page, victim.data[:])
 				}
+				clk.Switch(stage.Pool)
 				sh.mu.Lock()
 				delete(sh.writing, victim.key)
 				if werr != nil {
@@ -507,15 +491,9 @@ func (p *Pool) get(f *File, page uint32, prof *WaitProf) (*frame, error) {
 		fr := &frame{key: key, file: f}
 		fr.pins.Store(1)
 		fr.ref.Store(1)
-		var n int
-		var err error
-		if prof != nil {
-			t0 := time.Now()
-			n, err = f.readPage(page, fr.data[:])
-			prof.AddIO(time.Since(t0))
-		} else {
-			n, err = f.readPage(page, fr.data[:])
-		}
+		clk.Switch(stage.Load)
+		n, err := f.readPage(page, fr.data[:])
+		clk.Switch(stage.Pool)
 		if err == nil && f.wal != nil {
 			fr.lsn.Store(PageLSN(fr.data[:]))
 		}

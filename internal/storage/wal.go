@@ -460,7 +460,6 @@ type WalTxn struct {
 	done    bool
 	touched map[pageKey]walTouch
 	order   []pageKey // touch order, for deterministic after-image LSNs
-	prof    *WaitProf // wait attribution for flagged statements; usually nil
 }
 
 // SetOwner stamps the MVCC transaction id that owns this statement; it
@@ -470,22 +469,6 @@ func (t *WalTxn) SetOwner(owner uint64) {
 	if t != nil {
 		t.owner = owner
 	}
-}
-
-// SetProf attaches a wait profiler to the transaction: Commit's
-// after-image page gets count as I/O, its durability wait as fsync.
-func (t *WalTxn) SetProf(prof *WaitProf) {
-	if t != nil {
-		t.prof = prof
-	}
-}
-
-// Prof returns the attached wait profiler, or nil.
-func (t *WalTxn) Prof() *WaitProf {
-	if t == nil {
-		return nil
-	}
-	return t.prof
 }
 
 type walTouch struct {
@@ -570,7 +553,7 @@ func (t *WalTxn) Commit(wait bool) error {
 	var firstErr error
 	for _, k := range t.order {
 		tp := t.touched[k]
-		p, err := tp.f.GetPageProf(tp.page, t.prof)
+		p, err := tp.f.GetPage(tp.page)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -602,12 +585,6 @@ func (t *WalTxn) Commit(wait bool) error {
 		return firstErr
 	}
 	if wait {
-		if t.prof != nil {
-			t0 := time.Now()
-			err := w.WaitDurable(clsn)
-			t.prof.AddFsync(time.Since(t0))
-			return err
-		}
 		return w.WaitDurable(clsn)
 	}
 	return nil

@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ima"
 	"repro/internal/monitor"
+	"repro/internal/stage"
 )
 
 // Adapters turning the monitoring components into metric sources. They
@@ -56,27 +57,21 @@ func MonitorSource(m *monitor.Monitor) Source {
 			{Name: "monitor_workload_dropped_total", Help: "Executions whose workload sums were lost because more evicted entries held sums than the statement capacity.", Kind: Counter, Value: float64(m.WorkloadDropped())},
 			{Name: "monitor_traces_buffered", Help: "EXPLAIN ANALYZE traces in the trace ring.", Kind: Gauge, Value: float64(m.TraceCount())},
 		}
-		// Adaptive two-phase layer: the flag set, the per-class wait
-		// attribution totals, and the monitor's own overhead split into
-		// phase 1 (always-on sensors) and phase 2 (wait recording).
-		wt := m.WaitTotals()
-		phase1 := m.TotalMonitorTime().Seconds()
-		phase2 := m.Phase2Overhead().Seconds()
+		sensor := m.TotalMonitorTime().Seconds()
 		publish := m.PublishTime().Seconds()
-		ms = append(ms,
-			Metric{Name: "engine_flagged_statements", Help: "Statements currently under phase-2 wait attribution.", Kind: Gauge, Value: float64(m.FlagCount())},
-			Metric{Name: "engine_wait_exec_ns_total", Help: "Executor self-time attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.ExecNs)},
-			Metric{Name: "engine_wait_lock_ns_total", Help: "Lock acquisition wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.LockNs)},
-			Metric{Name: "engine_wait_io_ns_total", Help: "Buffer-pool page I/O wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.IONs)},
-			Metric{Name: "engine_wait_fsync_ns_total", Help: "WAL durability (commit fsync) wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.FsyncNs)},
-			Metric{Name: "engine_wait_pinwait_ns_total", Help: "Pinned-pool backpressure wait attributed to flagged statements, nanoseconds.", Kind: Counter, Value: float64(wt.PinWaitNs)},
-			Metric{Name: "monitor_overhead_phase2_seconds_total", Help: "Wallclock seconds inside the phase-2 machinery (flag lookups, wait recording).", Kind: Counter, Value: phase2},
-			Metric{Name: "monitor_publish_seconds_total", Help: "Wallclock seconds spent publishing statement shapes (once per prepared statement, outside any statement's sensor time).", Kind: Counter, Value: publish},
-		)
+		ms = append(ms, Metric{Name: "monitor_publish_seconds_total", Help: "Wallclock seconds spent publishing statement shapes (once per prepared statement, outside any statement's sensor time).", Kind: Counter, Value: publish})
 		if wallSum > 0 {
 			ms = append(ms, Metric{Name: "monitor_overhead_ratio",
-				Help: "Monitor self-overhead (phase 1 + phase 2 + shape publishing) over total statement wallclock.",
-				Kind: Gauge, Value: (phase1 + phase2 + publish) / wallSum.Seconds()})
+				Help: "Monitor self-overhead (sensors + shape publishing) over total statement wallclock.",
+				Kind: Gauge, Value: (sensor + publish) / wallSum.Seconds()})
+		}
+		// Stage attribution of the sampled executions (ima_stages sums
+		// the same vectors per statement).
+		st := m.StageTotals()
+		ms = append(ms, Metric{Name: "engine_stage_samples_total", Help: "Statement executions sampled for stage attribution.", Kind: Counter, Value: float64(st.Samples)})
+		for i, ns := range st.Ns {
+			ms = append(ms, Metric{Name: "engine_stage_seconds_total", Help: "Wallclock seconds of the sampled executions, by stage of the statement path.", Kind: Counter,
+				Value: float64(ns) / 1e9, Labels: []Label{{Key: "stage", Value: stage.Stage(i).String()}}})
 		}
 		ms = append(ms, HistogramMetrics("monitor_statement_wall_ns",
 			"Statement wallclock latency in nanoseconds.", &wall, wallSum.Seconds()*1e9)...)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ima"
 	"repro/internal/monitor"
+	"repro/internal/stage"
 	"repro/internal/workloaddb"
 )
 
@@ -157,8 +158,12 @@ func TestHistogramMetricsCumulative(t *testing.T) {
 
 func TestServerServesMetricsAndPprof(t *testing.T) {
 	mon := monitor.New(monitor.Config{})
+	var clk stage.Clock
 	for i := 0; i < 5; i++ {
 		h := mon.StartStatement(fmt.Sprintf("SELECT %d", i))
+		if i < 2 {
+			h.Sample(&clk)
+		}
 		h.Parsed("SELECT", nil)
 		h.Finish(1, 0, 1, nil)
 	}
@@ -183,6 +188,12 @@ func TestServerServesMetricsAndPprof(t *testing.T) {
 	}
 	if got := metricValue(t, string(body), "monitor_statement_wall_ns_count"); got != 5 {
 		t.Errorf("histogram count = %v, want 5", got)
+	}
+	if got := metricValue(t, string(body), "engine_stage_samples_total"); got != 2 {
+		t.Errorf("engine_stage_samples_total = %v, want 2", got)
+	}
+	if got := metricValue(t, string(body), `engine_stage_seconds_total{stage="sensor"}`); got <= 0 {
+		t.Errorf("sampled statements spent %v s in their sensor stage", got)
 	}
 
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {

@@ -30,7 +30,7 @@ const (
 	Statistics = "ws_statistics"
 	Latency    = "ws_latency"
 	Actions    = "ws_actions"
-	Waits      = "ws_waits"
+	Stages     = "ws_stages"
 	Mvcc       = "ws_mvcc"
 )
 
