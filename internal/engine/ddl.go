@@ -181,7 +181,7 @@ func (db *DB) buildIndexStorage(h *tableHandle, name string, cols []string, uniq
 		if len(rec) < storage.VersionHeaderSize {
 			return false, fmt.Errorf("engine: unversioned record %v in %s", tid, h.meta.Name)
 		}
-		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
+		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec), nil)
 		if err != nil {
 			return false, err
 		}

@@ -194,7 +194,7 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 			if len(rec) < storage.VersionHeaderSize {
 				return fmt.Errorf("engine: unversioned record %v in %s", tid, h.meta.Name)
 			}
-			row, derr := sqltypes.DecodeRow(storage.VersionPayload(rec))
+			row, derr := sqltypes.DecodeRow(storage.VersionPayload(rec), nil)
 			if derr != nil {
 				return derr
 			}

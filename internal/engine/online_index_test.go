@@ -24,7 +24,7 @@ func expectedIndexEntries(t *testing.T, db *DB, table string, cols []string) map
 	h := db.handle(table)
 	want := map[string]string{}
 	err := h.heap.Scan(func(tid storage.TID, rec []byte) (bool, error) {
-		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
+		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec), nil)
 		if err != nil {
 			return false, err
 		}

@@ -319,6 +319,7 @@ func (db *DB) BulkInsert(table string, rows []sqltypes.Row) error {
 type heapScanIter struct {
 	it     *storage.HeapBatchIter
 	snap   *snapshot
+	cols   []int        // schema ordinals decoded; nil: every column
 	clk    *stage.Clock // charged Heap for the scan; nil unless sampled
 	rb     storage.RecBatch
 	sel    []int // reused visibility selection backing array
@@ -354,7 +355,7 @@ func (r *heapScanIter) NextBatch(b *executor.Batch) (bool, error) {
 		r.arena = r.arena[:0]
 		r.bounds = append(r.bounds[:0], 0)
 		for _, i := range r.sel {
-			if r.arena, err = sqltypes.AppendDecodedRow(r.arena, storage.VersionPayload(r.rb.Recs[i])); err != nil {
+			if r.arena, err = sqltypes.AppendDecodedRow(r.arena, storage.VersionPayload(r.rb.Recs[i]), r.cols); err != nil {
 				return false, err
 			}
 			r.bounds = append(r.bounds, len(r.arena))
@@ -382,6 +383,7 @@ func (r *heapScanIter) Close() error { return r.it.Close() }
 type versionFetcher struct {
 	heap    *storage.Heap
 	snap    *snapshot
+	cols    []int        // schema ordinals decoded; nil: every column
 	clk     *stage.Clock // charged BTree for the entries, Heap for the versions
 	fetched int64        // entries followed
 	// rec is the reused record buffer (rows are decoded out of it, text
@@ -415,7 +417,7 @@ func (f *versionFetcher) next(it *storage.Iterator) (storage.TID, sqltypes.Row, 
 		if !f.snap.visible(storage.ReadVersionHeader(rec)) {
 			continue
 		}
-		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec))
+		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec), f.cols)
 		if err != nil {
 			return 0, nil, false, err
 		}
@@ -454,15 +456,32 @@ func (r *btreeFetchIter) Close() error { return nil }
 // ScanTable implements executor.Storage: base tables scan
 // page-at-a-time through the heap batch iterator; virtual table
 // snapshots are already materialized.
-func (s executorStorage) ScanTable(name string) (executor.RowBatchIter, error) {
+func (s executorStorage) ScanTable(name string, cols []int) (executor.RowBatchIter, error) {
 	if vt := s.db.virtualTable(name); vt != nil {
-		return &executor.SliceRowIter{Rows: vt.provider()}, nil
+		return &executor.SliceRowIter{Rows: projectRows(vt.provider(), cols)}, nil
 	}
 	h := s.db.handle(name)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", name)
 	}
-	return &heapScanIter{it: h.heap.ScanBatch(s.clk), snap: s.snap, clk: s.clk}, nil
+	return &heapScanIter{it: h.heap.ScanBatch(s.clk), snap: s.snap, cols: cols, clk: s.clk}, nil
+}
+
+// projectRows narrows rows to the columns cols (nil: every column).
+func projectRows(rows []sqltypes.Row, cols []int) []sqltypes.Row {
+	if cols == nil {
+		return rows
+	}
+	w := len(cols)
+	vals := make([]sqltypes.Value, len(rows)*w)
+	out := make([]sqltypes.Row, len(rows))
+	for i, row := range rows {
+		out[i] = vals[i*w : i*w+w : i*w+w]
+		for k, c := range cols {
+			out[i][k] = row[c]
+		}
+	}
+	return out
 }
 
 // morselSource implements executor.MorselSource over one heap table:
@@ -477,8 +496,8 @@ type morselSource struct {
 
 func (m *morselSource) Pages() uint32 { return m.h.heap.Pages() }
 
-func (m *morselSource) ScanRange(lo, hi uint32) (executor.RowBatchIter, error) {
-	return &heapScanIter{it: m.h.heap.ScanBatchRange(lo, hi), snap: m.snap}, nil
+func (m *morselSource) ScanRange(lo, hi uint32, cols []int) (executor.RowBatchIter, error) {
+	return &heapScanIter{it: m.h.heap.ScanBatchRange(lo, hi), snap: m.snap, cols: cols}, nil
 }
 
 // MorselTable implements executor.MorselStorage. Virtual tables are
@@ -496,7 +515,7 @@ func (s executorStorage) MorselTable(name string) (executor.MorselSource, bool, 
 }
 
 // IndexRange implements executor.Storage.
-func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executor.RowBatchIter, error) {
+func (s executorStorage) IndexRange(table, index string, lo, hi []byte, cols []int) (executor.RowBatchIter, error) {
 	h := s.db.handle(table)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", table)
@@ -512,11 +531,11 @@ func (s executorStorage) IndexRange(table, index string, lo, hi []byte) (executo
 	if bt == nil {
 		return nil, fmt.Errorf("engine: index %s has no storage", index)
 	}
-	return &btreeFetchIter{it: bt.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, clk: s.clk}}, nil
+	return &btreeFetchIter{it: bt.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, cols: cols, clk: s.clk}}, nil
 }
 
 // PrimaryRange implements executor.Storage.
-func (s executorStorage) PrimaryRange(table string, lo, hi []byte) (executor.RowBatchIter, error) {
+func (s executorStorage) PrimaryRange(table string, lo, hi []byte, cols []int) (executor.RowBatchIter, error) {
 	h := s.db.handle(table)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", table)
@@ -524,7 +543,7 @@ func (s executorStorage) PrimaryRange(table string, lo, hi []byte) (executor.Row
 	if h.primary == nil {
 		return nil, fmt.Errorf("engine: table %s has no primary B-Tree", table)
 	}
-	return &btreeFetchIter{it: h.primary.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, clk: s.clk}}, nil
+	return &btreeFetchIter{it: h.primary.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, cols: cols, clk: s.clk}}, nil
 }
 
 // scanVisible calls fn with the TID and decoded row of every version of
@@ -555,7 +574,7 @@ func scanVisible(h *tableHandle, sn *snapshot, clk *stage.Clock, fn func(storage
 			if !sn.visible(storage.ReadVersionHeader(rec)) {
 				continue
 			}
-			if row, err = sqltypes.AppendDecodedRow(row[:0], storage.VersionPayload(rec)); err != nil {
+			if row, err = sqltypes.AppendDecodedRow(row[:0], storage.VersionPayload(rec), nil); err != nil {
 				return read, err
 			}
 			if more, err := fn(rb.TIDs[i], row); err != nil || !more {

@@ -164,7 +164,7 @@ func (db *DB) vacuumTable(sl *slot, h *tableHandle, horizon uint64, aborted map[
 		vh := storage.ReadVersionHeader(rec)
 		if aborted[vh.Xmin] {
 			// Creator aborted: dead regardless of Xmax.
-			row, derr := sqltypes.DecodeRow(storage.VersionPayload(rec))
+			row, derr := sqltypes.DecodeRow(storage.VersionPayload(rec), nil)
 			if derr != nil {
 				return false, derr
 			}
@@ -178,7 +178,7 @@ func (db *DB) vacuumTable(sl *slot, h *tableHandle, horizon uint64, aborted map[
 				cands = append(cands, vacuumCandidate{tid: tid})
 			} else if vh.Xmax < horizon {
 				// Deleter committed below every snapshot's horizon.
-				row, derr := sqltypes.DecodeRow(storage.VersionPayload(rec))
+				row, derr := sqltypes.DecodeRow(storage.VersionPayload(rec), nil)
 				if derr != nil {
 					return false, derr
 				}

@@ -15,6 +15,7 @@ type aggC struct {
 	aggs    []aggSpecC
 	having  expr.Compiled // bound against the agg output
 	outLen  int
+	groups  float64 // estimated groups
 	// scan, when non-nil, is the leaf sequential scan directly under
 	// this aggregate of a parallel-safe subtree; open may then partition
 	// it into page-range morsels (see parallel.go).
@@ -36,7 +37,7 @@ func (cp *compiler) compileAgg(n *optimizer.Agg, depth int) (compiled, error) {
 		return nil, err
 	}
 	inRes := resolverFor(n.Input.Out())
-	c := &aggC{input: input, outLen: len(n.Out())}
+	c := &aggC{input: input, outLen: len(n.Out()), groups: n.Est().Rows}
 	for _, g := range n.GroupBy {
 		ce, err := expr.Bind(g, inRes)
 		if err != nil {
@@ -74,55 +75,49 @@ func (cp *compiler) compileAgg(n *optimizer.Agg, depth int) (compiled, error) {
 	return c, nil
 }
 
-// aggState accumulates one group. Every field except the DISTINCT
-// seen-sets composes across partial states (see mergeState in
-// parallel.go), which is what makes morsel-parallel aggregation legal.
+// aggState accumulates one group. Every field composes across partial
+// states (see mergeState in parallel.go), which is what makes
+// morsel-parallel aggregation legal; a DISTINCT aggregate's seen values
+// live in its run, not here, and do not.
 type aggState struct {
-	groupVals sqltypes.Row
-	count     []int64
-	sum       []float64
-	sumI      []int64
-	intOnly   []bool
-	minMax    []sqltypes.Value
-	hasMM     []bool
-	seen      []map[string]bool // for DISTINCT
+	count   []int64
+	sum     []float64
+	sumI    []int64
+	intOnly []bool
+	minMax  []sqltypes.Value
+	hasMM   []bool
 	// firstOrd is the global first-seen ordinal of the group (morsel
 	// index in the high half, row position within the morsel in the low
-	// half); merges keep the minimum so a parallel run can reproduce the
-	// serial first-seen output order.
+	// half); a parallel run merges groups in its order, which reproduces
+	// the serial first-seen output order.
 	firstOrd uint64
 }
 
-func (c *aggC) newState(groupVals sqltypes.Row) *aggState {
+func (c *aggC) newState() *aggState {
 	n := len(c.aggs)
 	st := &aggState{
-		groupVals: groupVals,
-		count:     make([]int64, n),
-		sum:       make([]float64, n),
-		sumI:      make([]int64, n),
-		intOnly:   make([]bool, n),
-		minMax:    make([]sqltypes.Value, n),
-		hasMM:     make([]bool, n),
+		count:   make([]int64, n),
+		sum:     make([]float64, n),
+		sumI:    make([]int64, n),
+		intOnly: make([]bool, n),
+		minMax:  make([]sqltypes.Value, n),
+		hasMM:   make([]bool, n),
 	}
 	for i := range st.intOnly {
 		st.intOnly[i] = true
 	}
-	st.seen = make([]map[string]bool, n)
-	for i, a := range c.aggs {
-		if a.distinct {
-			st.seen[i] = map[string]bool{}
-		}
-	}
 	return st
 }
 
-func (c *aggC) accumulate(st *aggState, env *expr.Env) error {
-	for i, a := range c.aggs {
+// accumulate adds the row in r.env to group g.
+func (r *aggRun) accumulate(g int32) error {
+	st := r.states[g]
+	for i, a := range r.c.aggs {
 		if a.star {
 			st.count[i]++
 			continue
 		}
-		v, err := a.arg.Eval(env)
+		v, err := a.arg.Eval(&r.env)
 		if err != nil {
 			return err
 		}
@@ -130,11 +125,10 @@ func (c *aggC) accumulate(st *aggState, env *expr.Env) error {
 			continue // aggregates skip NULLs
 		}
 		if a.distinct {
-			key := string(sqltypes.EncodeKey(nil, v))
-			if st.seen[i][key] {
+			r.pair = [2]sqltypes.Value{sqltypes.NewInt(int64(g)), v}
+			if _, fresh := r.seen[i].insert(r.pair[:]); !fresh {
 				continue
 			}
-			st.seen[i][key] = true
 		}
 		st.count[i]++
 		switch a.fn {
@@ -160,9 +154,9 @@ func (c *aggC) accumulate(st *aggState, env *expr.Env) error {
 	return nil
 }
 
-func (c *aggC) finalize(st *aggState) (sqltypes.Row, error) {
+func (c *aggC) finalize(groupVals sqltypes.Row, st *aggState) (sqltypes.Row, error) {
 	row := make(sqltypes.Row, 0, c.outLen)
-	row = append(row, st.groupVals...)
+	row = append(row, groupVals...)
 	for i, a := range c.aggs {
 		switch a.fn {
 		case "COUNT":
@@ -195,17 +189,19 @@ func (c *aggC) finalize(st *aggState) (sqltypes.Row, error) {
 }
 
 // aggRun is the per-execution accumulation state (one per morsel worker
-// in a parallel run). The group-key buffer and group-value scratch are
-// reused across rows; group values are copied out when a new group is
-// born.
+// in a parallel run). Groups are numbered by their key table in
+// first-seen order, which is the output order.
 type aggRun struct {
-	c         *aggC
-	env       expr.Env
-	groups    map[string]*aggState
-	order     []string // deterministic output: first-seen order
-	keyBuf    []byte
-	groupVals sqltypes.Row // scratch, copied on new group
-	sawRow    bool
+	c      *aggC
+	env    expr.Env
+	groups *keyTable   // group values → group number
+	states []*aggState // by group number
+	// seen holds, for each DISTINCT aggregate, the (group number, value)
+	// pairs it has counted; nil for the others.
+	seen   []*keyTable
+	key    sqltypes.Row // group-value scratch
+	pair   [2]sqltypes.Value
+	sawRow bool
 	// ordBase/ordCount stamp each newborn group with its global
 	// first-seen ordinal: a morsel worker sets ordBase to morsel<<32
 	// before scanning it, so ordinals sort morsel-major and, within a
@@ -214,42 +210,40 @@ type aggRun struct {
 	ordCount uint64
 }
 
-func (c *aggC) newRun(rt runtime) *aggRun {
-	return c.newRunParams(rt.ctx.Params)
-}
-
-func (c *aggC) newRunParams(params []sqltypes.Value) *aggRun {
-	return &aggRun{
-		c:         c,
-		env:       expr.Env{Params: params},
-		groups:    map[string]*aggState{},
-		groupVals: make(sqltypes.Row, len(c.groupBy)),
+func (c *aggC) newRun(params []sqltypes.Value) *aggRun {
+	r := &aggRun{
+		c:      c,
+		env:    expr.Env{Params: params},
+		groups: newKeyTable(len(c.groupBy), c.groups),
+		seen:   make([]*keyTable, len(c.aggs)),
+		key:    make(sqltypes.Row, len(c.groupBy)),
 	}
+	for i, a := range c.aggs {
+		if a.distinct {
+			r.seen[i] = newKeyTable(2, c.groups)
+		}
+	}
+	return r
 }
 
 func (r *aggRun) addRow(row sqltypes.Row) error {
-	c := r.c
 	r.sawRow = true
 	r.env.Row = row
-	r.keyBuf = r.keyBuf[:0]
-	for i, g := range c.groupBy {
+	for i, g := range r.c.groupBy {
 		v, err := g.Eval(&r.env)
 		if err != nil {
 			return err
 		}
-		r.groupVals[i] = v
-		r.keyBuf = sqltypes.EncodeKey(r.keyBuf, v)
+		r.key[i] = v
 	}
-	key := string(r.keyBuf)
-	st := r.groups[key]
-	if st == nil {
-		st = c.newState(append(sqltypes.Row(nil), r.groupVals...))
+	g, fresh := r.groups.insert(r.key)
+	if fresh {
+		st := r.c.newState()
 		st.firstOrd = r.ordBase + r.ordCount
-		r.groups[key] = st
-		r.order = append(r.order, key)
+		r.states = append(r.states, st)
 	}
 	r.ordCount++
-	return c.accumulate(st, &r.env)
+	return r.accumulate(g)
 }
 
 // rows finalizes every group (applying HAVING) in first-seen order.
@@ -257,13 +251,13 @@ func (r *aggRun) rows() ([]sqltypes.Row, error) {
 	c := r.c
 	// A global aggregate over zero rows still yields one row.
 	if !r.sawRow && len(c.groupBy) == 0 {
-		r.groups[""] = c.newState(nil)
-		r.order = append(r.order, "")
+		r.groups.insert(nil)
+		r.states = append(r.states, c.newState())
 	}
-	rows := make([]sqltypes.Row, 0, len(r.order))
+	rows := make([]sqltypes.Row, 0, len(r.states))
 	henv := expr.Env{Params: r.env.Params}
-	for _, key := range r.order {
-		row, err := c.finalize(r.groups[key])
+	for g, st := range r.states {
+		row, err := c.finalize(r.groups.key(int32(g)), st)
 		if err != nil {
 			return nil, err
 		}
@@ -294,7 +288,7 @@ func (c *aggC) open(rt runtime) (RowBatchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := c.newRun(rt)
+	run := c.newRun(rt.ctx.Params)
 	err = drain(in, func(rows []sqltypes.Row) error {
 		rt.ctx.Tuples += int64(len(rows))
 		for _, row := range rows {
@@ -429,14 +423,18 @@ func (c *sortC) sortRows(rows []sqltypes.Row) {
 	})
 }
 
-type distinctC struct{ input compiled }
+type distinctC struct {
+	input compiled
+	width int     // columns per row
+	rows  float64 // estimated distinct rows
+}
 
 func (cp *compiler) compileDistinct(n *optimizer.Distinct, depth int) (compiled, error) {
 	input, err := cp.compile(n.Input, depth+1)
 	if err != nil {
 		return nil, err
 	}
-	return &distinctC{input: input}, nil
+	return &distinctC{input: input, width: len(n.Out()), rows: n.Est().Rows}, nil
 }
 
 func (c *distinctC) open(rt runtime) (RowBatchIter, error) {
@@ -444,16 +442,15 @@ func (c *distinctC) open(rt runtime) (RowBatchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &distinctIter{in: in, seen: map[string]bool{}, ctx: rt.ctx}, nil
+	return &distinctIter{in: in, seen: newKeyTable(c.width, c.rows), ctx: rt.ctx}, nil
 }
 
 // distinctIter drops the rows it has seen before, compacting each input
 // batch in place. Every input row counts as a tuple.
 type distinctIter struct {
-	in     RowBatchIter
-	seen   map[string]bool
-	ctx    *Ctx
-	keyBuf []byte // reused; duplicate rows cost zero allocations
+	in   RowBatchIter
+	seen *keyTable // every distinct row so far
+	ctx  *Ctx
 }
 
 func (it *distinctIter) NextBatch(b *Batch) (bool, error) {
@@ -465,9 +462,7 @@ func (it *distinctIter) NextBatch(b *Batch) (bool, error) {
 		it.ctx.Tuples += int64(len(b.Rows))
 		fresh := b.Rows[:0]
 		for _, row := range b.Rows {
-			it.keyBuf = sqltypes.EncodeKey(it.keyBuf[:0], row...)
-			if !it.seen[string(it.keyBuf)] {
-				it.seen[string(it.keyBuf)] = true
+			if _, ok := it.seen.insert(row); ok {
 				fresh = append(fresh, row)
 			}
 		}

@@ -97,28 +97,43 @@ func (c *cursor) next() (sqltypes.Row, bool, error) {
 // short row and pays for nothing more); chunks then double, so scans
 // settle on maxArenaChunk-value chunks. Carved rows are never
 // overwritten unless the owner calls Reset — full-capacity slicing keeps
-// later appends from aliasing them — and abandoned chunks are
-// garbage-collected as soon as their carved rows are dropped, so a
-// consumer that discards rows never accumulates the whole scan.
+// later appends from aliasing them. A producer that resets before every
+// batch carves each batch out of the chunks the earlier ones made, so
+// after its widest batch it allocates nothing more.
 type RowArena struct {
-	buf []sqltypes.Value
+	buf    []sqltypes.Value   // the chunk rows are carved from
+	chunks [][]sqltypes.Value // every chunk, in the order they were made
+	next   int                // chunks[next:] are free until the next Reset
 }
 
 const maxArenaChunk = 8192
 
-// grow ensures the current chunk has room for need more values,
-// starting a fresh chunk otherwise.
+// grow ensures the current chunk has room for need more values, moving
+// to the next free chunk that has it, or a fresh one.
 func (a *RowArena) grow(need int) {
 	if cap(a.buf)-len(a.buf) >= need {
 		return
 	}
+	for ; a.next < len(a.chunks); a.next++ {
+		if c := a.chunks[a.next]; cap(c) >= need {
+			a.buf = c[:0]
+			a.next++
+			return
+		}
+	}
 	a.buf = make([]sqltypes.Value, 0, max(need, min(2*cap(a.buf), maxArenaChunk)))
+	a.chunks = append(a.chunks, a.buf)
+	a.next = len(a.chunks)
 }
 
-// Reset hands the current chunk out again: rows carved from it since
-// the last Reset are overwritten by the next ones. This is the batch
-// contract seen from a producer, which resets before filling each batch.
-func (a *RowArena) Reset() { a.buf = a.buf[:0] }
+// Reset hands every chunk out again: rows carved since the last Reset
+// are overwritten by the next ones. This is the batch contract seen
+// from a producer, which resets before filling each batch.
+func (a *RowArena) Reset() {
+	if len(a.chunks) > 0 {
+		a.buf, a.next = a.chunks[0][:0], 1
+	}
+}
 
 // Clone copies row into the arena and returns the copy.
 func (a *RowArena) Clone(row sqltypes.Row) sqltypes.Row {

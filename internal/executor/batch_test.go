@@ -1,6 +1,7 @@
 package executor
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/sqltypes"
@@ -68,5 +69,65 @@ func TestRowArenaReset(t *testing.T) {
 	}
 	if old[0].I != 7 {
 		t.Errorf("row of an earlier chunk overwritten: %v", old)
+	}
+}
+
+// TestRowArenaResetReusesChunks: a producer batch that spans several
+// chunks — a join's output rows are wide — is carved, after the first
+// batch, out of the chunks that batch made, with no allocation.
+func TestRowArenaResetReusesChunks(t *testing.T) {
+	var arena RowArena
+	wide := make(sqltypes.Row, 12)
+	var first sqltypes.Row
+	fill := func() {
+		arena.Reset()
+		for i := 0; i < BatchSize; i++ {
+			wide[0] = sqltypes.NewInt(int64(i))
+			if r := arena.Clone(wide); i == 0 {
+				first = r
+			}
+		}
+	}
+	fill()
+	if len(arena.chunks) < 2 {
+		t.Fatalf("a batch of %d 12-value rows fits one chunk", BatchSize)
+	}
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Errorf("a reset batch allocates %.0f times", allocs)
+	}
+	if first[0].I != 0 || len(first) != 12 {
+		t.Errorf("first row of the last batch: %v", first)
+	}
+}
+
+// TestKeyTable: entries are numbered in first-arrival order, keys are
+// equal exactly when sqltypes.Compare says so, and the table keeps
+// working past the size it was made for.
+func TestKeyTable(t *testing.T) {
+	kt := newKeyTable(2, 0)
+	key := func(a, b sqltypes.Value) []sqltypes.Value { return []sqltypes.Value{a, b} }
+	const n = 5000
+	for i := 0; i < n; i++ {
+		e, fresh := kt.insert(key(sqltypes.NewInt(int64(i%(n/2))), sqltypes.NewText("k")))
+		if want := int32(i % (n / 2)); e != want || fresh != (i < n/2) {
+			t.Fatalf("insert %d: entry %d fresh %v, want %d", i, e, fresh, want)
+		}
+	}
+	for _, c := range []struct {
+		a    sqltypes.Value
+		want int32
+	}{
+		{sqltypes.NewFloat(7), 7},
+		{sqltypes.NewFloat(math.Copysign(0, -1)), 0},
+		{sqltypes.NewFloat(7.5), -1},
+		{sqltypes.NewText("7"), -1},
+		{sqltypes.NullValue(), -1},
+	} {
+		if e := kt.find(key(c.a, sqltypes.NewText("k"))); e != c.want {
+			t.Errorf("find(%v) = %d, want %d", c.a, e, c.want)
+		}
+	}
+	if kt.len() != n/2 || kt.key(9)[0].I != 9 {
+		t.Errorf("%d entries, entry 9 is %v", kt.len(), kt.key(9))
 	}
 }

@@ -15,16 +15,18 @@ import (
 
 // Storage is the data-access surface the executor runs against. Key
 // ranges use the order-preserving sqltypes.EncodeKey encoding; hi is
-// exclusive.
+// exclusive. Every method yields rows of the columns cols — ascending
+// schema ordinals, the plan leaf's Ords — or of every column when cols
+// is nil.
 type Storage interface {
 	// ScanTable iterates all rows of a base or virtual table.
-	ScanTable(name string) (RowBatchIter, error)
+	ScanTable(name string, cols []int) (RowBatchIter, error)
 	// IndexRange yields base rows whose entry in the named secondary
 	// index falls in [lo, hi).
-	IndexRange(table, index string, lo, hi []byte) (RowBatchIter, error)
+	IndexRange(table, index string, lo, hi []byte, cols []int) (RowBatchIter, error)
 	// PrimaryRange yields rows of a BTREE-structured table whose
 	// primary key falls in [lo, hi).
-	PrimaryRange(table string, lo, hi []byte) (RowBatchIter, error)
+	PrimaryRange(table string, lo, hi []byte, cols []int) (RowBatchIter, error)
 }
 
 // Ctx carries per-execution state: bound parameters, the actual-CPU

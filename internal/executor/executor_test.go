@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
@@ -24,15 +25,29 @@ type memIndex struct {
 	cols  []int // column offsets forming the key
 }
 
-func (m *memStorage) ScanTable(name string) (RowBatchIter, error) {
+func (m *memStorage) ScanTable(name string, cols []int) (RowBatchIter, error) {
 	rows, ok := m.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("mem: no table %q", name)
 	}
-	return &SliceRowIter{Rows: rows}, nil
+	return &SliceRowIter{Rows: narrow(rows, cols)}, nil
 }
 
-func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte) (RowBatchIter, error) {
+// narrow projects rows onto the columns cols (nil: every column).
+func narrow(rows []sqltypes.Row, cols []int) []sqltypes.Row {
+	if cols == nil {
+		return rows
+	}
+	out := make([]sqltypes.Row, len(rows))
+	for i, row := range rows {
+		for _, c := range cols {
+			out[i] = append(out[i], row[c])
+		}
+	}
+	return out
+}
+
+func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte, cols []int) (RowBatchIter, error) {
 	var out []sqltypes.Row
 	for _, row := range m.tables[idx.table] {
 		var key []byte
@@ -43,23 +58,23 @@ func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte) (RowBatchIter, error
 			out = append(out, row)
 		}
 	}
-	return &SliceRowIter{Rows: out}, nil
+	return &SliceRowIter{Rows: narrow(out, cols)}, nil
 }
 
-func (m *memStorage) IndexRange(table, index string, lo, hi []byte) (RowBatchIter, error) {
+func (m *memStorage) IndexRange(table, index string, lo, hi []byte, cols []int) (RowBatchIter, error) {
 	idx, ok := m.indexes[index]
 	if !ok {
 		return nil, fmt.Errorf("mem: no index %q", index)
 	}
-	return m.rangeOver(idx, lo, hi)
+	return m.rangeOver(idx, lo, hi, cols)
 }
 
-func (m *memStorage) PrimaryRange(table string, lo, hi []byte) (RowBatchIter, error) {
+func (m *memStorage) PrimaryRange(table string, lo, hi []byte, cols []int) (RowBatchIter, error) {
 	idx, ok := m.primary[table]
 	if !ok {
 		return nil, fmt.Errorf("mem: no primary on %q", table)
 	}
-	return m.rangeOver(idx, lo, hi)
+	return m.rangeOver(idx, lo, hi, cols)
 }
 
 func newMemStorage() *memStorage {
@@ -243,20 +258,15 @@ func TestIndexJoin(t *testing.T) {
 }
 
 func TestAggregationOperators(t *testing.T) {
-	scan := &optimizer.SeqScan{Table: "users", Alias: "u", Cols: usersCols()}
-	agg := &optimizer.Agg{
-		Input:   scan,
-		GroupBy: []sqlparser.Expr{sqlparser.ColumnRef{Table: "u", Name: "dept"}},
-		Aggs: []optimizer.AggSpec{
-			{Func: "COUNT", Star: true},
-			{Func: "SUM", Arg: sqlparser.ColumnRef{Table: "u", Name: "id"}},
-			{Func: "MIN", Arg: sqlparser.ColumnRef{Table: "u", Name: "name"}},
-			{Func: "MAX", Arg: sqlparser.ColumnRef{Table: "u", Name: "id"}},
-			{Func: "AVG", Arg: sqlparser.ColumnRef{Table: "u", Name: "id"}},
-		},
+	st, err := sqlparser.Parse("SELECT dept, COUNT(*), SUM(id), MIN(name), MAX(id), AVG(id) FROM users u GROUP BY dept")
+	if err != nil {
+		t.Fatal(err)
 	}
-	setAggOut(agg)
-	rows := runPlan(t, agg, nil)
+	plan, err := optimizer.PlanSelect(st.(*sqlparser.SelectStmt), usersCatalog{}, optimizer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := runPlan(t, plan.Root, nil)
 	if len(rows) != 5 {
 		t.Fatalf("groups = %d", len(rows))
 	}
@@ -279,15 +289,28 @@ func TestAggregationOperators(t *testing.T) {
 	}
 }
 
-// setAggOut fills the unexported output columns via the public helper
-// path: Agg computes Out() from outCols, which PlanSelect normally
-// populates. For direct tests we rebuild the same layout.
-func setAggOut(a *optimizer.Agg) {
-	cols := []optimizer.OutCol{{Table: "#", Name: "g0", Type: sqltypes.Int}}
-	for j := range a.Aggs {
-		cols = append(cols, optimizer.OutCol{Table: "#", Name: fmt.Sprintf("a%d", j)})
+// usersCatalog is the optimizer's view of memStorage's users table, for
+// plans that PlanSelect builds.
+type usersCatalog struct{}
+
+func (usersCatalog) Table(name string) *catalog.Table {
+	if name != "users" {
+		return nil
 	}
-	a.SetOutCols(cols)
+	var cols []sqltypes.Column
+	for _, c := range usersCols() {
+		cols = append(cols, sqltypes.Column{Name: c.Name, Type: c.Type})
+	}
+	return &catalog.Table{Name: "users", Schema: sqltypes.NewSchema(cols...), Rows: 100, MainPages: 1}
+}
+
+func (usersCatalog) TableIndexes(string, bool) []*catalog.Index  { return nil }
+func (usersCatalog) Histogram(string, string) *catalog.Histogram { return nil }
+func (usersCatalog) TableStats(string) (optimizer.TableStats, bool) {
+	return optimizer.TableStats{}, false
+}
+func (usersCatalog) IndexStats(string) (optimizer.IndexStats, bool) {
+	return optimizer.IndexStats{}, false
 }
 
 func TestSortDistinctLimitStrip(t *testing.T) {
@@ -394,16 +417,16 @@ func (s *trackingStorage) track(it RowBatchIter, err error) (RowBatchIter, error
 	return &trackedIter{RowBatchIter: it, st: s}, nil
 }
 
-func (s *trackingStorage) ScanTable(name string) (RowBatchIter, error) {
-	return s.track(s.memStorage.ScanTable(name))
+func (s *trackingStorage) ScanTable(name string, cols []int) (RowBatchIter, error) {
+	return s.track(s.memStorage.ScanTable(name, cols))
 }
 
-func (s *trackingStorage) IndexRange(table, index string, lo, hi []byte) (RowBatchIter, error) {
-	return s.track(s.memStorage.IndexRange(table, index, lo, hi))
+func (s *trackingStorage) IndexRange(table, index string, lo, hi []byte, cols []int) (RowBatchIter, error) {
+	return s.track(s.memStorage.IndexRange(table, index, lo, hi, cols))
 }
 
-func (s *trackingStorage) PrimaryRange(table string, lo, hi []byte) (RowBatchIter, error) {
-	return s.track(s.memStorage.PrimaryRange(table, lo, hi))
+func (s *trackingStorage) PrimaryRange(table string, lo, hi []byte, cols []int) (RowBatchIter, error) {
+	return s.track(s.memStorage.PrimaryRange(table, lo, hi, cols))
 }
 
 // TestBatchBoundariesAndClose runs the operators that keep state across
@@ -470,9 +493,6 @@ func TestBatchBoundariesAndClose(t *testing.T) {
 			Cols: usersCols(), LeftKeys: []sqlparser.Expr{col("b", "dept")}}, rows: -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if agg, ok := tc.root.(*optimizer.Agg); ok {
-				setAggOut(agg)
-			}
 			prep, err := Compile(&optimizer.Plan{Root: tc.root})
 			if err != nil {
 				t.Fatal(err)

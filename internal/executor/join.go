@@ -11,7 +11,7 @@ type hashJoinC struct {
 	leftKeys    []expr.Compiled // bound against left output
 	rightKeys   []expr.Compiled // bound against right output
 	residual    expr.Compiled   // bound against combined output
-	leftWidth   int
+	buildRows   float64         // the build side's estimated rows
 }
 
 func (cp *compiler) compileHashJoin(n *optimizer.HashJoin, depth int) (compiled, error) {
@@ -23,7 +23,7 @@ func (cp *compiler) compileHashJoin(n *optimizer.HashJoin, depth int) (compiled,
 	if err != nil {
 		return nil, err
 	}
-	c := &hashJoinC{left: left, right: right, leftWidth: len(n.Left.Out())}
+	c := &hashJoinC{left: left, right: right, buildRows: n.Right.Est().Rows}
 	lres := resolverFor(n.Left.Out())
 	rres := resolverFor(n.Right.Out())
 	for _, e := range n.LeftKeys {
@@ -46,47 +46,72 @@ func (cp *compiler) compileHashJoin(n *optimizer.HashJoin, depth int) (compiled,
 	return c, nil
 }
 
-// joinKey encodes the key values into buf, reusing its capacity, and
-// returns the extended buffer; ok=false if any value is NULL (SQL equi
-// joins never match on NULL). Callers keep one buffer per execution so
-// key encoding is allocation-free after the first row.
-func joinKey(buf []byte, env *expr.Env, keys []expr.Compiled) ([]byte, bool, error) {
-	buf = buf[:0]
+// evalKey evaluates the key expressions into dst, reusing its
+// capacity; ok=false if any value is NULL (SQL equi joins never match
+// on NULL).
+func evalKey(dst []sqltypes.Value, env *expr.Env, keys []expr.Compiled) ([]sqltypes.Value, bool, error) {
+	dst = dst[:0]
 	for _, k := range keys {
 		v, err := k.Eval(env)
-		if err != nil {
-			return buf, false, err
+		if err != nil || v.IsNull() {
+			return dst, false, err
 		}
-		if v.IsNull() {
-			return buf, false, nil
-		}
-		buf = sqltypes.EncodeKey(buf, v)
+		dst = append(dst, v)
 	}
-	return buf, true, nil
+	return dst, true, nil
 }
 
-// buildHashTable drains the build side into the key→rows table,
-// copying each row into an arena (batch producers reuse row backing).
-func (c *hashJoinC) buildHashTable(rt runtime) (map[string][]sqltypes.Row, error) {
+// hashBuild is a hash join's build side: its rows in arrival order,
+// and for each distinct key the chain of rows that carry it, in
+// arrival order too, so a probe pairs an outer row with its matches in
+// the order a nested loop would.
+type hashBuild struct {
+	keys  *keyTable
+	rows  []sqltypes.Row
+	first []int32 // by key entry: its first row
+	last  []int32 // by key entry: its last row
+	next  []int32 // by row: the next row with its key, -1 at the end
+}
+
+// build drains the build side into a hashBuild, copying each row into
+// an arena (batch producers reuse row backing).
+func (c *hashJoinC) build(rt runtime) (*hashBuild, error) {
 	rit, err := c.right.open(rt)
 	if err != nil {
 		return nil, err
 	}
-	table := map[string][]sqltypes.Row{}
+	n := sizeHint(c.buildRows)
+	hb := &hashBuild{
+		keys:  newKeyTable(len(c.rightKeys), c.buildRows),
+		rows:  make([]sqltypes.Row, 0, n),
+		first: make([]int32, 0, n),
+		last:  make([]int32, 0, n),
+		next:  make([]int32, 0, n),
+	}
 	env := expr.Env{Params: rt.ctx.Params}
-	var keyBuf []byte
+	var key []sqltypes.Value
 	var arena RowArena
 	err = drain(rit, func(rows []sqltypes.Row) error {
 		rt.ctx.Tuples += int64(len(rows))
 		for _, row := range rows {
 			env.Row = row
-			key, ok, err := joinKey(keyBuf, &env, c.rightKeys)
-			if err != nil {
+			var ok bool
+			var err error
+			if key, ok, err = evalKey(key, &env, c.rightKeys); err != nil {
 				return err
 			}
-			keyBuf = key
-			if ok {
-				table[string(keyBuf)] = append(table[string(keyBuf)], arena.Clone(row))
+			if !ok {
+				continue
+			}
+			r := int32(len(hb.rows))
+			hb.rows = append(hb.rows, arena.Clone(row))
+			hb.next = append(hb.next, -1)
+			if e, fresh := hb.keys.insert(key); fresh {
+				hb.first = append(hb.first, r)
+				hb.last = append(hb.last, r)
+			} else {
+				hb.next[hb.last[e]] = r
+				hb.last[e] = r
 			}
 		}
 		return nil
@@ -94,12 +119,11 @@ func (c *hashJoinC) buildHashTable(rt runtime) (map[string][]sqltypes.Row, error
 	if err != nil {
 		return nil, err
 	}
-	return table, nil
+	return hb, nil
 }
 
 func (c *hashJoinC) open(rt runtime) (RowBatchIter, error) {
-	// Build phase on the right input.
-	table, err := c.buildHashTable(rt)
+	hb, err := c.build(rt)
 	if err != nil {
 		return nil, err
 	}
@@ -108,27 +132,28 @@ func (c *hashJoinC) open(rt runtime) (RowBatchIter, error) {
 		return nil, err
 	}
 	out := &probeIter{
-		left: cursor{in: lit}, table: table, keys: c.leftKeys,
-		env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx,
+		left: cursor{in: lit}, build: hb, inner: hb.rows, keys: c.leftKeys,
+		env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx, match: -1,
 	}
 	return maybeFilter(out, c.residual, rt.ctx), nil
 }
 
-// probeIter pairs each outer row with materialized inner rows: the hash
-// bucket of its key, or — for a loop join, which has no key — all of
-// them. One tuple counts per outer row and one per pair. Output rows
-// are carved from an arena reset for every batch; an outer row's pairs
-// may straddle two batches, which the cursor's validity rule allows.
+// probeIter pairs each outer row with materialized inner rows: the
+// chain of its key in the hash build, or — for a loop join, which has
+// no build — all of them. One tuple counts per outer row and one per
+// pair. Output rows are carved from an arena reset for every batch; an
+// outer row's pairs may straddle two batches, which the cursor's
+// validity rule allows.
 type probeIter struct {
 	left    cursor
-	table   map[string][]sqltypes.Row // nil: loop join
-	all     []sqltypes.Row            // the inner rows of a loop join
+	build   *hashBuild // nil: loop join
+	inner   []sqltypes.Row
 	keys    []expr.Compiled
+	key     []sqltypes.Value // the current outer row's key
 	env     expr.Env
 	ctx     *Ctx
 	current sqltypes.Row
-	matches []sqltypes.Row // inner rows current still has to be paired with
-	keyBuf  []byte
+	match   int32 // the inner row current pairs with next; -1: none left
 	arena   RowArena
 }
 
@@ -136,13 +161,10 @@ func (it *probeIter) NextBatch(b *Batch) (bool, error) {
 	b.Reset()
 	it.arena.Reset()
 	for len(b.Rows) < BatchSize {
-		if len(it.matches) > 0 {
-			n := min(len(it.matches), BatchSize-len(b.Rows))
-			for _, r := range it.matches[:n] {
-				b.Rows = append(b.Rows, it.arena.Combine(it.current, r))
-			}
-			it.matches = it.matches[n:]
-			it.ctx.Tuples += int64(n)
+		if it.match >= 0 {
+			b.Rows = append(b.Rows, it.arena.Combine(it.current, it.inner[it.match]))
+			it.ctx.Tuples++
+			it.match = it.nextMatch(it.match)
 			continue
 		}
 		row, ok, err := it.left.next()
@@ -154,19 +176,43 @@ func (it *probeIter) NextBatch(b *Batch) (bool, error) {
 		}
 		it.ctx.Tuples++
 		it.current = row
-		if it.table == nil {
-			it.matches = it.all
-			continue
-		}
-		it.env.Row = row
-		if it.keyBuf, ok, err = joinKey(it.keyBuf, &it.env, it.keys); err != nil {
+		if it.match, err = it.firstMatch(row); err != nil {
 			return false, err
-		}
-		if ok {
-			it.matches = it.table[string(it.keyBuf)]
 		}
 	}
 	return len(b.Rows) > 0, nil
+}
+
+// firstMatch returns the first inner row that row pairs with, or -1.
+func (it *probeIter) firstMatch(row sqltypes.Row) (int32, error) {
+	if it.build == nil {
+		if len(it.inner) == 0 {
+			return -1, nil
+		}
+		return 0, nil
+	}
+	it.env.Row = row
+	var ok bool
+	var err error
+	if it.key, ok, err = evalKey(it.key, &it.env, it.keys); err != nil || !ok {
+		return -1, err
+	}
+	if e := it.build.keys.find(it.key); e >= 0 {
+		return it.build.first[e], nil
+	}
+	return -1, nil
+}
+
+// nextMatch returns the inner row after r that current pairs with, or
+// -1.
+func (it *probeIter) nextMatch(r int32) int32 {
+	if it.build != nil {
+		return it.build.next[r]
+	}
+	if int(r)+1 < len(it.inner) {
+		return r + 1
+	}
+	return -1
 }
 
 func (it *probeIter) Close() error { return it.left.in.Close() }
@@ -205,7 +251,7 @@ func (c *loopJoinC) open(rt runtime) (RowBatchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &probeIter{left: cursor{in: lit}, all: rights, ctx: rt.ctx}
+	out := &probeIter{left: cursor{in: lit}, inner: rights, ctx: rt.ctx, match: -1}
 	return maybeFilter(out, c.cond, rt.ctx), nil
 }
 
@@ -214,6 +260,7 @@ type indexJoinC struct {
 	table    string
 	index    string
 	primary  bool
+	cols     []int         // the inner table's schema ordinals read; nil: all
 	keys     KeyRange      // equality prefix bound against left output
 	residual expr.Compiled // bound against combined output
 }
@@ -223,7 +270,7 @@ func (cp *compiler) compileIndexJoin(n *optimizer.IndexJoin, depth int) (compile
 	if err != nil {
 		return nil, err
 	}
-	c := &indexJoinC{left: left, table: n.Table, index: n.Index, primary: n.Primary}
+	c := &indexJoinC{left: left, table: n.Table, index: n.Index, primary: n.Primary, cols: n.Ords}
 	lres := resolverFor(n.Left.Out())
 	for _, e := range n.LeftKeys {
 		ce, err := expr.Bind(e, lres)
@@ -290,7 +337,7 @@ func (it *indexJoinIter) NextBatch(b *Batch) (bool, error) {
 // pair appends to b the outer row combined with every inner row whose
 // key falls in [lo, hi).
 func (it *indexJoinIter) pair(outer sqltypes.Row, lo, hi []byte, b *Batch) error {
-	in, err := probe(it.rt.st, it.c.table, it.c.index, it.c.primary, lo, hi)
+	in, err := probe(it.rt.st, it.c.table, it.c.index, it.c.primary, lo, hi, it.c.cols)
 	if err != nil {
 		return err
 	}

@@ -42,11 +42,12 @@ type MorselSource interface {
 	// partition [0, Pages). Pages appended afterwards belong to versions
 	// the statement snapshot cannot see anyway.
 	Pages() uint32
-	// ScanRange opens a batch scan confined to heap pages [lo, hi).
-	// Every returned iterator is independent — driven and closed by
-	// exactly one worker goroutine — and applies the same snapshot
-	// visibility as a full-table scan.
-	ScanRange(lo, hi uint32) (RowBatchIter, error)
+	// ScanRange opens a batch scan confined to heap pages [lo, hi),
+	// reading the columns cols as Storage.ScanTable does. Every
+	// returned iterator is independent — driven and closed by exactly
+	// one worker goroutine — and applies the same snapshot visibility
+	// as a full-table scan.
+	ScanRange(lo, hi uint32, cols []int) (RowBatchIter, error)
 }
 
 // MorselStorage is optionally implemented by Storage backends that can
@@ -119,7 +120,7 @@ func (c *aggC) openParallel(rt runtime) (_ RowBatchIter, handled bool, _ error) 
 			// Workers share no mutable state: each gets its own tuple
 			// counter, expression Env, scan iterators and agg arena.
 			wctx := &Ctx{Params: rt.ctx.Params}
-			run := c.newRunParams(wctx.Params)
+			run := c.newRun(wctx.Params)
 			p.run = run
 			t0 := time.Now()
 			defer func() {
@@ -137,7 +138,7 @@ func (c *aggC) openParallel(rt runtime) (_ RowBatchIter, handled bool, _ error) 
 				if hi > pages {
 					hi = pages
 				}
-				it, err := src.ScanRange(lo, hi)
+				it, err := src.ScanRange(lo, hi, c.scan.cols)
 				if err != nil {
 					fail(err)
 					return
@@ -179,8 +180,8 @@ func (c *aggC) openParallel(rt runtime) (_ RowBatchIter, handled bool, _ error) 
 		return nil, true, firstErr
 	}
 
-	merged := c.newRunParams(rt.ctx.Params)
 	var totalFiltered, sumNanos, maxNanos int64
+	runs := make([]*aggRun, 0, len(parts))
 	for i := range parts {
 		p := &parts[i]
 		// Tuple accounting matches the serial path exactly: every raw
@@ -191,9 +192,9 @@ func (c *aggC) openParallel(rt runtime) (_ RowBatchIter, handled bool, _ error) 
 		if p.nanos > maxNanos {
 			maxNanos = p.nanos
 		}
-		merged.merge(p.run)
+		runs = append(runs, p.run)
 	}
-	merged.sortByFirstSeen()
+	merged := c.merge(rt.ctx.Params, runs)
 	rt.ctx.Morsels += int64(nMorsels)
 	rt.ctx.WorkerNanos += sumNanos
 	rt.ctx.ParallelRuns++
@@ -214,32 +215,41 @@ func (c *aggC) openParallel(rt runtime) (_ RowBatchIter, handled bool, _ error) 
 	return &SliceRowIter{Rows: rows}, true, nil
 }
 
-// merge folds a worker's partial run into the receiver. Iterating
-// src.order (never the map) keeps the fold deterministic per worker;
-// cross-worker determinism of the output order comes from firstOrd.
-func (r *aggRun) merge(src *aggRun) {
-	if src == nil {
-		return
+// merge folds the workers' partial runs into one. Their groups are
+// taken in first-seen order and looked up by value in the merged run,
+// so the merged run numbers its groups — its output order — exactly as
+// a single front-to-back scan would have.
+func (c *aggC) merge(params []sqltypes.Value, runs []*aggRun) *aggRun {
+	type group struct {
+		run *aggRun
+		g   int32
 	}
-	if src.sawRow {
-		r.sawRow = true
-	}
-	for _, key := range src.order {
-		st := src.groups[key]
-		if dst, ok := r.groups[key]; ok {
-			r.c.mergeState(dst, st)
-		} else {
-			r.groups[key] = st
-			r.order = append(r.order, key)
+	var all []group
+	merged := c.newRun(params)
+	for _, r := range runs {
+		merged.sawRow = merged.sawRow || r.sawRow
+		for g := range r.states {
+			all = append(all, group{r, int32(g)})
 		}
 	}
+	sort.Slice(all, func(i, j int) bool {
+		return all[i].run.states[all[i].g].firstOrd < all[j].run.states[all[j].g].firstOrd
+	})
+	for _, x := range all {
+		st := x.run.states[x.g]
+		if g, fresh := merged.groups.insert(x.run.groups.key(x.g)); fresh {
+			merged.states = append(merged.states, st)
+		} else {
+			c.mergeState(merged.states[g], st)
+		}
+	}
+	return merged
 }
 
 // mergeState combines two partial aggregation states for the same
-// group: counts and sums add, intOnly ands, MIN/MAX compare, and the
-// first-seen ordinal keeps its minimum. DISTINCT seen-sets cannot be
-// merged without double counting, which is why the optimizer never
-// marks a DISTINCT aggregate parallel-safe.
+// group: counts and sums add, intOnly ands, MIN/MAX compare. DISTINCT
+// seen-sets cannot be merged without double counting, which is why the
+// optimizer never marks a DISTINCT aggregate parallel-safe.
 func (c *aggC) mergeState(dst, src *aggState) {
 	for i, a := range c.aggs {
 		dst.count[i] += src.count[i]
@@ -255,17 +265,4 @@ func (c *aggC) mergeState(dst, src *aggState) {
 			}
 		}
 	}
-	if src.firstOrd < dst.firstOrd {
-		dst.firstOrd = src.firstOrd
-	}
-}
-
-// sortByFirstSeen restores the serial first-seen group order after a
-// parallel merge: ordinals are morsel-major and scan-ordered within a
-// morsel, so sorting by them reproduces exactly the order a single
-// front-to-back scan would have born the groups in.
-func (r *aggRun) sortByFirstSeen() {
-	sort.Slice(r.order, func(i, j int) bool {
-		return r.groups[r.order[i]].firstOrd < r.groups[r.order[j]].firstOrd
-	})
 }

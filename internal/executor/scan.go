@@ -98,6 +98,7 @@ func leaf(in RowBatchIter, filter expr.Compiled, ctx *Ctx) RowBatchIter {
 
 type seqScanC struct {
 	table  string
+	cols   []int // schema ordinals read; nil: every column
 	filter expr.Compiled
 }
 
@@ -106,11 +107,11 @@ func compileSeqScan(n *optimizer.SeqScan) (compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &seqScanC{table: n.Table, filter: f}, nil
+	return &seqScanC{table: n.Table, cols: n.Ords, filter: f}, nil
 }
 
 func (c *seqScanC) open(rt runtime) (RowBatchIter, error) {
-	it, err := rt.st.ScanTable(c.table)
+	it, err := rt.st.ScanTable(c.table, c.cols)
 	if err != nil {
 		return nil, err
 	}
@@ -121,6 +122,7 @@ type indexScanC struct {
 	table   string
 	index   string
 	primary bool
+	cols    []int // schema ordinals read; nil: every column
 	keys    *KeyRange
 	filter  expr.Compiled
 }
@@ -164,7 +166,7 @@ func compileIndexScan(n *optimizer.IndexScan) (compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &indexScanC{table: n.Table, index: n.Index, primary: n.Primary, keys: keys}
+	c := &indexScanC{table: n.Table, index: n.Index, primary: n.Primary, cols: n.Ords, keys: keys}
 	if c.filter, err = bindOpt(n.Filter, resolverFor(n.Cols)); err != nil {
 		return nil, err
 	}
@@ -238,7 +240,7 @@ func (c *indexScanC) open(rt runtime) (RowBatchIter, error) {
 	if !ok {
 		return &SliceRowIter{}, nil
 	}
-	it, err := probe(rt.st, c.table, c.index, c.primary, lo, hi)
+	it, err := probe(rt.st, c.table, c.index, c.primary, lo, hi, c.cols)
 	if err != nil {
 		return nil, err
 	}
@@ -246,10 +248,10 @@ func (c *indexScanC) open(rt runtime) (RowBatchIter, error) {
 }
 
 // probe opens the key range [lo, hi) of a table's primary structure or
-// of one of its secondary indexes.
-func probe(st Storage, table, index string, primary bool, lo, hi []byte) (RowBatchIter, error) {
+// of one of its secondary indexes, reading the columns cols.
+func probe(st Storage, table, index string, primary bool, lo, hi []byte, cols []int) (RowBatchIter, error) {
 	if primary {
-		return st.PrimaryRange(table, lo, hi)
+		return st.PrimaryRange(table, lo, hi, cols)
 	}
-	return st.IndexRange(table, index, lo, hi)
+	return st.IndexRange(table, index, lo, hi, cols)
 }

@@ -2,6 +2,7 @@ package ima
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -316,5 +317,23 @@ func TestStageRowsLandAtMostOncePerInterval(t *testing.T) {
 	later.Taken = next.Taken.Add(2 * stageRowEvery)
 	if p, l := due(later); p != 0 || l != 1 {
 		t.Errorf("not sampled since it landed: %d rows due, %d live only; want 0 and 1", p, l)
+	}
+}
+
+// TestNarrowReadsMatchWholeRows: a query that reads a few columns of a
+// relation gets exactly those columns of the relation's whole rows.
+func TestNarrowReadsMatchWholeRows(t *testing.T) {
+	_, _, s := newMonitoredDB(t)
+	seed(t, s)
+	full := exec(t, s, "SELECT * FROM ima_tables WHERE table_name = 'items'")
+	narrow := exec(t, s, "SELECT row_count, table_name, structure FROM ima_tables WHERE table_name = 'items'")
+	if len(full.Rows) != 1 || len(narrow.Rows) != 1 {
+		t.Fatalf("ima_tables: %v / %v", full.Rows, narrow.Rows)
+	}
+	for i, name := range []string{"row_count", "table_name", "structure"} {
+		j := slices.Index(full.Columns, name)
+		if j < 0 || narrow.Rows[0][i] != full.Rows[0][j] {
+			t.Errorf("%s: %v, whole row %v (columns %v)", name, narrow.Rows[0][i], full.Rows[0], full.Columns)
+		}
 	}
 }

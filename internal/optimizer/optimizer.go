@@ -105,6 +105,7 @@ func (p *planner) plan() (*Plan, error) {
 	if p.st.Limit >= 0 || p.st.Offset > 0 {
 		root = &Limit{Input: root, N: p.st.Limit, Offset: p.st.Offset, EstC: limitCost(root.Est(), p.st.Limit)}
 	}
+	p.pruneColumns(root)
 	plan := &Plan{Root: root, Est: root.Est(), UsedIndexes: p.usedIndexes}
 	for a := range p.attributes {
 		plan.Attributes = append(plan.Attributes, a)

@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -285,5 +286,98 @@ func TestCostMonotonicity(t *testing.T) {
 	}
 	if eq.Est.Rows > scanAll.Est.Rows {
 		t.Errorf("row estimates inverted: %v > %v", eq.Est.Rows, scanAll.Est.Rows)
+	}
+}
+
+// leafOrds maps each leaf of a plan — scans and an index join's inner
+// table — by alias to the schema ordinals it reads ("all" for nil).
+func leafOrds(n Node) map[string]string {
+	out := map[string]string{}
+	show := func(alias string, ords []int) {
+		out[alias] = "all"
+		if ords != nil {
+			out[alias] = fmt.Sprint(ords)
+		}
+	}
+	var walk func(n Node)
+	walk = func(n Node) {
+		switch x := n.(type) {
+		case *SeqScan:
+			show(x.Alias, x.Ords)
+		case *IndexScan:
+			show(x.Alias, x.Ords)
+		case *IndexJoin:
+			show(x.Alias, x.Ords)
+			walk(x.Left)
+		case *HashJoin:
+			walk(x.Left)
+			walk(x.Right)
+		case *LoopJoin:
+			walk(x.Left)
+			walk(x.Right)
+		case *Agg:
+			walk(x.Input)
+		case *Project:
+			walk(x.Input)
+		case *Sort:
+			walk(x.Input)
+		case *Strip:
+			walk(x.Input)
+		case *Distinct:
+			walk(x.Input)
+		case *Limit:
+			walk(x.Input)
+		}
+	}
+	walk(n)
+	return out
+}
+
+// TestScanColumnsPruned: every leaf reads exactly the columns some
+// expression of the plan reads, SELECT * and t.* read everything, and
+// the plan a write finds its rows through keeps whole rows.
+func TestScanColumnsPruned(t *testing.T) {
+	cat := newFakeCatalog()
+	for _, c := range []struct {
+		sql  string
+		want map[string]string
+	}{
+		{"SELECT COUNT(*) FROM big", map[string]string{"big": "[]"}},
+		{"SELECT a.id FROM big a JOIN big b ON a.grp = b.grp WHERE b.txt = 'x'",
+			map[string]string{"a": "[0 1]", "b": "[1 2]"}},
+		{"SELECT txt FROM big WHERE grp = 3", map[string]string{"big": "[1 2]"}},
+		{"SELECT big.txt FROM big JOIN small ON big.id = small.k", map[string]string{"big": "[2]", "small": "[0]"}},
+		{"SELECT * FROM small WHERE k = 1", map[string]string{"small": "all"}},
+		{"SELECT b.* FROM big b JOIN small s ON b.grp = s.k", map[string]string{"b": "all", "s": "[0]"}},
+		{"SELECT label FROM small ORDER BY k", map[string]string{"small": "all"}},
+		{"SELECT DISTINCT grp FROM big WHERE txt > 'm' ORDER BY grp", map[string]string{"big": "[1 2]"}},
+	} {
+		p := planFor(t, cat, c.sql, Options{})
+		if got := leafOrds(p.Root); fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("%s: leaves read %v, want %v\n%s", c.sql, got, c.want, p)
+		}
+	}
+
+	// A parallel-safe aggregate: its scan, which the morsel workers
+	// share, reads the group key and the argument.
+	p := planFor(t, cat, "SELECT grp, SUM(id) FROM big GROUP BY grp", Options{})
+	agg := p.Root.(*Project).Input.(*Agg)
+	if scan, ok := agg.Input.(*SeqScan); !ok || !agg.ParallelSafe || fmt.Sprint(scan.Ords) != "[0 1]" {
+		t.Errorf("parallel-safe aggregate over %v:\n%s", agg.Input, p)
+	}
+
+	// The statement the engine plans to find the rows of a
+	// DELETE/UPDATE ... WHERE.
+	del, err := sqlparser.Parse("DELETE FROM big WHERE id = 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dml, err := PlanSelect(&sqlparser.SelectStmt{Items: []sqlparser.SelectItem{{Star: true}},
+		From: []sqlparser.TableRef{{Name: "big"}}, Where: del.(*sqlparser.DeleteStmt).Where, Limit: -1}, cat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf, ok := dml.Root.(*Project).Input.(*IndexScan); !ok || leaf.Ords != nil || len(leaf.Cols) != 3 {
+		t.Errorf("a write's access path does not read whole rows:\n%s", dml)
 	}
 }

@@ -50,9 +50,12 @@ type Node interface {
 
 // SeqScan reads a table front to back.
 type SeqScan struct {
-	Table  string
-	Alias  string
+	Table string
+	Alias string
+	// Cols are the columns the scan yields, those the plan reads, and
+	// Ords their schema ordinals, ascending; nil Ords: every column.
 	Cols   []OutCol
+	Ords   []int
 	Filter sqlparser.Expr // residual predicate, may be nil
 	EstC   Cost
 }
@@ -65,7 +68,8 @@ type IndexScan struct {
 	Alias   string
 	Index   string // index name; unused when Primary
 	Primary bool
-	Cols    []OutCol
+	Cols    []OutCol // as for SeqScan
+	Ords    []int
 	// Eq are the equality key expressions for a prefix of the index
 	// columns (literals or params only).
 	Eq []sqlparser.Expr
@@ -102,7 +106,8 @@ type IndexJoin struct {
 	Alias   string
 	Index   string
 	Primary bool
-	Cols    []OutCol // columns of the right table
+	Cols    []OutCol // columns of the right table, as for SeqScan
+	Ords    []int
 	// LeftKeys are expressions over the left input producing the probe
 	// key for the index columns prefix.
 	LeftKeys []sqlparser.Expr
@@ -135,11 +140,6 @@ type Agg struct {
 	outCols      []OutCol
 	EstC         Cost
 }
-
-// SetOutCols sets the node's output layout: the group expressions
-// followed by the aggregates, under the "#" qualifier. PlanSelect does
-// this automatically; callers assembling plans by hand must call it.
-func (n *Agg) SetOutCols(cols []OutCol) { n.outCols = cols }
 
 // Project evaluates the select list.
 type Project struct {

@@ -31,69 +31,88 @@ func EncodeRow(dst []byte, r Row) []byte {
 	return dst
 }
 
-// DecodeRow decodes a row previously produced by EncodeRow.
-func DecodeRow(b []byte) (Row, error) {
-	n, off := binary.Uvarint(b)
-	if off <= 0 {
-		return nil, fmt.Errorf("sqltypes: corrupt row header")
+// DecodeRow decodes the columns cols (ascending schema ordinals; nil:
+// every column) of a row previously produced by EncodeRow into a fresh
+// Row of exactly that width.
+func DecodeRow(b []byte, cols []int) (Row, error) {
+	n, off, err := rowHeader(b)
+	if err != nil {
+		return nil, err
 	}
-	if n > uint64(len(b)) { // cheap sanity bound: ≥1 byte per column
-		return nil, fmt.Errorf("sqltypes: implausible column count %d", n)
+	if cols != nil {
+		n = len(cols)
 	}
 	r := make(Row, n)
-	return r, decodeRowInto(r, b, off)
+	return r, decodeRowInto(r, b, off, cols)
 }
 
-// AppendDecodedRow decodes a row previously produced by EncodeRow,
-// appending its values to arena and returning the extended arena. The
-// decoded row is arena[len(arena):] of the input. Batch scans decode
-// whole pages into one reused arena, so the per-row Row allocation of
-// DecodeRow is amortized away (text values still copy their bytes, as
-// DecodeRow does).
-func AppendDecodedRow(arena []Value, b []byte) ([]Value, error) {
-	n, off := binary.Uvarint(b)
-	if off <= 0 {
-		return arena, fmt.Errorf("sqltypes: corrupt row header")
+// AppendDecodedRow decodes the columns cols (as for DecodeRow) of a row
+// previously produced by EncodeRow, appending their values to arena and
+// returning the extended arena. The decoded row is arena[len(arena):]
+// of the input. Batch scans decode whole pages into one reused arena,
+// so the per-row Row allocation of DecodeRow is amortized away (text
+// values still copy their bytes, as DecodeRow does; a text column not
+// listed is stepped over without a copy).
+func AppendDecodedRow(arena []Value, b []byte, cols []int) ([]Value, error) {
+	n, off, err := rowHeader(b)
+	if err != nil {
+		return arena, err
 	}
-	if n > uint64(len(b)) { // cheap sanity bound: ≥1 byte per column
-		return arena, fmt.Errorf("sqltypes: implausible column count %d", n)
+	if cols != nil {
+		n = len(cols)
 	}
 	start := len(arena)
-	if need := start + int(n); need > cap(arena) {
+	if need := start + n; need > cap(arena) {
 		grown := make([]Value, len(arena), need*2)
 		copy(grown, arena)
 		arena = grown
 	}
-	arena = arena[:start+int(n)]
-	if err := decodeRowInto(arena[start:], b, off); err != nil {
+	arena = arena[:start+n]
+	if err := decodeRowInto(arena[start:], b, off, cols); err != nil {
 		return arena[:start], err
 	}
 	return arena, nil
 }
 
-// decodeRowInto decodes len(r) column values starting at offset off.
-func decodeRowInto(r []Value, b []byte, off int) error {
-	for i := range r {
+// rowHeader reads an encoded row's column count and the offset of its
+// first column.
+func rowHeader(b []byte) (n, off int, err error) {
+	cnt, off := binary.Uvarint(b)
+	if off <= 0 {
+		return 0, 0, fmt.Errorf("sqltypes: corrupt row header")
+	}
+	if cnt > uint64(len(b)) { // cheap sanity bound: ≥1 byte per column
+		return 0, 0, fmt.Errorf("sqltypes: implausible column count %d", cnt)
+	}
+	return int(cnt), off, nil
+}
+
+// decodeRowInto decodes the columns starting at offset off into r:
+// column cols[k] into r[k], or with cols nil column k into r[k]. It
+// stops after the last column it needs.
+func decodeRowInto(r []Value, b []byte, off int, cols []int) error {
+	for i, k := 0, 0; k < len(r); i++ {
 		if off >= len(b) {
 			return fmt.Errorf("sqltypes: truncated row at column %d", i)
 		}
+		want := cols == nil || cols[k] == i
 		t := Type(b[off])
 		off++
+		var v Value
 		switch t {
 		case Null:
-			r[i] = NullValue()
 		case Int:
-			v, n := binary.Varint(b[off:])
+			x, n := binary.Varint(b[off:])
 			if n <= 0 {
 				return fmt.Errorf("sqltypes: corrupt int at column %d", i)
 			}
 			off += n
-			r[i] = NewInt(v)
+			v = NewInt(x)
 		case Float:
 			if off+8 > len(b) {
 				return fmt.Errorf("sqltypes: corrupt float at column %d", i)
 			}
-			r[i] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[off:])))
+			v = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[off:])))
 			off += 8
 		case Text:
 			l, n := binary.Uvarint(b[off:])
@@ -101,10 +120,16 @@ func decodeRowInto(r []Value, b []byte, off int) error {
 				return fmt.Errorf("sqltypes: corrupt text at column %d", i)
 			}
 			off += n
-			r[i] = NewText(string(b[off : off+int(l)]))
+			if want {
+				v = NewText(string(b[off : off+int(l)]))
+			}
 			off += int(l)
 		default:
 			return fmt.Errorf("sqltypes: unknown type tag %d at column %d", t, i)
+		}
+		if want {
+			r[k] = v
+			k++
 		}
 	}
 	return nil
@@ -130,6 +155,9 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 		case Int, Float:
 			dst = append(dst, keyNum)
 			f := v.AsFloat()
+			if f == 0 {
+				f = 0 // -0.0 equals +0.0 under Compare: one encoding for both
+			}
 			bits := math.Float64bits(f)
 			// Flip so that negative floats sort before positive ones.
 			if bits&(1<<63) != 0 {

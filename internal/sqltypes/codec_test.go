@@ -16,7 +16,7 @@ func TestEncodeDecodeRowRoundTrip(t *testing.T) {
 	}
 	for _, r := range rows {
 		enc := EncodeRow(nil, r)
-		dec, err := DecodeRow(enc)
+		dec, err := DecodeRow(enc, nil)
 		if err != nil {
 			t.Fatalf("DecodeRow(%v): %v", r, err)
 		}
@@ -41,7 +41,7 @@ func TestDecodeRowCorrupt(t *testing.T) {
 		{0x02, byte(Int), 0x80},       // corrupt varint then missing col
 	}
 	for i, b := range bad {
-		if _, err := DecodeRow(b); err == nil {
+		if _, err := DecodeRow(b, nil); err == nil {
 			t.Errorf("case %d: expected error for %v", i, b)
 		}
 	}
@@ -54,7 +54,7 @@ func TestEncodeRowRoundTripProperty(t *testing.T) {
 		for j := range row {
 			row[j] = randomValue(r)
 		}
-		dec, err := DecodeRow(EncodeRow(nil, row))
+		dec, err := DecodeRow(EncodeRow(nil, row), nil)
 		if err != nil {
 			t.Fatalf("iteration %d: %v", i, err)
 		}
@@ -134,7 +134,7 @@ func TestAppendDecodedRowMatchesDecodeRow(t *testing.T) {
 		rec := EncodeRow(nil, r)
 		start := len(arena)
 		var err error
-		arena, err = AppendDecodedRow(arena, rec)
+		arena, err = AppendDecodedRow(arena, rec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func TestAppendDecodedRowMatchesDecodeRow(t *testing.T) {
 		got = append(got, Row(arena[bd[0]:bd[1]:bd[1]]))
 	}
 	for i, r := range rows {
-		want, err := DecodeRow(EncodeRow(nil, r))
+		want, err := DecodeRow(EncodeRow(nil, r), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,9 +159,9 @@ func TestAppendDecodedRowMatchesDecodeRow(t *testing.T) {
 	}
 	// Corrupt input must not leave partial values in the arena.
 	n := len(arena)
-	if _, err := AppendDecodedRow(arena, []byte{0x05, 0x09}); err == nil {
+	if _, err := AppendDecodedRow(arena, []byte{0x05, 0x09}, nil); err == nil {
 		t.Fatal("corrupt row decoded")
-	} else if arenaAfter, _ := AppendDecodedRow(arena, []byte{0x05, 0x09}); len(arenaAfter) != n {
+	} else if arenaAfter, _ := AppendDecodedRow(arena, []byte{0x05, 0x09}, nil); len(arenaAfter) != n {
 		t.Fatalf("corrupt decode grew arena: %d -> %d", n, len(arenaAfter))
 	}
 }

@@ -5,6 +5,7 @@ package sqltypes
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
 	"strconv"
 	"unicode/utf8"
@@ -240,34 +241,35 @@ func (v Value) numeric() (float64, bool) {
 // Equal reports whether two values are identical under Compare.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
-// Hash returns a 64-bit FNV-1a hash of the value, consistent with Equal
-// for values of the same type class.
+// hashSeed keys the text hash; one per process, so hashes are never
+// persisted.
+var hashSeed = maphash.MakeSeed()
+
+// Hash returns a 64-bit hash of the value consistent with Compare:
+// values that compare equal hash equal. Numbers hash their AsFloat bits
+// (Int 2 and Float 2.0 collide, as they compare equal, and -0.0 is
+// folded onto +0.0); text hashes its bytes.
 func (v Value) Hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h ^= uint64(b); h *= prime64 }
 	switch v.T {
-	case Null:
-		mix(0)
 	case Int, Float:
-		// Hash the numeric value so Int(2) and Float(2.0) collide, as
-		// they compare equal.
 		f := v.AsFloat()
-		if v.T == Int && float64(v.I) != f {
-			f = float64(v.I)
+		if f == 0 {
+			f = 0 // -0.0
 		}
-		bits := math.Float64bits(f)
-		for i := 0; i < 8; i++ {
-			mix(byte(bits >> (8 * i)))
-		}
+		return mix64(math.Float64bits(f))
 	case Text:
-		mix(1)
-		for i := 0; i < len(v.S); i++ {
-			mix(v.S[i])
-		}
+		return maphash.String(hashSeed, v.S)
 	}
-	return h
+	return 0x9e3779b97f4a7c15 // NULL
+}
+
+// mix64 is the MurmurHash3 finalizer: every input bit reaches every
+// output bit, the low ones included.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
