@@ -52,6 +52,57 @@ func TestScanAllocsPerRow(t *testing.T) {
 	}
 }
 
+// TestHashJoinBuildAllocs: a hash join builds on its smaller input, so
+// joining a 16-row table to a 20,000-row one hashes 16 rows. Building
+// on the large side instead copies all of it into arena chunks and
+// sizes a key table for 16k entries — megabytes per execution. The
+// bound is on what the join allocates beyond a filtered scan of the
+// large table that returns the same 320 rows: that scan decodes every
+// row of the table, which no choice of build side changes.
+func TestHashJoinBuildAllocs(t *testing.T) {
+	db := testDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE few (id INTEGER PRIMARY KEY, k INTEGER)")
+	mustExec(t, s, "CREATE TABLE many (id INTEGER PRIMARY KEY, k INTEGER, v INTEGER)")
+	var vals []string
+	for i := 0; i < 16; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i))
+	}
+	mustExec(t, s, "INSERT INTO few (id, k) VALUES "+strings.Join(vals, ", "))
+	for base := 0; base < 20000; base += 500 {
+		vals = vals[:0]
+		for i := base; i < base+500; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, %d)", i, i%1000, i))
+		}
+		mustExec(t, s, "INSERT INTO many (id, k, v) VALUES "+strings.Join(vals, ", "))
+	}
+
+	perExec := func(q string) float64 {
+		t.Helper()
+		const runs = 10
+		mustExec(t, s, q) // the shape is published, the pool warm
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if res := mustExec(t, s, q); len(res.Rows) != 320 {
+				t.Fatalf("%s: %d rows, want 320", q, len(res.Rows))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+		t.Logf("%s: %.0f KB per execution", q, kb)
+		return kb
+	}
+	const join = "SELECT f.id, m.v FROM many m JOIN few f ON f.k = m.k"
+	if p := mustExec(t, s, join).Plan.String(); !strings.Contains(p, "build=left") {
+		t.Fatalf("the join does not build on few:\n%s", p)
+	}
+	if kb := perExec(join) - perExec("SELECT m.k, m.v FROM many m WHERE m.k < 16"); kb >= 256 {
+		t.Errorf("the join allocates %.0f KB per execution beyond scanning many, want < 256 KB", kb)
+	}
+}
+
 // TestCachedSelectAdmitsWithoutLocks pins the admission fast path: a
 // cached autocommit point select publishes its tables in the session's
 // slot and loads the published transaction state — it takes no lock in

@@ -3,6 +3,8 @@ package executor
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -129,12 +131,22 @@ func whereOf(t *testing.T, cond string) sqlparser.Expr {
 
 func runPlan(t *testing.T, root optimizer.Node, params []sqltypes.Value) []sqltypes.Row {
 	t.Helper()
+	rows, tuples := runOn(t, newMemStorage(), root, params)
+	if tuples == 0 && len(rows) > 0 {
+		t.Error("actual-CPU counter not advanced")
+	}
+	return rows
+}
+
+// runOn runs a plan over st and returns its rows and tuple count.
+func runOn(t *testing.T, st Storage, root optimizer.Node, params []sqltypes.Value) ([]sqltypes.Row, int64) {
+	t.Helper()
 	prep, err := Compile(&optimizer.Plan{Root: root})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := &Ctx{Params: params}
-	it, err := prep.Run(newMemStorage(), ctx)
+	it, err := prep.Run(st, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +154,7 @@ func runPlan(t *testing.T, root optimizer.Node, params []sqltypes.Value) []sqlty
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Tuples == 0 && len(rows) > 0 {
-		t.Error("actual-CPU counter not advanced")
-	}
-	return rows
+	return rows, ctx.Tuples
 }
 
 func TestSeqScanWithFilter(t *testing.T) {
@@ -225,6 +234,47 @@ func TestHashJoin(t *testing.T) {
 	rows = runPlan(t, j, nil)
 	if len(rows) != 10 {
 		t.Fatalf("residual rows = %d", len(rows))
+	}
+
+	// Building on the left yields the same rows, columns and tuple count:
+	// a scan of each side, one tuple per build row, per probe row and per
+	// pair. NULL keys on either side match nothing.
+	st := newMemStorage()
+	st.tables["users"] = append(st.tables["users"],
+		sqltypes.Row{sqltypes.NewInt(100), sqltypes.NewText("user100"), sqltypes.NullValue()})
+	st.tables["depts"] = append(st.tables["depts"], sqltypes.Row{sqltypes.NullValue(), sqltypes.NewText("dept-null")})
+	for _, tc := range []struct {
+		residual string
+		rows     int
+	}{
+		{"", 100},
+		{"u.id < 10 AND d.title <> 'dept-3'", 8}, // users 3 and 8 are in dept 3
+	} {
+		j.Residual = nil
+		if tc.residual != "" {
+			j.Residual = whereOf(t, tc.residual)
+		}
+		var canon [2][]string
+		var tuples [2]int64
+		for i, buildLeft := range []bool{false, true} {
+			j.BuildLeft = buildLeft
+			rows, n := runOn(t, st, j, nil)
+			if len(rows) != tc.rows {
+				t.Fatalf("build left %v, residual %q: %d rows, want %d", buildLeft, tc.residual, len(rows), tc.rows)
+			}
+			for _, r := range rows {
+				if r[2].IsNull() || r[2].I != r[3].I || r[1].S != fmt.Sprintf("user%02d", r[0].I) ||
+					r[4].S != fmt.Sprintf("dept-%d", r[3].I) {
+					t.Fatalf("build left %v: row %v is not u.* then d.* with equal depts", buildLeft, r)
+				}
+				canon[i] = append(canon[i], string(sqltypes.EncodeKey(nil, r...)))
+			}
+			sort.Strings(canon[i])
+			tuples[i] = n
+		}
+		if !slices.Equal(canon[0], canon[1]) || tuples[0] != tuples[1] {
+			t.Errorf("residual %q: build left differs from build right (tuples %d vs %d)", tc.residual, tuples[1], tuples[0])
+		}
 	}
 }
 
@@ -389,16 +439,24 @@ func TestStorageErrorsPropagate(t *testing.T) {
 }
 
 // trackingStorage counts the storage iterators that are open, so a test
-// can check that a statement closed every one it opened.
+// can check that a statement closed every one it opened, and the
+// batches read from each table.
 type trackingStorage struct {
 	*memStorage
-	open int
+	open    int
+	batches map[string]int
 }
 
 type trackedIter struct {
 	RowBatchIter
 	st     *trackingStorage
+	table  string
 	closed bool
+}
+
+func (it *trackedIter) NextBatch(b *Batch) (bool, error) {
+	it.st.batches[it.table]++
+	return it.RowBatchIter.NextBatch(b)
 }
 
 func (it *trackedIter) Close() error {
@@ -409,24 +467,27 @@ func (it *trackedIter) Close() error {
 	return it.RowBatchIter.Close()
 }
 
-func (s *trackingStorage) track(it RowBatchIter, err error) (RowBatchIter, error) {
+func (s *trackingStorage) track(table string, it RowBatchIter, err error) (RowBatchIter, error) {
 	if err != nil {
 		return nil, err
 	}
 	s.open++
-	return &trackedIter{RowBatchIter: it, st: s}, nil
+	return &trackedIter{RowBatchIter: it, st: s, table: table}, nil
 }
 
 func (s *trackingStorage) ScanTable(name string, cols []int) (RowBatchIter, error) {
-	return s.track(s.memStorage.ScanTable(name, cols))
+	it, err := s.memStorage.ScanTable(name, cols)
+	return s.track(name, it, err)
 }
 
 func (s *trackingStorage) IndexRange(table, index string, lo, hi []byte, cols []int) (RowBatchIter, error) {
-	return s.track(s.memStorage.IndexRange(table, index, lo, hi, cols))
+	it, err := s.memStorage.IndexRange(table, index, lo, hi, cols)
+	return s.track(table, it, err)
 }
 
 func (s *trackingStorage) PrimaryRange(table string, lo, hi []byte, cols []int) (RowBatchIter, error) {
-	return s.track(s.memStorage.PrimaryRange(table, lo, hi, cols))
+	it, err := s.memStorage.PrimaryRange(table, lo, hi, cols)
+	return s.track(table, it, err)
 }
 
 // TestBatchBoundariesAndClose runs the operators that keep state across
@@ -435,7 +496,7 @@ func (s *trackingStorage) PrimaryRange(table string, lo, hi []byte, cols []int) 
 // statement (exhaustion, a LIMIT met mid-input, an expression error
 // mid-input, a failing open) closes every storage iterator it opened.
 func TestBatchBoundariesAndClose(t *testing.T) {
-	st := &trackingStorage{memStorage: newMemStorage()}
+	st := &trackingStorage{memStorage: newMemStorage(), batches: map[string]int{}}
 	const n = 3*BatchSize + 7
 	for i := 0; i < n; i++ {
 		st.tables["big"] = append(st.tables["big"], sqltypes.Row{
@@ -456,6 +517,10 @@ func TestBatchBoundariesAndClose(t *testing.T) {
 	// Every big row pairs with the 20 users of its dept.
 	hash := &optimizer.HashJoin{Left: big, Right: users,
 		LeftKeys: []sqlparser.Expr{col("b", "dept")}, RightKeys: []sqlparser.Expr{col("u", "dept")}}
+	// The same join written users-first, built on users: rows are u ‖ b,
+	// each big row meeting its users in arrival order.
+	hashLeft := &optimizer.HashJoin{Left: users, Right: big, BuildLeft: true,
+		LeftKeys: []sqlparser.Expr{col("u", "dept")}, RightKeys: []sqlparser.Expr{col("b", "dept")}}
 	index := &optimizer.IndexJoin{Left: big, Table: "users", Alias: "u", Index: "ix_dept",
 		Cols: usersCols(), LeftKeys: []sqlparser.Expr{col("b", "dept")}}
 	divide := func(in optimizer.Node) optimizer.Node { // fails at id 2000, in the second batch
@@ -465,18 +530,24 @@ func TestBatchBoundariesAndClose(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name   string
-		root   optimizer.Node
-		rows   int   // -1: NextBatch must fail; -2: open must fail
-		first  int64 // id of the first row's outer side, when rows > 0
-		tuples int64 // 0: not checked
+		name       string
+		root       optimizer.Node
+		rows       int   // -1: NextBatch must fail; -2: open must fail
+		first      int64 // id in the first row's first column, when rows > 0
+		tuples     int64 // 0: not checked
+		bigBatches int   // batches read from big; 0: not checked
 	}{
 		{name: "cross", root: cross, rows: 5 * n, tuples: (n + 5) + n + 5*n},         // scans, outer rows, pairs
 		{name: "hash", root: hash, rows: 20 * n, tuples: (n + 100) + 100 + n + 20*n}, // scans, build, outer rows, pairs
+		{name: "hash build left", root: hashLeft, rows: 20 * n, tuples: (n + 100) + 100 + n + 20*n},
 		{name: "index", root: index, rows: 20 * n, tuples: n + n + 20*n},
 		{name: "limit mid-batch", root: &optimizer.Limit{Input: big, N: 10, Offset: 2*BatchSize - 3}, rows: 10, first: 2*BatchSize - 3},
 		{name: "limit over cross", root: &optimizer.Limit{Input: cross, N: BatchSize + 1, Offset: 5*BatchSize + 2}, rows: BatchSize + 1, first: BatchSize},
 		{name: "limit over hash", root: &optimizer.Limit{Input: hash, N: 3, Offset: 20 * 70}, rows: 3, first: 70},
+		// Big row 70 (dept 0) meets users 0, 5, ..., 95: the 8th is 35.
+		// Every pair it needs comes from big's first batch.
+		{name: "limit over hash build left", root: &optimizer.Limit{Input: hashLeft, N: 3, Offset: 20*70 + 7},
+			rows: 3, first: 35, bigBatches: 1},
 		{name: "limit over index", root: &optimizer.Limit{Input: index, N: 3, Offset: 20*70 + 19}, rows: 3, first: 70},
 		{name: "offset past the end", root: &optimizer.Limit{Input: big, N: 5, Offset: n}, rows: 0},
 		{name: "offset only", root: &optimizer.Limit{Input: big, N: -1, Offset: n - 2}, rows: 2, first: n - 2},
@@ -489,6 +560,15 @@ func TestBatchBoundariesAndClose(t *testing.T) {
 		{name: "probe side fails to open", root: &optimizer.HashJoin{
 			Left: &optimizer.SeqScan{Table: "missing", Alias: "b", Cols: bigCols}, Right: users,
 			LeftKeys: []sqlparser.Expr{col("b", "dept")}, RightKeys: []sqlparser.Expr{col("u", "dept")}}, rows: -2},
+		{name: "build side fails to open", root: &optimizer.HashJoin{
+			Left: big, Right: &optimizer.SeqScan{Table: "missing", Alias: "u", Cols: usersCols()},
+			LeftKeys: []sqlparser.Expr{col("b", "dept")}, RightKeys: []sqlparser.Expr{col("u", "dept")}}, rows: -2},
+		{name: "build left: probe side fails to open", root: &optimizer.HashJoin{
+			Left: users, Right: &optimizer.SeqScan{Table: "missing", Alias: "b", Cols: bigCols}, BuildLeft: true,
+			LeftKeys: []sqlparser.Expr{col("u", "dept")}, RightKeys: []sqlparser.Expr{col("b", "dept")}}, rows: -2},
+		{name: "build left: build side fails to open", root: &optimizer.HashJoin{
+			Left: &optimizer.SeqScan{Table: "missing", Alias: "u", Cols: usersCols()}, Right: big, BuildLeft: true,
+			LeftKeys: []sqlparser.Expr{col("u", "dept")}, RightKeys: []sqlparser.Expr{col("b", "dept")}}, rows: -2},
 		{name: "inner index missing", root: &optimizer.IndexJoin{Left: big, Table: "users", Alias: "u", Index: "nope",
 			Cols: usersCols(), LeftKeys: []sqlparser.Expr{col("b", "dept")}}, rows: -1},
 	} {
@@ -498,6 +578,7 @@ func TestBatchBoundariesAndClose(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := &Ctx{}
+			clear(st.batches)
 			it, err := prep.Run(st, ctx)
 			if (err != nil) != (tc.rows == -2) {
 				t.Fatalf("open: err = %v", err)
@@ -510,10 +591,13 @@ func TestBatchBoundariesAndClose(t *testing.T) {
 				case err == nil && len(rows) != tc.rows:
 					t.Fatalf("%d rows, want %d", len(rows), tc.rows)
 				case len(rows) > 0 && rows[0][0].I != tc.first:
-					t.Errorf("first row %v, want outer id %d", rows[0], tc.first)
+					t.Errorf("first row %v, want first id %d", rows[0], tc.first)
 				}
 				if tc.tuples != 0 && ctx.Tuples != tc.tuples {
 					t.Errorf("tuples = %d, want %d", ctx.Tuples, tc.tuples)
+				}
+				if tc.bigBatches != 0 && st.batches["big"] != tc.bigBatches {
+					t.Errorf("%d batches read from big, want %d", st.batches["big"], tc.bigBatches)
 				}
 			}
 			if st.open != 0 {

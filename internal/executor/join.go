@@ -3,15 +3,18 @@ package executor
 import (
 	"repro/internal/expr"
 	"repro/internal/optimizer"
+	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 )
 
+// hashJoinC builds on one input and probes with the other; either way
+// its rows are the left input's columns then the right's.
 type hashJoinC struct {
-	left, right compiled
-	leftKeys    []expr.Compiled // bound against left output
-	rightKeys   []expr.Compiled // bound against right output
-	residual    expr.Compiled   // bound against combined output
-	buildRows   float64         // the build side's estimated rows
+	probe, build         compiled
+	probeKeys, buildKeys []expr.Compiled // bound against their side's output
+	buildLeft            bool            // the build side is the left input
+	residual             expr.Compiled   // bound against combined output
+	buildRows            float64         // the build side's estimated rows
 }
 
 func (cp *compiler) compileHashJoin(n *optimizer.HashJoin, depth int) (compiled, error) {
@@ -23,27 +26,39 @@ func (cp *compiler) compileHashJoin(n *optimizer.HashJoin, depth int) (compiled,
 	if err != nil {
 		return nil, err
 	}
-	c := &hashJoinC{left: left, right: right, buildRows: n.Right.Est().Rows}
-	lres := resolverFor(n.Left.Out())
-	rres := resolverFor(n.Right.Out())
-	for _, e := range n.LeftKeys {
-		ce, err := expr.Bind(e, lres)
-		if err != nil {
-			return nil, err
-		}
-		c.leftKeys = append(c.leftKeys, ce)
+	leftKeys, err := bindKeys(n.LeftKeys, n.Left)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range n.RightKeys {
-		ce, err := expr.Bind(e, rres)
-		if err != nil {
-			return nil, err
-		}
-		c.rightKeys = append(c.rightKeys, ce)
+	rightKeys, err := bindKeys(n.RightKeys, n.Right)
+	if err != nil {
+		return nil, err
+	}
+	c := &hashJoinC{probe: left, build: right, probeKeys: leftKeys, buildKeys: rightKeys,
+		buildLeft: n.BuildLeft, buildRows: n.Right.Est().Rows}
+	if n.BuildLeft {
+		c.probe, c.build = right, left
+		c.probeKeys, c.buildKeys = rightKeys, leftKeys
+		c.buildRows = n.Left.Est().Rows
 	}
 	if c.residual, err = bindOpt(n.Residual, resolverFor(n.Out())); err != nil {
 		return nil, err
 	}
 	return c, nil
+}
+
+// bindKeys binds join key expressions against the output of in.
+func bindKeys(keys []sqlparser.Expr, in optimizer.Node) ([]expr.Compiled, error) {
+	res := resolverFor(in.Out())
+	out := make([]expr.Compiled, len(keys))
+	for i, e := range keys {
+		ce, err := expr.Bind(e, res)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ce
+	}
+	return out, nil
 }
 
 // evalKey evaluates the key expressions into dst, reusing its
@@ -63,8 +78,8 @@ func evalKey(dst []sqltypes.Value, env *expr.Env, keys []expr.Compiled) ([]sqlty
 
 // hashBuild is a hash join's build side: its rows in arrival order,
 // and for each distinct key the chain of rows that carry it, in
-// arrival order too, so a probe pairs an outer row with its matches in
-// the order a nested loop would.
+// arrival order too, so a probe row meets its matches in the order the
+// build side produced them.
 type hashBuild struct {
 	keys  *keyTable
 	rows  []sqltypes.Row
@@ -73,16 +88,16 @@ type hashBuild struct {
 	next  []int32 // by row: the next row with its key, -1 at the end
 }
 
-// build drains the build side into a hashBuild, copying each row into
-// an arena (batch producers reuse row backing).
-func (c *hashJoinC) build(rt runtime) (*hashBuild, error) {
-	rit, err := c.right.open(rt)
+// buildTable drains the build side into a hashBuild, copying each row
+// into an arena (batch producers reuse row backing).
+func (c *hashJoinC) buildTable(rt runtime) (*hashBuild, error) {
+	rit, err := c.build.open(rt)
 	if err != nil {
 		return nil, err
 	}
 	n := sizeHint(c.buildRows)
 	hb := &hashBuild{
-		keys:  newKeyTable(len(c.rightKeys), c.buildRows),
+		keys:  newKeyTable(len(c.buildKeys), c.buildRows),
 		rows:  make([]sqltypes.Row, 0, n),
 		first: make([]int32, 0, n),
 		last:  make([]int32, 0, n),
@@ -97,7 +112,7 @@ func (c *hashJoinC) build(rt runtime) (*hashBuild, error) {
 			env.Row = row
 			var ok bool
 			var err error
-			if key, ok, err = evalKey(key, &env, c.rightKeys); err != nil {
+			if key, ok, err = evalKey(key, &env, c.buildKeys); err != nil {
 				return err
 			}
 			if !ok {
@@ -123,38 +138,40 @@ func (c *hashJoinC) build(rt runtime) (*hashBuild, error) {
 }
 
 func (c *hashJoinC) open(rt runtime) (RowBatchIter, error) {
-	hb, err := c.build(rt)
+	hb, err := c.buildTable(rt)
 	if err != nil {
 		return nil, err
 	}
-	lit, err := c.left.open(rt)
+	pit, err := c.probe.open(rt)
 	if err != nil {
 		return nil, err
 	}
 	out := &probeIter{
-		left: cursor{in: lit}, build: hb, inner: hb.rows, keys: c.leftKeys,
-		env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx, match: -1,
+		outer: cursor{in: pit}, build: hb, inner: hb.rows, keys: c.probeKeys,
+		innerLeft: c.buildLeft, env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx, match: -1,
 	}
 	return maybeFilter(out, c.residual, rt.ctx), nil
 }
 
 // probeIter pairs each outer row with materialized inner rows: the
 // chain of its key in the hash build, or — for a loop join, which has
-// no build — all of them. One tuple counts per outer row and one per
-// pair. Output rows are carved from an arena reset for every batch; an
-// outer row's pairs may straddle two batches, which the cursor's
-// validity rule allows.
+// no build — all of them. A pair is the left input's row then the
+// right's, whichever of them is the inner one. One tuple counts per
+// outer row and one per pair. Output rows are carved from an arena
+// reset for every batch; an outer row's pairs may straddle two batches,
+// which the cursor's validity rule allows.
 type probeIter struct {
-	left    cursor
-	build   *hashBuild // nil: loop join
-	inner   []sqltypes.Row
-	keys    []expr.Compiled
-	key     []sqltypes.Value // the current outer row's key
-	env     expr.Env
-	ctx     *Ctx
-	current sqltypes.Row
-	match   int32 // the inner row current pairs with next; -1: none left
-	arena   RowArena
+	outer     cursor
+	build     *hashBuild // nil: loop join
+	inner     []sqltypes.Row
+	innerLeft bool // the inner rows are the left input's
+	keys      []expr.Compiled
+	key       []sqltypes.Value // the current outer row's key
+	env       expr.Env
+	ctx       *Ctx
+	current   sqltypes.Row
+	match     int32 // the inner row current pairs with next; -1: none left
+	arena     RowArena
 }
 
 func (it *probeIter) NextBatch(b *Batch) (bool, error) {
@@ -162,12 +179,16 @@ func (it *probeIter) NextBatch(b *Batch) (bool, error) {
 	it.arena.Reset()
 	for len(b.Rows) < BatchSize {
 		if it.match >= 0 {
-			b.Rows = append(b.Rows, it.arena.Combine(it.current, it.inner[it.match]))
+			l, r := it.current, it.inner[it.match]
+			if it.innerLeft {
+				l, r = r, l
+			}
+			b.Rows = append(b.Rows, it.arena.Combine(l, r))
 			it.ctx.Tuples++
 			it.match = it.nextMatch(it.match)
 			continue
 		}
-		row, ok, err := it.left.next()
+		row, ok, err := it.outer.next()
 		if err != nil {
 			return false, err
 		}
@@ -215,7 +236,7 @@ func (it *probeIter) nextMatch(r int32) int32 {
 	return -1
 }
 
-func (it *probeIter) Close() error { return it.left.in.Close() }
+func (it *probeIter) Close() error { return it.outer.in.Close() }
 
 type loopJoinC struct {
 	left, right compiled
@@ -251,7 +272,7 @@ func (c *loopJoinC) open(rt runtime) (RowBatchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &probeIter{left: cursor{in: lit}, inner: rights, ctx: rt.ctx, match: -1}
+	out := &probeIter{outer: cursor{in: lit}, inner: rights, ctx: rt.ctx, match: -1}
 	return maybeFilter(out, c.cond, rt.ctx), nil
 }
 

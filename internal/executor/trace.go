@@ -130,6 +130,7 @@ func spanMetaFor(n optimizer.Node, depth int) SpanMeta {
 		m.Detail = x.Table + " via " + indexName(x.Table, x.Index, x.Primary)
 	case *optimizer.HashJoin:
 		m.Kind = "HashJoin"
+		m.Detail = x.BuildSide()
 	case *optimizer.LoopJoin:
 		m.Kind = "LoopJoin"
 	case *optimizer.IndexJoin:

@@ -73,14 +73,14 @@ func estimateIndexStats(stats TableStats) IndexStats {
 	return IndexStats{Pages: pages, Height: int(btreeHeightEstimate(stats.Rows))}
 }
 
-// hashJoinCost prices building on the right input and probing with the
-// left.
-func hashJoinCost(left, right Cost, outRows float64) Cost {
+// hashJoinCost prices building on one input and probing with the
+// other.
+func hashJoinCost(probe, build Cost, outRows float64) Cost {
 	own := Cost{
-		CPU:  left.Rows + right.Rows*1.5 + outRows,
+		CPU:  probe.Rows + build.Rows*1.5 + outRows,
 		Rows: math.Max(1, outRows),
 	}
-	return own.Add(left).Add(right)
+	return own.Add(probe).Add(build)
 }
 
 // loopJoinCost prices a nested-loops join with the right side

@@ -698,9 +698,15 @@ func (p *planner) buildJoin(tree Node, r *rel, preds []joinPred) Node {
 		leftKeys[i] = jp.aCol
 		rightKeys[i] = jp.bCol
 	}
+	// Build on the input with fewer estimated rows; a tie builds on r.
+	probe, build := treeCost, rCost
+	buildLeft := treeCost.Rows < rCost.Rows
+	if buildLeft {
+		probe, build = rCost, treeCost
+	}
 	var best Node = &HashJoin{
 		Left: tree, Right: r.access, LeftKeys: leftKeys, RightKeys: rightKeys,
-		EstC: hashJoinCost(treeCost, rCost, outRows),
+		BuildLeft: buildLeft, EstC: hashJoinCost(probe, build, outRows),
 	}
 
 	// Index nested loops: an index on r whose prefix is covered by the

@@ -175,6 +175,55 @@ func TestHashJoinForUnindexedEqui(t *testing.T) {
 	}
 }
 
+// hashJoinOf returns the hash join under a plan's projection.
+func hashJoinOf(t *testing.T, p *Plan) *HashJoin {
+	t.Helper()
+	if pr, ok := p.Root.(*Project); ok {
+		if hj, ok := pr.Input.(*HashJoin); ok {
+			return hj
+		}
+	}
+	t.Fatalf("expected Project over HashJoin:\n%s", p.String())
+	return nil
+}
+
+// TestHashJoinBuildsSmallerInput: a hash join builds on the input with
+// fewer estimated rows, whichever FROM order names it, and its estimate
+// prices that build; equal inputs keep building on the right.
+func TestHashJoinBuildsSmallerInput(t *testing.T) {
+	cat := newFakeCatalog()
+	var est []Cost
+	for _, sql := range []string{
+		"SELECT s.label, b.txt FROM big b JOIN small s ON b.grp = s.k",
+		"SELECT s.label, b.txt FROM small s JOIN big b ON b.grp = s.k",
+	} {
+		p := planFor(t, cat, sql, Options{})
+		hj := hashJoinOf(t, p)
+		if !hj.BuildLeft || hj.Left.(*SeqScan).Table != "small" || !strings.Contains(p.String(), "build=left") {
+			t.Errorf("%s: want the build on small:\n%s", sql, p.String())
+		}
+		probe, build := hj.Right.Est(), hj.Left.Est()
+		if want := hashJoinCost(probe, build, hj.EstC.Rows); hj.EstC != want {
+			t.Errorf("%s: EstC = %+v, want the small build's %+v", sql, hj.EstC, want)
+		}
+		if big := hashJoinCost(build, probe, hj.EstC.Rows); hj.EstC.Total() >= big.Total() {
+			t.Errorf("%s: building on small (%v) not cheaper than on big (%v)", sql, hj.EstC.Total(), big.Total())
+		}
+		est = append(est, hj.EstC)
+	}
+	if est[0] != est[1] {
+		t.Errorf("FROM order changed the estimate: %+v vs %+v", est[0], est[1])
+	}
+
+	twin := *cat.tables["small"]
+	twin.Name = "twin"
+	cat.tables["twin"], cat.stats["twin"] = &twin, cat.stats["small"]
+	p := planFor(t, cat, "SELECT s.label, w.label FROM small s JOIN twin w ON s.k = w.k", Options{})
+	if hj := hashJoinOf(t, p); hj.BuildLeft || !strings.Contains(p.String(), "build=right") {
+		t.Errorf("a tie should build on the right:\n%s", p.String())
+	}
+}
+
 func TestCrossJoinFallsBackToLoop(t *testing.T) {
 	cat := newFakeCatalog()
 	p := planFor(t, cat, "SELECT COUNT(*) FROM big, small", Options{})

@@ -80,14 +80,24 @@ type IndexScan struct {
 	EstC           Cost
 }
 
-// HashJoin builds a hash table on the right input and probes it with
-// the left input on the equi-join keys.
+// HashJoin builds a hash table on one input and probes it with the
+// other on the equi-join keys; its rows are Left's columns then
+// Right's, whichever side is built.
 type HashJoin struct {
 	Left, Right Node
 	// LeftKeys[i] joins with RightKeys[i].
 	LeftKeys, RightKeys []sqlparser.Expr
 	Residual            sqlparser.Expr // extra non-equi condition, may be nil
+	BuildLeft           bool           // build on Left and probe with Right
 	EstC                Cost
+}
+
+// BuildSide names the input a hash join builds on.
+func (n *HashJoin) BuildSide() string {
+	if n.BuildLeft {
+		return "build=left"
+	}
+	return "build=right"
 }
 
 // LoopJoin is a nested-loops join with an arbitrary condition; the
@@ -245,7 +255,7 @@ func (p *Plan) String() string {
 			}
 			fmt.Fprintf(&b, "IndexScan %s via %s rows=%.0f io=%.0f\n", x.Table, name, x.EstC.Rows, x.EstC.IO)
 		case *HashJoin:
-			fmt.Fprintf(&b, "HashJoin rows=%.0f\n", x.EstC.Rows)
+			fmt.Fprintf(&b, "HashJoin rows=%.0f %s\n", x.EstC.Rows, x.BuildSide())
 			walk(x.Left, depth+1)
 			walk(x.Right, depth+1)
 		case *LoopJoin:
