@@ -203,9 +203,10 @@ func (ap *Applier) observeWindow() (time.Duration, int64) {
 // executable kinds if none are named) through the state machine:
 // observe a baseline window, apply, observe a canary window, then
 // accept or automatically roll back actions whose tail quantile
-// regressed beyond the threshold. Index builds run online (CREATE
-// INDEX ... ONLINE) so the canary measures the workload, not a stalled
-// workload; buffer-pool recommendations execute as live resizes.
+// regressed beyond the threshold. A CREATE INDEX builds while the
+// workload runs (DML proceeds; the table drains only for the final
+// catch-up), so the canary measures the workload, not a stalled one;
+// buffer-pool recommendations execute as live resizes.
 // MODIFY and CREATE STATISTICS are applied directly with an audit
 // record but no canary — a heap rebuild has no cheap rollback.
 // Failures do not stop the remaining recommendations; they are counted
@@ -318,14 +319,9 @@ func (ap *Applier) execute(ac *action, rec Recommendation) error {
 		if !ok {
 			return fmt.Errorf("recommendation SQL is not CREATE INDEX: %s", rec.SQL)
 		}
-		online := rec.SQL
-		if !ci.Online {
-			online += " ONLINE"
-			ac.sql = online
-		}
 		s := db.NewSession()
 		defer s.Close()
-		if _, err := s.Exec(online); err != nil {
+		if _, err := s.Exec(rec.SQL); err != nil {
 			return err
 		}
 		name := ci.Name

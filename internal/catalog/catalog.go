@@ -56,7 +56,7 @@ type Index struct {
 	Unique  bool      `json:"unique"`
 	Virtual bool      `json:"virtual"`
 	Created time.Time `json:"created"`
-	// Building marks an online index build in progress: the entry
+	// Building marks an index build in progress: the entry
 	// reserves the name but the index is invisible to the optimizer and
 	// to DML maintenance until the build publishes it. A Building entry
 	// found at engine open is a crashed build; recovery drops it and
@@ -297,8 +297,9 @@ func (c *Catalog) DropTable(name string) error {
 	return c.saveLocked()
 }
 
-// UpdateTable applies fn to the named table under the catalog lock and
-// persists the result.
+// UpdateTable applies fn to the named table under the catalog lock, as
+// SyncTableStats does, so a concurrent Save never marshals the entry
+// mid-write. The caller saves.
 func (c *Catalog) UpdateTable(name string, fn func(*Table)) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -307,7 +308,7 @@ func (c *Catalog) UpdateTable(name string, fn func(*Table)) error {
 		return fmt.Errorf("catalog: table %s does not exist", name)
 	}
 	fn(t)
-	return c.saveLocked()
+	return nil
 }
 
 // AddIndex registers a secondary index (real or virtual).
@@ -352,7 +353,7 @@ func (c *Catalog) DropIndex(name string) error {
 	return c.saveLocked()
 }
 
-// FinishIndexBuild clears the Building flag on an online-built index,
+// FinishIndexBuild clears the Building flag on a freshly built index,
 // publishing it to the optimizer and to DML maintenance, and persists
 // the catalog. The caller must have made the index file durable first.
 func (c *Catalog) FinishIndexBuild(name string) error {

@@ -208,8 +208,8 @@ func (s *System) Apply(rep *analyzer.Report, kinds ...analyzer.Kind) error {
 }
 
 // ApplyOnline implements a report's recommendations through the
-// canary/observe/rollback state machine: index builds run online under
-// concurrent DML, buffer-pool recommendations become live resizes, and
+// canary/observe/rollback state machine: index builds run as written
+// (every CREATE INDEX builds under concurrent DML), buffer-pool recommendations become live resizes, and
 // actions whose canary window shows a tail-latency regression are
 // rolled back automatically. The audit trail is queryable as
 // ima_actions and persisted to ws_actions.

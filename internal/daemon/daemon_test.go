@@ -353,8 +353,8 @@ func TestRunLoop(t *testing.T) {
 func TestPollPersistsActions(t *testing.T) {
 	f := newFixture(t)
 	rows := []ima.ActionRow{
-		{Seq: 1, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v) ONLINE", State: "proposed", AtUs: 100},
-		{Seq: 2, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v) ONLINE", State: "accepted", Baseline: 50, Observed: 55, DeltaPct: 10, Samples: 40, AtUs: 200, Detail: "within threshold"},
+		{Seq: 1, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v)", State: "proposed", AtUs: 100},
+		{Seq: 2, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v)", State: "accepted", Baseline: 50, Observed: 55, DeltaPct: 10, Samples: 40, AtUs: 200, Detail: "within threshold"},
 	}
 	var failures int64 = 3
 	d, err := New(Config{

@@ -30,8 +30,8 @@ func rowStrings(rows []sqltypes.Row) []string {
 func TestPersistedParity(t *testing.T) {
 	f := newFixture(t)
 	actions := []ima.ActionRow{
-		{Seq: 1, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v) ONLINE", State: "proposed", AtUs: 100},
-		{Seq: 2, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v) ONLINE", State: "accepted", DeltaPct: 2.5, Samples: 9, AtUs: 200, Detail: strings.Repeat("é", 400)},
+		{Seq: 1, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v)", State: "proposed", AtUs: 100},
+		{Seq: 2, ActionID: 1, Kind: "create-index", Target: "t", SQL: "CREATE INDEX ix ON t (v)", State: "accepted", DeltaPct: 2.5, Samples: 9, AtUs: 200, Detail: strings.Repeat("é", 400)},
 	}
 	d, err := New(Config{
 		Source: f.source, Mon: f.mon, Target: f.target,

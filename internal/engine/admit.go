@@ -50,7 +50,7 @@ func (db *DB) eachSlot(fn func(*slot)) {
 type ddlState uint8
 
 const (
-	ddlBuilding ddlState = iota // an online index build: keeps other DDL off its table, parks no statement
+	ddlBuilding ddlState = iota // an index build: keeps other DDL off its table, parks no statement
 	ddlPending                  // waiting for its tables to drain: parks sessions that hold nothing
 	ddlRunning                  // drained: parks every session that asks for its tables
 	ddlDone                     // left the word

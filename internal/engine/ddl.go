@@ -57,22 +57,22 @@ func (db *DB) execCreateTable(st *sqlparser.CreateTableStmt) (*Result, error) {
 	if err := db.cat.AddTable(meta); err != nil {
 		return nil, err
 	}
-	if err := db.openTable(meta); err != nil {
-		return nil, err
-	}
 	// A primary key is enforced through an automatically created
 	// unique index (the storage structure stays HEAP until MODIFY, as
-	// in Ingres).
+	// in Ingres). The table is empty, so there is nothing to build:
+	// openTable creates the empty index file with the heap's.
 	if len(pk) > 0 {
-		_, err := db.execCreateIndex(&sqlparser.CreateIndexStmt{
+		if err := db.cat.AddIndex(&catalog.Index{
 			Name:    "pk_" + strings.ToLower(st.Name),
 			Table:   st.Name,
 			Columns: pk,
 			Unique:  true,
-		})
-		if err != nil {
-			return nil, err
+		}); err != nil {
+			return nil, errors.Join(err, db.cat.DropTable(st.Name))
 		}
+	}
+	if err := db.openTable(meta); err != nil {
+		return nil, err
 	}
 	db.plans.invalidate()
 	return &Result{}, nil
@@ -111,95 +111,6 @@ func (db *DB) execDropTable(st *sqlparser.DropTableStmt) (*Result, error) {
 		}
 	}
 	return &Result{}, errors.Join(errs...)
-}
-
-func (db *DB) execCreateIndex(st *sqlparser.CreateIndexStmt) (*Result, error) {
-	h := db.handle(st.Table)
-	if h == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", st.Table)
-	}
-	ix := &catalog.Index{
-		Name:    st.Name,
-		Table:   st.Table,
-		Columns: st.Columns,
-		Unique:  st.Unique,
-		Virtual: st.Virtual,
-	}
-	if err := db.cat.AddIndex(ix); err != nil {
-		return nil, err
-	}
-	if st.Virtual {
-		// Virtual indexes live only in the catalog: zero build cost,
-		// zero storage — the optimizer may cost them in what-if mode.
-		db.plans.invalidate()
-		return &Result{}, nil
-	}
-	bt, err := db.buildIndexStorage(h, st.Name, st.Columns, st.Unique)
-	if err != nil {
-		// Unified rollback: no failure may leak the on-disk file or the
-		// catalog entry (historically every build-loop error except the
-		// duplicate-key path did both). buildIndexStorage removed the
-		// file; drop the entry and flush plans that might have seen it.
-		if derr := db.cat.DropIndex(st.Name); derr != nil {
-			err = errors.Join(err, derr)
-		}
-		db.plans.invalidate()
-		return nil, err
-	}
-	db.mu.Lock()
-	h.indexes[strings.ToLower(st.Name)] = bt
-	db.mu.Unlock()
-	db.plans.invalidate()
-	return &Result{}, nil
-}
-
-// buildIndexStorage creates the index file and backfills it with a
-// blocking scan of the base table (the caller runs alone on the drained
-// table, via the DDL path). On any error the file — and every pool frame
-// backing it — is removed before returning, so the caller only has the
-// catalog entry left to roll back.
-func (db *DB) buildIndexStorage(h *tableHandle, name string, cols []string, unique bool) (_ *storage.BTree, err error) {
-	xf, err := db.newFile(db.indexPath(name))
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if err != nil {
-			if rerr := xf.Remove(); rerr != nil {
-				err = errors.Join(err, rerr)
-			}
-		}
-	}()
-	bt, err := storage.CreateBTree(xf)
-	if err != nil {
-		return nil, err
-	}
-	// Every heap version gets an entry — scans filter by visibility and
-	// vacuum removes entries with the versions, exactly as on the DML
-	// path. Uniqueness is verified afterwards over live versions only.
-	err = h.heap.Scan(func(tid storage.TID, rec []byte) (bool, error) {
-		if len(rec) < storage.VersionHeaderSize {
-			return false, fmt.Errorf("engine: unversioned record %v in %s", tid, h.meta.Name)
-		}
-		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec), nil)
-		if err != nil {
-			return false, err
-		}
-		key, err := keyFor(h.meta.Schema, row, cols)
-		if err != nil {
-			return false, err
-		}
-		return true, bt.Put(tidSuffix(key, tid), tidBytes(tid))
-	})
-	if err != nil {
-		return nil, err
-	}
-	if unique {
-		if err := db.verifyUniqueLive(h, bt, name); err != nil {
-			return nil, err
-		}
-	}
-	return bt, nil
 }
 
 func (db *DB) execDropIndex(st *sqlparser.DropIndexStmt) (*Result, error) {

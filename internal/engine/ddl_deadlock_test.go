@@ -50,57 +50,59 @@ func awaitWaiting(t *testing.T, db *DB, before int, what string) {
 // running — on other tables and on that one — until it commits and lets
 // the DDL through. A DDL that shut the WAL for everyone while it waited
 // would park the transaction's next write behind itself: a deadlock no
-// wait-for graph sees.
+// wait-for graph sees. CREATE INDEX drains the table only for its final
+// catch-up; MODIFY drains it before it starts.
 func TestDDLWaitsOutOpenTransaction(t *testing.T) {
-	db := testDB(t)
-	setup := db.NewSession()
-	defer setup.Close()
-	mustExec(t, setup, "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER)")
-	mustExec(t, setup, "CREATE TABLE u (id INTEGER PRIMARY KEY, a INTEGER)")
-	mustExec(t, setup, "INSERT INTO t VALUES (1, 10), (2, 20)")
+	for _, ddlSQL := range []string{"CREATE INDEX t_a ON t (a)", "MODIFY t TO BTREE"} {
+		db := testDB(t)
+		setup := db.NewSession()
+		mustExec(t, setup, "CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER)")
+		mustExec(t, setup, "CREATE TABLE u (id INTEGER PRIMARY KEY, a INTEGER)")
+		mustExec(t, setup, "INSERT INTO t VALUES (1, 10), (2, 20)")
 
-	tx, ddl := db.NewSession(), db.NewSession()
-	defer tx.Close()
-	defer ddl.Close()
-	if err := tx.Begin(); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, tx, "INSERT INTO t VALUES (3, 30)")
+		tx, ddl := db.NewSession(), db.NewSession()
+		if err := tx.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, tx, "INSERT INTO t VALUES (3, 30)")
 
-	waiting := db.LockStats().Waiting
-	ddlDone := async(ddl, "CREATE INDEX t_a ON t (a)")
-	awaitWaiting(t, db, waiting, "CREATE INDEX behind the open transaction")
-	// A session that holds nothing queues behind the waiting DDL, so new
-	// readers cannot starve it.
-	reader := db.NewSession()
-	defer reader.Close()
-	waiting = db.LockStats().Waiting
-	readerDone := async(reader, "SELECT COUNT(*) FROM t")
-	awaitWaiting(t, db, waiting, "a new reader of the DDL's table")
+		waiting := db.LockStats().Waiting
+		ddlDone := async(ddl, ddlSQL)
+		awaitWaiting(t, db, waiting, ddlSQL+" behind the open transaction")
+		// A session that holds nothing queues behind the waiting DDL, so new
+		// readers cannot starve it.
+		reader := db.NewSession()
+		waiting = db.LockStats().Waiting
+		readerDone := async(reader, "SELECT COUNT(*) FROM t")
+		awaitWaiting(t, db, waiting, "a new reader of the DDL's table")
 
-	if err := await(t, async(tx, "INSERT INTO u VALUES (1, 1)"), "the transaction's INSERT on another table"); err != nil {
-		t.Fatal(err)
-	}
-	if err := await(t, async(tx, "INSERT INTO t VALUES (4, 40)"), "the transaction's INSERT on the DDL's table"); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-ddlDone:
-		t.Fatalf("CREATE INDEX finished (%v) while a transaction that wrote the table was open", err)
-	default:
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := await(t, ddlDone, "CREATE INDEX after the commit"); err != nil {
-		t.Fatal(err)
-	}
-	if err := await(t, readerDone, "the reader after the DDL"); err != nil {
-		t.Fatal(err)
-	}
-	res := mustExec(t, setup, "SELECT id FROM t WHERE a >= 30 ORDER BY id")
-	if len(res.Rows) != 2 || res.Rows[0][0].I != 3 || res.Rows[1][0].I != 4 {
-		t.Errorf("rows through the new index: %v, want ids 3 and 4", res.Rows)
+		if err := await(t, async(tx, "INSERT INTO u VALUES (1, 1)"), "the transaction's INSERT on another table"); err != nil {
+			t.Fatal(err)
+		}
+		if err := await(t, async(tx, "INSERT INTO t VALUES (4, 40)"), "the transaction's INSERT on the DDL's table"); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case err := <-ddlDone:
+			t.Fatalf("%s finished (%v) while a transaction that wrote the table was open", ddlSQL, err)
+		default:
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := await(t, ddlDone, ddlSQL+" after the commit"); err != nil {
+			t.Fatal(err)
+		}
+		if err := await(t, readerDone, "the reader after the DDL"); err != nil {
+			t.Fatal(err)
+		}
+		res := mustExec(t, setup, "SELECT id FROM t WHERE a >= 30 ORDER BY id")
+		if len(res.Rows) != 2 || res.Rows[0][0].I != 3 || res.Rows[1][0].I != 4 {
+			t.Errorf("rows after %s: %v, want ids 3 and 4", ddlSQL, res.Rows)
+		}
+		for _, s := range []*Session{setup, tx, ddl, reader} {
+			s.Close()
+		}
 	}
 }
 

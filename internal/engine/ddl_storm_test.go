@@ -30,8 +30,8 @@ func stormAllowed(err error) bool {
 
 // TestDDLStatementStorm races every kind of DDL against cached point and
 // range readers, autocommit writers (one of them updating through the
-// index s_a) and multi-statement transactions across two tables: on s an index is dropped and rebuilt (plainly and
-// ONLINE), the table is rebuilt by MODIFY and its statistics refreshed;
+// index s_a) and multi-statement transactions across two tables: on s an index is dropped and rebuilt,
+// the table is rebuilt by MODIFY and its statistics refreshed;
 // x is dropped and recreated. Every error must be one stormAllowed
 // admits, every row a reader gets must match its predicate, every
 // session must finish by a deadline, and the row counters must equal a
@@ -104,7 +104,7 @@ func TestDDLStatementStorm(t *testing.T) {
 	}
 
 	worker("ddl on s", 1, func(s *Session, rng *rand.Rand, i int) error {
-		ddl := []string{"DROP INDEX IF EXISTS s_a", "CREATE INDEX s_a ON s (a)", "CREATE INDEX s_a ON s (a) ONLINE",
+		ddl := []string{"DROP INDEX IF EXISTS s_a", "CREATE INDEX s_a ON s (a)", "CREATE INDEX s_a ON s (a)",
 			"MODIFY s TO BTREE ON id", "MODIFY s TO HEAP", "CREATE STATISTICS FOR s (a)"}[rng.Intn(6)]
 		if strings.HasPrefix(ddl, "CREATE INDEX") {
 			if _, err := exec(s, "DROP INDEX IF EXISTS s_a"); err != nil {

@@ -90,7 +90,7 @@ type tableHandle struct {
 	heap    *storage.Heap
 	primary *storage.BTree            // non-nil iff Structure == BTREE
 	indexes map[string]*storage.BTree // real secondary indexes by lower name
-	// sideLog, when non-nil, is the capture log of an online index
+	// sideLog, when non-nil, is the capture log of an index
 	// build in progress on this table: insertRow/deleteRow append the
 	// index mutations the half-built index cannot receive yet.
 	sideLog atomic.Pointer[indexSideLog]
@@ -174,7 +174,7 @@ func Open(cfg Config) (*DB, error) {
 		virtual: map[string]*virtualTable{},
 		plans:   newStmtCache(cfg.StmtCacheSize),
 	}
-	// A Building index entry is a crashed online build: drop it (and
+	// A Building index entry is a crashed index build: drop it (and
 	// its file), then sweep data files the catalog no longer references
 	// — the DROP TABLE crash window leaves exactly those behind.
 	if err := db.cleanOrphans(); err != nil {
@@ -200,7 +200,7 @@ func Open(cfg Config) (*DB, error) {
 
 // cleanOrphans runs once at Open, after WAL recovery and before any
 // table file is opened. It drops catalog index entries still marked
-// Building (a crashed online build) together with their files, then
+// Building (a crashed index build) together with their files, then
 // removes every t_/p_/i_ data file in the directory that the catalog
 // does not reference — the residue of a crash between DROP TABLE's
 // catalog save and its file removal.

@@ -12,12 +12,13 @@ import (
 	"repro/internal/storage"
 )
 
-// onlineBuildChunk is how many live rows one backfill batch visits
-// before the side-log is drained, so the final catch-up replays only the
-// tail of concurrent DML.
-const onlineBuildChunk = 512
+// backfillBatch is how many live rows (whole pages, so a few more) one
+// backfill batch visits before writers get in and the side-log is
+// replayed, so the final catch-up replays only the tail of concurrent
+// DML.
+const backfillBatch = 512
 
-// sideLogEntry is one index mutation captured while an online build
+// sideLogEntry is one index mutation captured while an index build
 // scans the heap: the already tid-suffixed key and its TID payload.
 // Entries are appended under the table's statement write gate, so log
 // order equals DML order.
@@ -27,10 +28,10 @@ type sideLogEntry struct {
 	val []byte
 }
 
-// indexSideLog accumulates the index maintenance an in-progress online
+// indexSideLog accumulates the index maintenance an in-progress index
 // build owes for DML that ran while it scanned. insertVersion and
-// dropVersionIndexEntries append through the handle's atomic pointer; the builder drains
-// between backfill chunks and a final time with the table drained. If
+// dropVersionIndexEntries append through the handle's atomic pointer; the builder replays
+// it between backfill batches and a final time with the table drained. If
 // computing a key fails the error is parked for the builder — the DML
 // statement itself never fails because of a background build.
 type indexSideLog struct {
@@ -55,21 +56,19 @@ func (sl *indexSideLog) fail(err error) {
 	sl.mu.Unlock()
 }
 
-// drain removes and returns the accumulated entries (and any parked
-// error) so the builder can replay them without holding the log lock.
-func (sl *indexSideLog) drain() ([]sideLogEntry, error) {
+// replaySideLog drains the accumulated entries (and any parked error)
+// and applies them to the index in log order, without holding the log
+// lock while it writes. Put overwrites and Delete tolerates missing keys,
+// so an entry that races the backfill scan (both observed the same row)
+// is idempotent.
+func replaySideLog(sl *indexSideLog, bt *storage.BTree) error {
 	sl.mu.Lock()
-	entries := sl.entries
+	entries, err := sl.entries, sl.err
 	sl.entries = nil
-	err := sl.err
 	sl.mu.Unlock()
-	return entries, err
-}
-
-// replay applies drained entries to the index in log order. Put
-// overwrites and Delete tolerates missing keys, so an entry that races
-// the backfill scan (both observed the same row) is idempotent.
-func replaySideLog(bt *storage.BTree, entries []sideLogEntry) error {
+	if err != nil {
+		return err
+	}
 	for _, e := range entries {
 		if e.del {
 			if _, err := bt.Delete(e.key); err != nil {
@@ -83,7 +82,7 @@ func replaySideLog(bt *storage.BTree, entries []sideLogEntry) error {
 }
 
 // logToSideLog is the insertVersion/dropVersionIndexEntries hook: if
-// an online build is in progress on this table, record the index
+// an index build is in progress on this table, record the index
 // mutation it cannot see. The caller holds the table's statement write
 // gate (or runs alone on the table, as DDL).
 func logToSideLog(h *tableHandle, del bool, tid storage.TID, row sqltypes.Row) {
@@ -99,22 +98,38 @@ func logToSideLog(h *tableHandle, del bool, tid storage.TID, row sqltypes.Row) {
 	sl.add(del, tidSuffix(key, tid), tidBytes(tid))
 }
 
-// execCreateIndexOnline builds a secondary index without stalling the
-// workload. The build enters the DDL word for its whole duration in the
-// building state, which keeps other DDL off the table but parks no
-// statement. The catalog entry is registered with Building set (name
-// reserved, index invisible to the optimizer and to DML maintenance), a
-// side-log is installed under the table's statement write gate, the heap
-// is backfilled in chunks while writers run (their index mutations land
-// in the side-log), and the final catch-up + publish happens once the
-// table has drained, behind the WAL's exclusive gate like other DDL.
-// Uniqueness is verified in one pass over the finished index — checking
-// per-row during the build would raise false duplicates for rows whose
-// delete is still queued in the side-log. The index file is fsynced
-// before the catalog clears Building, so a crash at any point leaves
-// either a Building entry (dropped, with its file, at the next open) or
-// a fully durable published index.
-func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, err error) {
+// execCreateIndex builds a secondary index without stalling the
+// workload; a virtual index only enters the catalog. The build enters
+// the DDL word for its whole duration in the building state, which
+// keeps other DDL off the table but parks no statement. The catalog
+// entry is registered with Building set (name reserved, index invisible
+// to the optimizer and to DML maintenance), a side-log is installed
+// under the table's statement write gate, the heap is backfilled a batch
+// at a time while writers run (their index mutations land in the
+// side-log), and the final catch-up + publish happens once the table has
+// drained, behind the WAL's exclusive gate like other DDL. Uniqueness is
+// verified in one pass over the finished index — checking per-row
+// during the build would raise false duplicates for rows whose delete is
+// still queued in the side-log. The index file is fsynced before the
+// catalog clears Building, so a crash at any point leaves either a
+// Building entry (dropped, with its file, at the next open) or a fully
+// durable published index.
+func (db *DB) execCreateIndex(st *sqlparser.CreateIndexStmt) (_ *Result, err error) {
+	if st.Virtual {
+		// Virtual indexes live only in the catalog: zero build cost,
+		// zero storage — the optimizer may cost them in what-if mode.
+		// The statement runs as drain-first DDL.
+		if db.handle(st.Table) == nil {
+			return nil, fmt.Errorf("engine: unknown table %q", st.Table)
+		}
+		if err := db.cat.AddIndex(&catalog.Index{
+			Name: st.Name, Table: st.Table, Columns: st.Columns, Unique: st.Unique, Virtual: true,
+		}); err != nil {
+			return nil, err
+		}
+		db.plans.invalidate()
+		return &Result{}, nil
+	}
 	tkey := strings.ToLower(st.Table)
 	e := db.beginDDL([]string{tkey}, ddlBuilding)
 	var walRelease func()
@@ -147,9 +162,8 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 		if published {
 			return
 		}
-		// Unified rollback, mirroring the offline path: stop side
-		// logging, remove the half-built file and drop the reserved
-		// catalog entry.
+		// Unified rollback: no failure may leak the side-log, the
+		// half-built file or the reserved catalog entry.
 		h.sideLog.Store(nil)
 		if xf != nil {
 			if rerr := xf.Remove(); rerr != nil {
@@ -182,37 +196,25 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 	h.sideLog.Store(sl)
 	db.locks.ReleaseAll(gateID)
 
-	// Backfill in chunks. A (page, slot) scan position is stable between
-	// chunks: deletes never compact slots and inserts only append.
-	var (
-		page uint32
-		slot int
-		done bool
-	)
-	for !done {
-		page, slot, done, err = h.heap.ScanChunk(page, slot, onlineBuildChunk, func(tid storage.TID, rec []byte) error {
-			if len(rec) < storage.VersionHeaderSize {
-				return fmt.Errorf("engine: unversioned record %v in %s", tid, h.meta.Name)
-			}
-			row, derr := sqltypes.DecodeRow(storage.VersionPayload(rec), nil)
-			if derr != nil {
-				return derr
-			}
-			key, kerr := keyFor(h.meta.Schema, row, st.Columns)
-			if kerr != nil {
-				return kerr
-			}
-			return bt.Put(tidSuffix(key, tid), tidBytes(tid))
-		})
+	// Backfill a batch at a time, letting writers in between batches.
+	// The scan resumes at the page after the last one it read, so it
+	// visits every record that existed when it started and was not
+	// deleted since. A record written behind it (in a slot vacuum freed)
+	// is in the side-log, and one written ahead of it may be in both:
+	// replaySideLog is idempotent.
+	it := h.heap.ScanBatch(nil)
+	var rb storage.RecBatch
+	for more := true; more; {
+		more, err = it.NextBatchMax(&rb, backfillBatch)
+		for i := 0; err == nil && i < len(rb.Recs); i++ {
+			err = backfillRecord(h, bt, st.Columns, rb.TIDs[i], rb.Recs[i])
+		}
+		it.Close()
+		if err == nil {
+			err = replaySideLog(sl, bt)
+		}
 		if err != nil {
 			return nil, err
-		}
-		entries, serr := sl.drain()
-		if serr == nil {
-			serr = replaySideLog(bt, entries)
-		}
-		if serr != nil {
-			return nil, serr
 		}
 	}
 
@@ -221,13 +223,10 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 	// and the publish is atomic.
 	e = db.runDDL(e)
 	walRelease = db.wal.BeginExclusive()
-	entries, serr := sl.drain()
-	if serr == nil {
-		serr = replaySideLog(bt, entries)
-	}
+	err = replaySideLog(sl, bt)
 	h.sideLog.Store(nil)
-	if serr != nil {
-		return nil, serr
+	if err != nil {
+		return nil, err
 	}
 	if st.Unique {
 		if err = db.verifyUniqueLive(h, bt, st.Name); err != nil {
@@ -253,7 +252,25 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 		// surface the checkpoint failure without rolling it back.
 		return nil, err
 	}
-	return &Result{RowsAffected: h.heap.Rows()}, nil
+	return &Result{}, nil
+}
+
+// backfillRecord enters one heap version into the index being built.
+// Every version gets an entry — scans filter by visibility and vacuum
+// removes entries with the versions, exactly as on the DML path.
+func backfillRecord(h *tableHandle, bt *storage.BTree, cols []string, tid storage.TID, rec []byte) error {
+	if len(rec) < storage.VersionHeaderSize {
+		return fmt.Errorf("engine: unversioned record %v in %s", tid, h.meta.Name)
+	}
+	row, err := sqltypes.DecodeRow(storage.VersionPayload(rec), nil)
+	if err != nil {
+		return err
+	}
+	key, err := keyFor(h.meta.Schema, row, cols)
+	if err != nil {
+		return err
+	}
+	return bt.Put(tidSuffix(key, tid), tidBytes(tid))
 }
 
 // verifyUniqueLive walks a freshly built index once and checks the
@@ -265,8 +282,6 @@ func (db *DB) execCreateIndexOnline(st *sqlparser.CreateIndexStmt) (_ *Result, e
 // duplicate. A potential duplicate that hinges on a pending
 // transaction cannot be resolved without waiting for it — the build
 // fails with a retryable error instead of blocking under the DDL gate.
-// Offline builds run once the table has drained — every transaction
-// that wrote it has ended — so they never see pending versions.
 func (db *DB) verifyUniqueLive(h *tableHandle, bt *storage.BTree, name string) error {
 	var (
 		prev          []byte

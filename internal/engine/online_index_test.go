@@ -23,7 +23,7 @@ func expectedIndexEntries(t *testing.T, db *DB, table string, cols []string) map
 	t.Helper()
 	h := db.handle(table)
 	want := map[string]string{}
-	err := h.heap.Scan(func(tid storage.TID, rec []byte) (bool, error) {
+	_, err := scanRecords(h, nil, func(tid storage.TID, rec []byte) (bool, error) {
 		row, err := sqltypes.DecodeRow(storage.VersionPayload(rec), nil)
 		if err != nil {
 			return false, err
@@ -63,7 +63,7 @@ func actualIndexEntries(t *testing.T, db *DB, table, index string) map[string]st
 }
 
 // TestOnlineCreateIndexConcurrentDMLEquivalence is the core online-build
-// correctness test: CREATE INDEX ... ONLINE runs while writer goroutines
+// correctness test: CREATE INDEX runs while writer goroutines
 // insert and delete rows the whole time. Once the build returns and the
 // writers stop, the index must contain exactly one entry per live heap
 // row — the side-log replay may not lose, duplicate or resurrect
@@ -112,7 +112,7 @@ func TestOnlineCreateIndexConcurrentDMLEquivalence(t *testing.T) {
 	}
 
 	bs := db.NewSession()
-	_, err := bs.Exec("CREATE INDEX ob_a ON ob (a) ONLINE")
+	_, err := bs.Exec("CREATE INDEX ob_a ON ob (a)")
 	bs.Close()
 	stop.Store(true)
 	wg.Wait()
@@ -151,7 +151,7 @@ func TestOnlineCreateIndexConcurrentDMLEquivalence(t *testing.T) {
 	}
 }
 
-// TestOnlineCreateIndexUniqueDuplicateRollsBack: a unique online build
+// TestOnlineCreateIndexUniqueDuplicateRollsBack: a unique index build
 // over data with duplicates must fail at the final verification and
 // leave nothing behind — no catalog entry, no index file, no side-log.
 func TestOnlineCreateIndexUniqueDuplicateRollsBack(t *testing.T) {
@@ -166,8 +166,8 @@ func TestOnlineCreateIndexUniqueDuplicateRollsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Exec("CREATE UNIQUE INDEX du_a ON du (a) ONLINE"); err == nil {
-		t.Fatal("unique online build over duplicates succeeded")
+	if _, err := s.Exec("CREATE UNIQUE INDEX du_a ON du (a)"); err == nil {
+		t.Fatal("unique index build over duplicates succeeded")
 	} else if !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("unexpected error: %v", err)
 	}
@@ -184,8 +184,8 @@ func TestOnlineCreateIndexUniqueDuplicateRollsBack(t *testing.T) {
 }
 
 // TestCreateIndexErrorPathCleanup is the regression test for the
-// headline bug: an error in the middle of the offline build loop (here
-// an undecodable heap record) must remove the half-built index file AND
+// headline bug: an error in the middle of the build loop (here an
+// undecodable heap record) must remove the half-built index file AND
 // the catalog entry — the seed leaked both on every error except
 // duplicate-key.
 func TestCreateIndexErrorPathCleanup(t *testing.T) {
@@ -207,33 +207,29 @@ func TestCreateIndexErrorPathCleanup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range []string{
-		"CREATE INDEX fz_a ON fz (a)",
-		"CREATE INDEX fz_a ON fz (a) ONLINE",
-	} {
-		if _, err := s.Exec(sql); err == nil {
-			t.Fatalf("%s over a corrupt record succeeded", sql)
-		}
-		if db.cat.Index("fz_a") != nil {
-			t.Fatalf("%s: dangling catalog entry after failure", sql)
-		}
-		if _, err := os.Stat(db.indexPath("fz_a")); !os.IsNotExist(err) {
-			t.Fatalf("%s: leaked index file after failure (stat err %v)", sql, err)
-		}
+	sql := "CREATE INDEX fz_a ON fz (a)"
+	if _, err := s.Exec(sql); err == nil {
+		t.Fatalf("%s over a corrupt record succeeded", sql)
+	}
+	if db.cat.Index("fz_a") != nil {
+		t.Fatalf("%s: dangling catalog entry after failure", sql)
+	}
+	if _, err := os.Stat(db.indexPath("fz_a")); !os.IsNotExist(err) {
+		t.Fatalf("%s: leaked index file after failure (stat err %v)", sql, err)
 	}
 	// With the fault removed the same name must be reusable — nothing
-	// was reserved by the failed attempts.
+	// was reserved by the failed attempt.
 	if err := h.heap.Delete(badTID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Exec("CREATE INDEX fz_a ON fz (a)"); err != nil {
+	if _, err := s.Exec(sql); err != nil {
 		t.Fatalf("rebuild after cleanup failed: %v", err)
 	}
 	s.Close()
 }
 
 // TestOpenDropsBuildingIndex: a Building catalog entry (crash mid
-// online build) is dropped, with its file, at the next open.
+// index build) is dropped, with its file, at the next open.
 func TestOpenDropsBuildingIndex(t *testing.T) {
 	dir := t.TempDir()
 	db := openDir(t, dir, 64)

@@ -34,7 +34,7 @@ const (
 	classOther     stmtClass = iota // SELECT, EXPLAIN, CREATE STATISTICS, SET
 	classDML                        // INSERT, UPDATE, DELETE
 	classDDL                        // drains its table, then runs alone behind the WAL's exclusive gate
-	classOnlineDDL                  // CREATE INDEX ... ONLINE: enters the DDL word itself
+	classOnlineDDL                  // CREATE INDEX (not VIRTUAL): enters the DDL word itself
 )
 
 // planEntry is the optimizer's and the executor compiler's output for
@@ -133,13 +133,13 @@ func (db *DB) newPrepared(sc *sqlparser.Scanner, parsed *sqlparser.ParseResult) 
 		p.class = classDML
 		cacheable = len(lits) <= maxCachedDMLLiterals
 	case *sqlparser.CreateIndexStmt:
-		// CREATE INDEX ... ONLINE must not drain its table upfront — the
-		// whole point is that DML proceeds during the build; the builder
-		// enters the DDL word itself and drains only for the final
-		// catch-up.
-		p.class = classDDL
-		if st.Online {
-			p.class = classOnlineDDL
+		// An index build must not drain its table upfront — DML
+		// proceeds during the build; the builder enters the DDL word
+		// itself and drains only for the final catch-up. A virtual index
+		// only touches the catalog, as drain-first DDL.
+		p.class = classOnlineDDL
+		if st.Virtual {
+			p.class = classDDL
 		}
 	case *sqlparser.DropIndexStmt:
 		// The statement names only the index; the table it drains is the

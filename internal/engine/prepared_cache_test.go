@@ -64,7 +64,7 @@ func TestStatementCacheInvalidation(t *testing.T) {
 		"CREATE STATISTICS FOR people",
 		"DROP INDEX people_age",
 		"MODIFY people TO BTREE ON id",
-		"CREATE INDEX people_age2 ON people (age) ONLINE",
+		"CREATE INDEX people_age2 ON people (age)",
 	} {
 		before := mustExec(t, s, q).Plan
 		if mustExec(t, s, q).Plan != before || db.plans.len() == 0 {

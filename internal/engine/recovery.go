@@ -212,10 +212,7 @@ func (db *DB) recountAfterRecovery() error {
 	db.mu.RUnlock()
 	for _, h := range handles {
 		var rows int64
-		err := h.heap.Scan(func(_ storage.TID, rec []byte) (bool, error) {
-			if len(rec) < storage.VersionHeaderSize {
-				return false, fmt.Errorf("engine: recovery: unversioned record in %s", h.meta.Name)
-			}
+		_, err := scanRecords(h, nil, func(_ storage.TID, rec []byte) (bool, error) {
 			if sn.visible(storage.ReadVersionHeader(rec)) {
 				rows++
 			}

@@ -383,11 +383,11 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	var walRelease func()
 	if isDDL {
 		// DDL implicitly commits the open transaction, so the session
-		// holds nothing while it waits. Offline DDL then drains its
+		// holds nothing while it waits. Other DDL then drains its
 		// tables and runs alone behind the WAL's exclusive gate, taken
 		// only once they are drained: no logged statement spans a file
 		// rebuild, so recovery can never replay a stale pre-rebuild image
-		// onto the new file. An online build enters the DDL word itself.
+		// onto the new file. An index build enters the DDL word itself.
 		if err := s.endTxn(true); err != nil {
 			s.inTxn = false
 			h.Finish(0, 0, 0, err)
@@ -435,11 +435,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	case *sqlparser.DropTableStmt:
 		res, err = db.execDropTable(st)
 	case *sqlparser.CreateIndexStmt:
-		if st.Online {
-			res, err = db.execCreateIndexOnline(st)
-		} else {
-			res, err = db.execCreateIndex(st)
-		}
+		res, err = db.execCreateIndex(st)
 	case *sqlparser.DropIndexStmt:
 		res, err = db.execDropIndex(st)
 	case *sqlparser.ModifyStmt:

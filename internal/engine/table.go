@@ -546,19 +546,18 @@ func (s executorStorage) PrimaryRange(table string, lo, hi []byte, cols []int) (
 	return &btreeFetchIter{it: h.primary.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, cols: cols, clk: s.clk}}, nil
 }
 
-// scanVisible calls fn with the TID and decoded row of every version of
-// the table visible to sn, in ascending TID order, and returns how many
-// versions it read; fn returning false ends the scan. The row is valid
-// only during the call: a caller that keeps it clones it. fn runs under
-// the heap's read latch and must not write the heap. The scan, fn
-// included, is charged to clk's Heap.
-func scanVisible(h *tableHandle, sn *snapshot, clk *stage.Clock, fn func(storage.TID, sqltypes.Row) (bool, error)) (int64, error) {
+// scanRecords calls fn with the TID and record of every version in the
+// table's heap, visible or not, in ascending TID order, and returns how
+// many it read; fn returning false ends the scan. The record aliases a
+// pinned page and is valid only during the call. fn runs under the
+// heap's read latch and must not write the heap. The scan, fn included,
+// is charged to clk's Heap.
+func scanRecords(h *tableHandle, clk *stage.Clock, fn func(storage.TID, []byte) (bool, error)) (int64, error) {
 	defer clk.Switch(clk.Switch(stage.Heap))
 	it := h.heap.ScanBatch(clk)
 	defer it.Close()
 	var (
 		rb   storage.RecBatch
-		row  []sqltypes.Value
 		read int64
 	)
 	for {
@@ -571,17 +570,28 @@ func scanVisible(h *tableHandle, sn *snapshot, clk *stage.Clock, fn func(storage
 			if len(rec) < storage.VersionHeaderSize {
 				return read, fmt.Errorf("engine: unversioned record %v in %s", rb.TIDs[i], h.meta.Name)
 			}
-			if !sn.visible(storage.ReadVersionHeader(rec)) {
-				continue
-			}
-			if row, err = sqltypes.AppendDecodedRow(row[:0], storage.VersionPayload(rec), nil); err != nil {
-				return read, err
-			}
-			if more, err := fn(rb.TIDs[i], row); err != nil || !more {
+			if more, err := fn(rb.TIDs[i], rec); err != nil || !more {
 				return read, err
 			}
 		}
 	}
+}
+
+// scanVisible is scanRecords over the versions visible to sn, each
+// decoded into a row valid only during the call: a caller that keeps it
+// clones it.
+func scanVisible(h *tableHandle, sn *snapshot, clk *stage.Clock, fn func(storage.TID, sqltypes.Row) (bool, error)) (int64, error) {
+	var row []sqltypes.Value
+	return scanRecords(h, clk, func(tid storage.TID, rec []byte) (bool, error) {
+		if !sn.visible(storage.ReadVersionHeader(rec)) {
+			return true, nil
+		}
+		var err error
+		if row, err = sqltypes.AppendDecodedRow(row[:0], storage.VersionPayload(rec), nil); err != nil {
+			return false, err
+		}
+		return fn(tid, row)
+	})
 }
 
 // rebuildTable rewrites the heap compactly (ordered by key for BTREE)
@@ -648,11 +658,15 @@ func (db *DB) rebuildTable(h *tableHandle, structure catalog.Structure, keyCols 
 		}
 	}
 
-	h.meta.Structure = structure
-	if structure == catalog.BTree {
-		h.meta.StorageKey = keyCols
-	} else {
-		h.meta.StorageKey = nil
+	// Under the catalog lock: another table's DDL or a checkpoint may be
+	// saving the catalog, this entry included. The Save below persists it.
+	if err := db.cat.UpdateTable(h.meta.Name, func(t *catalog.Table) {
+		t.Structure, t.StorageKey = structure, nil
+		if structure == catalog.BTree {
+			t.StorageKey = keyCols
+		}
+	}); err != nil {
+		return err
 	}
 	// Rebuilt rows are frozen: the rebuild keeps only committed-visible
 	// versions, so their history is irrelevant and the compacted heap

@@ -157,10 +157,7 @@ func (db *DB) vacuumTable(sl *slot, h *tableHandle, horizon uint64, aborted map[
 		reclaims int64
 		cleared  int64
 	)
-	err = h.heap.Scan(func(tid storage.TID, rec []byte) (bool, error) {
-		if len(rec) < storage.VersionHeaderSize {
-			return true, nil
-		}
+	_, err = scanRecords(h, nil, func(tid storage.TID, rec []byte) (bool, error) {
 		vh := storage.ReadVersionHeader(rec)
 		if aborted[vh.Xmin] {
 			// Creator aborted: dead regardless of Xmax.

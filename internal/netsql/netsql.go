@@ -175,20 +175,27 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 func (s *Server) execute(sess *engine.Session, sql string) Response {
+	var (
+		res *engine.Result
+		err error
+	)
 	switch sql {
 	case "BEGIN", "begin":
-		sess.Begin()
-		return Response{}
+		err = sess.Begin()
 	case "COMMIT", "commit":
-		sess.Commit()
-		return Response{}
+		// A failed durability wait aborts the transaction: the client
+		// must hear that its commit did not happen.
+		err = sess.Commit()
 	case "ROLLBACK", "rollback":
 		sess.Rollback()
-		return Response{}
+	default:
+		res, err = sess.Exec(sql)
 	}
-	res, err := sess.Exec(sql)
 	if err != nil {
 		return Response{Error: err.Error()}
+	}
+	if res == nil {
+		return Response{}
 	}
 	out := Response{Columns: res.Columns, RowsAffected: res.RowsAffected}
 	out.Rows = make([][]sqltypes.Value, len(res.Rows))

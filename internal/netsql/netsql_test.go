@@ -2,6 +2,7 @@ package netsql
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,12 +11,20 @@ import (
 	"repro/internal/engine"
 	"repro/internal/ima"
 	"repro/internal/monitor"
+	"repro/internal/storage/walfault"
 )
 
 func startServer(t *testing.T) (string, *engine.DB) {
 	t.Helper()
+	return startServerOn(t, engine.Config{Dir: t.TempDir(), PoolPages: 256})
+}
+
+// startServerOn serves a database opened with cfg plus a monitor.
+func startServerOn(t *testing.T, cfg engine.Config) (string, *engine.DB) {
+	t.Helper()
 	mon := monitor.New(monitor.Config{})
-	db, err := engine.Open(engine.Config{Dir: t.TempDir(), PoolPages: 256, Monitor: mon})
+	cfg.Monitor = mon
+	db, err := engine.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,6 +139,9 @@ func TestRemoteTransactions(t *testing.T) {
 	if _, err := c1.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := c1.Exec("BEGIN"); err == nil {
+		t.Fatal("a second BEGIN inside the open transaction succeeded")
+	}
 	// Readers and inserts take no lock; an update holds its row lock
 	// until COMMIT.
 	if _, err := c1.Exec("UPDATE tx SET n = 1 WHERE id = 1"); err != nil {
@@ -143,6 +155,40 @@ func TestRemoteTransactions(t *testing.T) {
 	}
 	if db.LockStats().Held != 0 {
 		t.Error("locks leaked after remote COMMIT")
+	}
+}
+
+// TestRemoteCommitSurfacesFsyncFailure: a COMMIT whose durability wait
+// fails aborts the transaction, and the remote client is told so.
+func TestRemoteCommitSurfacesFsyncFailure(t *testing.T) {
+	var wf *walfault.File
+	addr, db := startServerOn(t, engine.Config{
+		Dir:       t.TempDir(),
+		PoolPages: 256,
+		WALOpen:   walfault.Opener(func(f *walfault.File) { wf = f }),
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, sql := range []string{"CREATE TABLE fs (id INTEGER PRIMARY KEY)", "BEGIN", "INSERT INTO fs VALUES (1)"} {
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	wf.FailSync(errors.New("injected: log device gone"))
+	if _, err := c.Exec("COMMIT"); err == nil {
+		t.Fatal("remote COMMIT acked although the WAL fsync failed")
+	}
+	s := db.NewSession()
+	defer s.Close()
+	res, err := s.Exec("SELECT COUNT(*) FROM fs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Rows[0][0].I; n != 0 {
+		t.Fatalf("the failed COMMIT's row is visible: COUNT(*) = %d", n)
 	}
 }
 

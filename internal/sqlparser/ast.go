@@ -164,10 +164,6 @@ type CreateIndexStmt struct {
 	Columns []string
 	Unique  bool
 	Virtual bool
-	// Online requests a concurrent build: the heap is backfilled in
-	// batches while DML proceeds, with a side-log replayed before the
-	// final catch-up once the table has drained.
-	Online bool
 }
 
 // DropIndexStmt drops a secondary index.

@@ -47,7 +47,7 @@ var keywordList = []string{
 	"FLOAT", "REAL", "DOUBLE",
 	"VARCHAR", "CHAR", "TEXT",
 	"COUNT", "SUM", "AVG", "MIN", "MAX",
-	"IF", "EXISTS", "ONLINE",
+	"IF", "EXISTS",
 }
 
 // keywords maps the upper-cased spelling to an interned canonical

@@ -898,12 +898,6 @@ func (p *parser) parseCreateIndex(unique, virtual bool) (Statement, error) {
 	if err := p.expectSymbol(")"); err != nil {
 		return nil, err
 	}
-	if p.acceptKeyword("ONLINE") {
-		if st.Virtual {
-			return nil, p.errorf("ONLINE does not apply to virtual indexes")
-		}
-		st.Online = true
-	}
 	return st, nil
 }
 

@@ -294,9 +294,7 @@ func TestPoolStatsAndEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := h.Scan(func(TID, []byte) (bool, error) { return true, nil }); err != nil {
-		t.Fatal(err)
-	}
+	scanAll(t, h)
 	st := pool.Stats()
 	if st.Evictions == 0 {
 		t.Error("expected evictions with a small pool")

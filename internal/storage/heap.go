@@ -75,8 +75,8 @@ const MaxRecordSize = PageDataSize - heapHeaderSize - slotSize - 64
 // Pages allocated before FinishLoad (or up to MainPages at creation)
 // are "main" pages; growth beyond that is counted as overflow pages,
 // which is exactly the signal the analyzer's restructuring rule uses.
-// Heap access is latched with a per-heap RWMutex: readers (Get, Iter,
-// Scan, batch fills) hold the read side per operation — the batch
+// Heap access is latched with a per-heap RWMutex: readers (Get, batch
+// fills) hold the read side per operation — the batch
 // iterator for the life of a batch, since its records alias pinned
 // frames — and mutators (Insert, Delete, SetXmax, vacuum's FreeSlot)
 // hold the write side. Under MVCC, readers run concurrently with one
@@ -331,78 +331,6 @@ func (h *Heap) Delete(tid TID) error {
 	setSlotEntry(p.Data, int(tid.Slot()), deadSlot, length)
 	p.MarkDirty()
 	return nil
-}
-
-// Scan calls fn for every live record in physical order. Returning
-// false from fn stops the scan early.
-func (h *Heap) Scan(fn func(tid TID, rec []byte) (bool, error)) error {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	pages := h.file.Pages()
-	for pg := uint32(0); pg < pages; pg++ {
-		p, err := h.file.GetPage(pg)
-		if err != nil {
-			return err
-		}
-		n := pageSlotCount(p.Data)
-		for s := 0; s < n; s++ {
-			off, length := slotEntry(p.Data, s)
-			if off == deadSlot {
-				continue
-			}
-			cont, err := fn(NewTID(pg, uint16(s)), p.Data[off:off+length])
-			if err != nil || !cont {
-				p.Release()
-				return err
-			}
-		}
-		p.Release()
-	}
-	return nil
-}
-
-// ScanChunk resumes a physical-order scan at (page, slot), calls fn
-// for up to maxRows live records, and returns the position at which
-// the next chunk should resume. done is true once the scan passed the
-// last page that existed when this chunk ran. A (page, slot) position
-// is stable across interleaved DML: deletes mark slots dead but never
-// compact them, and inserts only land at or past the current last
-// page — so an online index build can let writers in between chunks
-// without missing or double-visiting a record that existed at
-// build start.
-func (h *Heap) ScanChunk(page uint32, slot int, maxRows int, fn func(tid TID, rec []byte) error) (nextPage uint32, nextSlot int, done bool, err error) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	pages := h.file.Pages()
-	visited := 0
-	for pg := page; pg < pages; pg++ {
-		p, err := h.file.GetPage(pg)
-		if err != nil {
-			return pg, slot, false, err
-		}
-		n := pageSlotCount(p.Data)
-		s := 0
-		if pg == page {
-			s = slot
-		}
-		for ; s < n; s++ {
-			if visited >= maxRows {
-				p.Release()
-				return pg, s, false, nil
-			}
-			off, length := slotEntry(p.Data, s)
-			if off == deadSlot {
-				continue
-			}
-			if err := fn(NewTID(pg, uint16(s)), p.Data[off:off+length]); err != nil {
-				p.Release()
-				return pg, s, false, err
-			}
-			visited++
-		}
-		p.Release()
-	}
-	return pages, 0, true, nil
 }
 
 // Truncate drops every record, resetting the heap to a single empty

@@ -21,6 +21,32 @@ func newTestFile(t *testing.T, pool *Pool) *File {
 	return f
 }
 
+// scanAll returns every live record of h with its TID, in physical
+// order, read one page per batch (so a pool of a few frames suffices).
+func scanAll(t *testing.T, h *Heap) ([]TID, [][]byte) {
+	t.Helper()
+	it := h.ScanBatch(nil)
+	defer it.Close()
+	var (
+		b    RecBatch
+		tids []TID
+		recs [][]byte
+	)
+	for {
+		ok, err := it.NextBatchMax(&b, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			return tids, recs
+		}
+		for i := range b.Recs {
+			tids = append(tids, b.TIDs[i])
+			recs = append(recs, append([]byte(nil), b.Recs[i]...))
+		}
+	}
+}
+
 func TestTIDPacking(t *testing.T) {
 	tid := NewTID(123456, 789)
 	if tid.Page() != 123456 || tid.Slot() != 789 {
@@ -59,15 +85,8 @@ func TestHeapInsertGetScan(t *testing.T) {
 			t.Fatalf("Get(%v) returned wrong record %q", tid, rec)
 		}
 	}
-	seen := 0
-	if err := h.Scan(func(tid TID, rec []byte) (bool, error) {
-		seen++
-		return true, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 500 {
-		t.Fatalf("Scan visited %d records", seen)
+	if seen, _ := scanAll(t, h); len(seen) != 500 {
+		t.Fatalf("scan visited %d records", len(seen))
 	}
 }
 
@@ -211,10 +230,8 @@ func TestHeapTruncate(t *testing.T) {
 	if _, err := h.Insert([]byte("fresh")); err != nil {
 		t.Fatal(err)
 	}
-	count := 0
-	h.Scan(func(TID, []byte) (bool, error) { count++; return true, nil })
-	if count != 1 {
-		t.Fatalf("scan after truncate found %d rows", count)
+	if tids, _ := scanAll(t, h); len(tids) != 1 {
+		t.Fatalf("scan after truncate found %d rows", len(tids))
 	}
 }
 
@@ -262,10 +279,10 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 		}
 	}
 	got := map[TID][]byte{}
-	h.Scan(func(tid TID, rec []byte) (bool, error) {
-		got[tid] = append([]byte(nil), rec...)
-		return true, nil
-	})
+	tids, recs := scanAll(t, h)
+	for i, tid := range tids {
+		got[tid] = recs[i]
+	}
 	if len(got) != len(model) {
 		t.Fatalf("scan count %d != model %d", len(got), len(model))
 	}
@@ -276,12 +293,16 @@ func TestHeapRandomizedAgainstModel(t *testing.T) {
 	}
 }
 
-// TestScanBatchMatchesScan asserts the batch scan sees exactly the
-// records (and TIDs, in the same physical order) that the row scan
-// sees, across multiple pages and with deleted slots interleaved.
-func TestScanBatchMatchesScan(t *testing.T) {
+// TestScanBatchSkipsDeadSlots asserts the batch scan sees exactly the
+// live records, with their TIDs in physical order, across multiple
+// pages and with deleted slots interleaved, whatever the batch size.
+func TestScanBatchSkipsDeadSlots(t *testing.T) {
 	h := OpenHeap(newTestFile(t, nil), 1, 0)
-	var tids []TID
+	var (
+		tids     []TID
+		wantTIDs []TID
+		wantRecs [][]byte
+	)
 	for i := 0; i < 700; i++ {
 		rec := []byte(fmt.Sprintf("rec-%04d-%s", i, bytes.Repeat([]byte("y"), i%40)))
 		tid, err := h.Insert(rec)
@@ -289,22 +310,19 @@ func TestScanBatchMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		tids = append(tids, tid)
+		// Kill every 7th record so dead slots appear on every page.
+		if i%7 != 0 {
+			wantTIDs = append(wantTIDs, tid)
+			wantRecs = append(wantRecs, rec)
+		}
 	}
-	// Kill every 7th record so dead slots appear on every page.
 	for i := 0; i < len(tids); i += 7 {
 		if err := h.Delete(tids[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	var wantTIDs []TID
-	var wantRecs [][]byte
-	if err := h.Scan(func(tid TID, rec []byte) (bool, error) {
-		wantTIDs = append(wantTIDs, tid)
-		wantRecs = append(wantRecs, append([]byte(nil), rec...))
-		return true, nil
-	}); err != nil {
-		t.Fatal(err)
+	if tids[len(tids)-1].Page() < 2 {
+		t.Fatalf("700 records on %d pages: want dead slots on several", tids[len(tids)-1].Page()+1)
 	}
 
 	for _, maxRows := range []int{0, 1, 64, 100000} {
@@ -340,6 +358,71 @@ func TestScanBatchMatchesScan(t *testing.T) {
 		}
 		if maxRows == 100000 && batches != 1 {
 			t.Fatalf("maxRows=100000: %d batches, want 1", batches)
+		}
+	}
+}
+
+// TestScanBatchResumesAfterClose: a scan that closes its iterator after
+// each batch — letting writers in, as an index build's backfill does —
+// and resumes afterwards visits every record that existed when it
+// started, whatever was inserted in between, including into slots a
+// delete freed behind the scan position.
+func TestScanBatchResumesAfterClose(t *testing.T) {
+	h := OpenHeap(newTestFile(t, nil), 1, 0)
+	want := map[TID]string{}
+	for i := 0; i < 600; i++ {
+		rec := fmt.Sprintf("old-%04d-%s", i, bytes.Repeat([]byte("z"), i%30))
+		tid, err := h.Insert([]byte(rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[tid] = rec
+	}
+	it := h.ScanBatch(nil)
+	var b RecBatch
+	got := map[TID]string{}
+	behind, prev := 0, TID(0)
+	for n := 0; ; n++ {
+		ok, err := it.NextBatchMax(&b, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		for i := range b.Recs {
+			got[b.TIDs[i]] = string(b.Recs[i])
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Between batches: reclaim a slot the scan has passed, as vacuum
+		// does, and insert records, which land in that slot and at the
+		// heap's end.
+		if n > 0 {
+			if err := h.FreeSlot(prev); err != nil {
+				t.Fatal(err)
+			}
+			delete(want, prev)
+			delete(got, prev)
+		}
+		prev = b.TIDs[0]
+		for j := 0; j < 4; j++ {
+			tid, err := h.Insert([]byte(fmt.Sprintf("new-%d-%d", n, j)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tid.Page() < b.TIDs[0].Page() {
+				behind++
+			}
+		}
+	}
+	if behind == 0 {
+		t.Fatal("no insert landed behind the scan position")
+	}
+	for tid, rec := range want {
+		if got[tid] != rec {
+			t.Fatalf("resumed scan missed %v (%q), saw %q", tid, rec, got[tid])
 		}
 	}
 }
