@@ -113,6 +113,21 @@ func (db *DB) execDropTable(st *sqlparser.DropTableStmt) (*Result, error) {
 	return &Result{}, errors.Join(errs...)
 }
 
+// execCreateVirtualIndex enters a virtual index in the catalog: zero
+// build cost, zero storage — the optimizer may cost it in what-if mode.
+func (db *DB) execCreateVirtualIndex(st *sqlparser.CreateIndexStmt) (*Result, error) {
+	if db.handle(st.Table) == nil {
+		return nil, fmt.Errorf("engine: unknown table %q", st.Table)
+	}
+	if err := db.cat.AddIndex(&catalog.Index{
+		Name: st.Name, Table: st.Table, Columns: st.Columns, Unique: st.Unique, Virtual: true,
+	}); err != nil {
+		return nil, err
+	}
+	db.plans.invalidate()
+	return &Result{}, nil
+}
+
 func (db *DB) execDropIndex(st *sqlparser.DropIndexStmt) (*Result, error) {
 	ix := db.cat.Index(st.Name)
 	if ix == nil {
@@ -202,7 +217,7 @@ func (db *DB) execCreateStatistics(st *sqlparser.CreateStatisticsStmt) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cols {
+	for i := range cols {
 		hgram := catalog.BuildHistogram(h.meta.Name, h.meta.Schema.Columns[idxs[i]].Name, samples[i], catalog.DefaultBuckets)
 		// Scale counts up when the scan was truncated by the sample cap.
 		if total := h.heap.Rows(); total > int64(n) && n > 0 {
@@ -216,7 +231,6 @@ func (db *DB) execCreateStatistics(st *sqlparser.CreateStatisticsStmt) (*Result,
 		if err := db.cat.SetHistogram(hgram); err != nil {
 			return nil, err
 		}
-		_ = c
 	}
 	db.plans.invalidate()
 	return &Result{RowsAffected: int64(len(cols))}, nil

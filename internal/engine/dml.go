@@ -122,11 +122,12 @@ func (noColumns) Resolve(table, column string) (int, sqltypes.Type, error) {
 	return 0, 0, fmt.Errorf("engine: column references are not allowed here")
 }
 
-// execCost is what a write's execution sensor reports: versions
-// examined (INSERT: rows written) and buffer-pool I/O.
-type execCost struct{ cpu, io int64 }
+// execCost is what a statement's execution sensor reports: for a write
+// the versions examined (INSERT: rows written), buffer-pool I/O and the
+// rows changed.
+type execCost struct{ cpu, io, rows int64 }
 
-func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value) (*Result, execCost, error) {
+func (s *Session) execInsert(st *sqlparser.InsertStmt, c call) (*Result, execCost, error) {
 	db := s.db
 	th := db.handle(st.Table)
 	if th == nil {
@@ -163,7 +164,7 @@ func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value) 
 			row[i] = sqltypes.NullValue()
 		}
 		for i, e := range valueRow {
-			v, err := evalConst(e, params)
+			v, err := evalConst(e, c.params)
 			if err != nil {
 				return nil, execCost{}, err
 			}
@@ -190,7 +191,7 @@ func (s *Session) execInsert(st *sqlparser.InsertStmt, params []sqltypes.Value) 
 		return nil, execCost{}, err
 	}
 	s.addDelta(th.meta.Name, inserted)
-	return &Result{RowsAffected: inserted}, execCost{cpu: inserted}, nil
+	return &Result{RowsAffected: inserted}, execCost{cpu: inserted, rows: inserted}, nil
 }
 
 // dmlPlan is what an UPDATE or DELETE shape derives once: its WHERE
@@ -216,7 +217,8 @@ type setExpr struct {
 // on its first execution exactly as execSelect does for a SELECT: after
 // admission, so the catalog the plan reads cannot change under the
 // statement. A cache hit only reports the cached estimates.
-func (s *Session) dmlPlanOf(p *prepared, th *tableHandle, where sqlparser.Expr, set []sqlparser.SetClause, params []sqltypes.Value, h *monitor.Handle, tick int64) (*dmlPlan, error) {
+func (s *Session) dmlPlanOf(th *tableHandle, where sqlparser.Expr, set []sqlparser.SetClause, c call) (*dmlPlan, error) {
+	p, h := c.p, c.h
 	if dp := p.dml; dp != nil {
 		h.Optimized(dp.plan.Est.CPU, dp.plan.Est.IO, dp.plan.Est.Rows, dp.plan.Attributes, dp.plan.UsedIndexes, 0)
 		return dp, nil
@@ -249,7 +251,7 @@ func (s *Session) dmlPlanOf(p *prepared, th *tableHandle, where sqlparser.Expr, 
 	}
 	sel := &sqlparser.SelectStmt{Items: []sqlparser.SelectItem{{Star: true}},
 		From: []sqlparser.TableRef{{Name: th.meta.Name}}, Where: where, Limit: -1}
-	plan, err := optimizer.PlanSelect(sel, s.db.catalogView(), optimizer.Options{Params: params})
+	plan, err := optimizer.PlanSelect(sel, s.db.catalogView(), optimizer.Options{Params: c.params})
 	if err != nil {
 		return nil, err
 	}
@@ -270,7 +272,7 @@ func (s *Session) dmlPlanOf(p *prepared, th *tableHandle, where sqlparser.Expr, 
 	}
 	p.dml = dp // p is this session's alone until published
 	h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, time.Since(t0))
-	s.db.publish(p, plan, tick)
+	s.db.publish(p, plan, c.tick)
 	p.observe(h, s.id)
 	return dp, nil
 }
@@ -394,13 +396,13 @@ func (s *Session) poolIO(h *monitor.Handle) int64 {
 
 // execWrite runs an UPDATE (set non-empty) or a DELETE on table through
 // the five phases of the write protocol.
-func (s *Session) execWrite(table string, where sqlparser.Expr, set []sqlparser.SetClause, p *prepared, params []sqltypes.Value, h *monitor.Handle, tick int64) (*Result, execCost, error) {
-	db := s.db
+func (s *Session) execWrite(table string, where sqlparser.Expr, set []sqlparser.SetClause, c call) (*Result, execCost, error) {
+	db, params, h := s.db, c.params, c.h
 	th := db.handle(table)
 	if th == nil {
 		return nil, execCost{}, fmt.Errorf("engine: unknown table %q", table)
 	}
-	dp, err := s.dmlPlanOf(p, th, where, set, params, h, tick)
+	dp, err := s.dmlPlanOf(th, where, set, c)
 	if err != nil {
 		return nil, execCost{}, err
 	}
@@ -461,5 +463,5 @@ func (s *Session) execWrite(table string, where sqlparser.Expr, set []sqlparser.
 	} else {
 		s.addDelta(table, -affected)
 	}
-	return &Result{RowsAffected: affected}, execCost{examined, s.poolIO(h) - io0}, nil
+	return &Result{RowsAffected: affected}, execCost{examined, s.poolIO(h) - io0, affected}, nil
 }

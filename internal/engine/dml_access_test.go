@@ -188,7 +188,8 @@ func TestDMLAccessPathEqualsScan(t *testing.T) {
 		}
 		th := db.handle("ix")
 		var h monitor.Handle
-		dp, err := s.dmlPlanOf(&prepared{}, th, parsed.Stmt.(*sqlparser.DeleteStmt).Where, nil, parsed.Params, &h, 0)
+		c := call{p: &prepared{kind: kindOf(parsed.Stmt)}, params: parsed.Params, h: &h}
+		dp, err := s.dmlPlanOf(th, parsed.Stmt.(*sqlparser.DeleteStmt).Where, nil, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,9 +99,9 @@ func logToSideLog(h *tableHandle, del bool, tid storage.TID, row sqltypes.Row) {
 }
 
 // execCreateIndex builds a secondary index without stalling the
-// workload; a virtual index only enters the catalog. The build enters
-// the DDL word for its whole duration in the building state, which
-// keeps other DDL off the table but parks no statement. The catalog
+// workload. The build enters the DDL word for its whole duration in the
+// building state, which keeps other DDL off the table but parks no
+// statement. The catalog
 // entry is registered with Building set (name reserved, index invisible
 // to the optimizer and to DML maintenance), a side-log is installed
 // under the table's statement write gate, the heap is backfilled a batch
@@ -115,21 +115,6 @@ func logToSideLog(h *tableHandle, del bool, tid storage.TID, row sqltypes.Row) {
 // Building entry (dropped, with its file, at the next open) or a fully
 // durable published index.
 func (db *DB) execCreateIndex(st *sqlparser.CreateIndexStmt) (_ *Result, err error) {
-	if st.Virtual {
-		// Virtual indexes live only in the catalog: zero build cost,
-		// zero storage — the optimizer may cost them in what-if mode.
-		// The statement runs as drain-first DDL.
-		if db.handle(st.Table) == nil {
-			return nil, fmt.Errorf("engine: unknown table %q", st.Table)
-		}
-		if err := db.cat.AddIndex(&catalog.Index{
-			Name: st.Name, Table: st.Table, Columns: st.Columns, Unique: st.Unique, Virtual: true,
-		}); err != nil {
-			return nil, err
-		}
-		db.plans.invalidate()
-		return &Result{}, nil
-	}
 	tkey := strings.ToLower(st.Table)
 	e := db.beginDDL([]string{tkey}, ddlBuilding)
 	var walRelease func()

@@ -2,10 +2,8 @@ package engine
 
 import (
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/executor"
 	"repro/internal/monitor"
@@ -25,40 +23,19 @@ import (
 // parser over the same tokens, so the parser stays the only definition
 // of the language and of which literals are parameters.
 
-// stmtClass is how the statement path treats a statement around its
-// execution: admitted to its tables or entered into the DDL word, and
-// whether a failure aborts the open transaction.
-type stmtClass uint8
-
-const (
-	classOther     stmtClass = iota // SELECT, EXPLAIN, CREATE STATISTICS, SET
-	classDML                        // INSERT, UPDATE, DELETE
-	classDDL                        // drains its table, then runs alone behind the WAL's exclusive gate
-	classOnlineDDL                  // CREATE INDEX (not VIRTUAL): enters the DDL word itself
-)
-
-// planEntry is the optimizer's and the executor compiler's output for
-// one SELECT shape.
-type planEntry struct {
-	plan    *optimizer.Plan
-	prep    *executor.Prepared
-	optTime time.Duration
-}
-
 // prepared is one statement made ready to execute. Cached entries are
 // immutable once published and shared by every session.
 type prepared struct {
 	stmt   sqlparser.Statement
-	kind   string
-	class  stmtClass
+	kind   *stmtKind
 	tables []string // as written, in first-appearance order (the parser sensor's view)
-	// scope is what the statement's slot names (or, for DDL, what enters
-	// the DDL word): lower-cased, sorted, virtual tables left out.
-	scope []string
+	scope  []string // the kind's scope of the statement
 
-	// Filled in once the statement is planned: a SELECT's plan and
-	// result columns, an UPDATE's or DELETE's access path.
-	plan    *planEntry
+	// Filled in once the statement is planned: a SELECT's plan, its
+	// compiled pipeline and result columns, an UPDATE's or DELETE's
+	// access path.
+	plan    *optimizer.Plan
+	prep    *executor.Prepared
 	columns []string
 	dml     *dmlPlan
 
@@ -84,11 +61,6 @@ type prepared struct {
 	lastUsed atomic.Int64 // coarse statement clock of the last hit
 }
 
-// maxCachedDMLLiterals keeps multi-row INSERTs out of the cache: their
-// shape varies with the row count and their AST is as large as the
-// statement, so an entry would cost more than the parse it saves.
-const maxCachedDMLLiterals = 64
-
 // serves reports whether the entry's unbound literals equal those of a
 // statement of its shape.
 func (p *prepared) serves(lits []sqlparser.Lit) bool {
@@ -112,9 +84,9 @@ func (p *prepared) serves(lits []sqlparser.Lit) bool {
 // the statement's digest and the table list the parser found.
 func (p *prepared) observe(h *monitor.Handle, lane int64) {
 	if p.shape.Load() != nil {
-		h.Cached(p.kind, &p.shape, lane)
+		h.Cached(p.kind.name, &p.shape, lane)
 	} else {
-		h.Parsed(p.kind, p.tables)
+		h.Parsed(p.kind.name, p.tables)
 		h.Keyed(p.digest)
 	}
 }
@@ -124,47 +96,16 @@ func (p *prepared) observe(h *monitor.Handle, lane int64) {
 // key (when the statement has one) together with the parser's bindings.
 func (db *DB) newPrepared(sc *sqlparser.Scanner, parsed *sqlparser.ParseResult) *prepared {
 	stmt, key, lits := parsed.Stmt, sc.Key(), sc.Literals()
-	p := &prepared{stmt: stmt, kind: stmt.Kind(), tables: sqlparser.ReferencedTables(stmt), text: sc.Text()}
-	cacheable := false
-	switch st := stmt.(type) {
-	case *sqlparser.SelectStmt:
-		cacheable = true
-	case *sqlparser.InsertStmt, *sqlparser.UpdateStmt, *sqlparser.DeleteStmt:
-		p.class = classDML
-		cacheable = len(lits) <= maxCachedDMLLiterals
-	case *sqlparser.CreateIndexStmt:
-		// An index build must not drain its table upfront — DML
-		// proceeds during the build; the builder enters the DDL word
-		// itself and drains only for the final catch-up. A virtual index
-		// only touches the catalog, as drain-first DDL.
-		p.class = classOnlineDDL
-		if st.Virtual {
-			p.class = classDDL
-		}
-	case *sqlparser.DropIndexStmt:
-		// The statement names only the index; the table it drains is the
-		// index's.
-		p.class = classDDL
-		if ix := db.cat.Index(st.Name); ix != nil {
-			p.scope = append(p.scope, strings.ToLower(ix.Table))
-		}
-	case *sqlparser.CreateTableStmt, *sqlparser.DropTableStmt, *sqlparser.ModifyStmt:
-		p.class = classDDL
-	}
-	// Virtual tables are snapshots no DDL changes.
-	for _, t := range p.tables {
-		if t = strings.ToLower(t); db.virtualTable(t) == nil {
-			p.scope = append(p.scope, t)
-		}
-	}
-	slices.Sort(p.scope)
+	k := kindOf(stmt)
+	p := &prepared{stmt: stmt, kind: k, tables: sqlparser.ReferencedTables(stmt), text: sc.Text()}
+	p.scope = k.scope(db, p)
 	if key == nil {
 		p.digest = sqlparser.Digest(p.text, nil)
 		return p
 	}
 	p.fixed = sc.Fixed(parsed.Bindings)
 	p.digest = sqlparser.Digest(key, p.fixed)
-	if cacheable {
+	if k.cache != cacheNever && (k.class != classWrite || len(lits) <= maxCachedDMLLiterals) {
 		p.key = string(key)
 		p.bindings = parsed.Bindings
 	}
@@ -185,7 +126,7 @@ func (db *DB) publish(p *prepared, plan *optimizer.Plan, tick int64) {
 		attrs, indexes = plan.Attributes, plan.UsedIndexes
 		est = monitor.Estimates{CPU: plan.Est.CPU, IO: plan.Est.IO, Rows: plan.Est.Rows}
 	}
-	p.shape.Store(db.mon.Publish(p.digest, p.text, p.kind, p.tables, attrs, indexes, est))
+	p.shape.Store(db.mon.Publish(p.digest, p.text, p.kind.name, p.tables, attrs, indexes, est))
 	db.plans.put(p, tick)
 }
 
@@ -353,9 +294,7 @@ func (s *Session) parse(tick int64, h *monitor.Handle) (*prepared, []sqltypes.Va
 		return nil, nil, err
 	}
 	p := s.db.newPrepared(sc, parsed)
-	if _, ok := p.stmt.(*sqlparser.InsertStmt); ok {
-		// Nothing more to derive for an INSERT: the entry is complete.
-		// (A SELECT, UPDATE or DELETE is published once it is planned.)
+	if p.kind.cache == cacheParsed {
 		s.db.publish(p, nil, tick)
 	}
 	p.observe(h, s.id)

@@ -77,6 +77,10 @@ type Session struct {
 	// copy what they keep.
 	scan   sqlparser.Scanner
 	params []sqltypes.Value
+	// h is the executing statement's monitor handle, a field so that the
+	// kind table's run functions can take it without moving it to the
+	// heap.
+	h      monitor.Handle
 	store  executorStorage
 	result resultIter // a sampled statement's result copy
 	// cacheGen is the statement cache's generation at this statement's
@@ -99,31 +103,14 @@ const maxSessionParallel = 64
 // SetParallel sets the session's maximum intra-query parallel degree
 // for morsel-driven plan subtrees. Values below 1 mean serial; values
 // above the cap are clamped.
-func (s *Session) SetParallel(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > maxSessionParallel {
-		n = maxSessionParallel
-	}
-	s.parallel = n
-}
+func (s *Session) SetParallel(n int) { s.parallel = max(1, min(n, maxSessionParallel)) }
 
 // Parallel reports the session's current parallel degree.
 func (s *Session) Parallel() int { return s.parallel }
 
 // defaultParallel is the issue-specified session default:
 // min(GOMAXPROCS, 8) workers.
-func defaultParallel() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+func defaultParallel() int { return max(1, min(runtime.GOMAXPROCS(0), 8)) }
 
 // effectiveParallel bounds the session's degree by the buffer pool:
 // every morsel worker may hold a full batch pin window, so workers
@@ -362,7 +349,8 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	db := s.db
 	tick := db.statements.Add(1)
 
-	h := db.mon.StartStatement(sql)
+	s.h = db.mon.StartStatement(sql)
+	h := &s.h
 	s.clk = nil
 	if h.Live() {
 		if s.sampleN == 0 {
@@ -371,50 +359,34 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		}
 		s.sampleN--
 	}
-	p, params, err := s.prepare(sql, tick, &h)
+	p, params, err := s.prepare(sql, tick, h)
 	if err != nil {
 		h.Finish(0, 0, 0, err)
 		return nil, err
 	}
-	isDML, isDDL := p.class == classDML, p.class >= classDDL
 
 	s.clk.Switch(stage.Admit)
-	var ddl *ddlEntry
-	var walRelease func()
-	if isDDL {
+	if p.kind.class == classDDL {
 		// DDL implicitly commits the open transaction, so the session
-		// holds nothing while it waits. Other DDL then drains its
-		// tables and runs alone behind the WAL's exclusive gate, taken
-		// only once they are drained: no logged statement spans a file
-		// rebuild, so recovery can never replay a stale pre-rebuild image
-		// onto the new file. An index build enters the DDL word itself.
+		// holds nothing while its run waits for its tables.
 		if err := s.endTxn(true); err != nil {
-			s.inTxn = false
-			h.Finish(0, 0, 0, err)
-			return nil, err
+			return nil, s.abort(h, err)
 		}
 		s.inTxn = false
-		if p.class == classDDL {
-			ddl = db.runDDL(db.beginDDL(p.scope, ddlPending))
-			walRelease = db.wal.BeginExclusive()
-		}
 	} else {
 		s.enter(p)
-	}
-	if p.key != "" && s.cacheGen != db.plans.gen.Load() {
-		// DDL dropped the cache between this statement's lookup and its
-		// admission: what the entry holds (a plan over an index or a
-		// storage structure) may be gone. Admitted, nothing can change
-		// any more, so parse and plan afresh — the same tables, hence the
-		// same admission.
-		db.plans.staleReparses.Add(1)
-		s.clk.Switch(stage.Parse)
-		if p, params, err = s.parse(tick, &h); err != nil {
-			return nil, s.abort(&h, err)
+		if p.key != "" && s.cacheGen != db.plans.gen.Load() {
+			// DDL dropped the cache between this statement's lookup and
+			// its admission: what the entry holds (a plan over an index or
+			// a storage structure) may be gone. Admitted, nothing can
+			// change any more, so parse and plan afresh — the same tables,
+			// hence the same admission.
+			db.plans.staleReparses.Add(1)
+			s.clk.Switch(stage.Parse)
+			if p, params, err = s.parse(tick, h); err != nil {
+				return nil, s.abort(h, err)
+			}
 		}
-	}
-	stmt := p.stmt
-	if !isDDL {
 		// The visibility snapshot: captured once admitted so a schema
 		// change cannot slide under it. One snapshot per statement in
 		// autocommit; per transaction inside Begin..Commit.
@@ -423,36 +395,7 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	}
 
 	s.clk.Switch(stage.Exec)
-	var res *Result
-	var cost execCost
-	switch st := stmt.(type) {
-	case *sqlparser.SelectStmt:
-		res, err = s.execSelect(st, p, params, &h, tick)
-	case *sqlparser.ExplainStmt:
-		res, err = s.execExplain(sql, st, p.digest, params, &h)
-	case *sqlparser.CreateTableStmt:
-		res, err = db.execCreateTable(st)
-	case *sqlparser.DropTableStmt:
-		res, err = db.execDropTable(st)
-	case *sqlparser.CreateIndexStmt:
-		res, err = db.execCreateIndex(st)
-	case *sqlparser.DropIndexStmt:
-		res, err = db.execDropIndex(st)
-	case *sqlparser.ModifyStmt:
-		res, err = db.execModify(st)
-	case *sqlparser.CreateStatisticsStmt:
-		res, err = db.execCreateStatistics(st)
-	case *sqlparser.InsertStmt:
-		res, cost, err = s.execInsert(st, params)
-	case *sqlparser.UpdateStmt:
-		res, cost, err = s.execWrite(st.Table, st.Where, st.Set, p, params, &h, tick)
-	case *sqlparser.DeleteStmt:
-		res, cost, err = s.execWrite(st.Table, st.Where, nil, p, params, &h, tick)
-	case *sqlparser.SetStmt:
-		res, err = s.execSet(st)
-	default:
-		err = fmt.Errorf("engine: unsupported statement %T", stmt)
-	}
+	res, cost, err := p.kind.run(s, call{p: p, params: params, h: h, tick: tick})
 	s.clk.Switch(stage.Durable)
 	if !s.inTxn {
 		// Autocommit: commit (or abort) the statement's MVCC transaction;
@@ -462,42 +405,26 @@ func (s *Session) Exec(sql string) (*Result, error) {
 		if eerr := s.endTxn(err == nil); eerr != nil && err == nil {
 			err = eerr
 		}
-	} else if err != nil && isDML {
+	} else if err != nil && p.kind.class == classWrite {
 		// A failed write statement aborts the whole transaction: with no
 		// statement-level undo, the abort is what keeps its partial
 		// effects invisible.
 		s.endTxn(false)
 		s.inTxn = false
 	}
-	if ddl != nil {
-		if err == nil {
-			// DDL bypasses the log (its file rebuilds are made durable
-			// wholesale): checkpoint under the exclusive gate so the new
-			// files and catalog hit disk and the redo scan start moves
-			// past every pre-DDL record.
-			err = db.Checkpoint()
-		}
-		walRelease()
-		db.setDDL(ddl, ddlDone)
-	}
+	// The sensors stop after the commit, so a write's time includes its
+	// durability wait; a SELECT or EXPLAIN ANALYZE has stopped them
+	// already, and Finish is then a no-op.
 	if err != nil {
 		h.Finish(0, 0, 0, err)
 		return nil, err
 	}
-	if isDML {
-		// A write's sensors, stopped after its commit: the versions it
-		// examined, its pool I/O and the rows it changed.
-		h.Finish(cost.cpu, cost.io, res.RowsAffected, nil)
-	} else if _, isSel := stmt.(*sqlparser.SelectStmt); !isSel {
-		// execSelect finishes its own handle; DDL, SET and EXPLAIN only
-		// stop the wallclock here.
-		h.Finish(res.RowsAffected, 0, int64(len(res.Rows)), nil)
-	}
+	h.Finish(cost.cpu, cost.io, cost.rows, nil)
 	return res, nil
 }
 
-// abort ends a statement that failed before it was dispatched, and with
-// it the whole transaction: versions it wrote become invisible.
+// abort ends a statement that failed before its run, and with it the
+// whole transaction: versions it wrote become invisible.
 func (s *Session) abort(h *monitor.Handle, err error) error {
 	s.endTxn(false)
 	s.inTxn = false
@@ -506,121 +433,102 @@ func (s *Session) abort(h *monitor.Handle, err error) error {
 }
 
 // execSet applies a session configuration statement (SET <name> <n>).
-func (s *Session) execSet(st *sqlparser.SetStmt) (*Result, error) {
-	switch st.Name {
-	case "parallel":
-		s.SetParallel(int(st.Value))
-	default:
-		return nil, fmt.Errorf("engine: unknown SET option %q", st.Name)
+func (s *Session) execSet(st *sqlparser.SetStmt, _ call) (*Result, execCost, error) {
+	if st.Name != "parallel" {
+		return nil, execCost{}, fmt.Errorf("engine: unknown SET option %q", st.Name)
 	}
-	return &Result{}, nil
+	s.SetParallel(int(st.Value))
+	return &Result{}, execCost{}, nil
 }
-
-// Query is Exec restricted to statements returning rows.
-func (s *Session) Query(sql string) (*Result, error) { return s.Exec(sql) }
 
 // execSelect runs a SELECT. A statement prepared before brings its plan
 // and compiled pipeline; the first of its shape is planned, compiled and
-// — when it has a shape key — published for the ones after it.
-func (s *Session) execSelect(st *sqlparser.SelectStmt, p *prepared, params []sqltypes.Value, h *monitor.Handle, tick int64) (*Result, error) {
-	db := s.db
-	entry := p.plan
-	if entry == nil {
+// — when it has a shape key — published for the ones after it. It stops
+// the handle's sensors itself, before the statement ends.
+func (s *Session) execSelect(st *sqlparser.SelectStmt, c call) (*Result, execCost, error) {
+	db, p, h := s.db, c.p, c.h
+	if p.prep == nil {
 		from := s.clk.Switch(stage.Plan)
 		t0 := time.Now()
-		plan, err := optimizer.PlanSelect(st, db.catalogView(), optimizer.Options{Params: params})
+		plan, err := optimizer.PlanSelect(st, db.catalogView(), optimizer.Options{Params: c.params})
 		if err != nil {
-			return nil, err
+			return nil, execCost{}, err
 		}
 		prep, err := executor.Compile(plan)
 		if err != nil {
-			return nil, err
+			return nil, execCost{}, err
 		}
-		entry = &planEntry{plan: plan, prep: prep, optTime: time.Since(t0)}
-		p.plan = entry // p is this session's alone until published
+		h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, time.Since(t0))
+		p.plan, p.prep = plan, prep // p is this session's alone until published
 		p.columns = make([]string, len(prep.Columns()))
-		for i, c := range prep.Columns() {
-			p.columns[i] = c.Name
+		for i, col := range prep.Columns() {
+			p.columns[i] = col.Name
 		}
-		h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, entry.optTime)
-		db.publish(p, plan, tick)
+		db.publish(p, plan, c.tick)
 		p.observe(h, s.id)
 		s.clk.Switch(from)
 	} else {
 		// Cache hit: the optimizer was bypassed entirely; estimates
 		// come from the cached plan.
-		h.Optimized(entry.plan.Est.CPU, entry.plan.Est.IO, entry.plan.Est.Rows,
-			entry.plan.Attributes, entry.plan.UsedIndexes, 0)
+		h.Optimized(p.plan.Est.CPU, p.plan.Est.IO, p.plan.Est.Rows, p.plan.Attributes, p.plan.UsedIndexes, 0)
 	}
 
-	ctx := executor.Ctx{Params: params}
-	rows, ioDelta, err := s.runCounted(entry.prep, &ctx, h)
-	h.Finish(ctx.Tuples, ioDelta, int64(len(rows)), err)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Columns: p.columns, Rows: rows, Plan: entry.plan}, nil
-}
-
-// runCounted is runPrepared plus the execution sensor's I/O figure: the
-// buffer-pool misses and page writes during the run. The two counters
-// are read only for a live handle.
-func (s *Session) runCounted(prep *executor.Prepared, ctx *executor.Ctx, h *monitor.Handle) ([]sqltypes.Row, int64, error) {
+	// The execution sensor: tuples produced and the buffer-pool misses
+	// and page writes during the run (read only for a live handle).
+	ctx := executor.Ctx{Params: c.params}
 	io0 := s.poolIO(h)
-	rows, err := s.runPrepared(prep, ctx)
-	return rows, s.poolIO(h) - io0, err
+	rows, err := s.runPrepared(p.prep, &ctx)
+	h.Finish(ctx.Tuples, s.poolIO(h)-io0, int64(len(rows)), err)
+	if err != nil {
+		return nil, execCost{}, err
+	}
+	return &Result{Columns: p.columns, Rows: rows, Plan: p.plan}, execCost{}, nil
 }
 
 // execExplain handles the SQL form of EXPLAIN: it plans the embedded
-// SELECT (optionally admitting virtual indexes with WHATIF) and
-// returns the rendered plan as rows. With ANALYZE it also executes the
-// statement under a per-operator trace.
-func (s *Session) execExplain(sql string, st *sqlparser.ExplainStmt, digest uint64, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
-	if st.Analyze {
-		if st.WhatIf {
-			return nil, fmt.Errorf("engine: EXPLAIN WHATIF ANALYZE is not supported (virtual indexes cannot be executed)")
-		}
-		return s.execExplainAnalyze(sql, st, digest, params, h)
+// SELECT (optionally admitting virtual indexes with WHATIF) and returns
+// the rendered plan as rows. ANALYZE also executes the statement with
+// the per-operator span collector attached, pushes the trace into the
+// monitor's trace ring (ima_spans) and annotates every operator with
+// actual rows, inclusive time and calls next to the estimates; it
+// bypasses the statement cache — the point is to observe a full
+// plan+execute cycle — and stops the handle's sensors itself.
+func (s *Session) execExplain(st *sqlparser.ExplainStmt, c call) (*Result, execCost, error) {
+	if st.Analyze && st.WhatIf {
+		return nil, execCost{}, fmt.Errorf("engine: EXPLAIN WHATIF ANALYZE is not supported (virtual indexes cannot be executed)")
 	}
-	plan, err := optimizer.PlanSelect(st.Select, s.db.catalogView(), optimizer.Options{
-		Params:             params,
+	db, h := s.db, c.h
+	t0 := time.Now()
+	plan, err := optimizer.PlanSelect(st.Select, db.catalogView(), optimizer.Options{
+		Params:             c.params,
 		WithVirtualIndexes: st.WhatIf,
 	})
 	if err != nil {
-		return nil, err
+		return nil, execCost{}, err
 	}
 	res := &Result{Columns: []string{"plan"}, Plan: plan}
-	for _, line := range strings.Split(strings.TrimRight(plan.String(), "\n"), "\n") {
-		res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewText(line)})
+	add := func(format string, args ...any) {
+		res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewText(fmt.Sprintf(format, args...))})
 	}
-	res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewText(fmt.Sprintf(
-		"estimated: cpu=%.0f io=%.0f rows=%.0f total=%.1f",
-		plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Est.Total()))})
-	return res, nil
-}
-
-// execExplainAnalyze executes the embedded SELECT with the per-operator
-// span collector attached and renders the plan annotated with actual
-// rows, inclusive time and calls (ima_spans.calls) next to the estimates. The
-// trace is also pushed into the monitor's trace ring, where ima_spans
-// exposes it over SQL. The statement cache is bypassed: the point of
-// ANALYZE is to observe a full plan+execute cycle.
-func (s *Session) execExplainAnalyze(sql string, st *sqlparser.ExplainStmt, digest uint64, params []sqltypes.Value, h *monitor.Handle) (*Result, error) {
-	db := s.db
-	t0 := time.Now()
-	plan, err := optimizer.PlanSelect(st.Select, db.catalogView(), optimizer.Options{Params: params})
-	if err != nil {
-		return nil, err
+	estimated := func() {
+		add("estimated: cpu=%.0f io=%.0f rows=%.0f total=%.1f", plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Est.Total())
+	}
+	if !st.Analyze {
+		for _, line := range strings.Split(strings.TrimRight(plan.String(), "\n"), "\n") {
+			add("%s", line)
+		}
+		estimated()
+		return res, execCost{rows: int64(len(res.Rows))}, nil
 	}
 	prep, err := executor.Compile(plan)
 	if err != nil {
-		return nil, err
+		return nil, execCost{}, err
 	}
 	optTime := time.Since(t0)
 	h.Optimized(plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Attributes, plan.UsedIndexes, optTime)
 
 	tr := prep.NewTrace()
-	ctx := executor.Ctx{Params: params, Trace: tr}
+	ctx := executor.Ctx{Params: c.params, Trace: tr}
 	m0, w0 := db.pool.IOCounts()
 	start := time.Now()
 	rows, err := s.runPrepared(prep, &ctx)
@@ -629,7 +537,7 @@ func (s *Session) execExplainAnalyze(sql string, st *sqlparser.ExplainStmt, dige
 	ioDelta := (m1 - m0) + (w1 - w0)
 	h.Finish(ctx.Tuples, ioDelta, int64(len(rows)), err)
 	if err != nil {
-		return nil, err
+		return nil, execCost{}, err
 	}
 
 	metas := prep.SpanMetas()
@@ -637,42 +545,35 @@ func (s *Session) execExplainAnalyze(sql string, st *sqlparser.ExplainStmt, dige
 	if db.mon != nil && db.mon.Enabled() {
 		spans := make([]monitor.TraceSpan, len(metas))
 		for i, m := range metas {
-			c := tr.Counts[i]
+			n := tr.Counts[i]
 			spans[i] = monitor.TraceSpan{
 				Op: m.Kind, Detail: m.Detail, Depth: m.Depth, EstRows: m.EstRows,
-				Rows: c.Rows, Nanos: c.Nanos, SelfNanos: selfNs[i], Calls: c.Calls,
+				Rows: n.Rows, Nanos: n.Nanos, SelfNanos: selfNs[i], Calls: n.Calls,
 			}
 		}
 		db.mon.RecordTrace(monitor.Trace{
-			Hash:  digest,
-			Text:  sql,
+			Hash:  c.p.digest,
+			Text:  c.p.text,
 			Start: start,
 			Wall:  wall,
 			Rows:  int64(len(rows)),
 			Spans: spans,
 		})
 	}
-
-	res := &Result{Columns: []string{"plan"}, Plan: plan}
 	for i, m := range metas {
-		c := tr.Counts[i]
+		n := tr.Counts[i]
 		line := strings.Repeat("  ", m.Depth) + m.Kind
 		if m.Detail != "" {
 			line += " " + m.Detail
 		}
-		line += fmt.Sprintf(" (est rows=%.0f) (actual rows=%d time=%s self=%s nexts=%d)",
-			m.EstRows, c.Rows, time.Duration(c.Nanos).Round(time.Microsecond),
-			time.Duration(selfNs[i]).Round(time.Microsecond), c.Calls)
-		res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewText(line)})
+		add("%s (est rows=%.0f) (actual rows=%d time=%s self=%s nexts=%d)",
+			line, m.EstRows, n.Rows, time.Duration(n.Nanos).Round(time.Microsecond),
+			time.Duration(selfNs[i]).Round(time.Microsecond), n.Calls)
 	}
-	res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewText(fmt.Sprintf(
-		"estimated: cpu=%.0f io=%.0f rows=%.0f total=%.1f",
-		plan.Est.CPU, plan.Est.IO, plan.Est.Rows, plan.Est.Total()))})
-	res.Rows = append(res.Rows, sqltypes.Row{sqltypes.NewText(fmt.Sprintf(
-		"actual: wall=%s opt=%s rows=%d tuples=%d io=%d",
-		wall.Round(time.Microsecond), optTime.Round(time.Microsecond),
-		len(rows), ctx.Tuples, ioDelta))})
-	return res, nil
+	estimated()
+	add("actual: wall=%s opt=%s rows=%d tuples=%d io=%d",
+		wall.Round(time.Microsecond), optTime.Round(time.Microsecond), len(rows), ctx.Tuples, ioDelta)
+	return res, execCost{}, nil
 }
 
 // Explain plans a SELECT without executing it and returns the plan,

@@ -303,3 +303,49 @@ func TestSetOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestNumericEqualityOnEveryAccessPath: Int and Float compare exactly,
+// so a scan, a hash join, an index probe and an index join agree on
+// which integers equal a float. x holds 2^53 and 2^53+1, which both
+// round to the float 2^53; only 2^53 equals it.
+func TestNumericEqualityOnEveryAccessPath(t *testing.T) {
+	db := testDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE x (id INTEGER PRIMARY KEY, v INTEGER)")
+	mustExec(t, s, "CREATE TABLE y (f FLOAT)")
+	for base := 0; base < 3000; base += 500 {
+		var vals []string
+		for i := base; i < base+500; i++ {
+			v := int64(i)
+			if i >= 2998 {
+				v = 1<<53 + int64(i-2998) // 2^53, 2^53+1
+			}
+			vals = append(vals, fmt.Sprintf("(%d, %d)", i, v))
+		}
+		mustExec(t, s, "INSERT INTO x VALUES "+strings.Join(vals, ", "))
+	}
+	mustExec(t, s, "INSERT INTO y VALUES (9007199254740992.0)")
+
+	const count = "SELECT COUNT(*) FROM x WHERE v = 9007199254740992.0"
+	const join = "SELECT x.v FROM x JOIN y ON x.v = y.f"
+	check := func(sql, path string) {
+		t.Helper()
+		res := mustExec(t, s, sql)
+		if plan := res.Plan.String(); !strings.Contains(plan, path) {
+			t.Fatalf("%s: want a plan with %s, got\n%s", sql, path, plan)
+		}
+		want := []sqltypes.Row{{sqltypes.NewInt(1)}}
+		if sql == join {
+			want = []sqltypes.Row{{sqltypes.NewInt(1 << 53)}}
+		}
+		if got, want := fmt.Sprint(res.Rows), fmt.Sprint(want); got != want {
+			t.Errorf("%s by %s: %s, want %s", sql, path, got, want)
+		}
+	}
+	check(count, "SeqScan x")
+	check(join, "HashJoin")
+	mustExec(t, s, "CREATE INDEX xv ON x (v)")
+	check(count, "IndexScan x via xv")
+	check(join, "IndexJoin x via xv")
+}

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -179,14 +180,16 @@ func (s *Server) execute(sess *engine.Session, sql string) Response {
 		res *engine.Result
 		err error
 	)
-	switch sql {
-	case "BEGIN", "begin":
+	// Transaction control is the session API, not SQL: matched in any
+	// case, with the trailing ';' every statement may carry.
+	switch cmd := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";")); {
+	case strings.EqualFold(cmd, "BEGIN"):
 		err = sess.Begin()
-	case "COMMIT", "commit":
+	case strings.EqualFold(cmd, "COMMIT"):
 		// A failed durability wait aborts the transaction: the client
 		// must hear that its commit did not happen.
 		err = sess.Commit()
-	case "ROLLBACK", "rollback":
+	case strings.EqualFold(cmd, "ROLLBACK"):
 		sess.Rollback()
 	default:
 		res, err = sess.Exec(sql)

@@ -158,6 +158,71 @@ func TestRemoteTransactions(t *testing.T) {
 	}
 }
 
+// TestRemoteTransactionControlForms: BEGIN, COMMIT and ROLLBACK are
+// matched in any case, around whitespace and one trailing ';', as every
+// other statement accepts a trailing ';'.
+func TestRemoteTransactionControlForms(t *testing.T) {
+	addr, _ := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec("CREATE TABLE tf (id INTEGER PRIMARY KEY);"); err != nil {
+		t.Fatal(err)
+	}
+	count := func() int64 {
+		t.Helper()
+		res, err := c.Exec("SELECT COUNT(*) FROM tf")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].I
+	}
+	forms := []struct{ begin, end string }{
+		{"Begin", "Commit"},
+		{" BEGIN ", "  COMMIT\t"},
+		{"BEGIN;", "COMMIT;"},
+		{"begin ;\n", "commit ; "},
+		{"BEGIN;", "Rollback;"},
+		{" rollback ", ""}, // a ROLLBACK outside a transaction is a no-op
+	}
+	var want int64
+	for i, f := range forms {
+		if f.end == "" {
+			if _, err := c.Exec(f.begin); err != nil {
+				t.Fatalf("%q: %v", f.begin, err)
+			}
+			continue
+		}
+		if _, err := c.Exec(f.begin); err != nil {
+			t.Fatalf("%q: %v", f.begin, err)
+		}
+		if _, err := c.Exec("BEGIN"); err == nil {
+			t.Fatalf("%q opened no transaction: a second BEGIN succeeded", f.begin)
+		}
+		if _, err := c.Exec(fmt.Sprintf("INSERT INTO tf VALUES (%d)", i)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Exec(f.end); err != nil {
+			t.Fatalf("%q: %v", f.end, err)
+		}
+		if !strings.HasPrefix(strings.ToUpper(strings.TrimSpace(f.end)), "ROLLBACK") {
+			want++
+		}
+		if n := count(); n != want {
+			t.Fatalf("after %q ... %q: %d rows, want %d", f.begin, f.end, n, want)
+		}
+	}
+	// Only the bare keyword is transaction control; anything else is a
+	// statement for the parser.
+	for _, sql := range []string{"BEGIN;;", "BEGIN WORK", "BEGINX"} {
+		if _, err := c.Exec(sql); err == nil {
+			t.Errorf("%q was accepted", sql)
+		}
+	}
+}
+
 // TestRemoteCommitSurfacesFsyncFailure: a COMMIT whose durability wait
 // fails aborts the transaction, and the remote client is told so.
 func TestRemoteCommitSurfacesFsyncFailure(t *testing.T) {

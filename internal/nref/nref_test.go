@@ -146,4 +146,3 @@ func TestSimpleWorkloadsExecute(t *testing.T) {
 		}
 	}
 }
-

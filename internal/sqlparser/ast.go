@@ -7,12 +7,9 @@ import (
 )
 
 // Statement is the interface implemented by all parsed statements.
-type Statement interface {
-	stmt()
-	// Kind returns a short tag ("SELECT", "INSERT", ...) used by the
-	// monitor and the statement cache.
-	Kind() string
-}
+// What a statement is to the engine — its kind, admission, caching and
+// execution — is the engine's statement-kind table.
+type Statement interface{ stmt() }
 
 // Expr is the interface implemented by all expression nodes.
 type Expr interface{ expr() }
@@ -244,19 +241,6 @@ func (*ModifyStmt) stmt()           {}
 func (*CreateStatisticsStmt) stmt() {}
 func (*ExplainStmt) stmt()          {}
 func (*SetStmt) stmt()              {}
-
-func (*SelectStmt) Kind() string           { return "SELECT" }
-func (*CreateTableStmt) Kind() string      { return "CREATE TABLE" }
-func (*DropTableStmt) Kind() string        { return "DROP TABLE" }
-func (*CreateIndexStmt) Kind() string      { return "CREATE INDEX" }
-func (*DropIndexStmt) Kind() string        { return "DROP INDEX" }
-func (*InsertStmt) Kind() string           { return "INSERT" }
-func (*UpdateStmt) Kind() string           { return "UPDATE" }
-func (*DeleteStmt) Kind() string           { return "DELETE" }
-func (*ModifyStmt) Kind() string           { return "MODIFY" }
-func (*CreateStatisticsStmt) Kind() string { return "CREATE STATISTICS" }
-func (*ExplainStmt) Kind() string          { return "EXPLAIN" }
-func (*SetStmt) Kind() string              { return "SET" }
 
 // ReferencedTables lists every table named in the statement, in
 // first-appearance order. Used by statement admission and the monitor.

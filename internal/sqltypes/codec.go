@@ -142,6 +142,7 @@ const (
 	keyNum   byte = 0x02
 	keyText  byte = 0x03
 	keyIntHi byte = 0x04 // disambiguates huge ints that collide as floats
+	keyAbove byte = 0x05 // a float past every int64 that collides with one
 )
 
 // EncodeKey appends an order-preserving encoding of the values to dst:
@@ -166,14 +167,17 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 				bits |= 1 << 63
 			}
 			dst = binary.BigEndian.AppendUint64(dst, bits)
-			// Tie-break exact integers that round to the same float.
-			if v.T == Int {
-				dst = append(dst, keyIntHi)
-				dst = binary.BigEndian.AppendUint64(dst, uint64(v.I)^(1<<63))
-			} else {
-				dst = append(dst, keyIntHi)
-				dst = binary.BigEndian.AppendUint64(dst, uint64(int64(f))^(1<<63))
+			// Tie-break exact integers that round to the same float. The
+			// float 2^63, which MaxInt64 rounds to, lies above them all.
+			tag, tie := keyIntHi, v.I
+			if v.T == Float {
+				tie = int64(f)
+				if f >= 0x1p63 {
+					tag, tie = keyAbove, math.MinInt64
+				}
 			}
+			dst = append(dst, tag)
+			dst = binary.BigEndian.AppendUint64(dst, uint64(tie)^(1<<63))
 		case Text:
 			dst = append(dst, keyText)
 			// Escape 0x00 as 0x00 0xFF so the 0x00 0x00 terminator

@@ -2,6 +2,7 @@ package sqltypes
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -163,5 +164,57 @@ func TestAppendDecodedRowMatchesDecodeRow(t *testing.T) {
 		t.Fatal("corrupt row decoded")
 	} else if arenaAfter, _ := AppendDecodedRow(arena, []byte{0x05, 0x09}, nil); len(arenaAfter) != n {
 		t.Fatalf("corrupt decode grew arena: %d -> %d", n, len(arenaAfter))
+	}
+}
+
+// TestNumericOrderAtTheEdges: over the numbers where Int and Float meet
+// inexactly — ±0, 2^53±k, ±2^63, MaxInt64/MinInt64 and the largest
+// finite floats, each as Int and as Float where it is one — the key
+// byte order, Compare and Hash agree, and Compare is the exact order of
+// the values.
+func TestNumericOrderAtTheEdges(t *testing.T) {
+	var vals []Value
+	for k := int64(-3); k <= 3; k++ {
+		vals = append(vals, NewInt(1<<53+k), NewInt(-(1<<53)+k), NewFloat(float64(1<<53+2*k)),
+			NewInt(math.MaxInt64-3-k), NewInt(math.MinInt64+3+k), NewInt(k), NewFloat(float64(k)/2))
+	}
+	for _, f := range []float64{0x1p63, -0x1p63, math.Nextafter(0x1p63, 0), math.Nextafter(0x1p63, math.Inf(1)),
+		math.Nextafter(-0x1p63, math.Inf(1)), math.Nextafter(-0x1p63, math.Inf(-1)),
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0x1p51 + 0.5} {
+		vals = append(vals, NewFloat(f))
+	}
+	vals = append(vals, NewInt(math.MaxInt64), NewInt(math.MinInt64), NullValue(), NewText(""))
+	for _, a := range vals {
+		for _, b := range vals {
+			c := Compare(a, b)
+			if k := bytes.Compare(EncodeKey(nil, a), EncodeKey(nil, b)); sign(k) != c {
+				t.Errorf("%s %v vs %s %v: key order %d, Compare %d", a.T, a, b.T, b, sign(k), c)
+			}
+			if c != -Compare(b, a) {
+				t.Errorf("%v vs %v: Compare is not antisymmetric", a, b)
+			}
+			if c == 0 && a.Hash() != b.Hash() {
+				t.Errorf("%v and %v compare equal but hash apart", a, b)
+			}
+		}
+	}
+	exact := []struct {
+		a, b Value
+		want int
+	}{
+		{NewInt(math.MaxInt64), NewFloat(0x1p63), -1},
+		{NewInt(math.MinInt64), NewFloat(-0x1p63), 0},
+		{NewInt(math.MinInt64 + 1), NewFloat(-0x1p63), 1},
+		{NewInt(1<<53 + 1), NewFloat(0x1p53), 1},
+		{NewInt(1 << 53), NewFloat(0x1p53), 0},
+		{NewInt(1<<53 - 1), NewFloat(0x1p53), -1},
+		{NewInt(0), NewFloat(math.Copysign(0, -1)), 0},
+		{NewInt(1 << 51), NewFloat(0x1p51 + 0.5), -1},
+		{NewInt(math.MaxInt64), NewFloat(math.MaxFloat64), -1},
+	}
+	for _, e := range exact {
+		if got := Compare(e.a, e.b); got != e.want {
+			t.Errorf("Compare(Int %v, Float %v) = %d, want %d", e.a, e.b, got, e.want)
+		}
 	}
 }

@@ -4,10 +4,12 @@
 package sqltypes
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
 	"math"
 	"strconv"
+	"strings"
 	"unicode/utf8"
 )
 
@@ -177,65 +179,54 @@ func escapeQuotes(s string) string {
 // Compare orders two values. NULL sorts before every non-NULL value and
 // equal to NULL (three-valued logic is handled by the expression layer,
 // not here — Compare defines the total order used for sorting and keys).
-// Numeric values compare numerically across Int/Float; comparing a
-// number with text orders numbers first, giving a deterministic total
+// Numbers compare exactly across Int/Float (compareIntFloat); comparing
+// a number with text orders numbers first, giving a deterministic total
 // order over heterogeneous values.
 func Compare(a, b Value) int {
-	if a.T == Null || b.T == Null {
-		switch {
-		case a.T == Null && b.T == Null:
-			return 0
-		case a.T == Null:
-			return -1
-		default:
-			return 1
-		}
-	}
-	an, aIsNum := a.numeric()
-	bn, bIsNum := b.numeric()
 	switch {
-	case aIsNum && bIsNum:
-		switch {
-		case an < bn:
-			return -1
-		case an > bn:
-			return 1
-		default:
-			// Distinguish e.g. Int(1<<60) from nearby floats exactly.
-			if a.T == Int && b.T == Int {
-				switch {
-				case a.I < b.I:
-					return -1
-				case a.I > b.I:
-					return 1
-				}
-			}
-			return 0
-		}
-	case aIsNum:
-		return -1
-	case bIsNum:
-		return 1
-	default:
-		switch {
-		case a.S < b.S:
-			return -1
-		case a.S > b.S:
-			return 1
-		default:
-			return 0
-		}
+	case a.T == Int && b.T == Int:
+		return cmp.Compare(a.I, b.I)
+	case a.T == Float && b.T == Float:
+		return compareFloats(a.F, b.F)
+	case a.T == Int && b.T == Float:
+		return compareIntFloat(a.I, b.F)
+	case a.T == Float && b.T == Int:
+		return -compareIntFloat(b.I, a.F)
+	case a.T == Text && b.T == Text:
+		return strings.Compare(a.S, b.S)
 	}
+	return cmp.Compare(typeRank[a.T], typeRank[b.T])
 }
 
-func (v Value) numeric() (float64, bool) {
-	switch v.T {
-	case Int:
-		return float64(v.I), true
-	case Float:
-		return v.F, true
+// typeRank orders values of different types: NULL < numbers < text.
+var typeRank = [...]int8{Null: 0, Int: 1, Float: 1, Text: 2}
+
+// compareFloats orders two floats; NaN compares equal to everything.
+func compareFloats(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
-	return 0, false
+	return 0
+}
+
+// compareIntFloat orders an Int and a Float by their exact values: an
+// integral float inside the int64 range compares as an integer, a float
+// outside it lies beyond every int64 (float64(MaxInt64) rounds up to
+// 2^63), and a fraction compares as a float — no int64 that rounds to a
+// float can fall between it and its neighbours.
+func compareIntFloat(i int64, f float64) int {
+	switch {
+	case f >= 0x1p63:
+		return -1
+	case f < -0x1p63:
+		return 1
+	case f == math.Trunc(f):
+		return cmp.Compare(i, int64(f))
+	}
+	return compareFloats(float64(i), f)
 }
 
 // Equal reports whether two values are identical under Compare.

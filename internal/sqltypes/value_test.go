@@ -212,14 +212,14 @@ func TestTruncateUTF8(t *testing.T) {
 		max  int
 		want string
 	}{
-		{"hello", 10, "hello"},            // shorter than max: unchanged
-		{"hello", 5, "hello"},             // exactly max: unchanged
-		{"hello", 3, "hel"},               // ASCII: plain byte cut
-		{"héllo", 2, "h"},                 // cut would split the 2-byte é
-		{"héllo", 3, "hé"},                // boundary lands after é
-		{"日本語", 4, "日"},                   // 3-byte runes
-		{"日本語", 6, "日本"},                  // exact rune boundary
-		{"a\U0001F600b", 4, "a"},          // 4-byte rune split
+		{"hello", 10, "hello"},   // shorter than max: unchanged
+		{"hello", 5, "hello"},    // exactly max: unchanged
+		{"hello", 3, "hel"},      // ASCII: plain byte cut
+		{"héllo", 2, "h"},        // cut would split the 2-byte é
+		{"héllo", 3, "hé"},       // boundary lands after é
+		{"日本語", 4, "日"},          // 3-byte runes
+		{"日本語", 6, "日本"},         // exact rune boundary
+		{"a\U0001F600b", 4, "a"}, // 4-byte rune split
 		{"a\U0001F600b", 5, "a\U0001F600"},
 		{"hello", 0, ""},
 		{"hello", -1, ""},
