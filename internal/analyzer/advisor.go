@@ -154,7 +154,7 @@ func (a *Analyzer) adviseIndexes(rep *Report) error {
 
 	var accepted []*candidate
 	acceptedNames := make(map[string]string) // candidate key -> virtual index name
-	for len(accepted) < a.cfg.MaxIndexes {
+	for len(accepted) < maxIndexes {
 		var best *candidate
 		bestCost := current
 		for _, c := range ordered {
@@ -173,7 +173,7 @@ func (a *Analyzer) adviseIndexes(rep *Report) error {
 				best = c
 			}
 		}
-		if best == nil || (current-bestCost)/(current+1e-9) < a.cfg.MinImprovement {
+		if best == nil || (current-bestCost)/(current+1e-9) < minImprovement {
 			break
 		}
 		name := fmt.Sprintf("vax_%d", len(accepted))

@@ -93,48 +93,50 @@ type Report struct {
 	WhatIfEstCost   float64
 }
 
-// Config tunes the analyzer.
+// The rules' thresholds, fixed as the paper fixes its own ("more than
+// 10% overflow pages").
+const (
+	// divergenceFactor flags statements whose actual cost differs from
+	// the estimate by more than this factor.
+	divergenceFactor = 2.0
+	// overflowRatio triggers the restructuring rule.
+	overflowRatio = 0.10
+	// maxIndexes bounds the recommended index set.
+	maxIndexes = 16
+	// minImprovement stops the greedy index search when the best
+	// remaining candidate improves total estimated cost by less than
+	// this fraction.
+	minImprovement = 0.005
+	// minHitRatio triggers the buffer-pool rule when an interval's cache
+	// hit ratio falls below it while evictions are nonzero.
+	minHitRatio = 0.90
+	// minCacheRequests is the minimum page requests an interval needs
+	// before its hit ratio is judged; quieter intervals are noise.
+	minCacheRequests = 100
+	// waitDominance is the fraction of a statement's sampled
+	// executions' wall-clock a single wait class must account for before
+	// the wait-state rule fires on it.
+	waitDominance = 0.4
+	// minWaitSamples is the minimum differenced count of sampled
+	// executions a statement needs in ws_stages before its stage sums
+	// are judged.
+	minWaitSamples = 8
+	// maxSnapshotAge triggers the MVCC long-snapshot advisory when the
+	// latest poll's oldest active snapshot is older than this: twice the
+	// daemon's poll interval.
+	maxSnapshotAge = 60 * time.Second
+	// minWriteConflicts is the differenced write-conflict count an
+	// interval needs before the conflict rule fires.
+	minWriteConflicts = 5
+)
+
+// Config wires the analyzer.
 type Config struct {
 	// Source is the monitored database: what-if planning runs against
 	// its optimizer and Apply executes DDL on it.
 	Source *engine.DB
 	// WorkloadDB holds the collected monitoring data.
 	WorkloadDB *engine.DB
-	// DivergenceFactor flags statements whose actual cost differs from
-	// the estimate by more than this factor (default 2).
-	DivergenceFactor float64
-	// OverflowRatio triggers the restructuring rule (default 0.10, the
-	// paper's "more than 10% overflow pages").
-	OverflowRatio float64
-	// MaxIndexes bounds the recommended index set (default 16).
-	MaxIndexes int
-	// MinImprovement stops the greedy index search when the best
-	// remaining candidate improves total estimated cost by less than
-	// this fraction (default 0.005).
-	MinImprovement float64
-	// MinHitRatio triggers the buffer-pool rule when an interval's cache
-	// hit ratio falls below it while evictions are nonzero (default
-	// 0.90).
-	MinHitRatio float64
-	// MinCacheRequests is the minimum page requests an interval needs
-	// before its hit ratio is judged (default 100; quieter intervals are
-	// noise).
-	MinCacheRequests int64
-	// WaitDominance is the fraction of a statement's sampled
-	// executions' wall-clock a single wait class must account for before
-	// the wait-state rule fires on it (default 0.4).
-	WaitDominance float64
-	// MinWaitSamples is the minimum differenced count of sampled
-	// executions a statement needs in ws_stages before its stage sums
-	// are judged (default 8).
-	MinWaitSamples int64
-	// MaxSnapshotAge triggers the MVCC long-snapshot advisory when the
-	// latest poll's oldest active snapshot is older than this (default
-	// 60s — twice the daemon's poll interval).
-	MaxSnapshotAge time.Duration
-	// MinWriteConflicts is the differenced write-conflict count an
-	// interval needs before the conflict rule fires (default 5).
-	MinWriteConflicts int64
 }
 
 // Analyzer scans collected data and recommends design changes.
@@ -153,36 +155,6 @@ func (a *Analyzer) ApplyFailures() int64 { return a.applyFailures.Load() }
 func New(cfg Config) (*Analyzer, error) {
 	if cfg.Source == nil || cfg.WorkloadDB == nil {
 		return nil, fmt.Errorf("analyzer: Source and WorkloadDB are required")
-	}
-	if cfg.DivergenceFactor <= 1 {
-		cfg.DivergenceFactor = 2
-	}
-	if cfg.OverflowRatio <= 0 {
-		cfg.OverflowRatio = 0.10
-	}
-	if cfg.MaxIndexes <= 0 {
-		cfg.MaxIndexes = 16
-	}
-	if cfg.MinImprovement <= 0 {
-		cfg.MinImprovement = 0.005
-	}
-	if cfg.MinHitRatio <= 0 || cfg.MinHitRatio >= 1 {
-		cfg.MinHitRatio = 0.90
-	}
-	if cfg.MinCacheRequests <= 0 {
-		cfg.MinCacheRequests = 100
-	}
-	if cfg.WaitDominance <= 0 || cfg.WaitDominance >= 1 {
-		cfg.WaitDominance = 0.4
-	}
-	if cfg.MinWaitSamples <= 0 {
-		cfg.MinWaitSamples = 8
-	}
-	if cfg.MaxSnapshotAge <= 0 {
-		cfg.MaxSnapshotAge = 60 * time.Second
-	}
-	if cfg.MinWriteConflicts <= 0 {
-		cfg.MinWriteConflicts = 5
 	}
 	return &Analyzer{cfg: cfg}, nil
 }
@@ -319,7 +291,7 @@ func (a *Analyzer) loadStatements() ([]StmtCost, error) {
 }
 
 // ruleDivergence flags statements whose actual cost differs from the
-// optimizer's estimate by more than the configured factor and
+// optimizer's estimate by more than divergenceFactor and
 // recommends statistics on the tables they reference.
 func (a *Analyzer) ruleDivergence(rep *Report) error {
 	const minCost = 1.0 // ignore statements too cheap to matter
@@ -330,7 +302,7 @@ func (a *Analyzer) ruleDivergence(rep *Report) error {
 			continue
 		}
 		ratio := (sc.ActualCost + 0.01) / (sc.EstCost + 0.01)
-		if ratio > a.cfg.DivergenceFactor || ratio < 1/a.cfg.DivergenceFactor {
+		if ratio > divergenceFactor || ratio < 1/divergenceFactor {
 			sc.Diverges = true
 			rep.DivergentCount++
 			for _, tbl := range a.tablesOf(sc.Text) {
@@ -419,7 +391,7 @@ func (a *Analyzer) ruleOverflowPages(rep *Report) error {
 	for _, r := range res.Rows {
 		tbl := r[0].S
 		pages, overflow := r[1].AsFloat(), r[2].AsFloat()
-		if pages <= 0 || overflow/pages <= a.cfg.OverflowRatio {
+		if pages <= 0 || overflow/pages <= overflowRatio {
 			continue
 		}
 		meta := a.cfg.Source.Catalog().Table(tbl)

@@ -28,29 +28,32 @@ const (
 	StateFailed     ActionState = "failed"
 )
 
-// ApplyConfig tunes the apply state machine.
-type ApplyConfig struct {
-	// CanaryWindow is how long the canary observes traffic before and
-	// after applying an action (default 5s).
-	CanaryWindow time.Duration
-	// Quantile is the tail quantile the canary judges (default 0.95).
-	Quantile float64
-	// RegressThreshold rolls an action back when the observed quantile
-	// exceeds baseline * (1 + RegressThreshold) (default 0.25).
-	RegressThreshold float64
-	// MinSamples is the minimum executions each canary window needs
+// The apply state machine's fixed parameters.
+const (
+	// canaryWindow is how long the canary observes traffic before and
+	// after applying an action.
+	canaryWindow = 5 * time.Second
+	// canaryQuantile is the tail quantile the canary judges.
+	canaryQuantile = 0.95
+	// regressThreshold rolls an action back when the observed quantile
+	// exceeds baseline * (1 + regressThreshold).
+	regressThreshold = 0.25
+	// minSamples is the minimum executions each canary window needs
 	// before its verdict counts; with fewer the action is accepted with
 	// an "insufficient samples" note — too little evidence to condemn
-	// it (default 20).
-	MinSamples int64
-	// PoolGrowFactor sizes buffer-pool grow actions: new capacity =
-	// current * factor (default 1.5).
-	PoolGrowFactor float64
-	// MaxHistory bounds the retained audit rows (default 1024; older
-	// transitions are dropped oldest-first after the daemon had a poll
-	// to persist them).
-	MaxHistory int
+	// it.
+	minSamples = 20
+	// poolGrowFactor sizes buffer-pool grow actions: new capacity =
+	// current * poolGrowFactor.
+	poolGrowFactor = 1.5
+	// maxHistory bounds the retained audit rows; older transitions are
+	// dropped oldest-first after the daemon had a poll to persist them.
+	maxHistory = 1024
+)
 
+// ApplyConfig holds the apply state machine's test seams; the zero
+// value observes the source monitor in real time.
+type ApplyConfig struct {
 	// Latency returns the cumulative wallclock latency histogram the
 	// canary differences. Defaults to the source monitor's wall
 	// snapshot; tests inject synthetic series here.
@@ -59,8 +62,6 @@ type ApplyConfig struct {
 	// time.Now).
 	Sleep func(time.Duration)
 	Now   func() time.Time
-	// Logf, when set, receives one line per state transition.
-	Logf func(format string, args ...any)
 }
 
 // Applier executes recommendations through the canary/observe/rollback
@@ -85,24 +86,6 @@ type Applier struct {
 
 // NewApplier builds the apply state machine on top of an Analyzer.
 func (a *Analyzer) NewApplier(cfg ApplyConfig) *Applier {
-	if cfg.CanaryWindow <= 0 {
-		cfg.CanaryWindow = 5 * time.Second
-	}
-	if cfg.Quantile <= 0 || cfg.Quantile > 1 {
-		cfg.Quantile = 0.95
-	}
-	if cfg.RegressThreshold <= 0 {
-		cfg.RegressThreshold = 0.25
-	}
-	if cfg.MinSamples <= 0 {
-		cfg.MinSamples = 20
-	}
-	if cfg.PoolGrowFactor <= 1 {
-		cfg.PoolGrowFactor = 1.5
-	}
-	if cfg.MaxHistory <= 0 {
-		cfg.MaxHistory = 1024
-	}
 	if cfg.Latency == nil {
 		mon := a.cfg.Source.Monitor()
 		cfg.Latency = func() monitor.LatencyCounts {
@@ -176,27 +159,23 @@ func (ap *Applier) transition(ac *action, state ActionState, detail string) {
 		Detail:   ac.detail,
 	}
 	ap.history = append(ap.history, row)
-	if over := len(ap.history) - ap.cfg.MaxHistory; over > 0 {
+	if over := len(ap.history) - maxHistory; over > 0 {
 		ap.history = append(ap.history[:0], ap.history[over:]...)
 	}
 	ap.mu.Unlock()
-	if ap.cfg.Logf != nil {
-		ap.cfg.Logf("analyzer: action %d [%s %s] -> %s %s", ac.id, ac.kind, ac.target, state, ac.detail)
-	}
 }
 
 // observeWindow differences the cumulative latency histogram across
-// one canary window and returns the configured quantile plus the
-// sample count.
+// one canary window and returns its canaryQuantile and sample count.
 func (ap *Applier) observeWindow() (time.Duration, int64) {
 	before := ap.cfg.Latency()
-	ap.cfg.Sleep(ap.cfg.CanaryWindow)
+	ap.cfg.Sleep(canaryWindow)
 	after := ap.cfg.Latency()
 	var delta monitor.LatencyCounts
 	for i := range delta {
 		delta[i] = after[i] - before[i]
 	}
-	return delta.Quantile(ap.cfg.Quantile), delta.Total()
+	return delta.Quantile(canaryQuantile), delta.Total()
 }
 
 // ApplyOnline executes the recommendations of the given kinds (all
@@ -280,28 +259,28 @@ func (ap *Applier) applyOne(rec Recommendation) error {
 	}
 
 	switch {
-	case baselineSamples < ap.cfg.MinSamples || samples < ap.cfg.MinSamples:
+	case baselineSamples < minSamples || samples < minSamples:
 		ap.accepted.Add(1)
 		ap.transition(ac, StateAccepted, fmt.Sprintf(
 			"insufficient canary evidence (%d baseline / %d observed samples, need %d); accepted",
-			baselineSamples, samples, ap.cfg.MinSamples))
-	case float64(observed) > float64(ac.baseline)*(1+ap.cfg.RegressThreshold):
+			baselineSamples, samples, minSamples))
+	case float64(observed) > float64(ac.baseline)*(1+regressThreshold):
 		if ac.rollback != nil {
 			if rerr := ac.rollback(); rerr != nil {
 				ap.failed.Add(1)
 				ap.a.applyFailures.Add(1)
 				ap.transition(ac, StateFailed, fmt.Sprintf("p%.0f regressed %.1f%% but rollback failed: %v",
-					ap.cfg.Quantile*100, ac.deltaPct, rerr))
+					canaryQuantile*100, ac.deltaPct, rerr))
 				return fmt.Errorf("analyzer: rolling back %q: %w", rec.SQL, rerr)
 			}
 		}
 		ap.rolledBack.Add(1)
 		ap.transition(ac, StateRolledBack, fmt.Sprintf("p%.0f regressed %.1f%% (%v -> %v), beyond %.0f%% threshold",
-			ap.cfg.Quantile*100, ac.deltaPct, ac.baseline, observed, ap.cfg.RegressThreshold*100))
+			canaryQuantile*100, ac.deltaPct, ac.baseline, observed, regressThreshold*100))
 	default:
 		ap.accepted.Add(1)
 		ap.transition(ac, StateAccepted, fmt.Sprintf("p%.0f delta %.1f%% (%v -> %v) within threshold",
-			ap.cfg.Quantile*100, ac.deltaPct, ac.baseline, observed))
+			canaryQuantile*100, ac.deltaPct, ac.baseline, observed))
 	}
 	return nil
 }
@@ -334,7 +313,7 @@ func (ap *Applier) execute(ac *action, rec Recommendation) error {
 		return nil
 	case KindBufferPool:
 		oldCap := db.PoolCapacity()
-		target := int(float64(oldCap) * ap.cfg.PoolGrowFactor)
+		target := int(float64(oldCap) * poolGrowFactor)
 		newCap := db.ResizePool(target)
 		ac.sql = fmt.Sprintf("-- resize buffer pool %d -> %d pages", oldCap, newCap)
 		ac.rollback = func() error {

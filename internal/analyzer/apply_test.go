@@ -85,10 +85,8 @@ const (
 // baseline(before, after), canary(before, after).
 func applierFor(f *applyFixture, seq ...monitor.LatencyCounts) *Applier {
 	return f.an.NewApplier(ApplyConfig{
-		CanaryWindow: time.Millisecond,
-		MinSamples:   10,
-		Latency:      latencySeries(seq...),
-		Sleep:        func(time.Duration) {},
+		Latency: latencySeries(seq...),
+		Sleep:   func(time.Duration) {},
 	})
 }
 
@@ -218,7 +216,7 @@ func TestApplierBufferPoolResizeAndRollback(t *testing.T) {
 
 func TestApplierAcceptsOnInsufficientSamples(t *testing.T) {
 	f := newApplyFixture(t)
-	// Only 3 executions per window, below MinSamples=10: the regression
+	// Only 3 executions per window, below minSamples (20): the regression
 	// signal is noise, so the action stands.
 	c0 := counts(fastBucket, 0)
 	c1 := counts(fastBucket, 3)

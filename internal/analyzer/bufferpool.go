@@ -8,7 +8,7 @@ import (
 
 // ruleBufferPool recommends a larger buffer pool when the collected
 // ws_statistics series shows poll intervals whose cache hit ratio fell
-// below MinHitRatio while the pool was actively evicting — the classic
+// below minHitRatio while the pool was actively evicting — the classic
 // "working set exceeds the cache" signature. A low hit ratio with zero
 // evictions is a cold cache (first touch of the data), not pressure,
 // so it does not fire the rule.
@@ -46,11 +46,11 @@ func (a *Analyzer) ruleBufferPool(rep *Report) error {
 		dEvict := cur[3].I - prev[3].I
 		dWaits := cur[4].I - prev[4].I
 		requests := dHits + dMisses
-		if requests < a.cfg.MinCacheRequests {
+		if requests < minCacheRequests {
 			continue // too quiet to judge
 		}
 		ratio := float64(dHits) / float64(requests)
-		if ratio < a.cfg.MinHitRatio && dEvict > 0 {
+		if ratio < minHitRatio && dEvict > 0 {
 			badIntervals++
 			missVolume += dMisses
 			evictions += dEvict
@@ -68,7 +68,7 @@ func (a *Analyzer) ruleBufferPool(rep *Report) error {
 
 	reason := fmt.Sprintf(
 		"%d poll interval(s) ran below the %.0f%% cache hit-ratio target (worst %.1f%%) while evicting %d frame(s): the working set does not fit the buffer pool",
-		badIntervals, a.cfg.MinHitRatio*100, worstRatio*100, evictions)
+		badIntervals, minHitRatio*100, worstRatio*100, evictions)
 	if pinWaits > 0 {
 		reason += fmt.Sprintf("; %d pin wait(s) show sessions stalling for frames", pinWaits)
 	}

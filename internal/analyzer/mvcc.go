@@ -16,10 +16,10 @@ import (
 // ruleMvcc evaluates the two MVCC symptoms:
 //
 //   - long snapshots: the latest poll's oldest_snapshot_ns gauge above
-//     MaxSnapshotAge means some session pins an old visibility horizon,
+//     maxSnapshotAge means some session pins an old visibility horizon,
 //     blocking vacuum from reclaiming dead versions;
 //   - conflict-hot statements: the differenced write_conflicts counter
-//     above MinWriteConflicts points at first-updater-wins aborts; the
+//     above minWriteConflicts points at first-updater-wins aborts; the
 //     statements responsible are ranked by their error counts in
 //     ws_workload (restricted to write statements via ws_statements).
 //
@@ -40,17 +40,17 @@ func (a *Analyzer) ruleMvcc(rep *Report) error {
 	}
 	oldestNs := last[2].I
 
-	if oldestNs >= a.cfg.MaxSnapshotAge.Nanoseconds() {
+	if oldestNs >= maxSnapshotAge.Nanoseconds() {
 		rep.Recommendations = append(rep.Recommendations, Recommendation{
 			Kind: KindMvccSnapshot,
 			SQL:  "-- close long-running transactions or read sessions (oldest snapshot pins the vacuum horizon)",
 			Reason: fmt.Sprintf("the oldest active snapshot is %.1fs old (threshold %.1fs); vacuum cannot reclaim versions deleted after it was taken, so version chains and dead-tuple scans grow for every reader",
-				float64(oldestNs)/1e9, a.cfg.MaxSnapshotAge.Seconds()),
+				float64(oldestNs)/1e9, maxSnapshotAge.Seconds()),
 			Score: float64(oldestNs),
 		})
 	}
 
-	if conflicts >= a.cfg.MinWriteConflicts {
+	if conflicts >= minWriteConflicts {
 		hot := a.conflictHotStatements(3)
 		reason := fmt.Sprintf("%d first-updater-wins write conflict(s) in the collected interval", conflicts)
 		if len(hot) > 0 {

@@ -50,8 +50,8 @@ func TestMvccRulesSilentWithoutData(t *testing.T) {
 
 func TestMvccRulesQuietBelowThresholds(t *testing.T) {
 	an, wdb := newStatsOnlyFixture(t)
-	// 3 conflicts over the interval (< MinWriteConflicts 5) and a 2s
-	// oldest snapshot (< MaxSnapshotAge 60s): healthy, no advisories.
+	// 3 conflicts over the interval (< minWriteConflicts 5) and a 2s
+	// oldest snapshot (< maxSnapshotAge 60s): healthy, no advisories.
 	insertMvccSeries(t, wdb, []mvccSample{
 		{conflicts: 10, oldestNs: 0},
 		{conflicts: 13, oldestNs: 2 * int64(time.Second)},

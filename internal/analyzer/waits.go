@@ -38,7 +38,7 @@ type waitDelta struct {
 // shares its fsync with every committer queued behind it on the log,
 // and there is no batching window left to widen.
 //
-// Statements below MinWaitSamples differenced sampled executions are
+// Statements below minWaitSamples differenced sampled executions are
 // skipped as noise. A missing ws_stages table (workload DBs collected
 // before stage attribution existed) skips the rule rather than failing
 // the analysis.
@@ -57,14 +57,14 @@ func (a *Analyzer) ruleWaitStates(rep *Report) error {
 		ioStmts        int
 	)
 	for _, d := range deltas {
-		if d.samples < a.cfg.MinWaitSamples || d.wall <= 0 {
+		if d.samples < minWaitSamples || d.wall <= 0 {
 			continue
 		}
 		wall := float64(d.wall)
 		lockFrac := float64(d.lock) / wall
 		ioFrac := float64(d.io) / wall
 
-		if lockFrac >= a.cfg.WaitDominance {
+		if lockFrac >= waitDominance {
 			text, tbl := texts[d.hash], ""
 			if ts := a.tablesOf(text); len(ts) > 0 {
 				tbl = ts[0]
@@ -78,7 +78,7 @@ func (a *Analyzer) ruleWaitStates(rep *Report) error {
 				Score: float64(d.lock),
 			})
 		}
-		if ioFrac >= a.cfg.WaitDominance {
+		if ioFrac >= waitDominance {
 			ioStmts++
 			ioWait += d.io
 			ioWall += d.wall

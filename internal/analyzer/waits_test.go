@@ -101,7 +101,7 @@ func TestWaitRuleClassification(t *testing.T) {
 	}
 }
 
-// TestWaitRuleThresholds: statements below MinWaitSamples or below the
+// TestWaitRuleThresholds: statements below minWaitSamples or below the
 // dominance fraction get no recommendation, and an exec-dominant statement
 // (the monitor says "it is just expensive") produces no advisory.
 func TestWaitRuleThresholds(t *testing.T) {

@@ -37,13 +37,6 @@ type Options struct {
 	Dir string
 	// PoolPages sizes the engine buffer pool (default 2048).
 	PoolPages int
-	// DisableMonitor opens the engine without any monitoring — the
-	// paper's "Original" baseline. IMA, daemon and analyzer are then
-	// unavailable.
-	DisableMonitor bool
-	// StatementCapacity sizes the monitor's statement table
-	// (default 1000, as in the prototype).
-	StatementCapacity int
 	// DaemonInterval is the storage daemon polling period
 	// (default 30 s).
 	DaemonInterval time.Duration
@@ -51,9 +44,9 @@ type Options struct {
 	Retention time.Duration
 	// Alerts are threshold rules the daemon evaluates after each poll.
 	Alerts []daemon.Alert
-	// Apply tunes the canary/observe/rollback state machine behind
-	// ApplyOnline (zero values take the analyzer defaults: 5 s windows,
-	// p95, 25% regression threshold).
+	// Apply holds the test seams of the canary/observe/rollback state
+	// machine behind ApplyOnline (5 s windows, p95, 25% regression
+	// threshold); the zero value observes the monitor in real time.
 	Apply analyzer.ApplyConfig
 	// Logf receives daemon diagnostics: transient poll failures, retry
 	// scheduling, alert errors. nil discards them.
@@ -69,12 +62,11 @@ type System struct {
 	Analyzer   *analyzer.Analyzer
 	// Applier executes recommendations through the canary/observe/
 	// rollback state machine; its audit trail backs ima_actions and
-	// ws_actions. Nil when monitoring is disabled.
+	// ws_actions.
 	Applier *analyzer.Applier
 	// Telemetry gathers monitor, engine and daemon metrics; serve it
 	// over HTTP with telemetry.Serve, or scrape it in-process. The
-	// same samples back the ima_health virtual table. Nil when
-	// monitoring is disabled.
+	// same samples back the ima_health virtual table.
 	Telemetry *telemetry.Registry
 }
 
@@ -83,10 +75,7 @@ func Open(opts Options) (*System, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("core: Options.Dir is required")
 	}
-	sys := &System{}
-	if !opts.DisableMonitor {
-		sys.Monitor = monitor.New(monitor.Config{StatementCapacity: opts.StatementCapacity})
-	}
+	sys := &System{Monitor: monitor.New(monitor.Config{})}
 	db, err := engine.Open(engine.Config{
 		Dir:       filepath.Join(opts.Dir, "db"),
 		PoolPages: opts.PoolPages,
@@ -96,9 +85,6 @@ func Open(opts Options) (*System, error) {
 		return nil, err
 	}
 	sys.DB = db
-	if opts.DisableMonitor {
-		return sys, nil
-	}
 	wdb, err := engine.Open(engine.Config{
 		Dir:       filepath.Join(opts.Dir, "workloaddb"),
 		PoolPages: 512,
@@ -177,33 +163,21 @@ func (s *System) Session() *engine.Session { return s.DB.NewSession() }
 
 // Poll runs one storage-daemon collection cycle immediately.
 func (s *System) Poll() error {
-	if s.Daemon == nil {
-		return fmt.Errorf("core: monitoring is disabled")
-	}
 	return s.Daemon.Poll()
 }
 
 // RunDaemon runs the storage daemon until the context is cancelled.
 func (s *System) RunDaemon(ctx context.Context) error {
-	if s.Daemon == nil {
-		return fmt.Errorf("core: monitoring is disabled")
-	}
 	return s.Daemon.Run(ctx)
 }
 
 // Analyze scans the collected data and returns recommendations.
 func (s *System) Analyze() (*analyzer.Report, error) {
-	if s.Analyzer == nil {
-		return nil, fmt.Errorf("core: monitoring is disabled")
-	}
 	return s.Analyzer.Analyze()
 }
 
 // Apply implements a report's recommendations on the database.
 func (s *System) Apply(rep *analyzer.Report, kinds ...analyzer.Kind) error {
-	if s.Analyzer == nil {
-		return fmt.Errorf("core: monitoring is disabled")
-	}
 	return s.Analyzer.Apply(rep, kinds...)
 }
 
@@ -214,9 +188,6 @@ func (s *System) Apply(rep *analyzer.Report, kinds ...analyzer.Kind) error {
 // rolled back automatically. The audit trail is queryable as
 // ima_actions and persisted to ws_actions.
 func (s *System) ApplyOnline(rep *analyzer.Report, kinds ...analyzer.Kind) error {
-	if s.Applier == nil {
-		return fmt.Errorf("core: monitoring is disabled")
-	}
 	return s.Applier.ApplyOnline(rep, kinds...)
 }
 

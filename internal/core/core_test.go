@@ -90,31 +90,6 @@ func TestFullControlLoop(t *testing.T) {
 	}
 }
 
-func TestDisabledMonitorSystem(t *testing.T) {
-	sys, err := Open(Options{Dir: t.TempDir(), DisableMonitor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	s := sys.Session()
-	defer s.Close()
-	if _, err := s.Exec("CREATE TABLE t (a INTEGER PRIMARY KEY)"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Poll(); err == nil {
-		t.Error("Poll should fail without monitoring")
-	}
-	if _, err := sys.Analyze(); err == nil {
-		t.Error("Analyze should fail without monitoring")
-	}
-	if err := sys.Apply(nil); err == nil {
-		t.Error("Apply should fail without monitoring")
-	}
-	if err := sys.RunDaemon(nil); err == nil { //nolint:staticcheck
-		t.Error("RunDaemon should fail without monitoring")
-	}
-}
-
 func TestAlertsThroughSystem(t *testing.T) {
 	fired := 0
 	sys, err := Open(Options{
@@ -168,9 +143,7 @@ func TestApplyOnlineAuditTrail(t *testing.T) {
 	series = append(series, c)
 	i := 0
 	sys, err := Open(Options{Dir: t.TempDir(), Apply: analyzer.ApplyConfig{
-		CanaryWindow: time.Millisecond,
-		MinSamples:   10,
-		Sleep:        func(time.Duration) {},
+		Sleep: func(time.Duration) {},
 		Latency: func() monitor.LatencyCounts {
 			v := series[i]
 			if i < len(series)-1 {

@@ -54,15 +54,16 @@ const DefaultInterval = 30 * time.Second
 // DefaultRetention keeps "the workload of a typical work week".
 const DefaultRetention = 7 * 24 * time.Hour
 
-// Defaults for the fault-tolerance knobs.
+// The fault-tolerance bounds.
 const (
-	// DefaultRetryBase is the first retry delay after a transient poll
-	// failure; each consecutive failure doubles it up to RetryMax.
-	DefaultRetryBase = 250 * time.Millisecond
-	// DefaultRetryMax caps the exponential backoff.
-	DefaultRetryMax = 30 * time.Second
-	// DefaultRefCacheCap bounds the reference dedup set.
-	DefaultRefCacheCap = 100000
+	// retryBase is the first retry delay after a transient poll
+	// failure; each consecutive failure doubles it up to retryMax.
+	retryBase = 250 * time.Millisecond
+	// retryMax caps the exponential backoff.
+	retryMax = 30 * time.Second
+	// refCacheCap bounds the dedup memory of persist-once relations
+	// (ws_references); the oldest keys are evicted first.
+	refCacheCap = 100000
 )
 
 // FatalError wraps an error that must terminate Run. Everything else
@@ -121,15 +122,6 @@ type Config struct {
 	Retention time.Duration
 	// Alerts to evaluate after each poll.
 	Alerts []Alert
-	// RetryBase is the first backoff delay after a transient poll
-	// failure (default DefaultRetryBase).
-	RetryBase time.Duration
-	// RetryMax caps the backoff (default DefaultRetryMax).
-	RetryMax time.Duration
-	// RefCacheCap bounds the dedup memory of persist-once relations
-	// (ws_references); the oldest keys are evicted first (default
-	// DefaultRefCacheCap).
-	RefCacheCap int
 	// Actions, when set, returns the analyzer applier's audit trail;
 	// rows with Seq beyond the daemon's watermark are persisted into
 	// ws_actions each poll.
@@ -138,9 +130,6 @@ type Config struct {
 	// ws_statistics (the analyzer's count of recommendations whose
 	// execution failed).
 	ApplyFailures func() int64
-	// DisableVacuum turns off the MVCC garbage-collection pass that
-	// otherwise rides every poll (one engine.Vacuum over the source).
-	DisableVacuum bool
 	// Logf receives diagnostics: transient poll failures, retry
 	// scheduling, alert errors. nil discards them.
 	Logf func(format string, args ...any)
@@ -180,6 +169,11 @@ type Daemon struct {
 	newTarget func() execTarget
 	logf      func(format string, args ...any)
 
+	// The retry backoff's bounds, and whether a poll skips the vacuum
+	// pass; tests shorten the one and set the other.
+	retryBase, retryMax time.Duration
+	noVacuum            bool
+
 	// The copy loop's view of the registry: what the relations read
 	// from and one cursor per persisted relation, in registry order.
 	src     ima.Sources
@@ -212,18 +206,6 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Retention <= 0 {
 		cfg.Retention = DefaultRetention
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = DefaultRetryBase
-	}
-	if cfg.RetryMax < cfg.RetryBase {
-		cfg.RetryMax = DefaultRetryMax
-		if cfg.RetryMax < cfg.RetryBase {
-			cfg.RetryMax = cfg.RetryBase
-		}
-	}
-	if cfg.RefCacheCap <= 0 {
-		cfg.RefCacheCap = DefaultRefCacheCap
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -233,14 +215,14 @@ func New(cfg Config) (*Daemon, error) {
 	if err := workloaddb.EnsureSchema(cfg.Target); err != nil {
 		return nil, err
 	}
-	d := &Daemon{cfg: cfg, logf: cfg.Logf}
+	d := &Daemon{cfg: cfg, logf: cfg.Logf, retryBase: retryBase, retryMax: retryMax}
 	d.src = ima.Sources{
 		DB: cfg.Source, Mon: cfg.Mon,
 		Actions: cfg.Actions, ApplyFailures: cfg.ApplyFailures,
 		Collector: d.Health,
 	}
 	for _, rel := range ima.Persisted() {
-		d.cursors = append(d.cursors, rel.NewCursor(cfg.RefCacheCap))
+		d.cursors = append(d.cursors, rel.NewCursor(refCacheCap))
 	}
 	d.newTarget = func() execTarget { return cfg.Target.NewSession() }
 	return d, nil
@@ -256,7 +238,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	ticker := time.NewTicker(d.cfg.Interval)
 	defer ticker.Stop()
 
-	backoff := d.cfg.RetryBase
+	backoff := d.retryBase
 	var retryTimer *time.Timer
 	var retryC <-chan time.Time // nil unless a retry is pending
 	defer func() {
@@ -271,7 +253,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 		}
 		err := d.Poll()
 		if err == nil {
-			backoff = d.cfg.RetryBase
+			backoff = d.retryBase
 			retryC = nil
 			return nil
 		}
@@ -287,8 +269,8 @@ func (d *Daemon) Run(ctx context.Context) error {
 		retryTimer = time.NewTimer(backoff)
 		retryC = retryTimer.C
 		backoff *= 2
-		if backoff > d.cfg.RetryMax {
-			backoff = d.cfg.RetryMax
+		if backoff > d.retryMax {
+			backoff = d.retryMax
 		}
 		return nil
 	}
@@ -388,7 +370,7 @@ func (d *Daemon) collect() (time.Time, []error) {
 	// 2. Housekeeping that feeds the sensors read below: MVCC garbage
 	// collection rides the poll — "disk accesses on the daemon's
 	// schedule" extends naturally to version reclamation.
-	if !d.cfg.DisableVacuum {
+	if !d.noVacuum {
 		if vs, err := d.cfg.Source.Vacuum(); err != nil {
 			errs = append(errs, fmt.Errorf("daemon: vacuum: %w", err))
 		} else if vs.Reclaimed > 0 || vs.Cleared > 0 || vs.Retired > 0 {

@@ -278,7 +278,10 @@ func TestReferencesDedupAcrossEviction(t *testing.T) {
 	// End to end: with a small cap, a reference seen on every poll is
 	// still written only once as long as it stays within the window.
 	f := newFixture(t)
-	d, _ := New(Config{Source: f.source, Mon: f.mon, Target: f.target, RefCacheCap: 64})
+	d, _ := New(Config{Source: f.source, Mon: f.mon, Target: f.target})
+	for i, rel := range ima.Persisted() {
+		d.cursors[i] = rel.NewCursor(64)
+	}
 	for i := 0; i < 3; i++ {
 		exec(t, f.sess, "SELECT v FROM t WHERE id = 1")
 		if err := d.Poll(); err != nil {

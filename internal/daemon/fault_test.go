@@ -139,13 +139,12 @@ func TestRunSurvivesTransientErrors(t *testing.T) {
 	f := newFixture(t)
 	d, err := New(Config{
 		Source: f.source, Mon: f.mon, Target: f.target,
-		Interval:  5 * time.Millisecond,
-		RetryBase: time.Millisecond,
-		RetryMax:  4 * time.Millisecond,
+		Interval: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.retryBase, d.retryMax = time.Millisecond, 4*time.Millisecond
 	flaky := inject(d, f.target)
 	flaky.forced.Store(true)
 
@@ -192,12 +191,12 @@ func TestRunStopsOnFatal(t *testing.T) {
 	f := newFixture(t)
 	d, err := New(Config{
 		Source: f.source, Mon: f.mon, Target: f.target,
-		Interval:  time.Millisecond,
-		RetryBase: time.Millisecond,
+		Interval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.retryBase = time.Millisecond
 	flaky := inject(d, f.target)
 	flaky.fatal.Store(true)
 	exec(t, f.sess, "SELECT v FROM t WHERE id = 1")
@@ -311,10 +310,11 @@ func TestConcurrentPollsPersistOnce(t *testing.T) {
 	for _, table := range []string{workloaddb.Workload, workloaddb.References} {
 		t.Run(table, func(t *testing.T) {
 			f := newFixture(t)
-			d, err := New(Config{Source: f.source, Mon: f.mon, Target: f.target, DisableVacuum: true})
+			d, err := New(Config{Source: f.source, Mon: f.mon, Target: f.target})
 			if err != nil {
 				t.Fatal(err)
 			}
+			d.noVacuum = true
 			queries := []string{"SELECT v FROM t WHERE id = 1 LIMIT 1", "SELECT id FROM t WHERE v = 'x2' LIMIT 2"}
 			for _, q := range queries {
 				exec(t, f.sess, q)
@@ -372,9 +372,7 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 	var healthyFired atomic.Int64
 	d, err := New(Config{
 		Source: f.source, Mon: f.mon, Target: f.target,
-		Interval:  3 * time.Millisecond,
-		RetryBase: time.Millisecond,
-		RetryMax:  4 * time.Millisecond,
+		Interval: 3 * time.Millisecond,
 		Alerts: []Alert{
 			{Name: "broken", Query: "SELECT nope FROM missing", Op: ">", Threshold: 0},
 			{
@@ -387,6 +385,7 @@ func TestFaultInjectionExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.retryBase, d.retryMax = time.Millisecond, 4*time.Millisecond
 	flaky := inject(d, f.target)
 	// Every 10th Exec against the target fails. A busy poll issues up to
 	// nine consecutive Execs (statements, workload, references, three

@@ -37,11 +37,11 @@ func TestPersistedParity(t *testing.T) {
 		Source: f.source, Mon: f.mon, Target: f.target,
 		Actions:       func() []ima.ActionRow { return actions },
 		ApplyFailures: func() int64 { return 2 },
-		DisableVacuum: true, // keeps the statistics reading still across the poll
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.noVacuum = true // keeps the statistics reading still across the poll
 	// Something for every rule: repeated and over-long statements, an
 	// index used and one unused, and stage samples (a session samples
 	// its first statement).
@@ -61,7 +61,7 @@ func TestPersistedParity(t *testing.T) {
 	now := time.Now()
 	want := map[string][]string{}
 	for _, rel := range ima.Persisted() {
-		rows, _ := rel.NewCursor(DefaultRefCacheCap).Select(&d.src, now)
+		rows, _ := rel.NewCursor(refCacheCap).Select(&d.src, now)
 		want[rel.Name] = rowStrings(rows)
 	}
 	if err := d.Poll(); err != nil {

@@ -33,9 +33,6 @@ type Config struct {
 	// Monitor is the integrated monitor; nil runs the engine without
 	// any monitoring code active — the paper's "Original" setup.
 	Monitor *monitor.Monitor
-	// StmtCacheSize bounds the number of cached prepared statements
-	// (default 512).
-	StmtCacheSize int
 	// WALOpen substitutes the WAL file implementation — the walfault
 	// crash-simulation seam. nil uses the real file.
 	WALOpen func(string) (storage.WALFile, error)
@@ -112,9 +109,6 @@ func Open(cfg Config) (*DB, error) {
 	if cfg.PoolPages <= 0 {
 		cfg.PoolPages = 2048
 	}
-	if cfg.StmtCacheSize <= 0 {
-		cfg.StmtCacheSize = 512
-	}
 	cat, err := catalog.Load(cfg.Dir)
 	if err != nil {
 		return nil, err
@@ -172,7 +166,7 @@ func Open(cfg Config) (*DB, error) {
 		redo:    redo,
 		tables:  map[string]*tableHandle{},
 		virtual: map[string]*virtualTable{},
-		plans:   newStmtCache(cfg.StmtCacheSize),
+		plans:   newStmtCache(stmtCacheSize),
 	}
 	// A Building index entry is a crashed index build: drop it (and
 	// its file), then sweep data files the catalog no longer references

@@ -142,3 +142,47 @@ func TestPrunedScansKeepWholeRows(t *testing.T) {
 		t.Errorf("the provider's rows were changed: %v", full)
 	}
 }
+
+// TestNaNIsRejected: NaN has no place in the value order, so arithmetic
+// that yields it fails like division by zero and no write stores one.
+// Were a NaN stored, Compare would call it equal to 5.0 while its index
+// key sorts above +Inf, and a sequential scan and an index probe would
+// count different rows.
+func TestNaNIsRejected(t *testing.T) {
+	db := testDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE n (id INTEGER PRIMARY KEY, f FLOAT)")
+	var vals []string
+	for i := 2; i <= 400; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d.0)", i, i))
+	}
+	mustExec(t, s, "INSERT INTO n (id, f) VALUES "+strings.Join(vals, ", "))
+	for _, sql := range []string{
+		"INSERT INTO n VALUES (1, 1e308 * 10 - 1e308 * 10)",
+		"INSERT INTO n VALUES (1, 0 * (1e308 * 10))",
+		"INSERT INTO n VALUES (1, (1e308 * 10) / (1e308 * 10))",
+		"UPDATE n SET f = f * 1e308 * 10 - f * 1e308 * 10 WHERE id = 5",
+	} {
+		if _, err := s.Exec(sql); err == nil {
+			t.Errorf("%s stored a NaN", sql)
+		}
+	}
+	if err := db.BulkInsert("n", []sqltypes.Row{{sqltypes.NewInt(1), sqltypes.NewFloat(math.NaN())}}); err == nil {
+		t.Error("BulkInsert stored a NaN")
+	}
+
+	const q = "SELECT COUNT(*) FROM n WHERE f = 5.0"
+	seq := mustExec(t, s, q)
+	mustExec(t, s, "CREATE INDEX nf ON n (f)")
+	idx := mustExec(t, s, q)
+	if !strings.Contains(seq.Plan.String(), "SeqScan") || !slices.Contains(idx.Plan.UsedIndexes, "nf") {
+		t.Fatalf("plans are not a scan and a probe:\n%s\n%s", seq.Plan, idx.Plan)
+	}
+	if a, b := seq.Rows[0][0].I, idx.Rows[0][0].I; a != 1 || b != 1 {
+		t.Errorf("COUNT(*) WHERE f = 5.0: SeqScan %d, IndexScan %d, want 1", a, b)
+	}
+	if got := mustExec(t, s, "SELECT COUNT(*) FROM n").Rows[0][0].I; got != 399 {
+		t.Errorf("%d rows, want 399", got)
+	}
+}

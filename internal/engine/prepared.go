@@ -155,6 +155,9 @@ type stmtCache struct {
 	staleReparses atomic.Int64 // hits DDL overtook on the way to admission
 }
 
+// stmtCacheSize bounds the number of cached prepared statements.
+const stmtCacheSize = 512
+
 func newStmtCache(capacity int) *stmtCache {
 	return &stmtCache{cap: capacity, m: map[string][]*prepared{}}
 }

@@ -13,10 +13,11 @@ import (
 // shape, and it keeps the recently used ones.
 func TestStatementCacheBounded(t *testing.T) {
 	const capacity = 8
-	db, err := Open(Config{Dir: t.TempDir(), PoolPages: 256, StmtCacheSize: capacity, Monitor: monitor.New(monitor.Config{})})
+	db, err := Open(Config{Dir: t.TempDir(), PoolPages: 256, Monitor: monitor.New(monitor.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.plans = newStmtCache(capacity)
 	defer db.Close()
 	s := db.NewSession()
 	defer s.Close()
@@ -121,10 +122,11 @@ func TestUnboundLiteralsNeverShare(t *testing.T) {
 // index, shows up as a wrong row — and the race detector watches the
 // entries, the eviction clock and the monitor's Shapes.
 func TestStatementCacheConcurrent(t *testing.T) {
-	db, err := Open(Config{Dir: t.TempDir(), PoolPages: 256, StmtCacheSize: 4, Monitor: monitor.New(monitor.Config{})})
+	db, err := Open(Config{Dir: t.TempDir(), PoolPages: 256, Monitor: monitor.New(monitor.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.plans = newStmtCache(4)
 	defer db.Close()
 	setup := db.NewSession()
 	setupPeople(t, setup)
@@ -205,10 +207,11 @@ func TestStatementCacheConcurrent(t *testing.T) {
 // hits are the statements minus the misses; evictions and invalidations
 // count entries dropped for capacity and whole-cache drops.
 func TestStatementCacheCounters(t *testing.T) {
-	db, err := Open(Config{Dir: t.TempDir(), PoolPages: 256, StmtCacheSize: 2, Monitor: monitor.New(monitor.Config{})})
+	db, err := Open(Config{Dir: t.TempDir(), PoolPages: 256, Monitor: monitor.New(monitor.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
+	db.plans = newStmtCache(2)
 	defer db.Close()
 	s := db.NewSession()
 	defer s.Close()

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -19,7 +20,8 @@ import (
 const MaxTextBytes = 512
 
 // coerceRow validates and coerces a row against the table schema:
-// ints widen to floats, anything else must match or be NULL.
+// ints widen to floats, anything else must match or be NULL, and no
+// column stores a NaN.
 func coerceRow(schema sqltypes.Schema, row sqltypes.Row) (sqltypes.Row, error) {
 	if len(row) != schema.Len() {
 		return nil, fmt.Errorf("engine: row has %d values, table has %d columns", len(row), schema.Len())
@@ -30,6 +32,8 @@ func coerceRow(schema sqltypes.Schema, row sqltypes.Row) (sqltypes.Row, error) {
 		switch {
 		case v.IsNull():
 			out[i] = v
+		case v.T == sqltypes.Float && math.IsNaN(v.F):
+			return nil, fmt.Errorf("engine: NaN value for column %s", col.Name)
 		case v.T == col.Type:
 			if v.T == sqltypes.Text && len(v.S) > MaxTextBytes {
 				return nil, fmt.Errorf("engine: value for %s exceeds %d bytes", col.Name, MaxTextBytes)

@@ -6,6 +6,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/sqlparser"
@@ -281,22 +282,30 @@ func arith(op binOp, opName string, a, b sqltypes.Value) (sqltypes.Value, error)
 		}
 	}
 	af, bf := a.AsFloat(), b.AsFloat()
+	var f float64
 	switch op {
 	case opAdd:
-		return sqltypes.NewFloat(af + bf), nil
+		f = af + bf
 	case opSub:
-		return sqltypes.NewFloat(af - bf), nil
+		f = af - bf
 	case opMul:
-		return sqltypes.NewFloat(af * bf), nil
+		f = af * bf
 	case opDiv:
 		if bf == 0 {
 			return sqltypes.Value{}, fmt.Errorf("expr: division by zero")
 		}
-		return sqltypes.NewFloat(af / bf), nil
+		f = af / bf
 	case opMod:
 		return sqltypes.Value{}, fmt.Errorf("expr: modulo requires integers")
+	default:
+		return sqltypes.Value{}, fmt.Errorf("expr: unhandled arithmetic %s", opName)
 	}
-	return sqltypes.Value{}, fmt.Errorf("expr: unhandled arithmetic %s", opName)
+	// A NaN (Inf-Inf, 0*Inf, Inf/Inf) has no place in the value order,
+	// so it is an error like division by zero.
+	if math.IsNaN(f) {
+		return sqltypes.Value{}, fmt.Errorf("expr: %s yields NaN", opName)
+	}
+	return sqltypes.NewFloat(f), nil
 }
 
 type notNode struct{ v Compiled }

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -145,6 +146,26 @@ func TestArithmeticErrors(t *testing.T) {
 	c, _ := Bind(parseWhere(t, "s * 2 = 2"), testResolver())
 	if _, err := c.Eval(&Env{Row: row}); err == nil {
 		t.Error("text multiply accepted")
+	}
+}
+
+// Float arithmetic whose result is NaN is an error; infinities alone
+// are not.
+func TestArithmeticNaNIsAnError(t *testing.T) {
+	row := sqltypes.Row{
+		sqltypes.NewInt(0), sqltypes.NewFloat(math.Inf(1)), sqltypes.NewText("x"), sqltypes.NewInt(0),
+	}
+	for _, cond := range []string{"b - b = 1", "t.a * b = 1", "b / b = 1", "b + -b = 1"} {
+		c, err := Bind(parseWhere(t, cond), testResolver())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := c.Eval(&Env{Row: row}); err == nil {
+			t.Errorf("%q: evaluated to %v, want an error", cond, v)
+		}
+	}
+	if v := evalCond(t, "b + b > 1e308", row); !v.Bool() {
+		t.Errorf("Inf + Inf > 1e308 = %v", v)
 	}
 }
 

@@ -133,7 +133,8 @@ func TestHistogramsConcurrent(t *testing.T) {
 }
 
 func TestTraceRing(t *testing.T) {
-	m := New(Config{TraceCapacity: 4})
+	m := New(Config{})
+	m.traces.init(4)
 	for i := 0; i < 6; i++ {
 		seq := m.RecordTrace(Trace{
 			Hash: uint64(i),

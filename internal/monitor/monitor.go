@@ -128,14 +128,6 @@ type Config struct {
 	// StatementCapacity bounds the statement table, and the evicted
 	// entries still holding sums. Zero means DefaultStatementCapacity.
 	StatementCapacity int
-	// Shards is the number of ways (rounded up to a power of two,
-	// capped at 8) a Shape's counters and the cumulative totals are
-	// striped. Zero derives it from GOMAXPROCS. The shard count never
-	// changes observable semantics, only contention.
-	Shards int
-	// TraceCapacity bounds the ring of per-operator statement traces
-	// (EXPLAIN ANALYZE). Zero means DefaultTraceCapacity.
-	TraceCapacity int
 }
 
 // Monitor is the in-core monitoring component. A disabled monitor adds
@@ -162,21 +154,25 @@ type Monitor struct {
 	stages stageSums
 }
 
-// New creates an enabled monitor with the given configuration. Zero
-// capacities fall back to the defaults.
+// New creates an enabled monitor with the given configuration, its
+// counters striped GOMAXPROCS ways. A zero capacity falls back to the
+// default.
 func New(cfg Config) *Monitor {
 	if cfg.StatementCapacity <= 0 {
 		cfg.StatementCapacity = DefaultStatementCapacity
 	}
-	lanes := cfg.Shards
-	if lanes <= 0 {
-		lanes = runtime.GOMAXPROCS(0)
-	}
-	lanes = min(ceilPow2(lanes), maxLanes)
+	return newMonitor(cfg.StatementCapacity, runtime.GOMAXPROCS(0))
+}
 
+// newMonitor builds an enabled monitor whose Shape counters and
+// cumulative totals are striped shards ways (rounded up to a power of
+// two, capped at maxLanes). The shard count never changes observable
+// semantics, only contention; tests force it.
+func newMonitor(capacity, shards int) *Monitor {
+	lanes := min(ceilPow2(shards), maxLanes)
 	m := &Monitor{totals: make([]totalLane, lanes)}
-	m.stmts.init(cfg.StatementCapacity, lanes)
-	m.traces.init(cfg.TraceCapacity)
+	m.stmts.init(capacity, lanes)
+	m.traces.init(traceCapacity)
 	m.enabled.Store(true)
 	return m
 }

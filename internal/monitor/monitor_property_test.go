@@ -99,7 +99,7 @@ func TestQuickEvictionMatchesSingleRingModel(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		stmtCap := 1 + r.Intn(24)
 		shards := 1 << r.Intn(4) // 1..8 ways
-		m := New(Config{StatementCapacity: stmtCap, Shards: shards})
+		m := newMonitor(stmtCap, shards)
 
 		var model []string // distinct statements, oldest first
 		inModel := map[string]bool{}
@@ -146,7 +146,7 @@ func TestQuickEvictionMatchesSingleRingModel(t *testing.T) {
 func TestQuickWorkloadDrainRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		m := New(Config{StatementCapacity: 16, Shards: 1 << r.Intn(4)})
+		m := newMonitor(16, 1<<r.Intn(4))
 
 		type sum struct{ execs, rows int64 }
 		model := map[uint64]sum{} // unlanded sums per digest

@@ -238,7 +238,7 @@ func TestMonitorOverheadIsMicrosecondScale(t *testing.T) {
 // Depth counts evicted entries still holding sums, at most the table's
 // capacity; drops count the executions of the ones pushed out.
 func TestWorkloadDepthAndDropped(t *testing.T) {
-	m := New(Config{StatementCapacity: 4, Shards: 2})
+	m := newMonitor(4, 2)
 	if m.WorkloadDepth() != 0 || m.WorkloadDropped() != 0 {
 		t.Fatalf("fresh monitor: depth=%d dropped=%d", m.WorkloadDepth(), m.WorkloadDropped())
 	}

@@ -60,7 +60,7 @@ func statementRows(m *Monitor) [][4]any {
 // ima_indexes rows.
 func TestShapeCountsEqualPerNameCounts(t *testing.T) {
 	byName := New(Config{})
-	byShape := New(Config{Shards: 4})
+	byShape := newMonitor(DefaultStatementCapacity, 4)
 	cells := make([]atomic.Pointer[Shape], len(testShapes))
 	text := func(i int) string { return fmt.Sprintf("%s #%d", testShapes[i].kind, i) }
 	publish := func(i int) {
@@ -331,7 +331,7 @@ func TestWorkloadDroppedCountsExecutions(t *testing.T) {
 // (the churn evicts faster than the reader lands). Run with -race.
 func TestConservationUnderEvictionAndRepublish(t *testing.T) {
 	const shapes, sessions, perSession = 40, 6, 4000
-	m := New(Config{StatementCapacity: 16, Shards: 4})
+	m := newMonitor(16, 4)
 	cells := make([]atomic.Pointer[Shape], shapes)
 	for i := range cells {
 		cells[i].Store(m.Publish(uint64(i+1), fmt.Sprintf("stmt %d", i), "SELECT", []string{"t"}, []string{fmt.Sprintf("t.c%d", i)}, nil, Estimates{}))

@@ -33,7 +33,7 @@ func TestStressCapacityInvariant(t *testing.T) {
 		writers  = 8
 	)
 	perWriter := stressScale(t, 5000)
-	m := monitor.New(monitor.Config{StatementCapacity: capacity, Shards: 8})
+	m := monitor.NewSharded(capacity, 8)
 
 	var wg, readerWG sync.WaitGroup
 	stop := make(chan struct{})
@@ -162,7 +162,7 @@ func TestStressNoLostTotals(t *testing.T) {
 func TestStressSnapshotConsistencyUnderChurn(t *testing.T) {
 	const capacity = 32
 	iters := stressScale(t, 2000)
-	m := monitor.New(monitor.Config{StatementCapacity: capacity, Shards: 4})
+	m := monitor.NewSharded(capacity, 4)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

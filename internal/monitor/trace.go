@@ -12,10 +12,10 @@ import (
 // Traces are bounded by a small ring so an unattended tracing session
 // cannot grow memory; ima_spans exposes the ring over SQL.
 
-// DefaultTraceCapacity is the number of traces kept before the ring
-// wraps. Traces are opt-in and operator counts are small, so a short
-// ring suffices for "what did my last few EXPLAIN ANALYZEs do".
-const DefaultTraceCapacity = 128
+// traceCapacity is the number of traces kept before the ring wraps.
+// Traces are opt-in and operator counts are small, so a short ring
+// suffices for "what did my last few EXPLAIN ANALYZEs do".
+const traceCapacity = 128
 
 // TraceSpan is the record of one plan operator within a trace, in
 // pre-order (parents before children, as Plan.String renders).
@@ -52,9 +52,6 @@ type traceRing struct {
 }
 
 func (r *traceRing) init(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultTraceCapacity
-	}
 	r.ring = make([]Trace, capacity)
 }
 

@@ -201,7 +201,10 @@ func Compare(a, b Value) int {
 // typeRank orders values of different types: NULL < numbers < text.
 var typeRank = [...]int8{Null: 0, Int: 1, Float: 1, Text: 2}
 
-// compareFloats orders two floats; NaN compares equal to everything.
+// compareFloats orders two floats. It calls NaN equal to every number,
+// so NaN is kept out of the data: expression arithmetic and the
+// engine's row coercion reject it, and over stored values the order is
+// total.
 func compareFloats(a, b float64) int {
 	switch {
 	case a < b:
