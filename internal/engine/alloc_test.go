@@ -103,6 +103,51 @@ func TestHashJoinBuildAllocs(t *testing.T) {
 	}
 }
 
+// TestJoinFilterSkipsDecode: a hash join tests its probe scan's rows
+// against the build keys before they are materialized, so a probe row
+// without a match never copies its text out of the page. Joining 16
+// rows to 20,000 with a text payload, 1 % of which match, allocated
+// 1,270 KB per execution when every probe row was decoded in full
+// before the probe looked at its key; with the join filter it is
+// 421 KB. The bound is half the former.
+func TestJoinFilterSkipsDecode(t *testing.T) {
+	db := bigDB(t) // every page of the probe table stays in the pool
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE few (id INTEGER PRIMARY KEY, k INTEGER)")
+	mustExec(t, s, "CREATE TABLE many (id INTEGER PRIMARY KEY, k INTEGER, pay VARCHAR(64))")
+	var vals []string
+	for i := 0; i < 16; i++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d)", i, i))
+	}
+	mustExec(t, s, "INSERT INTO few (id, k) VALUES "+strings.Join(vals, ", "))
+	for base := 0; base < 20000; base += 500 {
+		vals = vals[:0]
+		for i := base; i < base+500; i++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, 'payload text of row %06d')", i, i%1600, i))
+		}
+		mustExec(t, s, "INSERT INTO many (id, k, pay) VALUES "+strings.Join(vals, ", "))
+	}
+	const q = "SELECT f.id, m.pay FROM many m JOIN few f ON f.k = m.k"
+	if p := mustExec(t, s, q).Plan.String(); !strings.Contains(p, "build=left") || !strings.Contains(p, "SeqScan many (as m)") {
+		t.Fatalf("the join does not build on few:\n%s", p)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if res := mustExec(t, s, q); len(res.Rows) != 208 {
+			t.Fatalf("%d rows, want 208", len(res.Rows))
+		}
+	}
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("%s: %.0f KB per execution", q, kb)
+	if kb >= 635 {
+		t.Errorf("the join allocates %.0f KB per execution, want < 635 KB", kb)
+	}
+}
+
 // TestCachedSelectAdmitsWithoutLocks pins the admission fast path: a
 // cached autocommit point select publishes its tables in the session's
 // slot and loads the published transaction state — it takes no lock in

@@ -186,3 +186,40 @@ func TestNaNIsRejected(t *testing.T) {
 		t.Errorf("%d rows, want 399", got)
 	}
 }
+
+// TestNaNAggregateIsAnError: a float SUM or AVG over +Inf and -Inf is
+// NaN, and like arithmetic that yields NaN it is an error, serially and
+// on the morsel path — not a value that HAVING then calls equal to
+// every number.
+func TestNaNAggregateIsAnError(t *testing.T) {
+	db := testDB(t)
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "CREATE TABLE n (id INTEGER PRIMARY KEY, f FLOAT)")
+	mustExec(t, s, "INSERT INTO n VALUES (1, 1e308 * 10), (2, -1e308 * 10), (3, 5.0)")
+	for _, sql := range []string{
+		"SELECT SUM(f), AVG(f) FROM n",
+		"SELECT AVG(f) FROM n",
+		"SELECT COUNT(*) FROM n HAVING SUM(f) = 5.0",
+	} {
+		if _, err := s.Exec(sql); err == nil || !strings.Contains(err.Error(), "yields NaN") {
+			t.Errorf("%s: %v; want a yields-NaN error", sql, err)
+		}
+	}
+	if got := mustExec(t, s, "SELECT SUM(f) FROM n WHERE id > 1").Rows[0][0]; !math.IsInf(got.F, -1) {
+		t.Errorf("SUM over -Inf and 5.0 = %v, want -Inf", got)
+	}
+
+	big := bigDB(t)
+	bs := setupBig(t, big)
+	mustExec(t, bs, "UPDATE big SET f = 1e308 * 10 WHERE id = 3")
+	mustExec(t, bs, "UPDATE big SET f = -1e308 * 10 WHERE id = 18203") // the same group, 3
+	bs.SetParallel(8)
+	if _, err := bs.Exec("SELECT grp, SUM(f) FROM big GROUP BY grp"); err == nil || !strings.Contains(err.Error(), "yields NaN") {
+		t.Errorf("morsel SUM over +Inf and -Inf: %v; want a yields-NaN error", err)
+	}
+	mustExec(t, bs, "SELECT grp, SUM(v) FROM big GROUP BY grp")
+	if big.Stats().ParallelQueries == 0 {
+		t.Error("a grouped SUM over big does not take the morsel path")
+	}
+}

@@ -313,17 +313,20 @@ func (db *DB) BulkInsert(table string, rows []sqltypes.Row) error {
 
 // heapScanIter adapts the heap's page-at-a-time batch scan to the
 // executor's RowBatchIter, filtering versions through the statement's
-// snapshot. Each record batch is decoded into a reused value arena,
-// recycled on the next call — exactly the executor's batch ownership
-// contract. Decoding copies everything out of the page frames, so the
-// pins and the heap latch under the record batch are dropped as soon as
-// it is decoded: between calls a scan holds neither, whatever the
-// operators above it do with the rows (probe this same heap through an
-// index, stop at a LIMIT, fail).
+// snapshot and then through the scan's sieve. Each record batch is
+// decoded into a reused value arena, recycled on the next call —
+// exactly the executor's batch ownership contract. The sieve tests
+// rows whose text values still view the page frames, and only the rows
+// that pass copy their text out (late materialization), so the pins and
+// the heap latch under the record batch are dropped as soon as it is
+// decoded: between calls a scan holds neither, whatever the operators
+// above it do with the rows (probe this same heap through an index,
+// stop at a LIMIT, fail).
 type heapScanIter struct {
 	it     *storage.HeapBatchIter
 	snap   *snapshot
-	cols   []int        // schema ordinals decoded; nil: every column
+	cols   []int // schema ordinals decoded; nil: every column
+	sieve  *executor.Sieve
 	clk    *stage.Clock // charged Heap for the scan; nil unless sampled
 	rb     storage.RecBatch
 	sel    []int // reused visibility selection backing array
@@ -332,10 +335,10 @@ type heapScanIter struct {
 }
 
 func (r *heapScanIter) NextBatch(b *executor.Batch) (bool, error) {
-	b.Reset()
 	defer r.clk.Switch(r.clk.Switch(stage.Heap))
 	defer r.it.Close()
 	for {
+		b.Reset()
 		ok, err := r.it.NextBatchMax(&r.rb, executor.BatchSize)
 		if err != nil || !ok {
 			return false, err
@@ -357,9 +360,12 @@ func (r *heapScanIter) NextBatch(b *executor.Batch) (bool, error) {
 			continue
 		}
 		r.arena = r.arena[:0]
+		if n := len(r.sel) * len(r.cols); cap(r.arena) < n {
+			r.arena = make([]sqltypes.Value, 0, n) // the batch's size, not the doubling's
+		}
 		r.bounds = append(r.bounds[:0], 0)
 		for _, i := range r.sel {
-			if r.arena, err = sqltypes.AppendDecodedRow(r.arena, storage.VersionPayload(r.rb.Recs[i]), r.cols); err != nil {
+			if r.arena, err = sqltypes.AppendDecodedRow(r.arena, storage.VersionPayload(r.rb.Recs[i]), r.cols, true); err != nil {
 				return false, err
 			}
 			r.bounds = append(r.bounds, len(r.arena))
@@ -370,7 +376,15 @@ func (r *heapScanIter) NextBatch(b *executor.Batch) (bool, error) {
 			lo, hi := r.bounds[i], r.bounds[i+1]
 			b.Rows = append(b.Rows, sqltypes.Row(r.arena[lo:hi:hi]))
 		}
-		return true, nil
+		if b.Rows, err = r.sieve.Sift(b.Rows); err != nil {
+			return false, err
+		}
+		for _, row := range b.Rows {
+			row.Own()
+		}
+		if len(b.Rows) > 0 {
+			return true, nil
+		}
 	}
 }
 
@@ -430,27 +444,35 @@ func (f *versionFetcher) next(it *storage.Iterator) (storage.TID, sqltypes.Row, 
 	return 0, nil, false, it.Err()
 }
 
-// btreeFetchIter delivers the visible rows of a B-Tree key range.
+// btreeFetchIter delivers the visible rows of a B-Tree key range that
+// pass its sieve.
 type btreeFetchIter struct {
-	it *storage.Iterator // bounded to the range: it never yields a key past it
-	f  versionFetcher
+	it    *storage.Iterator // bounded to the range: it never yields a key past it
+	f     versionFetcher
+	sieve *executor.Sieve
 }
 
-// NextBatch delivers the range's visible rows, freshly decoded: a batch
-// is as long as the range, up to BatchSize, so a point probe costs one
-// row and no scratch.
+// NextBatch delivers the range's visible rows, freshly decoded and
+// whole, as the sieve leaves them: a batch is as long as the range, up
+// to BatchSize, so a point probe costs one row and no scratch.
 func (r *btreeFetchIter) NextBatch(b *executor.Batch) (bool, error) {
 	b.Reset()
 	defer r.f.clk.Switch(r.f.clk.Switch(stage.BTree))
-	for len(b.Rows) < executor.BatchSize {
-		_, row, ok, err := r.f.next(r.it)
-		if err != nil {
+	for more := true; more && len(b.Rows) == 0; {
+		for len(b.Rows) < executor.BatchSize {
+			_, row, ok, err := r.f.next(r.it)
+			if err != nil {
+				return false, err
+			}
+			if more = ok; !ok {
+				break
+			}
+			b.Rows = append(b.Rows, row)
+		}
+		var err error
+		if b.Rows, err = r.sieve.Sift(b.Rows); err != nil {
 			return false, err
 		}
-		if !ok {
-			break
-		}
-		b.Rows = append(b.Rows, row)
 	}
 	return len(b.Rows) > 0, nil
 }
@@ -460,15 +482,15 @@ func (r *btreeFetchIter) Close() error { return nil }
 // ScanTable implements executor.Storage: base tables scan
 // page-at-a-time through the heap batch iterator; virtual table
 // snapshots are already materialized.
-func (s executorStorage) ScanTable(name string, cols []int) (executor.RowBatchIter, error) {
+func (s executorStorage) ScanTable(name string, cols []int, sv *executor.Sieve) (executor.RowBatchIter, error) {
 	if vt := s.db.virtualTable(name); vt != nil {
-		return &executor.SliceRowIter{Rows: projectRows(vt.provider(), cols)}, nil
+		return &executor.SliceRowIter{Rows: projectRows(vt.provider(), cols), Sieve: sv}, nil
 	}
 	h := s.db.handle(name)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", name)
 	}
-	return &heapScanIter{it: h.heap.ScanBatch(s.clk), snap: s.snap, cols: cols, clk: s.clk}, nil
+	return &heapScanIter{it: h.heap.ScanBatch(s.clk), snap: s.snap, cols: cols, sieve: sv, clk: s.clk}, nil
 }
 
 // projectRows narrows rows to the columns cols (nil: every column).
@@ -500,8 +522,8 @@ type morselSource struct {
 
 func (m *morselSource) Pages() uint32 { return m.h.heap.Pages() }
 
-func (m *morselSource) ScanRange(lo, hi uint32, cols []int) (executor.RowBatchIter, error) {
-	return &heapScanIter{it: m.h.heap.ScanBatchRange(lo, hi), snap: m.snap, cols: cols}, nil
+func (m *morselSource) ScanRange(lo, hi uint32, cols []int, sv *executor.Sieve) (executor.RowBatchIter, error) {
+	return &heapScanIter{it: m.h.heap.ScanBatchRange(lo, hi), snap: m.snap, cols: cols, sieve: sv}, nil
 }
 
 // MorselTable implements executor.MorselStorage. Virtual tables are
@@ -519,7 +541,7 @@ func (s executorStorage) MorselTable(name string) (executor.MorselSource, bool, 
 }
 
 // IndexRange implements executor.Storage.
-func (s executorStorage) IndexRange(table, index string, lo, hi []byte, cols []int) (executor.RowBatchIter, error) {
+func (s executorStorage) IndexRange(table, index string, lo, hi []byte, cols []int, sv *executor.Sieve) (executor.RowBatchIter, error) {
 	h := s.db.handle(table)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", table)
@@ -535,11 +557,11 @@ func (s executorStorage) IndexRange(table, index string, lo, hi []byte, cols []i
 	if bt == nil {
 		return nil, fmt.Errorf("engine: index %s has no storage", index)
 	}
-	return &btreeFetchIter{it: bt.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, cols: cols, clk: s.clk}}, nil
+	return &btreeFetchIter{it: bt.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, cols: cols, clk: s.clk}, sieve: sv}, nil
 }
 
 // PrimaryRange implements executor.Storage.
-func (s executorStorage) PrimaryRange(table string, lo, hi []byte, cols []int) (executor.RowBatchIter, error) {
+func (s executorStorage) PrimaryRange(table string, lo, hi []byte, cols []int, sv *executor.Sieve) (executor.RowBatchIter, error) {
 	h := s.db.handle(table)
 	if h == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", table)
@@ -547,7 +569,7 @@ func (s executorStorage) PrimaryRange(table string, lo, hi []byte, cols []int) (
 	if h.primary == nil {
 		return nil, fmt.Errorf("engine: table %s has no primary B-Tree", table)
 	}
-	return &btreeFetchIter{it: h.primary.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, cols: cols, clk: s.clk}}, nil
+	return &btreeFetchIter{it: h.primary.SeekClock(lo, hi, s.clk), f: versionFetcher{heap: h.heap, snap: s.snap, cols: cols, clk: s.clk}, sieve: sv}, nil
 }
 
 // scanRecords calls fn with the TID and record of every version in the
@@ -591,7 +613,7 @@ func scanVisible(h *tableHandle, sn *snapshot, clk *stage.Clock, fn func(storage
 			return true, nil
 		}
 		var err error
-		if row, err = sqltypes.AppendDecodedRow(row[:0], storage.VersionPayload(rec), nil); err != nil {
+		if row, err = sqltypes.AppendDecodedRow(row[:0], storage.VersionPayload(rec), nil, false); err != nil {
 			return false, err
 		}
 		return fn(tid, row)

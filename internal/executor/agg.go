@@ -2,6 +2,7 @@ package executor
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/expr"
@@ -166,12 +167,18 @@ func (c *aggC) finalize(groupVals sqltypes.Row, st *aggState) (sqltypes.Row, err
 				row = append(row, sqltypes.NullValue())
 			} else if st.intOnly[i] {
 				row = append(row, sqltypes.NewInt(st.sumI[i]))
+			} else if math.IsNaN(st.sum[i]) {
+				return nil, fmt.Errorf("executor: SUM yields NaN")
 			} else {
 				row = append(row, sqltypes.NewFloat(st.sum[i]))
 			}
 		case "AVG":
+			// A float sum that met +Inf and -Inf is NaN, which has no
+			// place in the value order: an error, as in arithmetic.
 			if st.count[i] == 0 {
 				row = append(row, sqltypes.NullValue())
+			} else if math.IsNaN(st.sum[i]) {
+				return nil, fmt.Errorf("executor: AVG yields NaN")
 			} else {
 				row = append(row, sqltypes.NewFloat(st.sum[i]/float64(st.count[i])))
 			}

@@ -48,17 +48,24 @@ type RowBatchIter interface {
 // for virtual tables; materializing operators (sort, agg) use it for
 // their outputs. The rows are stable, so the batches alias them.
 type SliceRowIter struct {
-	Rows []sqltypes.Row
-	pos  int
+	Rows  []sqltypes.Row
+	Sieve *Sieve // tests the rows of each batch; nil: none
+	pos   int
 }
 
 // NextBatch implements RowBatchIter.
 func (it *SliceRowIter) NextBatch(b *Batch) (bool, error) {
 	b.Reset()
-	end := min(it.pos+BatchSize, len(it.Rows))
-	b.Rows = append(b.Rows, it.Rows[it.pos:end]...)
-	it.pos = end
-	return len(b.Rows) > 0, nil
+	for it.pos < len(it.Rows) {
+		end := min(it.pos+BatchSize, len(it.Rows))
+		b.Rows = append(b.Rows[:0], it.Rows[it.pos:end]...)
+		it.pos = end
+		var err error
+		if b.Rows, err = it.Sieve.Sift(b.Rows); err != nil || len(b.Rows) > 0 {
+			return err == nil, err
+		}
+	}
+	return false, nil
 }
 
 // Close implements RowBatchIter.

@@ -17,16 +17,17 @@ import (
 // ranges use the order-preserving sqltypes.EncodeKey encoding; hi is
 // exclusive. Every method yields rows of the columns cols — ascending
 // schema ordinals, the plan leaf's Ords — or of every column when cols
-// is nil.
+// is nil, and only those of its visible rows that pass the sieve sv
+// (nil: every one; see Sieve).
 type Storage interface {
 	// ScanTable iterates all rows of a base or virtual table.
-	ScanTable(name string, cols []int) (RowBatchIter, error)
+	ScanTable(name string, cols []int, sv *Sieve) (RowBatchIter, error)
 	// IndexRange yields base rows whose entry in the named secondary
 	// index falls in [lo, hi).
-	IndexRange(table, index string, lo, hi []byte, cols []int) (RowBatchIter, error)
+	IndexRange(table, index string, lo, hi []byte, cols []int, sv *Sieve) (RowBatchIter, error)
 	// PrimaryRange yields rows of a BTREE-structured table whose
 	// primary key falls in [lo, hi).
-	PrimaryRange(table string, lo, hi []byte, cols []int) (RowBatchIter, error)
+	PrimaryRange(table string, lo, hi []byte, cols []int, sv *Sieve) (RowBatchIter, error)
 }
 
 // Ctx carries per-execution state: bound parameters, the actual-CPU
@@ -68,8 +69,9 @@ func (p *Prepared) Run(st Storage, ctx *Ctx) (RowBatchIter, error) {
 // runtime is what an open needs; it travels by value, so a statement
 // does not allocate one.
 type runtime struct {
-	st  Storage
-	ctx *Ctx
+	st   Storage
+	ctx  *Ctx
+	join *joinFilter // for the sieve of a hash join's probe leaf; else nil
 }
 
 // compiled is a factory for one plan operator's iterator. An open that
@@ -93,12 +95,16 @@ func Compile(plan *optimizer.Plan) (*Prepared, error) {
 // with inputs compile their children through it so IDs stay aligned
 // with the SpanMeta slice.
 type compiler struct {
-	spans []SpanMeta
+	spans  []SpanMeta
+	sieved optimizer.Node // the leaf the hash join being compiled filters
 }
 
 func (cp *compiler) compile(n optimizer.Node, depth int) (compiled, error) {
 	id := len(cp.spans)
 	cp.spans = append(cp.spans, spanMetaFor(n, depth))
+	if n == cp.sieved {
+		cp.spans[id].Detail += " sieve=join"
+	}
 	var inner compiled
 	var err error
 	switch x := n.(type) {

@@ -27,12 +27,12 @@ type memIndex struct {
 	cols  []int // column offsets forming the key
 }
 
-func (m *memStorage) ScanTable(name string, cols []int) (RowBatchIter, error) {
+func (m *memStorage) ScanTable(name string, cols []int, sv *Sieve) (RowBatchIter, error) {
 	rows, ok := m.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("mem: no table %q", name)
 	}
-	return &SliceRowIter{Rows: narrow(rows, cols)}, nil
+	return &SliceRowIter{Rows: narrow(rows, cols), Sieve: sv}, nil
 }
 
 // narrow projects rows onto the columns cols (nil: every column).
@@ -49,7 +49,7 @@ func narrow(rows []sqltypes.Row, cols []int) []sqltypes.Row {
 	return out
 }
 
-func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte, cols []int) (RowBatchIter, error) {
+func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte, cols []int, sv *Sieve) (RowBatchIter, error) {
 	var out []sqltypes.Row
 	for _, row := range m.tables[idx.table] {
 		var key []byte
@@ -60,23 +60,23 @@ func (m *memStorage) rangeOver(idx memIndex, lo, hi []byte, cols []int) (RowBatc
 			out = append(out, row)
 		}
 	}
-	return &SliceRowIter{Rows: narrow(out, cols)}, nil
+	return &SliceRowIter{Rows: narrow(out, cols), Sieve: sv}, nil
 }
 
-func (m *memStorage) IndexRange(table, index string, lo, hi []byte, cols []int) (RowBatchIter, error) {
+func (m *memStorage) IndexRange(table, index string, lo, hi []byte, cols []int, sv *Sieve) (RowBatchIter, error) {
 	idx, ok := m.indexes[index]
 	if !ok {
 		return nil, fmt.Errorf("mem: no index %q", index)
 	}
-	return m.rangeOver(idx, lo, hi, cols)
+	return m.rangeOver(idx, lo, hi, cols, sv)
 }
 
-func (m *memStorage) PrimaryRange(table string, lo, hi []byte, cols []int) (RowBatchIter, error) {
+func (m *memStorage) PrimaryRange(table string, lo, hi []byte, cols []int, sv *Sieve) (RowBatchIter, error) {
 	idx, ok := m.primary[table]
 	if !ok {
 		return nil, fmt.Errorf("mem: no primary on %q", table)
 	}
-	return m.rangeOver(idx, lo, hi, cols)
+	return m.rangeOver(idx, lo, hi, cols, sv)
 }
 
 func newMemStorage() *memStorage {
@@ -475,18 +475,18 @@ func (s *trackingStorage) track(table string, it RowBatchIter, err error) (RowBa
 	return &trackedIter{RowBatchIter: it, st: s, table: table}, nil
 }
 
-func (s *trackingStorage) ScanTable(name string, cols []int) (RowBatchIter, error) {
-	it, err := s.memStorage.ScanTable(name, cols)
+func (s *trackingStorage) ScanTable(name string, cols []int, sv *Sieve) (RowBatchIter, error) {
+	it, err := s.memStorage.ScanTable(name, cols, sv)
 	return s.track(name, it, err)
 }
 
-func (s *trackingStorage) IndexRange(table, index string, lo, hi []byte, cols []int) (RowBatchIter, error) {
-	it, err := s.memStorage.IndexRange(table, index, lo, hi, cols)
+func (s *trackingStorage) IndexRange(table, index string, lo, hi []byte, cols []int, sv *Sieve) (RowBatchIter, error) {
+	it, err := s.memStorage.IndexRange(table, index, lo, hi, cols, sv)
 	return s.track(table, it, err)
 }
 
-func (s *trackingStorage) PrimaryRange(table string, lo, hi []byte, cols []int) (RowBatchIter, error) {
-	it, err := s.memStorage.PrimaryRange(table, lo, hi, cols)
+func (s *trackingStorage) PrimaryRange(table string, lo, hi []byte, cols []int, sv *Sieve) (RowBatchIter, error) {
+	it, err := s.memStorage.PrimaryRange(table, lo, hi, cols, sv)
 	return s.track(table, it, err)
 }
 

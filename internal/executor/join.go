@@ -12,16 +12,20 @@ import (
 type hashJoinC struct {
 	probe, build         compiled
 	probeKeys, buildKeys []expr.Compiled // bound against their side's output
+	probeCols, buildCols []int           // the keys' row positions when every key is a bare column; else nil
 	buildLeft            bool            // the build side is the left input
+	joinFilter           bool            // the probe leaf's sieve tests rows against the build keys
 	residual             expr.Compiled   // bound against combined output
 	buildRows            float64         // the build side's estimated rows
 }
 
 func (cp *compiler) compileHashJoin(n *optimizer.HashJoin, depth int) (compiled, error) {
+	cp.sieved = n.JoinFilter()
 	left, err := cp.compile(n.Left, depth+1)
 	if err != nil {
 		return nil, err
 	}
+	cp.sieved = n.JoinFilter() // the left input's joins set their own
 	right, err := cp.compile(n.Right, depth+1)
 	if err != nil {
 		return nil, err
@@ -35,12 +39,13 @@ func (cp *compiler) compileHashJoin(n *optimizer.HashJoin, depth int) (compiled,
 		return nil, err
 	}
 	c := &hashJoinC{probe: left, build: right, probeKeys: leftKeys, buildKeys: rightKeys,
-		buildLeft: n.BuildLeft, buildRows: n.Right.Est().Rows}
+		buildLeft: n.BuildLeft, joinFilter: n.JoinFilter() != nil, buildRows: n.Right.Est().Rows}
 	if n.BuildLeft {
 		c.probe, c.build = right, left
 		c.probeKeys, c.buildKeys = rightKeys, leftKeys
 		c.buildRows = n.Left.Est().Rows
 	}
+	c.probeCols, c.buildCols = keyCols(c.probeKeys), keyCols(c.buildKeys)
 	if c.residual, err = bindOpt(n.Residual, resolverFor(n.Out())); err != nil {
 		return nil, err
 	}
@@ -61,19 +66,37 @@ func bindKeys(keys []sqlparser.Expr, in optimizer.Node) ([]expr.Compiled, error)
 	return out, nil
 }
 
-// evalKey evaluates the key expressions into dst, reusing its
-// capacity; ok=false if any value is NULL (SQL equi joins never match
-// on NULL).
-func evalKey(dst []sqltypes.Value, env *expr.Env, keys []expr.Compiled) ([]sqltypes.Value, bool, error) {
-	dst = dst[:0]
+// keyCols returns the row positions of keys when every one is a bare
+// column, else nil.
+func keyCols(keys []expr.Compiled) []int {
+	cols := make([]int, len(keys))
+	for i, k := range keys {
+		var ok bool
+		if cols[i], ok = expr.ColumnOf(k); !ok {
+			return nil
+		}
+	}
+	return cols
+}
+
+// evalKey evaluates the key expressions, or reads them straight from
+// the row when they are the bare columns cols, into the scratch *dst
+// (see keyOf); ok=false if any value is NULL (SQL equi joins never
+// match on NULL).
+func evalKey(dst *[]sqltypes.Value, env *expr.Env, keys []expr.Compiled, cols []int) ([]sqltypes.Value, bool, error) {
+	if cols != nil {
+		key, ok := keyOf(dst, env.Row, cols)
+		return key, ok, nil
+	}
+	*dst = (*dst)[:0]
 	for _, k := range keys {
 		v, err := k.Eval(env)
 		if err != nil || v.IsNull() {
-			return dst, false, err
+			return nil, false, err
 		}
-		dst = append(dst, v)
+		*dst = append(*dst, v)
 	}
-	return dst, true, nil
+	return *dst, true, nil
 }
 
 // hashBuild is a hash join's build side: its rows in arrival order,
@@ -104,15 +127,14 @@ func (c *hashJoinC) buildTable(rt runtime) (*hashBuild, error) {
 		next:  make([]int32, 0, n),
 	}
 	env := expr.Env{Params: rt.ctx.Params}
-	var key []sqltypes.Value
+	var scratch []sqltypes.Value
 	var arena RowArena
 	err = drain(rit, func(rows []sqltypes.Row) error {
 		rt.ctx.Tuples += int64(len(rows))
 		for _, row := range rows {
 			env.Row = row
-			var ok bool
-			var err error
-			if key, ok, err = evalKey(key, &env, c.buildKeys); err != nil {
+			key, ok, err := evalKey(&scratch, &env, c.buildKeys, c.buildCols)
+			if err != nil {
 				return err
 			}
 			if !ok {
@@ -142,13 +164,17 @@ func (c *hashJoinC) open(rt runtime) (RowBatchIter, error) {
 	if err != nil {
 		return nil, err
 	}
-	pit, err := c.probe.open(rt)
-	if err != nil {
-		return nil, err
-	}
 	out := &probeIter{
-		outer: cursor{in: pit}, build: hb, inner: hb.rows, keys: c.probeKeys,
+		build: hb, inner: hb.rows, keys: c.probeKeys, keyCols: c.probeCols,
 		innerLeft: c.buildLeft, env: expr.Env{Params: rt.ctx.Params}, ctx: rt.ctx, match: -1,
+	}
+	prt := rt
+	if c.joinFilter {
+		out.jf = &joinFilter{build: hb, cols: c.probeCols}
+		prt.join = out.jf
+	}
+	if out.outer.in, err = c.probe.open(prt); err != nil {
+		return nil, err
 	}
 	return maybeFilter(out, c.residual, rt.ctx), nil
 }
@@ -166,7 +192,9 @@ type probeIter struct {
 	inner     []sqltypes.Row
 	innerLeft bool // the inner rows are the left input's
 	keys      []expr.Compiled
-	key       []sqltypes.Value // the current outer row's key
+	keyCols   []int            // the keys' positions when all are bare columns; else nil
+	jf        *joinFilter      // the outer leaf's join filter; nil: none
+	key       []sqltypes.Value // key scratch
 	env       expr.Env
 	ctx       *Ctx
 	current   sqltypes.Row
@@ -193,6 +221,10 @@ func (it *probeIter) NextBatch(b *Batch) (bool, error) {
 			return false, err
 		}
 		if !ok {
+			if it.jf != nil { // the rows the filter dropped after the last it passed
+				it.ctx.Tuples += it.jf.pending
+				it.jf.pending = 0
+			}
 			break
 		}
 		it.ctx.Tuples++
@@ -205,6 +237,8 @@ func (it *probeIter) NextBatch(b *Batch) (bool, error) {
 }
 
 // firstMatch returns the first inner row that row pairs with, or -1.
+// Under a join filter the outer row passed it, so its build entry is
+// known, and the rows the filter dropped just before it count here.
 func (it *probeIter) firstMatch(row sqltypes.Row) (int32, error) {
 	if it.build == nil {
 		if len(it.inner) == 0 {
@@ -212,13 +246,17 @@ func (it *probeIter) firstMatch(row sqltypes.Row) (int32, error) {
 		}
 		return 0, nil
 	}
+	if it.jf != nil {
+		i := it.outer.pos - 1
+		it.ctx.Tuples += it.jf.gaps[i]
+		return it.build.first[it.jf.hits[i]], nil
+	}
 	it.env.Row = row
-	var ok bool
-	var err error
-	if it.key, ok, err = evalKey(it.key, &it.env, it.keys); err != nil || !ok {
+	key, ok, err := evalKey(&it.key, &it.env, it.keys, it.keyCols)
+	if err != nil || !ok {
 		return -1, err
 	}
-	if e := it.build.keys.find(it.key); e >= 0 {
+	if e := it.build.keys.find(key); e >= 0 {
 		return it.build.first[e], nil
 	}
 	return -1, nil
@@ -358,7 +396,7 @@ func (it *indexJoinIter) NextBatch(b *Batch) (bool, error) {
 // pair appends to b the outer row combined with every inner row whose
 // key falls in [lo, hi).
 func (it *indexJoinIter) pair(outer sqltypes.Row, lo, hi []byte, b *Batch) error {
-	in, err := probe(it.rt.st, it.c.table, it.c.index, it.c.primary, lo, hi, it.c.cols)
+	in, err := probe(it.rt.st, it.c.table, it.c.index, it.c.primary, lo, hi, it.c.cols, nil)
 	if err != nil {
 		return err
 	}

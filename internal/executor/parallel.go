@@ -47,7 +47,7 @@ type MorselSource interface {
 	// returned iterator is independent — driven and closed by exactly
 	// one worker goroutine — and applies the same snapshot visibility
 	// as a full-table scan.
-	ScanRange(lo, hi uint32, cols []int) (RowBatchIter, error)
+	ScanRange(lo, hi uint32, cols []int, sv *Sieve) (RowBatchIter, error)
 }
 
 // MorselStorage is optionally implemented by Storage backends that can
@@ -121,6 +121,7 @@ func (c *aggC) openParallel(rt runtime) (_ RowBatchIter, handled bool, _ error) 
 			// counter, expression Env, scan iterators and agg arena.
 			wctx := &Ctx{Params: rt.ctx.Params}
 			run := c.newRun(wctx.Params)
+			sv := newSieve(c.scan.filter, nil, wctx)
 			p.run = run
 			t0 := time.Now()
 			defer func() {
@@ -138,12 +139,12 @@ func (c *aggC) openParallel(rt runtime) (_ RowBatchIter, handled bool, _ error) 
 				if hi > pages {
 					hi = pages
 				}
-				it, err := src.ScanRange(lo, hi, c.scan.cols)
+				it, err := src.ScanRange(lo, hi, c.scan.cols, sv)
 				if err != nil {
 					fail(err)
 					return
 				}
-				in := leaf(it, c.scan.filter, wctx)
+				in := leaf(it, sv, wctx)
 				run.ordBase = uint64(m) << 32
 				run.ordCount = 0
 				err = func() error {

@@ -25,17 +25,14 @@ func bindOpt(e sqlparser.Expr, r expr.Resolver) (expr.Compiled, error) {
 	return expr.Bind(e, r)
 }
 
-// filterIter applies a predicate a batch at a time: the predicate
-// column is evaluated with expr.EvalBatch and the passing rows are
+// filterIter applies a join's residual a batch at a time, through a
+// sieve of its own that tests whole rows: the passing rows are
 // compacted in place, so the output aliases the input batch (which is
 // safe: the output is invalidated exactly when the input refills).
 // Every input row counts as a tuple.
 type filterIter struct {
-	in   RowBatchIter
-	pred expr.Compiled
-	env  expr.Env
-	ctx  *Ctx
-	vals []sqltypes.Value // predicate column scratch
+	in RowBatchIter
+	sv *Sieve
 }
 
 func (it *filterIter) NextBatch(b *Batch) (bool, error) {
@@ -44,18 +41,10 @@ func (it *filterIter) NextBatch(b *Batch) (bool, error) {
 		if err != nil || !ok {
 			return false, err
 		}
-		it.ctx.Tuples += int64(len(b.Rows))
-		if it.vals, err = expr.EvalBatch(it.pred, &it.env, b.Rows, it.vals[:0]); err != nil {
+		if b.Rows, err = it.sv.Sift(b.Rows); err != nil {
 			return false, err
 		}
-		pass := b.Rows[:0]
-		for i, row := range b.Rows {
-			if it.vals[i].Bool() {
-				pass = append(pass, row)
-			}
-		}
-		b.Rows = pass
-		if len(pass) > 0 {
+		if len(b.Rows) > 0 {
 			return true, nil
 		}
 	}
@@ -63,16 +52,15 @@ func (it *filterIter) NextBatch(b *Batch) (bool, error) {
 
 func (it *filterIter) Close() error { return it.in.Close() }
 
-// maybeFilter applies an optional predicate: a join's residual, or —
-// through leaf — a scan's pushed-down filter.
+// maybeFilter applies an optional join residual.
 func maybeFilter(in RowBatchIter, pred expr.Compiled, ctx *Ctx) RowBatchIter {
 	if pred == nil {
 		return in
 	}
-	return &filterIter{in: in, pred: pred, env: expr.Env{Params: ctx.Params}, ctx: ctx}
+	return &filterIter{in: in, sv: newSieve(pred, nil, ctx)}
 }
 
-// countingIter counts the tuples an unfiltered leaf yields.
+// countingIter counts the tuples a leaf with no sieve yields.
 type countingIter struct {
 	in  RowBatchIter
 	ctx *Ctx
@@ -87,13 +75,13 @@ func (it *countingIter) NextBatch(b *Batch) (bool, error) {
 func (it *countingIter) Close() error { return it.in.Close() }
 
 // leaf puts a storage iterator under a scan operator's tuple
-// accounting: with a pushed-down filter every row read counts (and is
-// tested), without one every row yielded counts.
-func leaf(in RowBatchIter, filter expr.Compiled, ctx *Ctx) RowBatchIter {
-	if filter == nil {
+// accounting: with a sieve the storage counts every row it tests,
+// without one every row yielded counts here.
+func leaf(in RowBatchIter, sv *Sieve, ctx *Ctx) RowBatchIter {
+	if sv == nil {
 		return &countingIter{in: in, ctx: ctx}
 	}
-	return maybeFilter(in, filter, ctx)
+	return in
 }
 
 type seqScanC struct {
@@ -111,11 +99,12 @@ func compileSeqScan(n *optimizer.SeqScan) (compiled, error) {
 }
 
 func (c *seqScanC) open(rt runtime) (RowBatchIter, error) {
-	it, err := rt.st.ScanTable(c.table, c.cols)
+	sv := newSieve(c.filter, rt.join, rt.ctx)
+	it, err := rt.st.ScanTable(c.table, c.cols, sv)
 	if err != nil {
 		return nil, err
 	}
-	return leaf(it, c.filter, rt.ctx), nil
+	return leaf(it, sv, rt.ctx), nil
 }
 
 type indexScanC struct {
@@ -240,18 +229,20 @@ func (c *indexScanC) open(rt runtime) (RowBatchIter, error) {
 	if !ok {
 		return &SliceRowIter{}, nil
 	}
-	it, err := probe(rt.st, c.table, c.index, c.primary, lo, hi, c.cols)
+	sv := newSieve(c.filter, rt.join, rt.ctx)
+	it, err := probe(rt.st, c.table, c.index, c.primary, lo, hi, c.cols, sv)
 	if err != nil {
 		return nil, err
 	}
-	return leaf(it, c.filter, rt.ctx), nil
+	return leaf(it, sv, rt.ctx), nil
 }
 
 // probe opens the key range [lo, hi) of a table's primary structure or
-// of one of its secondary indexes, reading the columns cols.
-func probe(st Storage, table, index string, primary bool, lo, hi []byte, cols []int) (RowBatchIter, error) {
+// of one of its secondary indexes, reading the columns cols through the
+// sieve sv (nil: none).
+func probe(st Storage, table, index string, primary bool, lo, hi []byte, cols []int, sv *Sieve) (RowBatchIter, error) {
 	if primary {
-		return st.PrimaryRange(table, lo, hi, cols)
+		return st.PrimaryRange(table, lo, hi, cols, sv)
 	}
-	return st.IndexRange(table, index, lo, hi, cols)
+	return st.IndexRange(table, index, lo, hi, cols, sv)
 }

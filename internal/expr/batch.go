@@ -50,6 +50,14 @@ func evalBatchSlow(c Compiled, env *Env, rows []sqltypes.Row, dst []sqltypes.Val
 	return dst, nil
 }
 
+// ColumnOf reports the row position a bare column reference reads;
+// ok=false for any other expression. A join reads such a key straight
+// from the row.
+func ColumnOf(c Compiled) (col int, ok bool) {
+	x, ok := c.(colNode)
+	return x.idx, ok
+}
+
 // leafOperand resolves an expression that is constant per batch (a
 // column reference, literal or bound parameter) into either a column
 // index (col >= 0) or a value. ok=false for any other shape.

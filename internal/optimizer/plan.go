@@ -100,6 +100,27 @@ func (n *HashJoin) BuildSide() string {
 	return "build=right"
 }
 
+// JoinFilter returns the probe input when the executor tests its rows
+// against the build keys inside its scan, before it materializes them:
+// when that input is a leaf scan and every probe key a bare column of
+// it. Else nil. EXPLAIN marks that leaf sieve=join.
+func (n *HashJoin) JoinFilter() Node {
+	probe, keys := n.Left, n.LeftKeys
+	if n.BuildLeft {
+		probe, keys = n.Right, n.RightKeys
+	}
+	for _, k := range keys {
+		if _, ok := k.(sqlparser.ColumnRef); !ok {
+			return nil
+		}
+	}
+	switch probe.(type) {
+	case *SeqScan, *IndexScan:
+		return probe
+	}
+	return nil
+}
+
 // LoopJoin is a nested-loops join with an arbitrary condition; the
 // right input is materialized and rescanned.
 type LoopJoin struct {
@@ -237,6 +258,7 @@ type Plan struct {
 // String renders the plan tree for EXPLAIN-style debugging.
 func (p *Plan) String() string {
 	var b strings.Builder
+	var sieved Node // the leaf the hash join last walked filters
 	var walk func(n Node, depth int)
 	indent := func(d int) {
 		for i := 0; i < d; i++ {
@@ -245,18 +267,24 @@ func (p *Plan) String() string {
 	}
 	walk = func(n Node, depth int) {
 		indent(depth)
+		sieve := ""
+		if n == sieved {
+			sieve = " sieve=join"
+		}
 		switch x := n.(type) {
 		case *SeqScan:
-			fmt.Fprintf(&b, "SeqScan %s (as %s) rows=%.0f io=%.0f\n", x.Table, x.Alias, x.EstC.Rows, x.EstC.IO)
+			fmt.Fprintf(&b, "SeqScan %s (as %s) rows=%.0f io=%.0f%s\n", x.Table, x.Alias, x.EstC.Rows, x.EstC.IO, sieve)
 		case *IndexScan:
 			name := x.Index
 			if x.Primary {
 				name = x.Table + ".primary"
 			}
-			fmt.Fprintf(&b, "IndexScan %s via %s rows=%.0f io=%.0f\n", x.Table, name, x.EstC.Rows, x.EstC.IO)
+			fmt.Fprintf(&b, "IndexScan %s via %s rows=%.0f io=%.0f%s\n", x.Table, name, x.EstC.Rows, x.EstC.IO, sieve)
 		case *HashJoin:
 			fmt.Fprintf(&b, "HashJoin rows=%.0f %s\n", x.EstC.Rows, x.BuildSide())
+			sieved = x.JoinFilter()
 			walk(x.Left, depth+1)
+			sieved = x.JoinFilter() // the left input's joins set their own
 			walk(x.Right, depth+1)
 		case *LoopJoin:
 			fmt.Fprintf(&b, "LoopJoin rows=%.0f\n", x.EstC.Rows)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
+	"unsafe"
 )
 
 // EncodeRow appends a compact, self-describing encoding of the row to
@@ -43,17 +45,30 @@ func DecodeRow(b []byte, cols []int) (Row, error) {
 		n = len(cols)
 	}
 	r := make(Row, n)
-	return r, decodeRowInto(r, b, off, cols)
+	return r, decodeRowInto(r, b, off, cols, false)
+}
+
+// Own makes a row that AppendDecodedRow viewed independent of the
+// bytes it was decoded from, by copying its text values.
+func (r Row) Own() {
+	for i := range r {
+		if r[i].T == Text {
+			r[i].S = strings.Clone(r[i].S)
+		}
+	}
 }
 
 // AppendDecodedRow decodes the columns cols (as for DecodeRow) of a row
 // previously produced by EncodeRow, appending their values to arena and
 // returning the extended arena. The decoded row is arena[len(arena):]
 // of the input. Batch scans decode whole pages into one reused arena,
-// so the per-row Row allocation of DecodeRow is amortized away (text
-// values still copy their bytes, as DecodeRow does; a text column not
-// listed is stepped over without a copy).
-func AppendDecodedRow(arena []Value, b []byte, cols []int) ([]Value, error) {
+// so the per-row Row allocation of DecodeRow is amortized away. Text
+// values copy their bytes, as DecodeRow does, unless view is set: then
+// they alias b, and the row is valid only while b is unless Own is
+// called on it — a scan views every row it tests and copies text out
+// only for the rows that pass. A text column not listed is stepped
+// over without a copy.
+func AppendDecodedRow(arena []Value, b []byte, cols []int, view bool) ([]Value, error) {
 	n, off, err := rowHeader(b)
 	if err != nil {
 		return arena, err
@@ -68,7 +83,7 @@ func AppendDecodedRow(arena []Value, b []byte, cols []int) ([]Value, error) {
 		arena = grown
 	}
 	arena = arena[:start+n]
-	if err := decodeRowInto(arena[start:], b, off, cols); err != nil {
+	if err := decodeRowInto(arena[start:], b, off, cols, view); err != nil {
 		return arena[:start], err
 	}
 	return arena, nil
@@ -88,9 +103,10 @@ func rowHeader(b []byte) (n, off int, err error) {
 }
 
 // decodeRowInto decodes the columns starting at offset off into r:
-// column cols[k] into r[k], or with cols nil column k into r[k]. It
-// stops after the last column it needs.
-func decodeRowInto(r []Value, b []byte, off int, cols []int) error {
+// column cols[k] into r[k], or with cols nil column k into r[k]. Text
+// values alias b when view is set, else they are copies. It stops
+// after the last column it needs.
+func decodeRowInto(r []Value, b []byte, off int, cols []int, view bool) error {
 	for i, k := 0, 0; k < len(r); i++ {
 		if off >= len(b) {
 			return fmt.Errorf("sqltypes: truncated row at column %d", i)
@@ -120,7 +136,10 @@ func decodeRowInto(r []Value, b []byte, off int, cols []int) error {
 				return fmt.Errorf("sqltypes: corrupt text at column %d", i)
 			}
 			off += n
-			if want {
+			switch {
+			case want && view:
+				v = NewText(unsafe.String(unsafe.SliceData(b[off:]), int(l)))
+			case want:
 				v = NewText(string(b[off : off+int(l)]))
 			}
 			off += int(l)

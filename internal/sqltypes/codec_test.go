@@ -135,7 +135,7 @@ func TestAppendDecodedRowMatchesDecodeRow(t *testing.T) {
 		rec := EncodeRow(nil, r)
 		start := len(arena)
 		var err error
-		arena, err = AppendDecodedRow(arena, rec, nil)
+		arena, err = AppendDecodedRow(arena, rec, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,9 +160,9 @@ func TestAppendDecodedRowMatchesDecodeRow(t *testing.T) {
 	}
 	// Corrupt input must not leave partial values in the arena.
 	n := len(arena)
-	if _, err := AppendDecodedRow(arena, []byte{0x05, 0x09}, nil); err == nil {
+	if _, err := AppendDecodedRow(arena, []byte{0x05, 0x09}, nil, false); err == nil {
 		t.Fatal("corrupt row decoded")
-	} else if arenaAfter, _ := AppendDecodedRow(arena, []byte{0x05, 0x09}, nil); len(arenaAfter) != n {
+	} else if arenaAfter, _ := AppendDecodedRow(arena, []byte{0x05, 0x09}, nil, false); len(arenaAfter) != n {
 		t.Fatalf("corrupt decode grew arena: %d -> %d", n, len(arenaAfter))
 	}
 }
